@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-tests lint-fix api-check api-update test test-short fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke bench-core bench-obs bench-dist bench-mem metrics-demo fuzz repro repro-quick clean
+.PHONY: all build vet lint lint-tests lint-fix api-check api-update test test-short fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke metrics-demo fuzz repro repro-quick clean
 
 all: build vet lint lint-tests api-check test
 
@@ -43,8 +43,13 @@ api-check:
 api-update:
 	$(GO) run ./cmd/jem-api -update docs/api_surface.txt
 
+# The layered benchmark (benchmark/, its own module) compiles against
+# internal/*; vetting and smoke-testing it here makes a refactor that
+# breaks it fail locally, not in the benchmark driver.
 test:
 	$(GO) test ./...
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 test-short:
 	$(GO) test -short ./...
@@ -101,29 +106,9 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Refresh the committed perf trajectory point (BENCH_core.json at the
-# repo root). Run on a quiet machine and commit the diff; git history
-# of the file is the performance trajectory.
-bench-core:
-	$(GO) run ./cmd/jem-bench core
-
-# Refresh the committed tracing-overhead point (BENCH_obs.json): the
-# same streaming run with tracing off vs on, interleaved passes. The
-# traced run must stay within a few percent of the untraced one.
-bench-obs:
-	$(GO) run ./cmd/jem-bench obs
-
-# Refresh the committed distributed-overhead point (BENCH_dist.json):
-# the same streaming run against the local sharded backend vs an
-# in-process shard-server fleet at p=2/4/8, byte-identity asserted.
-bench-dist:
-	$(GO) run ./cmd/jem-bench dist
-
-# Refresh the committed memory-mode point (BENCH_mem.json): cold-open
-# cost, resident/mapped split, and ns/read for heap vs mmap vs a
-# budgeted auto open of the same saved index.
-bench-mem:
-	$(GO) run ./cmd/jem-bench mem
+# Performance numbers come from the layered benchmark, not from make:
+#   go run -C benchmark . run -out A.json      (see benchmark/README.md)
+#   go run -C benchmark . compare A.json B.json
 
 # End-to-end observability demo: synthesize a tiny dataset, run the
 # streaming mapper with a live metrics server, and scrape /metrics and
@@ -149,7 +134,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/seq/
 	$(GO) test -fuzz FuzzDecodeTable -fuzztime $(FUZZTIME) ./internal/sketch/
-	$(GO) test -fuzz FuzzDecodeFrozenTable -fuzztime $(FUZZTIME) ./internal/sketch/
+	$(GO) test -fuzz FuzzViewFlatFrozen -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzReadTSV -fuzztime $(FUZZTIME) .

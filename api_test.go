@@ -22,7 +22,7 @@ func smallTestOptions() jem.Options {
 // TestShardedFacadeByteIdenticalTSV is the facade-level equivalence
 // acceptance check: the WriteTSV output of sharded mappers is
 // byte-identical to the unsharded one for every shard count, both
-// freshly built and after a save/load round trip through JEMIDX05.
+// freshly built and after a save/load round trip through a saved index.
 func TestShardedFacadeByteIdenticalTSV(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := smallTestOptions()

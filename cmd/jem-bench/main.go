@@ -9,11 +9,10 @@
 //	jem-bench fig7b             querying throughput vs p
 //	jem-bench fig8              computation vs communication split
 //	jem-bench fig9              percent identity distribution
-//	jem-bench core              core mapping throughput -> BENCH_core.json
-//	jem-bench obs               tracing overhead on/off -> BENCH_obs.json
-//	jem-bench dist              remote vs local shard serving -> BENCH_dist.json
-//	jem-bench mem               heap vs mmap vs budgeted serving -> BENCH_mem.json
-//	jem-bench all               everything above in order (except core/obs/dist/mem)
+//	jem-bench all               everything above in order
+//
+// Performance is measured elsewhere: the layered benchmark in
+// benchmark/ (go run -C benchmark . run|compare).
 //
 // The -scale flag scales the paper's genome lengths; the default 0.01
 // keeps a full "all" run in the minutes range on a laptop. Absolute
@@ -38,19 +37,17 @@ import (
 
 func main() {
 	var (
-		scale    = flag.Float64("scale", 0.01, "genome length scale vs the paper")
-		trials   = flag.Int("t", 30, "sketch trials T")
-		seed     = flag.Int64("seed", 1, "hash family seed")
-		csvDir   = flag.String("csv", "", "also write raw data as CSV files into this directory")
-		benchOut = flag.String("bench-out", "",
-			"output path for the core/obs/dist/mem subcommand's machine-readable result (default BENCH_<sub>.json)")
+		scale       = flag.Float64("scale", 0.01, "genome length scale vs the paper")
+		trials      = flag.Int("t", 30, "sketch trials T")
+		seed        = flag.Int64("seed", 1, "hash family seed")
+		csvDir      = flag.String("csv", "", "also write raw data as CSV files into this directory")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve /metrics, /statusz, /debug/vars and /debug/pprof while benchmarks run (empty = off)")
 		metricsLinger = flag.Duration("metrics-linger", 0,
 			"keep the metrics server up this long after the run finishes (lets a scraper collect the final state)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: jem-bench [flags] {table1|fig5|fig6|table2|fig7a|fig7b|fig8|fig9|ablations|coverage|core|obs|dist|mem|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: jem-bench [flags] {table1|fig5|fig6|table2|fig7a|fig7b|fig8|fig9|ablations|coverage|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -102,7 +99,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if err := run(flag.Arg(0), *scale, opts, os.Stdout, *csvDir, *benchOut); err != nil {
+	if err := run(flag.Arg(0), *scale, opts, os.Stdout, *csvDir); err != nil {
 		fmt.Fprintf(os.Stderr, "jem-bench: %v\n", err)
 		os.Exit(1)
 	}
@@ -126,7 +123,7 @@ func writeCSVFile(csvDir, name string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func run(cmd string, scale float64, opts jem.Options, w io.Writer, csvDir, benchOut string) error {
+func run(cmd string, scale float64, opts jem.Options, w io.Writer, csvDir string) error {
 	start := time.Now()
 	defer func() {
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
@@ -253,37 +250,9 @@ func run(cmd string, scale float64, opts jem.Options, w io.Writer, csvDir, bench
 			return err
 		}
 		experiments.RenderAblationBubbles(w, bub)
-	case "core":
-		if benchOut == "" {
-			benchOut = "BENCH_core.json"
-		}
-		if err := benchCore(scale, opts, w, benchOut); err != nil {
-			return err
-		}
-	case "dist":
-		if benchOut == "" {
-			benchOut = "BENCH_dist.json"
-		}
-		if err := benchDist(scale, opts, w, benchOut); err != nil {
-			return err
-		}
-	case "obs":
-		if benchOut == "" {
-			benchOut = "BENCH_obs.json"
-		}
-		if err := benchObs(scale, opts, w, benchOut); err != nil {
-			return err
-		}
-	case "mem":
-		if benchOut == "" {
-			benchOut = "BENCH_mem.json"
-		}
-		if err := benchMem(scale, opts, w, benchOut); err != nil {
-			return err
-		}
 	case "all":
 		for _, c := range []string{"table1", "fig5", "fig6", "table2", "fig7a", "fig7b", "fig8", "fig9", "ablations", "coverage"} {
-			if err := run(c, scale, opts, w, csvDir, benchOut); err != nil {
+			if err := run(c, scale, opts, w, csvDir); err != nil {
 				return fmt.Errorf("%s: %w", c, err)
 			}
 			fmt.Fprintln(w)

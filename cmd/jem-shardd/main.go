@@ -1,5 +1,5 @@
 // Command jem-shardd is a shard server: it loads a subset of the
-// shards of a sharded (JEMIDX06/JEMIDX05) sketch index and answers scatter-
+// shards of a saved (JEMIDX06) sketch index and answers scatter-
 // gather count queries from coordinators (jem-serve -shard-servers,
 // or any jem.Open with OpenOptions.ShardServers) over the shardnet
 // wire protocol. A fleet of jem-shardd processes that collectively
@@ -42,9 +42,9 @@ import (
 func main() {
 	var (
 		listen      = flag.String("listen", ":8855", "listen address: host:port (TCP) or unix:/path")
-		index       = flag.String("index", "", "sharded (JEMIDX06/JEMIDX05) index file to serve from (required)")
+		index       = flag.String("index", "", "saved (JEMIDX06) index file to serve from (required)")
 		shards      = flag.String("shards", "all", "shards to own: ids and ranges (\"0,2,5-7\"), a stripe (\"k/n\"), or \"all\"")
-		memory      = flag.String("memory", "", "how owned shards are held: heap, mmap, or auto (JEMIDX06 files only; see docs/MEMORY.md)")
+		memory      = flag.String("memory", "", "how owned shards are held: heap, mmap, or auto (see docs/MEMORY.md)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /statusz on this address (empty = off)")
 	)
 	flag.Usage = func() {

@@ -68,9 +68,8 @@ func distWorld(t *testing.T) (*jem.Dataset, []byte) {
 // TestOpenShardServersByteIdentity is the tentpole property: a healthy
 // shard-server fleet is indistinguishable from the local sharded
 // backend — identical TSV bytes and identical PostingsScanned — at
-// several shard counts and fleet sizes. (Shard count 1 cannot reach
-// the JEMIDX05 layout through the facade; the core-level remote tests
-// cover it.)
+// several shard counts and fleet sizes. (The core-level remote tests
+// cover shard count 1.)
 func TestOpenShardServersByteIdentity(t *testing.T) {
 	ds, reads := distWorld(t)
 	for _, p := range []int{2, 4, 8} {

@@ -13,6 +13,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -66,16 +67,21 @@ type SubjectMeta struct {
 
 // Mapper holds the sketch table over a subject set.
 //
-// A mapper starts mutable (subjects can be added) and is sealed by
-// Seal before serving: sealing converts the hash-map table into the
-// cache-friendly frozen sorted-array form that every lookup then uses,
-// and frees the mutable table. The distributed driver reaches the same
-// state through SetFrozen (its frozen table is built by the gather
-// merge instead).
+// A mapper starts mutable (subjects can be added) and is sealed before
+// serving: sealing partitions the hash-map table into P ≥ 1 frozen
+// sorted-array shards (Seal is P = 1) and frees the mutable table. The
+// distributed driver reaches the same state through SetFrozen (its
+// frozen table is built by the gather merge instead), an index load
+// through the JEMIDX06 loader, and a remote mapper serves the same
+// shards from a fleet (SetRemote). The unsealed table can be queried
+// too — as one shard — which is what tests and the ablation
+// experiments use as the reference.
 type Mapper struct {
-	sk      *sketch.Sketcher
-	table   *sketch.Table
-	frozen  *sketch.FrozenTable
+	sk *sketch.Sketcher
+	// table is the build-time mutable table, nil once sealed.
+	table *sketch.Table
+	// sharded is the sealed serving table, nil until Seal, SealSharded,
+	// SetFrozen, SetSharded or an index load installed one.
 	sharded *sketch.ShardedFrozen
 	// remote, when non-nil, replaces every local table: queries
 	// scatter-gather over the wire through it (SetRemote).
@@ -105,52 +111,50 @@ func (m *Mapper) Sketcher() *sketch.Sketcher { return m.sk }
 
 // Table exposes the mutable sketch table (used by the distributed
 // driver's gather step and by table-size statistics). It is nil after
-// Seal, which drops the mutable form in favor of the frozen one.
+// sealing, which drops the mutable form in favor of the frozen one.
 func (m *Mapper) Table() *sketch.Table { return m.table }
 
-// Frozen exposes the frozen table, nil until Seal or SetFrozen.
-func (m *Mapper) Frozen() *sketch.FrozenTable { return m.frozen }
-
-// SetFrozen installs a frozen (sorted-array) global table; subsequent
-// lookups use it instead of the mutable hash table. The distributed
-// driver builds it straight from the allgathered payloads.
-func (m *Mapper) SetFrozen(ft *sketch.FrozenTable) {
-	if ft == nil && m.table == nil {
-		panic("core: cannot clear the frozen table of a sealed mapper (no mutable table remains)")
+// Frozen exposes the frozen table of a one-shard mapper: shard 0, nil
+// when there is no sealed table or it has several shards.
+func (m *Mapper) Frozen() *sketch.FrozenTable {
+	if m.sharded == nil || m.sharded.NumShards() != 1 {
+		return nil
 	}
-	m.frozen = ft
+	return m.sharded.Shard(0)
 }
 
-// Sharded exposes the sharded frozen table, nil unless the mapper
-// serves the sharded backend (SealSharded, SetSharded, or a sharded
-// JEMIDX05/06 index load).
+// SetFrozen installs a frozen (sorted-array) global table as a
+// one-shard sharded table; subsequent lookups use it instead of the
+// mutable hash table. The distributed driver builds it straight from
+// the allgathered payloads. SetFrozen(nil) is SetSharded(nil).
+func (m *Mapper) SetFrozen(ft *sketch.FrozenTable) {
+	if ft == nil {
+		m.SetSharded(nil)
+		return
+	}
+	sf, err := sketch.NewShardedFrozen([]*sketch.FrozenTable{ft})
+	if err != nil {
+		panic(err) // unreachable: one non-nil shard always assembles
+	}
+	m.SetSharded(sf)
+}
+
+// Sharded exposes the sealed serving table, nil for an unsealed or
+// remote mapper.
 func (m *Mapper) Sharded() *sketch.ShardedFrozen { return m.sharded }
 
-// Shards returns the number of serving shards: P for a sharded or
-// remote mapper, 1 for the monolithic table forms.
-func (m *Mapper) Shards() int {
-	if m.remote != nil {
-		return m.remote.NumShards()
-	}
-	if m.sharded != nil {
-		return m.sharded.NumShards()
-	}
-	return 1
-}
+// Shards returns the number of serving shards: P for a sealed or
+// remote mapper, 1 for the unsealed table.
+func (m *Mapper) Shards() int { return m.source().numShards() }
 
 // IndexBytes returns the approximate total size of the serving index
-// (the frozen or sharded sketch table's backing arrays), 0 for an
-// unsealed mapper. A serving tier with several indexes resident uses
-// this for per-index memory accounting. The total counts resident and
-// mapped bytes alike; IndexMemory splits them.
+// (the sealed table's backing arrays), 0 for an unsealed mapper. A
+// serving tier with several indexes resident uses this for per-index
+// memory accounting. The total counts resident and mapped bytes alike;
+// IndexMemory splits them.
 func (m *Mapper) IndexBytes() int64 {
-	switch {
-	case m.sharded != nil:
-		return m.sharded.MemBytes()
-	case m.frozen != nil:
-		return m.frozen.MemBytes()
-	}
-	return 0
+	resident, mapped := m.IndexMemory()
+	return resident + mapped
 }
 
 // IndexMemory splits IndexBytes into resident (process-private heap)
@@ -158,35 +162,32 @@ func (m *Mapper) IndexBytes() int64 {
 // A heap-loaded index is all resident; an mmap-served one is all
 // mapped; a budgeted open reports both halves.
 func (m *Mapper) IndexMemory() (resident, mapped int64) {
-	switch {
-	case m.sharded != nil:
-		return m.sharded.ResidentBytes(), m.sharded.MappedBytes()
-	case m.frozen != nil:
-		return m.frozen.ResidentBytes(), m.frozen.MappedBytes()
+	if m.sharded == nil {
+		return 0, 0
 	}
-	return 0, 0
+	return m.sharded.ResidentBytes(), m.sharded.MappedBytes()
 }
 
 // SetSharded installs a sharded frozen table; subsequent lookups
-// scatter-gather across its shards. Like SetFrozen it must run before
-// sessions are issued, and clearing the only table of a sealed mapper
-// is rejected.
+// scatter-gather across its shards. It must run before sessions are
+// issued, and clearing the only table of a sealed mapper is rejected.
 func (m *Mapper) SetSharded(sf *sketch.ShardedFrozen) {
-	if sf == nil && m.table == nil && m.frozen == nil {
-		panic("core: cannot clear the sharded table of a sealed mapper (no other table remains)")
+	if sf == nil && m.table == nil {
+		panic("core: cannot clear the sealed table of a sealed mapper (no mutable table remains)")
 	}
 	m.sharded = sf
 	m.enableShardMetrics()
 }
 
-// SealSharded is Seal for the sharded serving backend: the mutable
-// table is partitioned into `shards` frozen shards built concurrently
-// (workers ≤0 means GOMAXPROCS), then dropped. Sharded and monolithic
-// sealing produce mappers with byte-identical query results; sharding
-// parallelizes the freeze, the index save/load, and bounds per-shard
-// memory. SealSharded is idempotent on an already-sharded mapper and
-// panics on a mapper sealed with the monolithic table (there is no
-// mutable table left to partition).
+// SealSharded freezes the mapper for serving: the mutable table is
+// partitioned into `shards` frozen shards built concurrently (workers
+// ≤0 means GOMAXPROCS) — unless SetFrozen/SetSharded already installed
+// a sealed table — and then dropped, so adding subjects or merging
+// tables afterwards panics. Every shard count produces byte-identical
+// query results; sharding parallelizes the freeze, the index save/load,
+// and bounds per-shard memory. Resealing with the same shard count is a
+// no-op; with a different one it panics (there is no mutable table left
+// to repartition).
 func (m *Mapper) SealSharded(shards, workers int) {
 	m.SealShardedTraced(shards, workers, nil)
 }
@@ -196,10 +197,10 @@ func (m *Mapper) SealSharded(shards, workers int) {
 // build spans.
 func (m *Mapper) SealShardedTraced(shards, workers int, trace func(shard int, fn func())) {
 	if m.sealed {
-		if m.sharded != nil {
-			return
+		if m.Shards() != shards {
+			panic(fmt.Sprintf("core: SealSharded(%d) on a mapper already sealed with %d shards", shards, m.Shards()))
 		}
-		panic("core: SealSharded on a mapper already sealed with a monolithic table")
+		return
 	}
 	if m.sharded == nil {
 		m.sharded = m.table.FreezeShardedTraced(shards, workers, trace)
@@ -209,34 +210,23 @@ func (m *Mapper) SealShardedTraced(shards, workers int, trace func(shard int, fn
 	m.enableShardMetrics()
 }
 
-// Seal freezes the mapper for serving: the mutable hash-map table is
-// converted into the frozen sorted-array form (unless SetFrozen
-// already installed one) and then dropped, so every subsequent lookup
-// takes the cache-friendly path. Adding subjects or merging tables
-// after Seal panics. Seal is idempotent.
+// Seal is SealSharded with one shard. Seal is idempotent, and a no-op
+// on a mapper sealed with any shard count.
 func (m *Mapper) Seal() {
-	if m.sealed {
-		return
+	if !m.sealed {
+		m.SealSharded(1, 0)
 	}
-	if m.frozen == nil && m.sharded == nil {
-		m.frozen = m.table.Freeze()
-	}
-	m.table = nil
-	m.sealed = true
 }
 
-// Sealed reports whether Seal has run.
+// Sealed reports whether the mapper has been sealed.
 func (m *Mapper) Sealed() bool { return m.sealed }
 
-// Entries returns the total posting count of the active table (frozen
-// after Seal/SetFrozen, mutable before). A remote mapper reports 0:
-// its postings are resident in the shard servers, not this process.
+// Entries returns the total posting count of the active table (sealed
+// when present, mutable before). A remote mapper reports 0: its
+// postings are resident in the shard servers, not this process.
 func (m *Mapper) Entries() int {
 	if m.sharded != nil {
 		return m.sharded.Entries()
-	}
-	if m.frozen != nil {
-		return m.frozen.Entries()
 	}
 	if m.table != nil {
 		return m.table.Entries()
@@ -255,17 +245,6 @@ func (m *Mapper) mutationGuard(op string) {
 	if m.sessions.Load() > 0 {
 		panic(fmt.Sprintf("core: %s after sessions were created; the mapper must not gain subjects while sessions exist", op))
 	}
-}
-
-// lookup dispatches to the active table: sharded, frozen, or mutable.
-func (m *Mapper) lookup(t int, w sketch.Word) []sketch.Posting {
-	if m.sharded != nil {
-		return m.sharded.Lookup(t, w)
-	}
-	if m.frozen != nil {
-		return m.frozen.Lookup(t, w)
-	}
-	return m.table.Lookup(t, w)
 }
 
 // NumSubjects returns the number of subjects indexed so far.
@@ -351,6 +330,7 @@ func (m *Mapper) MergeTable(tb *sketch.Table) {
 // goroutine.
 type Session struct {
 	m       *Mapper
+	src     postingSource   // where posting lists come from, captured at creation
 	met     *Metrics        // instrument set captured at creation (nil = off)
 	done    <-chan struct{} // cancellation signal from WithContext (nil = never)
 	ctx     context.Context // request context from WithContext (nil = none)
@@ -361,31 +341,17 @@ type Session struct {
 	plists  [][]sketch.Posting // per-trial postings of the current query
 	scanned int64              // postings examined across all queries
 
-	// Scatter-gather scratch for the sharded backend: per-shard lazy
-	// counters (same ⟨count, qid⟩ scheme as the global arrays) that a
-	// query's per-shard scans fill independently and the gather step
-	// merges into the global counters. shardTrials groups the query's
-	// T trials by destination shard; shardTouched lists the shards the
-	// current query actually routed to.
-	shards       []shardCounters
-	shardTrials  [][]int32
-	shardTouched []int32
+	// Scatter scratch: one slot per shard (sized on the first query) and
+	// the shards the current query routed to, in first-touch order.
+	shards  []shardScratch
+	touched []int32
 
-	// Remote scatter-gather scratch: per-shard probe words (parallel to
-	// shardTrials), per-shard RPC results/errors/durations, and the
-	// cumulative set of shards whose queries failed terminally — the
-	// degraded-answer record surfaced through LostShards.
-	shardWords [][]sketch.Word
-	remoteRes  [][][]sketch.Posting
-	remoteErrs []error
-	remoteDur  []time.Duration
-	lostSet    map[int]struct{}
+	// lostSet is the cumulative set of shards that were lost to some
+	// query — the degraded-answer record surfaced through LostShards.
+	lostSet map[int]struct{}
 
-	// Per-shard work tallies for request-scoped tracing: postings are
-	// accumulated always (one slice add per touched shard per query —
-	// noise next to the scan itself); wall time only when timeShards is
-	// set, so untraced runs never pay the clock reads.
-	shardWork  []ShardWork
+	// timeShards turns on per-shard wall time in ShardWork; off, an
+	// untraced run never pays the clock reads.
 	timeShards bool
 
 	// err latches the first serving-integrity failure this session hit —
@@ -396,21 +362,31 @@ type Session struct {
 	err error
 }
 
+// shardScratch is one shard's slot of a session's scatter scratch.
+type shardScratch struct {
+	// trials are the current query's trials routed to this shard.
+	trials []int32
+	// words is the remote source's probe batch, parallel to trials.
+	words []sketch.Word
+	// err and dur are the posting source's report for the current
+	// query: err non-nil means the shard is lost for it, dur (under
+	// timeShards only) is how long resolving its probes took.
+	err error
+	dur time.Duration
+	// work is the cumulative tally ShardWork snapshots. Postings are
+	// accumulated always — one add per touched shard per query, noise
+	// next to the scan itself.
+	work ShardWork
+}
+
 // ShardWork is one shard's cumulative work as seen by one session:
-// how many postings its scans examined and (when shard timing is
-// enabled) how much wall time they took. It is the per-shard
+// how many postings its probes returned and (when shard timing is
+// enabled) how long the posting source took to resolve them — table
+// lookups locally, the RPC round-trip remotely. It is the per-shard
 // breakdown a request trace attributes scatter-gather time with.
 type ShardWork struct {
 	Postings int64
 	Wall     time.Duration
-}
-
-// shardCounters is one shard's lazy-update counter array (§III-C,
-// applied per shard). Arrays are allocated on the shard's first touch.
-type shardCounters struct {
-	count []int32
-	lastq []int32
-	cand  []int32
 }
 
 // NewSession creates a mapping session over the mapper's current
@@ -422,6 +398,7 @@ func (m *Mapper) NewSession() *Session {
 	n := len(m.subjects)
 	s := &Session{
 		m:     m,
+		src:   m.source(),
 		met:   m.met,
 		count: make([]int32, n),
 		lastq: make([]int32, n),
@@ -504,17 +481,23 @@ func (s *Session) fail(err error) {
 }
 
 // EnableShardTiming turns on per-shard wall-clock accumulation for
-// this session's scatter-gather scans. Off by default: a traced
-// request opts in, an untraced one never reads the clock per shard.
+// this session's queries. Off by default: a traced request opts in, an
+// untraced one never reads the clock per shard.
 func (s *Session) EnableShardTiming() { s.timeShards = true }
 
 // ShardWork returns a snapshot of the per-shard work this session has
-// done (empty on an unsharded mapper or before the first sharded
-// query). Wall fields are zero unless EnableShardTiming was called
-// before the queries ran.
+// done — empty before the first query and on a one-shard mapper, whose
+// only shard is the whole (PostingsScanned already says it all). Wall
+// fields are zero unless EnableShardTiming was called before the
+// queries ran.
 func (s *Session) ShardWork() []ShardWork {
-	out := make([]ShardWork, len(s.shardWork))
-	copy(out, s.shardWork)
+	if len(s.shards) < 2 {
+		return nil
+	}
+	out := make([]ShardWork, len(s.shards))
+	for i := range s.shards {
+		out[i] = s.shards[i].work
+	}
 	return out
 }
 
@@ -541,249 +524,72 @@ func (s *Session) mapSegment(segment []byte) (Hit, bool) {
 	if words == nil {
 		return Hit{Subject: -1}, false
 	}
-	s.scanWords(words, false)
+	s.scanWords(words)
 	if len(s.cand) == 0 {
 		return Hit{Subject: -1}, false
 	}
 	return s.bestCandidate(), true
 }
 
-// scanWords runs the counting pass for one query: each of the T
-// per-trial words is looked up and every posting votes for its subject
-// through the lazy-update counters, leaving the query's candidate set
-// in s.cand/s.count. keepLists additionally records each trial's
-// posting list in s.plists[t] for the positional offset-vote pass.
-// On a sharded mapper the pass scatter-gathers (scanShardedWords);
-// either path leaves identical counter state.
+// scanWords is the one counting pass (Alg. 2, §III-C): the query's T
+// ⟨trial, word⟩ probes are scattered by sketch.ShardOf, the mapper's
+// posting source resolves every touched shard's probes into s.plists
+// (one posting list per trial), and the lists are counted straight
+// into the global lazy-update counters in touched-shard order, leaving
+// the query's candidate set in s.cand/s.count. Every posting list lives
+// in exactly one shard and the order depends only on ⟨words, P⟩, so
+// every source and every shard count leave identical counter state —
+// results and PostingsScanned are byte-identical across backends.
+//
+// The degraded-answer policy lives here: a touched shard the source
+// reports lost (a remote shard whose retry/hedge budget ran out, a lazy
+// shard whose fault-in verification failed) contributes nothing to this
+// query. Its id joins the session's lost set, an integrity failure is
+// latched for Err, and the query completes with the surviving shards.
 //
 //jem:hotpath
-func (s *Session) scanWords(words []sketch.Word, keepLists bool) {
+func (s *Session) scanWords(words []sketch.Word) {
 	s.qid++
 	qid := s.qid
 	s.cand = s.cand[:0]
-	if keepLists {
-		if cap(s.plists) < len(words) {
-			s.plists = make([][]sketch.Posting, len(words))
-		}
-		s.plists = s.plists[:len(words)]
-	} else {
-		s.plists = s.plists[:0]
+	if cap(s.plists) < len(words) {
+		s.plists = make([][]sketch.Posting, len(words))
 	}
-	if q := s.m.remote; q != nil {
-		s.scanRemoteWords(q, words, keepLists)
-		return
+	s.plists = s.plists[:len(words)]
+	p := s.src.numShards()
+	if len(s.shards) < p {
+		s.shards = make([]shardScratch, p)
 	}
-	if sf := s.m.sharded; sf != nil && sf.NumShards() > 1 {
-		s.scanShardedWords(sf, words, keepLists)
-		return
-	}
-	for t, w := range words {
-		ps := s.m.lookup(t, w)
-		if keepLists {
-			s.plists[t] = ps
-		}
-		s.scanned += int64(len(ps))
-		for _, p := range ps {
-			subj := p.Subject
-			if s.lastq[subj] != qid {
-				s.lastq[subj] = qid
-				s.count[subj] = 0
-				s.cand = append(s.cand, subj)
-			}
-			s.count[subj]++
-		}
-	}
-}
-
-// scanShardedWords is the scatter-gather counting pass: the query's T
-// ⟨trial, word⟩ probes are grouped by destination shard, each touched
-// shard is scanned with its own lazy-update counters, and the gather
-// step folds the per-shard counts into the global counters. Because
-// every posting list lives in exactly one shard, the merged counts are
-// identical to a monolithic scan's, and the best-hit selection over
-// them is order-independent — so sharded and unsharded mapping results
-// are byte-identical for any shard count.
-//
-//jem:hotpath
-func (s *Session) scanShardedWords(sf *sketch.ShardedFrozen, words []sketch.Word, keepLists bool) {
-	p := sf.NumShards()
-	if len(s.shardTrials) < p {
-		s.shardTrials = make([][]int32, p)
-	}
-	if len(s.shardWork) < p {
-		s.shardWork = make([]ShardWork, p)
-	}
-	touched := s.shardTouched[:0]
-	// Scatter: route each trial's probe to the shard owning its word.
+	touched := s.touched[:0]
 	for t, w := range words {
 		sd := sketch.ShardOf(t, w, p)
-		if len(s.shardTrials[sd]) == 0 {
+		sh := &s.shards[sd]
+		if len(sh.trials) == 0 {
 			touched = append(touched, int32(sd))
 		}
-		s.shardTrials[sd] = append(s.shardTrials[sd], int32(t))
+		sh.trials = append(sh.trials, int32(t))
 	}
-	qid := s.qid
-	// Per-shard scans: each shard's probes run against that shard's
-	// frozen table only, counting into the shard's own lazy counters.
-	// When shard timing is on, one clock read per shard boundary
-	// attributes the scan wall to the shard that just finished.
-	var prevClock time.Time
-	if s.timeShards {
-		prevClock = time.Now()
-	}
-	for _, sd32 := range touched {
-		sd := int(sd32)
-		sc := s.shardCounter(sd)
-		sc.cand = sc.cand[:0]
-		ft, lerr := sf.ShardChecked(sd)
-		if lerr != nil {
-			// A lazy shard failed its fault-in verification. Latch the
-			// error, drop the shard's probes (clearing any stale posting
-			// lists the offset-vote pass would otherwise reuse), and let
-			// the query complete degraded — same shape as a lost remote
-			// shard.
-			s.fail(lerr)
-			s.noteLostShard(sd)
-			if keepLists {
-				for _, t32 := range s.shardTrials[sd] {
-					s.plists[t32] = nil
-				}
+	s.src.fetch(s, words, touched)
+	for _, sd := range touched {
+		sh := &s.shards[sd]
+		trials := sh.trials
+		sh.trials = trials[:0]
+		if sh.err != nil {
+			s.noteLostShard(int(sd))
+			if errors.Is(sh.err, ErrIndexChecksum) {
+				s.fail(sh.err)
 			}
-			s.shardTrials[sd] = s.shardTrials[sd][:0]
+			// plists is reused across queries; a lost shard's trials
+			// must not leak the previous query's posting lists into
+			// this one's offset-vote pass.
+			for _, t := range trials {
+				s.plists[t] = nil
+			}
 			continue
 		}
 		var scanned int64
-		for _, t32 := range s.shardTrials[sd] {
-			t := int(t32)
-			ps := ft.Lookup(t, words[t])
-			if keepLists {
-				s.plists[t] = ps
-			}
-			scanned += int64(len(ps))
-			for _, p := range ps {
-				subj := p.Subject
-				if sc.lastq[subj] != qid {
-					sc.lastq[subj] = qid
-					sc.count[subj] = 0
-					sc.cand = append(sc.cand, subj)
-				}
-				sc.count[subj]++
-			}
-		}
-		s.scanned += scanned
-		s.shardWork[sd].Postings += scanned
-		if s.timeShards {
-			now := time.Now()
-			s.shardWork[sd].Wall += now.Sub(prevClock)
-			prevClock = now
-		}
-		if s.met != nil {
-			s.met.observeShard(sd, scanned)
-		}
-		s.shardTrials[sd] = s.shardTrials[sd][:0]
-	}
-	// Gather: merge per-shard counts into the global counter array.
-	for _, sd32 := range touched {
-		sc := &s.shards[sd32]
-		for _, subj := range sc.cand {
-			if s.lastq[subj] != qid {
-				s.lastq[subj] = qid
-				s.count[subj] = 0
-				s.cand = append(s.cand, subj)
-			}
-			s.count[subj] += sc.count[subj]
-		}
-	}
-	s.shardTouched = touched[:0]
-}
-
-// scanRemoteWords is the counting pass over a remote fleet: probes
-// are grouped per shard by the same ShardOf routing as the local
-// sharded path, each touched shard's batch goes out as one RPC (fanned
-// out concurrently when several shards are touched), and the replies
-// are merged into the global counters in touched order. Because the
-// probes, the per-shard posting lists, and the merge order all match
-// scanShardedWords exactly, a healthy fleet yields byte-identical
-// results — including PostingsScanned — to the local sharded backend.
-//
-// The degraded-answer policy lives here: a shard whose query fails
-// terminally (every retry/hedge attempt exhausted — see
-// shardnet.ShardError) contributes nothing to this query. Its id is
-// recorded in the session's lost set, the query completes with the
-// surviving shards, and the caller reads the damage via LostShards.
-func (s *Session) scanRemoteWords(q ShardQuerier, words []sketch.Word, keepLists bool) {
-	p := q.NumShards()
-	if len(s.shardTrials) < p {
-		s.shardTrials = make([][]int32, p)
-	}
-	if len(s.shardWords) < p {
-		s.shardWords = make([][]sketch.Word, p)
-	}
-	if len(s.shardWork) < p {
-		s.shardWork = make([]ShardWork, p)
-	}
-	if len(s.remoteRes) < p {
-		s.remoteRes = make([][][]sketch.Posting, p)
-		s.remoteErrs = make([]error, p)
-		s.remoteDur = make([]time.Duration, p)
-	}
-	touched := s.shardTouched[:0]
-	// Scatter: route each trial's probe to the shard owning its word.
-	for t, w := range words {
-		sd := sketch.ShardOf(t, w, p)
-		if len(s.shardTrials[sd]) == 0 {
-			touched = append(touched, int32(sd))
-		}
-		s.shardTrials[sd] = append(s.shardTrials[sd], int32(t))
-		s.shardWords[sd] = append(s.shardWords[sd], w)
-	}
-	ctx := s.context()
-	// Fan out one RPC per touched shard. A single-shard query runs
-	// inline; multi-shard queries overlap their network waits.
-	if len(touched) == 1 {
-		sd := int(touched[0])
-		s.remoteRes[sd], s.remoteDur[sd], s.remoteErrs[sd] = s.queryRemoteShard(ctx, q, sd)
-	} else {
-		var wg sync.WaitGroup
-		for _, sd32 := range touched {
-			sd := int(sd32)
-			wg.Add(1)
-			go func(sd int) {
-				defer wg.Done()
-				s.remoteRes[sd], s.remoteDur[sd], s.remoteErrs[sd] = s.queryRemoteShard(ctx, q, sd)
-			}(sd)
-		}
-		wg.Wait()
-	}
-	qid := s.qid
-	// Gather: merge each shard's reply in touched order, counting
-	// straight into the global counters (per-probe order inside a shard
-	// matches the local per-shard scan, so the candidate set comes out
-	// in the same order the local gather step produces).
-	for _, sd32 := range touched {
-		sd := int(sd32)
-		lists, err := s.remoteRes[sd], s.remoteErrs[sd]
-		s.remoteRes[sd] = nil
-		if err != nil {
-			s.noteLostShard(sd)
-			if keepLists {
-				// plists is reused across queries; a lost shard's trials
-				// must not leak the previous query's posting lists into
-				// this one's offset-vote pass.
-				for _, t32 := range s.shardTrials[sd] {
-					s.plists[t32] = nil
-				}
-			}
-			s.shardTrials[sd] = s.shardTrials[sd][:0]
-			s.shardWords[sd] = s.shardWords[sd][:0]
-			continue
-		}
-		var scanned int64
-		for i, t32 := range s.shardTrials[sd] {
-			ps := lists[i]
-			if keepLists {
-				s.plists[t32] = ps
-			}
+		for _, t := range trials {
+			ps := s.plists[t]
 			scanned += int64(len(ps))
 			for _, pp := range ps {
 				subj := pp.Subject
@@ -796,30 +602,15 @@ func (s *Session) scanRemoteWords(q ShardQuerier, words []sketch.Word, keepLists
 			}
 		}
 		s.scanned += scanned
-		s.shardWork[sd].Postings += scanned
+		sh.work.Postings += scanned
 		if s.timeShards {
-			s.shardWork[sd].Wall += s.remoteDur[sd]
+			sh.work.Wall += sh.dur
 		}
 		if s.met != nil {
-			s.met.observeShard(sd, scanned)
+			s.met.observeShard(int(sd), scanned)
 		}
-		s.shardTrials[sd] = s.shardTrials[sd][:0]
-		s.shardWords[sd] = s.shardWords[sd][:0]
 	}
-	s.shardTouched = touched[:0]
-}
-
-// queryRemoteShard runs one shard's RPC, timing it when shard timing
-// is enabled (the wall is the RPC round-trip — the remote analogue of
-// the local per-shard scan time).
-func (s *Session) queryRemoteShard(ctx context.Context, q ShardQuerier, sd int) ([][]sketch.Posting, time.Duration, error) {
-	if !s.timeShards {
-		lists, err := q.QueryShard(ctx, sd, s.shardTrials[sd], s.shardWords[sd])
-		return lists, 0, err
-	}
-	t0 := time.Now()
-	lists, err := q.QueryShard(ctx, sd, s.shardTrials[sd], s.shardWords[sd])
-	return lists, time.Since(t0), err
+	s.touched = touched[:0]
 }
 
 // noteLostShard records a terminal per-query shard failure in the
@@ -831,28 +622,9 @@ func (s *Session) noteLostShard(sd int) {
 	s.lostSet[sd] = struct{}{}
 }
 
-// shardCounter returns shard sd's counter set, allocating the arrays
-// on the shard's first touch by this session.
-func (s *Session) shardCounter(sd int) *shardCounters {
-	if len(s.shards) == 0 {
-		s.shards = make([]shardCounters, s.m.sharded.NumShards())
-	}
-	sc := &s.shards[sd]
-	if sc.lastq == nil {
-		n := len(s.m.subjects)
-		sc.count = make([]int32, n)
-		sc.lastq = make([]int32, n)
-		for i := range sc.lastq {
-			sc.lastq[i] = -1
-		}
-	}
-	return sc
-}
-
 // bestCandidate picks the winner from the current query's candidate
 // set: highest count, ties toward the lower subject id — a choice
-// independent of candidate order, which keeps sharded and unsharded
-// scans byte-identical.
+// independent of candidate order.
 //
 //jem:hotpath
 func (s *Session) bestCandidate() Hit {
@@ -910,15 +682,13 @@ func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 	if words == nil {
 		return PositionalHit{Hit: Hit{Subject: -1}, TargetStart: -1}, false
 	}
-	// keepLists caches each trial's posting list during the counting
-	// pass so the offset-vote pass below can reuse the slices instead
-	// of paying a second round of T table lookups.
-	s.scanWords(words, true)
+	s.scanWords(words)
 	if len(s.cand) == 0 {
 		return PositionalHit{Hit: Hit{Subject: -1}, TargetStart: -1}, false
 	}
 	best := s.bestCandidate()
-	// Second pass: offset votes for the winning subject under both
+	// Second pass over the per-trial posting lists the counting pass
+	// left in s.plists: offset votes for the winning subject under both
 	// strand hypotheses. A forward pair satisfies anchor − qpos ≈
 	// segment start on the subject; a reverse pair satisfies
 	// anchor + qpos ≈ start + len(segment) − k. The true hypothesis
@@ -990,7 +760,7 @@ func (s *Session) mapSegmentTopK(segment []byte, k int) []Hit {
 	if words == nil || k <= 0 {
 		return nil
 	}
-	s.scanWords(words, false)
+	s.scanWords(words)
 	if len(s.cand) == 0 {
 		return nil
 	}

@@ -13,20 +13,15 @@ func FuzzReadIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	m.RegisterSubjects(nil)
+	m.SealSharded(2, 0)
 	var buf bytes.Buffer
 	if err := m.WriteIndex(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	// A sealed (frozen-table) index exercises the JEMIDX03 kind byte.
-	m.Seal()
-	var frozenBuf bytes.Buffer
-	if err := m.WriteIndex(&frozenBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frozenBuf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-7])
 	f.Add([]byte{})
+	// Retired magics stay pinned to "error, never panic".
 	f.Add([]byte("JEMIDX02"))
 	f.Add([]byte("JEMIDX03"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 128))

@@ -18,81 +18,148 @@ import (
 	"repro/internal/sketch"
 )
 
-// Index format magics. JEMIDX06 is the out-of-core sharded layout: the
-// JEMIDX05-style CRC-footed manifest additionally records a page size
-// and a per-shard absolute file offset, every shard payload is
-// page-aligned and encoded in the flat (offset-table) frozen layout,
-// so shards can be served directly from a read-only mmap of the index
-// file — zero-copy, faulted in per shard, pages shared across
-// processes. JEMIDX05 is the prior sharded layout: the same manifest
-// without offsets, followed by the concatenated per-shard streaming
-// payloads, so shards verify and decode in parallel and a load can
-// pinpoint WHICH shard is corrupt. JEMIDX04 appends a CRC32 (IEEE)
-// footer over everything before it (magic + body), so on-disk
-// corruption — a flipped bit, a truncated tail, a partial overwrite —
-// is detected at load time instead of silently serving wrong mappings.
-// JEMIDX03 added the table-kind byte after the subject metadata so a
-// sealed mapper serializes its frozen sorted-array table directly;
-// JEMIDX02 bodies are the mutable-table encoding with no kind byte.
-// Every older format remains readable (03/02 without checksum
-// protection); sealed mappers write JEMIDX06.
-var (
-	indexMagicV6      = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '6'}
-	indexMagicV5      = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '5'}
-	indexMagic        = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '4'}
-	indexMagicV3      = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '3'}
-	indexMagicLegacy  = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '2'}
-	errIndexTruncated = errors.New("core: index truncated: missing checksum footer")
+// JEMIDX06 is the index format — the only one:
+//
+//	magic "JEMIDX06"
+//	manifest: params (6×u64), subjects, shard count (u32),
+//	          payload page size (u32),
+//	          per shard {file offset u64, payload length u64, CRC32 u32}
+//	manifest CRC32 (u32, over magic+manifest, footer not self-included)
+//	per-shard flat payloads (FrozenTable.EncodeFlat), each starting at
+//	its directory offset, page-aligned, gaps zero-filled
+//
+// Every payload is the flat serving layout at a page-aligned file
+// offset, so the bytes on disk are the bytes that serve: a reader
+// either maps the file read-only and aliases each shard's arrays in
+// place (demand paging per shard, physical pages shared between every
+// process mapping the file) or reads each payload into a heap buffer
+// and aliases that. Both are little-endian binary, stable across
+// platforms, with the manifest and every payload checksummed, so shards
+// verify in parallel and a load can pinpoint WHICH shard is corrupt.
+var indexMagic = [8]byte{'J', 'E', 'M', 'I', 'D', 'X', '0', '6'}
+
+const (
+	indexPageSize = 4096
+	// maxShardPayload bounds a single shard's serialized size as
+	// declared by an untrusted manifest.
+	maxShardPayload = 1 << 36
 )
 
-// maxShardPayload bounds a single shard's serialized size as declared
-// by an untrusted manifest; payloads are read with io.CopyN so a
-// corrupt length fails at EOF rather than driving a giant allocation.
-const maxShardPayload = 1 << 36
+func alignPage(x int64) int64 { return (x + indexPageSize - 1) &^ (indexPageSize - 1) }
 
-// ErrIndexChecksum marks a JEMIDX04 index whose body does not match
-// its checksum footer — the file was corrupted after it was written.
-// Callers holding the original contigs can detect this with errors.Is
-// and rebuild the index from scratch.
+// ErrIndexChecksum marks an index whose manifest or shard payload does
+// not match its recorded checksum, or ends before the manifest says it
+// should — the file was corrupted after it was written. Callers
+// holding the original contigs can detect this with errors.Is and
+// rebuild the index from scratch.
 var ErrIndexChecksum = errors.New("core: index checksum mismatch")
 
-// Table-kind byte values in a JEMIDX03+ body.
-const (
-	tableKindMutable = 0 // sketch.Table.Encode format
-	tableKindFrozen  = 1 // sketch.FrozenTable.Encode format
-)
+// checkMagic accepts the current format and names the retired ones:
+// they are not migrated, the index is rebuilt from the contigs.
+func checkMagic(magic [8]byte) error {
+	switch string(magic[:]) {
+	case string(indexMagic[:]):
+		return nil
+	case "JEMIDX02", "JEMIDX03", "JEMIDX04", "JEMIDX05":
+		return fmt.Errorf("core: index format %s is no longer supported; rebuild the index with -save-index", magic[:])
+	}
+	return fmt.Errorf("core: not a JEM index (magic %q)", magic[:])
+}
 
-// WriteIndex serializes the mapper — sketch parameters, subject
-// metadata and the ACTIVE sketch table — so an index built once can be
-// reused across runs (jem-mapper -save-index / -load-index). A sealed
-// mapper (frozen or sharded table) writes the JEMIDX06 out-of-core
-// layout: page-aligned flat shard payloads a reader can serve straight
-// from a read-only mmap. An unsealed mapper writes its mutable hash
-// table in the JEMIDX04 layout. Both formats are little-endian binary,
-// stable across platforms, and checksum-protected.
+// WriteIndex serializes a sealed mapper — sketch parameters, subject
+// metadata and the shard tables — so an index built once can be reused
+// across runs (jem-mapper -save-index / -load-index). Shard payloads
+// are encoded concurrently; the file ends at the last payload byte (no
+// trailing pad), and the zero-filled alignment gaps cost nothing once
+// mapped — untouched pages are never faulted in. An unsealed mapper has
+// no serving table to write and returns an error.
 func (m *Mapper) WriteIndex(w io.Writer) error {
-	if m.sharded != nil || m.frozen != nil {
-		return m.writeIndex06(w)
+	if m.sharded == nil {
+		return fmt.Errorf("core: mapper has no sealed table to write (seal it first)")
+	}
+	n := m.sharded.NumShards()
+	tables := make([]*sketch.FrozenTable, n)
+	for i := range tables {
+		// A lazy shard is forced in: an index cannot be written from a
+		// payload that fails its checksum.
+		ft, err := m.sharded.ShardChecked(i)
+		if err != nil {
+			return fmt.Errorf("core: materializing shard %d for write: %w", i, err)
+		}
+		tables[i] = ft
+	}
+	payloads := make([][]byte, n)
+	parallel.ForEach(n, 0, func(i int) {
+		payloads[i] = tables[i].EncodeFlat()
+	})
+	var metaBuf bytes.Buffer
+	if err := m.writeIndexMeta(&metaBuf); err != nil {
+		return err
+	}
+	// magic + meta + shard count + page size + n×{off,len,crc} + footer
+	manifestLen := int64(8) + int64(metaBuf.Len()) + 4 + 4 + int64(n)*20 + 4
+	offs := make([]uint64, n)
+	off := alignPage(manifestLen)
+	for i := range payloads {
+		offs[i] = uint64(off)
+		off += int64(len(payloads[i]))
+		if i < n-1 {
+			off = alignPage(off)
+		}
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	// Everything except the footer itself feeds the checksum; the
+	// Everything before the footer feeds the manifest checksum; the
 	// MultiWriter keeps hashing off the encoder code paths entirely.
 	h := crc32.NewIEEE()
 	hw := io.MultiWriter(bw, h)
 	if _, err := hw.Write(indexMagic[:]); err != nil {
 		return err
 	}
-	if err := m.writeIndexBody(hw); err != nil {
+	if _, err := hw.Write(metaBuf.Bytes()); err != nil {
 		return err
 	}
+	if err := binary.Write(hw, binary.LittleEndian, uint32(n)); err != nil {
+		return err
+	}
+	if err := binary.Write(hw, binary.LittleEndian, uint32(indexPageSize)); err != nil {
+		return err
+	}
+	for i, pl := range payloads {
+		if err := binary.Write(hw, binary.LittleEndian, offs[i]); err != nil {
+			return err
+		}
+		if err := binary.Write(hw, binary.LittleEndian, uint64(len(pl))); err != nil {
+			return err
+		}
+		if err := binary.Write(hw, binary.LittleEndian, crc32.ChecksumIEEE(pl)); err != nil {
+			return err
+		}
+	}
+	// The manifest footer is NOT part of its own checksum.
 	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
 		return err
+	}
+	var zeros [indexPageSize]byte
+	pos := manifestLen
+	for i, pl := range payloads {
+		for pad := int64(offs[i]) - pos; pad > 0; {
+			k := min(pad, indexPageSize)
+			if _, err := bw.Write(zeros[:k]); err != nil {
+				return err
+			}
+			pad -= k
+			pos += k
+		}
+		if _, err := bw.Write(pl); err != nil {
+			return err
+		}
+		pos += int64(len(pl))
 	}
 	return bw.Flush()
 }
 
-// writeIndexMeta encodes the params and subject metadata shared by the
-// JEMIDX04 body and the JEMIDX05 manifest.
+// writeIndexMeta encodes the params and subject metadata that open the
+// manifest.
 func (m *Mapper) writeIndexMeta(w io.Writer) error {
 	p := m.sk.Params()
 	for _, v := range []uint64{
@@ -118,85 +185,6 @@ func (m *Mapper) writeIndexMeta(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writeIndexBody encodes params, subject metadata, table-kind byte and
-// the active table — the checksummed payload between magic and footer.
-func (m *Mapper) writeIndexBody(w io.Writer) error {
-	if err := m.writeIndexMeta(w); err != nil {
-		return err
-	}
-	if m.frozen != nil {
-		if _, err := w.Write([]byte{tableKindFrozen}); err != nil {
-			return err
-		}
-		return m.frozen.Encode(w)
-	}
-	if _, err := w.Write([]byte{tableKindMutable}); err != nil {
-		return err
-	}
-	return m.table.Encode(w)
-}
-
-// writeShardedIndexV5 emits the JEMIDX05 layout:
-//
-//	magic "JEMIDX05"
-//	manifest: params (6×u64), subjects, shard count (u32),
-//	          per shard {payload length u64, payload CRC32 u32}
-//	manifest CRC32 (u32, over magic+manifest)
-//	per-shard payloads (FrozenTable.Encode), concatenated
-//
-// Shard payloads are encoded concurrently; the manifest's per-shard
-// CRCs let the loader verify and decode shards in parallel and report
-// exactly which shard a corruption hit.
-//
-// New indexes are written as JEMIDX06 (writeIndex06); this writer is
-// retained so compatibility tests can produce real V5 files.
-func (m *Mapper) writeShardedIndexV5(w io.Writer) error {
-	sf := m.sharded
-	n := sf.NumShards()
-	payloads := make([][]byte, n)
-	encErrs := make([]error, n)
-	parallel.ForEach(n, 0, func(i int) {
-		var buf bytes.Buffer
-		encErrs[i] = sf.Shard(i).Encode(&buf)
-		payloads[i] = buf.Bytes()
-	})
-	for i, err := range encErrs {
-		if err != nil {
-			return fmt.Errorf("core: encoding shard %d: %w", i, err)
-		}
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	h := crc32.NewIEEE()
-	hw := io.MultiWriter(bw, h)
-	if _, err := hw.Write(indexMagicV5[:]); err != nil {
-		return err
-	}
-	if err := m.writeIndexMeta(hw); err != nil {
-		return err
-	}
-	if err := binary.Write(hw, binary.LittleEndian, uint32(n)); err != nil {
-		return err
-	}
-	for _, pl := range payloads {
-		if err := binary.Write(hw, binary.LittleEndian, uint64(len(pl))); err != nil {
-			return err
-		}
-		if err := binary.Write(hw, binary.LittleEndian, crc32.ChecksumIEEE(pl)); err != nil {
-			return err
-		}
-	}
-	// The manifest footer is NOT part of its own checksum.
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum32()); err != nil {
-		return err
-	}
-	for _, pl := range payloads {
-		if _, err := bw.Write(pl); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // WriteIndexFile writes the index to path atomically: the bytes go to
@@ -229,7 +217,7 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 		return err
 	}
 	// IndexByteFlip corrupts the fully written temp file before the
-	// rename — the scenario the JEMIDX04 checksum exists to catch.
+	// rename — the scenario the checksums exist to catch.
 	if _, ok := fault.Fire(fault.IndexByteFlip); ok {
 		if err := fault.FlipFileByte(tmp.Name()); err != nil {
 			return err
@@ -238,62 +226,10 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadIndex deserializes a mapper previously written by WriteIndex.
-// JEMIDX05 (sharded) and JEMIDX04 are checksum-verified before any
-// decoding (a mismatch returns an error wrapping ErrIndexChecksum);
-// legacy JEMIDX03 and JEMIDX02 files are accepted without
-// verification. A frozen- or sharded-table index loads as a sealed
-// mapper.
-func ReadIndex(r io.Reader) (*Mapper, error) {
-	return ReadIndexObserved(r, nil)
-}
-
-// ReadIndexObserved is ReadIndex with an optional span under which the
-// per-shard decodes of a JEMIDX05 index are timed (one child span per
-// shard); sp may be nil.
-func ReadIndexObserved(r io.Reader, sp *obs.Span) (*Mapper, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading index magic: %w", err)
-	}
-	switch magic {
-	case indexMagicV6:
-		return readSharded06(br, sp)
-	case indexMagicV5:
-		return readShardedIndex(br, sp)
-	case indexMagic:
-		// Verify the footer before decoding anything: buffer the rest of
-		// the stream (the decoded table dwarfs the file, so this does not
-		// change the memory high-water mark), split off the 4-byte CRC,
-		// and compare against the hash of magic+body.
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading index: %w", err)
-		}
-		if len(rest) < 4 {
-			return nil, errIndexTruncated
-		}
-		body, footer := rest[:len(rest)-4], rest[len(rest)-4:]
-		want := binary.LittleEndian.Uint32(footer)
-		got := crc32.Update(crc32.ChecksumIEEE(magic[:]), crc32.IEEETable, body)
-		if got != want {
-			return nil, fmt.Errorf("%w: computed %08x, footer says %08x", ErrIndexChecksum, got, want)
-		}
-		return readIndexBody(bufio.NewReader(bytes.NewReader(body)), false)
-	case indexMagicV3:
-		return readIndexBody(br, false)
-	case indexMagicLegacy:
-		return readIndexBody(br, true)
-	default:
-		return nil, fmt.Errorf("core: not a JEM index (magic %q)", magic[:])
-	}
-}
-
-// readIndexMeta decodes the params and subject metadata shared by the
-// JEMIDX04 body and the JEMIDX05 manifest, returning a fresh mapper
-// carrying them. It reads exact lengths only (no lookahead), so it is
-// safe to run through a checksumming TeeReader.
+// readIndexMeta decodes the params and subject metadata that open the
+// manifest, returning a fresh mapper carrying them. It reads exact
+// lengths only (no lookahead), so it is safe to run through a
+// checksumming TeeReader.
 func readIndexMeta(r io.Reader) (*Mapper, sketch.Params, error) {
 	var raw [6]uint64
 	for i := range raw {
@@ -320,7 +256,7 @@ func readIndexMeta(r io.Reader) (*Mapper, sketch.Params, error) {
 	if nsubj > 1<<28 {
 		return nil, p, fmt.Errorf("core: implausible subject count %d", nsubj)
 	}
-	m.subjects = make([]SubjectMeta, 0, min32(nsubj, 1<<16))
+	m.subjects = make([]SubjectMeta, 0, min(nsubj, 1<<16))
 	for i := uint32(0); i < nsubj; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
@@ -342,64 +278,18 @@ func readIndexMeta(r io.Reader) (*Mapper, sketch.Params, error) {
 	return m, p, nil
 }
 
-// readIndexBody decodes the params/subjects/table payload shared by
-// the pre-sharding format versions. legacy selects the JEMIDX02 body,
-// which lacks the table-kind byte.
-func readIndexBody(br *bufio.Reader, legacy bool) (*Mapper, error) {
-	m, p, err := readIndexMeta(br)
-	if err != nil {
-		return nil, err
-	}
-	kind := byte(tableKindMutable)
-	if !legacy {
-		kind, err = br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("core: reading table kind: %w", err)
-		}
-	}
-	switch kind {
-	case tableKindMutable:
-		tbl, err := sketch.DecodeTable(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding sketch table: %w", err)
-		}
-		if tbl.T() != p.T {
-			return nil, fmt.Errorf("core: table has %d trials, params say %d", tbl.T(), p.T)
-		}
-		m.table = tbl
-	case tableKindFrozen:
-		ft, err := sketch.DecodeFrozenTable(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding frozen sketch table: %w", err)
-		}
-		if ft.T() != p.T {
-			return nil, fmt.Errorf("core: frozen table has %d trials, params say %d", ft.T(), p.T)
-		}
-		m.frozen = ft
-		m.table = nil
-		m.sealed = true
-	default:
-		return nil, fmt.Errorf("core: unknown table kind %d", kind)
-	}
-	return m, nil
-}
-
-// shardedManifest is a decoded, checksum-verified JEMIDX05/06
-// manifest: the meta-only mapper carrying params and subjects, the
-// shard directory, and the manifest checksum — which doubles as the
-// index fingerprint a distributed fleet agrees on (see IndexMeta).
-// offs, page and end are populated only for JEMIDX06, whose directory
-// carries an absolute file offset per shard so payloads can be
-// addressed in place (offs is nil for V5, where payloads are simply
-// concatenated after the footer).
+// shardedManifest is a decoded, checksum-verified manifest: the
+// meta-only mapper carrying params and subjects, the shard directory
+// (absolute file offset, length and CRC per payload), and the manifest
+// checksum — which doubles as the index fingerprint a distributed
+// fleet agrees on (see IndexMeta).
 type shardedManifest struct {
 	m           *Mapper
 	p           sketch.Params
+	offs        []uint64
 	lens        []uint64
 	crcs        []uint32
-	offs        []uint64 // V6 only: absolute file offset per payload
-	page        uint32   // V6 only: payload alignment the writer used
-	end         int64    // V6 only: file offset just past the footer
+	end         int64 // file offset just past the footer
 	manifestCRC uint32
 }
 
@@ -415,7 +305,7 @@ func (man *shardedManifest) meta() IndexMeta {
 
 // countingReader counts the bytes consumed from the underlying reader
 // so the manifest reader can report where in the file the manifest
-// ends (the V6 directory offsets are absolute and must land past it).
+// ends (the directory offsets are absolute and must land past it).
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -427,176 +317,281 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readShardedManifest decodes a JEMIDX05 or JEMIDX06 manifest after
-// its magic, reading through a checksumming tee and verifying the
-// footer before any directory entry is trusted. The magic selects the
-// directory shape: V6 adds a payload page size after the shard count
-// and an absolute file offset per shard entry. On return the stream is
-// positioned just past the manifest footer.
-func readShardedManifest(br *bufio.Reader, magic [8]byte) (*shardedManifest, error) {
-	v6 := magic == indexMagicV6
+// readManifest checks the magic and decodes the manifest, reading
+// through a checksumming tee and verifying the footer before any
+// directory entry is trusted. On return the stream is positioned just
+// past the manifest footer.
+func readManifest(br *bufio.Reader) (*shardedManifest, error) {
+	cr := &countingReader{r: br}
+	var magic [8]byte
+	if _, err := io.ReadFull(cr, magic[:]); err != nil {
+		return nil, fmt.Errorf("core: reading index magic: %w", err)
+	}
+	if err := checkMagic(magic); err != nil {
+		return nil, err
+	}
 	h := crc32.NewIEEE()
 	_, _ = h.Write(magic[:])
-	cr := &countingReader{r: br}
 	tee := io.TeeReader(cr, h)
 	m, p, err := readIndexMeta(tee)
 	if err != nil {
 		return nil, err
 	}
-	var nshards uint32
+	var nshards, page uint32
 	if err := binary.Read(tee, binary.LittleEndian, &nshards); err != nil {
 		return nil, fmt.Errorf("core: reading shard count: %w", err)
 	}
 	if nshards == 0 || nshards > sketch.MaxShards {
 		return nil, fmt.Errorf("core: implausible shard count %d", nshards)
 	}
-	var page uint32
-	if v6 {
-		if err := binary.Read(tee, binary.LittleEndian, &page); err != nil {
-			return nil, fmt.Errorf("core: reading payload page size: %w", err)
-		}
-		if page == 0 || page&(page-1) != 0 || page > 1<<22 {
-			return nil, fmt.Errorf("core: implausible payload page size %d", page)
-		}
+	if err := binary.Read(tee, binary.LittleEndian, &page); err != nil {
+		return nil, fmt.Errorf("core: reading payload page size: %w", err)
 	}
-	lens := make([]uint64, nshards)
-	crcs := make([]uint32, nshards)
-	var offs []uint64
-	if v6 {
-		offs = make([]uint64, nshards)
+	if page == 0 || page&(page-1) != 0 || page > 1<<22 {
+		return nil, fmt.Errorf("core: implausible payload page size %d", page)
 	}
-	for i := range lens {
-		if v6 {
-			if err := binary.Read(tee, binary.LittleEndian, &offs[i]); err != nil {
-				return nil, fmt.Errorf("core: reading shard %d directory entry: %w", i, err)
-			}
-		}
-		if err := binary.Read(tee, binary.LittleEndian, &lens[i]); err != nil {
+	man := &shardedManifest{
+		m: m, p: p,
+		offs: make([]uint64, nshards),
+		lens: make([]uint64, nshards),
+		crcs: make([]uint32, nshards),
+	}
+	for i := range man.lens {
+		var entry [20]byte // {offset u64, length u64, CRC32 u32}
+		if _, err := io.ReadFull(tee, entry[:]); err != nil {
 			return nil, fmt.Errorf("core: reading shard %d directory entry: %w", i, err)
 		}
-		if err := binary.Read(tee, binary.LittleEndian, &crcs[i]); err != nil {
-			return nil, fmt.Errorf("core: reading shard %d directory entry: %w", i, err)
-		}
-		if lens[i] > maxShardPayload {
-			return nil, fmt.Errorf("core: implausible shard %d payload length %d", i, lens[i])
+		man.offs[i] = binary.LittleEndian.Uint64(entry[0:])
+		man.lens[i] = binary.LittleEndian.Uint64(entry[8:])
+		man.crcs[i] = binary.LittleEndian.Uint32(entry[16:])
+		// Bounding both keeps every later offset+length sum from wrapping.
+		if man.lens[i] > maxShardPayload || man.offs[i] > 1<<62 {
+			return nil, fmt.Errorf("core: implausible shard %d payload extent (offset %d, length %d)", i, man.offs[i], man.lens[i])
 		}
 	}
-	want := h.Sum32()
+	man.manifestCRC = h.Sum32()
 	var footer uint32
 	// The footer is read off cr directly: counted, but it must not feed
 	// the hash.
 	if err := binary.Read(cr, binary.LittleEndian, &footer); err != nil {
 		return nil, fmt.Errorf("core: reading manifest checksum: %w", err)
 	}
-	if want != footer {
-		return nil, fmt.Errorf("%w: manifest computed %08x, footer says %08x", ErrIndexChecksum, want, footer)
+	if man.manifestCRC != footer {
+		return nil, fmt.Errorf("%w: manifest computed %08x, footer says %08x", ErrIndexChecksum, man.manifestCRC, footer)
 	}
-	man := &shardedManifest{m: m, p: p, lens: lens, crcs: crcs, offs: offs, page: page, manifestCRC: want}
-	if v6 {
-		man.end = 8 + cr.n // magic is consumed before the counter starts
-		prev := uint64(man.end)
-		for i, off := range offs {
-			if off%8 != 0 {
-				return nil, fmt.Errorf("core: shard %d payload offset %d is not 8-aligned", i, off)
-			}
-			if off < prev {
-				return nil, fmt.Errorf("core: shard %d payload offset %d overlaps preceding data ending at %d", i, off, prev)
-			}
-			prev = off + lens[i]
+	man.end = cr.n
+	prev := uint64(man.end)
+	for i, off := range man.offs {
+		if off%8 != 0 {
+			return nil, fmt.Errorf("core: shard %d payload offset %d is not 8-aligned", i, off)
 		}
+		if off < prev {
+			return nil, fmt.Errorf("core: shard %d payload offset %d overlaps preceding data ending at %d", i, off, prev)
+		}
+		prev = off + man.lens[i]
 	}
 	return man, nil
 }
 
-// readShardedIndex decodes a JEMIDX05 stream after its magic: the
-// manifest is read through a checksumming tee and verified against its
-// footer before any payload byte is trusted, then the shard payloads
-// are read sequentially off the stream and CRC-verified + decoded in
-// parallel. Every corruption path reports an error wrapping
-// ErrIndexChecksum (so load-or-rebuild callers can detect it) and
-// names the shard it hit.
-func readShardedIndex(br *bufio.Reader, sp *obs.Span) (*Mapper, error) {
-	man, err := readShardedManifest(br, indexMagicV5)
+// loadedIndex is what the loader hands back: the verified manifest,
+// the residence plan, and per kept shard exactly one of an eager table
+// or a lazy (load-on-demand) slot.
+type loadedIndex struct {
+	man   *shardedManifest
+	res   []ShardResidence
+	eager []*sketch.FrozenTable
+	lazy  []*sketch.LazyShard
+}
+
+// loadIndex is the one index loader. What varies between a full load,
+// a shard-server subset load, a heap open and a mapped open is only
+// where a shard's bytes come from, which shards are kept, and the
+// residence plan:
+//
+//   - data != nil: the index is data, a read-only mapping of the file.
+//     A kept payload is a slice of it — copied to the heap first where
+//     the plan (planResidences over spec) says ResidenceHeap.
+//   - data == nil: the index is read off r in file order, each kept
+//     payload into a heap buffer of exactly its manifest length
+//     (readPayload); unkept payloads and alignment gaps are skipped
+//     without allocation. size is the total index size when known (a
+//     file) and -1 for an unbounded stream.
+//
+// keep == nil keeps every shard. Either way a payload then becomes a
+// serving table by the same step — verify its CRC, view its bytes
+// (viewShard) — run in parallel across shards, or deferred to the
+// first query for a ResidenceLazy shard. sp, when non-nil, gets one
+// child span per kept shard. Every corruption path reports an error
+// wrapping ErrIndexChecksum (so load-or-rebuild callers can detect it)
+// and names the shard it hit.
+func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, spec MemorySpec, sp *obs.Span) (*loadedIndex, error) {
+	if data != nil {
+		r, size = bytes.NewReader(data), int64(len(data))
+	}
+	br := bufio.NewReaderSize(r, 1<<16)
+	man, err := readManifest(br)
 	if err != nil {
 		return nil, err
 	}
-	m, p, lens, crcs := man.m, man.p, man.lens, man.crcs
-	nshards := len(lens)
-	// The manifest is now trusted; pull each payload off the stream.
-	// io.CopyN grows the buffer with bytes actually read, so a length
-	// beyond the file ends in a truncation error, not an allocation.
-	payloads := make([][]byte, nshards)
-	for i := range payloads {
-		var buf bytes.Buffer
-		n, err := io.CopyN(&buf, br, int64(lens[i]))
-		if err == io.EOF && n < int64(lens[i]) {
-			return nil, fmt.Errorf("core: shard %d payload truncated (%d of %d bytes): %w (%w)",
-				i, n, lens[i], errIndexTruncated, ErrIndexChecksum)
+	n := len(man.lens)
+	if size >= 0 {
+		for i := range man.lens {
+			if end := man.offs[i] + man.lens[i]; end > uint64(size) {
+				return nil, fmt.Errorf("core: shard %d payload ends at %d but the index holds %d bytes: %w",
+					i, end, size, ErrIndexChecksum)
+			}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: reading shard %d payload: %w", i, err)
-		}
-		payloads[i] = buf.Bytes()
 	}
-	shards := make([]*sketch.FrozenTable, nshards)
-	decErrs := make([]error, nshards)
-	parallel.ForEach(nshards, 0, func(i int) {
-		if sp != nil {
-			sp.Time(fmt.Sprintf("shard%d", i), func() {
-				shards[i], decErrs[i] = decodeShardPayload(i, payloads[i], crcs[i])
-			})
+	ld := &loadedIndex{
+		man:   man,
+		res:   planResidences(spec, man.lens, data != nil),
+		eager: make([]*sketch.FrozenTable, n),
+		lazy:  make([]*sketch.LazyShard, n),
+	}
+	payloads := make([][]byte, n)
+	pos, kept := man.end, 0
+	for i := range payloads {
+		off, length := int64(man.offs[i]), int64(man.lens[i])
+		if keep != nil && !keep(i) {
+			continue
+		}
+		kept++
+		if data != nil {
+			payloads[i] = data[off : off+length]
+			if ld.res[i] == ResidenceHeap {
+				payloads[i] = bytes.Clone(payloads[i])
+			}
+			continue
+		}
+		if _, err := io.CopyN(io.Discard, br, off-pos); err != nil {
+			return nil, fmt.Errorf("core: seeking shard %d payload: %w (%w)", i, err, ErrIndexChecksum)
+		}
+		if payloads[i], err = readPayload(br, length, size >= 0); err != nil {
+			return nil, fmt.Errorf("core: reading shard %d payload: %w (%w)", i, err, ErrIndexChecksum)
+		}
+		pos = off + length
+	}
+	if kept == 0 {
+		return nil, fmt.Errorf("core: shard selection keeps none of %d shards", n)
+	}
+	errs := make([]error, n)
+	parallel.ForEach(n, 0, func(i int) {
+		payload, crc := payloads[i], man.crcs[i]
+		if payload == nil {
 			return
 		}
-		shards[i], decErrs[i] = decodeShardPayload(i, payloads[i], crcs[i])
+		build := func() {
+			if ld.res[i] != ResidenceLazy {
+				ld.eager[i], errs[i] = viewShard(i, payload, crc, ld.res[i] == ResidenceMapped, false)
+				return
+			}
+			// The directory peek only feeds accounting; a parse failure
+			// surfaces at fault-in, where it can be reported properly.
+			_, entries, _ := sketch.FlatPayloadStats(payload)
+			ld.lazy[i] = sketch.NewLazyShard(int64(len(payload)), entries, func() (*sketch.FrozenTable, error) {
+				return viewShard(i, payload, crc, true, true)
+			})
+		}
+		if sp != nil {
+			sp.Time(fmt.Sprintf("shard%d", i), build)
+		} else {
+			build()
+		}
 	})
-	for _, err := range decErrs {
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	sf, err := sketch.NewShardedFrozen(shards)
-	if err != nil {
-		return nil, fmt.Errorf("core: assembling sharded table: %w", err)
-	}
-	if sf.T() != p.T {
-		return nil, fmt.Errorf("core: sharded table has %d trials, params say %d", sf.T(), p.T)
-	}
-	m.sharded = sf
-	m.table = nil
-	m.sealed = true
-	return m, nil
+	return ld, nil
 }
 
-// decodeShardPayload verifies one shard payload against its manifest
-// CRC and decodes it. Runs on a worker goroutine per shard.
-func decodeShardPayload(i int, payload []byte, wantCRC uint32) (*sketch.FrozenTable, error) {
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
+// readPayload reads exactly n bytes into a buffer of exactly n bytes —
+// a view pins its payload for the table's lifetime, so no slack may
+// ride along. When the manifest has been validated against the index
+// size the buffer is allocated at once; from an unbounded stream it
+// grows with the bytes actually read (doubling, clipped to n), so a
+// lying length ends in a truncation error, not a giant allocation.
+func readPayload(r io.Reader, n int64, sizeChecked bool) ([]byte, error) {
+	const firstChunk = 1 << 20
+	have := n
+	if !sizeChecked && have > firstChunk {
+		have = firstChunk
+	}
+	buf := make([]byte, have)
+	for filled := int64(0); ; {
+		k, err := io.ReadFull(r, buf[filled:])
+		filled += int64(k)
+		if err != nil {
+			return nil, fmt.Errorf("payload truncated (%d of %d bytes): %w", filled, n, err)
+		}
+		if filled == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(2*filled, n))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// viewShard is the one step that turns payload bytes into a serving
+// table: verify them against the manifest CRC, then build a view over
+// them (see sketch.ViewFlatFrozen; mapped says whether they are a
+// slice of the file mapping or a heap buffer). faultin marks the
+// deferred verification of a lazy shard's first query, where the
+// IndexFaultinByteFlip fault point can inject a mismatch: the mapping
+// is read-only, so the injector perturbs the computed checksum instead
+// of the bytes.
+func viewShard(i int, payload []byte, wantCRC uint32, mapped, faultin bool) (*sketch.FrozenTable, error) {
+	got := crc32.ChecksumIEEE(payload)
+	if faultin {
+		if _, ok := fault.Fire(fault.IndexFaultinByteFlip); ok {
+			got ^= 0x01
+		}
+	}
+	if got != wantCRC {
 		return nil, fmt.Errorf("%w: shard %d computed %08x, manifest says %08x", ErrIndexChecksum, i, got, wantCRC)
 	}
-	ft, err := sketch.DecodeFrozenTable(bytes.NewReader(payload))
+	ft, err := sketch.ViewFlatFrozen(payload, mapped)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding shard %d: %w", i, err)
 	}
 	return ft, nil
 }
 
-// ReadIndexFile loads an index from disk via ReadIndex.
-func ReadIndexFile(path string) (*Mapper, error) {
-	f, err := os.Open(path)
+// mapper assembles a full load into a sealed mapper and reports what
+// the load did with memory.
+func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
+	sf, err := sketch.NewLazyShardedFrozen(ld.man.p.T, ld.eager, ld.lazy)
+	if err != nil {
+		return nil, MemoryInfo{}, fmt.Errorf("core: assembling sharded table: %w", err)
+	}
+	m := ld.man.m
+	m.sharded, m.table, m.sealed = sf, nil, true
+	return m, MemoryInfo{Shards: ld.res, Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
+}
+
+// ReadIndex deserializes a mapper previously written by WriteIndex
+// into heap memory. The manifest and every shard payload are
+// checksum-verified (a mismatch returns an error wrapping
+// ErrIndexChecksum); the result is a sealed mapper.
+func ReadIndex(r io.Reader) (*Mapper, error) {
+	return ReadIndexObserved(r, nil)
+}
+
+// ReadIndexObserved is ReadIndex with an optional span under which the
+// per-shard loads are timed (one child span per shard); sp may be nil.
+func ReadIndexObserved(r io.Reader, sp *obs.Span) (*Mapper, error) {
+	ld, err := loadIndex(r, -1, nil, nil, MemorySpec{Mode: MemoryHeap}, sp)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	m, err := ReadIndex(f)
-	if err != nil {
-		return nil, fmt.Errorf("core: index %s: %w", path, err)
-	}
-	return m, nil
+	m, _, err := ld.mapper()
+	return m, err
 }
 
-func min32(a uint32, b int) int {
-	if int(a) < b {
-		return int(a)
-	}
-	return b
+// ReadIndexFile loads an index from disk onto the heap.
+func ReadIndexFile(path string) (*Mapper, error) {
+	m, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap})
+	return m, err
 }

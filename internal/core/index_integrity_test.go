@@ -50,7 +50,7 @@ func TestWriteIndexFileRoundTrip(t *testing.T) {
 	}
 	s1, s2 := m.NewSession(), loaded.NewSession()
 	for _, c := range contigs {
-		seg := c.Seq[:min32(uint32(len(c.Seq)), smallParams().L)]
+		seg := c.Seq[:min(len(c.Seq), smallParams().L)]
 		h1, ok1 := s1.MapSegment(seg)
 		h2, ok2 := s2.MapSegment(seg)
 		if ok1 != ok2 || h1 != h2 {
@@ -59,9 +59,9 @@ func TestWriteIndexFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexChecksumDetectsCorruption: every single-byte corruption of
-// a JEMIDX04 file must be rejected, and body corruptions must be
-// identified as checksum mismatches (the rebuildable kind).
+// TestIndexChecksumDetectsCorruption: single-byte corruption anywhere
+// in an index — manifest, footer, payload — must be rejected and
+// identified as a checksum mismatch (the rebuildable kind).
 func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	m, _ := buildSmallMapper(t, 19)
 	var buf bytes.Buffer
@@ -92,27 +92,6 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 		if _, err := ReadIndex(bytes.NewReader(clean[:n])); err == nil {
 			t.Errorf("truncated to %d bytes: accepted", n)
 		}
-	}
-}
-
-// TestIndexLegacyJEMIDX03Load: a JEMIDX03 body is the JEMIDX04 body
-// without a footer; emitting it through the shared body encoder (the
-// current writer no longer produces it — sealed mappers write
-// JEMIDX06) yields a valid legacy file, which must still load,
-// unverified.
-func TestIndexLegacyJEMIDX03Load(t *testing.T) {
-	m, _ := buildSmallMapper(t, 23)
-	var buf bytes.Buffer
-	buf.Write(indexMagicV3[:])
-	if err := m.writeIndexBody(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("JEMIDX03 load: %v", err)
-	}
-	if loaded.NumSubjects() != m.NumSubjects() {
-		t.Fatalf("subjects %d != %d", loaded.NumSubjects(), m.NumSubjects())
 	}
 }
 

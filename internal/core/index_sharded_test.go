@@ -36,10 +36,7 @@ func shardedIndexMapper(t *testing.T, p int) (*Mapper, [][]byte) {
 // giving corruption tests the directory offsets and the manifest end.
 func parseManifest06(t *testing.T, b []byte) *shardedManifest {
 	t.Helper()
-	if string(b[:8]) != "JEMIDX06" {
-		t.Fatalf("index magic %q, want JEMIDX06", b[:8])
-	}
-	man, err := readShardedManifest(bufio.NewReader(bytes.NewReader(b[8:])), indexMagicV6)
+	man, err := readManifest(bufio.NewReader(bytes.NewReader(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,38 +65,6 @@ func TestShardedIndexRoundTrip(t *testing.T) {
 		}
 		if loaded.NumSubjects() != orig.NumSubjects() {
 			t.Fatalf("p=%d: subjects differ", p)
-		}
-		s1, s2 := orig.NewSession(), loaded.NewSession()
-		for i, seg := range segs {
-			h1, ok1 := s1.MapSegmentPositional(seg)
-			h2, ok2 := s2.MapSegmentPositional(seg)
-			if ok1 != ok2 || h1 != h2 {
-				t.Fatalf("p=%d segment %d: %v,%v != %v,%v", p, i, h1, ok1, h2, ok2)
-			}
-		}
-	}
-}
-
-// TestShardedIndexV5Compat: the retired JEMIDX05 writer still produces
-// files the loader accepts, and they serve identically to the mapper
-// that wrote them — the format-compatibility guarantee for indexes
-// built before the out-of-core layout.
-func TestShardedIndexV5Compat(t *testing.T) {
-	for _, p := range []int{1, 3} {
-		orig, segs := shardedIndexMapper(t, p)
-		var buf bytes.Buffer
-		if err := orig.writeShardedIndexV5(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if got := string(buf.Bytes()[:8]); got != "JEMIDX05" {
-			t.Fatalf("V5 writer wrote magic %q", got)
-		}
-		loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !loaded.Sealed() || loaded.Shards() != p {
-			t.Fatalf("p=%d: loaded mapper has %d shards, sealed=%v", p, loaded.Shards(), loaded.Sealed())
 		}
 		s1, s2 := orig.NewSession(), loaded.NewSession()
 		for i, seg := range segs {

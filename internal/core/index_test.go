@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -27,7 +30,15 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 	orig.AddSubjects(contigs)
 
+	// An unsealed mapper has no serving table to serialize.
 	var buf bytes.Buffer
+	if err := orig.WriteIndex(&buf); err == nil {
+		t.Fatal("WriteIndex on an unsealed mapper succeeded")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused write still emitted %d bytes", buf.Len())
+	}
+	orig.Seal()
 	if err := orig.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +54,8 @@ func TestIndexRoundTrip(t *testing.T) {
 			t.Fatalf("subject %d metadata differs", i)
 		}
 	}
-	if loaded.Table().Entries() != orig.Table().Entries() {
-		t.Fatalf("entries %d != %d", loaded.Table().Entries(), orig.Table().Entries())
+	if loaded.Entries() != orig.Entries() {
+		t.Fatalf("entries %d != %d", loaded.Entries(), orig.Entries())
 	}
 	if loaded.Sketcher().Params() != orig.Sketcher().Params() {
 		t.Fatalf("params differ")
@@ -90,6 +101,7 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 
 func TestReadIndexRejectsBadParams(t *testing.T) {
 	m, _ := NewMapper(smallParams())
+	m.Seal()
 	var buf bytes.Buffer
 	if err := m.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
@@ -104,9 +116,8 @@ func TestReadIndexRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestIndexRoundTripSealed: a sealed mapper writes the frozen-kind
-// JEMIDX03 body and loads back as a sealed mapper with identical
-// mapping behaviour.
+// TestIndexRoundTripSealed: a sealed mapper loads back as a sealed
+// one-shard mapper with identical mapping behaviour.
 func TestIndexRoundTripSealed(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	var contigs []seq.Record
@@ -133,7 +144,7 @@ func TestIndexRoundTripSealed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !loaded.Sealed() || loaded.Frozen() == nil || loaded.Table() != nil {
-		t.Fatal("frozen-kind index did not load as a sealed mapper")
+		t.Fatal("index did not load as a sealed one-shard mapper")
 	}
 	if loaded.Entries() != orig.Entries() {
 		t.Fatalf("entries %d != %d", loaded.Entries(), orig.Entries())
@@ -201,65 +212,32 @@ func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 	compareMappers(t, rng, contigs, m, loaded)
 }
 
-// TestIndexLegacyJEMIDX02Load: files written by the previous format
-// (no table-kind byte, mutable-table body) must still load and map
-// identically to the mapper that would have written them.
-func TestIndexLegacyJEMIDX02Load(t *testing.T) {
-	rng := rand.New(rand.NewSource(131))
-	var contigs []seq.Record
-	for i := 0; i < 15; i++ {
-		contigs = append(contigs, seq.Record{
-			ID:  fmt.Sprintf("contig_%d", i),
-			Seq: randDNA(rng, 400+rng.Intn(800)),
+// TestReadIndexRetiredMagics: the formats that preceded JEMIDX06 are
+// refused by name with the way out (rebuild), on every entry point —
+// plainly, not as a checksum failure a load-or-rebuild caller would
+// silently paper over.
+func TestReadIndexRetiredMagics(t *testing.T) {
+	for _, magic := range []string{"JEMIDX02", "JEMIDX03", "JEMIDX04", "JEMIDX05"} {
+		t.Run(magic, func(t *testing.T) {
+			body := append([]byte(magic), bytes.Repeat([]byte{1}, 64)...)
+			path := filepath.Join(t.TempDir(), "old.jem")
+			if err := os.WriteFile(path, body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, rerr := ReadIndex(bytes.NewReader(body))
+			_, _, _, oerr := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap})
+			_, _, merr := ReadIndexMetaFile(path)
+			_, _, serr := ReadShardSubsetFile(path, func(int) bool { return true })
+			for name, err := range map[string]error{"ReadIndex": rerr, "OpenIndexFile": oerr, "ReadIndexMetaFile": merr, "ReadShardSubsetFile": serr} {
+				if err == nil || !strings.Contains(err.Error(), magic+" is no longer supported") || !strings.Contains(err.Error(), "-save-index") {
+					t.Errorf("%s: error %v does not name the retired format and the rebuild", name, err)
+				}
+				if errors.Is(err, ErrIndexChecksum) {
+					t.Errorf("%s: retired format reported as corruption: %v", name, err)
+				}
+			}
 		})
 	}
-	p := smallParams()
-	orig, err := NewMapper(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig.AddSubjects(contigs)
-
-	// Hand-write the legacy layout: magic, 6 param words, subject
-	// metadata, then the mutable table with no kind byte.
-	var buf bytes.Buffer
-	buf.Write(indexMagicLegacy[:])
-	for _, v := range []uint64{
-		uint64(p.K), uint64(p.W), uint64(p.T), uint64(p.L),
-		uint64(p.Seed), uint64(p.Order),
-	} {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(orig.NumSubjects())); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < orig.NumSubjects(); i++ {
-		s := orig.Subject(int32(i))
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(len(s.Name))); err != nil {
-			t.Fatal(err)
-		}
-		buf.WriteString(s.Name)
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(s.Length)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := orig.Table().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatalf("legacy index rejected: %v", err)
-	}
-	if loaded.Sealed() {
-		t.Fatal("legacy index must load unsealed (mutable table)")
-	}
-	if loaded.Table().Entries() != orig.Table().Entries() {
-		t.Fatalf("entries %d != %d", loaded.Table().Entries(), orig.Table().Entries())
-	}
-	compareMappers(t, rng, contigs, orig, loaded)
 }
 
 // compareMappers asserts two mappers agree on a mix of on-contig and

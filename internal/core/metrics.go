@@ -21,11 +21,12 @@ type Metrics struct {
 	Postings *obs.Counter
 	// Lookup is the per-segment lookup latency in seconds.
 	Lookup *obs.Histogram
-	// ShardPostings, present only on a sharded mapper, splits Postings
-	// by serving shard (index = shard id); it exposes routing skew.
+	// ShardPostings, present only on a mapper with several shards,
+	// splits Postings by serving shard (index = shard id); it exposes
+	// routing skew.
 	ShardPostings []*obs.Counter
 	// reg is retained so per-shard counters can be registered when the
-	// sharded table is installed after EnableMetrics (the build path:
+	// sealed table is installed after EnableMetrics (the build path:
 	// the facade enables metrics before sealing).
 	reg *obs.Registry
 }
@@ -51,26 +52,19 @@ func (m *Mapper) EnableMetrics(reg *obs.Registry) *Metrics {
 }
 
 // enableShardMetrics registers the per-shard postings counters once
-// both a metrics registry and a shard-partitioned serving path — a
-// local sharded table or a remote backend — are present. It runs from
-// EnableMetrics (load path: table installed first) and from
+// both a metrics registry and a serving path split over several shards
+// — a local sharded table or a remote backend — are present. It runs
+// from EnableMetrics (load path: table installed first) and from
 // SealSharded/SetSharded/SetRemote (build path: registry installed
 // first), and always before sessions exist, so sessions see a
-// complete slice.
+// complete slice. A one-shard mapper registers none: its only shard's
+// count is the Postings counter.
 func (m *Mapper) enableShardMetrics() {
 	if m.met == nil || m.met.reg == nil {
 		return
 	}
-	var p int
-	switch {
-	case m.sharded != nil:
-		p = m.sharded.NumShards()
-	case m.remote != nil:
-		p = m.remote.NumShards()
-	default:
-		return
-	}
-	if len(m.met.ShardPostings) == p {
+	p := m.Shards()
+	if p < 2 || len(m.met.ShardPostings) == p {
 		return
 	}
 	cs := make([]*obs.Counter, p)
@@ -99,8 +93,8 @@ func (met *Metrics) observe(elapsed time.Duration, postings int64, hit bool) {
 	met.Lookup.Observe(elapsed.Seconds())
 }
 
-// observeShard attributes postings scanned in one shard during a
-// scatter-gather query to that shard's counter.
+// observeShard attributes one query's postings from one shard to that
+// shard's counter (a no-op on a one-shard mapper, which has none).
 func (met *Metrics) observeShard(shard int, postings int64) {
 	if shard < len(met.ShardPostings) {
 		met.ShardPostings[shard].Add(postings)

@@ -211,75 +211,86 @@ func TestLazyFaultInByteFlip(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
 	}
-	const p = 4
-	path, orig, segs := writeIndex06Temp(t, p)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man := parseManifest06(t, raw)
-	m, info, closer, err := OpenIndexFile(path, MemorySpec{Mode: MemoryAuto, Budget: int64(man.lens[0])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	var lazyShards int
-	for _, r := range info.Shards {
-		if r == ResidenceLazy {
-			lazyShards++
+	// p = 4 with room for shard 0 leaves three lazy shards among an
+	// eager one; p = 1 with a budget one byte short leaves the whole
+	// index lazy — lost, every query is a miss that names shard 0.
+	for _, tc := range []struct {
+		p         int
+		shortfall int64
+	}{{4, 0}, {1, 1}} {
+		path, orig, segs := writeIndex06Temp(t, tc.p)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if lazyShards == 0 {
-		t.Fatalf("budget left no lazy shard: %v", info.Shards)
-	}
-
-	fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
-	defer fault.Reset()
-	sess := m.NewSession()
-	var answered int
-	for _, seg := range segs {
-		if _, ok := sess.MapSegmentPositional(seg); ok {
-			answered++
+		spec := MemorySpec{Mode: MemoryAuto, Budget: int64(parseManifest06(t, raw).lens[0]) - tc.shortfall}
+		m, info, closer, err := OpenIndexFile(path, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := sess.Err(); err == nil {
-		t.Fatal("no error latched despite poisoned fault-ins")
-	} else if !errors.Is(err, ErrIndexChecksum) {
-		t.Fatalf("latched %v, want ErrIndexChecksum", err)
-	}
-	lost := sess.LostShards()
-	if len(lost) == 0 || len(lost) > lazyShards {
-		t.Fatalf("lost shards %v with %d lazy", lost, lazyShards)
-	}
-	for _, sd := range lost {
-		if info.Shards[sd] != ResidenceLazy {
-			t.Fatalf("eager shard %d reported lost", sd)
+		if closer != nil {
+			defer closer.Close()
 		}
-	}
+		var lazyShards int
+		for _, r := range info.Shards {
+			if r == ResidenceLazy {
+				lazyShards++
+			}
+		}
+		if lazyShards == 0 {
+			t.Fatalf("p=%d: budget left no lazy shard: %v", tc.p, info.Shards)
+		}
 
-	// The lazy slot's outcome is sticky: a second session on the same
-	// mapper sees the same shards lost without re-firing the fault.
-	fault.Reset()
-	again := m.NewSession()
-	for _, seg := range segs {
-		again.MapSegmentPositional(seg)
-	}
-	if got := again.LostShards(); len(got) == 0 {
-		t.Fatal("poisoned lazy slots forgot their outcome")
-	}
+		fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
+		defer fault.Reset()
+		sess := m.NewSession()
+		var answered int
+		for _, seg := range segs {
+			if _, ok := sess.MapSegmentPositional(seg); ok {
+				answered++
+			}
+		}
+		if err := sess.Err(); err == nil {
+			t.Fatalf("p=%d: no error latched despite poisoned fault-ins", tc.p)
+		} else if !errors.Is(err, ErrIndexChecksum) {
+			t.Fatalf("p=%d: latched %v, want ErrIndexChecksum", tc.p, err)
+		}
+		lost := sess.LostShards()
+		if len(lost) == 0 || len(lost) > lazyShards {
+			t.Fatalf("p=%d: lost shards %v with %d lazy", tc.p, lost, lazyShards)
+		}
+		for _, sd := range lost {
+			if info.Shards[sd] != ResidenceLazy {
+				t.Fatalf("p=%d: eager shard %d reported lost", tc.p, sd)
+			}
+		}
+		if tc.p == 1 && (answered != 0 || sess.PostingsScanned() != 0) {
+			t.Fatalf("p=1: lost index answered %d segments from %d postings", answered, sess.PostingsScanned())
+		}
 
-	// Degraded, not wrong: a fresh open of the same (intact) file
-	// serves byte-identically to the mapper that wrote it.
-	m2, _, closer2, err := OpenIndexFile(path, MemorySpec{Mode: MemoryAuto, Budget: int64(man.lens[0])})
-	if err != nil {
-		t.Fatal(err)
+		// The lazy slot's outcome is sticky: a second session on the
+		// same mapper sees the same shards lost without re-firing the
+		// fault.
+		fault.Reset()
+		again := m.NewSession()
+		for _, seg := range segs {
+			again.MapSegmentPositional(seg)
+		}
+		if got := again.LostShards(); len(got) == 0 {
+			t.Fatalf("p=%d: poisoned lazy slots forgot their outcome", tc.p)
+		}
+
+		// Degraded, not wrong: a fresh open of the same (intact) file
+		// serves byte-identically to the mapper that wrote it.
+		m2, _, closer2, err := OpenIndexFile(path, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closer2 != nil {
+			defer closer2.Close()
+		}
+		assertSameAnswers(t, "fresh reopen", orig, m2, segs)
 	}
-	if closer2 != nil {
-		defer closer2.Close()
-	}
-	assertSameAnswers(t, "fresh reopen", orig, m2, segs)
 }
 
 // TestOpenShardSubsetMapped: the shard-server open path serves the

@@ -2,13 +2,12 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"os"
+	"sync"
+	"time"
 
-	"repro/internal/parallel"
 	"repro/internal/sketch"
 )
 
@@ -23,7 +22,7 @@ import (
 // local sharded table would have returned for probe i (nil for an
 // absent word). A non-nil error means the whole batch failed
 // terminally after the backend's retry/hedge budget — the session
-// records the shard as lost for the query and the gather completes
+// records the shard as lost for the query and the scan completes
 // without it (the degraded-answer policy; see Session.LostShards).
 // Implementations must be safe for concurrent use by many sessions.
 type ShardQuerier interface {
@@ -42,7 +41,7 @@ type ShardQuerier interface {
 // sessions are issued.
 func (m *Mapper) SetRemote(q ShardQuerier) {
 	if q == nil {
-		if m.table == nil && m.frozen == nil && m.sharded == nil {
+		if m.table == nil && m.sharded == nil {
 			panic("core: cannot clear the remote backend of a sealed mapper (no local table remains)")
 		}
 		m.remote = nil
@@ -57,10 +56,63 @@ func (m *Mapper) SetRemote(q ShardQuerier) {
 // Remote returns the installed remote backend, nil for local serving.
 func (m *Mapper) Remote() ShardQuerier { return m.remote }
 
-// IndexMeta identifies a sharded (JEMIDX05/06) index without its
-// payloads: the shard count, the sketch/subject dimensions, and the
-// manifest checksum — the fingerprint a shard-server fleet and a
-// coordinator must agree on before any query flows.
+// remoteSource serves from a shard fleet: each touched shard's probes
+// go out as one RPC. Because the probes, the per-shard posting lists
+// and the counting order all match the local source exactly, a healthy
+// fleet yields byte-identical results — including PostingsScanned.
+type remoteSource struct{ q ShardQuerier }
+
+func (rs remoteSource) numShards() int { return rs.q.NumShards() }
+
+// fetch fans out one RPC per touched shard. A single-shard query runs
+// inline; multi-shard queries overlap their network waits (each RPC
+// writes only its own shard's slot and its own trials' lists).
+func (rs remoteSource) fetch(s *Session, words []sketch.Word, touched []int32) {
+	ctx := s.context()
+	if len(touched) == 1 {
+		rs.query(ctx, s, words, int(touched[0]))
+		return
+	}
+	var wg sync.WaitGroup
+	for _, sd := range touched {
+		wg.Add(1)
+		go func(sd int) {
+			defer wg.Done()
+			rs.query(ctx, s, words, sd)
+		}(int(sd))
+	}
+	wg.Wait()
+}
+
+// query runs one shard's RPC, timing it when shard timing is enabled
+// (the wall is the RPC round-trip — the remote analogue of the local
+// per-shard lookup time).
+func (rs remoteSource) query(ctx context.Context, s *Session, words []sketch.Word, sd int) {
+	sh := &s.shards[sd]
+	sh.words = sh.words[:0]
+	for _, t := range sh.trials {
+		sh.words = append(sh.words, words[t])
+	}
+	var t0 time.Time
+	if s.timeShards {
+		t0 = time.Now()
+	}
+	var lists [][]sketch.Posting
+	lists, sh.err = rs.q.QueryShard(ctx, sd, sh.trials, sh.words)
+	if s.timeShards {
+		sh.dur = time.Since(t0)
+	}
+	if sh.err == nil {
+		for i, t := range sh.trials {
+			s.plists[t] = lists[i]
+		}
+	}
+}
+
+// IndexMeta identifies an index without its payloads: the shard count,
+// the sketch/subject dimensions, and the manifest checksum — the
+// fingerprint a shard-server fleet and a coordinator must agree on
+// before any query flows.
 type IndexMeta struct {
 	// Shards is the index's shard count P.
 	Shards int
@@ -72,123 +124,20 @@ type IndexMeta struct {
 	ManifestCRC uint32
 }
 
-// ReadIndexMetaFile reads only the manifest of a sharded (JEMIDX05 or
-// JEMIDX06) index: the returned mapper carries the sketch parameters
-// and subject metadata but NO postings (it must be given a backend
-// with SetRemote before it can serve), and the IndexMeta carries the
-// fingerprint to validate a shard fleet against. Non-sharded indexes
-// are rejected: remote serving requires the sharded layout.
+// ReadIndexMetaFile reads only the manifest of an index: the returned
+// mapper carries the sketch parameters and subject metadata but NO
+// postings (it must be given a backend with SetRemote before it can
+// serve), and the IndexMeta carries the fingerprint to validate a
+// shard fleet against.
 func ReadIndexMetaFile(path string) (*Mapper, IndexMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, IndexMeta{}, err
 	}
 	defer func() { _ = f.Close() }()
-	br, magic, err := requireShardedMagic(f, path)
-	if err != nil {
-		return nil, IndexMeta{}, err
-	}
-	man, err := readShardedManifest(br, magic)
+	man, err := readManifest(bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
 		return nil, IndexMeta{}, fmt.Errorf("core: index %s: %w", path, err)
 	}
 	return man.m, man.meta(), nil
-}
-
-// ReadShardSubsetFile loads only the shards selected by keep from a
-// sharded (JEMIDX05 or JEMIDX06) index — the shard-server loading
-// path, where each process pays memory for its own shards only.
-// Unselected payloads (and, in V6, the alignment padding between
-// payloads) are skipped without allocation; selected ones are
-// CRC-verified and decoded in parallel exactly like a full load. The
-// returned map is keyed by shard id.
-func ReadShardSubsetFile(path string, keep func(shard int) bool) (map[int]*sketch.FrozenTable, IndexMeta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, IndexMeta{}, err
-	}
-	defer func() { _ = f.Close() }()
-	br, magic, err := requireShardedMagic(f, path)
-	if err != nil {
-		return nil, IndexMeta{}, err
-	}
-	man, err := readShardedManifest(br, magic)
-	if err != nil {
-		return nil, IndexMeta{}, fmt.Errorf("core: index %s: %w", path, err)
-	}
-	var kept []int
-	payloads := make(map[int][]byte)
-	pos := man.end // stream position past the manifest (V6 bookkeeping)
-	for i := range man.lens {
-		// V6 payloads are page-aligned; skip the padding gap first.
-		if man.offs != nil {
-			if skip := int64(man.offs[i]) - pos; skip > 0 {
-				if _, err := io.CopyN(io.Discard, br, skip); err != nil {
-					return nil, IndexMeta{}, fmt.Errorf("core: index %s: seeking shard %d payload: %w", path, i, err)
-				}
-				pos += skip
-			}
-		}
-		if !keep(i) {
-			n, err := io.CopyN(io.Discard, br, int64(man.lens[i]))
-			pos += n
-			if err != nil {
-				return nil, IndexMeta{}, fmt.Errorf("core: index %s: skipping shard %d payload: %w", path, i, err)
-			}
-			continue
-		}
-		var buf bytes.Buffer
-		n, err := io.CopyN(&buf, br, int64(man.lens[i]))
-		pos += n
-		if err == io.EOF && n < int64(man.lens[i]) {
-			return nil, IndexMeta{}, fmt.Errorf("core: index %s: shard %d payload truncated (%d of %d bytes): %w (%w)",
-				path, i, n, man.lens[i], errIndexTruncated, ErrIndexChecksum)
-		}
-		if err != nil {
-			return nil, IndexMeta{}, fmt.Errorf("core: index %s: reading shard %d payload: %w", path, i, err)
-		}
-		payloads[i] = buf.Bytes()
-		kept = append(kept, i)
-	}
-	if len(kept) == 0 {
-		return nil, IndexMeta{}, fmt.Errorf("core: index %s: shard selection keeps none of %d shards", path, len(man.lens))
-	}
-	decode := decodeShardPayload
-	if magic == indexMagicV6 {
-		decode = decodeShardPayload06
-	}
-	tables := make(map[int]*sketch.FrozenTable, len(kept))
-	decErrs := make([]error, len(kept))
-	decoded := make([]*sketch.FrozenTable, len(kept))
-	parallel.ForEach(len(kept), 0, func(j int) {
-		i := kept[j]
-		decoded[j], decErrs[j] = decode(i, payloads[i], man.crcs[i])
-	})
-	for j, err := range decErrs {
-		if err != nil {
-			return nil, IndexMeta{}, fmt.Errorf("core: index %s: %w", path, err)
-		}
-		tables[kept[j]] = decoded[j]
-	}
-	return tables, man.meta(), nil
-}
-
-// requireShardedMagic reads the index magic and rejects everything but
-// the sharded layouts (JEMIDX05, JEMIDX06): only they have a manifest
-// to serve shard subsets and fingerprints from. The accepted magic is
-// returned so callers can parse the matching directory shape.
-func requireShardedMagic(r io.Reader, path string) (*bufio.Reader, [8]byte, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, magic, fmt.Errorf("core: index %s: reading magic: %w", path, err)
-	}
-	switch magic {
-	case indexMagicV5, indexMagicV6:
-		return br, magic, nil
-	case indexMagic, indexMagicV3, indexMagicLegacy:
-		return nil, magic, fmt.Errorf("core: index %s: %q is not sharded; distributed serving requires a JEMIDX05/06 index (rebuild with -shards > 1)", path, magic[:])
-	default:
-		return nil, magic, fmt.Errorf("core: index %s: not a JEM index (magic %q)", path, magic[:])
-	}
 }

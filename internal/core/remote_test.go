@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -231,20 +230,20 @@ func TestReadShardSubsetFile(t *testing.T) {
 	}
 }
 
-// TestReadIndexMetaRejectsUnsharded: meta/subset loading requires a
-// sharded layout (JEMIDX05/06); a mutable-table JEMIDX04 file is
-// refused with a pointed message, not misparsed.
+// TestReadIndexMetaRejectsUnsharded: meta/subset loading refuses a
+// file that is not an index — there is no unsharded layout any more,
+// so "not sharded" means "not JEMIDX06" — and reports a missing file as
+// such.
 func TestReadIndexMetaRejectsUnsharded(t *testing.T) {
-	m := buildTinyMapper(t)
 	path := filepath.Join(t.TempDir(), "flat.jem")
-	if err := m.WriteIndexFile(path); err != nil {
+	if err := os.WriteFile(path, []byte("NOTANINDEXATALL!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadIndexMetaFile(path); err == nil {
-		t.Fatal("ReadIndexMetaFile accepted an unsharded index")
+		t.Fatal("ReadIndexMetaFile accepted a non-index file")
 	}
 	if _, _, err := ReadShardSubsetFile(path, func(int) bool { return true }); err == nil {
-		t.Fatal("ReadShardSubsetFile accepted an unsharded index")
+		t.Fatal("ReadShardSubsetFile accepted a non-index file")
 	}
 	if _, _, err := ReadIndexMetaFile(filepath.Join(t.TempDir(), "missing.jem")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file error = %v, want ErrNotExist", err)
@@ -269,20 +268,4 @@ func TestSetRemoteGuards(t *testing.T) {
 		}
 	}()
 	remote.SetRemote(nil)
-}
-
-// buildTinyMapper builds a minimal UNSEALED mapper for format
-// rejection tests: a mutable mapper writes the JEMIDX04 layout, the
-// only current format without a shard manifest (sealed mappers write
-// JEMIDX06, which always has one).
-func buildTinyMapper(t *testing.T) *Mapper {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	_, contigs, _, _ := makeWorld(t, rng, 6000, 1000, 2)
-	m, err := NewMapper(smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.AddSubjects(contigs)
-	return m
 }

@@ -1,0 +1,81 @@
+package core
+
+import (
+	"time"
+
+	"repro/internal/sketch"
+)
+
+// postingSource is where a session's scan gets posting lists from. A
+// mapper has exactly one at any time (source): the sealed sharded
+// table, a remote shard fleet, or — before sealing — the mutable
+// build-time table seen as one shard.
+type postingSource interface {
+	// numShards returns the shard count P probes are routed over with
+	// sketch.ShardOf.
+	numShards() int
+	// fetch resolves the probes of every touched shard sd: for each
+	// trial t in s.shards[sd].trials it stores the posting list of
+	// ⟨t, words[t]⟩ in s.plists[t] (nil for an absent word), and it sets
+	// the slot's err — nil, or the error that lost the whole shard for
+	// this query — and, when s.timeShards is on, its dur. Lists go into
+	// the session-owned scratch; fetch allocates nothing per query.
+	fetch(s *Session, words []sketch.Word, touched []int32)
+}
+
+// source returns the mapper's current posting source. Sessions capture
+// it at creation (every way of installing a table must run before
+// sessions are issued).
+func (m *Mapper) source() postingSource {
+	switch {
+	case m.remote != nil:
+		return remoteSource{m.remote}
+	case m.sharded != nil:
+		return localSource{m.sharded}
+	}
+	return tableSource{m.table}
+}
+
+// tableSource serves from the mutable build-time table as one shard
+// that is never lost and never timed (its slot's err and dur keep their
+// zero values).
+type tableSource struct{ tb *sketch.Table }
+
+func (tableSource) numShards() int { return 1 }
+
+func (ts tableSource) fetch(s *Session, words []sketch.Word, _ []int32) {
+	for t, w := range words {
+		s.plists[t] = ts.tb.Lookup(t, w)
+	}
+}
+
+// localSource serves from the sealed sharded table. A lazy shard is
+// faulted in (and CRC-verified) by its first probe; a failed fault-in
+// is sticky and loses the shard for every query that touches it.
+type localSource struct{ sf *sketch.ShardedFrozen }
+
+func (ls localSource) numShards() int { return ls.sf.NumShards() }
+
+//jem:hotpath
+func (ls localSource) fetch(s *Session, words []sketch.Word, touched []int32) {
+	// When shard timing is on, one clock read per shard boundary
+	// attributes the lookups to the shard that just finished.
+	var prev time.Time
+	if s.timeShards {
+		prev = time.Now()
+	}
+	for _, sd := range touched {
+		sh := &s.shards[sd]
+		var ft *sketch.FrozenTable
+		if ft, sh.err = ls.sf.ShardChecked(int(sd)); sh.err == nil {
+			for _, t := range sh.trials {
+				s.plists[t] = ft.Lookup(int(t), words[t])
+			}
+		}
+		if s.timeShards {
+			now := time.Now()
+			sh.dur = now.Sub(prev)
+			prev = now
+		}
+	}
+}

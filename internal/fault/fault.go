@@ -52,8 +52,8 @@ const (
 	// the recover-to-batch-error conversion.
 	WorkerPanic = "worker.panic"
 	// IndexByteFlip flips one byte of a fully written index temp file
-	// before it is renamed into place — on-disk corruption the JEMIDX04
-	// checksum must catch at load time.
+	// before it is renamed into place — on-disk corruption the index
+	// checksums must catch at load time.
 	IndexByteFlip = "index.byteflip"
 	// IndexFaultinByteFlip simulates a flipped payload byte during the
 	// lazy fault-in CRC verification of a load-on-demand (JEMIDX06)

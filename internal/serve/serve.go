@@ -495,7 +495,7 @@ func (s *Server) classify(err error) (int, string) {
 
 // swapRequest is the POST /v1/indexes/{name}/swap body.
 type swapRequest struct {
-	// IndexPath is the saved index (JEMIDX05 etc.) to load.
+	// IndexPath is the saved index to load.
 	IndexPath string `json:"index_path"`
 	// ContigsPath, when set, supplies contig records: the rebuild
 	// source with RebuildOnCorrupt, otherwise record metadata only.

@@ -1,6 +1,6 @@
 // Package shardnet distributes the sharded sketch index across
 // processes: shard servers (cmd/jem-shardd) each load a subset of a
-// JEMIDX05 index's shards and answer scatter-gather count queries over
+// saved index's shards and answer scatter-gather count queries over
 // a compact length-prefixed binary protocol, and a Coordinator client
 // routes per-shard probe batches to them using the same deterministic
 // sketch.ShardOf placement the local sharded backend uses — so with
@@ -63,7 +63,7 @@ type Info struct {
 	T int
 	// NumSubjects is the subject-id space size.
 	NumSubjects int
-	// ManifestCRC is the JEMIDX05 manifest checksum — the index
+	// ManifestCRC is the index manifest checksum — the index
 	// fingerprint both sides must agree on.
 	ManifestCRC uint32
 }

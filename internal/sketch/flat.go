@@ -8,12 +8,10 @@ import (
 	"repro/internal/kmer"
 )
 
-// Flat frozen-table payload: the out-of-core (JEMIDX06) encoding of a
+// Flat frozen-table payload: the serialized (JEMIDX06) form of a
 // FrozenTable, laid out so the serving structures can be built over
-// the raw bytes with zero copies. Where the streaming encoding
-// (FrozenTable.Encode) is a compact wire format that must be decoded
-// into freshly allocated arrays — and rebuilds the radix bucket
-// directory afterwards — the flat payload IS the serving layout:
+// the raw bytes with zero copies — the flat payload IS the serving
+// layout:
 //
 //	u32  trial count T
 //	T ×  48-byte trial directory entry:
@@ -25,12 +23,12 @@ import (
 //	       postings  npostings × {u32 subject, u32 anchor}
 //	       buckets   nbuckets × u32   (the radix directory, serialized)
 //
-// Every section offset is 8-byte aligned, so when the payload itself
-// sits at an aligned file offset (JEMIDX06 page-aligns each shard) an
-// mmap'd view can alias the words/offsets/postings/buckets arrays
-// directly — including the bucket directory, which the streaming
-// format rebuilds on the heap at every load. On little-endian hosts a
-// view therefore allocates nothing proportional to the table.
+// Sections follow the directory in exactly that order, trial by trial,
+// and every section offset is 8-byte aligned, so when the payload
+// itself sits at an aligned address (JEMIDX06 page-aligns each shard
+// in the file; heap buffers are allocator-aligned) a view can alias
+// the words/offsets/postings/buckets arrays directly. On little-endian
+// hosts a view therefore allocates nothing proportional to the table.
 const (
 	flatDirEntrySize = 48
 	flatAlign        = 8
@@ -51,7 +49,7 @@ type flatTrialDir struct {
 func align8(x int64) int64 { return (x + flatAlign - 1) &^ (flatAlign - 1) }
 
 // flatLayout computes the directory and total payload size for this
-// table. Shared by FlatSize and EncodeFlat so the two cannot drift.
+// table.
 func (ft *FrozenTable) flatLayout() ([]flatTrialDir, int64) {
 	t := len(ft.trials)
 	dirs := make([]flatTrialDir, t)
@@ -73,12 +71,6 @@ func (ft *FrozenTable) flatLayout() ([]flatTrialDir, int64) {
 		off = align8(off + int64(len(fb.buckets))*4)
 	}
 	return dirs, off
-}
-
-// FlatSize returns the exact byte size of EncodeFlat's output.
-func (ft *FrozenTable) FlatSize() int64 {
-	_, n := ft.flatLayout()
-	return n
 }
 
 // EncodeFlat serializes the table into the flat payload layout,
@@ -129,9 +121,11 @@ func (ft *FrozenTable) EncodeFlat() []byte {
 }
 
 // parseFlatDirs decodes and bounds-checks the payload directory: every
-// section must lie inside the payload, aligned sections must be
-// aligned, and the counts must be mutually consistent. It does NOT
-// validate section contents (validateFlatTrial does).
+// section must be 8-aligned, lie inside the payload, and start at or
+// after the end of the one before it (the order EncodeFlat lays them
+// out in), so the sections of all trials together never claim more
+// bytes than the payload holds. It does NOT validate section contents
+// (validateFlatTrial does).
 func parseFlatDirs(buf []byte) ([]flatTrialDir, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("sketch: flat payload too short (%d bytes)", len(buf))
@@ -145,6 +139,7 @@ func parseFlatDirs(buf []byte) ([]flatTrialDir, error) {
 		return nil, fmt.Errorf("sketch: flat payload truncated inside directory")
 	}
 	size := uint64(len(buf))
+	next := uint64(4 + flatDirEntrySize*t)
 	dirs := make([]flatTrialDir, t)
 	for i := range dirs {
 		p := 4 + flatDirEntrySize*i
@@ -160,15 +155,19 @@ func parseFlatDirs(buf []byte) ([]flatTrialDir, error) {
 		if d.nwords > 1<<31 || d.npostings > 1<<31 || d.nbuckets > 1<<31 || d.shift > 64 {
 			return nil, fmt.Errorf("sketch: flat trial %d has implausible counts", i)
 		}
-		if d.wordsOff%flatAlign != 0 || d.postings%flatAlign != 0 {
-			return nil, fmt.Errorf("sketch: flat trial %d sections misaligned", i)
-		}
-		nw, np, nb := uint64(d.nwords), uint64(d.npostings), uint64(d.nbuckets)
-		if d.wordsOff+nw*8 > size ||
-			d.offsets+((nw+1)*4) > size ||
-			d.postings+np*8 > size ||
-			d.buckets+nb*4 > size {
-			return nil, fmt.Errorf("sketch: flat trial %d sections exceed payload (%d bytes)", i, size)
+		// off comes straight from the file: compare it against the
+		// payload size before any arithmetic, or off+bytes wraps for an
+		// offset near 2^64 and the section "fits".
+		for _, sec := range [4]struct{ off, bytes uint64 }{
+			{d.wordsOff, uint64(d.nwords) * 8},
+			{d.offsets, (uint64(d.nwords) + 1) * 4},
+			{d.postings, uint64(d.npostings) * 8},
+			{d.buckets, uint64(d.nbuckets) * 4},
+		} {
+			if sec.off%flatAlign != 0 || sec.off < next || sec.off > size || sec.bytes > size-sec.off {
+				return nil, fmt.Errorf("sketch: flat trial %d sections misaligned, overlapping or outside the payload (%d bytes)", i, size)
+			}
+			next = sec.off + sec.bytes
 		}
 	}
 	return dirs, nil
@@ -237,16 +236,16 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// ViewFlatFrozen builds a FrozenTable whose arrays alias buf — the
-// zero-copy path over an mmap'd shard payload. buf must stay valid and
-// immutable for the table's lifetime (the caller owns the mapping) and
-// must be 8-byte aligned (mmap regions are page-aligned; JEMIDX06
-// page-aligns every shard payload within the file). On big-endian
-// hosts, or for an unaligned buffer, it falls back to the copying
-// decoder — correctness is identical either way, only residency
-// differs. The returned table reports its bytes as mapped, not
-// resident (see MappedBytes).
-func ViewFlatFrozen(buf []byte) (*FrozenTable, error) {
+// ViewFlatFrozen builds a FrozenTable whose arrays alias buf — the one
+// way a flat payload becomes a serving table, whether buf is a slice
+// of an mmap'd index file (mapped = true: the table's bytes count as
+// mapped, see MappedBytes) or a heap buffer holding the same bytes
+// (mapped = false: they count as resident). buf must stay valid and
+// immutable for the table's lifetime and must be 8-byte aligned; on
+// big-endian hosts, or for an unaligned buffer, it falls back to the
+// copying decoder — correctness is identical either way, only
+// residency differs.
+func ViewFlatFrozen(buf []byte, mapped bool) (*FrozenTable, error) {
 	if !hostLittleEndian || len(buf) == 0 ||
 		uintptr(unsafe.Pointer(&buf[0]))%flatAlign != 0 {
 		return DecodeFlatFrozen(buf)
@@ -255,7 +254,7 @@ func ViewFlatFrozen(buf []byte) (*FrozenTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	ft := &FrozenTable{trials: make([]frozenBin, len(dirs)), mapped: true}
+	ft := &FrozenTable{trials: make([]frozenBin, len(dirs)), mapped: mapped}
 	for ti := range dirs {
 		d := &dirs[ti]
 		fb := &ft.trials[ti]
@@ -279,8 +278,8 @@ func ViewFlatFrozen(buf []byte) (*FrozenTable, error) {
 }
 
 // DecodeFlatFrozen decodes a flat payload into an owned, heap-resident
-// FrozenTable (the memory-budget "heap" choice, and the portable
-// fallback for hosts where views cannot alias the bytes).
+// FrozenTable — the portable fallback for hosts and buffers where a
+// view cannot alias the bytes.
 func DecodeFlatFrozen(buf []byte) (*FrozenTable, error) {
 	dirs, err := parseFlatDirs(buf)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 
 	"repro/internal/kmer"
@@ -20,10 +19,10 @@ import (
 type FrozenTable struct {
 	trials  []frozenBin
 	entries int
-	// mapped marks a zero-copy view whose arrays alias an mmap'd flat
-	// payload (ViewFlatFrozen) rather than heap allocations; it flips
-	// the table's bytes from the resident to the mapped column of the
-	// memory accounting.
+	// mapped marks a view whose arrays alias an mmap'd flat payload
+	// (ViewFlatFrozen) rather than heap memory; it flips the table's
+	// bytes from the resident to the mapped column of the memory
+	// accounting.
 	mapped bool
 }
 
@@ -35,8 +34,8 @@ type frozenBin struct {
 	// Radix bucket directory over words: bucket b spans the words whose
 	// value >> shift equals b, so buckets[b]..buckets[b+1] is a
 	// near-singleton range and Lookup is O(1) expected instead of a
-	// full log2(words) binary search. Rebuilt after decode, never
-	// serialized.
+	// full log2(words) binary search. Built at freeze time and
+	// serialized with the rest of the flat payload.
 	buckets []int32 // len nbuckets+1; lower bounds into words
 	shift   uint
 }
@@ -95,13 +94,12 @@ func (ft *FrozenTable) MemBytes() int64 {
 	return n
 }
 
-// Mapped reports whether this table is a zero-copy view over an
-// mmap'd flat payload (its arrays alias the mapping) rather than a
-// heap-resident decode.
+// Mapped reports whether this table's arrays alias an mmap'd flat
+// payload rather than heap memory.
 func (ft *FrozenTable) Mapped() bool { return ft.mapped }
 
 // ResidentBytes returns the part of MemBytes that is private heap
-// memory: the whole table for a decoded one, 0 for a mapped view
+// memory: the whole table for a heap-backed one, 0 for a mapped view
 // (whose pages are file-backed, evictable, and shared across
 // processes mapping the same index).
 func (ft *FrozenTable) ResidentBytes() int64 {
@@ -112,7 +110,7 @@ func (ft *FrozenTable) ResidentBytes() int64 {
 }
 
 // MappedBytes returns the part of MemBytes that aliases an mmap'd
-// payload: the whole table for a view, 0 for a heap decode.
+// payload: the whole table for a mapped view, 0 otherwise.
 func (ft *FrozenTable) MappedBytes() int64 {
 	if !ft.mapped {
 		return 0
@@ -298,12 +296,11 @@ func FreezePayloads(t int, payloads [][]byte) (*FrozenTable, error) {
 	return ft, nil
 }
 
-// Freeze converts a mutable Table into its frozen form directly in
-// memory: per trial, the words are sorted and the posting lists laid
-// out contiguously. This is the shared-memory sealing path (the
-// distributed driver uses FreezePayloads instead); it allocates the
-// three flat arrays exactly once per trial and never serializes. The
-// sharded counterpart is FreezeSharded; both bottom out in
+// Freeze converts a mutable Table into one monolithic frozen table
+// directly in memory: per trial, the words are sorted and the posting
+// lists laid out contiguously. Sealing goes through FreezeSharded (a
+// sealed mapper is always sharded, P ≥ 1); Freeze is the reference
+// the sharded build is tested against — both bottom out in
 // freezeSubset, so a 1-shard sharded table is bit-for-bit this one.
 func (tb *Table) Freeze() *FrozenTable {
 	words := make([][]kmer.Word, tb.T())
@@ -315,108 +312,4 @@ func (tb *Table) Freeze() *FrozenTable {
 		words[ti] = ws
 	}
 	return tb.freezeSubset(words)
-}
-
-// Encode serializes the frozen table in its own flat little-endian
-// layout (the JEMIDX03 table section): per trial, the sorted word
-// array, the posting-count prefix offsets, and the flat posting array
-// are written contiguously, so decoding is three bulk reads per trial
-// instead of per-word list parsing.
-func (ft *FrozenTable) Encode(w io.Writer) error {
-	bw := newByteWriter(w)
-	bw.u32(uint32(len(ft.trials)))
-	for i := range ft.trials {
-		fb := &ft.trials[i]
-		bw.u32(uint32(len(fb.words)))
-		bw.u32(uint32(len(fb.postings)))
-		for _, word := range fb.words {
-			bw.u64(uint64(word))
-		}
-		// offsets[0] is always 0; store the len(words) tail.
-		for _, off := range fb.offsets[1:] {
-			bw.u32(uint32(off))
-		}
-		for _, p := range fb.postings {
-			bw.u32(uint32(p.Subject))
-			bw.u32(uint32(p.Anchor))
-		}
-	}
-	return bw.flush()
-}
-
-// DecodeFrozenTable reads a frozen table written by
-// FrozenTable.Encode, validating the sorted-word and monotone-offset
-// invariants so a corrupt stream cannot produce a table that panics on
-// Lookup.
-func DecodeFrozenTable(r io.Reader) (*FrozenTable, error) {
-	br := byteReader{r: r}
-	t, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	if t == 0 || t > 1<<20 {
-		return nil, fmt.Errorf("sketch: implausible trial count %d", t)
-	}
-	ft := &FrozenTable{trials: make([]frozenBin, t)}
-	for ti := 0; ti < int(t); ti++ {
-		nw, err := br.u32()
-		if err != nil {
-			return nil, err
-		}
-		np, err := br.u32()
-		if err != nil {
-			return nil, err
-		}
-		fb := &ft.trials[ti]
-		// Never trust counts for allocation: grow with the bytes
-		// actually read (a corrupt stream could claim 2^32 entries).
-		fb.words = make([]kmer.Word, 0, capHint(nw))
-		for i := 0; i < int(nw); i++ {
-			w, err := br.u64()
-			if err != nil {
-				return nil, err
-			}
-			if n := len(fb.words); n > 0 && fb.words[n-1] >= kmer.Word(w) {
-				return nil, fmt.Errorf("sketch: frozen trial %d words not strictly sorted", ti)
-			}
-			fb.words = append(fb.words, kmer.Word(w))
-		}
-		fb.offsets = make([]int32, 1, capHint(nw)+1)
-		for i := 0; i < int(nw); i++ {
-			off, err := br.u32()
-			if err != nil {
-				return nil, err
-			}
-			if int32(off) < fb.offsets[len(fb.offsets)-1] || off > np {
-				return nil, fmt.Errorf("sketch: frozen trial %d offsets not monotone", ti)
-			}
-			fb.offsets = append(fb.offsets, int32(off))
-		}
-		if fb.offsets[len(fb.offsets)-1] != int32(np) {
-			return nil, fmt.Errorf("sketch: frozen trial %d offsets end at %d, want %d",
-				ti, fb.offsets[len(fb.offsets)-1], np)
-		}
-		fb.postings = make([]Posting, 0, capHint(np))
-		for i := 0; i < int(np); i++ {
-			s, err := br.u32()
-			if err != nil {
-				return nil, err
-			}
-			a, err := br.u32()
-			if err != nil {
-				return nil, err
-			}
-			fb.postings = append(fb.postings, Posting{Subject: int32(s), Anchor: int32(a)})
-		}
-		fb.buildIndex()
-		ft.entries += len(fb.postings)
-	}
-	return ft, nil
-}
-
-func capHint(n uint32) int {
-	if n > 4096 {
-		return 4096
-	}
-	return int(n)
 }

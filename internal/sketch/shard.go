@@ -126,10 +126,7 @@ func NewShardedFrozen(shards []*FrozenTable) (*ShardedFrozen, error) {
 // position holds either an eagerly materialized table (eager[i]) or a
 // load-on-demand slot (lazy[i]) — exactly one of the two. trials is
 // the trial count every shard must carry (taken from the index
-// manifest, since lazy shards cannot be asked before fault-in). A
-// single-shard table must not be lazy: the non-scatter-gather lookup
-// path has no way to surface a fault-in failure (callers enforce this;
-// see core's memory-mode planner).
+// manifest, since lazy shards cannot be asked before fault-in).
 func NewLazyShardedFrozen(trials int, eager []*FrozenTable, lazy []*LazyShard) (*ShardedFrozen, error) {
 	if len(eager) != len(lazy) {
 		return nil, fmt.Errorf("sketch: eager/lazy shard slices disagree: %d vs %d", len(eager), len(lazy))
@@ -232,10 +229,9 @@ func (sf *ShardedFrozen) MappedBytes() int64 {
 	return n
 }
 
-// Shard returns shard i's frozen table (for serialization and for the
-// scatter-gather query path, which batches lookups per shard). On a
-// lazy table it forces the shard's fault-in and returns nil when that
-// fails; error-aware callers use ShardChecked.
+// Shard returns shard i's frozen table. On a lazy table it forces the
+// shard's fault-in and returns nil when that fails; error-aware
+// callers (the query path, serialization) use ShardChecked.
 func (sf *ShardedFrozen) Shard(i int) *FrozenTable {
 	ft, _ := sf.ShardChecked(i)
 	return ft
@@ -255,11 +251,10 @@ func (sf *ShardedFrozen) ShardChecked(i int) (*FrozenTable, error) {
 }
 
 // Lookup routes ⟨t, w⟩ to its shard and returns the posting list (nil
-// when absent). The returned slice must not be modified. Only the
-// scatter-gather path (which uses ShardChecked directly) can surface a
-// lazy fault-in failure; this single-probe path treats a failed shard
-// as absent — acceptable because single-shard tables are never built
-// lazy and multi-shard queries do not come through here.
+// when absent). The returned slice must not be modified. This
+// single-probe convenience treats a shard whose fault-in failed as
+// absent; queries go through ShardChecked per touched shard, which is
+// where such a failure is surfaced.
 //
 //jem:hotpath
 func (sf *ShardedFrozen) Lookup(t int, w kmer.Word) []Posting {

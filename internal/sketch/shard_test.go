@@ -122,14 +122,9 @@ func TestFreezeShardedMatchesFreeze(t *testing.T) {
 // same bytes as the monolithic freeze.
 func TestFreezeShardedSingleShardBitIdentical(t *testing.T) {
 	tb := shardTestTable(t, 5, 8, 30)
-	var mono, single bytes.Buffer
-	if err := tb.Freeze().Encode(&mono); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.FreezeSharded(1, 0).Shard(0).Encode(&single); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mono.Bytes(), single.Bytes()) {
+	mono := tb.Freeze().EncodeFlat()
+	single := tb.FreezeSharded(1, 0).Shard(0).EncodeFlat()
+	if !bytes.Equal(mono, single) {
 		t.Fatalf("1-shard freeze is not bit-identical to monolithic freeze")
 	}
 }
@@ -139,14 +134,7 @@ func TestFreezeShardedWorkersIrrelevant(t *testing.T) {
 	a := tb.FreezeSharded(3, 1)
 	b := tb.FreezeSharded(3, 4)
 	for sd := 0; sd < 3; sd++ {
-		var ba, bb bytes.Buffer
-		if err := a.Shard(sd).Encode(&ba); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Shard(sd).Encode(&bb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
+		if !bytes.Equal(a.Shard(sd).EncodeFlat(), b.Shard(sd).EncodeFlat()) {
 			t.Fatalf("shard %d differs between 1-worker and 4-worker builds", sd)
 		}
 	}

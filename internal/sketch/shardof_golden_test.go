@@ -10,7 +10,7 @@ import (
 // distributed placement contract, not an implementation detail: a
 // coordinator and a jem-shardd fleet built from the same index must
 // agree on which server owns every ⟨trial, word⟩ key, and every
-// JEMIDX05 index ever written bakes the placement into its shard
+// index ever written bakes the placement into its shard
 // payloads. Changing the hash silently would make old indexes and
 // running fleets route probes to shards that do not own them — this
 // test makes such a change loud. If you MUST change the routing, bump

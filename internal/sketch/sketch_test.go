@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -635,62 +636,97 @@ func TestFreezeDirectMatchesPayloadMerge(t *testing.T) {
 	}
 }
 
-// TestFrozenEncodeDecodeRoundTrip pins the JEMIDX03 table section:
-// encode a frozen table, decode it, and compare every lookup.
+// TestFrozenEncodeDecodeRoundTrip pins the flat payload: encode a
+// frozen table, read it back both ways (zero-copy view, copying
+// decode), and compare every lookup — plus the one thing the view's
+// mapped flag changes, which column of the memory accounting the
+// table's bytes land in.
 func TestFrozenEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, nSubjects := range []int{0, 1, 25} {
 		ft := randomTable(t, rng, 3, nSubjects).Freeze()
-		var buf bytes.Buffer
-		if err := ft.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeFrozenTable(&buf)
+		buf := ft.EncodeFlat()
+		heapView, err := ViewFlatFrozen(buf, false)
 		if err != nil {
 			t.Fatalf("nSubjects=%d: %v", nSubjects, err)
 		}
-		if got.Entries() != ft.Entries() || got.T() != ft.T() {
-			t.Fatalf("nSubjects=%d: entries/T %d/%d != %d/%d",
-				nSubjects, got.Entries(), got.T(), ft.Entries(), ft.T())
+		mappedView, err := ViewFlatFrozen(buf, true)
+		if err != nil {
+			t.Fatalf("nSubjects=%d: %v", nSubjects, err)
 		}
-		for tr := 0; tr < ft.T(); tr++ {
-			for w := kmer.Word(0); w < 320; w++ {
-				if !reflect.DeepEqual(got.Lookup(tr, w), ft.Lookup(tr, w)) {
-					t.Fatalf("trial %d word %d postings differ after round trip", tr, w)
+		decoded, err := DecodeFlatFrozen(buf)
+		if err != nil {
+			t.Fatalf("nSubjects=%d: %v", nSubjects, err)
+		}
+		for name, got := range map[string]*FrozenTable{"heap view": heapView, "mapped view": mappedView, "decode": decoded} {
+			if got.Entries() != ft.Entries() || got.T() != ft.T() || got.MemBytes() != ft.MemBytes() {
+				t.Fatalf("nSubjects=%d %s: entries/T/bytes %d/%d/%d != %d/%d/%d", nSubjects, name,
+					got.Entries(), got.T(), got.MemBytes(), ft.Entries(), ft.T(), ft.MemBytes())
+			}
+			for tr := 0; tr < ft.T(); tr++ {
+				for w := kmer.Word(0); w < 320; w++ {
+					if !reflect.DeepEqual(got.Lookup(tr, w), ft.Lookup(tr, w)) {
+						t.Fatalf("%s: trial %d word %d postings differ after round trip", name, tr, w)
+					}
 				}
 			}
+		}
+		if heapView.ResidentBytes() != ft.MemBytes() || heapView.MappedBytes() != 0 {
+			t.Fatalf("heap view accounts %d resident / %d mapped", heapView.ResidentBytes(), heapView.MappedBytes())
+		}
+		if hostLittleEndian && (mappedView.MappedBytes() != ft.MemBytes() || mappedView.ResidentBytes() != 0) {
+			t.Fatalf("mapped view accounts %d resident / %d mapped", mappedView.ResidentBytes(), mappedView.MappedBytes())
 		}
 	}
 }
 
-// TestDecodeFrozenTableRejectsCorrupt checks the decoder's structural
-// validation: unsorted words and non-monotone offsets must fail, not
-// produce a table that breaks binary search.
-func TestDecodeFrozenTableRejectsCorrupt(t *testing.T) {
-	ft := NewTable(1)
-	ft.InsertPositional(1, [][]kmer.Word{{5, 9}}, [][]int32{{10, 20}})
-	var buf bytes.Buffer
-	if err := ft.Freeze().Encode(&buf); err != nil {
+// TestViewFlatFrozenRejectsCorrupt checks the flat readers' structural
+// validation: a directory pointing outside the payload (including an
+// offset that wraps u64), unsorted words and non-monotone offsets must
+// fail, not produce a table that panics or breaks binary search.
+func TestViewFlatFrozenRejectsCorrupt(t *testing.T) {
+	tb := NewTable(1)
+	tb.InsertPositional(1, [][]kmer.Word{{5, 9}}, [][]int32{{10, 20}})
+	good := tb.Freeze().EncodeFlat()
+	dirs, err := parseFlatDirs(good)
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	// Layout: u32 T, u32 nwords, u32 npostings, 2×u64 words, 2×u32
-	// offsets, postings. Swap the two words to break sortedness.
-	corrupt := append([]byte(nil), good...)
-	copy(corrupt[12:20], good[20:28])
-	copy(corrupt[20:28], good[12:20])
-	if _, err := DecodeFrozenTable(bytes.NewReader(corrupt)); err == nil {
-		t.Error("unsorted words should fail")
+	d := dirs[0]
+	le := binary.LittleEndian
+	cases := map[string]func(b []byte) []byte{
+		"unsorted words": func(b []byte) []byte {
+			copy(b[d.wordsOff:], good[d.wordsOff+8:d.wordsOff+16])
+			copy(b[d.wordsOff+8:], good[d.wordsOff:d.wordsOff+8])
+			return b
+		},
+		"offsets end short of the posting count": func(b []byte) []byte {
+			le.PutUint32(b[d.offsets+8:], 1)
+			return b
+		},
+		"words offset wraps u64": func(b []byte) []byte {
+			le.PutUint32(b[4:], 1)
+			le.PutUint64(b[4+16:], 1<<64-8)
+			return b
+		},
+		"postings offset past the payload": func(b []byte) []byte {
+			le.PutUint64(b[4+32:], uint64(len(b)))
+			return b
+		},
+		"sections out of order": func(b []byte) []byte {
+			le.PutUint64(b[4+24:], d.wordsOff) // offsets on top of words
+			return b
+		},
+		"truncated inside the last section": func(b []byte) []byte { return b[:d.buckets+2] },
 	}
-	// Decrease the final offset below the posting count.
-	corrupt = append([]byte(nil), good...)
-	corrupt[32] = 1 // offsets[2] (was 2): now ends short of npostings
-	if _, err := DecodeFrozenTable(bytes.NewReader(corrupt)); err == nil {
-		t.Error("offset/posting-count mismatch should fail")
-	}
-	// Truncate.
-	if _, err := DecodeFrozenTable(bytes.NewReader(good[:len(good)-3])); err == nil {
-		t.Error("truncated stream should fail")
+	for name, corrupt := range cases {
+		bad := corrupt(bytes.Clone(good))
+		if _, err := ViewFlatFrozen(bad, false); err == nil {
+			t.Errorf("%s: view accepted it", name)
+		}
+		if _, err := DecodeFlatFrozen(bad); err == nil {
+			t.Errorf("%s: decode accepted it", name)
+		}
 	}
 }
 

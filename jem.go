@@ -198,7 +198,7 @@ func NewMapper(contigs []Record, opts Options) (*Mapper, error) {
 
 // Shards returns the number of serving shards of the underlying
 // sketch index: Options.Shards for a sharded build, the on-disk shard
-// count for a loaded JEMIDX05/06 index, 1 for the unsharded backend.
+// count for a loaded index, 1 for an unsharded build.
 func (m *Mapper) Shards() int { return m.core.Shards() }
 
 // Options returns the mapper's configuration.
@@ -317,25 +317,20 @@ func LoadMapper(r io.Reader, contigs []Record) (*Mapper, error) {
 
 // LoadMapperObserved is LoadMapper recording into the given registry
 // (nil creates a private one, making it identical to LoadMapper): the
-// load is span-timed as index.load → read → freeze.
+// load is span-timed as index.load → read, one child span per shard
+// (shards verify in parallel) under "read".
 func LoadMapperObserved(r io.Reader, contigs []Record, reg *obs.Registry) (*Mapper, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	sp := reg.Tracer().Start("index.load")
 	rd := sp.Child("read")
-	// A sharded (JEMIDX05/06) index decodes its shards in parallel, one
-	// child span per shard under "read".
 	cm, err := core.ReadIndexObserved(r, rd)
 	rd.End()
+	sp.End()
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	// Serve from the frozen form regardless of what the index carried
-	// (legacy JEMIDX02 and mutable-table indexes freeze here).
-	sp.Time("freeze", func() { cm.Seal() })
-	sp.End()
 	met := newMapperMetrics(reg, cm)
 	p := cm.Sketcher().Params()
 	opts := Options{

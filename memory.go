@@ -12,15 +12,14 @@ import (
 type MemoryMode uint8
 
 const (
-	// MemoryAuto serves a JEMIDX06 index from a read-only file mapping
-	// and, when Memory.Budget is positive, decodes shards onto the heap
-	// until the budget is spent — remaining shards stay load-on-demand
+	// MemoryAuto serves the index from a read-only file mapping and,
+	// when Memory.Budget is positive, copies shards onto the heap until
+	// the budget is spent — remaining shards stay load-on-demand
 	// (verified on their first query). With no budget it behaves like
-	// MemoryMMap. Pre-JEMIDX06 formats, and hosts without mmap, fall
-	// back to a full heap load.
+	// MemoryMMap. Hosts without mmap fall back to a full heap load.
 	MemoryAuto MemoryMode = iota
-	// MemoryHeap decodes the whole index into process-private memory at
-	// open — the classic load, fastest per lookup, largest footprint.
+	// MemoryHeap reads the whole index into process-private memory at
+	// open — the classic load, largest footprint.
 	MemoryHeap
 	// MemoryMMap serves every shard as a zero-copy view over a shared
 	// read-only mapping: near-zero resident cost, demand paging, and
@@ -127,7 +126,7 @@ func (sm ShardMemory) String() string {
 type MemoryInfo struct {
 	// Mode is the mode the open ran under (the requested mode, or
 	// MemoryHeap when the path taken cannot map — a build from contigs,
-	// a pre-JEMIDX06 format, a host without mmap).
+	// a host without mmap).
 	Mode MemoryMode
 	// Shards is the per-shard residency, in shard order. Empty when the
 	// mapper has no local shards (remote serving).

@@ -64,8 +64,8 @@ type OpenInfo struct {
 	IndexErr error
 	// Memory reports what the open did with memory: the per-shard
 	// residency and the open-time resident/mapped byte split (see
-	// Options.Memory). Builds, rebuilds and pre-JEMIDX06 loads report
-	// MemoryHeap; a remote mapper reports no local shards.
+	// Options.Memory). Builds and rebuilds report MemoryHeap; a remote
+	// mapper reports no local shards.
 	Memory MemoryInfo
 }
 
@@ -135,9 +135,7 @@ func Open(opts OpenOptions) (*Mapper, OpenInfo, error) {
 // serving backend. The returned mapper owns the coordinator's
 // connection pools; release them with Mapper.Close.
 //
-// and the dial budget is bounded by the coordinator's DialTimeout
-//
-//jem:detached construction-time dial: Open predates context threading,
+//jem:detached construction-time dial: Open predates context threading, and the dial budget is bounded by the coordinator's DialTimeout
 func openRemote(opts OpenOptions) (*Mapper, error) {
 	reg := opts.Options.Metrics
 	if reg == nil {
@@ -178,10 +176,10 @@ func openRemote(opts OpenOptions) (*Mapper, error) {
 
 // openIndexFile loads the index file honoring the Memory spec and
 // adopts the caller's serving knobs (the index stores sketch
-// parameters, not serving preferences). A JEMIDX06 file under
-// MemoryMMap or MemoryAuto is served from a read-only file mapping
-// (owned by the returned mapper — released by Mapper.Close); anything
-// else decodes onto the heap.
+// parameters, not serving preferences). Under MemoryMMap or MemoryAuto
+// the index is served from a read-only file mapping (owned by the
+// returned mapper — released by Mapper.Close); under MemoryHeap, or on
+// a host without mmap, its payloads are read onto the heap.
 func openIndexFile(opts OpenOptions) (*Mapper, MemoryInfo, error) {
 	reg := opts.Options.Metrics
 	if reg == nil {
@@ -195,9 +193,6 @@ func openIndexFile(opts OpenOptions) (*Mapper, MemoryInfo, error) {
 		sp.End()
 		return nil, MemoryInfo{}, fmt.Errorf("jem: loading index: %w", err)
 	}
-	// Mapped loads arrive sealed; legacy mutable-table formats freeze
-	// here so serving always takes the frozen path.
-	sp.Time("freeze", func() { cm.Seal() })
 	sp.End()
 	met := newMapperMetrics(reg, cm)
 	p := cm.Sketcher().Params()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,6 +71,11 @@ func TestOpenMemoryByteIdentity(t *testing.T) {
 			case jem.MemoryHeap:
 				if info.Memory.Mode != jem.MemoryHeap || info.Memory.MappedBytes != 0 {
 					t.Fatalf("p=%d heap: info %+v", p, info.Memory)
+				}
+				// Heap tables are views over heap buffers: they must
+				// still count as resident, every byte of them.
+				if r, mp := m.IndexMemory(); mp != 0 || r != built.IndexBytes() || r != m.IndexBytes() {
+					t.Fatalf("p=%d heap: IndexMemory %d resident / %d mapped, index is %d bytes", p, r, mp, built.IndexBytes())
 				}
 			case jem.MemoryMMap:
 				if info.Memory.Mode != jem.MemoryMMap || info.Memory.MappedBytes <= 0 {
@@ -191,42 +197,50 @@ func TestOpenMemoryInfoOnBuildAndRebuild(t *testing.T) {
 // and returns an error wrapping ErrIndexChecksum so callers know the
 // answer was not exact.
 func TestStreamSurfacesFaultInFailure(t *testing.T) {
-	idx, _, _, _, reads := savedIndexWorld(t, 4)
-	m, info, err := jem.Open(jem.OpenOptions{
-		IndexPath: idx,
-		Options:   jem.Options{Memory: jem.Memory{Mode: jem.MemoryAuto, Budget: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var lazy int
-	for _, r := range info.Memory.Shards {
-		if r == jem.ShardLazy {
-			lazy++
+	// P = 1 is the case the one-scan path made reachable: the only
+	// shard goes lazy, is lost, and the run still completes.
+	for _, p := range []int{4, 1} {
+		idx, _, _, _, reads := savedIndexWorld(t, p)
+		m, info, err := jem.Open(jem.OpenOptions{
+			IndexPath: idx,
+			Options:   jem.Options{Memory: jem.Memory{Mode: jem.MemoryAuto, Budget: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if lazy == 0 {
-		t.Skipf("no lazy shards on this platform (residences %v)", info.Memory.Shards)
-	}
+		defer m.Close()
+		var lazy int
+		for _, r := range info.Memory.Shards {
+			if r == jem.ShardLazy {
+				lazy++
+			}
+		}
+		if lazy == 0 {
+			t.Skipf("no lazy shards on this platform (residences %v)", info.Memory.Shards)
+		}
 
-	fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
-	defer fault.Reset()
-	var tsv bytes.Buffer
-	stats, err := m.Stream(context.Background(), bytes.NewReader(reads), &tsv, jem.StreamOptions{})
-	if err == nil {
-		t.Fatal("poisoned fault-in surfaced no error")
-	}
-	if !errors.Is(err, jem.ErrIndexChecksum) {
-		t.Fatalf("stream error %v does not wrap ErrIndexChecksum", err)
-	}
-	if len(stats.ShardsLost) == 0 {
-		t.Fatal("degraded run named no lost shards")
-	}
-	// Degraded output keeps its shape: header plus one well-formed row
-	// per mapped segment, never a torn or empty file.
-	if !strings.HasPrefix(tsv.String(), "read_id") {
-		t.Fatalf("degraded TSV lost its header: %q", firstLine(tsv.String()))
+		fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
+		defer fault.Reset()
+		var tsv bytes.Buffer
+		stats, err := m.Stream(context.Background(), bytes.NewReader(reads), &tsv, jem.StreamOptions{})
+		if err == nil {
+			t.Fatalf("p=%d: poisoned fault-in surfaced no error", p)
+		}
+		if !errors.Is(err, jem.ErrIndexChecksum) {
+			t.Fatalf("p=%d: stream error %v does not wrap ErrIndexChecksum", p, err)
+		}
+		if len(stats.ShardsLost) == 0 {
+			t.Fatalf("p=%d: degraded run named no lost shards", p)
+		}
+		if p == 1 && !reflect.DeepEqual(stats.ShardsLost, []int{0}) {
+			t.Fatalf("p=1: ShardsLost = %v, want [0]", stats.ShardsLost)
+		}
+		// Degraded output keeps its shape: header plus one well-formed
+		// row per mapped segment, never a torn or empty file.
+		if !strings.HasPrefix(tsv.String(), "read_id") {
+			t.Fatalf("p=%d: degraded TSV lost its header: %q", p, firstLine(tsv.String()))
+		}
+		fault.Reset()
 	}
 }
 
