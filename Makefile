@@ -70,8 +70,8 @@ serve-smoke:
 	$(GO) test -race -run TestConcurrentStreamStatsSumToRegistry .
 
 # Distributed shard serving under the race detector: the shardnet
-# protocol/coordinator suite (hedged probes, retries, degraded
-# answers), the facade-level fleet identity and degraded-answer tests,
+# protocol/coordinator suite (deadlines, retries, cancellation,
+# degraded answers), the facade-level fleet identity and degraded-answer tests,
 # and the multi-process jem-shardd end-to-end with fault injection.
 # See docs/DISTRIBUTED.md for the contracts these prove.
 dist-smoke:
@@ -137,6 +137,7 @@ fuzz:
 	$(GO) test -fuzz FuzzViewFlatFrozen -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz FuzzFrames -fuzztime $(FUZZTIME) ./internal/shardnet/
 	$(GO) test -fuzz FuzzReadTSV -fuzztime $(FUZZTIME) .
 
 # Regenerate every table and figure (see EXPERIMENTS.md).

@@ -149,7 +149,6 @@ func TestOptionsValidateTypedErrors(t *testing.T) {
 	}{
 		{"workers", func(o *jem.Options) { o.Workers = -1 }, "Workers"},
 		{"segmentlen", func(o *jem.Options) { o.SegmentLen = 4 }, ""},
-		{"tilestride", func(o *jem.Options) { o.TileStride = -2 }, "TileStride"},
 		{"shards-negative", func(o *jem.Options) { o.Shards = -1 }, "Shards"},
 		{"shards-huge", func(o *jem.Options) { o.Shards = 1 << 20 }, "Shards"},
 	}

@@ -434,7 +434,7 @@ func (s *Session) context() context.Context {
 
 // LostShards returns the sorted ids of shards that failed terminally
 // at any point in this session's lifetime — a remote shard whose
-// queries exhausted their retry/hedge budget, or a local lazy shard
+// queries exhausted their retry budget, or a local lazy shard
 // whose fault-in verification failed — the per-session degraded-answer
 // record. Queries touching a lost shard completed with the surviving
 // shards' postings only.
@@ -542,7 +542,7 @@ func (s *Session) mapSegment(segment []byte) (Hit, bool) {
 // results and PostingsScanned are byte-identical across backends.
 //
 // The degraded-answer policy lives here: a touched shard the source
-// reports lost (a remote shard whose retry/hedge budget ran out, a lazy
+// reports lost (a remote shard whose retry budget ran out, a lazy
 // shard whose fault-in verification failed) contributes nothing to this
 // query. Its id joins the session's lost set, an integrity failure is
 // latched for Err, and the query completes with the surviving shards.

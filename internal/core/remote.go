@@ -21,7 +21,7 @@ import (
 // Contract: a nil error means lists[i] holds exactly the postings the
 // local sharded table would have returned for probe i (nil for an
 // absent word). A non-nil error means the whole batch failed
-// terminally after the backend's retry/hedge budget — the session
+// terminally after the backend's retry budget — the session
 // records the shard as lost for the query and the scan completes
 // without it (the degraded-answer policy; see Session.LostShards).
 // Implementations must be safe for concurrent use by many sessions.

@@ -16,8 +16,8 @@ const (
 	ConnDialErr = "conn.dial.err"
 	// ConnReadStall stalls each wrapped connection read by Spec.Delay —
 	// a congested link or a shard server stuck in GC. The read still
-	// completes, so this exercises deadline and hedge paths rather than
-	// error paths.
+	// completes, so this exercises the deadline path rather than error
+	// paths.
 	ConnReadStall = "conn.read.stall"
 	// ConnWriteErr makes a wrapped connection write fail with
 	// ErrInjectedWrite — a peer that closed mid-request.
@@ -25,7 +25,7 @@ const (
 	// ShardDown is fired by the shard server's query handler: when it
 	// triggers, the server drops the connection without replying, as a
 	// crashed shard process would. The coordinator sees an abrupt EOF
-	// and must retry, hedge, or degrade.
+	// and must retry or degrade.
 	ShardDown = "shard.down"
 )
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,65 +12,30 @@ import (
 	"repro/internal/sketch"
 )
 
-// Config tunes the coordinator's robustness machinery. The zero value
-// gets sane defaults (withDefaults); jem-serve and the facade expose
-// only the knobs worth turning.
-type Config struct {
-	// ShardTimeout is the per-attempt deadline for one shard query. It
-	// composes with the request context: an attempt is bounded by
-	// whichever expires first.
-	ShardTimeout time.Duration
-	// Retries is how many additional attempts a failed shard query
-	// gets (across replicas, round-robin) before the shard is declared
-	// lost for this query. Zero means the default (2); a negative
-	// value disables retries.
-	Retries int
-	// RetryBackoff is the base delay before the first retry; each
-	// subsequent retry doubles it, and every wait is jittered into
-	// [d/2, d) so synchronized retry storms cannot form.
-	RetryBackoff time.Duration
-	// HedgeAfter is the floor for the hedge delay. The effective delay
-	// is max(HedgeAfter, observed p99 of the shard's last 64 query
-	// latencies): once an attempt outlives the shard's own p99, a
-	// second attempt races it on the next replica (or a fresh
-	// connection to the same server).
-	HedgeAfter time.Duration
-	// DialTimeout bounds connection establishment and pool health
-	// pings.
-	DialTimeout time.Duration
-	// MaxIdlePerServer bounds each server's idle-connection pool.
-	MaxIdlePerServer int
-	// HealthCheckAfter is how long a pooled connection may sit idle
-	// before reuse requires a ping round-trip.
-	HealthCheckAfter time.Duration
-}
+// Config has no fields: each setting below had one value in use, so
+// they are constants. The type and Dial's parameter remain only because
+// benchmark/layers.go names them; the next PR allowed to edit
+// benchmark/ should drop both.
+type Config struct{}
 
-func (cfg Config) withDefaults() Config {
-	if cfg.ShardTimeout <= 0 {
-		cfg.ShardTimeout = 2 * time.Second
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 5 * time.Millisecond
-	}
-	if cfg.HedgeAfter <= 0 {
-		cfg.HedgeAfter = 25 * time.Millisecond
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
-	}
-	if cfg.MaxIdlePerServer <= 0 {
-		cfg.MaxIdlePerServer = 4
-	}
-	if cfg.HealthCheckAfter <= 0 {
-		cfg.HealthCheckAfter = 30 * time.Second
-	}
-	return cfg
-}
+const (
+	// shardTimeout bounds one attempt. It composes with the request
+	// context: an attempt ends at whichever expires first.
+	shardTimeout = 2 * time.Second
+	// maxRetries is how many further attempts, round-robin over replicas,
+	// a failed shard query gets before the shard is lost for the query.
+	maxRetries = 2
+	// retryBackoff precedes the first retry and doubles per retry; every
+	// wait is jittered into [d/2, d) so retry storms cannot synchronize.
+	retryBackoff = 5 * time.Millisecond
+	// dialTimeout bounds connection establishment and pool health pings.
+	dialTimeout = time.Second
+	// maxIdlePerServer bounds each server's idle-connection pool.
+	maxIdlePerServer = 4
+	// healthCheckAfter is how long a pooled connection may idle before
+	// reuse requires a ping round-trip.
+	healthCheckAfter = 30 * time.Second
+)
 
 // ShardError is the terminal failure of one shard query: every
 // attempt the retry budget allowed has failed. The mapping layer
@@ -88,31 +52,28 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// remote is one shard server as the coordinator sees it: its pool,
-// the shards it owns, and a liveness gauge flipped on attempt
-// outcomes.
+// remote is one shard server as the coordinator sees it: its pool
+// and a liveness gauge flipped on attempt outcomes.
 type remote struct {
-	addr  string
-	pool  *pool
-	owned []int
-	up    *obs.Gauge
+	addr string
+	pool *pool
+	up   *obs.Gauge
 }
 
 // Coordinator is the client side of the shard protocol: it owns one
 // connection pool per server, routes each shard's probe batch to a
 // server owning that shard, and wraps every query in the deadline /
-// retry / hedge machinery. It is safe for concurrent use by many
-// sessions. It satisfies core.ShardQuerier.
+// retry loop. It is safe for concurrent use by many sessions. It
+// satisfies core.ShardQuerier.
 type Coordinator struct {
-	cfg     Config
 	info    Info
 	servers []*remote
 	byShard [][]*remote // replicas per shard, server order
-	lat     []latRing   // per-shard latency history for hedging
 
-	rpcs, rpcErrors *obs.Counter
-	retries, hedges *obs.Counter
-	hedgeWins, lost *obs.Counter
+	// shardTimeout and retryBackoff; fields so in-package tests can shorten them
+	timeout, backoff time.Duration
+
+	rpcs, rpcErrors, retries, lost *obs.Counter
 
 	rrMu sync.Mutex
 	rr   []int // per-shard round-robin replica cursor
@@ -122,28 +83,26 @@ type Coordinator struct {
 // "unix:/path"), handshakes each one, and validates that the fleet is
 // coherent: every server must announce the same index identity and
 // the union of owned shards must cover all of [0, P). Servers that
-// share a shard become replicas for it (hedge and retry targets).
-// Instruments are registered on reg (nil = a private registry).
-func Dial(ctx context.Context, addrs []string, cfg Config, reg *obs.Registry) (*Coordinator, error) {
+// share a shard become replicas for it (retry targets). Instruments are
+// registered on reg (nil = a private registry).
+func Dial(ctx context.Context, addrs []string, _ Config, reg *obs.Registry) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("shardnet: no server addresses")
 	}
-	cfg = cfg.withDefaults()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		rpcs:      reg.Counter("jem_shardnet_rpcs_total", "shard queries attempted (incl. retries and hedges)"),
+		timeout:   shardTimeout,
+		backoff:   retryBackoff,
+		rpcs:      reg.Counter("jem_shardnet_rpcs_total", "shard queries attempted (incl. retries)"),
 		rpcErrors: reg.Counter("jem_shardnet_rpc_errors_total", "shard query attempts that failed"),
 		retries:   reg.Counter("jem_shardnet_retries_total", "shard query retry attempts"),
-		hedges:    reg.Counter("jem_shardnet_hedges_total", "hedged probes launched past a shard's p99"),
-		hedgeWins: reg.Counter("jem_shardnet_hedge_wins_total", "hedged probes that returned first"),
 		lost:      reg.Counter("jem_shardnet_shards_lost_total", "shard queries that exhausted every attempt"),
 	}
 	for i, addr := range addrs {
-		pl := newPool(addr, cfg)
-		info, owned, err := handshake(ctx, pl, cfg.ShardTimeout)
+		pl := newPool(addr)
+		info, owned, err := handshake(ctx, pl)
 		if err != nil {
 			pl.close()
 			_ = c.Close() // dial failed; the handshake error is the one to report
@@ -151,6 +110,7 @@ func Dial(ctx context.Context, addrs []string, cfg Config, reg *obs.Registry) (*
 		}
 		if i == 0 {
 			c.info = info
+			c.byShard = make([][]*remote, info.Shards)
 		} else if info != c.info {
 			pl.close()
 			_ = c.Close() // dial failed; the mismatch error is the one to report
@@ -158,17 +118,13 @@ func Dial(ctx context.Context, addrs []string, cfg Config, reg *obs.Registry) (*
 				addr, info, addrs[0], c.info)
 		}
 		sv := &remote{
-			addr:  addr,
-			pool:  pl,
-			owned: owned,
-			up:    reg.Gauge(fmt.Sprintf("jem_shardnet_server%d_up", i), "1 when the last attempt against "+addr+" succeeded"),
+			addr: addr,
+			pool: pl,
+			up:   reg.Gauge(fmt.Sprintf("jem_shardnet_server%d_up", i), "1 when the last attempt against "+addr+" succeeded"),
 		}
 		sv.up.Set(1)
 		c.servers = append(c.servers, sv)
-	}
-	c.byShard = make([][]*remote, c.info.Shards)
-	for _, sv := range c.servers {
-		for _, sd := range sv.owned {
+		for _, sd := range owned {
 			c.byShard[sd] = append(c.byShard[sd], sv)
 		}
 	}
@@ -179,21 +135,19 @@ func Dial(ctx context.Context, addrs []string, cfg Config, reg *obs.Registry) (*
 		}
 	}
 	if len(missing) > 0 {
-		sort.Ints(missing)
 		_ = c.Close() // dial failed; the coverage error is the one to report
 		return nil, fmt.Errorf("shardnet: shards %v are not served by any server", missing)
 	}
-	c.lat = make([]latRing, c.info.Shards)
 	c.rr = make([]int, c.info.Shards)
 	return c, nil
 }
 
-func handshake(ctx context.Context, pl *pool, timeout time.Duration) (Info, []int, error) {
+func handshake(ctx context.Context, pl *pool) (Info, []int, error) {
 	pc, err := pl.get(ctx)
 	if err != nil {
 		return Info{}, nil, err
 	}
-	if err := pc.c.SetDeadline(time.Now().Add(timeout)); err != nil {
+	if err := pc.c.SetDeadline(time.Now().Add(shardTimeout)); err != nil {
 		_ = pc.c.Close()
 		return Info{}, nil, err
 	}
@@ -238,26 +192,14 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// attemptResult carries one attempt's outcome back to QueryShard's
-// select loop over a buffered channel sized for the whole attempt
-// budget, so attempt goroutines can always complete their send.
-type attemptResult struct {
-	lists  [][]sketch.Posting
-	err    error
-	sv     *remote
-	hedged bool
-	dur    time.Duration
-}
-
 // QueryShard resolves one shard's probe batch — probe i is
 // ⟨trials[i], words[i]⟩ — against the fleet, returning one posting
-// list per probe. The attempt machinery: the first attempt goes to
-// the shard's next replica (round-robin); if it outlives the shard's
-// hedge delay a second attempt races it; failed attempts are retried
-// with doubling jittered backoff until the budget (1 + Retries) is
-// spent. A nil error means the returned lists are exactly what the
-// local sharded backend would have produced. A *ShardError means the
-// shard is lost for this query.
+// list per probe. Attempts run one at a time on the calling goroutine:
+// the first goes to the shard's next replica (round-robin); a failed
+// one is retried on the following replica after a doubling jittered
+// backoff until the budget (1 + maxRetries) is spent. A nil error means
+// the returned lists are exactly what the local sharded backend would
+// have produced. A *ShardError means the shard is lost for this query.
 func (c *Coordinator) QueryShard(ctx context.Context, shard int, trials []int32, words []sketch.Word) ([][]sketch.Posting, error) {
 	if shard < 0 || shard >= len(c.byShard) {
 		return nil, fmt.Errorf("shardnet: shard %d out of range [0,%d)", shard, len(c.byShard))
@@ -266,68 +208,37 @@ func (c *Coordinator) QueryShard(ctx context.Context, shard int, trials []int32,
 		return nil, &ShardError{Shard: shard, Err: err}
 	}
 	reps := c.byShard[shard]
-	budget := 1 + c.cfg.Retries
-	resCh := make(chan attemptResult, budget)
-	started, outstanding := 0, 0
-	start := func(hedged bool) {
+	backoff := c.backoff
+	var err error
+	for attempt := 0; ; attempt++ {
 		sv := reps[c.nextReplica(shard, len(reps))]
-		started++
-		outstanding++
 		c.rpcs.Inc()
-		go func() {
-			t0 := time.Now()
-			lists, err := c.queryOnce(ctx, sv, shard, trials, words)
-			resCh <- attemptResult{lists: lists, err: err, sv: sv, hedged: hedged, dur: time.Since(t0)}
-		}()
-	}
-	start(false)
-	hedge := time.NewTimer(c.hedgeDelay(shard))
-	defer hedge.Stop()
-	backoff := c.cfg.RetryBackoff
-	var lastErr error
-	for {
-		select {
-		case r := <-resCh:
-			outstanding--
-			if r.err == nil {
-				r.sv.up.Set(1)
-				c.lat[shard].record(r.dur)
-				if r.hedged {
-					c.hedgeWins.Inc()
-				}
-				return r.lists, nil
-			}
-			c.rpcErrors.Inc()
-			r.sv.up.Set(0)
-			lastErr = r.err
-			if outstanding > 0 {
-				continue // a hedge is still racing; wait for it
-			}
-			if started >= budget {
-				c.lost.Inc()
-				return nil, &ShardError{Shard: shard, Err: lastErr}
-			}
-			if err := sleepCtx(ctx, jitter(backoff)); err != nil {
-				c.lost.Inc()
-				return nil, &ShardError{Shard: shard, Err: err}
-			}
-			backoff *= 2
-			c.retries.Inc()
-			start(false)
-		case <-hedge.C:
-			if started < budget && outstanding > 0 {
-				c.hedges.Inc()
-				start(true)
-			}
-		case <-ctx.Done():
-			c.lost.Inc()
-			return nil, &ShardError{Shard: shard, Err: ctx.Err()}
+		var lists [][]sketch.Posting
+		if lists, err = c.queryOnce(ctx, sv, shard, trials, words); err == nil {
+			sv.up.Set(1)
+			return lists, nil
 		}
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr // the request ended; that says nothing about the server
+			break
+		}
+		c.rpcErrors.Inc()
+		sv.up.Set(0)
+		if attempt == maxRetries {
+			break
+		}
+		if err = sleepCtx(ctx, jitter(backoff)); err != nil {
+			break
+		}
+		backoff *= 2
+		c.retries.Inc()
 	}
+	c.lost.Inc()
+	return nil, &ShardError{Shard: shard, Err: err}
 }
 
-// nextReplica advances the shard's round-robin cursor, so retries and
-// hedges spread across replicas instead of hammering one server.
+// nextReplica advances the shard's round-robin cursor, so queries and
+// their retries spread across replicas instead of hammering one server.
 func (c *Coordinator) nextReplica(shard, n int) int {
 	if n == 1 {
 		return 0
@@ -339,62 +250,62 @@ func (c *Coordinator) nextReplica(shard, n int) int {
 	return i
 }
 
-// hedgeDelay is max(HedgeAfter, tracked p99): hedging keys off the
-// shard's own recent latency so a uniformly slow fleet does not hedge
-// every query, while one stuck server does trigger the race.
-func (c *Coordinator) hedgeDelay(shard int) time.Duration {
-	p99 := c.lat[shard].p99()
-	if p99 > c.cfg.HedgeAfter {
-		return p99
-	}
-	return c.cfg.HedgeAfter
-}
-
 // queryOnce runs one attempt over one pooled connection, bounded by
 // the request context and the per-shard timeout, whichever is sooner.
-// Failed connections are condemned, successful ones pooled again.
+// A connection goes back to the pool only when the exchange left it in
+// protocol sync and the request did not end while it was in use.
 func (c *Coordinator) queryOnce(ctx context.Context, sv *remote, shard int, trials []int32, words []sketch.Word) ([][]sketch.Posting, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-	defer cancel()
-	pc, err := sv.pool.get(actx)
+	dl := time.Now().Add(c.timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
+		dl = d
+	}
+	pc, err := sv.pool.get(ctx)
 	if err != nil {
 		return nil, err
 	}
-	dl, _ := actx.Deadline()
 	if err := pc.c.SetDeadline(dl); err != nil {
 		_ = pc.c.Close()
 		return nil, err
 	}
+	// A cancelled request hits no deadline, so expire the connection's
+	// when ctx ends and the blocked read returns at once. Registered
+	// after SetDeadline(dl), which would otherwise overwrite it.
+	stop := context.AfterFunc(ctx, func() { _ = pc.c.SetDeadline(time.Unix(1, 0)) })
+	lists, inSync, err := exchange(pc, sv.addr, shard, trials, words)
+	if stop() && inSync {
+		sv.pool.put(pc)
+	} else {
+		_ = pc.c.Close() // stop() == false: the expiry ran or is running
+	}
+	return lists, err
+}
+
+// exchange sends one query and reads its reply. inSync reports whether
+// the connection is at a frame boundary afterwards, i.e. reusable.
+func exchange(pc *pconn, addr string, shard int, trials []int32, words []sketch.Word) (lists [][]sketch.Posting, inSync bool, err error) {
 	if err := writeAll(pc.c, encodeQuery(shard, trials, words)); err != nil {
-		_ = pc.c.Close()
-		return nil, err
+		return nil, false, err
 	}
 	typ, body, err := readMsg(pc.br)
 	if err != nil {
-		_ = pc.c.Close()
-		return nil, err
+		return nil, false, err
 	}
 	switch typ {
 	case msgReply:
 		lists, err := decodeReply(body)
 		if err != nil {
-			_ = pc.c.Close()
-			return nil, err
+			return nil, false, err
 		}
 		if len(lists) != len(trials) {
-			_ = pc.c.Close()
-			return nil, fmt.Errorf("shardnet: %d reply lists for %d probes", len(lists), len(trials))
+			return nil, false, fmt.Errorf("shardnet: %d reply lists for %d probes", len(lists), len(trials))
 		}
-		sv.pool.put(pc)
-		return lists, nil
+		return lists, true, nil
 	case msgErr:
 		// The server answered coherently; the connection is fine even
 		// though the query was refused.
-		sv.pool.put(pc)
-		return nil, fmt.Errorf("shardnet: server %s: %s", sv.addr, body)
+		return nil, true, fmt.Errorf("shardnet: server %s: %s", addr, body)
 	default:
-		_ = pc.c.Close()
-		return nil, fmt.Errorf("shardnet: unexpected reply type %d", typ)
+		return nil, false, fmt.Errorf("shardnet: unexpected reply type %d", typ)
 	}
 }
 
@@ -417,44 +328,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// latRing tracks a shard's last 64 successful query latencies for the
-// hedge-delay estimate. 64 samples make the p99 effectively "slower
-// than everything recent" — exactly the hedge trigger wanted.
-type latRing struct {
-	mu sync.Mutex
-	ns [64]int64
-	n  int // filled entries (≤ len(ns))
-	i  int // next write position
-}
-
-func (r *latRing) record(d time.Duration) {
-	r.mu.Lock()
-	r.ns[r.i] = int64(d)
-	r.i = (r.i + 1) % len(r.ns)
-	if r.n < len(r.ns) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// p99 returns the 99th-percentile latency of the recorded window, or
-// 0 before any sample exists.
-func (r *latRing) p99() time.Duration {
-	r.mu.Lock()
-	n := r.n
-	var buf [64]int64
-	copy(buf[:n], r.ns[:n])
-	r.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	s := buf[:n]
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	idx := (99*n+99)/100 - 1
-	if idx >= n {
-		idx = n - 1
-	}
-	return time.Duration(s[idx])
 }

@@ -31,22 +31,15 @@ type pconn struct {
 // transparently.
 type pool struct {
 	addr        string
-	dialTimeout time.Duration
-	healthAfter time.Duration
-	maxIdle     int
+	healthAfter time.Duration // healthCheckAfter; a field so tests can make every reuse ping
 
 	mu     sync.Mutex
 	idle   []*pconn
 	closed bool
 }
 
-func newPool(addr string, cfg Config) *pool {
-	return &pool{
-		addr:        addr,
-		dialTimeout: cfg.DialTimeout,
-		healthAfter: cfg.HealthCheckAfter,
-		maxIdle:     cfg.MaxIdlePerServer,
-	}
+func newPool(addr string) *pool {
+	return &pool{addr: addr, healthAfter: healthCheckAfter}
 }
 
 // splitAddr maps an address spec to a net network/address pair:
@@ -77,7 +70,7 @@ func (p *pool) get(ctx context.Context) (*pconn, error) {
 		pc := p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		if time.Since(pc.idleSince) > p.healthAfter && !pc.healthy(p.dialTimeout) {
+		if time.Since(pc.idleSince) > p.healthAfter && !pc.healthy(dialTimeout) {
 			_ = pc.c.Close()
 			continue // try the next idle conn, or dial
 		}
@@ -106,7 +99,7 @@ func (p *pool) dial(ctx context.Context) (*pconn, error) {
 		return nil, fault.ErrInjectedDial
 	}
 	network, address := splitAddr(p.addr)
-	d := net.Dialer{Timeout: p.dialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.DialContext(ctx, network, address)
 	if err != nil {
 		return nil, err
@@ -125,7 +118,7 @@ func (p *pool) put(pc *pconn) {
 	}
 	pc.idleSince = time.Now()
 	p.mu.Lock()
-	if p.closed || len(p.idle) >= p.maxIdle {
+	if p.closed || len(p.idle) >= maxIdlePerServer {
 		p.mu.Unlock()
 		_ = pc.c.Close()
 		return

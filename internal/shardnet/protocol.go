@@ -9,12 +9,11 @@
 //
 // The robustness layer is the point of the package: per-shard
 // deadlines derived from the request context, bounded retries with
-// jittered backoff on connection errors, hedged probes to a replica
-// when a shard's tracked p99 latency is exceeded, connection pooling
-// with health-checked reconnect, and a degraded-answer policy — a
-// query against a shard that stays down returns a *ShardError the
-// caller can record and continue past, completing the gather with the
-// surviving shards. See docs/DISTRIBUTED.md for the contract.
+// jittered backoff across a shard's replicas, connection pooling with
+// health-checked reconnect, and a degraded-answer policy — a query
+// against a shard that stays down returns a *ShardError the caller can
+// record and continue past, completing the gather with the surviving
+// shards. See docs/DISTRIBUTED.md for the contract.
 //
 // Wire format: every message is one frame — a little-endian u32
 // payload length followed by the payload, whose first byte is the
@@ -74,22 +73,31 @@ func writeAll(w io.Writer, frame []byte) error {
 	return err
 }
 
-// readMsg reads one frame and splits off the type byte.
+// readMsg reads one frame and splits off the type byte. It allocates at
+// most eagerFrame bytes on the word of the length prefix alone; a longer
+// frame is grown as its bytes arrive, so a lying prefix cannot make the
+// reader allocate what the peer never sends.
 func readMsg(r io.Reader) (byte, []byte, error) {
+	const eagerFrame = 1 << 20
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n == 0 {
 		return 0, nil, fmt.Errorf("shardnet: empty frame")
 	}
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("shardnet: frame length %d exceeds limit %d", n, maxFrame)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	buf := make([]byte, min(n, eagerFrame))
+	for have := 0; have < n; {
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return 0, nil, err
+		}
+		if have = len(buf); have < n {
+			buf = append(buf, make([]byte, min(n-have, have))...)
+		}
 	}
 	return buf[0], buf[1:], nil
 }
@@ -234,8 +242,8 @@ func decodeQuery(body []byte) (int, []int32, []sketch.Word, error) {
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if n > maxProbes {
-		return 0, nil, nil, fmt.Errorf("shardnet: %d probes exceeds limit %d", n, maxProbes)
+	if n > maxProbes || int(n) > (len(body)-r.off)/12 {
+		return 0, nil, nil, fmt.Errorf("shardnet: %d probes: over the limit %d or more than the frame holds", n, maxProbes)
 	}
 	trials := make([]int32, n)
 	words := make([]sketch.Word, n)
@@ -280,8 +288,8 @@ func decodeReply(body []byte) ([][]sketch.Posting, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxProbes {
-		return nil, fmt.Errorf("shardnet: %d reply lists exceeds limit %d", n, maxProbes)
+	if n > maxProbes || int(n) > (len(body)-r.off)/4 {
+		return nil, fmt.Errorf("shardnet: %d reply lists: over the limit %d or more than the frame holds", n, maxProbes)
 	}
 	lists := make([][]sketch.Posting, n)
 	for i := range lists {

@@ -17,8 +17,8 @@ import (
 //
 // The server is deliberately small — decode probe, Lookup, encode
 // postings — because the robustness budget is spent client-side: a
-// server that stalls or dies is the coordinator's problem to retry,
-// hedge around, or degrade past.
+// server that stalls or dies is the coordinator's problem to retry or
+// degrade past.
 type Server struct {
 	tables map[int]*sketch.FrozenTable
 	info   Info
@@ -85,16 +85,6 @@ func (s *Server) Start(ln net.Listener) {
 		defer close(s.done)
 		s.acceptLoop(ln)
 	}()
-}
-
-// Addr returns the listener address (valid after Start).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -82,9 +83,69 @@ func probeBatch(p, trials, nprobes int, seed int64) (perShardTrials map[int][]in
 	return perShardTrials, perShardWords
 }
 
+// goroutinesSettle polls until at most base goroutines are running.
+func goroutinesSettle(base int, within time.Duration) bool {
+	deadline := time.Now().Add(within)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// leakCheck fails the test if goroutines it started are still running
+// after its coordinators and servers are closed. Call it first: cleanups
+// run last-in first-out, so this one runs after the servers' Close.
+func leakCheck(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if !goroutinesSettle(base, 2*time.Second) {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines after close, %d before the test:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
+
+// checkLocal asserts that lists are exactly the local Lookup lists of
+// the probes — the byte-identity oracle.
+func checkLocal(t *testing.T, tbl *sketch.FrozenTable, trials []int32, words []sketch.Word, lists [][]sketch.Posting) {
+	t.Helper()
+	if len(lists) != len(trials) {
+		t.Fatalf("%d lists for %d probes", len(lists), len(trials))
+	}
+	for i, ti := range trials {
+		want := tbl.Lookup(int(ti), words[i])
+		if len(lists[i]) != len(want) {
+			t.Fatalf("probe %d: %d postings, want %d", i, len(lists[i]), len(want))
+		}
+		for j := range want {
+			if lists[i][j] != want[j] {
+				t.Fatalf("probe %d posting %d: %+v want %+v", i, j, lists[i][j], want[j])
+			}
+		}
+	}
+}
+
+// The frames TestProtocolRoundtrip round-trips; FuzzFrames starts from
+// the same ones.
+var (
+	rtInfo   = Info{Shards: 8, T: 32, NumSubjects: 1000, ManifestCRC: 0xdeadbeef}
+	rtOwned  = []int{0, 3, 7}
+	rtTrials = []int32{0, 5, 31}
+	rtWords  = []sketch.Word{1, 1 << 55, ^sketch.Word(0) >> 8}
+	rtLists  = [][]sketch.Posting{
+		{{Subject: 4, Anchor: 99}, {Subject: 7, Anchor: -1}},
+		nil,
+		{{Subject: 0, Anchor: 0}},
+	}
+)
+
 func TestProtocolRoundtrip(t *testing.T) {
-	info := Info{Shards: 8, T: 32, NumSubjects: 1000, ManifestCRC: 0xdeadbeef}
-	owned := []int{0, 3, 7}
+	info, owned := rtInfo, rtOwned
 	typ, body, err := readMsgBytes(encodeHelloAck(info, owned))
 	if err != nil || typ != msgHelloAck {
 		t.Fatalf("helloAck frame: typ=%d err=%v", typ, err)
@@ -94,8 +155,7 @@ func TestProtocolRoundtrip(t *testing.T) {
 		t.Fatalf("helloAck roundtrip: %+v %v %v", gotInfo, gotOwned, err)
 	}
 
-	trials := []int32{0, 5, 31}
-	words := []sketch.Word{1, 1 << 55, ^sketch.Word(0) >> 8}
+	trials, words := rtTrials, rtWords
 	typ, body, err = readMsgBytes(encodeQuery(6, trials, words))
 	if err != nil || typ != msgQuery {
 		t.Fatalf("query frame: typ=%d err=%v", typ, err)
@@ -105,11 +165,7 @@ func TestProtocolRoundtrip(t *testing.T) {
 		t.Fatalf("query roundtrip: shard=%d %v %v %v", shard, gotTrials, gotWords, err)
 	}
 
-	lists := [][]sketch.Posting{
-		{{Subject: 4, Anchor: 99}, {Subject: 7, Anchor: -1}},
-		nil,
-		{{Subject: 0, Anchor: 0}},
-	}
+	lists := rtLists
 	typ, body, err = readMsgBytes(encodeReply(lists))
 	if err != nil || typ != msgReply {
 		t.Fatalf("reply frame: typ=%d err=%v", typ, err)
@@ -120,12 +176,27 @@ func TestProtocolRoundtrip(t *testing.T) {
 	}
 }
 
+// TestReadMsgLongFrame covers the path short frames never take: a frame
+// past the eager allocation is grown as it arrives, whole or not at all.
+func TestReadMsgLongFrame(t *testing.T) {
+	msg := strings.Repeat("0123456789abcdef", 3<<16) + "tail" // 3 MiB + 4
+	frame := encodeErr(msg)
+	typ, body, err := readMsgBytes(frame)
+	if err != nil || typ != msgErr || string(body) != msg {
+		t.Fatalf("long frame: typ=%d len=%d err=%v", typ, len(body), err)
+	}
+	if _, _, err := readMsgBytes(frame[:len(frame)-1]); err == nil {
+		t.Fatal("truncated long frame read without error")
+	}
+}
+
 // readMsgBytes parses one framed message from a byte slice.
 func readMsgBytes(frame []byte) (byte, []byte, error) {
 	return readMsg(bufio.NewReader(bytes.NewReader(frame)))
 }
 
 func TestQueryMatchesLocalLookup(t *testing.T) {
+	leakCheck(t)
 	const p = 4
 	tables, info, sf := testIndex(t, p, 50)
 	addr := startServer(t, tables, info)
@@ -162,6 +233,7 @@ func TestQueryMatchesLocalLookup(t *testing.T) {
 }
 
 func TestDialRejectsIncoherentFleet(t *testing.T) {
+	leakCheck(t)
 	tables, info, _ := testIndex(t, 4, 20)
 	// Coverage hole: a server owning only shards {0,1} cannot serve a
 	// 4-shard index alone.
@@ -181,6 +253,7 @@ func TestDialRejectsIncoherentFleet(t *testing.T) {
 }
 
 func TestDialInjectedDialError(t *testing.T) {
+	leakCheck(t)
 	defer fault.Reset()
 	tables, info, _ := testIndex(t, 2, 10)
 	addr := startServer(t, tables, info)
@@ -192,15 +265,17 @@ func TestDialInjectedDialError(t *testing.T) {
 }
 
 func TestRetryRecoversFromShardDown(t *testing.T) {
+	leakCheck(t)
 	defer fault.Reset()
 	const p = 2
 	tables, info, sf := testIndex(t, p, 20)
 	addr := startServer(t, tables, info)
-	coord, err := Dial(context.Background(), []string{addr}, Config{RetryBackoff: time.Millisecond}, nil)
+	coord, err := Dial(context.Background(), []string{addr}, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = coord.Close() }()
+	coord.backoff = time.Millisecond
 	// The server drops the first query connection without replying (a
 	// crashed shard), and the redial fails too; the default budget of
 	// 1+2 attempts still lands the query on the third try.
@@ -227,15 +302,17 @@ func TestRetryRecoversFromShardDown(t *testing.T) {
 }
 
 func TestDegradedAnswerAfterBudgetExhausted(t *testing.T) {
+	leakCheck(t)
 	defer fault.Reset()
 	const p = 2
 	tables, info, _ := testIndex(t, p, 20)
 	addr := startServer(t, tables, info)
-	coord, err := Dial(context.Background(), []string{addr}, Config{RetryBackoff: time.Millisecond}, nil)
+	coord, err := Dial(context.Background(), []string{addr}, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = coord.Close() }()
+	coord.backoff = time.Millisecond
 	// Every query connection dies without a reply: the shard is down
 	// for good and the budget must exhaust into a *ShardError.
 	fault.Set(fault.ShardDown, fault.Spec{})
@@ -260,7 +337,7 @@ func TestDegradedAnswerAfterBudgetExhausted(t *testing.T) {
 }
 
 // startSlowReplica runs a protocol-correct server that answers every
-// query only after delay — the stuck-replica a hedged probe races.
+// query only after delay — the stuck replica a query must get past.
 func startSlowReplica(t *testing.T, tables map[int]*sketch.FrozenTable, info Info, delay time.Duration) string {
 	t.Helper()
 	owned := make([]int, 0, len(tables))
@@ -329,37 +406,78 @@ func startSlowReplica(t *testing.T, tables map[int]*sketch.FrozenTable, info Inf
 	return "unix:" + path
 }
 
-func TestHedgeRacesSlowReplica(t *testing.T) {
+func TestRetryPastStuckReplica(t *testing.T) {
+	leakCheck(t)
 	const p = 2
-	tables, info, _ := testIndex(t, p, 20)
+	tables, info, sf := testIndex(t, p, 20)
 	slow := startSlowReplica(t, tables, info, 400*time.Millisecond)
 	fast := startServer(t, tables, info)
 	// Replica order matters: the round-robin cursor starts at the slow
-	// server, so the first attempt stalls and the hedge must win.
-	coord, err := Dial(context.Background(), []string{slow, fast}, Config{HedgeAfter: 10 * time.Millisecond}, nil)
+	// server, so the first attempt runs into the shard timeout and the
+	// retry must land on the fast one.
+	coord, err := Dial(context.Background(), []string{slow, fast}, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = coord.Close() }()
+	coord.timeout = 50 * time.Millisecond
+	coord.backoff = time.Millisecond
 	perShardTrials, perShardWords := probeBatch(p, info.T, 40, 9)
-	start := time.Now()
 	lists, err := coord.QueryShard(context.Background(), 0, perShardTrials[0], perShardWords[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lists) != len(perShardTrials[0]) {
-		t.Fatalf("%d lists for %d probes", len(lists), len(perShardTrials[0]))
-	}
-	if d := time.Since(start); d >= 400*time.Millisecond {
-		t.Fatalf("query took %v — the hedge did not race the stuck replica", d)
-	}
-	if coord.hedges.Value() < 1 || coord.hedgeWins.Value() < 1 {
-		t.Fatalf("hedges=%d hedgeWins=%d, want both >= 1",
-			coord.hedges.Value(), coord.hedgeWins.Value())
+	checkLocal(t, sf.Shard(0), perShardTrials[0], perShardWords[0], lists)
+	if r, l, e := coord.retries.Value(), coord.lost.Value(), coord.rpcErrors.Value(); r != 1 || l != 0 || e != 1 {
+		t.Fatalf("retries=%d lost=%d rpcErrors=%d, want 1 0 1", r, l, e)
 	}
 }
 
+// TestCancelMidRPC cancels a request while its only replica sits on the
+// reply: QueryShard must return at once, leave nothing running and
+// nothing poisoned in the pool.
+func TestCancelMidRPC(t *testing.T) {
+	leakCheck(t)
+	const p = 2
+	tables, info, sf := testIndex(t, p, 20)
+	addr := startSlowReplica(t, tables, info, 400*time.Millisecond)
+	coord, err := Dial(context.Background(), []string{addr}, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = coord.Close() }()
+	perShardTrials, perShardWords := probeBatch(p, info.T, 40, 11)
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(10*time.Millisecond, cancel).Stop()
+	start := time.Now()
+	_, err = coord.QueryShard(ctx, 0, perShardTrials[0], perShardWords[0])
+	if d := time.Since(start); d >= 200*time.Millisecond {
+		t.Fatalf("cancelled query returned after %v", d)
+	}
+	var se *ShardError
+	if !errors.As(err, &se) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want ShardError wrapping context.Canceled", err)
+	}
+	if !goroutinesSettle(base, 100*time.Millisecond) {
+		t.Fatalf("%d goroutines after the cancelled query, %d before it", runtime.NumGoroutine(), base)
+	}
+	pl := coord.servers[0].pool
+	pl.mu.Lock()
+	idle := len(pl.idle)
+	pl.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("%d pooled connections after a cancelled call, want 0", idle)
+	}
+	lists, err := coord.QueryShard(context.Background(), 0, perShardTrials[0], perShardWords[0])
+	if err != nil {
+		t.Fatalf("query after the cancelled one: %v", err)
+	}
+	checkLocal(t, sf.Shard(0), perShardTrials[0], perShardWords[0], lists)
+}
+
 func TestQueryShardContextCancelled(t *testing.T) {
+	leakCheck(t)
 	tables, info, _ := testIndex(t, 2, 10)
 	addr := startServer(t, tables, info)
 	coord, err := Dial(context.Background(), []string{addr}, Config{}, nil)
@@ -377,6 +495,7 @@ func TestQueryShardContextCancelled(t *testing.T) {
 }
 
 func TestPoolHealthCheckedReconnect(t *testing.T) {
+	leakCheck(t)
 	tables, info, _ := testIndex(t, 2, 10)
 	srv, err := NewServer(tables, info)
 	if err != nil {
@@ -388,9 +507,8 @@ func TestPoolHealthCheckedReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start(ln)
-	cfg := Config{HealthCheckAfter: time.Nanosecond}.withDefaults()
-	cfg.HealthCheckAfter = time.Nanosecond // every reuse must ping
-	pl := newPool("unix:"+path, cfg)
+	pl := newPool("unix:" + path)
+	pl.healthAfter = time.Nanosecond // every reuse must ping
 	defer pl.close()
 	pc, err := pl.get(context.Background())
 	if err != nil {
@@ -426,27 +544,13 @@ func TestPoolHealthCheckedReconnect(t *testing.T) {
 	pl.put(pc2)
 }
 
-func TestLatRingP99(t *testing.T) {
-	var r latRing
-	if r.p99() != 0 {
-		t.Fatal("empty ring p99 != 0")
-	}
-	for i := 1; i <= 100; i++ {
-		r.record(time.Duration(i) * time.Millisecond)
-	}
-	// Window holds the last 64 samples (37ms..100ms); p99 is the top.
-	got := r.p99()
-	if got < 99*time.Millisecond || got > 100*time.Millisecond {
-		t.Fatalf("p99 = %v, want ~100ms", got)
-	}
-}
-
 func TestServerRefusesUnownedShard(t *testing.T) {
+	leakCheck(t)
 	tables, info, _ := testIndex(t, 4, 10)
 	partial := map[int]*sketch.FrozenTable{0: tables[0], 1: tables[1], 2: tables[2], 3: tables[3]}
 	delete(partial, 3)
 	addr := startServer(t, partial, info)
-	pl := newPool(addr, Config{}.withDefaults())
+	pl := newPool(addr)
 	defer pl.close()
 	pc, err := pl.get(context.Background())
 	if err != nil {

@@ -70,9 +70,6 @@ type Options struct {
 	// any shard count; sharding parallelizes index build, save and
 	// load, and bounds per-shard memory. 0 and 1 mean unsharded.
 	Shards int
-	// TileStride is the default stride of MapReadTiled in bases; 0
-	// means SegmentLen (non-overlapping tiles).
-	TileStride int
 	// Memory selects how an index loaded through Open(IndexPath) is
 	// held: fully decoded on the heap, served zero-copy from a shared
 	// read-only file mapping, or split between the two under a resident
@@ -311,18 +308,11 @@ func (m *Mapper) SaveIndexFile(path string) error {
 // are not stored in the index, so sequence-dependent extras
 // (PercentIdentity against retained contigs) need the contig records
 // passed here (nil is allowed and disables only those extras).
+//
+// The load is span-timed in the mapper's own registry as index.load →
+// read, with one child span per shard (shards verify in parallel).
 func LoadMapper(r io.Reader, contigs []Record) (*Mapper, error) {
-	return LoadMapperObserved(r, contigs, nil)
-}
-
-// LoadMapperObserved is LoadMapper recording into the given registry
-// (nil creates a private one, making it identical to LoadMapper): the
-// load is span-timed as index.load → read, one child span per shard
-// (shards verify in parallel) under "read".
-func LoadMapperObserved(r io.Reader, contigs []Record, reg *obs.Registry) (*Mapper, error) {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	sp := reg.Tracer().Start("index.load")
 	rd := sp.Child("read")
 	cm, err := core.ReadIndexObserved(r, rd)
@@ -367,14 +357,11 @@ type TiledMapping struct {
 }
 
 // MapReadTiled maps consecutive SegmentLen-length tiles across the
-// whole read (stride ≤ 0 means Options.TileStride, and non-overlapping
-// tiles when that is unset too) — the extension the paper flags for
-// detecting contigs contained in a read's interior, which end-segment
-// mapping cannot see. Unmapped tiles are omitted.
+// whole read (stride ≤ 0 means SegmentLen, i.e. non-overlapping tiles)
+// — the extension the paper flags for detecting contigs contained in a
+// read's interior, which end-segment mapping cannot see. Unmapped tiles
+// are omitted.
 func (m *Mapper) MapReadTiled(read []byte, stride int) []TiledMapping {
-	if stride <= 0 {
-		stride = m.opts.TileStride
-	}
 	sess := m.core.NewSession()
 	tiles := sess.MapReadTiled(read, m.opts.SegmentLen, stride)
 	out := make([]TiledMapping, len(tiles))

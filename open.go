@@ -43,8 +43,8 @@ type OpenOptions struct {
 	ShardServers []string
 	// Options configures the build and rebuild paths and supplies the
 	// serving knobs. A loaded index carries its own sketch parameters,
-	// which override the corresponding fields; Workers, TileStride and
-	// Metrics apply either way.
+	// which override the corresponding fields; Workers and Metrics
+	// apply either way.
 	Options Options
 }
 
@@ -135,7 +135,7 @@ func Open(opts OpenOptions) (*Mapper, OpenInfo, error) {
 // serving backend. The returned mapper owns the coordinator's
 // connection pools; release them with Mapper.Close.
 //
-//jem:detached construction-time dial: Open predates context threading, and the dial budget is bounded by the coordinator's DialTimeout
+//jem:detached construction-time dial: Open predates context threading, and the dial budget is bounded by the coordinator's dial timeout
 func openRemote(opts OpenOptions) (*Mapper, error) {
 	reg := opts.Options.Metrics
 	if reg == nil {
@@ -166,7 +166,6 @@ func openRemote(opts OpenOptions) (*Mapper, error) {
 		HashOrdering: p.Order == minimizer.OrderHash,
 		Metrics:      reg,
 		Workers:      opts.Options.Workers,
-		TileStride:   opts.Options.TileStride,
 	}
 	if meta.Shards > 1 {
 		o.Shards = meta.Shards
@@ -201,7 +200,6 @@ func openIndexFile(opts OpenOptions) (*Mapper, MemoryInfo, error) {
 		HashOrdering: p.Order == minimizer.OrderHash,
 		Metrics:      reg,
 		Workers:      opts.Options.Workers,
-		TileStride:   opts.Options.TileStride,
 		Memory:       opts.Options.Memory,
 	}
 	if sh := cm.Shards(); sh > 1 {

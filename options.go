@@ -34,7 +34,7 @@ func optErr(field string, value any, reason string) error {
 
 // Validate reports whether the options are usable, covering both the
 // sketch parameters (K, W, Trials, SegmentLen, Seed) and the
-// facade-level serving knobs (Workers, TileStride, Shards). Every
+// facade-level serving knobs (Workers, Shards). Every
 // failure wraps ErrInvalidOptions; field-level failures are
 // *OptionError values naming the field. The canonical entry points
 // (Open, NewMapper, Mapper.Map, Mapper.Stream) validate rather than
@@ -48,9 +48,6 @@ func (o Options) Validate() error {
 	}
 	if o.SegmentLen < o.K {
 		return optErr("SegmentLen", o.SegmentLen, fmt.Sprintf("must be ≥ K=%d", o.K))
-	}
-	if o.TileStride < 0 {
-		return optErr("TileStride", o.TileStride, "must be ≥ 0 (0 means SegmentLen, i.e. non-overlapping tiles)")
 	}
 	if o.Shards < 0 || o.Shards > sketch.MaxShards {
 		return optErr("Shards", o.Shards, fmt.Sprintf("must be in [0,%d] (0 and 1 mean unsharded)", sketch.MaxShards))

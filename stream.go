@@ -69,9 +69,6 @@ type Stats struct {
 	WriteWall time.Duration
 }
 
-// StreamStats is the pre-pipelining name of Stats, kept as an alias.
-type StreamStats = Stats
-
 // BadRecordPolicy says what the streaming pipeline does when the
 // input yields a malformed or over-length record.
 type BadRecordPolicy uint8
