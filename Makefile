@@ -133,7 +133,6 @@ metrics-demo:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/seq/
-	$(GO) test -fuzz FuzzDecodeTable -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzViewFlatFrozen -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) ./internal/core/

@@ -26,6 +26,7 @@ func benchMapper(b *testing.B, nContigs, contigLen int) (*Mapper, []byte) {
 		})
 	}
 	m.AddSubjects(contigs)
+	m.Seal()
 	pos := rng.Intn(len(ref) - p.L)
 	return m, ref[pos : pos+p.L]
 }
@@ -49,16 +50,6 @@ func BenchmarkMapSegmentPositional(b *testing.B) {
 	}
 }
 
-func BenchmarkMapSegmentFrozen(b *testing.B) {
-	m, seg := benchMapper(b, 500, 3000)
-	m.SetFrozen(m.Table().Freeze())
-	sess := m.NewSession()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess.MapSegment(seg)
-	}
-}
-
 func BenchmarkAddSubjects(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	var contigs []seq.Record
@@ -76,5 +67,6 @@ func BenchmarkAddSubjects(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.AddSubjects(contigs)
+		m.Seal()
 	}
 }

@@ -18,9 +18,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/seq"
 	"repro/internal/sketch"
 )
@@ -67,33 +67,26 @@ type SubjectMeta struct {
 
 // Mapper holds the sketch table over a subject set.
 //
-// A mapper starts mutable (subjects can be added) and is sealed before
-// serving: sealing partitions the hash-map table into P ≥ 1 frozen
-// sorted-array shards (Seal is P = 1) and frees the mutable table. The
-// distributed driver reaches the same state through SetFrozen (its
-// frozen table is built by the gather merge instead), an index load
-// through the JEMIDX06 loader, and a remote mapper serves the same
-// shards from a fleet (SetRemote). The unsealed table can be queried
-// too — as one shard — which is what tests and the ablation
-// experiments use as the reference.
+// A mapper starts as a builder — subjects are sketched and their
+// records appended — and serves only once sealed: sealing sorts the
+// records into P ≥ 1 flat shards (Seal is P = 1) and drops the builder.
+// An index load arrives at the same state through the JEMIDX06 loader,
+// and a remote mapper serves the same shards from a fleet (SetRemote).
 type Mapper struct {
 	sk *sketch.Sketcher
-	// table is the build-time mutable table, nil once sealed.
-	table *sketch.Table
-	// sharded is the sealed serving table, nil until Seal, SealSharded,
-	// SetFrozen, SetSharded or an index load installed one.
+	// build accumulates the subjects' sketch records; nil once the
+	// mapper is sealed (by Seal, an index load or SetRemote).
+	build *sketch.Builder
+	// sharded is the sealed serving table, nil until Seal, SealSharded
+	// or an index load installed one.
 	sharded *sketch.ShardedFrozen
 	// remote, when non-nil, replaces every local table: queries
 	// scatter-gather over the wire through it (SetRemote).
 	remote   ShardQuerier
 	subjects []SubjectMeta
-	sealed   bool
 	// met, when non-nil, receives per-query observations from every
 	// session created after EnableMetrics ran.
 	met *Metrics
-	// sessions counts sessions ever issued; once positive, the subject
-	// set must not grow (sessions size their counter arrays to it).
-	sessions atomic.Int32
 }
 
 // NewMapper creates a Mapper with the given sketch parameters.
@@ -102,20 +95,15 @@ func NewMapper(p sketch.Params) (*Mapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mapper{sk: sk, table: sketch.NewTable(p.T)}, nil
+	return &Mapper{sk: sk, build: sketch.NewBuilder(p.T)}, nil
 }
 
 // Sketcher exposes the underlying sketcher (shared with baselines and
 // the distributed driver).
 func (m *Mapper) Sketcher() *sketch.Sketcher { return m.sk }
 
-// Table exposes the mutable sketch table (used by the distributed
-// driver's gather step and by table-size statistics). It is nil after
-// sealing, which drops the mutable form in favor of the frozen one.
-func (m *Mapper) Table() *sketch.Table { return m.table }
-
-// Frozen exposes the frozen table of a one-shard mapper: shard 0, nil
-// when there is no sealed table or it has several shards.
+// Frozen exposes the table of a one-shard mapper: shard 0, nil when
+// there is no sealed table or it has several shards.
 func (m *Mapper) Frozen() *sketch.FrozenTable {
 	if m.sharded == nil || m.sharded.NumShards() != 1 {
 		return nil
@@ -123,29 +111,21 @@ func (m *Mapper) Frozen() *sketch.FrozenTable {
 	return m.sharded.Shard(0)
 }
 
-// SetFrozen installs a frozen (sorted-array) global table as a
-// one-shard sharded table; subsequent lookups use it instead of the
-// mutable hash table. The distributed driver builds it straight from
-// the allgathered payloads. SetFrozen(nil) is SetSharded(nil).
-func (m *Mapper) SetFrozen(ft *sketch.FrozenTable) {
-	if ft == nil {
-		m.SetSharded(nil)
-		return
-	}
-	sf, err := sketch.NewShardedFrozen([]*sketch.FrozenTable{ft})
-	if err != nil {
-		panic(err) // unreachable: one non-nil shard always assembles
-	}
-	m.SetSharded(sf)
-}
-
 // Sharded exposes the sealed serving table, nil for an unsealed or
 // remote mapper.
 func (m *Mapper) Sharded() *sketch.ShardedFrozen { return m.sharded }
 
 // Shards returns the number of serving shards: P for a sealed or
-// remote mapper, 1 for the unsealed table.
-func (m *Mapper) Shards() int { return m.source().numShards() }
+// remote mapper, 0 before sealing.
+func (m *Mapper) Shards() int {
+	switch {
+	case m.remote != nil:
+		return m.remote.NumShards()
+	case m.sharded != nil:
+		return m.sharded.NumShards()
+	}
+	return 0
+}
 
 // IndexBytes returns the approximate total size of the serving index
 // (the sealed table's backing arrays), 0 for an unsealed mapper. A
@@ -159,8 +139,8 @@ func (m *Mapper) IndexBytes() int64 {
 
 // IndexMemory splits IndexBytes into resident (process-private heap)
 // and mapped (file-backed via mmap, shareable across processes) bytes.
-// A heap-loaded index is all resident; an mmap-served one is all
-// mapped; a budgeted open reports both halves.
+// A built or heap-loaded index is all resident; an mmap-served one is
+// all mapped; a budgeted open reports both halves.
 func (m *Mapper) IndexMemory() (resident, mapped int64) {
 	if m.sharded == nil {
 		return 0, 0
@@ -168,82 +148,67 @@ func (m *Mapper) IndexMemory() (resident, mapped int64) {
 	return m.sharded.ResidentBytes(), m.sharded.MappedBytes()
 }
 
-// SetSharded installs a sharded frozen table; subsequent lookups
-// scatter-gather across its shards. It must run before sessions are
-// issued, and clearing the only table of a sealed mapper is rejected.
-func (m *Mapper) SetSharded(sf *sketch.ShardedFrozen) {
-	if sf == nil && m.table == nil {
-		panic("core: cannot clear the sealed table of a sealed mapper (no mutable table remains)")
-	}
-	m.sharded = sf
-	m.enableShardMetrics()
-}
-
-// SealSharded freezes the mapper for serving: the mutable table is
-// partitioned into `shards` frozen shards built concurrently (workers
-// ≤0 means GOMAXPROCS) — unless SetFrozen/SetSharded already installed
-// a sealed table — and then dropped, so adding subjects or merging
-// tables afterwards panics. Every shard count produces byte-identical
-// query results; sharding parallelizes the freeze, the index save/load,
-// and bounds per-shard memory. Resealing with the same shard count is a
-// no-op; with a different one it panics (there is no mutable table left
-// to repartition).
+// SealSharded freezes the mapper for serving: the appended records are
+// sorted into `shards` flat shards with up to `workers` goroutines (≤0
+// means GOMAXPROCS) and the builder is dropped, so adding subjects
+// afterwards panics. Every shard count produces byte-identical query
+// results; sharding parallelizes the lay-out, the index save/load, and
+// bounds per-shard memory. Resealing with the same shard count is a
+// no-op; with a different one it panics (there are no records left to
+// repartition).
 func (m *Mapper) SealSharded(shards, workers int) {
 	m.SealShardedTraced(shards, workers, nil)
 }
 
 // SealShardedTraced is SealSharded with a per-shard build hook (see
-// sketch.FreezeShardedTraced); the facade uses it to attach per-shard
-// build spans.
+// sketch.Builder.Freeze); the facade uses it to attach per-shard build
+// spans.
 func (m *Mapper) SealShardedTraced(shards, workers int, trace func(shard int, fn func())) {
-	if m.sealed {
+	if m.Sealed() {
 		if m.Shards() != shards {
 			panic(fmt.Sprintf("core: SealSharded(%d) on a mapper already sealed with %d shards", shards, m.Shards()))
 		}
 		return
 	}
-	if m.sharded == nil {
-		m.sharded = m.table.FreezeShardedTraced(shards, workers, trace)
+	sf, err := m.build.Freeze(shards, workers, trace)
+	if err != nil {
+		// Only a shard beyond the payload's 32-bit section counts gets
+		// here; the error names it and says to use more shards.
+		panic(err.Error())
 	}
-	m.table = nil
-	m.sealed = true
+	m.sharded, m.build = sf, nil
 	m.enableShardMetrics()
 }
 
 // Seal is SealSharded with one shard. Seal is idempotent, and a no-op
 // on a mapper sealed with any shard count.
 func (m *Mapper) Seal() {
-	if !m.sealed {
+	if !m.Sealed() {
 		m.SealSharded(1, 0)
 	}
 }
 
 // Sealed reports whether the mapper has been sealed.
-func (m *Mapper) Sealed() bool { return m.sealed }
+func (m *Mapper) Sealed() bool { return m.build == nil }
 
-// Entries returns the total posting count of the active table (sealed
-// when present, mutable before). A remote mapper reports 0: its
-// postings are resident in the shard servers, not this process.
+// Entries returns the total posting count of the sealed table. An
+// unsealed mapper reports 0 (its records are not a table yet), and so
+// does a remote one: its postings are resident in the shard servers,
+// not this process.
 func (m *Mapper) Entries() int {
-	if m.sharded != nil {
-		return m.sharded.Entries()
+	if m.sharded == nil {
+		return 0
 	}
-	if m.table != nil {
-		return m.table.Entries()
-	}
-	return 0
+	return m.sharded.Entries()
 }
 
-// mutationGuard panics when the subject set may no longer grow: after
-// Seal, and after any session has been issued (sessions size their
-// counter arrays to the subject count at creation, so a later
-// out-of-range subject id would corrupt or panic mid-query).
+// mutationGuard panics when the subject set may no longer grow: once
+// sealed. Sessions exist only on a sealed mapper (NewSession panics
+// otherwise), so none can ever see the subject set grow under its
+// counter arrays.
 func (m *Mapper) mutationGuard(op string) {
-	if m.sealed {
+	if m.Sealed() {
 		panic(fmt.Sprintf("core: %s on a sealed mapper", op))
-	}
-	if m.sessions.Load() > 0 {
-		panic(fmt.Sprintf("core: %s after sessions were created; the mapper must not gain subjects while sessions exist", op))
 	}
 }
 
@@ -257,56 +222,27 @@ func (m *Mapper) Subject(id int32) SubjectMeta { return m.subjects[id] }
 // are assigned densely in input order, continuing from any previously
 // added subjects.
 func (m *Mapper) AddSubjects(contigs []seq.Record) {
-	m.mutationGuard("AddSubjects")
-	for i := range contigs {
-		id := int32(len(m.subjects))
-		m.subjects = append(m.subjects, SubjectMeta{Name: contigs[i].ID, Length: int32(len(contigs[i].Seq))})
-		words, anchors := m.sk.SubjectSketchPositional(contigs[i].Seq)
-		m.table.InsertPositional(id, words, anchors)
-	}
+	m.AddSubjectsParallel(contigs, 1)
 }
 
-// AddSubjectsParallel sketches contigs with the given number of
-// workers (≤0 means GOMAXPROCS) and inserts them in input order, so
-// results are identical to AddSubjects.
+// AddSubjectsParallel is AddSubjects with the given number of workers
+// (≤0 means GOMAXPROCS), each sketching contigs and appending their
+// records to its own appender. Which worker took which contig leaves no
+// trace in the sealed table, so results are identical to AddSubjects.
 func (m *Mapper) AddSubjectsParallel(contigs []seq.Record, workers int) {
-	m.mutationGuard("AddSubjectsParallel")
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(contigs) < 2 {
-		m.AddSubjects(contigs)
-		return
-	}
-	sketches := make([][][]sketch.Word, len(contigs))
-	anchors := make([][][]int32, len(contigs))
-	var wg sync.WaitGroup
-	next := make(chan int, len(contigs))
-	for i := range contigs {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				sketches[i], anchors[i] = m.sk.SubjectSketchPositional(contigs[i].Seq)
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range contigs {
-		id := int32(len(m.subjects))
-		m.subjects = append(m.subjects, SubjectMeta{Name: contigs[i].ID, Length: int32(len(contigs[i].Seq))})
-		m.table.InsertPositional(id, sketches[i], anchors[i])
-	}
+	m.mutationGuard("AddSubjects")
+	base := len(m.subjects)
+	m.RegisterSubjects(contigs)
+	parallel.ForEachWorker(len(contigs), workers, m.build.Appender, func(a *sketch.Appender, i int) {
+		words, anchors := m.sk.SubjectSketchPositional(contigs[i].Seq)
+		a.Append(int32(base+i), words, anchors)
+	})
 }
 
 // RegisterSubjects records subject metadata without sketching,
 // assigning dense ids in input order. The distributed driver uses this
-// on every rank (metadata is small and replicated) while the sketch
-// table itself is built per-rank and merged via MergeTable.
+// (metadata is small and replicated on every rank) while the ranks
+// append their own contigs' sketches through Appender.
 func (m *Mapper) RegisterSubjects(contigs []seq.Record) {
 	m.mutationGuard("RegisterSubjects")
 	for i := range contigs {
@@ -314,12 +250,12 @@ func (m *Mapper) RegisterSubjects(contigs []seq.Record) {
 	}
 }
 
-// MergeTable folds an externally built per-rank table into the
-// mapper's global table (the union step S3 of Algorithm 2's
-// parallelization).
-func (m *Mapper) MergeTable(tb *sketch.Table) {
-	m.mutationGuard("MergeTable")
-	m.table.Merge(tb)
+// Appender returns a new appender on the mapper's builder, for a
+// caller that sketches registered subjects itself (one per rank in the
+// distributed driver; the union step S3 is then Seal).
+func (m *Mapper) Appender() *sketch.Appender {
+	m.mutationGuard("Appender")
+	return m.build.Appender()
 }
 
 // Session carries the per-worker lazy-update counter state of §III-C:
@@ -389,12 +325,10 @@ type ShardWork struct {
 	Wall     time.Duration
 }
 
-// NewSession creates a mapping session over the mapper's current
-// subject set. The mapper must not gain subjects while sessions exist
-// (enforced: AddSubjects and friends panic once a session has been
-// issued).
+// NewSession creates a mapping session over the mapper's subject set.
+// The mapper must be sealed (or remote): a session on an unsealed
+// mapper panics, there is no table to serve from yet.
 func (m *Mapper) NewSession() *Session {
-	m.sessions.Add(1)
 	n := len(m.subjects)
 	s := &Session{
 		m:     m,
@@ -907,10 +841,12 @@ func (m *Mapper) MapReadsContext(ctx context.Context, reads []seq.Record, l int,
 	var wg sync.WaitGroup
 	idx := make(chan int, 4*workers)
 	for w := 0; w < workers; w++ {
+		// Sessions are made here, not in the workers: misuse (an unsealed
+		// mapper) must panic on the caller's goroutine.
+		sess := m.NewSession().WithContext(ctx)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sess := m.NewSession().WithContext(ctx)
 			for i := range idx {
 				if sess.Interrupted() {
 					continue // drain the queue without mapping
@@ -962,10 +898,10 @@ func (m *Mapper) MapSegments(segments [][]byte, workers int) []Hit {
 	var wg sync.WaitGroup
 	idx := make(chan int, 4*workers)
 	for w := 0; w < workers; w++ {
+		sess := m.NewSession() // on the caller's goroutine, as in MapReadsContext
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := m.NewSession()
 			for i := range idx {
 				h, ok := sess.MapSegment(segments[i])
 				if !ok {

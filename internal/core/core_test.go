@@ -81,6 +81,7 @@ func TestMapSegmentFindsOriginContig(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.AddSubjects(contigs)
+	m.Seal()
 	sess := m.NewSession()
 	correct := 0
 	for i, r := range reads {
@@ -102,6 +103,7 @@ func TestMapSegmentFindsOriginContig(t *testing.T) {
 func TestMapSegmentNoSketch(t *testing.T) {
 	m, _ := NewMapper(smallParams())
 	m.AddSubjects([]seq.Record{{ID: "c", Seq: []byte("ACGTACGTACGTACGTACGTACGTACGT")}})
+	m.Seal()
 	sess := m.NewSession()
 	if _, ok := sess.MapSegment([]byte("ACG")); ok {
 		t.Error("too-short segment should not map")
@@ -113,6 +115,7 @@ func TestMapSegmentNoSketch(t *testing.T) {
 
 func TestMapSegmentNoSubjects(t *testing.T) {
 	m, _ := NewMapper(smallParams())
+	m.Seal()
 	sess := m.NewSession()
 	rng := rand.New(rand.NewSource(1))
 	if _, ok := sess.MapSegment(randDNA(rng, 200)); ok {
@@ -131,6 +134,7 @@ func TestLazyCountersMatchMapCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.AddSubjects(contigs)
+	m.Seal()
 	sess := m.NewSession()
 	for _, r := range reads {
 		seg := r.Seq[:p.L]
@@ -140,7 +144,7 @@ func TestLazyCountersMatchMapCounting(t *testing.T) {
 		words := m.Sketcher().QuerySketch(seg)
 		counts := map[int32]int32{}
 		for tr, w := range words {
-			for _, p := range m.Table().Lookup(tr, w) {
+			for _, p := range m.Sharded().Lookup(tr, w) {
 				counts[p.Subject]++
 			}
 		}
@@ -163,6 +167,7 @@ func TestMapSegmentTopK(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	sess := m.NewSession()
 	for _, r := range reads {
 		seg := r.Seq[:p.L]
@@ -200,13 +205,15 @@ func TestAddSubjectsParallelMatchesSequential(t *testing.T) {
 	p := smallParams()
 	seqM, _ := NewMapper(p)
 	seqM.AddSubjects(contigs)
+	seqM.Seal()
 	parM, _ := NewMapper(p)
 	parM.AddSubjectsParallel(contigs, 4)
+	parM.Seal()
 	if seqM.NumSubjects() != parM.NumSubjects() {
 		t.Fatalf("subject counts differ")
 	}
-	if seqM.Table().Entries() != parM.Table().Entries() {
-		t.Fatalf("table entries differ: %d vs %d", seqM.Table().Entries(), parM.Table().Entries())
+	if seqM.Entries() != parM.Entries() {
+		t.Fatalf("table entries differ: %d vs %d", seqM.Entries(), parM.Entries())
 	}
 	// Same mapping decisions.
 	s1, s2 := seqM.NewSession(), parM.NewSession()
@@ -226,6 +233,7 @@ func TestMapReadsDeterministicOrder(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	r1 := m.MapReads(reads, p.L, 1)
 	r2 := m.MapReads(reads, p.L, 4)
 	if !reflect.DeepEqual(r1, r2) {
@@ -249,6 +257,7 @@ func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	results := m.MapReads(reads, p.L, 2)
 	var segments [][]byte
 	for _, r := range reads {
@@ -266,6 +275,10 @@ func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	}
 }
 
+// TestRegisterSubjectsAndMergeTableEquivalence: registering subjects up
+// front and letting two "ranks" append their halves' sketches through
+// their own appenders (the gather merge is then Seal) must map like a
+// mapper that added every contig itself.
 func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var contigs []seq.Record
@@ -275,24 +288,22 @@ func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
 	p := smallParams()
 	direct, _ := NewMapper(p)
 	direct.AddSubjects(contigs)
+	direct.Seal()
 
 	split, _ := NewMapper(p)
 	split.RegisterSubjects(contigs)
-	// Build two partial tables as two "ranks" would.
-	t1 := sketch.NewTable(p.T)
-	t2 := sketch.NewTable(p.T)
+	r1, r2 := split.Appender(), split.Appender()
 	for i := range contigs {
-		tbl := t1
+		a := r1
 		if i >= 10 {
-			tbl = t2
+			a = r2
 		}
-		tbl.Insert(int32(i), split.Sketcher().SubjectSketch(contigs[i].Seq))
+		a.Append(int32(i), split.Sketcher().SubjectSketch(contigs[i].Seq), nil)
 	}
-	split.MergeTable(t1)
-	split.MergeTable(t2)
+	split.Seal()
 
-	if direct.Table().Entries() != split.Table().Entries() {
-		t.Fatalf("entries differ: %d vs %d", direct.Table().Entries(), split.Table().Entries())
+	if direct.Entries() != split.Entries() {
+		t.Fatalf("entries differ: %d vs %d", direct.Entries(), split.Entries())
 	}
 	s1, s2 := direct.NewSession(), split.NewSession()
 	for i := 0; i < 40; i++ {
@@ -305,42 +316,13 @@ func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
 	}
 }
 
-func TestSetFrozenDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	_, contigs, reads, _ := makeWorld(t, rng, 10_000, 500, 5)
-	p := smallParams()
-	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
-	sess := m.NewSession()
-	seg := reads[0].Seq[:p.L]
-	if _, ok := sess.MapSegment(seg); !ok {
-		t.Fatal("baseline mapping failed")
-	}
-	// Freeze the real table: results must not change.
-	m.SetFrozen(m.Table().Freeze())
-	frozenSess := m.NewSession()
-	h1, ok1 := frozenSess.MapSegment(seg)
-	m.SetFrozen(nil) // back to the hash table
-	hashSess := m.NewSession()
-	h2, ok2 := hashSess.MapSegment(seg)
-	if ok1 != ok2 || h1 != h2 {
-		t.Fatalf("frozen %v,%v != hash %v,%v", h1, ok1, h2, ok2)
-	}
-	// An empty frozen table must shadow the hash table (proves the
-	// dispatch actually switches).
-	m.SetFrozen(sketch.NewTable(p.T).Freeze())
-	emptySess := m.NewSession()
-	if _, ok := emptySess.MapSegment(seg); ok {
-		t.Error("empty frozen table still produced hits")
-	}
-}
-
 func TestMapReadsTimedReportsDuration(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	_, contigs, reads, _ := makeWorld(t, rng, 10_000, 500, 5)
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	results, d := m.MapReadsTimed(reads, p.L, 1)
 	if len(results) != 2*len(reads) {
 		t.Errorf("got %d results", len(results))
@@ -376,6 +358,7 @@ func TestMapSegmentPositionalEstimatesLocation(t *testing.T) {
 	p := sketch.Params{K: 12, W: 4, T: 8, L: 200, Seed: 3}
 	m, _ := NewMapper(p)
 	m.AddSubjects([]seq.Record{{ID: "c", Seq: contig}})
+	m.Seal()
 	sess := m.NewSession()
 	for trial := 0; trial < 20; trial++ {
 		pos := rng.Intn(len(contig) - p.L)
@@ -403,6 +386,7 @@ func TestMapSegmentPositionalAgreesWithPlain(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	plain := m.NewSession()
 	positional := m.NewSession()
 	for _, r := range reads {
@@ -432,6 +416,7 @@ func TestMapReadTiledFindsContainedContig(t *testing.T) {
 		{ID: "mid", Seq: contained},
 		{ID: "right", Seq: flankB},
 	})
+	m.Seal()
 	sess := m.NewSession()
 
 	// End segments see only the flanks.
@@ -461,6 +446,7 @@ func TestMapReadTiledStrideAndBounds(t *testing.T) {
 	contig := randDNA(rng, 3000)
 	m, _ := NewMapper(p)
 	m.AddSubjects([]seq.Record{{ID: "c", Seq: contig}})
+	m.Seal()
 	sess := m.NewSession()
 	tiles := sess.MapReadTiled(contig, p.L, p.L/2)
 	if len(tiles) == 0 {
@@ -502,6 +488,7 @@ func TestBestHitAgreesWithBruteForceJaccard(t *testing.T) {
 	}
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	sess := m.NewSession()
 
 	agree, total := 0, 0
@@ -547,6 +534,7 @@ func TestSessionQueryIDIsolation(t *testing.T) {
 	p := smallParams()
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
+	m.Seal()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		segA := randDNA(r, p.L)
@@ -563,53 +551,81 @@ func TestSessionQueryIDIsolation(t *testing.T) {
 	}
 }
 
-// TestSealedMapperMatchesMutable pins the tentpole invariant: sealing
-// a mapper (freezing its table in memory and dropping the hash form)
-// must not change a single mapping decision.
+// TestSealedMapperMatchesMutable pins what sealing must not change: a
+// sealed mapper's every mapping decision equals the one made by
+// counting, per query, over a plain map-of-lists table filled subject
+// by subject — the mutable table a mapper used to serve from before
+// sealing, which now exists only here.
 func TestSealedMapperMatchesMutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	_, contigs, reads, _ := makeWorld(t, rng, 24_000, 600, 15)
 	p := smallParams()
-	mut, err := NewMapper(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut.AddSubjects(contigs)
 	sealed, err := NewMapper(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sealed.AddSubjects(contigs)
-	wantEntries := mut.Table().Entries()
-
+	if sealed.Sealed() || sealed.Entries() != 0 || sealed.Shards() != 0 {
+		t.Fatal("a mapper is sealed, or claims a table, before Seal")
+	}
 	sealed.Seal()
 	sealed.Seal() // idempotent
-	if !sealed.Sealed() {
-		t.Fatal("Sealed() false after Seal")
-	}
-	if sealed.Table() != nil {
-		t.Fatal("sealed mapper still holds its mutable table")
-	}
-	if sealed.Frozen() == nil {
-		t.Fatal("sealed mapper has no frozen table")
-	}
-	if sealed.Entries() != wantEntries {
-		t.Fatalf("sealing changed entry count: %d != %d", sealed.Entries(), wantEntries)
+	if !sealed.Sealed() || sealed.Frozen() == nil || sealed.Shards() != 1 {
+		t.Fatal("Seal did not leave a sealed one-shard mapper")
 	}
 
-	r1 := mut.MapReads(reads, p.L, 2)
-	r2 := sealed.MapReads(reads, p.L, 2)
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatal("sealed mapper maps reads differently from mutable mapper")
+	sk := sealed.Sketcher()
+	mutable := make([]map[sketch.Word][]int32, p.T) // trial → word → subjects
+	wantEntries := 0
+	for ti := range mutable {
+		mutable[ti] = make(map[sketch.Word][]int32)
 	}
-	s1, s2 := mut.NewSession(), sealed.NewSession()
-	for i := 0; i < 40; i++ {
-		seg := randDNA(rng, p.L)
-		h1, ok1 := s1.MapSegmentPositional(seg)
-		h2, ok2 := s2.MapSegmentPositional(seg)
-		if ok1 != ok2 || h1 != h2 {
-			t.Fatalf("positional segment %d: %v,%v != %v,%v", i, h1, ok1, h2, ok2)
+	for subj, c := range contigs {
+		for ti, words := range sk.SubjectSketch(c.Seq) {
+			for _, w := range words {
+				if l := mutable[ti][w]; len(l) == 0 || l[len(l)-1] != int32(subj) {
+					mutable[ti][w] = append(l, int32(subj))
+					wantEntries++
+				}
+			}
 		}
+	}
+	if sealed.Entries() != wantEntries {
+		t.Fatalf("sealed table holds %d entries, the mutable one %d", sealed.Entries(), wantEntries)
+	}
+	mapMutable := func(seg []byte) (Hit, bool) {
+		counts := make(map[int32]int32)
+		for ti, w := range sk.QuerySketch(seg) {
+			for _, subj := range mutable[ti][w] {
+				counts[subj]++
+			}
+		}
+		best := Hit{Subject: -1}
+		for subj, c := range counts {
+			if c > best.Count || (c == best.Count && subj < best.Subject) {
+				best = Hit{Subject: subj, Count: c}
+			}
+		}
+		return best, best.Subject >= 0
+	}
+	sess := sealed.NewSession()
+	check := func(seg []byte) {
+		t.Helper()
+		want, wantOK := mapMutable(seg)
+		got, ok := sess.MapSegment(seg)
+		pos, posOK := sess.MapSegmentPositional(seg)
+		if ok != wantOK || got != want || posOK != wantOK || pos.Hit != want {
+			t.Fatalf("sealed %v,%v positional %v,%v; mutable %v,%v", got, ok, pos.Hit, posOK, want, wantOK)
+		}
+	}
+	for _, r := range reads {
+		segs, _ := EndSegments(r.Seq, p.L)
+		for _, seg := range segs {
+			check(seg)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		check(randDNA(rng, p.L))
 	}
 }
 
@@ -635,27 +651,31 @@ func TestSealedMapperPanicsOnMutation(t *testing.T) {
 	mustPanic("AddSubjects", func() { m.AddSubjects(contigs) })
 	mustPanic("AddSubjectsParallel", func() { m.AddSubjectsParallel(contigs, 2) })
 	mustPanic("RegisterSubjects", func() { m.RegisterSubjects(contigs) })
-	mustPanic("MergeTable", func() { m.MergeTable(sketch.NewTable(p.T)) })
+	mustPanic("Appender", func() { m.Appender() })
 }
 
-// TestMutationAfterSessionPanics: sessions snapshot nothing — they
-// read the live table — so growing the subject set once any session
-// exists is a data race by construction and must panic loudly.
+// TestMutationAfterSessionPanics: sessions size their counter arrays to
+// the subject set, so it must never grow under one. The guard is the
+// seal: a session cannot be had before it, a subject cannot be added
+// after it.
 func TestMutationAfterSessionPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	contigs := []seq.Record{{ID: "c0", Seq: randDNA(rng, 600)}}
 	m, _ := NewMapper(smallParams())
 	m.AddSubjects(contigs)
+	mustPanicWith := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
+			}
+		}()
+		f()
+	}
+	mustPanicWith("NewSession on an unsealed mapper", func() { m.NewSession() })
+	mustPanicWith("NewSession on an unsealed mapper", func() { m.MapReads(nil, 100, 1) })
+	m.Seal()
 	_ = m.NewSession()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("AddSubjects after NewSession did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "must not gain subjects while sessions exist") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	m.AddSubjects(contigs)
+	mustPanicWith("AddSubjects on a sealed mapper", func() { m.AddSubjects(contigs) })
 }

@@ -25,7 +25,7 @@ import (
 //	          payload page size (u32),
 //	          per shard {file offset u64, payload length u64, CRC32 u32}
 //	manifest CRC32 (u32, over magic+manifest, footer not self-included)
-//	per-shard flat payloads (FrozenTable.EncodeFlat), each starting at
+//	per-shard flat payloads (FrozenTable.Payload), each starting at
 //	its directory offset, page-aligned, gaps zero-filled
 //
 // Every payload is the flat serving layout at a page-aligned file
@@ -68,8 +68,9 @@ func checkMagic(magic [8]byte) error {
 
 // WriteIndex serializes a sealed mapper — sketch parameters, subject
 // metadata and the shard tables — so an index built once can be reused
-// across runs (jem-mapper -save-index / -load-index). Shard payloads
-// are encoded concurrently; the file ends at the last payload byte (no
+// across runs (jem-mapper -save-index / -load-index). A sealed table
+// is already a view over its flat payloads, so the write is the
+// manifest plus those bytes; the file ends at the last payload byte (no
 // trailing pad), and the zero-filled alignment gaps cost nothing once
 // mapped — untouched pages are never faulted in. An unsealed mapper has
 // no serving table to write and returns an error.
@@ -78,20 +79,16 @@ func (m *Mapper) WriteIndex(w io.Writer) error {
 		return fmt.Errorf("core: mapper has no sealed table to write (seal it first)")
 	}
 	n := m.sharded.NumShards()
-	tables := make([]*sketch.FrozenTable, n)
-	for i := range tables {
+	payloads := make([][]byte, n)
+	for i := range payloads {
 		// A lazy shard is forced in: an index cannot be written from a
 		// payload that fails its checksum.
 		ft, err := m.sharded.ShardChecked(i)
 		if err != nil {
 			return fmt.Errorf("core: materializing shard %d for write: %w", i, err)
 		}
-		tables[i] = ft
+		payloads[i] = ft.Payload()
 	}
-	payloads := make([][]byte, n)
-	parallel.ForEach(n, 0, func(i int) {
-		payloads[i] = tables[i].EncodeFlat()
-	})
 	var metaBuf bytes.Buffer
 	if err := m.writeIndexMeta(&metaBuf); err != nil {
 		return err
@@ -567,7 +564,7 @@ func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
 		return nil, MemoryInfo{}, fmt.Errorf("core: assembling sharded table: %w", err)
 	}
 	m := ld.man.m
-	m.sharded, m.table, m.sealed = sf, nil, true
+	m.sharded, m.build = sf, nil
 	return m, MemoryInfo{Shards: ld.res, Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
 }
 

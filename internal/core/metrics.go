@@ -55,7 +55,7 @@ func (m *Mapper) EnableMetrics(reg *obs.Registry) *Metrics {
 // both a metrics registry and a serving path split over several shards
 // — a local sharded table or a remote backend — are present. It runs
 // from EnableMetrics (load path: table installed first) and from
-// SealSharded/SetSharded/SetRemote (build path: registry installed
+// SealSharded/SetRemote (build path: registry installed
 // first), and always before sessions exist, so sessions see a
 // complete slice. A one-shard mapper registers none: its only shard's
 // count is the Postings counter.

@@ -36,20 +36,19 @@ type ShardQuerier interface {
 // SetRemote installs a remote scatter-gather backend as the mapper's
 // serving path, replacing any local table (the typical caller holds a
 // meta-only mapper from ReadIndexMetaFile, which has no postings to
-// drop). Passing nil restores local serving and panics if no local
-// table remains. Like SetFrozen/SetSharded it must run before
-// sessions are issued.
+// drop). Passing nil restores local serving and panics if there is no
+// sealed local table to return to. It must run before sessions are
+// issued, and it seals the mapper: no subjects are added afterwards.
 func (m *Mapper) SetRemote(q ShardQuerier) {
 	if q == nil {
-		if m.table == nil && m.sharded == nil {
-			panic("core: cannot clear the remote backend of a sealed mapper (no local table remains)")
+		if m.sharded == nil {
+			panic("core: cannot clear the remote backend of a mapper with no sealed local table")
 		}
 		m.remote = nil
 		return
 	}
 	m.remote = q
-	m.table = nil
-	m.sealed = true
+	m.build = nil
 	m.enableShardMetrics()
 }
 

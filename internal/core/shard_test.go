@@ -77,7 +77,7 @@ func TestSealShardedStateMachine(t *testing.T) {
 	}
 	m.AddSubjects(contigs)
 	m.SealSharded(4, 0)
-	if !m.Sealed() || m.Sharded() == nil || m.Table() != nil {
+	if !m.Sealed() || m.Sharded() == nil {
 		t.Fatalf("SealSharded left wrong state: sealed=%v sharded=%v", m.Sealed(), m.Sharded())
 	}
 	m.SealSharded(4, 0) // idempotent

@@ -7,9 +7,8 @@ import (
 )
 
 // postingSource is where a session's scan gets posting lists from. A
-// mapper has exactly one at any time (source): the sealed sharded
-// table, a remote shard fleet, or — before sealing — the mutable
-// build-time table seen as one shard.
+// sealed mapper has exactly one at any time (source): the sealed
+// sharded table or a remote shard fleet.
 type postingSource interface {
 	// numShards returns the shard count P probes are routed over with
 	// sketch.ShardOf.
@@ -23,9 +22,9 @@ type postingSource interface {
 	fetch(s *Session, words []sketch.Word, touched []int32)
 }
 
-// source returns the mapper's current posting source. Sessions capture
-// it at creation (every way of installing a table must run before
-// sessions are issued).
+// source returns the mapper's posting source. Sessions capture it at
+// creation (SetRemote must run before sessions are issued). An unsealed
+// mapper has none: it serves only once sealed.
 func (m *Mapper) source() postingSource {
 	switch {
 	case m.remote != nil:
@@ -33,20 +32,7 @@ func (m *Mapper) source() postingSource {
 	case m.sharded != nil:
 		return localSource{m.sharded}
 	}
-	return tableSource{m.table}
-}
-
-// tableSource serves from the mutable build-time table as one shard
-// that is never lost and never timed (its slot's err and dur keep their
-// zero values).
-type tableSource struct{ tb *sketch.Table }
-
-func (tableSource) numShards() int { return 1 }
-
-func (ts tableSource) fetch(s *Session, words []sketch.Word, _ []int32) {
-	for t, w := range words {
-		s.plists[t] = ts.tb.Lookup(t, w)
-	}
+	panic("core: NewSession on an unsealed mapper (Seal it first; a meta-only mapper needs SetRemote)")
 }
 
 // localSource serves from the sealed sharded table. A lazy shard is

@@ -3,7 +3,7 @@
 //
 //	S1 (load input)      block-partition queries and subjects by bases
 //	S2 (sketch subjects) each rank sketches its local contigs
-//	S3 (gather sketch)   allgather the per-rank tables into S_global
+//	S3 (gather sketch)   allgather the per-rank sketch records into S_global
 //	S4 (map queries)     each rank maps its local query segments
 //
 // The output mapping is bit-identical to the shared-memory path for
@@ -13,7 +13,6 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -52,7 +51,8 @@ type Output struct {
 	// QuerySegments is the number of end segments mapped (the unit of
 	// Fig. 7b's throughput).
 	QuerySegments int
-	// TableBytes is the allgathered sketch payload size.
+	// TableBytes is the allgathered sketch payload size: the real bytes
+	// of every rank's records.
 	TableBytes int64
 	// Trace is the tracer the run reported its per-rank phase spans
 	// to (Config.Tracer if set, otherwise a run-private tracer).
@@ -114,53 +114,37 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 	})
 	mapper.RegisterSubjects(contigs)
 
-	// S2: sketch subjects into per-rank local tables.
-	locals := make([]*sketch.Table, cfg.P)
+	// S2: each rank sketches its contigs into its own appender — the
+	// per-rank local table of the paper, as a run of fixed-width records.
+	locals := make([]*sketch.Appender, cfg.P)
 	sim.Step("S2 sketch subjects", func(rank int) {
 		ranks[rank].Time("sketch", func() {
-			tbl := sketch.NewTable(cfg.Params.T)
+			locals[rank] = mapper.Appender()
 			lo, hi := subjParts[rank][0], subjParts[rank][1]
 			for i := lo; i < hi; i++ {
-				tbl.Insert(int32(i), mapper.Sketcher().SubjectSketch(contigs[i].Seq))
+				locals[rank].Append(int32(i), mapper.Sketcher().SubjectSketch(contigs[i].Seq), nil)
 			}
-			locals[rank] = tbl
 		})
 	})
 
-	// S3: gather. Serialize per rank (real work), charge the modeled
-	// allgather, then build S_global (executed once, counted as the
+	// S3: gather. The runs are their own wire format, so "serializing"
+	// one is measuring it; charge the modeled allgather for the real
+	// bytes, then build S_global (executed once, counted as the
 	// per-rank merge every process performs).
-	encoded := make([][]byte, cfg.P)
+	sizes := make([]int64, cfg.P)
 	sim.Step("S3 serialize sketch", func(rank int) {
-		ranks[rank].Time("gather", func() {
-			var buf bytes.Buffer
-			if err := locals[rank].Encode(&buf); err != nil {
-				panic(err) // bytes.Buffer writes cannot fail
-			}
-			encoded[rank] = buf.Bytes()
-		})
+		ranks[rank].Time("gather", func() { sizes[rank] = locals[rank].Bytes() })
 	})
 	var total int64
-	for _, b := range encoded {
-		total += int64(len(b))
+	for _, n := range sizes {
+		total += n
 	}
 	sim.Allgather("S3 allgather sketch", total)
-	// Every rank turns the gathered payloads into its S_global. The
-	// sorted payload format admits a k-way merge into a frozen
-	// sorted-array table — no hashing — which keeps this step from
-	// dominating the runtime the way a hash-map rebuild would.
-	var mergeErr error
-	sim.SequentialStep("S3 merge sketch", func() {
-		ft, err := sketch.FreezePayloads(cfg.Params.T, encoded)
-		if err != nil {
-			mergeErr = err
-			return
-		}
-		mapper.SetFrozen(ft)
-	})
-	if mergeErr != nil {
-		return nil, fmt.Errorf("dist: gather: %w", mergeErr)
-	}
+	// Every rank turns the gathered runs into its S_global by the same
+	// sort-and-lay-out every table is built with — no hashing — which
+	// keeps this step from dominating the runtime the way a hash-map
+	// rebuild would.
+	sim.SequentialStep("S3 merge sketch", mapper.Seal)
 
 	// S4: map local queries.
 	perRank := make([][]core.Result, cfg.P)

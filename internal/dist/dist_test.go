@@ -45,6 +45,7 @@ func sharedMemoryResults(t *testing.T, contigs, reads []seq.Record) []core.Resul
 		t.Fatal(err)
 	}
 	m.AddSubjects(contigs)
+	m.Seal()
 	return m.MapReads(reads, smallParams().L, 1)
 }
 

@@ -45,12 +45,13 @@ func AblationOrdering(spec Spec, scale float64, opts jem.Options) (*OrderingAbla
 			return jem.Quality{}, 0, err
 		}
 		m.AddSubjectsParallel(d.Contigs, opts.Workers)
+		m.Seal()
 		results := m.MapReads(d.Reads, opts.SegmentLen, opts.Workers)
 		c := b.Evaluate(results)
 		return jem.Quality{
 			TP: c.TP, FP: c.FP, FN: c.FN, TN: c.TN,
 			Precision: c.Precision(), Recall: c.Recall(), F1: c.F1(),
-		}, m.Table().Entries(), nil
+		}, m.Entries(), nil
 	}
 	out := &OrderingAblation{Dataset: spec.Name}
 	if out.Lex, out.LexEntries, err = run(minimizer.OrderLex); err != nil {
@@ -103,6 +104,7 @@ func AblationEndSegments(spec Spec, scale float64, opts jem.Options) (*SegmentsA
 		return nil, err
 	}
 	m.AddSubjectsParallel(d.Contigs, opts.Workers)
+	m.Seal()
 
 	out := &SegmentsAblation{Dataset: spec.Name}
 
@@ -190,6 +192,7 @@ func AblationLazyCounters(spec Spec, scale float64, opts jem.Options) (*LazyCoun
 		return nil, err
 	}
 	m.AddSubjectsParallel(d.Contigs, opts.Workers)
+	m.Seal()
 	out := &LazyCounterAblation{Dataset: spec.Name}
 
 	_, lazyDur := m.MapReadsTimed(d.Reads, opts.SegmentLen, 1)
@@ -228,6 +231,7 @@ func AblationWindow(spec Spec, scale float64, ws []int, opts jem.Options) ([]Win
 			return nil, err
 		}
 		m.AddSubjectsParallel(d.Contigs, opts.Workers)
+		m.Seal()
 		results, dur := m.MapReadsTimed(d.Reads, opts.SegmentLen, 1)
 		c := b.Evaluate(results)
 		points = append(points, WindowPoint{
@@ -236,7 +240,7 @@ func AblationWindow(spec Spec, scale float64, ws []int, opts jem.Options) ([]Win
 				TP: c.TP, FP: c.FP, FN: c.FN, TN: c.TN,
 				Precision: c.Precision(), Recall: c.Recall(), F1: c.F1(),
 			},
-			TableEntries: m.Table().Entries(),
+			TableEntries: m.Entries(),
 			QuerySeconds: dur.Seconds(),
 		})
 	}
@@ -337,7 +341,7 @@ func RenderAblationBubbles(w io.Writer, a *BubbleAblation) {
 func mapCounterBaseline(m *core.Mapper, reads []seq.Record, l int) float64 {
 	start := time.Now()
 	sk := m.Sketcher()
-	tb := m.Table()
+	tb := m.Sharded()
 	for i := range reads {
 		segs, _ := core.EndSegments(reads[i].Seq, l)
 		for _, seg := range segs {

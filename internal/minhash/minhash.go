@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/seq"
 	"repro/internal/sketch"
 )
@@ -21,7 +22,7 @@ import (
 // Mapper is the classical-MinHash mapper.
 type Mapper struct {
 	sk    *sketch.Sketcher
-	table *sketch.Table
+	table *sketch.FrozenTable
 	nsubj int
 }
 
@@ -34,34 +35,25 @@ func NewMapper(contigs []seq.Record, p sketch.Params, workers int) (*Mapper, err
 	if err != nil {
 		return nil, err
 	}
-	m := &Mapper{sk: sk, table: sketch.NewTable(p.T), nsubj: len(contigs)}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sketches := make([][]sketch.Word, len(contigs))
-	var wg sync.WaitGroup
-	idx := make(chan int, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				sketches[i] = sk.MinHashSketch(contigs[i].Seq)
-			}
-		}()
-	}
-	for i := range contigs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, words := range sketches {
+	// Each worker sketches contigs and appends them — one word per trial
+	// and subject, no anchors — to its own appender.
+	build := sketch.NewBuilder(p.T)
+	parallel.ForEachWorker(len(contigs), workers, build.Appender, func(a *sketch.Appender, i int) {
+		words := sk.MinHashSketch(contigs[i].Seq)
 		if words == nil {
-			continue
+			return
 		}
-		m.table.InsertQueryWords(int32(i), words)
+		perTrial := make([][]sketch.Word, p.T)
+		for t := range perTrial {
+			perTrial[t] = words[t : t+1]
+		}
+		a.Append(int32(i), perTrial, nil)
+	})
+	sf, err := build.Freeze(1, workers, nil)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &Mapper{sk: sk, table: sf.Shard(0), nsubj: len(contigs)}, nil
 }
 
 // Session holds per-goroutine lazy counters, mirroring core.Session.

@@ -78,6 +78,7 @@ func TestDegradesOnLongContigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	jem.AddSubjects(contigs)
+	jem.Seal()
 
 	mhSess := mh.NewSession()
 	jemSess := jem.NewSession()

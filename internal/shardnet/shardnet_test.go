@@ -27,7 +27,8 @@ func testIndex(t *testing.T, p, subjects int) (map[int]*sketch.FrozenTable, Info
 	t.Helper()
 	const trials = 16
 	rng := rand.New(rand.NewSource(42))
-	tb := sketch.NewTable(trials)
+	build := sketch.NewBuilder(trials)
+	a := build.Appender()
 	for subj := 0; subj < subjects; subj++ {
 		words := make([][]sketch.Word, trials)
 		anchors := make([][]int32, trials)
@@ -37,9 +38,12 @@ func testIndex(t *testing.T, p, subjects int) (map[int]*sketch.FrozenTable, Info
 				anchors[ti] = append(anchors[ti], int32(rng.Intn(1<<20))-1)
 			}
 		}
-		tb.InsertPositional(int32(subj), words, anchors)
+		a.Append(int32(subj), words, anchors)
 	}
-	sf := tb.FreezeSharded(p, 0)
+	sf, err := build.Freeze(p, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tables := make(map[int]*sketch.FrozenTable, p)
 	for i := 0; i < sf.NumShards(); i++ {
 		tables[i] = sf.Shard(i)

@@ -8,10 +8,9 @@ import (
 	"repro/internal/kmer"
 )
 
-// Flat frozen-table payload: the serialized (JEMIDX06) form of a
-// FrozenTable, laid out so the serving structures can be built over
-// the raw bytes with zero copies — the flat payload IS the serving
-// layout:
+// Flat table payload: the bytes a FrozenTable is a view over — what
+// Builder.Freeze lays out, what a JEMIDX06 file stores per shard and
+// what an index open maps. The flat payload IS the serving layout:
 //
 //	u32  trial count T
 //	T ×  48-byte trial directory entry:
@@ -26,9 +25,10 @@ import (
 // Sections follow the directory in exactly that order, trial by trial,
 // and every section offset is 8-byte aligned, so when the payload
 // itself sits at an aligned address (JEMIDX06 page-aligns each shard
-// in the file; heap buffers are allocator-aligned) a view can alias
-// the words/offsets/postings/buckets arrays directly. On little-endian
-// hosts a view therefore allocates nothing proportional to the table.
+// in the file; the builder and the loader allocate aligned buffers) a
+// view aliases the words/offsets/postings/buckets arrays directly and
+// allocates nothing proportional to the table. All integers are
+// little-endian, and so must the host be.
 const (
 	flatDirEntrySize = 48
 	flatAlign        = 8
@@ -48,81 +48,32 @@ type flatTrialDir struct {
 
 func align8(x int64) int64 { return (x + flatAlign - 1) &^ (flatAlign - 1) }
 
-// flatLayout computes the directory and total payload size for this
-// table.
-func (ft *FrozenTable) flatLayout() ([]flatTrialDir, int64) {
-	t := len(ft.trials)
-	dirs := make([]flatTrialDir, t)
-	off := align8(int64(4 + flatDirEntrySize*t))
-	for i := range ft.trials {
-		fb := &ft.trials[i]
-		d := &dirs[i]
-		d.nwords = uint32(len(fb.words))
-		d.npostings = uint32(len(fb.postings))
-		d.nbuckets = uint32(len(fb.buckets))
-		d.shift = uint32(fb.shift)
-		d.wordsOff = uint64(off)
-		off += int64(len(fb.words)) * 8
-		d.offsets = uint64(off)
-		off = align8(off + int64(len(fb.offsets))*4)
-		d.postings = uint64(off)
-		off += int64(len(fb.postings)) * 8
-		d.buckets = uint64(off)
-		off = align8(off + int64(len(fb.buckets))*4)
-	}
-	return dirs, off
+// put writes the directory entry into its 48-byte slot.
+func (d *flatTrialDir) put(slot []byte) {
+	le := binary.LittleEndian
+	le.PutUint32(slot, d.nwords)
+	le.PutUint32(slot[4:], d.npostings)
+	le.PutUint32(slot[8:], d.nbuckets)
+	le.PutUint32(slot[12:], d.shift)
+	le.PutUint64(slot[16:], d.wordsOff)
+	le.PutUint64(slot[24:], d.offsets)
+	le.PutUint64(slot[32:], d.postings)
+	le.PutUint64(slot[40:], d.buckets)
 }
 
-// EncodeFlat serializes the table into the flat payload layout,
-// returning the backing buffer (alignment padding is zeroed).
-func (ft *FrozenTable) EncodeFlat() []byte {
-	dirs, size := ft.flatLayout()
-	buf := make([]byte, size)
-	le := binary.LittleEndian
-	le.PutUint32(buf, uint32(len(ft.trials)))
-	for i := range dirs {
-		d := &dirs[i]
-		p := 4 + flatDirEntrySize*i
-		le.PutUint32(buf[p:], d.nwords)
-		le.PutUint32(buf[p+4:], d.npostings)
-		le.PutUint32(buf[p+8:], d.nbuckets)
-		le.PutUint32(buf[p+12:], d.shift)
-		le.PutUint64(buf[p+16:], d.wordsOff)
-		le.PutUint64(buf[p+24:], d.offsets)
-		le.PutUint64(buf[p+32:], d.postings)
-		le.PutUint64(buf[p+40:], d.buckets)
+// alignedBytes allocates n zeroed bytes at an 8-aligned address (the
+// language guarantees that of a []uint64, not of a []byte).
+func alignedBytes(n int64) []byte {
+	if n == 0 {
+		return nil
 	}
-	for i := range ft.trials {
-		fb := &ft.trials[i]
-		d := &dirs[i]
-		p := int(d.wordsOff)
-		for _, w := range fb.words {
-			le.PutUint64(buf[p:], uint64(w))
-			p += 8
-		}
-		p = int(d.offsets)
-		for _, off := range fb.offsets {
-			le.PutUint32(buf[p:], uint32(off))
-			p += 4
-		}
-		p = int(d.postings)
-		for _, pp := range fb.postings {
-			le.PutUint32(buf[p:], uint32(pp.Subject))
-			le.PutUint32(buf[p+4:], uint32(pp.Anchor))
-			p += 8
-		}
-		p = int(d.buckets)
-		for _, b := range fb.buckets {
-			le.PutUint32(buf[p:], uint32(b))
-			p += 4
-		}
-	}
-	return buf
+	backing := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), n)
 }
 
 // parseFlatDirs decodes and bounds-checks the payload directory: every
 // section must be 8-aligned, lie inside the payload, and start at or
-// after the end of the one before it (the order EncodeFlat lays them
+// after the end of the one before it (the order the builder lays them
 // out in), so the sections of all trials together never claim more
 // bytes than the payload holds. It does NOT validate section contents
 // (validateFlatTrial does).
@@ -152,7 +103,7 @@ func parseFlatDirs(buf []byte) ([]flatTrialDir, error) {
 		d.offsets = le.Uint64(buf[p+24:])
 		d.postings = le.Uint64(buf[p+32:])
 		d.buckets = le.Uint64(buf[p+40:])
-		if d.nwords > 1<<31 || d.npostings > 1<<31 || d.nbuckets > 1<<31 || d.shift > 64 {
+		if d.nwords > maxFlatCount || d.npostings > maxFlatCount || d.nbuckets > maxFlatCount || d.shift > 64 {
 			return nil, fmt.Errorf("sketch: flat trial %d has implausible counts", i)
 		}
 		// off comes straight from the file: compare it against the
@@ -229,32 +180,36 @@ func FlatPayloadStats(buf []byte) (trials, entries int, err error) {
 	return len(dirs), entries, nil
 }
 
-// hostLittleEndian reports whether this host matches the on-disk byte
-// order; only then can a view alias the payload bytes directly.
+// hostLittleEndian reports whether this host matches the payload's
+// byte order; a view aliases the bytes, so nothing else can serve them.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
 // ViewFlatFrozen builds a FrozenTable whose arrays alias buf — the one
-// way a flat payload becomes a serving table, whether buf is a slice
-// of an mmap'd index file (mapped = true: the table's bytes count as
-// mapped, see MappedBytes) or a heap buffer holding the same bytes
-// (mapped = false: they count as resident). buf must stay valid and
-// immutable for the table's lifetime and must be 8-byte aligned; on
-// big-endian hosts, or for an unaligned buffer, it falls back to the
-// copying decoder — correctness is identical either way, only
-// residency differs.
+// way flat bytes become a table, whether buf is what the builder just
+// filled, a heap buffer an index was read into (mapped = false: the
+// table's bytes count as resident) or a slice of an mmap'd index file
+// (mapped = true: they count as mapped, see MappedBytes). buf must
+// stay valid and immutable for the table's lifetime. A buffer that is
+// not 8-byte aligned is copied once into one that is, and the copy —
+// resident, whatever buf was — is viewed. Big-endian hosts are
+// refused: the payload is little-endian and there is no decoder.
 func ViewFlatFrozen(buf []byte, mapped bool) (*FrozenTable, error) {
-	if !hostLittleEndian || len(buf) == 0 ||
-		uintptr(unsafe.Pointer(&buf[0]))%flatAlign != 0 {
-		return DecodeFlatFrozen(buf)
+	if !hostLittleEndian {
+		return nil, fmt.Errorf("sketch: flat table payloads are little-endian and served in place; big-endian hosts are not supported")
+	}
+	if len(buf) > 0 && uintptr(unsafe.Pointer(&buf[0]))%flatAlign != 0 {
+		aligned := alignedBytes(int64(len(buf)))
+		copy(aligned, buf)
+		return ViewFlatFrozen(aligned, false)
 	}
 	dirs, err := parseFlatDirs(buf)
 	if err != nil {
 		return nil, err
 	}
-	ft := &FrozenTable{trials: make([]frozenBin, len(dirs)), mapped: mapped}
+	ft := &FrozenTable{trials: make([]frozenBin, len(dirs)), payload: buf, mapped: mapped}
 	for ti := range dirs {
 		d := &dirs[ti]
 		fb := &ft.trials[ti]
@@ -268,51 +223,6 @@ func ViewFlatFrozen(buf []byte, mapped bool) (*FrozenTable, error) {
 		}
 		if d.nbuckets > 0 {
 			fb.buckets = unsafe.Slice((*int32)(unsafe.Pointer(&buf[d.buckets])), d.nbuckets)
-		}
-		if err := validateFlatTrial(ti, fb, d.npostings); err != nil {
-			return nil, err
-		}
-		ft.entries += int(d.npostings)
-	}
-	return ft, nil
-}
-
-// DecodeFlatFrozen decodes a flat payload into an owned, heap-resident
-// FrozenTable — the portable fallback for hosts and buffers where a
-// view cannot alias the bytes.
-func DecodeFlatFrozen(buf []byte) (*FrozenTable, error) {
-	dirs, err := parseFlatDirs(buf)
-	if err != nil {
-		return nil, err
-	}
-	le := binary.LittleEndian
-	ft := &FrozenTable{trials: make([]frozenBin, len(dirs))}
-	for ti := range dirs {
-		d := &dirs[ti]
-		fb := &ft.trials[ti]
-		fb.shift = uint(d.shift)
-		fb.words = make([]kmer.Word, d.nwords)
-		for i := range fb.words {
-			fb.words[i] = kmer.Word(le.Uint64(buf[d.wordsOff+uint64(i)*8:]))
-		}
-		fb.offsets = make([]int32, d.nwords+1)
-		for i := range fb.offsets {
-			fb.offsets[i] = int32(le.Uint32(buf[d.offsets+uint64(i)*4:]))
-		}
-		fb.postings = make([]Posting, d.npostings)
-		for i := range fb.postings {
-			p := d.postings + uint64(i)*8
-			fb.postings[i] = Posting{
-				Subject: int32(le.Uint32(buf[p:])),
-				Anchor:  int32(le.Uint32(buf[p+4:])),
-			}
-		}
-		fb.buckets = make([]int32, d.nbuckets)
-		for i := range fb.buckets {
-			fb.buckets[i] = int32(le.Uint32(buf[d.buckets+uint64(i)*4:]))
-		}
-		if d.nbuckets == 0 {
-			fb.buckets = nil
 		}
 		if err := validateFlatTrial(ti, fb, d.npostings); err != nil {
 			return nil, err

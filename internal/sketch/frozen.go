@@ -1,28 +1,37 @@
 package sketch
 
-import (
-	"container/heap"
-	"encoding/binary"
-	"fmt"
-	"math/bits"
+import "repro/internal/kmer"
 
-	"repro/internal/kmer"
-)
+// Posting is one sketch-table entry: the subject that produced a
+// sketch word, plus the position of the ℓ-interval anchor the word was
+// drawn from. The paper's table stores subject ids only; carrying the
+// anchor is this implementation's positional extension — it enables
+// approximate target coordinates (PAF output, scaffold gap estimates)
+// at the cost of 4 extra bytes per entry in the gathered records (the
+// communication model charges the real size either way). Anchor is -1
+// for sketches without positional provenance (the simulated ranks'
+// sketches, classical MinHash baselines).
+type Posting struct {
+	Subject int32
+	Anchor  int32
+}
 
-// FrozenTable is the read-only form of the sketch table used after the
-// gather step: per trial, a sorted unique word array with a flat
-// posting array indexed by prefix offsets. It matches the paper's
-// picture of S_global as "T lists" more closely than a hash map, and
-// it can be built from the allgathered payloads by a k-way merge in
-// O(entries · log p) without any hashing — which is what keeps the S3
-// merge cost from dominating the distributed runtime.
+// FrozenTable is the sketch data structure S of Algorithm 2, one
+// shard of it: per trial, a sorted unique word array with a flat
+// posting array indexed by prefix offsets — the paper's picture of
+// S_global as "T lists". It is always a view over a flat payload (see
+// flat.go and ViewFlatFrozen, its only constructor): a table the
+// builder just laid out, one read from an index file and one mmap'd
+// are the same type over the same bytes. Every posting list is
+// subject-ascending with one posting per ⟨trial, word, subject⟩.
 type FrozenTable struct {
 	trials  []frozenBin
 	entries int
-	// mapped marks a view whose arrays alias an mmap'd flat payload
-	// (ViewFlatFrozen) rather than heap memory; it flips the table's
-	// bytes from the resident to the mapped column of the memory
-	// accounting.
+	// payload is the flat buffer the arrays below alias.
+	payload []byte
+	// mapped marks a view over an mmap'd index file rather than heap
+	// memory; it flips the table's bytes from the resident to the
+	// mapped column of the memory accounting.
 	mapped bool
 }
 
@@ -34,39 +43,14 @@ type frozenBin struct {
 	// Radix bucket directory over words: bucket b spans the words whose
 	// value >> shift equals b, so buckets[b]..buckets[b+1] is a
 	// near-singleton range and Lookup is O(1) expected instead of a
-	// full log2(words) binary search. Built at freeze time and
-	// serialized with the rest of the flat payload.
+	// full log2(words) binary search (see bucketGeometry).
 	buckets []int32 // len nbuckets+1; lower bounds into words
 	shift   uint
 }
 
-// buildIndex attaches the bucket directory. Sized at ~4 buckets per
-// word (rounded to a power of two), it costs about twice the memory of
-// the word array and leaves almost every bucket a singleton, making
-// the frozen path as fast as the hash map it replaces.
-func (fb *frozenBin) buildIndex() {
-	n := len(fb.words)
-	if n == 0 {
-		fb.buckets = nil
-		fb.shift = 0
-		return
-	}
-	bitlen := bits.Len64(uint64(fb.words[n-1]))
-	b := bits.Len(uint(4*n - 1))
-	if b > bitlen {
-		b = bitlen
-	}
-	fb.shift = uint(bitlen - b)
-	nb := 1 << b
-	fb.buckets = make([]int32, nb+1)
-	idx := 0
-	for v := 0; v <= nb; v++ {
-		for idx < n && int(uint64(fb.words[idx])>>fb.shift) < v {
-			idx++
-		}
-		fb.buckets[v] = int32(idx)
-	}
-}
+// Payload returns the flat bytes this table is a view over — what an
+// index file stores for the shard. It must not be modified.
+func (ft *FrozenTable) Payload() []byte { return ft.payload }
 
 // T returns the number of trial bins.
 func (ft *FrozenTable) T() int { return len(ft.trials) }
@@ -144,172 +128,4 @@ func (ft *FrozenTable) Lookup(t int, w kmer.Word) []Posting {
 		return nil
 	}
 	return bin.postings[bin.offsets[lo]:bin.offsets[lo+1]]
-}
-
-// payloadCursor walks one encoded payload (as written by
-// Table.Encode) via direct slice access: within each trial its words
-// arrive sorted.
-type payloadCursor struct {
-	buf       []byte
-	off       int
-	remaining int       // words left in the current trial
-	word      kmer.Word // current word (valid after a true nextWord)
-	listLen   int       // postings pending for the current word
-}
-
-func (c *payloadCursor) u32() (uint32, error) {
-	if c.off+4 > len(c.buf) {
-		return 0, fmt.Errorf("sketch: truncated payload at offset %d", c.off)
-	}
-	v := binary.LittleEndian.Uint32(c.buf[c.off:])
-	c.off += 4
-	return v, nil
-}
-
-func (c *payloadCursor) u64() (uint64, error) {
-	if c.off+8 > len(c.buf) {
-		return 0, fmt.Errorf("sketch: truncated payload at offset %d", c.off)
-	}
-	v := binary.LittleEndian.Uint64(c.buf[c.off:])
-	c.off += 8
-	return v, nil
-}
-
-func (c *payloadCursor) nextWord() (bool, error) {
-	if c.remaining == 0 {
-		return false, nil
-	}
-	w, err := c.u64()
-	if err != nil {
-		return false, err
-	}
-	ln, err := c.u32()
-	if err != nil {
-		return false, err
-	}
-	c.word = kmer.Word(w)
-	c.listLen = int(ln)
-	c.remaining--
-	return true, nil
-}
-
-// cursorHeap orders cursors by current word (ties by index for
-// determinism).
-type cursorHeap struct {
-	cs  []*payloadCursor
-	idx []int
-}
-
-func (h *cursorHeap) Len() int { return len(h.cs) }
-func (h *cursorHeap) Less(i, j int) bool {
-	if h.cs[i].word != h.cs[j].word {
-		return h.cs[i].word < h.cs[j].word
-	}
-	return h.idx[i] < h.idx[j]
-}
-func (h *cursorHeap) Swap(i, j int) {
-	h.cs[i], h.cs[j] = h.cs[j], h.cs[i]
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-}
-func (h *cursorHeap) Push(x any) { panic("cursorHeap: push unused") }
-func (h *cursorHeap) Pop() any {
-	n := len(h.cs) - 1
-	c := h.cs[n]
-	h.cs = h.cs[:n]
-	h.idx = h.idx[:n]
-	return c
-}
-
-// FreezePayloads k-way merges encoded table payloads (one per rank,
-// each produced by Table.Encode) into a FrozenTable. Every payload
-// must carry the same trial count t.
-func FreezePayloads(t int, payloads [][]byte) (*FrozenTable, error) {
-	if t <= 0 {
-		return nil, fmt.Errorf("sketch: freeze with t=%d", t)
-	}
-	cursors := make([]*payloadCursor, len(payloads))
-	for i, p := range payloads {
-		c := &payloadCursor{buf: p}
-		pt, err := c.u32()
-		if err != nil {
-			return nil, fmt.Errorf("sketch: payload %d: %w", i, err)
-		}
-		if int(pt) != t {
-			return nil, fmt.Errorf("sketch: payload %d has %d trials, want %d", i, pt, t)
-		}
-		cursors[i] = c
-	}
-	ft := &FrozenTable{trials: make([]frozenBin, t)}
-	for ti := 0; ti < t; ti++ {
-		// Load this trial's word counts and first words.
-		h := &cursorHeap{}
-		for i, c := range cursors {
-			nw, err := c.u32()
-			if err != nil {
-				return nil, fmt.Errorf("sketch: payload %d trial %d: %w", i, ti, err)
-			}
-			c.remaining = int(nw)
-			ok, err := c.nextWord()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				h.cs = append(h.cs, c)
-				h.idx = append(h.idx, i)
-			}
-		}
-		heap.Init(h)
-		bin := &ft.trials[ti]
-		bin.offsets = append(bin.offsets, 0)
-		for h.Len() > 0 {
-			c := h.cs[0]
-			w := c.word
-			if n := len(bin.words); n == 0 || bin.words[n-1] != w {
-				if len(bin.words) > 0 {
-					bin.offsets = append(bin.offsets, int32(len(bin.postings)))
-				}
-				bin.words = append(bin.words, w)
-			}
-			if c.off+8*c.listLen > len(c.buf) {
-				return nil, fmt.Errorf("sketch: truncated posting list at offset %d", c.off)
-			}
-			for j := 0; j < c.listLen; j++ {
-				s := binary.LittleEndian.Uint32(c.buf[c.off:])
-				a := binary.LittleEndian.Uint32(c.buf[c.off+4:])
-				c.off += 8
-				bin.postings = append(bin.postings, Posting{Subject: int32(s), Anchor: int32(a)})
-			}
-			ok, err := c.nextWord()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				heap.Fix(h, 0)
-			} else {
-				heap.Pop(h)
-			}
-		}
-		bin.offsets = append(bin.offsets, int32(len(bin.postings)))
-		bin.buildIndex()
-		ft.entries += len(bin.postings)
-	}
-	return ft, nil
-}
-
-// Freeze converts a mutable Table into one monolithic frozen table
-// directly in memory: per trial, the words are sorted and the posting
-// lists laid out contiguously. Sealing goes through FreezeSharded (a
-// sealed mapper is always sharded, P ≥ 1); Freeze is the reference
-// the sharded build is tested against — both bottom out in
-// freezeSubset, so a 1-shard sharded table is bit-for-bit this one.
-func (tb *Table) Freeze() *FrozenTable {
-	words := make([][]kmer.Word, tb.T())
-	for ti, bin := range tb.trials {
-		ws := make([]kmer.Word, 0, len(bin))
-		for w := range bin {
-			ws = append(ws, w)
-		}
-		words[ti] = ws
-	}
-	return tb.freezeSubset(words)
 }

@@ -2,12 +2,10 @@ package sketch
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/kmer"
-	"repro/internal/parallel"
 )
 
 // MaxShards bounds the shard count of a sharded sketch index. The
@@ -39,13 +37,12 @@ func ShardOf(t int, w kmer.Word, shards int) int {
 	return int(x % uint64(shards))
 }
 
-// ShardedFrozen is the partitioned form of the frozen sketch table:
-// P independent FrozenTables, each owning the ⟨trial, word⟩ keys that
-// ShardOf routes to it. Every posting list lives in exactly one shard,
-// so a sharded table answers Lookup identically to the monolithic
-// frozen table it was partitioned from; what sharding buys is
-// parallelism (shards freeze, serialize, and load independently) and
-// bounded per-shard memory.
+// ShardedFrozen is the sealed sketch table: P ≥ 1 independent
+// FrozenTables, each owning the ⟨trial, word⟩ keys that ShardOf routes
+// to it. Every posting list lives in exactly one shard, so every P
+// answers Lookup identically; what sharding buys is parallelism
+// (shards lay out, save and load independently) and bounded per-shard
+// memory.
 type ShardedFrozen struct {
 	shards []*FrozenTable
 	// lazy, when non-nil, is parallel to shards: position i holds either
@@ -100,9 +97,9 @@ func (ls *LazyShard) snapshot() (*FrozenTable, bool) {
 	return ls.ft, true
 }
 
-// NewShardedFrozen assembles a sharded table from per-shard frozen
-// tables (the index loader's path). Every shard must carry the same
-// trial count.
+// NewShardedFrozen assembles a sharded table from per-shard tables
+// (the builder's and the index loader's last step). Every shard must
+// carry the same trial count.
 func NewShardedFrozen(shards []*FrozenTable) (*ShardedFrozen, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("sketch: sharded table needs at least one shard")
@@ -263,78 +260,4 @@ func (sf *ShardedFrozen) Lookup(t int, w kmer.Word) []Posting {
 		return nil
 	}
 	return ft.Lookup(t, w)
-}
-
-// FreezeSharded partitions the mutable table into `shards` frozen
-// shards built concurrently with up to `workers` goroutines (≤0 means
-// GOMAXPROCS). Each ⟨trial, word⟩ posting list is routed to exactly
-// one shard by ShardOf, so for any P the sharded table answers every
-// lookup with byte-identical postings to Freeze's monolithic result.
-func (tb *Table) FreezeSharded(shards, workers int) *ShardedFrozen {
-	return tb.FreezeShardedTraced(shards, workers, nil)
-}
-
-// FreezeShardedTraced is FreezeSharded with a per-shard observation
-// hook: when trace is non-nil each shard's build runs inside
-// trace(shard, fn) on its worker goroutine, which is how the facade
-// attaches per-shard build spans without this package knowing about
-// the observability layer.
-func (tb *Table) FreezeShardedTraced(shards, workers int, trace func(shard int, fn func())) *ShardedFrozen {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > MaxShards {
-		shards = MaxShards
-	}
-	t := tb.T()
-	// Partition pass: per trial, split the word set by destination
-	// shard. Trials are independent, so the pass parallelizes over
-	// trials; distinct goroutines write distinct parts[*][ti] slots.
-	parts := make([][][]kmer.Word, shards)
-	for s := range parts {
-		parts[s] = make([][]kmer.Word, t)
-	}
-	parallel.ForEach(t, workers, func(ti int) {
-		for w := range tb.trials[ti] {
-			sd := ShardOf(ti, w, shards)
-			parts[sd][ti] = append(parts[sd][ti], w)
-		}
-	})
-	// Build pass: shards are disjoint, so they freeze concurrently.
-	out := make([]*FrozenTable, shards)
-	parallel.ForEach(shards, workers, func(sd int) {
-		if trace != nil {
-			trace(sd, func() { out[sd] = tb.freezeSubset(parts[sd]) })
-		} else {
-			out[sd] = tb.freezeSubset(parts[sd])
-		}
-	})
-	return &ShardedFrozen{shards: out, trials: t}
-}
-
-// freezeSubset freezes the given per-trial word subsets (which it
-// sorts in place) into one FrozenTable, pulling posting lists from the
-// mutable table. Freeze and FreezeSharded both bottom out here.
-func (tb *Table) freezeSubset(words [][]kmer.Word) *FrozenTable {
-	ft := &FrozenTable{trials: make([]frozenBin, tb.T())}
-	for ti := range tb.trials {
-		bin := tb.trials[ti]
-		ws := words[ti]
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-		n := 0
-		for _, w := range ws {
-			n += len(bin[w])
-		}
-		fb := &ft.trials[ti]
-		fb.words = ws
-		fb.offsets = make([]int32, 1, len(ws)+1)
-		fb.postings = make([]Posting, 0, n)
-		for _, w := range ws {
-			fb.postings = append(fb.postings, bin[w]...)
-			fb.offsets = append(fb.offsets, int32(len(fb.postings)))
-		}
-		fb.buildIndex()
-		ft.entries += len(fb.postings)
-	}
-	return ft
 }

@@ -9,13 +9,12 @@ import (
 	"repro/internal/kmer"
 )
 
-// shardTestTable builds a small mutable table with deterministic
-// pseudo-random postings across every trial.
-func shardTestTable(t *testing.T, trials, subjects, wordsPerSubject int) *Table {
-	t.Helper()
+// shardTestSketches draws deterministic pseudo-random positional
+// sketches with postings across every trial.
+func shardTestSketches(trials, subjects, wordsPerSubject int) []subjectSketch {
 	rng := rand.New(rand.NewSource(11))
-	tb := NewTable(trials)
-	for subj := 0; subj < subjects; subj++ {
+	out := make([]subjectSketch, subjects)
+	for subj := range out {
 		words := make([][]Word, trials)
 		anchors := make([][]int32, trials)
 		for ti := 0; ti < trials; ti++ {
@@ -24,9 +23,9 @@ func shardTestTable(t *testing.T, trials, subjects, wordsPerSubject int) *Table 
 				anchors[ti] = append(anchors[ti], int32(rng.Intn(1<<20)))
 			}
 		}
-		tb.InsertPositional(int32(subj), words, anchors)
+		out[subj] = subjectSketch{words: words, anchors: anchors}
 	}
-	return tb
+	return out
 }
 
 func TestShardOfRangeAndDeterminism(t *testing.T) {
@@ -81,23 +80,24 @@ func TestShardOfSpread(t *testing.T) {
 }
 
 func TestFreezeShardedMatchesFreeze(t *testing.T) {
-	tb := shardTestTable(t, 6, 10, 40)
-	ft := tb.Freeze()
+	sketches := shardTestSketches(6, 10, 40)
+	ref := referenceOf(6, sketches)
+	ft := freezeSketches(t, 6, sketches, 1, 1, 0).Shard(0)
 	for _, p := range []int{1, 2, 3, 8} {
-		sf := tb.FreezeSharded(p, 0)
+		sf := freezeSketches(t, 6, sketches, 2, p, 0)
 		if sf.NumShards() != p {
 			t.Fatalf("NumShards = %d, want %d", sf.NumShards(), p)
 		}
-		if sf.T() != tb.T() {
-			t.Fatalf("T = %d, want %d", sf.T(), tb.T())
+		if sf.T() != ft.T() {
+			t.Fatalf("T = %d, want %d", sf.T(), ft.T())
 		}
 		if sf.Entries() != ft.Entries() {
 			t.Fatalf("p=%d: Entries = %d, want %d", p, sf.Entries(), ft.Entries())
 		}
-		// Every key the monolithic table answers must answer identically
+		// Every key the one-shard table answers must answer identically
 		// through the sharded router, and live in exactly one shard.
-		for ti := 0; ti < tb.T(); ti++ {
-			for w := range tb.trials[ti] {
+		for ti, bin := range ref.trials {
+			for w := range bin {
 				want := ft.Lookup(ti, w)
 				got := sf.Lookup(ti, w)
 				if !reflect.DeepEqual(got, want) {
@@ -117,36 +117,42 @@ func TestFreezeShardedMatchesFreeze(t *testing.T) {
 	}
 }
 
-// TestFreezeShardedSingleShardBitIdentical pins the stronger claim the
-// index format relies on: a 1-shard sharded freeze serializes to the
-// same bytes as the monolithic freeze.
+// TestFreezeShardedSingleShardBitIdentical pins the claim the index
+// goldens rely on: the bytes of a shard depend on the records routed to
+// it and on nothing else — not on how many appenders held them.
 func TestFreezeShardedSingleShardBitIdentical(t *testing.T) {
-	tb := shardTestTable(t, 5, 8, 30)
-	mono := tb.Freeze().EncodeFlat()
-	single := tb.FreezeSharded(1, 0).Shard(0).EncodeFlat()
+	sketches := shardTestSketches(5, 8, 30)
+	mono := freezeSketches(t, 5, sketches, 1, 1, 0).Shard(0).Payload()
+	single := freezeSketches(t, 5, sketches, 3, 1, 0).Shard(0).Payload()
 	if !bytes.Equal(mono, single) {
-		t.Fatalf("1-shard freeze is not bit-identical to monolithic freeze")
+		t.Fatalf("1-shard freeze of three appenders is not bit-identical to that of one")
 	}
 }
 
 func TestFreezeShardedWorkersIrrelevant(t *testing.T) {
-	tb := shardTestTable(t, 4, 6, 25)
-	a := tb.FreezeSharded(3, 1)
-	b := tb.FreezeSharded(3, 4)
+	sketches := shardTestSketches(4, 6, 25)
+	a := freezeSketches(t, 4, sketches, 1, 3, 1)
+	b := freezeSketches(t, 4, sketches, 1, 3, 4)
 	for sd := 0; sd < 3; sd++ {
-		if !bytes.Equal(a.Shard(sd).EncodeFlat(), b.Shard(sd).EncodeFlat()) {
+		if !bytes.Equal(a.Shard(sd).Payload(), b.Shard(sd).Payload()) {
 			t.Fatalf("shard %d differs between 1-worker and 4-worker builds", sd)
 		}
 	}
 }
 
 func TestFreezeShardedTraceHookRunsPerShard(t *testing.T) {
-	tb := shardTestTable(t, 4, 6, 25)
+	b := NewBuilder(4)
+	a := b.Appender()
+	for subj, s := range shardTestSketches(4, 6, 25) {
+		a.Append(int32(subj), s.words, s.anchors)
+	}
 	seen := make([]bool, 5)
-	tb.FreezeShardedTraced(5, 1, func(shard int, fn func()) {
+	if _, err := b.Freeze(5, 1, func(shard int, fn func()) {
 		seen[shard] = true
 		fn()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for sd, ok := range seen {
 		if !ok {
 			t.Fatalf("trace hook never ran for shard %d", sd)
@@ -155,25 +161,24 @@ func TestFreezeShardedTraceHookRunsPerShard(t *testing.T) {
 }
 
 func TestFreezeShardedClampsShardCount(t *testing.T) {
-	tb := shardTestTable(t, 2, 2, 5)
-	if got := tb.FreezeSharded(-3, 0).NumShards(); got != 1 {
+	sketches := shardTestSketches(2, 2, 5)
+	if got := freezeSketches(t, 2, sketches, 1, -3, 0).NumShards(); got != 1 {
 		t.Fatalf("shards=-3 built %d shards, want 1", got)
 	}
-	if got := tb.FreezeSharded(MaxShards+5, 0).NumShards(); got != MaxShards {
+	if got := freezeSketches(t, 2, sketches, 1, MaxShards+5, 0).NumShards(); got != MaxShards {
 		t.Fatalf("shards over limit built %d shards, want %d", got, MaxShards)
 	}
 }
 
 func TestNewShardedFrozenValidates(t *testing.T) {
-	tb := shardTestTable(t, 3, 4, 10)
-	sf := tb.FreezeSharded(2, 0)
+	sf := freezeSketches(t, 3, shardTestSketches(3, 4, 10), 1, 2, 0)
 	if _, err := NewShardedFrozen(nil); err == nil {
 		t.Error("empty shard list accepted")
 	}
 	if _, err := NewShardedFrozen([]*FrozenTable{sf.Shard(0), nil}); err == nil {
 		t.Error("nil shard accepted")
 	}
-	other := shardTestTable(t, 5, 4, 10).Freeze()
+	other := freezeSketches(t, 5, shardTestSketches(5, 4, 10), 1, 1, 0).Shard(0)
 	if _, err := NewShardedFrozen([]*FrozenTable{sf.Shard(0), other}); err == nil {
 		t.Error("trial-count mismatch accepted")
 	}

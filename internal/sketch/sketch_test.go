@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -247,10 +248,32 @@ func TestMinHashStrandInvariance(t *testing.T) {
 	}
 }
 
+// appendCall is one Appender.Append call of a hand-written table.
+type appendCall struct {
+	subject int32
+	words   [][]kmer.Word
+	anchors [][]int32
+}
+
+// frozenOf builds the one-shard table of the given appends.
+func frozenOf(t testing.TB, trials int, calls ...appendCall) *FrozenTable {
+	t.Helper()
+	b := NewBuilder(trials)
+	a := b.Appender()
+	for _, c := range calls {
+		a.Append(c.subject, c.words, c.anchors)
+	}
+	sf, err := b.Freeze(1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sf.Shard(0)
+}
+
 func TestTableInsertLookup(t *testing.T) {
-	tb := NewTable(3)
-	tb.Insert(7, [][]kmer.Word{{1, 2}, {3}, {}})
-	tb.Insert(9, [][]kmer.Word{{1}, {}, {4}})
+	tb := frozenOf(t, 3,
+		appendCall{subject: 7, words: [][]kmer.Word{{1, 2}, {3}, {}}},
+		appendCall{subject: 9, words: [][]kmer.Word{{1}, {}, {4}}})
 	if got := tb.Lookup(0, 1); len(got) != 2 || got[0].Subject != 7 || got[1].Subject != 9 {
 		t.Errorf("lookup(0,1) = %v", got)
 	}
@@ -266,83 +289,82 @@ func TestTableInsertLookup(t *testing.T) {
 }
 
 func TestTableInsertCollapsesDuplicates(t *testing.T) {
-	tb := NewTable(1)
-	tb.Insert(3, [][]kmer.Word{{5, 5, 5, 6, 5}})
+	tb := frozenOf(t, 1, appendCall{subject: 3, words: [][]kmer.Word{{5, 5, 5, 6, 5}}})
 	got := tb.Lookup(0, 5)
-	// Consecutive duplicates collapse; the non-consecutive repeat is
-	// also collapsed because the tail is still subject 3.
+	// One posting per ⟨trial, word, subject⟩, however often and wherever
+	// in its sketch the subject repeats the word.
 	if len(got) != 1 || got[0].Subject != 3 {
 		t.Errorf("lookup = %v", got)
 	}
-	if tb.Words(0) != 2 {
-		t.Errorf("words = %d want 2", tb.Words(0))
+	if tb.Words(0) != 2 || tb.Entries() != 2 {
+		t.Errorf("words/entries = %d/%d want 2/2", tb.Words(0), tb.Entries())
 	}
 }
 
 func TestTableInsertPanicsOnTrialMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewTable(2).Insert(0, [][]kmer.Word{{1}})
+	for name, call := range map[string]appendCall{
+		"words":   {words: [][]kmer.Word{{1}}},
+		"anchors": {words: [][]kmer.Word{{1}, {2}}, anchors: [][]int32{{1}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			NewBuilder(2).Appender().Append(0, call.words, call.anchors)
+		}()
+	}
 }
 
+// TestTableMerge: the union of several appenders' runs (the gather
+// step) is one table holding every list.
 func TestTableMerge(t *testing.T) {
-	a := NewTable(2)
-	a.Insert(0, [][]kmer.Word{{10}, {20}})
-	b := NewTable(2)
-	b.Insert(1, [][]kmer.Word{{10}, {30}})
-	a.Merge(b)
-	if got := a.Lookup(0, 10); len(got) != 2 {
-		t.Errorf("merged lookup = %v", got)
-	}
-	if a.Entries() != 4 {
-		t.Errorf("entries = %d", a.Entries())
-	}
-}
-
-func TestTableEncodeDecodeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	tb := NewTable(4)
-	for subj := int32(0); subj < 50; subj++ {
-		perTrial := make([][]kmer.Word, 4)
-		for tr := range perTrial {
-			n := rng.Intn(5)
-			for i := 0; i < n; i++ {
-				perTrial[tr] = append(perTrial[tr], kmer.Word(rng.Intn(1000)))
-			}
-		}
-		tb.Insert(subj, perTrial)
-	}
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != tb.EncodedSize() {
-		t.Errorf("EncodedSize %d != actual %d", tb.EncodedSize(), buf.Len())
-	}
-	got, err := DecodeTable(&buf)
+	b := NewBuilder(2)
+	b.Appender().Append(0, [][]kmer.Word{{10}, {20}}, nil)
+	b.Appender().Append(1, [][]kmer.Word{{10}, {30}}, nil)
+	sf, err := b.Freeze(1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Entries() != tb.Entries() || got.T() != tb.T() {
-		t.Fatalf("decoded entries=%d T=%d; want %d,%d", got.Entries(), got.T(), tb.Entries(), tb.T())
+	if got := sf.Lookup(0, 10); len(got) != 2 || got[0].Subject != 0 || got[1].Subject != 1 {
+		t.Errorf("merged lookup = %v", got)
 	}
-	for tr := 0; tr < tb.T(); tr++ {
-		if got.Words(tr) != tb.Words(tr) {
-			t.Errorf("trial %d words %d != %d", tr, got.Words(tr), tb.Words(tr))
-		}
+	if sf.Entries() != 4 {
+		t.Errorf("entries = %d", sf.Entries())
 	}
 }
 
+// TestTableEncodeDecodeRoundTrip: a sharded table's payload bytes,
+// copied elsewhere (as an index save and load does) and viewed again,
+// are the same table.
+func TestTableEncodeDecodeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	sketches := randomSketches(rng, 4, 50)
+	built := freezeSketches(t, 4, sketches, 2, 3, 2)
+	loaded := make([]*FrozenTable, built.NumShards())
+	for sd := range loaded {
+		ft, err := ViewFlatFrozen(bytes.Clone(built.Shard(sd).Payload()), false)
+		if err != nil {
+			t.Fatalf("shard %d: %v", sd, err)
+		}
+		if ft.MemBytes() != built.Shard(sd).MemBytes() {
+			t.Errorf("shard %d: %d bytes after the round trip, %d before", sd, ft.MemBytes(), built.Shard(sd).MemBytes())
+		}
+		loaded[sd] = ft
+	}
+	sf, err := NewShardedFrozen(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEqualsReference(t, "reloaded", sf, referenceOf(4, sketches))
+}
+
 func TestDecodeTableRejectsGarbage(t *testing.T) {
-	if _, err := DecodeTable(bytes.NewReader([]byte{1, 2})); err == nil {
+	if _, err := ViewFlatFrozen([]byte{1, 2}, false); err == nil {
 		t.Error("truncated header should fail")
 	}
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // implausible trial count
-	if _, err := DecodeTable(&buf); err == nil {
+	if _, err := ViewFlatFrozen([]byte{0xFF, 0xFF, 0xFF, 0xFF}, false); err == nil {
 		t.Error("absurd trial count should fail")
 	}
 }
@@ -375,10 +397,10 @@ func TestSubjectSketchPositionalAnchors(t *testing.T) {
 }
 
 func TestInsertPositionalKeepsAnchors(t *testing.T) {
-	tb := NewTable(2)
-	tb.InsertPositional(4,
-		[][]kmer.Word{{10, 11}, {12}},
-		[][]int32{{100, 900}, {250}})
+	tb := frozenOf(t, 2, appendCall{subject: 4,
+		words:   [][]kmer.Word{{10, 11, 10}, {12}},
+		anchors: [][]int32{{100, 900, 500}, {250}}})
+	// The repeated word keeps its first anchor, not its smallest or last.
 	got := tb.Lookup(0, 10)
 	if len(got) != 1 || got[0] != (Posting{Subject: 4, Anchor: 100}) {
 		t.Errorf("lookup = %v", got)
@@ -389,17 +411,10 @@ func TestInsertPositionalKeepsAnchors(t *testing.T) {
 }
 
 func TestPositionalEncodeRoundTrip(t *testing.T) {
-	tb := NewTable(1)
-	tb.InsertPositional(3, [][]kmer.Word{{7}}, [][]int32{{1234}})
-	tb.Insert(5, [][]kmer.Word{{7}}) // anchor -1
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != tb.EncodedSize() {
-		t.Errorf("EncodedSize %d != actual %d", tb.EncodedSize(), buf.Len())
-	}
-	got, err := DecodeTable(&buf)
+	tb := frozenOf(t, 1,
+		appendCall{subject: 3, words: [][]kmer.Word{{7}}, anchors: [][]int32{{1234}}},
+		appendCall{subject: 5, words: [][]kmer.Word{{7}}}) // anchor -1
+	got, err := ViewFlatFrozen(bytes.Clone(tb.Payload()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,161 +424,91 @@ func TestPositionalEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeIntoEqualsDecodeThenMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	mk := func(subjects []int32) (*Table, []byte) {
-		tb := NewTable(3)
-		for _, s := range subjects {
-			perTrial := make([][]kmer.Word, 3)
-			anchors := make([][]int32, 3)
-			for tr := range perTrial {
-				n := 1 + rng.Intn(4)
-				for i := 0; i < n; i++ {
-					perTrial[tr] = append(perTrial[tr], kmer.Word(rng.Intn(50)))
-					anchors[tr] = append(anchors[tr], int32(rng.Intn(10000)))
-				}
-			}
-			tb.InsertPositional(s, perTrial, anchors)
-		}
-		var buf bytes.Buffer
-		if err := tb.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return tb, buf.Bytes()
-	}
-	_, b1 := mk([]int32{0, 1, 2})
-	_, b2 := mk([]int32{3, 4})
-
-	viaMerge := NewTable(3)
-	for _, b := range [][]byte{b1, b2} {
-		dec, err := DecodeTable(bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaMerge.Merge(dec)
-	}
-	viaInto := NewTable(3)
-	for _, b := range [][]byte{b1, b2} {
-		if err := viaInto.DecodeInto(bytes.NewReader(b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if viaInto.Entries() != viaMerge.Entries() {
-		t.Fatalf("entries %d != %d", viaInto.Entries(), viaMerge.Entries())
-	}
-	for tr := 0; tr < 3; tr++ {
-		if viaInto.Words(tr) != viaMerge.Words(tr) {
-			t.Fatalf("trial %d words %d != %d", tr, viaInto.Words(tr), viaMerge.Words(tr))
-		}
-		for w := kmer.Word(0); w < 50; w++ {
-			a, b := viaInto.Lookup(tr, w), viaMerge.Lookup(tr, w)
-			if len(a) != len(b) {
-				t.Fatalf("trial %d word %d: %v vs %v", tr, w, a, b)
-			}
-			// Same multiset (order may differ across merge strategies
-			// only when payload order differs — here it is identical).
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trial %d word %d posting %d: %v vs %v", tr, w, i, a, b)
-				}
-			}
-		}
-	}
-	if err := viaInto.DecodeInto(bytes.NewReader([]byte{9, 0, 0, 0})); err == nil {
-		t.Error("trial-count mismatch should fail")
-	}
-}
-
 func TestFrozenTableMatchesHashTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	// Build a reference hash table from three "rank" tables, and the
-	// frozen table from their encodings.
-	full := NewTable(4)
-	var payloads [][]byte
-	subj := int32(0)
+	// Three "ranks" each append a contiguous block of subjects to their
+	// own appender; the reference hash table sees them all in order.
+	sketches := randomSketches(rng, 4, 60)
+	ref := referenceOf(4, sketches)
+	b := NewBuilder(4)
 	for rank := 0; rank < 3; rank++ {
-		local := NewTable(4)
-		for s := 0; s < 20; s++ {
-			perTrial := make([][]kmer.Word, 4)
-			anchors := make([][]int32, 4)
-			for tr := range perTrial {
-				n := rng.Intn(6)
-				for i := 0; i < n; i++ {
-					perTrial[tr] = append(perTrial[tr], kmer.Word(rng.Intn(200)))
-					anchors[tr] = append(anchors[tr], int32(rng.Intn(100000)))
-				}
-			}
-			local.InsertPositional(subj, perTrial, anchors)
-			full.InsertPositional(subj, perTrial, anchors)
-			subj++
+		a := b.Appender()
+		for subj := 20 * rank; subj < 20*(rank+1); subj++ {
+			a.Append(int32(subj), sketches[subj].words, sketches[subj].anchors)
 		}
-		var buf bytes.Buffer
-		if err := local.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		payloads = append(payloads, buf.Bytes())
 	}
-	ft, err := FreezePayloads(4, payloads)
+	sf, err := b.Freeze(1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft.Entries() != full.Entries() {
-		t.Fatalf("entries %d != %d", ft.Entries(), full.Entries())
-	}
+	assertEqualsReference(t, "three ranks", sf, ref)
+	assertListInvariant(t, "three ranks", sf)
+	ft := sf.Shard(0)
 	for tr := 0; tr < 4; tr++ {
-		if ft.Words(tr) != full.Words(tr) {
-			t.Fatalf("trial %d words %d != %d", tr, ft.Words(tr), full.Words(tr))
-		}
-		for w := kmer.Word(0); w < 220; w++ {
-			got := ft.Lookup(tr, w)
-			want := full.Lookup(tr, w)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d word %d: %d postings vs %d", tr, w, len(got), len(want))
-			}
-			// Multiset equality: both orderings list subjects in
-			// ascending-rank insertion order here because ranks own
-			// disjoint ascending subject ranges.
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d word %d posting %d: %v vs %v", tr, w, i, got[i], want[i])
-				}
+		for w := kmer.Word(0); w < 320; w++ {
+			if got, want := ft.Lookup(tr, w), ref.Lookup(tr, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d word %d: %v, reference %v", tr, w, got, want)
 			}
 		}
 	}
 }
 
 func TestFreezeEmptyAndErrors(t *testing.T) {
-	ft, err := FreezePayloads(2, nil)
-	if err != nil || ft.Entries() != 0 {
-		t.Errorf("empty freeze: %v %v", ft, err)
+	for _, shards := range []int{1, 4} {
+		sf, err := NewBuilder(2).Freeze(shards, 0, nil)
+		if err != nil || sf.Entries() != 0 || sf.T() != 2 || sf.NumShards() != shards {
+			t.Fatalf("empty freeze at P=%d: %v %v", shards, sf, err)
+		}
+		if sf.Lookup(0, 42) != nil {
+			t.Error("lookup in empty table")
+		}
 	}
-	if ft.Lookup(0, 42) != nil {
-		t.Error("lookup in empty frozen table")
+	// Appenders that never appended are as good as none.
+	b := NewBuilder(2)
+	b.Appender()
+	if sf, err := b.Freeze(1, 0, nil); err != nil || sf.Entries() != 0 {
+		t.Errorf("freeze of idle appenders: %v %v", sf, err)
 	}
-	if _, err := FreezePayloads(0, nil); err == nil {
+	if _, err := NewBuilder(0).Freeze(1, 0, nil); err == nil {
 		t.Error("t=0 should fail")
 	}
-	// Payload with wrong trial count.
-	tb := NewTable(3)
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
+}
+
+// TestCheckTrialLimits pins the refusal that replaced an unchecked
+// narrowing: a ⟨shard, trial⟩ past the payload's 32-bit counts is named,
+// not wrapped into a corrupt directory.
+func TestCheckTrialLimits(t *testing.T) {
+	if err := checkTrialLimits(0, 0, maxFlatCount, maxFlatCount, maxFlatCount); err != nil {
+		t.Errorf("counts at the limit refused: %v", err)
 	}
-	if _, err := FreezePayloads(2, [][]byte{buf.Bytes()}); err == nil {
-		t.Error("trial mismatch should fail")
+	for name, c := range map[string][3]int64{
+		"words":    {maxFlatCount + 1, 5, 9},
+		"postings": {5, 1 << 31, 9},
+		"buckets":  {5, 5, 1<<33 + 1},
+	} {
+		err := checkTrialLimits(3, 17, c[0], c[1], c[2])
+		if err == nil {
+			t.Errorf("%s over the limit accepted", name)
+			continue
+		}
+		for _, want := range []string{"shard 3", "trial 17", "use more shards"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not say %q", name, err, want)
+			}
+		}
 	}
-	// Truncated payload.
-	if _, err := FreezePayloads(3, [][]byte{buf.Bytes()[:5]}); err == nil {
-		t.Error("truncated payload should fail")
+	// The directory is what overflows first: 2^29 words already want
+	// 2^31+1 bucket bounds.
+	if nb, _ := bucketGeometry(1<<29, ^kmer.Word(0)); checkTrialLimits(0, 0, 1<<29, 1<<29, nb) == nil {
+		t.Errorf("2^29 words with %d bucket bounds accepted", nb)
 	}
 }
 
 func TestTableFreezeRoundTrip(t *testing.T) {
-	tb := NewTable(2)
-	tb.InsertPositional(9, [][]kmer.Word{{3, 5}, {4}}, [][]int32{{11, 22}, {33}})
-	ft := tb.Freeze()
-	if ft.Entries() != tb.Entries() {
-		t.Fatalf("entries %d != %d", ft.Entries(), tb.Entries())
+	ft := frozenOf(t, 2, appendCall{subject: 9,
+		words: [][]kmer.Word{{3, 5}, {4}}, anchors: [][]int32{{11, 22}, {33}}})
+	if ft.Entries() != 3 || ft.T() != 2 {
+		t.Fatalf("entries/T %d/%d", ft.Entries(), ft.T())
 	}
 	got := ft.Lookup(0, 5)
 	if len(got) != 1 || got[0] != (Posting{9, 22}) {
@@ -574,78 +519,49 @@ func TestTableFreezeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInsertQueryWords: the whole-sequence MinHash shape — one word
+// per trial, no anchors.
 func TestInsertQueryWords(t *testing.T) {
-	tb := NewTable(3)
-	tb.InsertQueryWords(5, []kmer.Word{7, 8, 9})
+	tb := frozenOf(t, 3, appendCall{subject: 5, words: [][]kmer.Word{{7}, {8}, {9}}})
 	for tr, w := range []kmer.Word{7, 8, 9} {
-		if got := tb.Lookup(tr, w); len(got) != 1 || got[0].Subject != 5 {
+		if got := tb.Lookup(tr, w); len(got) != 1 || got[0] != (Posting{Subject: 5, Anchor: -1}) {
 			t.Errorf("trial %d lookup = %v", tr, got)
 		}
 	}
 }
 
-// randomTable builds a table with random positional sketches over
-// nSubjects synthetic contigs (shared by the direct-freeze tests).
-func randomTable(t testing.TB, rng *rand.Rand, trials, nSubjects int) *Table {
-	t.Helper()
-	tb := NewTable(trials)
-	for s := 0; s < nSubjects; s++ {
-		perTrial := make([][]kmer.Word, trials)
-		anchors := make([][]int32, trials)
-		for tr := range perTrial {
+// randomSketches draws random positional sketches for nSubjects
+// synthetic contigs: few distinct words, so lists are long and subjects
+// repeat words within a trial.
+func randomSketches(rng *rand.Rand, trials, nSubjects int) []subjectSketch {
+	out := make([]subjectSketch, nSubjects)
+	for s := range out {
+		out[s].words = make([][]kmer.Word, trials)
+		out[s].anchors = make([][]int32, trials)
+		for tr := 0; tr < trials; tr++ {
 			n := rng.Intn(8)
 			for i := 0; i < n; i++ {
-				perTrial[tr] = append(perTrial[tr], kmer.Word(rng.Intn(300)))
-				anchors[tr] = append(anchors[tr], int32(rng.Intn(100000)))
-			}
-		}
-		tb.InsertPositional(int32(s), perTrial, anchors)
-	}
-	return tb
-}
-
-// TestFreezeDirectMatchesPayloadMerge pins that the in-memory Freeze
-// produces exactly the table the encode→FreezePayloads path would —
-// the two construction routes of the frozen serving table must agree.
-func TestFreezeDirectMatchesPayloadMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	tb := randomTable(t, rng, 4, 30)
-
-	direct := tb.Freeze()
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	viaPayload, err := FreezePayloads(tb.T(), [][]byte{buf.Bytes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Entries() != viaPayload.Entries() || direct.Entries() != tb.Entries() {
-		t.Fatalf("entries: direct %d, payload %d, table %d",
-			direct.Entries(), viaPayload.Entries(), tb.Entries())
-	}
-	for tr := 0; tr < tb.T(); tr++ {
-		if direct.Words(tr) != viaPayload.Words(tr) {
-			t.Fatalf("trial %d words %d != %d", tr, direct.Words(tr), viaPayload.Words(tr))
-		}
-		for w := kmer.Word(0); w < 320; w++ {
-			if !reflect.DeepEqual(direct.Lookup(tr, w), viaPayload.Lookup(tr, w)) {
-				t.Fatalf("trial %d word %d postings differ", tr, w)
+				out[s].words[tr] = append(out[s].words[tr], kmer.Word(rng.Intn(300)))
+				out[s].anchors[tr] = append(out[s].anchors[tr], int32(rng.Intn(100000)))
 			}
 		}
 	}
+	return out
 }
 
-// TestFrozenEncodeDecodeRoundTrip pins the flat payload: encode a
-// frozen table, read it back both ways (zero-copy view, copying
-// decode), and compare every lookup — plus the one thing the view's
-// mapped flag changes, which column of the memory accounting the
-// table's bytes land in.
+// TestFrozenEncodeDecodeRoundTrip pins the flat payload as the one
+// representation: the bytes of a built table, viewed again as a heap
+// buffer, as a mapping and from an unaligned address, answer every
+// lookup alike — and the one thing the view's mapped flag changes is
+// which column of the memory accounting the table's bytes land in.
 func TestFrozenEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, nSubjects := range []int{0, 1, 25} {
-		ft := randomTable(t, rng, 3, nSubjects).Freeze()
-		buf := ft.EncodeFlat()
+		ft := freezeSketches(t, 3, randomSketches(rng, 3, nSubjects), 1, 1, 1).Shard(0)
+		if ft.Mapped() || ft.ResidentBytes() != ft.MemBytes() {
+			t.Fatalf("a built table accounts %d of %d bytes resident", ft.ResidentBytes(), ft.MemBytes())
+		}
+		buf := ft.Payload()
 		heapView, err := ViewFlatFrozen(buf, false)
 		if err != nil {
 			t.Fatalf("nSubjects=%d: %v", nSubjects, err)
@@ -654,11 +570,14 @@ func TestFrozenEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("nSubjects=%d: %v", nSubjects, err)
 		}
-		decoded, err := DecodeFlatFrozen(buf)
+		// One byte off alignment: the view must copy, so the table is
+		// resident whatever the caller said the bytes were.
+		shifted := append(make([]byte, 1, len(buf)+1), buf...)[1:]
+		unaligned, err := ViewFlatFrozen(shifted, true)
 		if err != nil {
-			t.Fatalf("nSubjects=%d: %v", nSubjects, err)
+			t.Fatalf("nSubjects=%d unaligned: %v", nSubjects, err)
 		}
-		for name, got := range map[string]*FrozenTable{"heap view": heapView, "mapped view": mappedView, "decode": decoded} {
+		for name, got := range map[string]*FrozenTable{"heap view": heapView, "mapped view": mappedView, "unaligned": unaligned} {
 			if got.Entries() != ft.Entries() || got.T() != ft.T() || got.MemBytes() != ft.MemBytes() {
 				t.Fatalf("nSubjects=%d %s: entries/T/bytes %d/%d/%d != %d/%d/%d", nSubjects, name,
 					got.Entries(), got.T(), got.MemBytes(), ft.Entries(), ft.T(), ft.MemBytes())
@@ -674,20 +593,36 @@ func TestFrozenEncodeDecodeRoundTrip(t *testing.T) {
 		if heapView.ResidentBytes() != ft.MemBytes() || heapView.MappedBytes() != 0 {
 			t.Fatalf("heap view accounts %d resident / %d mapped", heapView.ResidentBytes(), heapView.MappedBytes())
 		}
-		if hostLittleEndian && (mappedView.MappedBytes() != ft.MemBytes() || mappedView.ResidentBytes() != 0) {
+		if mappedView.MappedBytes() != ft.MemBytes() || mappedView.ResidentBytes() != 0 {
 			t.Fatalf("mapped view accounts %d resident / %d mapped", mappedView.ResidentBytes(), mappedView.MappedBytes())
+		}
+		if unaligned.Mapped() || &unaligned.Payload()[0] == &shifted[0] || !bytes.Equal(unaligned.Payload(), buf) {
+			t.Fatalf("unaligned view: mapped=%v, aliases its input=%v", unaligned.Mapped(), &unaligned.Payload()[0] == &shifted[0])
 		}
 	}
 }
 
-// TestViewFlatFrozenRejectsCorrupt checks the flat readers' structural
+// TestViewFlatFrozenRefusesBigEndian: the payload is little-endian and
+// served in place, so a big-endian host gets an error that says so —
+// there is no decoder to fall back to.
+func TestViewFlatFrozenRefusesBigEndian(t *testing.T) {
+	good := frozenOf(t, 1, appendCall{subject: 1, words: [][]kmer.Word{{5, 9}}}).Payload()
+	hostLittleEndian = false
+	defer func() { hostLittleEndian = true }()
+	if _, err := ViewFlatFrozen(good, false); err == nil || !strings.Contains(err.Error(), "big-endian") {
+		t.Fatalf("big-endian host: err = %v", err)
+	}
+	if _, err := NewBuilder(1).Freeze(1, 1, nil); err == nil {
+		t.Fatal("a big-endian host built a table")
+	}
+}
+
+// TestViewFlatFrozenRejectsCorrupt checks the view's structural
 // validation: a directory pointing outside the payload (including an
 // offset that wraps u64), unsorted words and non-monotone offsets must
 // fail, not produce a table that panics or breaks binary search.
 func TestViewFlatFrozenRejectsCorrupt(t *testing.T) {
-	tb := NewTable(1)
-	tb.InsertPositional(1, [][]kmer.Word{{5, 9}}, [][]int32{{10, 20}})
-	good := tb.Freeze().EncodeFlat()
+	good := frozenOf(t, 1, appendCall{subject: 1, words: [][]kmer.Word{{5, 9}}, anchors: [][]int32{{10, 20}}}).Payload()
 	dirs, err := parseFlatDirs(good)
 	if err != nil {
 		t.Fatal(err)
@@ -723,9 +658,6 @@ func TestViewFlatFrozenRejectsCorrupt(t *testing.T) {
 		bad := corrupt(bytes.Clone(good))
 		if _, err := ViewFlatFrozen(bad, false); err == nil {
 			t.Errorf("%s: view accepted it", name)
-		}
-		if _, err := DecodeFlatFrozen(bad); err == nil {
-			t.Errorf("%s: decode accepted it", name)
 		}
 	}
 }

@@ -156,11 +156,12 @@ func (m *Mapper) Close() error {
 // retained for ID lookup; sequences themselves are not kept beyond
 // sketching (they alias the caller's records).
 //
-// The finished index is sealed: the sketch table is frozen into its
-// cache-friendly sorted-array form — partitioned into opts.Shards
-// independent shards when opts.Shards > 1 — and every query is served
-// from it (the same layout the distributed gather step produces). A
-// facade mapper therefore never gains contigs after construction.
+// The finished index is sealed: the sketch records are sorted into the
+// flat sorted-array table — partitioned into opts.Shards independent
+// shards when opts.Shards > 1 — and every query is served from it (the
+// same bytes an index file holds, the same build the distributed gather
+// step runs). A facade mapper therefore never gains contigs after
+// construction.
 func NewMapper(contigs []Record, opts Options) (*Mapper, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -175,9 +176,10 @@ func NewMapper(contigs []Record, opts Options) (*Mapper, error) {
 	}
 	met := newMapperMetrics(reg, cm)
 	// Phase spans: index build = sketch the subjects, then freeze the
-	// table into its serving form; a sharded freeze gets one child span
-	// per shard (shards build on concurrent workers, so the spans
-	// overlap and their sum exceeds the parent's wall time).
+	// records into the serving table; a sharded freeze gets one child
+	// span per shard's lay-out (the routing and sorting before it run
+	// trial by trial, under the parent; shards lay out on concurrent
+	// workers, so the spans overlap).
 	sp := reg.Tracer().Start("index.build")
 	sp.Time("sketch", func() { cm.AddSubjectsParallel(contigs, opts.Workers) })
 	if opts.Shards > 1 {

@@ -11,10 +11,13 @@ import (
 )
 
 // TestSealedFacadeMatchesUnsealedCoreTSV is the end-to-end guarantee
-// behind making the frozen table the default serving path: a facade
-// mapper (always sealed) and a plain unsealed core mapper over the
-// same synthetic contigs must emit byte-identical TSV for the same
-// reads.
+// that the facade adds nothing to the mapping: a facade mapper (built
+// by parallel workers, streamed) and a plain core mapper over the same
+// synthetic contigs (one appender, sealed by hand, MapReads) must emit
+// byte-identical TSV for the same reads. The core mapper used to be
+// left unsealed, serving from the mutable hash table; what that table
+// held is now pinned by sketch.TestBuilderMatchesReference and
+// core.TestSealedMapperMatchesMutable.
 func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := jem.DefaultOptions()
@@ -28,17 +31,15 @@ func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: the pre-sealing serving path — a mutable hash-table
-	// core mapper — rendered with the same row format.
+	// Reference: a core mapper driven directly, rendered with the same
+	// row format.
 	p := sketch.Params{K: opts.K, W: opts.W, T: opts.Trials, L: opts.SegmentLen, Seed: opts.Seed}
 	cm, err := core.NewMapper(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cm.AddSubjects(ds.Contigs)
-	if cm.Sealed() {
-		t.Fatal("reference mapper must stay unsealed")
-	}
+	cm.Seal()
 	var refTSV bytes.Buffer
 	fmt.Fprintln(&refTSV, "read_id\tend\tcontig_id\tshared_trials")
 	for _, r := range cm.MapReads(ds.Reads, opts.SegmentLen, 2) {
@@ -55,6 +56,6 @@ func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 	}
 
 	if !bytes.Equal(sealedTSV.Bytes(), refTSV.Bytes()) {
-		t.Error("sealed facade TSV differs from unsealed core TSV")
+		t.Error("facade TSV differs from core TSV")
 	}
 }
