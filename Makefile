@@ -56,10 +56,11 @@ test-short:
 
 # Fault-injection and robustness tests under the race detector:
 # cancellation, quarantine, injected I/O errors, worker panics,
-# index corruption, and the SIGINT-mid-stream CLI test. See
+# index corruption, the SIGINT-mid-stream CLI test, and the read-set
+# driver's goldens, metamorphic checks and degraded-answer errors. See
 # docs/ROBUSTNESS.md for the failure-path contracts these prove.
 fault-test:
-	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex' . ./internal/core/
+	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex|TestMapEnds|TestReadSet|TestMetamorphic' . ./internal/core/
 	$(GO) test -race ./internal/fault/ ./internal/seq/
 
 # End-to-end serving tests under the race detector: concurrent

@@ -24,6 +24,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"context"
 	"errors"
@@ -284,25 +285,23 @@ func run(ctx context.Context, cfg runConfig) (retErr error) {
 		printStats(os.Stderr, stats, time.Since(mapStart))
 		return err
 	}
+	// On cancellation (or a degraded index) the completed prefix is
+	// still written, so an interrupted run leaves a well-formed
+	// (partial) table behind; the mapping error follows a write error.
 	if cfg.sam {
-		vms := mapper.MapReadsVerified(reads, jem.VerifyOptions{})
+		vms, mapErr := mapper.MapReadsVerified(ctx, reads, jem.VerifyOptions{})
 		fmt.Fprintf(os.Stderr, "verified %d segments in %v\n",
 			len(vms), time.Since(mapStart).Round(time.Millisecond))
-		return mapper.WriteSAM(out, vms, reads)
+		return cmp.Or(mapper.WriteSAM(out, vms, reads), mapErr)
 	}
 	if cfg.paf {
-		pms := mapper.MapReadsPositional(reads)
+		pms, mapErr := mapper.MapReadsPositional(ctx, reads)
 		printMapSummary(os.Stderr, reg, time.Since(mapStart))
-		return mapper.WritePAF(out, pms, reads)
+		return cmp.Or(mapper.WritePAF(out, pms, reads), mapErr)
 	}
 	mappings, mapErr := mapper.Map(ctx, reads, jem.MapOptions{})
 	printMapSummary(os.Stderr, reg, time.Since(mapStart))
-	// On cancellation the completed prefix is still written, so an
-	// interrupted run leaves a well-formed (partial) table behind.
-	if err := jem.WriteTSV(out, mappings); err != nil {
-		return err
-	}
-	return mapErr
+	return cmp.Or(jem.WriteTSV(out, mappings), mapErr)
 }
 
 // buildMapper constructs the mapper through jem.Open: it loads the

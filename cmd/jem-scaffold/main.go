@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -75,7 +76,10 @@ func runOriented(contigPath, readPath string, minSupport int, agpOut string) err
 	if err != nil {
 		return err
 	}
-	pms := mapper.MapReadsPositional(reads)
+	pms, err := mapper.MapReadsPositional(context.Background(), reads)
+	if err != nil {
+		return err
+	}
 	scaffolds, singletons := jem.BuildScaffoldsOrientedFull(pms, reads, contigs, minSupport)
 	for i, sc := range scaffolds {
 		fmt.Printf("scaffold_%d\t%d contigs:", i, len(sc.Contigs))

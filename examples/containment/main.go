@@ -76,7 +76,10 @@ func main() {
 
 	// 3. PAF output with positional + strand estimates for the ends.
 	fmt.Println("\nPAF (end segments, positional extension):")
-	pms := mapper.MapReadsPositional([]jem.Record{readRec})
+	pms, err := mapper.MapReadsPositional(context.Background(), []jem.Record{readRec})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := mapper.WritePAF(os.Stdout, pms, []jem.Record{readRec}); err != nil {
 		log.Fatal(err)
 	}

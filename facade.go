@@ -11,7 +11,6 @@ import (
 	"repro/internal/mashmap"
 	"repro/internal/minhash"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/scaffold"
 	"repro/internal/seedchain"
 	"repro/internal/simulate"
@@ -65,22 +64,12 @@ func MapDistributed(contigs, reads []Record, p int, opts Options) (*DistributedO
 	if err != nil {
 		return nil, err
 	}
-	cm, err := core.NewMapper(opts.params())
-	if err != nil {
-		return nil, err
-	}
-	cm.RegisterSubjects(contigs)
-	// Name-resolution mapper only: it registers subject metadata but
-	// never maps, so it gets a private registry rather than the
-	// caller's (its counters would all stay zero anyway).
-	m := &Mapper{opts: opts, core: cm, reg: obs.NewRegistry()}
-	m.met = newMapperMetrics(m.reg, cm)
 	var trace strings.Builder
 	if err := out.Trace.Render(&trace); err != nil {
 		return nil, err
 	}
 	d := &DistributedOutput{
-		Mappings:     m.convert(out.Results, reads),
+		Mappings:     toMappings(out.Results, reads, contigs),
 		Total:        out.Timeline.Total(),
 		CommFraction: out.Timeline.CommFraction(),
 		Throughput:   out.Throughput(),
@@ -104,32 +93,23 @@ type BaselineMapper interface {
 	MapReads(reads []Record) []Mapping
 }
 
-type mashmapAdapter struct {
-	m       *mashmap.Mapper
-	contigs []Record
-	opts    Options
+// baselineAdapter serves any comparison mapper whose MapReads yields
+// core.Results over the contig slice it was built from.
+type baselineAdapter struct {
+	mapReads func(reads []Record, l, workers int) []core.Result
+	contigs  []Record
+	opts     Options
+}
+
+func (a *baselineAdapter) MapReads(reads []Record) []Mapping {
+	return toMappings(a.mapReads(reads, a.opts.SegmentLen, a.opts.Workers), reads, a.contigs)
 }
 
 // NewMashmapMapper builds the Mashmap-style baseline over the same
 // contig set and parameter defaults as the JEM mapper.
 func NewMashmapMapper(contigs []Record, opts Options) BaselineMapper {
 	p := mashmap.Params{K: opts.K, W: opts.W, SegLen: opts.SegmentLen}
-	return &mashmapAdapter{
-		m:       mashmap.NewMapper(contigs, p, opts.Workers),
-		contigs: contigs,
-		opts:    opts,
-	}
-}
-
-func (a *mashmapAdapter) MapReads(reads []Record) []Mapping {
-	results := a.m.MapReads(reads, a.opts.SegmentLen, a.opts.Workers)
-	return convertWithContigs(results, reads, a.contigs)
-}
-
-type minhashAdapter struct {
-	m       *minhash.Mapper
-	contigs []Record
-	opts    Options
+	return &baselineAdapter{mapReads: mashmap.NewMapper(contigs, p, opts.Workers).MapReads, contigs: contigs, opts: opts}
 }
 
 // NewMinHashMapper builds the classical-MinHash baseline (whole-
@@ -140,18 +120,7 @@ func NewMinHashMapper(contigs []Record, opts Options) (BaselineMapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &minhashAdapter{m: m, contigs: contigs, opts: opts}, nil
-}
-
-func (a *minhashAdapter) MapReads(reads []Record) []Mapping {
-	results := a.m.MapReads(reads, a.opts.SegmentLen, a.opts.Workers)
-	return convertWithContigs(results, reads, a.contigs)
-}
-
-type seedchainAdapter struct {
-	m       *seedchain.Mapper
-	contigs []Record
-	opts    Options
+	return &baselineAdapter{mapReads: m.MapReads, contigs: contigs, opts: opts}, nil
 }
 
 // NewSeedChainMapper builds the seed-and-chain baseline (the
@@ -161,38 +130,7 @@ type seedchainAdapter struct {
 func NewSeedChainMapper(contigs []Record, opts Options) BaselineMapper {
 	p := seedchain.Defaults()
 	p.K = opts.K
-	return &seedchainAdapter{
-		m:       seedchain.NewMapper(contigs, p, opts.Workers),
-		contigs: contigs,
-		opts:    opts,
-	}
-}
-
-func (a *seedchainAdapter) MapReads(reads []Record) []Mapping {
-	results := a.m.MapReads(reads, a.opts.SegmentLen, a.opts.Workers)
-	return convertWithContigs(results, reads, a.contigs)
-}
-
-func convertWithContigs(results []core.Result, reads, contigs []Record) []Mapping {
-	out := make([]Mapping, len(results))
-	for i, r := range results {
-		mp := Mapping{
-			ReadIndex: int(r.ReadIndex),
-			ReadID:    reads[r.ReadIndex].ID,
-			End:       PrefixEnd,
-		}
-		if r.Kind == core.Suffix {
-			mp.End = SuffixEnd
-		}
-		if r.Mapped() {
-			mp.Mapped = true
-			mp.Contig = int(r.Subject)
-			mp.ContigID = contigs[r.Subject].ID
-			mp.SharedTrials = int(r.Count)
-		}
-		out[i] = mp
-	}
-	return out
+	return &baselineAdapter{mapReads: seedchain.NewMapper(contigs, p, opts.Workers).MapReads, contigs: contigs, opts: opts}
 }
 
 // --- Benchmarking / evaluation ------------------------------------------------
@@ -310,18 +248,12 @@ type OrientedScaffold struct {
 	Gaps []int
 }
 
-// BuildScaffoldsOriented chains contigs with orientation and gap
+// BuildScaffoldsOrientedFull chains contigs with orientation and gap
 // estimates from positional mappings — the richer counterpart of
-// BuildScaffolds enabled by the positional sketch table. reads and
-// contigs must be the slices the mappings refer to.
-func BuildScaffoldsOriented(mappings []PositionalMapping, reads, contigs []Record, minSupport int) []OrientedScaffold {
-	scaffolds, _ := BuildScaffoldsOrientedFull(mappings, reads, contigs, minSupport)
-	return scaffolds
-}
-
-// BuildScaffoldsOrientedFull is BuildScaffoldsOriented plus the list
-// of singleton contigs that joined no chain (needed for complete AGP
-// output).
+// BuildScaffolds enabled by the positional sketch table — and also
+// returns the singleton contigs that joined no chain (needed for
+// complete AGP output). reads and contigs must be the slices the
+// mappings refer to.
 func BuildScaffoldsOrientedFull(mappings []PositionalMapping, reads, contigs []Record, minSupport int) ([]OrientedScaffold, []int) {
 	segLen := 0
 	var segObs []scaffold.SegmentObservation

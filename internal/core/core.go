@@ -15,9 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/parallel"
@@ -793,130 +791,6 @@ func (s *Session) ContainedSubjects(read []byte, l int) []int32 {
 		out = append(out, th.Subject)
 	}
 	return out
-}
-
-// EndSegments returns the prefix and suffix segments of length l of a
-// read. For reads of length ≤ l a single segment (the whole read,
-// reported as Prefix) is returned, matching the degenerate case where
-// both ends coincide.
-func EndSegments(read []byte, l int) (segments [][]byte, kinds []SegmentKind) {
-	if len(read) <= l {
-		return [][]byte{read}, []SegmentKind{Prefix}
-	}
-	return [][]byte{read[:l], read[len(read)-l:]}, []SegmentKind{Prefix, Suffix}
-}
-
-// MapReads maps the end segments of every read using `workers`
-// goroutines (≤0 means GOMAXPROCS) and returns the per-segment
-// results in deterministic (read, kind) order.
-func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []Result {
-	results, _ := m.MapReadsTimed(reads, l, workers)
-	return results
-}
-
-// MapReadsTimed is MapReads plus the query-phase wall time, which the
-// experiment harness uses for throughput accounting (Fig. 7b).
-//
-//jem:detached offline batch entry point: no request to inherit from
-func (m *Mapper) MapReadsTimed(reads []seq.Record, l int, workers int) ([]Result, time.Duration) {
-	start := time.Now()
-	results, _ := m.MapReadsContext(context.Background(), reads, l, workers)
-	return results, time.Since(start)
-}
-
-// MapReadsContext is MapReads under a cancellable context. When ctx is
-// done, workers stop mapping (they drain the remaining work queue
-// without touching it) and the call returns the results of every read
-// completed so far — in deterministic (read, kind) order with cancelled
-// reads simply absent — together with ctx.Err(). A serving-integrity
-// failure any worker session latched (a lazy shard failing its
-// fault-in verification) is returned ahead of cancellation. A nil
-// error means the full read set was mapped against a healthy index.
-func (m *Mapper) MapReadsContext(ctx context.Context, reads []seq.Record, l int, workers int) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]Result, len(reads))
-	sessErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	idx := make(chan int, 4*workers)
-	for w := 0; w < workers; w++ {
-		// Sessions are made here, not in the workers: misuse (an unsealed
-		// mapper) must panic on the caller's goroutine.
-		sess := m.NewSession().WithContext(ctx)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range idx {
-				if sess.Interrupted() {
-					continue // drain the queue without mapping
-				}
-				out[i] = mapOneRead(sess, int32(i), reads[i].Seq, l)
-			}
-			sessErrs[w] = sess.Err()
-		}(w)
-	}
-	for i := range reads {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	flat := make([]Result, 0, 2*len(reads))
-	for _, rs := range out {
-		flat = append(flat, rs...)
-	}
-	for _, err := range sessErrs {
-		if err != nil {
-			return flat, err
-		}
-	}
-	return flat, ctx.Err()
-}
-
-func mapOneRead(sess *Session, readIndex int32, read []byte, l int) []Result {
-	segs, kinds := EndSegments(read, l)
-	results := make([]Result, len(segs))
-	for i, seg := range segs {
-		hit, ok := sess.MapSegment(seg)
-		r := Result{ReadIndex: readIndex, Kind: kinds[i], Subject: -1}
-		if ok {
-			r.Subject = hit.Subject
-			r.Count = hit.Count
-		}
-		results[i] = r
-	}
-	return results
-}
-
-// MapSegments maps pre-extracted segments (the form the distributed
-// driver uses, where Q already holds 2m ℓ-length sequences).
-func (m *Mapper) MapSegments(segments [][]byte, workers int) []Hit {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	hits := make([]Hit, len(segments))
-	var wg sync.WaitGroup
-	idx := make(chan int, 4*workers)
-	for w := 0; w < workers; w++ {
-		sess := m.NewSession() // on the caller's goroutine, as in MapReadsContext
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				h, ok := sess.MapSegment(segments[i])
-				if !ok {
-					h = Hit{Subject: -1}
-				}
-				hits[i] = h
-			}
-		}()
-	}
-	for i := range segments {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return hits
 }
 
 // String renders a result for diagnostics.

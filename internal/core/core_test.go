@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -234,8 +235,11 @@ func TestMapReadsDeterministicOrder(t *testing.T) {
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
 	m.Seal()
-	r1 := m.MapReads(reads, p.L, 1)
-	r2 := m.MapReads(reads, p.L, 4)
+	r1, err1 := m.MapReads(context.Background(), reads, p.L, 1)
+	r2, err2 := m.MapReads(context.Background(), reads, p.L, 4)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("worker count changed results")
 	}
@@ -251,6 +255,8 @@ func TestMapReadsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestMapSegmentsMatchesMapReads: mapping pre-extracted end segments
+// one by one on a session gives MapReads' rows.
 func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	_, contigs, reads, _ := makeWorld(t, rng, 15_000, 700, 15)
@@ -258,13 +264,22 @@ func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	m, _ := NewMapper(p)
 	m.AddSubjects(contigs)
 	m.Seal()
-	results := m.MapReads(reads, p.L, 2)
-	var segments [][]byte
+	results, err := m.MapReads(context.Background(), reads, p.L, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := m.NewSession()
+	var hits []Hit
 	for _, r := range reads {
 		segs, _ := EndSegments(r.Seq, p.L)
-		segments = append(segments, segs...)
+		for _, seg := range segs {
+			h, ok := sess.MapSegment(seg)
+			if !ok {
+				h = Hit{Subject: -1}
+			}
+			hits = append(hits, h)
+		}
 	}
-	hits := m.MapSegments(segments, 2)
 	if len(hits) != len(results) {
 		t.Fatalf("%d hits vs %d results", len(hits), len(results))
 	}
@@ -313,22 +328,6 @@ func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
 		if ok1 != ok2 || h1 != h2 {
 			t.Fatalf("mapping differs after merge: %v vs %v", h1, h2)
 		}
-	}
-}
-
-func TestMapReadsTimedReportsDuration(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	_, contigs, reads, _ := makeWorld(t, rng, 10_000, 500, 5)
-	p := smallParams()
-	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
-	m.Seal()
-	results, d := m.MapReadsTimed(reads, p.L, 1)
-	if len(results) != 2*len(reads) {
-		t.Errorf("got %d results", len(results))
-	}
-	if d <= 0 {
-		t.Errorf("duration %v not positive", d)
 	}
 }
 
@@ -674,7 +673,7 @@ func TestMutationAfterSessionPanics(t *testing.T) {
 		f()
 	}
 	mustPanicWith("NewSession on an unsealed mapper", func() { m.NewSession() })
-	mustPanicWith("NewSession on an unsealed mapper", func() { m.MapReads(nil, 100, 1) })
+	mustPanicWith("NewSession on an unsealed mapper", func() { m.MapReads(context.Background(), nil, 100, 1) })
 	m.Seal()
 	_ = m.NewSession()
 	mustPanicWith("AddSubjects on a sealed mapper", func() { m.AddSubjects(contigs) })

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -41,8 +42,8 @@ func TestShardedMappingEquivalence(t *testing.T) {
 		_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
 		for _, p := range []int{1, 2, 3, 8} {
 			mono, sharded := buildPair(t, contigs, p)
-			wantRes := mono.MapReads(reads, smallParams().L, 2)
-			gotRes := sharded.MapReads(reads, smallParams().L, 2)
+			wantRes, _ := mono.MapReads(context.Background(), reads, smallParams().L, 2)
+			gotRes, _ := sharded.MapReads(context.Background(), reads, smallParams().L, 2)
 			if !reflect.DeepEqual(gotRes, wantRes) {
 				t.Fatalf("seed %d p=%d: MapReads diverges", seed, p)
 			}

@@ -14,7 +14,6 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -146,51 +145,26 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 	// rebuild would.
 	sim.SequentialStep("S3 merge sketch", mapper.Seal)
 
-	// S4: map local queries.
+	// S4: map local queries. Ranks hold contiguous read ranges in rank
+	// order, so concatenating their rows is already (read, kind) order.
 	perRank := make([][]core.Result, cfg.P)
-	segCounts := make([]int, cfg.P)
 	sim.Step("S4 map queries", func(rank int) {
 		ranks[rank].Time("map", func() {
 			sess := mapper.NewSession()
-			lo, hi := readParts[rank][0], readParts[rank][1]
-			var out []core.Result
-			for i := lo; i < hi; i++ {
-				segs, kinds := core.EndSegments(reads[i].Seq, cfg.Params.L)
-				for s, seg := range segs {
-					hit, ok := sess.MapSegment(seg)
-					r := core.Result{ReadIndex: int32(i), Kind: kinds[s], Subject: -1}
-					if ok {
-						r.Subject = hit.Subject
-						r.Count = hit.Count
-					}
-					out = append(out, r)
-					segCounts[rank]++
-				}
+			for i := readParts[rank][0]; i < readParts[rank][1]; i++ {
+				perRank[rank] = core.AppendEnds(perRank[rank], sess, i, reads[i], cfg.Params.L, (*core.Session).MapEnd)
 			}
-			perRank[rank] = out
 		})
 	})
-
 	var results []core.Result
-	segments := 0
-	for rank := 0; rank < cfg.P; rank++ {
-		results = append(results, perRank[rank]...)
-		segments += segCounts[rank]
+	for _, rows := range perRank {
+		results = append(results, rows...)
 	}
-	// Ranks hold contiguous read ranges, so concatenation is already
-	// (read, kind)-ordered; keep the sort as a safety net for callers
-	// that rely on the ordering contract.
-	sort.SliceStable(results, func(i, j int) bool {
-		if results[i].ReadIndex != results[j].ReadIndex {
-			return results[i].ReadIndex < results[j].ReadIndex
-		}
-		return results[i].Kind < results[j].Kind
-	})
 
 	return &Output{
 		Results:       results,
 		Timeline:      sim.Timeline(),
-		QuerySegments: segments,
+		QuerySegments: len(results),
 		TableBytes:    total,
 		Trace:         tracer,
 	}, nil

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -46,7 +47,11 @@ func sharedMemoryResults(t *testing.T, contigs, reads []seq.Record) []core.Resul
 	}
 	m.AddSubjects(contigs)
 	m.Seal()
-	return m.MapReads(reads, smallParams().L, 1)
+	results, err := m.MapReads(context.Background(), reads, smallParams().L, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 func TestDistributedMatchesSharedMemoryForAnyP(t *testing.T) {

@@ -28,6 +28,8 @@ type OrderingAblation struct {
 
 // AblationOrdering runs the JEM mapper under both orderings on one
 // dataset and scores both against the same benchmark.
+//
+//jem:detached offline experiment harness: no request scope to inherit
 func AblationOrdering(spec Spec, scale float64, opts jem.Options) (*OrderingAblation, error) {
 	d, err := Build(spec, scale)
 	if err != nil {
@@ -46,7 +48,10 @@ func AblationOrdering(spec Spec, scale float64, opts jem.Options) (*OrderingAbla
 		}
 		m.AddSubjectsParallel(d.Contigs, opts.Workers)
 		m.Seal()
-		results := m.MapReads(d.Reads, opts.SegmentLen, opts.Workers)
+		results, err := m.MapReads(context.Background(), d.Reads, opts.SegmentLen, opts.Workers)
+		if err != nil {
+			return jem.Quality{}, 0, err
+		}
 		c := b.Evaluate(results)
 		return jem.Quality{
 			TP: c.TP, FP: c.FP, FN: c.FN, TN: c.TN,
@@ -89,6 +94,8 @@ type SegmentsAblation struct {
 }
 
 // AblationEndSegments maps queries both ways on one dataset.
+//
+//jem:detached offline experiment harness: no request scope to inherit
 func AblationEndSegments(spec Spec, scale float64, opts jem.Options) (*SegmentsAblation, error) {
 	d, err := Build(spec, scale)
 	if err != nil {
@@ -109,7 +116,10 @@ func AblationEndSegments(spec Spec, scale float64, opts jem.Options) (*SegmentsA
 	out := &SegmentsAblation{Dataset: spec.Name}
 
 	// End-segment accuracy.
-	results := m.MapReads(d.Reads, opts.SegmentLen, opts.Workers)
+	results, err := m.MapReads(context.Background(), d.Reads, opts.SegmentLen, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
 	var segTotal, segGood int
 	for _, r := range results {
 		trueSet := b.True(r.ReadIndex, r.Kind)
@@ -181,6 +191,8 @@ type LazyCounterAblation struct {
 }
 
 // AblationLazyCounters maps all queries with both counting schemes.
+//
+//jem:detached offline experiment harness: no request scope to inherit
 func AblationLazyCounters(spec Spec, scale float64, opts jem.Options) (*LazyCounterAblation, error) {
 	d, err := Build(spec, scale)
 	if err != nil {
@@ -195,8 +207,11 @@ func AblationLazyCounters(spec Spec, scale float64, opts jem.Options) (*LazyCoun
 	m.Seal()
 	out := &LazyCounterAblation{Dataset: spec.Name}
 
-	_, lazyDur := m.MapReadsTimed(d.Reads, opts.SegmentLen, 1)
-	out.LazySeconds = lazyDur.Seconds()
+	start := time.Now()
+	if _, err := m.MapReads(context.Background(), d.Reads, opts.SegmentLen, 1); err != nil {
+		return nil, err
+	}
+	out.LazySeconds = time.Since(start).Seconds()
 	out.MapCounterSeconds = mapCounterBaseline(m, d.Reads, opts.SegmentLen)
 	return out, nil
 }
@@ -213,6 +228,8 @@ type WindowPoint struct {
 
 // AblationWindow sweeps the minimizer window size w, the knob trading
 // sketch density (space, gather payload) against sensitivity.
+//
+//jem:detached offline experiment harness: no request scope to inherit
 func AblationWindow(spec Spec, scale float64, ws []int, opts jem.Options) ([]WindowPoint, error) {
 	d, err := Build(spec, scale)
 	if err != nil {
@@ -232,7 +249,12 @@ func AblationWindow(spec Spec, scale float64, ws []int, opts jem.Options) ([]Win
 		}
 		m.AddSubjectsParallel(d.Contigs, opts.Workers)
 		m.Seal()
-		results, dur := m.MapReadsTimed(d.Reads, opts.SegmentLen, 1)
+		start := time.Now()
+		results, err := m.MapReads(context.Background(), d.Reads, opts.SegmentLen, 1)
+		dur := time.Since(start)
+		if err != nil {
+			return nil, err
+		}
 		c := b.Evaluate(results)
 		points = append(points, WindowPoint{
 			W: w,

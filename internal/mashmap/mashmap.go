@@ -10,14 +10,14 @@
 package mashmap
 
 import (
+	"context"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/kmer"
 	"repro/internal/minimizer"
+	"repro/internal/parallel"
 	"repro/internal/seq"
 )
 
@@ -76,26 +76,10 @@ func NewMapper(contigs []seq.Record, p Params, workers int) *Mapper {
 		index: make(map[kmer.Word][]loc),
 		nsubj: len(contigs),
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	lists := make([][]minimizer.Tuple, len(contigs))
-	var wg sync.WaitGroup
-	idx := make(chan int, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				lists[i] = minimizer.Extract(contigs[i].Seq, m.mp)
-			}
-		}()
-	}
-	for i := range contigs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	parallel.ForEach(len(contigs), workers, func(i int) {
+		lists[i] = minimizer.Extract(contigs[i].Seq, m.mp)
+	})
 	for i, tuples := range lists {
 		for _, t := range tuples {
 			m.index[t.Kmer] = append(m.index[t.Kmer], loc{int32(i), t.Pos})
@@ -226,43 +210,18 @@ func EstimateIdentity(shared, queryMinimizers, k int) float64 {
 }
 
 // MapReads maps the end segments of every read with `workers`
-// goroutines, returning results in the same order and shape as
-// core.Mapper.MapReads so both feed the same evaluator.
+// goroutines through core.MapEnds, returning results in the same order
+// and shape as core.Mapper.MapReads so both feed the same evaluator.
+// The mapper is its own session: it keeps no per-query state.
+//
+//jem:detached offline comparison baseline: no request scope to inherit
 func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]core.Result, len(reads))
-	var wg sync.WaitGroup
-	idx := make(chan int, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				segs, kinds := core.EndSegments(reads[i].Seq, l)
-				rs := make([]core.Result, len(segs))
-				for s, seg := range segs {
-					hit, ok := m.MapSegment(seg)
-					r := core.Result{ReadIndex: int32(i), Kind: kinds[s], Subject: -1}
-					if ok {
-						r.Subject = hit.Subject
-						r.Count = hit.Count
-					}
-					rs[s] = r
-				}
-				out[i] = rs
-			}
-		}()
-	}
-	for i := range reads {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	flat := make([]core.Result, 0, 2*len(reads))
-	for _, rs := range out {
-		flat = append(flat, rs...)
-	}
-	return flat
+	results, _ := core.MapEnds(context.Background(), reads, l, workers,
+		func() *Mapper { return m },
+		func(m *Mapper, e core.End) core.Result { return e.Result(m.MapSegment(e.Seq)) })
+	return results
 }
+
+// Err is core.MapEnds' session contract; an in-memory index cannot
+// degrade, so it is always nil.
+func (m *Mapper) Err() error { return nil }

@@ -10,8 +10,7 @@
 package minhash
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -112,44 +111,17 @@ func (s *Session) MapSegment(segment []byte) (core.Hit, bool) {
 	return best, true
 }
 
-// MapReads maps the end segments of all reads, producing results
-// shaped like core.Mapper.MapReads for the shared evaluator.
+// Err is core.MapEnds' session contract; an in-memory table cannot
+// degrade, so it is always nil.
+func (s *Session) Err() error { return nil }
+
+// MapReads maps the end segments of all reads through core.MapEnds,
+// producing results shaped like core.Mapper.MapReads for the shared
+// evaluator.
+//
+//jem:detached offline comparison baseline: no request scope to inherit
 func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]core.Result, len(reads))
-	var wg sync.WaitGroup
-	idx := make(chan int, 4*workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess := m.NewSession()
-			for i := range idx {
-				segs, kinds := core.EndSegments(reads[i].Seq, l)
-				rs := make([]core.Result, len(segs))
-				for si, seg := range segs {
-					hit, ok := sess.MapSegment(seg)
-					r := core.Result{ReadIndex: int32(i), Kind: kinds[si], Subject: -1}
-					if ok {
-						r.Subject = hit.Subject
-						r.Count = hit.Count
-					}
-					rs[si] = r
-				}
-				out[i] = rs
-			}
-		}()
-	}
-	for i := range reads {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	flat := make([]core.Result, 0, 2*len(reads))
-	for _, rs := range out {
-		flat = append(flat, rs...)
-	}
-	return flat
+	results, _ := core.MapEnds(context.Background(), reads, l, workers, m.NewSession,
+		func(s *Session, e core.End) core.Result { return e.Result(s.MapSegment(e.Seq)) })
+	return results
 }

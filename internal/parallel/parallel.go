@@ -22,62 +22,31 @@ func Workers(w int) int {
 // goroutines. Iterations are distributed dynamically, so uneven work
 // per item balances automatically.
 func ForEach(n, workers int, fn func(i int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int, 4*workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	ForEachWorker(n, workers, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
 }
 
 // ForEachWorker is ForEach with per-goroutine state: setup runs once
-// in each worker goroutine and its result is passed to every fn call
-// that worker executes.
+// per worker — on the calling goroutine, before any fn call, at least
+// once even for n = 0, so a setup that panics on misuse panics there —
+// and its result is passed to every fn call that worker executes.
 func ForEachWorker[S any](n, workers int, setup func() S, fn func(state S, i int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
+	workers = min(Workers(workers), max(n, 1))
+	states := make([]S, workers)
+	for w := range states {
+		states[w] = setup()
 	}
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		s := setup()
+	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(s, i)
+			fn(states[0], i)
 		}
 		return
 	}
 	idx := make(chan int, 4*workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, s := range states {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := setup()
 			for i := range idx {
 				fn(s, i)
 			}

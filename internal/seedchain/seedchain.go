@@ -11,6 +11,7 @@
 package seedchain
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/core"
@@ -252,30 +253,25 @@ func (m *Mapper) chainBucket(as []anchor) Chain {
 	}
 }
 
-// MapReads maps the end segments of every read, producing results in
-// the shared core.Result shape so the common evaluator applies.
+// MapReads maps the end segments of every read through core.MapEnds,
+// producing results in the shared core.Result shape so the common
+// evaluator applies; a row's count is its chain's anchor count. The
+// mapper is its own session: it keeps no per-query state.
+//
+//jem:detached offline comparison baseline: no request scope to inherit
 func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result {
-	out := make([][]core.Result, len(reads))
-	parallel.ForEach(len(reads), workers, func(i int) {
-		segs, kinds := core.EndSegments(reads[i].Seq, l)
-		rs := make([]core.Result, len(segs))
-		for s, seg := range segs {
-			chain, ok := m.MapSegment(seg)
-			r := core.Result{ReadIndex: int32(i), Kind: kinds[s], Subject: -1}
-			if ok {
-				r.Subject = chain.Subject
-				r.Count = int32(chain.Anchors)
-			}
-			rs[s] = r
-		}
-		out[i] = rs
-	})
-	flat := make([]core.Result, 0, 2*len(reads))
-	for _, rs := range out {
-		flat = append(flat, rs...)
-	}
-	return flat
+	results, _ := core.MapEnds(context.Background(), reads, l, workers,
+		func() *Mapper { return m },
+		func(m *Mapper, e core.End) core.Result {
+			chain, ok := m.MapSegment(e.Seq)
+			return e.Result(core.Hit{Subject: chain.Subject, Count: int32(chain.Anchors)}, ok)
+		})
+	return results
 }
+
+// Err is core.MapEnds' session contract; an in-memory index cannot
+// degrade, so it is always nil.
+func (m *Mapper) Err() error { return nil }
 
 // IndexEntries reports the index size.
 func (m *Mapper) IndexEntries() int {

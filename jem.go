@@ -255,28 +255,44 @@ func (m *Mapper) Map(ctx context.Context, reads []Record, opts MapOptions) ([]Ma
 		c.SetAttr("reads", len(reads))
 		defer c.End()
 	}
-	results, err := m.core.MapReadsContext(ctx, reads, m.opts.SegmentLen, workers)
-	return m.convert(results, reads), err
+	return core.MapEnds(ctx, reads, m.opts.SegmentLen, workers, m.session(ctx), m.mapEnd)
 }
 
-func (m *Mapper) convert(results []core.Result, reads []Record) []Mapping {
+// session is the per-worker session constructor of the facade's
+// read-set paths: sessions inherit ctx, so remote shard queries honour
+// its deadline.
+func (m *Mapper) session(ctx context.Context) func() *core.Session {
+	return func() *core.Session { return m.core.NewSession().WithContext(ctx) }
+}
+
+// mapEnd maps one end segment to its Mapping — the row of Map and of
+// Stream's batches.
+func (m *Mapper) mapEnd(sess *core.Session, e core.End) Mapping {
+	return toMapping(sess.MapEnd(e), e.ID, m.contigName)
+}
+
+func (m *Mapper) contigName(id int32) string { return m.core.Subject(id).Name }
+
+// toMapping is the one core.Result → Mapping conversion; name resolves
+// a contig id to its record ID.
+func toMapping(r core.Result, readID string, name func(int32) string) Mapping {
+	mp := Mapping{ReadIndex: int(r.ReadIndex), ReadID: readID, End: PrefixEnd}
+	if r.Kind == core.Suffix {
+		mp.End = SuffixEnd
+	}
+	if r.Mapped() {
+		mp.Mapped, mp.Contig, mp.ContigID, mp.SharedTrials = true, int(r.Subject), name(r.Subject), int(r.Count)
+	}
+	return mp
+}
+
+// toMappings converts the rows of a read set mapped elsewhere (a
+// baseline, the simulated ranks) whose contig ids index contigs.
+func toMappings(results []core.Result, reads, contigs []Record) []Mapping {
+	name := func(id int32) string { return contigs[id].ID }
 	out := make([]Mapping, len(results))
 	for i, r := range results {
-		mp := Mapping{
-			ReadIndex: int(r.ReadIndex),
-			ReadID:    reads[r.ReadIndex].ID,
-			End:       PrefixEnd,
-		}
-		if r.Kind == core.Suffix {
-			mp.End = SuffixEnd
-		}
-		if r.Mapped() {
-			mp.Mapped = true
-			mp.Contig = int(r.Subject)
-			mp.ContigID = m.core.Subject(r.Subject).Name
-			mp.SharedTrials = int(r.Count)
-		}
-		out[i] = mp
+		out[i] = toMapping(r, reads[r.ReadIndex].ID, name)
 	}
 	return out
 }
@@ -388,24 +404,6 @@ func (m *Mapper) ContainedContigs(read []byte) []int {
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		out[i] = int(id)
-	}
-	return out
-}
-
-// TopHits returns up to k candidate contigs for a segment ordered by
-// descending shared-trial count — the paper's proposed top-x
-// extension.
-func (m *Mapper) TopHits(segment []byte, k int) []Mapping {
-	sess := m.core.NewSession()
-	hits := sess.MapSegmentTopK(segment, k)
-	out := make([]Mapping, len(hits))
-	for i, h := range hits {
-		out[i] = Mapping{
-			Mapped:       true,
-			Contig:       int(h.Subject),
-			ContigID:     m.core.Subject(h.Subject).Name,
-			SharedTrials: int(h.Count),
-		}
 	}
 	return out
 }

@@ -196,29 +196,6 @@ func TestWriteTSV(t *testing.T) {
 	}
 }
 
-func TestTopHits(t *testing.T) {
-	ds := buildSmallDataset(t)
-	opts := jem.DefaultOptions()
-	mapper, err := jem.NewMapper(ds.Contigs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := ds.Reads[0].Seq[:opts.SegmentLen]
-	hits := mapper.TopHits(seg, 5)
-	if len(hits) == 0 {
-		t.Fatal("no top hits")
-	}
-	best, trials, ok := mapper.MapSegment(seg)
-	if !ok || hits[0].Contig != best || hits[0].SharedTrials != trials {
-		t.Errorf("topHits[0]=%+v best=%d trials=%d", hits[0], best, trials)
-	}
-	for i := 1; i < len(hits); i++ {
-		if hits[i].SharedTrials > hits[i-1].SharedTrials {
-			t.Errorf("hits not sorted: %+v", hits)
-		}
-	}
-}
-
 func TestScaffoldsFromMappings(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := jem.DefaultOptions()

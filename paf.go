@@ -1,11 +1,11 @@
 package jem
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 )
 
 // PositionalMapping extends Mapping with approximate coordinates: the
@@ -26,61 +26,32 @@ type PositionalMapping struct {
 }
 
 // MapReadsPositional maps both end segments of every read and
-// augments each mapping with positional and strand estimates.
-func (m *Mapper) MapReadsPositional(reads []Record) []PositionalMapping {
-	out := make([][]PositionalMapping, len(reads))
-	parallel.ForEachWorker(len(reads), m.opts.Workers,
-		func() *core.Session { return m.core.NewSession() },
-		func(sess *core.Session, i int) {
-			out[i] = m.mapOnePositional(sess, i, reads[i])
-		})
-	flat := make([]PositionalMapping, 0, 2*len(reads))
-	for _, ms := range out {
-		flat = append(flat, ms...)
-	}
-	return flat
+// augments each mapping with positional and strand estimates. It runs
+// under Map's contract: on cancellation the completed prefix comes back
+// with ctx.Err(), and an error wrapping ErrIndexChecksum means the
+// index degraded mid-batch and the rows were computed without a lost
+// shard's postings.
+func (m *Mapper) MapReadsPositional(ctx context.Context, reads []Record) ([]PositionalMapping, error) {
+	return core.MapEnds(ctx, reads, m.opts.SegmentLen, m.opts.Workers, m.session(ctx), m.positionalEnd)
 }
 
-func (m *Mapper) mapOnePositional(sess *core.Session, readIndex int, read Record) []PositionalMapping {
-	segs, kinds := core.EndSegments(read.Seq, m.opts.SegmentLen)
-	results := make([]PositionalMapping, len(segs))
-	offset := 0
-	for i, seg := range segs {
-		if kinds[i] == core.Suffix {
-			offset = len(read.Seq) - len(seg)
-		}
-		pm := PositionalMapping{
-			Mapping: Mapping{
-				ReadIndex: readIndex,
-				ReadID:    read.ID,
-				End:       PrefixEnd,
-			},
-			QueryStart:  offset,
-			QueryEnd:    offset + len(seg),
-			TargetStart: -1,
-			Strand:      '?',
-		}
-		if kinds[i] == core.Suffix {
-			pm.End = SuffixEnd
-		}
-		if hit, ok := sess.MapSegmentPositional(seg); ok {
-			pm.Mapped = true
-			pm.Contig = int(hit.Subject)
-			pm.ContigID = m.core.Subject(hit.Subject).Name
-			pm.SharedTrials = int(hit.Count)
-			if hit.TargetStart >= 0 {
-				pm.TargetStart = int(hit.TargetStart)
-				pm.TargetEnd = int(hit.TargetEnd)
-				if hit.Reverse {
-					pm.Strand = '-'
-				} else {
-					pm.Strand = '+'
-				}
-			}
-		}
-		results[i] = pm
+func (m *Mapper) positionalEnd(sess *core.Session, e core.End) PositionalMapping {
+	hit, ok := sess.MapSegmentPositional(e.Seq)
+	pm := PositionalMapping{
+		Mapping:     toMapping(e.Result(hit.Hit, ok), e.ID, m.contigName),
+		QueryStart:  e.Offset,
+		QueryEnd:    e.Offset + len(e.Seq),
+		TargetStart: -1,
+		Strand:      '?',
 	}
-	return results
+	if ok && hit.TargetStart >= 0 {
+		pm.TargetStart, pm.TargetEnd = int(hit.TargetStart), int(hit.TargetEnd)
+		pm.Strand = '+'
+		if hit.Reverse {
+			pm.Strand = '-'
+		}
+	}
+	return pm
 }
 
 // WritePAF writes positional mappings in PAF (pairwise alignment

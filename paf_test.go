@@ -16,7 +16,7 @@ func TestMapReadsPositionalAndPAF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pms := mapper.MapReadsPositional(ds.Reads)
+	pms := positionalAll(mapper, ds.Reads)
 	if len(pms) == 0 {
 		t.Fatal("no positional mappings")
 	}
@@ -90,15 +90,15 @@ func TestMapReadsPositionalAndPAF(t *testing.T) {
 	}
 }
 
-func TestBuildScaffoldsOriented(t *testing.T) {
+func TestBuildScaffoldsOrientedFull(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := jem.DefaultOptions()
 	mapper, err := jem.NewMapper(ds.Contigs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pms := mapper.MapReadsPositional(ds.Reads)
-	scaffolds := jem.BuildScaffoldsOriented(pms, ds.Reads, ds.Contigs, 1)
+	pms := positionalAll(mapper, ds.Reads)
+	scaffolds, _ := jem.BuildScaffoldsOrientedFull(pms, ds.Reads, ds.Contigs, 1)
 	if len(scaffolds) == 0 {
 		t.Fatal("no oriented scaffolds")
 	}
@@ -153,7 +153,7 @@ func TestStrandInferenceMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pms := mapper.MapReadsPositional(ds.Reads)
+	pms := positionalAll(mapper, ds.Reads)
 	agree, total := 0, 0
 	for _, pm := range pms {
 		if !pm.Mapped || pm.TargetStart < 0 || (pm.Strand != '+' && pm.Strand != '-') {
@@ -272,7 +272,7 @@ func TestPositionalTargetWindowsAreAccurate(t *testing.T) {
 		cut := len(contig) / 2
 		seg := contig[cut : cut+opts.SegmentLen]
 		read := jem.Record{ID: "probe", Seq: seg}
-		pms := mapper.MapReadsPositional([]jem.Record{read})
+		pms := positionalAll(mapper, []jem.Record{read})
 		if len(pms) != 1 || !pms[0].Mapped || pms[0].Contig != ci || pms[0].TargetStart < 0 {
 			continue
 		}

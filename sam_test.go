@@ -18,7 +18,7 @@ func TestWriteSAM(t *testing.T) {
 	}
 	// Map a subset to keep the verification cost small.
 	reads := ds.Reads[:30]
-	vms := mapper.MapReadsVerified(reads, jem.VerifyOptions{})
+	vms := verifiedAll(mapper, reads, jem.VerifyOptions{})
 	var buf bytes.Buffer
 	if err := mapper.WriteSAM(&buf, vms, reads); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package jem_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -42,7 +43,11 @@ func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 	cm.Seal()
 	var refTSV bytes.Buffer
 	fmt.Fprintln(&refTSV, "read_id\tend\tcontig_id\tshared_trials")
-	for _, r := range cm.MapReads(ds.Reads, opts.SegmentLen, 2) {
+	results, err := cm.MapReads(context.Background(), ds.Reads, opts.SegmentLen, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
 		end := jem.PrefixEnd
 		if r.Kind == core.Suffix {
 			end = jem.SuffixEnd

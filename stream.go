@@ -419,8 +419,9 @@ func (m *Mapper) mapStreamBatch(run *runScope, sess *core.Session, item streamWo
 		panic("injected worker panic")
 	}
 	out := make([]Mapping, 0, 2*len(item.recs))
+	row := m.mapEnd
 	for j := range item.recs {
-		out = m.appendSegmentMappings(out, sess, item.base+j, item.recs[j])
+		out = core.AppendEnds(out, sess, item.base+j, item.recs[j], m.opts.SegmentLen, row)
 	}
 	return streamResult{seq: item.seq, mappings: out}
 }
@@ -494,24 +495,4 @@ func (m *Mapper) drainStreamResults(run *runScope, w io.Writer, results <-chan s
 	}
 	run.addWriteWall(writeWall)
 	return writeErr, batchErr
-}
-
-// appendSegmentMappings maps both end segments of one read and
-// appends their Mappings.
-func (m *Mapper) appendSegmentMappings(out []Mapping, sess *core.Session, readIndex int, rec Record) []Mapping {
-	segs, kinds := core.EndSegments(rec.Seq, m.opts.SegmentLen)
-	for si, seg := range segs {
-		mp := Mapping{ReadIndex: readIndex, ReadID: rec.ID, End: PrefixEnd}
-		if kinds[si] == core.Suffix {
-			mp.End = SuffixEnd
-		}
-		if hit, ok := sess.MapSegment(seg); ok {
-			mp.Mapped = true
-			mp.Contig = int(hit.Subject)
-			mp.ContigID = m.core.Subject(hit.Subject).Name
-			mp.SharedTrials = int(hit.Count)
-		}
-		out = append(out, mp)
-	}
-	return out
 }

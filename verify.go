@@ -1,9 +1,10 @@
 package jem
 
 import (
+	"context"
+
 	"repro/internal/align"
 	"repro/internal/core"
-	"repro/internal/parallel"
 )
 
 // VerifyOptions configures alignment-verified mapping.
@@ -44,63 +45,41 @@ type VerifiedMapping struct {
 	Rescued bool
 }
 
-// MapReadsVerified maps end segments by sketch, then rescoreseach
+// MapReadsVerified maps end segments by sketch, then rescores each
 // segment's top-x candidates with a banded local alignment and reports
 // the alignment winner — the paper's future-work direction (i):
 // trading a little alignment work (x alignments per segment instead of
 // |S|) for precision on repetitive inputs. Requires the mapper to have
 // been built with contig records (NewMapper retains them; index-loaded
-// mappers need them passed to LoadMapper).
-func (m *Mapper) MapReadsVerified(reads []Record, vo VerifyOptions) []VerifiedMapping {
+// mappers need them passed to LoadMapper). It runs under Map's
+// contract: on cancellation the completed prefix comes back with
+// ctx.Err(), and an error wrapping ErrIndexChecksum means the index
+// degraded mid-batch.
+func (m *Mapper) MapReadsVerified(ctx context.Context, reads []Record, vo VerifyOptions) ([]VerifiedMapping, error) {
 	vo = vo.withDefaults()
 	sc := align.DefaultScoring()
-	out := make([][]VerifiedMapping, len(reads))
-	parallel.ForEachWorker(len(reads), m.opts.Workers,
-		func() *core.Session { return m.core.NewSession() },
-		func(sess *core.Session, i int) {
-			segs, kinds := core.EndSegments(reads[i].Seq, m.opts.SegmentLen)
-			vms := make([]VerifiedMapping, 0, len(segs))
-			for si, seg := range segs {
-				vm := VerifiedMapping{Mapping: Mapping{
-					ReadIndex: i,
-					ReadID:    reads[i].ID,
-					End:       PrefixEnd,
-				}}
-				if kinds[si] == core.Suffix {
-					vm.End = SuffixEnd
+	return core.MapEnds(ctx, reads, m.opts.SegmentLen, m.opts.Workers, m.session(ctx),
+		func(sess *core.Session, e core.End) VerifiedMapping {
+			hits := sess.MapSegmentTopK(e.Seq, vo.TopX)
+			bestIdx, bestRev := -1, false
+			var best align.Result
+			for hi, h := range hits {
+				res, rev := align.FastIdentityStranded(e.Seq, m.contigs[h.Subject].Seq, sc, 64)
+				if bestIdx < 0 || res.Score > best.Score {
+					best, bestRev, bestIdx = res, rev, hi
 				}
-				hits := sess.MapSegmentTopK(seg, vo.TopX)
-				bestIdx := -1
-				bestRev := false
-				var best align.Result
-				for hi, h := range hits {
-					res, rev := align.FastIdentityStranded(seg, m.contigs[h.Subject].Seq, sc, 64)
-					if bestIdx < 0 || res.Score > best.Score {
-						best = res
-						bestRev = rev
-						bestIdx = hi
-					}
-				}
-				if bestIdx >= 0 && best.PercentIdentity() >= vo.MinIdentity {
-					h := hits[bestIdx]
-					vm.Mapped = true
-					vm.Contig = int(h.Subject)
-					vm.ContigID = m.core.Subject(h.Subject).Name
-					vm.SharedTrials = int(h.Count)
-					vm.Identity = best.PercentIdentity()
-					vm.CIGAR = best.CIGAR()
-					vm.TargetStart = best.BStart
-					vm.TargetEnd = best.BEnd
-					vm.Reverse = bestRev
-					vm.Rescued = bestIdx != 0
-				}
-				vms = append(vms, vm)
 			}
-			out[i] = vms
+			if bestIdx < 0 || best.PercentIdentity() < vo.MinIdentity {
+				return VerifiedMapping{Mapping: toMapping(e.Result(core.Hit{}, false), e.ID, m.contigName)}
+			}
+			return VerifiedMapping{
+				Mapping:     toMapping(e.Result(hits[bestIdx], true), e.ID, m.contigName),
+				Identity:    best.PercentIdentity(),
+				CIGAR:       best.CIGAR(),
+				TargetStart: best.BStart,
+				TargetEnd:   best.BEnd,
+				Reverse:     bestRev,
+				Rescued:     bestIdx != 0,
+			}
 		})
-	flat := make([]VerifiedMapping, 0, 2*len(reads))
-	for _, vms := range out {
-		flat = append(flat, vms...)
-	}
-	return flat
 }

@@ -13,7 +13,7 @@ func TestMapReadsVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vms := mapper.MapReadsVerified(ds.Reads, jem.VerifyOptions{})
+	vms := verifiedAll(mapper, ds.Reads, jem.VerifyOptions{})
 	if len(vms) == 0 {
 		t.Fatal("no verified mappings")
 	}
@@ -67,7 +67,7 @@ func TestMapReadsVerifiedRejectsJunk(t *testing.T) {
 	for i := range junk {
 		junk[i] = "ACGT"[(i*7+i/13)%4]
 	}
-	vms := mapper.MapReadsVerified([]jem.Record{{ID: "junk", Seq: junk}}, jem.VerifyOptions{MinIdentity: 90})
+	vms := verifiedAll(mapper, []jem.Record{{ID: "junk", Seq: junk}}, jem.VerifyOptions{MinIdentity: 90})
 	for _, vm := range vms {
 		if vm.Mapped {
 			t.Errorf("junk read mapped at %.1f%% identity to %s", vm.Identity, vm.ContigID)
