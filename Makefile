@@ -56,11 +56,12 @@ test-short:
 
 # Fault-injection and robustness tests under the race detector:
 # cancellation, quarantine, injected I/O errors, worker panics,
-# index corruption, the SIGINT-mid-stream CLI test, and the read-set
-# driver's goldens, metamorphic checks and degraded-answer errors. See
+# index corruption, the SIGINT-mid-stream CLI test, the read-set
+# driver's goldens, metamorphic checks and degraded-answer errors, and
+# every Stream output format (validation, SAM/PAF rows, lost shards). See
 # docs/ROBUSTNESS.md for the failure-path contracts these prove.
 fault-test:
-	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex|TestMapEnds|TestReadSet|TestMetamorphic' . ./internal/core/
+	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex|TestMapEnds|TestReadSet|TestMetamorphic|TestStream|TestWriteSAM|TestOptionsValidate' . ./internal/core/
 	$(GO) test -race ./internal/fault/ ./internal/seq/
 
 # End-to-end serving tests under the race detector: concurrent
@@ -119,7 +120,7 @@ metrics-demo:
 	rm -rf /tmp/jem-metrics-demo && mkdir -p /tmp/jem-metrics-demo
 	$(GO) run ./cmd/jem-simulate -name demo -len 300000 -hifi-cov 5 -short-cov 25 -out /tmp/jem-metrics-demo
 	$(GO) run ./cmd/jem-assemble -o /tmp/jem-metrics-demo/contigs.fasta /tmp/jem-metrics-demo/demo.illumina.fastq
-	$(GO) run ./cmd/jem-mapper -stream -metrics-addr $(METRICS_ADDR) -metrics-linger 3s \
+	$(GO) run ./cmd/jem-mapper -metrics-addr $(METRICS_ADDR) -metrics-linger 3s \
 		-o /tmp/jem-metrics-demo/mapping.tsv \
 		/tmp/jem-metrics-demo/contigs.fasta /tmp/jem-metrics-demo/demo.hifi.fastq & \
 	pid=$$!; \

@@ -188,6 +188,17 @@ func TestOptionsValidateTypedErrors(t *testing.T) {
 	if _, err := m.Stream(context.Background(), strings.NewReader(""), &sink, jem.StreamOptions{MaxRecordLen: -1}); !errors.Is(err, jem.ErrInvalidOptions) {
 		t.Errorf("Stream accepted MaxRecordLen=-1: %v", err)
 	}
+	if _, err := m.Stream(context.Background(), strings.NewReader(""), &sink, jem.StreamOptions{Format: 9}); !errors.Is(err, jem.ErrInvalidOptions) || sink.Len() != 0 {
+		t.Errorf("Stream accepted Format 9 (wrote %d bytes): %v", sink.Len(), err)
+	}
+	for _, f := range []jem.Format{jem.FormatTSV, jem.FormatPAF, jem.FormatSAM, jem.FormatNDJSON} {
+		if got, err := jem.ParseFormat(f.String()); got != f || err != nil {
+			t.Errorf("ParseFormat(%q) = %v, %v", f, got, err)
+		}
+	}
+	if _, err := jem.ParseFormat("bam"); err == nil {
+		t.Error("ParseFormat accepted bam")
+	}
 }
 
 func TestOpenBuildLoadRebuild(t *testing.T) {

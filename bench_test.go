@@ -20,7 +20,9 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/sketch"
 )
 
 // benchScale keeps full-suite bench runs in the minutes range.
@@ -302,20 +304,19 @@ func BenchmarkSeedChainMapReads(b *testing.B) {
 func BenchmarkAblationSegmentsVsWholeRead(b *testing.B) {
 	d := benchDataset(b)
 	opts := benchOpts()
-	mapper, err := jem.NewMapper(d.Contigs, opts)
+	mapper, err := core.NewMapper(sketch.Params{K: opts.K, W: opts.W, T: opts.Trials, L: opts.SegmentLen, Seed: opts.Seed})
 	if err != nil {
 		b.Fatal(err)
 	}
+	mapper.AddSubjectsParallel(d.Contigs, opts.Workers)
+	mapper.Seal()
+	sess := mapper.NewSession()
 	b.Run("end-segments", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range d.Reads {
-				seg := r.Seq
-				if len(seg) > opts.SegmentLen {
-					seg = seg[:opts.SegmentLen]
-				}
-				mapper.MapSegment(seg)
-				if len(r.Seq) > opts.SegmentLen {
-					mapper.MapSegment(r.Seq[len(r.Seq)-opts.SegmentLen:])
+				segs, _ := core.EndSegments(r.Seq, opts.SegmentLen)
+				for _, seg := range segs {
+					sess.MapSegment(seg)
 				}
 			}
 		}
@@ -323,7 +324,7 @@ func BenchmarkAblationSegmentsVsWholeRead(b *testing.B) {
 	b.Run("whole-read", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range d.Reads {
-				mapper.MapSegment(r.Seq)
+				sess.MapSegment(r.Seq)
 			}
 		}
 	})

@@ -85,7 +85,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// 3c. PAF output.
-	paf := runStdout("jem-mapper", "-paf",
+	paf := runStdout("jem-mapper", "-format", "paf",
 		filepath.Join(dir, "contigs.fasta"), filepath.Join(dir, "cli.hifi.fastq"))
 	pafLines := strings.Split(strings.TrimSpace(paf), "\n")
 	if len(pafLines) < 10 || len(strings.Split(pafLines[0], "\t")) != 13 {
@@ -153,8 +153,8 @@ func fmtSscanf(line string, p, r, f1 *float64) (int, error) {
 // output-path error handling jem-vet's errsink analyzer surfaced:
 // jem-mapper used `defer f.Close()` on the -o file, so a failing
 // output device could leave a truncated mapping table behind a zero
-// exit status. Mapping to /dev/full must fail loudly, in both the
-// batch and streaming writers.
+// exit status. Mapping to /dev/full must fail loudly, in every output
+// format and on the materialised -p path.
 func TestMapperOutputWriteErrorFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the jem-mapper binary")
@@ -195,8 +195,10 @@ func TestMapperOutputWriteErrorFails(t *testing.T) {
 	}
 
 	for _, mode := range [][]string{
-		{"-o", "/dev/full"},
-		{"-stream", "-o", "/dev/full"},
+		{"-format", "tsv", "-o", "/dev/full"},
+		{"-format", "paf", "-o", "/dev/full"},
+		{"-format", "sam", "-o", "/dev/full"},
+		{"-p", "2", "-o", "/dev/full"},
 	} {
 		args := append(append([]string{}, mode...), contigPath, readPath)
 		out, err := exec.Command(mapper, args...).CombinedOutput()

@@ -1,11 +1,14 @@
 package jem_test
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -91,7 +94,7 @@ func TestMapperCorruptIndexFallback(t *testing.T) {
 	}
 }
 
-// TestMapperKillMidStream: SIGINT during a -stream run must drain
+// TestMapperKillMidStream: SIGINT during a run must drain
 // in-flight batches, flush a well-formed partial TSV, report the
 // interruption and exit non-zero. JEM_FAULTS=writer.slow throttles
 // row writes so the interrupt reliably lands mid-stream.
@@ -106,7 +109,7 @@ func TestMapperKillMidStream(t *testing.T) {
 	// reader and the signal reliably lands while input remains unread.
 	contigPath, readPath := writeTinyDataset(t, dir, 2000)
 	outPath := filepath.Join(dir, "out.tsv")
-	cmd := exec.Command(bin, "-stream", "-workers", "2", "-o", outPath, contigPath, readPath)
+	cmd := exec.Command(bin, "-workers", "2", "-o", outPath, contigPath, readPath)
 	// 5ms per row throttles the writer to ~1s of slow output; times
 	// bounds the post-signal drain so the test stays fast.
 	cmd.Env = append(os.Environ(), "JEM_FAULTS=writer.slow:delay=5ms,times=200")
@@ -153,9 +156,10 @@ func TestMapperKillMidStream(t *testing.T) {
 	}
 }
 
-// TestMapperQuarantineSidecar: the quarantine policy end to end —
-// the run succeeds, the sidecar file names the bad record, and the
-// same input under the default fail policy exits non-zero.
+// TestMapperQuarantineSidecar: the quarantine policy end to end, in TSV
+// and PAF — the run succeeds, the sidecar file names the bad record,
+// the records around it are mapped, and the same input under the
+// default fail policy, or on the -p path, exits non-zero.
 func TestMapperQuarantineSidecar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the jem-mapper binary")
@@ -177,32 +181,113 @@ func TestMapperQuarantineSidecar(t *testing.T) {
 	outPath := filepath.Join(dir, "out.tsv")
 
 	// Default policy: the malformed record fails the run.
-	if out, err := exec.Command(bin, "-stream", "-o", outPath, contigPath, readPath).CombinedOutput(); err == nil {
+	if out, err := exec.Command(bin, "-o", outPath, contigPath, readPath).CombinedOutput(); err == nil {
 		t.Fatalf("fail policy accepted a malformed record:\n%s", out)
 	}
 
-	out, err := exec.Command(bin, "-stream", "-on-bad-record=quarantine", "-o", outPath,
-		contigPath, readPath).CombinedOutput()
-	if err != nil {
-		t.Fatalf("quarantine run: %v\n%s", err, out)
+	// -p maps a loaded read set to TSV: it refuses what it cannot honour.
+	for _, args := range [][]string{{"-on-bad-record=quarantine"}, {"-format", "paf"}} {
+		args = append(append([]string{"-p", "2"}, args...), "-o", outPath, contigPath, readPath)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil || !strings.Contains(string(out), "-p loads the read set") {
+			t.Errorf("jem-mapper %v: %v, want the -p refusal\n%s", args, err, out)
+		}
 	}
-	if !strings.Contains(string(out), "quarantined 1 bad records") {
-		t.Errorf("stderr does not report the quarantine:\n%s", out)
+
+	for _, format := range []string{"tsv", "paf"} {
+		out, err := exec.Command(bin, "-format", format, "-on-bad-record=quarantine", "-o", outPath,
+			contigPath, readPath).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s quarantine run: %v\n%s", format, err, out)
+		}
+		if !strings.Contains(string(out), "quarantined 1 bad records") {
+			t.Errorf("%s: stderr does not report the quarantine:\n%s", format, out)
+		}
+		// Six good reads before the bad one and lastread after it.
+		if !strings.Contains(string(out), "streamed 7 reads") {
+			t.Errorf("%s: stderr does not count the good records:\n%s", format, out)
+		}
+		side, err := os.ReadFile(outPath + ".quarantine")
+		if err != nil {
+			t.Fatalf("%s sidecar: %v", format, err)
+		}
+		if !strings.Contains(string(side), "badread") || strings.Count(string(side), "\n") != 1 {
+			t.Errorf("%s sidecar content: %q", format, side)
+		}
+		// The good records around the bad one were all mapped (PAF has
+		// rows for hits only, and the 12-base lastread hits nothing).
+		rows, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(rows), "read5") || (format == "tsv" && !strings.Contains(string(rows), "lastread")) {
+			t.Errorf("%s: good records missing from output:\n%s", format, rows)
+		}
 	}
-	side, err := os.ReadFile(outPath + ".quarantine")
-	if err != nil {
-		t.Fatalf("sidecar: %v", err)
+}
+
+// TestMapperPeakRSSBounded: every format streams its reads, so peak RSS
+// is bounded by the pipeline depth, not the read set — mapping eight
+// copies of one jem-simulate read set (32 MB of FASTQ) to PAF peaks
+// within 24 MB of mapping one copy, the slack a 1× run that never fills
+// the pipeline leaves. Loading the reads first costs about twice that.
+//
+// A child's Maxrss starts at its spawner's RSS (os/exec spawns with a
+// shared address space until exec), so the mapper is spawned by a fresh
+// copy of this test binary rather than by this possibly large process.
+func TestMapperPeakRSSBounded(t *testing.T) {
+	if os.Getenv("JEM_PEAK_RSS") != "" {
+		cmd := exec.Command(flag.Arg(0), flag.Args()[1:]...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v: %v\n%s", cmd.Args, err, out)
+		}
+		ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage)
+		if !ok {
+			t.Skip("no rusage on this platform")
+		}
+		fmt.Printf("maxrss_kb %d\n", ru.Maxrss)
+		return
 	}
-	if !strings.Contains(string(side), "badread") || strings.Count(string(side), "\n") != 1 {
-		t.Errorf("sidecar content: %q", side)
+	if testing.Short() {
+		t.Skip("builds binaries and maps a 32 MB read set")
 	}
-	// The good records around the bad one were all mapped.
-	tsv, err := os.ReadFile(outPath)
+	const rssSlackKB = 24 << 10
+	dir := t.TempDir()
+	bin := buildMapperBinary(t, dir)
+	sim := filepath.Join(dir, "jem-simulate")
+	if out, err := exec.Command("go", "build", "-o", sim, "./cmd/jem-simulate").CombinedOutput(); err != nil {
+		t.Fatalf("building jem-simulate: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(sim, "-len", "200000", "-out", dir, "-name", "rss").CombinedOutput(); err != nil {
+		t.Fatalf("jem-simulate: %v\n%s", err, out)
+	}
+	once, err := os.ReadFile(filepath.Join(dir, "rss.hifi.fastq"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(tsv), "lastread") || !strings.Contains(string(tsv), "read5") {
-		t.Errorf("good records missing from output:\n%s", tsv)
+	eight := filepath.Join(dir, "reads8.fastq")
+	if err := os.WriteFile(eight, bytes.Repeat(once, 8), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	peakKB := func(reads string) int64 {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMapperPeakRSSBounded$", "--",
+			bin, "-format", "paf", "-workers", "2", "-o", filepath.Join(dir, "out.paf"),
+			filepath.Join(dir, "rss.ref.fasta"), reads)
+		cmd.Env = append(os.Environ(), "JEM_PEAK_RSS=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("measuring %s: %v\n%s", reads, err, out)
+		}
+		var kb int64
+		if _, err := fmt.Sscanf(string(out), "maxrss_kb %d", &kb); err != nil {
+			t.Skipf("no peak RSS reported: %s", out)
+		}
+		return kb
+	}
+	one, all := peakKB(filepath.Join(dir, "rss.hifi.fastq")), peakKB(eight)
+	t.Logf("peak RSS: %d KB at 1×, %d KB at 8× the reads", one, all)
+	if all > one+rssSlackKB {
+		t.Errorf("peak RSS grew with the read set: %d KB at 1×, %d KB at 8× (bound +%d KB)", one, all, rssSlackKB)
 	}
 }
 

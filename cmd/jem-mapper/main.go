@@ -1,5 +1,9 @@
 // Command jem-mapper maps the end segments of long reads to contigs
-// using the JEM sketch, writing a TSV mapping to stdout (or -o).
+// using the JEM sketch, writing one row per end segment to stdout (or
+// -o): a TSV mapping table, or with -format paf|sam|json positional
+// PAF, alignment-verified SAM or NDJSON. Reads are streamed, never
+// loaded whole, and per-phase stats (reads, segments, postings scanned,
+// read/map/write wall) are printed on stderr.
 //
 // Usage:
 //
@@ -7,7 +11,8 @@
 //
 // Flags mirror the paper's parameters: -k 16 -w 100 -t 30 -l 1000.
 // Pass -p N to run the simulated distributed-memory algorithm on N
-// ranks and report per-step simulated times on stderr.
+// ranks and report per-step simulated times on stderr; it loads the
+// read set and writes TSV.
 //
 // Pass -metrics-addr host:port to serve live observability while the
 // run is in flight: /metrics (Prometheus text), /statusz (human
@@ -24,7 +29,6 @@ package main
 
 import (
 	"bufio"
-	"cmp"
 	"compress/gzip"
 	"context"
 	"errors"
@@ -44,7 +48,7 @@ import (
 )
 
 // logger carries the CLI's structured progress log (stderr). Result
-// summaries (printStats, printMapSummary, the distributed step table)
+// summaries (printStats, the distributed step table)
 // stay plain text: they are the run's output, not its log.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
 	ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
@@ -65,21 +69,19 @@ func main() {
 		workers     = flag.Int("workers", 0, "goroutines (0 = all cores)")
 		shards      = flag.Int("shards", 0, "partition the sketch index into this many shards (0/1 = unsharded; sharded and unsharded output is identical)")
 		ranks       = flag.Int("p", 0, "simulated MPI ranks (0 = shared-memory run)")
-		outPath     = flag.String("o", "", "output TSV path (default stdout)")
-		paf         = flag.Bool("paf", false, "write PAF with positional estimates instead of TSV")
-		sam         = flag.Bool("sam", false, "verify top hits by alignment and write SAM (slower)")
+		outPath     = flag.String("o", "", "output path (default stdout)")
+		format      = flag.String("format", "tsv", "output rows: tsv, paf (positional estimates), sam (top hits verified by alignment; slower) or json (NDJSON)")
 		saveIdx     = flag.String("save-index", "", "write the sketch index here after building (atomic temp+rename)")
 		loadIdx     = flag.String("load-index", "", "load a sketch index instead of sketching contigs")
 		memory      = flag.String("memory", "", "how -load-index holds the table: heap, mmap, or auto (see docs/MEMORY.md)")
 		memBudget   = flag.Int64("memory-budget", 0, "heap byte budget for -memory auto (0 = no cap)")
-		stream      = flag.Bool("stream", false, "map reads as a stream (bounded memory) and report per-phase stats")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile here")
 		onBadRecord = flag.String("on-bad-record", "fail",
-			"what a malformed input record does in -stream mode: fail, skip, or quarantine (skip + log to the sidecar file)")
+			"what a malformed input record does: fail, skip, or quarantine (skip + log to the sidecar file)")
 		quarantinePath = flag.String("quarantine-file", "",
 			"sidecar path for -on-bad-record=quarantine (default: <output>.quarantine, requires -o)")
 		maxRecordLen = flag.Int("max-record-len", 0,
-			"treat -stream records longer than this many bases as bad records (0 = no limit)")
+			"treat records longer than this many bases as bad records (0 = no limit)")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve /metrics, /statusz, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = off)")
 		metricsLinger = flag.Duration("metrics-linger", 0,
@@ -103,6 +105,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "jem-mapper: %v\n", err)
 		os.Exit(2)
 	}
+	outFormat, err := jem.ParseFormat(*format)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jem-mapper: %v\n", err)
+		os.Exit(2)
+	}
 	memMode, err := jem.ParseMemoryMode(*memory)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jem-mapper: %v\n", err)
@@ -112,8 +119,8 @@ func main() {
 		Memory: jem.Memory{Mode: memMode, Budget: *memBudget}}
 	cfg := runConfig{
 		contigPath: flag.Arg(0), readPath: flag.Arg(1),
-		opts: opts, ranks: *ranks, outPath: *outPath, paf: *paf, sam: *sam,
-		saveIndex: *saveIdx, loadIndex: *loadIdx, stream: *stream, cpuProfile: *cpuProf,
+		opts: opts, ranks: *ranks, outPath: *outPath, format: outFormat,
+		saveIndex: *saveIdx, loadIndex: *loadIdx, cpuProfile: *cpuProf,
 		onBadRecord: policy, quarantinePath: *quarantinePath, maxRecordLen: *maxRecordLen,
 		metricsAddr: *metricsAddr, metricsLinger: *metricsLinger,
 	}
@@ -138,10 +145,8 @@ type runConfig struct {
 	opts                 jem.Options
 	ranks                int
 	outPath              string
-	paf                  bool
-	sam                  bool
+	format               jem.Format
 	saveIndex, loadIndex string
-	stream               bool
 	cpuProfile           string
 	onBadRecord          jem.BadRecordPolicy
 	quarantinePath       string
@@ -203,11 +208,8 @@ func run(ctx context.Context, cfg runConfig) (retErr error) {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if cfg.stream && (cfg.paf || cfg.sam || cfg.ranks > 0) {
-		return fmt.Errorf("-stream writes TSV only and runs shared-memory (drop -paf/-sam/-p)")
-	}
-	if cfg.onBadRecord != jem.BadRecordFail && !cfg.stream {
-		return fmt.Errorf("-on-bad-record applies to -stream mode only")
+	if cfg.ranks > 0 && (cfg.format != jem.FormatTSV || cfg.onBadRecord != jem.BadRecordFail || cfg.maxRecordLen > 0) {
+		return fmt.Errorf("-p loads the read set and writes TSV (drop -format, -on-bad-record and -max-record-len)")
 	}
 	if cfg.onBadRecord == jem.BadRecordQuarantine && cfg.quarantinePath == "" {
 		if cfg.outPath == "" {
@@ -220,18 +222,8 @@ func run(ctx context.Context, cfg runConfig) (retErr error) {
 	if err != nil {
 		return err
 	}
-	var reads []jem.Record
-	if !cfg.stream {
-		// Stream mode never materializes the read set; everyone else
-		// loads it up front.
-		reads, err = jem.ReadSequences(cfg.readPath)
-		if err != nil {
-			return err
-		}
-	}
-	logger.Info("inputs loaded",
+	logger.Info("contigs loaded",
 		slog.Int("contigs", len(contigs)),
-		slog.Int("reads", len(reads)),
 		slog.Duration("elapsed", time.Since(start).Round(time.Millisecond)))
 
 	out := os.Stdout
@@ -252,6 +244,10 @@ func run(ctx context.Context, cfg runConfig) (retErr error) {
 	}
 
 	if cfg.ranks > 0 {
+		reads, err := jem.ReadSequences(cfg.readPath)
+		if err != nil {
+			return err
+		}
 		dout, err := jem.MapDistributed(contigs, reads, cfg.ranks, cfg.opts)
 		if err != nil {
 			return err
@@ -280,28 +276,9 @@ func run(ctx context.Context, cfg runConfig) (retErr error) {
 	}
 
 	mapStart := time.Now()
-	if cfg.stream {
-		stats, err := mapStreaming(ctx, mapper, cfg, out)
-		printStats(os.Stderr, stats, time.Since(mapStart))
-		return err
-	}
-	// On cancellation (or a degraded index) the completed prefix is
-	// still written, so an interrupted run leaves a well-formed
-	// (partial) table behind; the mapping error follows a write error.
-	if cfg.sam {
-		vms, mapErr := mapper.MapReadsVerified(ctx, reads, jem.VerifyOptions{})
-		fmt.Fprintf(os.Stderr, "verified %d segments in %v\n",
-			len(vms), time.Since(mapStart).Round(time.Millisecond))
-		return cmp.Or(mapper.WriteSAM(out, vms, reads), mapErr)
-	}
-	if cfg.paf {
-		pms, mapErr := mapper.MapReadsPositional(ctx, reads)
-		printMapSummary(os.Stderr, reg, time.Since(mapStart))
-		return cmp.Or(mapper.WritePAF(out, pms, reads), mapErr)
-	}
-	mappings, mapErr := mapper.Map(ctx, reads, jem.MapOptions{})
-	printMapSummary(os.Stderr, reg, time.Since(mapStart))
-	return cmp.Or(jem.WriteTSV(out, mappings), mapErr)
+	stats, err := mapStreaming(ctx, mapper, cfg, out)
+	printStats(os.Stderr, stats, time.Since(mapStart))
+	return err
 }
 
 // buildMapper constructs the mapper through jem.Open: it loads the
@@ -338,20 +315,8 @@ func buildMapper(cfg runConfig, contigs []jem.Record, reg *obs.Registry) (*jem.M
 	return mapper, nil
 }
 
-// printMapSummary renders the run epilogue from the registry — the
-// same counters /metrics serves — so the printed summary and the
-// scraped one cannot disagree. Shared by the TSV and PAF paths.
-func printMapSummary(w io.Writer, reg *obs.Registry, elapsed time.Duration) {
-	snap := reg.Snapshot()
-	fmt.Fprintf(w, "mapped %d segments (%d hit) in %v, %d postings scanned\n",
-		int64(snap["jem_core_segments_total"]),
-		int64(snap["jem_core_segments_mapped_total"]),
-		elapsed.Round(time.Millisecond),
-		int64(snap["jem_core_postings_scanned_total"]))
-}
-
-// mapStreaming runs the pipelined streaming path over the reads file
-// (gzip-transparent) and returns its per-phase stats. The context
+// mapStreaming streams the reads file (gzip-transparent) through the
+// mapper in cfg.format and returns its per-phase stats. The context
 // cancels the pipeline; whatever was mapped before cancellation is
 // flushed to out regardless.
 func mapStreaming(ctx context.Context, mapper *jem.Mapper, cfg runConfig, out *os.File) (jem.Stats, error) {
@@ -369,7 +334,7 @@ func mapStreaming(ctx context.Context, mapper *jem.Mapper, cfg runConfig, out *o
 		defer gz.Close()
 		src = gz
 	}
-	opts := jem.StreamOptions{OnBadRecord: cfg.onBadRecord, MaxRecordLen: cfg.maxRecordLen}
+	opts := jem.StreamOptions{Format: cfg.format, OnBadRecord: cfg.onBadRecord, MaxRecordLen: cfg.maxRecordLen}
 	var sidecar *os.File
 	if cfg.onBadRecord == jem.BadRecordQuarantine {
 		sidecar, err = os.Create(cfg.quarantinePath)

@@ -43,16 +43,17 @@ func ExampleNewMapper() {
 	// read_1 suffix -> contig_b
 }
 
-// ExampleMapper_MapSegment maps one ad-hoc segment.
-func ExampleMapper_MapSegment() {
+// ExampleMapper_Map_segment maps one ad-hoc segment: a read no longer
+// than SegmentLen is a single (prefix) end segment.
+func ExampleMapper_Map_segment() {
 	genome := deterministicDNA(11, 8000)
 	contigs := []jem.Record{{ID: "only", Seq: genome}}
 	mapper, err := jem.NewMapper(contigs, jem.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
-	contig, trials, ok := mapper.MapSegment(genome[2000:3000])
-	fmt.Println(ok, contigs[contig].ID, trials)
+	rows := mapAll(mapper, []jem.Record{{ID: "seg", Seq: genome[2000:3000]}})
+	fmt.Println(rows[0].Mapped, rows[0].ContigID, rows[0].SharedTrials)
 	// 26 of the 30 trials collide: interior segments sit between the
 	// subject's interval anchors, so a few trials pick boundary
 	// minimizers the query's single interval does not contain.

@@ -14,9 +14,18 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"strings"
 
 	"repro"
 )
+
+// must stops the example on a mapping error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
 
 func randDNA(rng *rand.Rand, n int) []byte {
 	bases := []byte("ACGT")
@@ -47,40 +56,29 @@ func main() {
 	read = append(read, right[:5000]...)
 	readRec := jem.Record{ID: "bridging_read", Seq: read}
 
+	ctx := context.Background()
 	opts := jem.DefaultOptions()
-	mapper, err := jem.NewMapper(contigs, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	mapper := must(jem.NewMapper(contigs, opts))
 
 	// 1. Classic end-segment mapping sees only the flanking contigs.
 	fmt.Println("end-segment mapping:")
-	endMappings, err := mapper.Map(context.Background(), []jem.Record{readRec}, jem.MapOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, m := range endMappings {
+	for _, m := range must(mapper.Map(ctx, []jem.Record{readRec}, jem.MapOptions{})) {
 		fmt.Printf("  %s %s -> %s (shared trials %d)\n", m.ReadID, m.End, m.ContigID, m.SharedTrials)
 	}
 
 	// 2. Tiled mapping walks the read interior and finds everything.
 	fmt.Println("\ntiled mapping (stride = l/2):")
-	for _, tm := range mapper.MapReadTiled(read, opts.SegmentLen/2) {
+	for _, tm := range must(mapper.MapReadTiled(ctx, read, opts.SegmentLen/2)) {
 		fmt.Printf("  tile @%5d..%5d -> %s (shared trials %d)\n",
 			tm.Offset, tm.Offset+tm.Length, tm.ContigID, tm.SharedTrials)
 	}
 	fmt.Println("\ncontigs contained in the read interior:")
-	for _, c := range mapper.ContainedContigs(read) {
+	for _, c := range must(mapper.ContainedContigs(ctx, read)) {
 		fmt.Printf("  %s (%d bp)\n", contigs[c].ID, len(contigs[c].Seq))
 	}
 
 	// 3. PAF output with positional + strand estimates for the ends.
 	fmt.Println("\nPAF (end segments, positional extension):")
-	pms, err := mapper.MapReadsPositional(context.Background(), []jem.Record{readRec})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := mapper.WritePAF(os.Stdout, pms, []jem.Record{readRec}); err != nil {
-		log.Fatal(err)
-	}
+	fasta := strings.NewReader(">" + readRec.ID + "\n" + string(read) + "\n")
+	must(mapper.Stream(ctx, fasta, os.Stdout, jem.StreamOptions{Format: jem.FormatPAF}))
 }

@@ -19,7 +19,7 @@ const hotPathMarker = "//jem:hotpath"
 // and with it the machine checking — from a hot loop.
 var requiredHotPaths = map[string][]string{
 	"repro": {
-		"Mapper.drainStreamResults",
+		"rowFormat.drainStreamResults",
 		"appendTSVRow",
 	},
 	"repro/internal/core": {

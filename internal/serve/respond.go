@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"strconv"
 )
 
 // deferredWriter decouples "the mapping stream writes rows" from "the
@@ -103,64 +102,4 @@ func (d *deferredWriter) fail(status int, msg string) {
 	}
 	fmt.Fprintf(d.hw, "# jem-serve: error: %s\n", msg)
 	d.flush()
-}
-
-// ndjsonWriter transcodes the mapper's TSV row stream into newline-
-// delimited JSON on the fly — one object per mapped segment, the
-// header line dropped. It exists so format=json costs no second
-// mapping pass and no buffering of the result set: the TSV row format
-// is the mapper's native streamed output, and re-encoding a 4-field
-// row is cheap next to producing it.
-type ndjsonWriter struct {
-	w         *deferredWriter
-	carry     []byte // partial trailing line from the previous Write
-	out       []byte // per-call encode buffer, reused
-	sawHeader bool
-}
-
-func (j *ndjsonWriter) Write(p []byte) (int, error) {
-	j.carry = append(j.carry, p...)
-	j.out = j.out[:0]
-	for {
-		nl := bytes.IndexByte(j.carry, '\n')
-		if nl < 0 {
-			break
-		}
-		line := j.carry[:nl]
-		j.carry = j.carry[nl+1:]
-		if !j.sawHeader {
-			j.sawHeader = true
-			continue
-		}
-		j.out = appendRowJSON(j.out, line)
-	}
-	if len(j.out) > 0 {
-		if _, err := j.w.Write(j.out); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
-}
-
-// appendRowJSON renders one TSV row (read_id, end, contig_id,
-// shared_trials; "*" marks unmapped) as a JSON object line.
-func appendRowJSON(out, line []byte) []byte {
-	fields := bytes.Split(line, []byte{'\t'})
-	if len(fields) != 4 {
-		return out // malformed row; cannot happen from our own writer
-	}
-	out = append(out, `{"read_id":`...)
-	out = strconv.AppendQuote(out, string(fields[0]))
-	out = append(out, `,"end":`...)
-	out = strconv.AppendQuote(out, string(fields[1]))
-	if string(fields[2]) == "*" {
-		out = append(out, `,"mapped":false}`...)
-	} else {
-		out = append(out, `,"mapped":true,"contig_id":`...)
-		out = strconv.AppendQuote(out, string(fields[2]))
-		out = append(out, `,"shared_trials":`...)
-		out = append(out, fields[3]...)
-		out = append(out, '}')
-	}
-	return append(out, '\n')
 }

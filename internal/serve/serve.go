@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"cmp"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -349,12 +350,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	ro.setIndex(ix.name)
 	q := r.URL.Query()
-	format := q.Get("format")
-	if format == "" {
-		format = "tsv"
-	}
-	if format != "tsv" && format != "json" {
-		ro.httpError(w, fmt.Sprintf("bad format %q (want tsv or json)", format), http.StatusBadRequest)
+	format, err := jem.ParseFormat(cmp.Or(q.Get("format"), "tsv"))
+	if err != nil || (format != jem.FormatTSV && format != jem.FormatNDJSON) {
+		ro.httpError(w, fmt.Sprintf("bad format %q (want tsv or json)", q.Get("format")), http.StatusBadRequest)
 		return
 	}
 	policy := jem.BadRecordFail
@@ -410,10 +408,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	ro.root.SetAttr("generation", v.gen)
 
 	dw := newDeferredWriter(w, s.cfg.CommitBytes)
-	var sink io.Writer = dw
-	if format == "json" {
+	if format == jem.FormatNDJSON {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink = &ndjsonWriter{w: dw}
 	} else {
 		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
 	}
@@ -422,7 +418,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// attaches its read/sketch/gather/write phase children and
 	// per-shard timings to it.
 	ro.timed = true
-	stats, err := v.mapper.Stream(obs.ContextWithSpan(ctx, ro.root), reader, sink, jem.StreamOptions{
+	stats, err := v.mapper.Stream(obs.ContextWithSpan(ctx, ro.root), reader, dw, jem.StreamOptions{
+		Format:      format,
 		Workers:     s.cfg.WorkersPerRequest,
 		OnBadRecord: policy,
 	})

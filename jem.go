@@ -22,6 +22,7 @@
 package jem
 
 import (
+	"cmp"
 	"context"
 	"io"
 	"strconv"
@@ -352,19 +353,6 @@ func LoadMapper(r io.Reader, contigs []Record) (*Mapper, error) {
 	return &Mapper{opts: opts, core: cm, contigs: contigs, reg: reg, met: met}, nil
 }
 
-// MapSegment maps a single arbitrary segment (at most SegmentLen bases
-// of it are meaningful — longer inputs dilute the sketch) and returns
-// the best contig index and shared-trial count. ok=false when nothing
-// was hit.
-func (m *Mapper) MapSegment(segment []byte) (contig, sharedTrials int, ok bool) {
-	sess := m.core.NewSession()
-	hit, ok := sess.MapSegment(segment)
-	if !ok {
-		return -1, 0, false
-	}
-	return int(hit.Subject), int(hit.Count), true
-}
-
 // TiledMapping is one interior-tile hit of MapReadTiled.
 type TiledMapping struct {
 	// Offset and Length locate the tile on the read.
@@ -378,9 +366,12 @@ type TiledMapping struct {
 // whole read (stride ≤ 0 means SegmentLen, i.e. non-overlapping tiles)
 // — the extension the paper flags for detecting contigs contained in a
 // read's interior, which end-segment mapping cannot see. Unmapped tiles
-// are omitted.
-func (m *Mapper) MapReadTiled(read []byte, stride int) []TiledMapping {
-	sess := m.core.NewSession()
+// are omitted. It runs under Map's contract: on cancellation the tiles
+// mapped so far come back with ctx.Err(), and an error wrapping
+// ErrIndexChecksum means the index degraded and the tiles were mapped
+// without a lost shard's postings.
+func (m *Mapper) MapReadTiled(ctx context.Context, read []byte, stride int) ([]TiledMapping, error) {
+	sess := m.core.NewSession().WithContext(ctx)
 	tiles := sess.MapReadTiled(read, m.opts.SegmentLen, stride)
 	out := make([]TiledMapping, len(tiles))
 	for i, th := range tiles {
@@ -392,20 +383,21 @@ func (m *Mapper) MapReadTiled(read []byte, stride int) []TiledMapping {
 			SharedTrials: int(th.Count),
 		}
 	}
-	return out
+	return out, cmp.Or(sess.Err(), ctx.Err())
 }
 
 // ContainedContigs returns the distinct contigs hit by the read's
 // interior tiles (excluding the two end tiles) — candidates for
-// contigs wholly contained in the read.
-func (m *Mapper) ContainedContigs(read []byte) []int {
-	sess := m.core.NewSession()
+// contigs wholly contained in the read. It runs under MapReadTiled's
+// contract.
+func (m *Mapper) ContainedContigs(ctx context.Context, read []byte) ([]int, error) {
+	sess := m.core.NewSession().WithContext(ctx)
 	ids := sess.ContainedSubjects(read, m.opts.SegmentLen)
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		out[i] = int(id)
 	}
-	return out
+	return out, cmp.Or(sess.Err(), ctx.Err())
 }
 
 // tsvHeader is the first line of every TSV mapping table.

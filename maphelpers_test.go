@@ -1,17 +1,18 @@
 package jem_test
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"testing"
 
 	"repro"
 )
 
-// mapAll, positionalAll, verifiedAll and streamAll run the read-set
-// entry points under a background context (mapAll and streamAll with
-// zero options). A local heap-resident mapper cannot fail under a
-// background context, so the panics are unreachable in the tests that
-// use these.
+// mapAll, positionalAll and streamAll run the read-set entry points
+// under a background context (mapAll and streamAll with zero options).
+// A local heap-resident mapper cannot fail under a background context,
+// so the panics are unreachable in the tests that use these.
 
 func mapAll(m *jem.Mapper, reads []jem.Record) []jem.Mapping {
 	mappings, err := m.Map(context.Background(), reads, jem.MapOptions{})
@@ -33,10 +34,16 @@ func positionalAll(m *jem.Mapper, reads []jem.Record) []jem.PositionalMapping {
 	return pms
 }
 
-func verifiedAll(m *jem.Mapper, reads []jem.Record, vo jem.VerifyOptions) []jem.VerifiedMapping {
-	vms, err := m.MapReadsVerified(context.Background(), reads, vo)
-	if err != nil {
-		panic(err)
+// streamFormat streams reads, written as FASTQ, through m in format f
+// and returns what Stream wrote.
+func streamFormat(t *testing.T, m *jem.Mapper, reads []jem.Record, f jem.Format) []byte {
+	t.Helper()
+	var in, out bytes.Buffer
+	if err := writeFASTQ(&in, reads); err != nil {
+		t.Fatal(err)
 	}
-	return vms
+	if _, err := m.Stream(context.Background(), &in, &out, jem.StreamOptions{Format: f}); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }

@@ -30,7 +30,7 @@ type mapperMetrics struct {
 
 	readWall  *obs.Wall // cumulative wall time parsing input records
 	mapWall   *obs.Wall // cumulative worker wall time sketching+mapping
-	writeWall *obs.Wall // cumulative wall time formatting+writing TSV
+	writeWall *obs.Wall // cumulative wall time formatting+writing rows
 }
 
 func newMapperMetrics(reg *obs.Registry, cm *core.Mapper) *mapperMetrics {
@@ -50,7 +50,7 @@ func newMapperMetrics(reg *obs.Registry, cm *core.Mapper) *mapperMetrics {
 		mapWall: reg.Wall("jem_stream_map_wall_seconds",
 			"cumulative worker wall time sketching and mapping"),
 		writeWall: reg.Wall("jem_stream_write_wall_seconds",
-			"cumulative wall time formatting and writing TSV rows"),
+			"cumulative wall time formatting and writing rows"),
 	}
 }
 

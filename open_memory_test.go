@@ -193,54 +193,62 @@ func TestOpenMemoryInfoOnBuildAndRebuild(t *testing.T) {
 
 // TestStreamSurfacesFaultInFailure: when a budgeted open's lazy shard
 // fails its deferred CRC verification mid-stream, the run completes
-// degraded — full TSV shape, lost shards named in Stats.ShardsLost —
-// and returns an error wrapping ErrIndexChecksum so callers know the
-// answer was not exact.
+// degraded in every format — full output shape, lost shards named in
+// Stats.ShardsLost — and returns an error wrapping ErrIndexChecksum so
+// callers know the answer was not exact.
 func TestStreamSurfacesFaultInFailure(t *testing.T) {
+	ds, _ := distWorld(t)
 	// P = 1 is the case the one-scan path made reachable: the only
 	// shard goes lazy, is lost, and the run still completes.
 	for _, p := range []int{4, 1} {
 		idx, _, _, _, reads := savedIndexWorld(t, p)
-		m, info, err := jem.Open(jem.OpenOptions{
-			IndexPath: idx,
-			Options:   jem.Options{Memory: jem.Memory{Mode: jem.MemoryAuto, Budget: 1}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		var lazy int
-		for _, r := range info.Memory.Shards {
-			if r == jem.ShardLazy {
-				lazy++
+		for _, format := range []jem.Format{jem.FormatTSV, jem.FormatPAF, jem.FormatSAM, jem.FormatNDJSON} {
+			// A fresh open per format: a lost shard stays lost.
+			m, info, err := jem.Open(jem.OpenOptions{
+				IndexPath: idx,
+				Contigs:   ds.Contigs,
+				Options:   jem.Options{Memory: jem.Memory{Mode: jem.MemoryAuto, Budget: 1}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lazy int
+			for _, r := range info.Memory.Shards {
+				if r == jem.ShardLazy {
+					lazy++
+				}
+			}
+			if lazy == 0 {
+				t.Skipf("no lazy shards on this platform (residences %v)", info.Memory.Shards)
+			}
+
+			fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
+			var out bytes.Buffer
+			stats, err := m.Stream(context.Background(), bytes.NewReader(reads), &out, jem.StreamOptions{Format: format})
+			fault.Reset()
+			if cerr := m.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			if err == nil {
+				t.Fatalf("p=%d %v: poisoned fault-in surfaced no error", p, format)
+			}
+			if !errors.Is(err, jem.ErrIndexChecksum) {
+				t.Fatalf("p=%d %v: stream error %v does not wrap ErrIndexChecksum", p, format, err)
+			}
+			if len(stats.ShardsLost) == 0 {
+				t.Fatalf("p=%d %v: degraded run named no lost shards", p, format)
+			}
+			if p == 1 && !reflect.DeepEqual(stats.ShardsLost, []int{0}) {
+				t.Fatalf("p=1 %v: ShardsLost = %v, want [0]", format, stats.ShardsLost)
+			}
+			// Degraded output keeps its shape: the format's header, then
+			// whole rows (PAF has none for unmapped segments), never a
+			// torn file.
+			header := map[jem.Format]string{jem.FormatTSV: "read_id", jem.FormatSAM: "@HD"}[format]
+			if got := out.String(); !strings.HasPrefix(got, header) || (got != "" && !strings.HasSuffix(got, "\n")) {
+				t.Fatalf("p=%d %v: degraded output lost its shape: %q", p, format, firstLine(got))
 			}
 		}
-		if lazy == 0 {
-			t.Skipf("no lazy shards on this platform (residences %v)", info.Memory.Shards)
-		}
-
-		fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
-		defer fault.Reset()
-		var tsv bytes.Buffer
-		stats, err := m.Stream(context.Background(), bytes.NewReader(reads), &tsv, jem.StreamOptions{})
-		if err == nil {
-			t.Fatalf("p=%d: poisoned fault-in surfaced no error", p)
-		}
-		if !errors.Is(err, jem.ErrIndexChecksum) {
-			t.Fatalf("p=%d: stream error %v does not wrap ErrIndexChecksum", p, err)
-		}
-		if len(stats.ShardsLost) == 0 {
-			t.Fatalf("p=%d: degraded run named no lost shards", p)
-		}
-		if p == 1 && !reflect.DeepEqual(stats.ShardsLost, []int{0}) {
-			t.Fatalf("p=1: ShardsLost = %v, want [0]", stats.ShardsLost)
-		}
-		// Degraded output keeps its shape: header plus one well-formed
-		// row per mapped segment, never a torn or empty file.
-		if !strings.HasPrefix(tsv.String(), "read_id") {
-			t.Fatalf("p=%d: degraded TSV lost its header: %q", p, firstLine(tsv.String()))
-		}
-		fault.Reset()
 	}
 }
 

@@ -72,5 +72,8 @@ func (o StreamOptions) validate() error {
 	default:
 		return optErr("OnBadRecord", o.OnBadRecord, "is not a known BadRecordPolicy")
 	}
+	if int(o.Format) >= len(formatNames) {
+		return optErr("Format", o.Format, "is not a known Format")
+	}
 	return nil
 }

@@ -3,7 +3,6 @@ package jem
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 )
@@ -54,35 +53,18 @@ func (m *Mapper) positionalEnd(sess *core.Session, e core.End) PositionalMapping
 	return pm
 }
 
-// WritePAF writes positional mappings in PAF (pairwise alignment
-// format), the interchange format of minimap2/Mashmap. Columns 10-11
-// (matching bases, block length) are approximated by the shared-trial
-// count scaled to the segment length and the segment length
-// respectively; a `jm:i:` tag carries the raw shared-trial count.
-// Unmapped segments are skipped (PAF has no unmapped rows).
-func (m *Mapper) WritePAF(w io.Writer, mappings []PositionalMapping, reads []Record) error {
-	for _, pm := range mappings {
-		if !pm.Mapped || pm.TargetStart < 0 {
-			continue
-		}
-		strand := pm.Strand
-		if strand == '?' {
-			strand = '+'
-		}
-		readLen := len(reads[pm.ReadIndex].Seq)
-		tlen := int(m.core.Subject(int32(pm.Contig)).Length)
-		segLen := pm.QueryEnd - pm.QueryStart
-		matches := segLen * pm.SharedTrials / m.opts.Trials
-		mapq := 60 * pm.SharedTrials / m.opts.Trials
-		if mapq > 60 {
-			mapq = 60
-		}
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%c\t%s\t%d\t%d\t%d\t%d\t%d\t%d\tjm:i:%d\n",
-			pm.ReadID, readLen, pm.QueryStart, pm.QueryEnd, strand,
-			pm.ContigID, tlen, pm.TargetStart, pm.TargetEnd,
-			matches, segLen, mapq, pm.SharedTrials); err != nil {
-			return err
-		}
+// appendPAFRow is FormatPAF's encoder.
+func (m *Mapper) appendPAFRow(b []byte, pm *PositionalMapping, batch streamWork) []byte {
+	if !pm.Mapped || pm.TargetStart < 0 {
+		return b
 	}
-	return nil
+	strand := pm.Strand
+	if strand == '?' {
+		strand = '+'
+	}
+	segLen := pm.QueryEnd - pm.QueryStart
+	return fmt.Appendf(b, "%s\t%d\t%d\t%d\t%c\t%s\t%d\t%d\t%d\t%d\t%d\t%d\tjm:i:%d\n",
+		pm.ReadID, len(batch.recs[pm.ReadIndex-batch.base].Seq), pm.QueryStart, pm.QueryEnd, strand,
+		pm.ContigID, m.core.Subject(int32(pm.Contig)).Length, pm.TargetStart, pm.TargetEnd,
+		segLen*pm.SharedTrials/m.opts.Trials, segLen, min(60, 60*pm.SharedTrials/m.opts.Trials), pm.SharedTrials)
 }

@@ -1,7 +1,6 @@
 package jem_test
 
 import (
-	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,11 +51,8 @@ func TestMapReadsPositionalAndPAF(t *testing.T) {
 		t.Errorf("too many unknown strands: %v", strands)
 	}
 
-	var buf bytes.Buffer
-	if err := mapper.WritePAF(&buf, pms, ds.Reads); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	paf := streamFormat(t, mapper, ds.Reads, jem.FormatPAF)
+	lines := strings.Split(strings.TrimSpace(string(paf)), "\n")
 	if len(lines) < len(pms)/2 {
 		t.Fatalf("only %d PAF rows for %d mappings", len(lines), len(pms))
 	}

@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/minhash"
 	"repro/internal/seedchain"
 	"repro/internal/seq"
+	"repro/internal/serve"
 	"repro/internal/simulate"
 	"repro/internal/sketch"
 )
@@ -91,11 +94,25 @@ func sha(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
+// serveJSON maps reads through jem-serve's POST /v1/map?format=json
+// with workers per request and returns the NDJSON body.
+func serveJSON(t *testing.T, m *jem.Mapper, workers int, reads []byte) []byte {
+	t.Helper()
+	s := serve.New(serve.Config{WorkersPerRequest: workers})
+	s.AddIndex("readset", m)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/map?format=json", bytes.NewReader(reads)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/map?format=json: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
 // TestReadSetGoldens pins the output of every read-set path — core
 // MapReads at W ∈ {1, 4} and P ∈ {1, 8}, the three baselines, the
-// simulated distributed run at p ∈ {1, 3}, and the facade's Map, Stream,
-// MapReadsPositional and MapReadsVerified rendered as TSV, TSV, PAF and
-// SAM — as the SHA-256 of its bytes on the seeded readSetWorld. A
+// simulated distributed run at p ∈ {1, 3}, the facade's Map rendered as
+// TSV, Stream in FormatTSV, FormatPAF and FormatSAM, and jem-serve's
+// NDJSON body — as the SHA-256 of its bytes on the seeded readSetWorld. A
 // refactor of the loops that drive these paths must pass unchanged;
 // re-record (go test -run TestReadSetGoldens -update) only with a
 // change that is meant to move an answer.
@@ -160,31 +177,15 @@ func TestReadSetGoldens(t *testing.T) {
 			}
 			got["facade/map/"+key] = sha(tsv.Bytes())
 
-			var stream bytes.Buffer
-			if _, err := m.Stream(ctx, bytes.NewReader(fastq.Bytes()), &stream, jem.StreamOptions{}); err != nil {
-				t.Fatal(err)
+			for name, f := range map[string]jem.Format{"stream": jem.FormatTSV, "paf": jem.FormatPAF, "sam": jem.FormatSAM} {
+				var out bytes.Buffer
+				if _, err := m.Stream(ctx, bytes.NewReader(fastq.Bytes()), &out, jem.StreamOptions{Format: f}); err != nil {
+					t.Fatal(err)
+				}
+				got["facade/"+name+"/"+key] = sha(out.Bytes())
 			}
-			got["facade/stream/"+key] = sha(stream.Bytes())
 
-			pms, err := m.MapReadsPositional(ctx, reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var paf bytes.Buffer
-			if err := m.WritePAF(&paf, pms, reads); err != nil {
-				t.Fatal(err)
-			}
-			got["facade/paf/"+key] = sha(paf.Bytes())
-
-			vms, err := m.MapReadsVerified(ctx, reads, jem.VerifyOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sam bytes.Buffer
-			if err := m.WriteSAM(&sam, vms, reads); err != nil {
-				t.Fatal(err)
-			}
-			got["facade/sam/"+key] = sha(sam.Bytes())
+			got["serve/json/"+key] = sha(serveJSON(t, m, w, fastq.Bytes()))
 		}
 	}
 

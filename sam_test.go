@@ -2,6 +2,8 @@ package jem_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,12 +20,8 @@ func TestWriteSAM(t *testing.T) {
 	}
 	// Map a subset to keep the verification cost small.
 	reads := ds.Reads[:30]
-	vms := verifiedAll(mapper, reads, jem.VerifyOptions{})
-	var buf bytes.Buffer
-	if err := mapper.WriteSAM(&buf, vms, reads); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	sam := streamFormat(t, mapper, reads, jem.FormatSAM)
+	lines := strings.Split(strings.TrimRight(string(sam), "\n"), "\n")
 
 	// Header: @HD, one @SQ per contig, @PG.
 	if !strings.HasPrefix(lines[0], "@HD\t") {
@@ -69,7 +67,7 @@ func TestWriteSAM(t *testing.T) {
 		}
 		// CIGAR query consumption must equal SEQ length.
 		if fields[5] != "*" && fields[9] != "*" {
-			if got := cigarQueryLen(t, fields[5]); got != len(fields[9]) {
+			if got, _ := cigarLens(t, fields[5]); got != len(fields[9]) {
 				t.Errorf("CIGAR consumes %d query bases, SEQ is %d: %q", got, len(fields[9]), fields[5])
 			}
 		}
@@ -81,8 +79,8 @@ func TestWriteSAM(t *testing.T) {
 	if sq != len(ds.Contigs) {
 		t.Errorf("@SQ lines %d want %d", sq, len(ds.Contigs))
 	}
-	if body != len(vms) {
-		t.Errorf("body records %d want %d", body, len(vms))
+	if segments := len(mapAll(mapper, reads)); body != segments {
+		t.Errorf("body records %d want one per end segment, %d", body, segments)
 	}
 	// The dataset samples both strands, so reverse records must occur.
 	if !revSeen {
@@ -90,22 +88,105 @@ func TestWriteSAM(t *testing.T) {
 	}
 }
 
-func cigarQueryLen(t *testing.T, cigar string) int {
+// TestStreamSAMNeedsContigs: FormatSAM aligns against the contig
+// sequences, so a mapper loaded without its contig records refuses the
+// format before writing a byte.
+func TestStreamSAMNeedsContigs(t *testing.T) {
+	ds := buildSmallDataset(t)
+	built, err := jem.NewMapper(ds.Contigs, jem.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx, reads, out bytes.Buffer
+	if err := built.SaveIndex(&idx); err != nil {
+		t.Fatal(err)
+	}
+	m, err := jem.LoadMapper(&idx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFASTQ(&reads, ds.Reads[:4]); err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Stream(context.Background(), &reads, &out, jem.StreamOptions{Format: jem.FormatSAM})
+	if !errors.Is(err, jem.ErrInvalidOptions) {
+		t.Fatalf("SAM without contig records: error %v does not wrap ErrInvalidOptions", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused SAM run wrote %d bytes", out.Len())
+	}
+}
+
+// cigarLens returns how many query and reference bases a CIGAR
+// consumes.
+func cigarLens(t *testing.T, cigar string) (query, ref int) {
 	t.Helper()
-	total, run := 0, 0
+	run := 0
 	for _, c := range cigar {
 		if c >= '0' && c <= '9' {
 			run = run*10 + int(c-'0')
 			continue
 		}
 		switch c {
-		case 'M', 'I', 'S', '=', 'X':
-			total += run
-		case 'D', 'N', 'H', 'P':
+		case 'M', '=', 'X':
+			query += run
+			ref += run
+		case 'I', 'S':
+			query += run
+		case 'D', 'N':
+			ref += run
+		case 'H', 'P':
 		default:
 			t.Fatalf("bad CIGAR op %c in %q", c, cigar)
 		}
 		run = 0
 	}
-	return total
+	return query, ref
+}
+
+// samRecord is one parsed SAM alignment record of FormatSAM.
+type samRecord struct {
+	jem.Mapping
+	identity float64
+	cigar    string
+}
+
+// samRecords parses FormatSAM output, resolving read and contig names
+// against the record slices the run was given.
+func samRecords(t *testing.T, sam []byte, reads, contigs []jem.Record) []samRecord {
+	t.Helper()
+	readIdx := make(map[string]int, len(reads))
+	for i := range reads {
+		readIdx[reads[i].ID] = i
+	}
+	contigIdx := make(map[string]int, len(contigs))
+	for i := range contigs {
+		contigIdx[contigs[i].ID] = i
+	}
+	var out []samRecord
+	for _, line := range strings.Split(strings.TrimRight(string(sam), "\n"), "\n") {
+		if strings.HasPrefix(line, "@") {
+			continue
+		}
+		f := strings.Split(line, "\t")
+		slash := strings.LastIndexByte(f[0], '/')
+		if len(f) < 11 || slash < 0 {
+			t.Fatalf("malformed SAM record %q", line)
+		}
+		id := f[0][:slash]
+		r := samRecord{Mapping: jem.Mapping{ReadIndex: readIdx[id], ReadID: id, End: jem.SegmentEnd(f[0][slash+1:])}}
+		if flag, _ := strconv.Atoi(f[1]); flag&0x4 == 0 {
+			r.Mapped, r.Contig, r.ContigID, r.cigar = true, contigIdx[f[2]], f[2], f[5]
+			for _, tag := range f[11:] {
+				switch {
+				case strings.HasPrefix(tag, "jm:i:"):
+					r.SharedTrials, _ = strconv.Atoi(tag[5:])
+				case strings.HasPrefix(tag, "pi:f:"):
+					r.identity, _ = strconv.ParseFloat(tag[5:], 64)
+				}
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }

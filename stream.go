@@ -65,7 +65,7 @@ type Stats struct {
 	ReadWall time.Duration
 	// MapWall is aggregate worker time spent sketching and mapping.
 	MapWall time.Duration
-	// WriteWall is time spent formatting and writing TSV rows.
+	// WriteWall is time spent formatting and writing rows.
 	WriteWall time.Duration
 }
 
@@ -110,10 +110,57 @@ func (p BadRecordPolicy) String() string {
 	}
 }
 
+// Format selects the row encoding Stream writes.
+type Format uint8
+
+const (
+	// FormatTSV is WriteTSV's table: a header, then read_id, end,
+	// contig_id, shared_trials per end segment ("*": unmapped).
+	FormatTSV Format = iota
+	// FormatPAF is PAF, minimap2's interchange format, over the
+	// positional estimates of MapReadsPositional: one row per mapped
+	// segment. Matching bases (column 10) scale the shared-trial count to
+	// the segment length; a jm:i tag carries the count itself.
+	FormatPAF
+	// FormatSAM is SAM: an @HD/@SQ/@PG header, then one record per end
+	// segment, its hit chosen by banded alignment among the sketch's top
+	// candidates (paper future work i); it needs the contig records.
+	// QNAME is "<read id>/prefix|suffix"; SEQ is the segment,
+	// reverse-complemented under flag 0x10; MAPQ scales the shared-trial
+	// count to [0,60]; jm:i and pi:f carry the count and the percent
+	// identity; an unmapped segment is flag 0x4 with '*' placeholders.
+	FormatSAM
+	// FormatNDJSON is one JSON object per end segment (read_id, end,
+	// mapped, and for a hit contig_id, shared_trials): jem-serve's
+	// ?format=json.
+	FormatNDJSON
+)
+
+var formatNames = [...]string{FormatTSV: "tsv", FormatPAF: "paf", FormatSAM: "sam", FormatNDJSON: "json"}
+
+// ParseFormat parses a Format name: "tsv", "paf", "sam" or "json".
+func ParseFormat(s string) (Format, error) {
+	for f, name := range formatNames {
+		if s == name {
+			return Format(f), nil
+		}
+	}
+	return FormatTSV, fmt.Errorf("jem: unknown format %q (want tsv, paf, sam or json)", s)
+}
+
+func (f Format) String() string {
+	if int(f) < len(formatNames) {
+		return formatNames[f]
+	}
+	return "Format(" + strconv.Itoa(int(f)) + ")"
+}
+
 // StreamOptions configures one Mapper.Stream call. The zero value is
-// the historical default: the mapper's Workers setting, fail on the
-// first bad record, no length limit, no sidecar.
+// the historical default: TSV rows, the mapper's Workers setting, fail
+// on the first bad record, no length limit, no sidecar.
 type StreamOptions struct {
+	// Format selects the row encoding.
+	Format Format
 	// Workers overrides the mapper's Workers setting for this stream;
 	// 0 keeps it.
 	Workers int
@@ -144,12 +191,60 @@ type streamWork struct {
 	recs []Record
 }
 
-type streamResult struct {
-	seq      int
-	mappings []Mapping
+// streamResult is one mapped batch: the format's rows in (read, end)
+// order, next to the records they came from, which an encoder may read.
+type streamResult[R streamRow] struct {
+	streamWork
+	rows []R
 	// err is set when the batch was lost to a recovered worker panic;
-	// mappings is nil then.
+	// rows is nil then.
 	err error
+}
+
+// streamRow is a format's row type: Mapping, or a struct embedding it.
+type streamRow interface{ hit() bool }
+
+// hit is what Stream's writer counts of any format's row.
+func (mp Mapping) hit() bool { return mp.Mapped }
+
+// rowFormat is one Format: the row each end segment maps to, the bytes
+// of a row of batch (no bytes, no row), and the bytes before the first
+// row (nil: none).
+type rowFormat[R streamRow] struct {
+	header func(m *Mapper, b []byte) []byte
+	row    func(m *Mapper, sess *core.Session, e core.End) R
+	encode func(m *Mapper, b []byte, r *R, batch streamWork) []byte
+}
+
+// The formats hold method expressions, not method values, so choosing
+// one allocates nothing.
+var (
+	tsvFormat = rowFormat[Mapping]{
+		header: func(_ *Mapper, b []byte) []byte { return append(b, tsvHeader...) },
+		row:    (*Mapper).mapEnd,
+		encode: func(_ *Mapper, b []byte, r *Mapping, _ streamWork) []byte { return appendTSVRow(b, r) },
+	}
+	pafFormat    = rowFormat[PositionalMapping]{row: (*Mapper).positionalEnd, encode: (*Mapper).appendPAFRow}
+	samFormat    = rowFormat[samRow]{header: (*Mapper).appendSAMHeader, row: (*Mapper).samEnd, encode: (*Mapper).appendSAMRow}
+	ndjsonFormat = rowFormat[Mapping]{row: (*Mapper).mapEnd, encode: appendNDJSONRow}
+)
+
+// appendNDJSONRow is FormatNDJSON's encoder.
+//
+//jem:hotpath
+func appendNDJSONRow(_ *Mapper, b []byte, r *Mapping, _ streamWork) []byte {
+	b = append(b, `{"read_id":`...)
+	b = strconv.AppendQuote(b, r.ReadID)
+	b = append(b, `,"end":`...)
+	b = strconv.AppendQuote(b, string(r.End))
+	if !r.Mapped {
+		return append(b, `,"mapped":false}`+"\n"...)
+	}
+	b = append(b, `,"mapped":true,"contig_id":`...)
+	b = strconv.AppendQuote(b, r.ContigID)
+	b = append(b, `,"shared_trials":`...)
+	b = strconv.AppendInt(b, int64(r.SharedTrials), 10)
+	return append(b, '}', '\n')
 }
 
 // quarantineSidecar appends bad-record entries to the sidecar writer.
@@ -183,13 +278,13 @@ func (q *quarantineSidecar) record(line int, id string, cause error) {
 }
 
 // Stream is the canonical streaming entry point: it maps long reads
-// from a FASTA/FASTQ stream without loading the whole file. The
-// stream is pipelined: a reader goroutine
+// from a FASTA/FASTQ stream without loading the whole file and writes
+// them as opts.Format rows. The stream is pipelined: a reader goroutine
 // batches records, a worker pool maps batches concurrently with
-// persistent per-worker sessions, and the calling goroutine writes TSV
-// rows in input order as batches complete. It is the memory-bounded
-// counterpart of Map for production-sized read sets (the contig
-// index still lives in memory, as in the paper).
+// persistent per-worker sessions, and the calling goroutine encodes and
+// writes rows in input order as batches complete. It is the
+// memory-bounded counterpart of Map for production-sized read sets (the
+// contig index still lives in memory, as in the paper).
 //
 // Robustness contracts:
 //
@@ -226,11 +321,31 @@ func (q *quarantineSidecar) record(line int, id string, cause error) {
 // the returned Stats comes from the latter, so concurrent traffic on
 // the same mapper (another Stream, Map) never contaminates a run's
 // Stats — the registry carries the fleet-wide aggregate.
+//
+// Invalid options, and FormatSAM on a mapper without its contig
+// records, fail with an error wrapping ErrInvalidOptions before any
+// byte is written.
 func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (Stats, error) {
-	run := m.met.newRun()
 	if err := opts.validate(); err != nil {
-		return run.stats(), err
+		return Stats{}, err
 	}
+	switch opts.Format {
+	case FormatPAF:
+		return pafFormat.stream(ctx, m, r, w, opts)
+	case FormatSAM:
+		if len(m.contigs) != m.NumContigs() {
+			return Stats{}, optErr("Format", opts.Format, "needs the contig records (OpenOptions.Contigs, or LoadMapper's contigs)")
+		}
+		return samFormat.stream(ctx, m, r, w, opts)
+	case FormatNDJSON:
+		return ndjsonFormat.stream(ctx, m, r, w, opts)
+	}
+	return tsvFormat.stream(ctx, m, r, w, opts)
+}
+
+// stream is Stream over format f.
+func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.Writer, opts StreamOptions) (Stats, error) {
+	run := m.met.newRun()
 	// Request-scoped tracing: when the context carries a span (a traced
 	// serving request), this run attaches per-phase children and
 	// per-shard scatter-gather timings to it. Untraced runs skip every
@@ -244,8 +359,12 @@ func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts Stre
 	// Fault-injection points (no-ops unless a test armed them).
 	r = fault.Reader(r)
 	w = fault.Writer(w)
-	if _, err := io.WriteString(w, tsvHeader); err != nil {
-		return run.stats(), err
+	buf := make([]byte, 0, 128)
+	if f.header != nil {
+		buf = f.header(m, buf)
+		if _, err := w.Write(buf); err != nil {
+			return run.stats(), err
+		}
 	}
 	streamWorkers := opts.Workers
 	if streamWorkers == 0 {
@@ -253,7 +372,7 @@ func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts Stre
 	}
 	workers := parallel.Workers(streamWorkers)
 	work := make(chan streamWork, workers)
-	results := make(chan streamResult, workers)
+	results := make(chan streamResult[R], workers)
 	sidecar := &quarantineSidecar{}
 	if opts.OnBadRecord == BadRecordQuarantine {
 		sidecar.w = opts.Quarantine
@@ -328,8 +447,7 @@ func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts Stre
 	// counter arrays, so reuse is what makes per-query cost O(hits)).
 	// Posting-scan counts flow into the registry per segment via the
 	// session's core instrumentation. Panics inside a batch are
-	// recovered in mapStreamBatch; a worker never takes the process
-	// down.
+	// recovered in mapBatch; a worker never takes the process down.
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -358,7 +476,7 @@ func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts Stre
 			}()
 			for item := range work {
 				t0 := time.Now()
-				res := m.mapStreamBatch(run, sess, item)
+				res := f.mapBatch(m, run, sess, item)
 				mapWall += time.Since(t0)
 				results <- res
 			}
@@ -369,7 +487,7 @@ func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts Stre
 		close(results)
 	}()
 
-	writeErr, batchErr := m.drainStreamResults(run, w, results, opts.OnBadRecord == BadRecordFail)
+	writeErr, batchErr := f.drainStreamResults(m, run, w, buf, results, opts.OnBadRecord == BadRecordFail)
 
 	stats := run.stats()
 	if sp != nil {
@@ -402,15 +520,15 @@ func recordErrID(err error) string {
 	return ""
 }
 
-// mapStreamBatch maps one batch, converting a panic anywhere in the
-// sketch/lookup path into a per-batch error instead of crashing the
+// mapBatch maps one batch to its rows, converting a panic anywhere in
+// the sketch/lookup path into a per-batch error instead of crashing the
 // process. The injected fault.WorkerPanic point lives here so tests
 // can prove the recovery path end to end.
-func (m *Mapper) mapStreamBatch(run *runScope, sess *core.Session, item streamWork) (res streamResult) {
+func (f rowFormat[R]) mapBatch(m *Mapper, run *runScope, sess *core.Session, item streamWork) (res streamResult[R]) {
 	defer func() {
 		if r := recover(); r != nil {
 			run.incPanic()
-			res = streamResult{seq: item.seq, err: fmt.Errorf(
+			res = streamResult[R]{streamWork: item, err: fmt.Errorf(
 				"jem: worker panic mapping batch %d (reads %d-%d): %v",
 				item.seq, item.base, item.base+len(item.recs)-1, r)}
 		}
@@ -418,16 +536,17 @@ func (m *Mapper) mapStreamBatch(run *runScope, sess *core.Session, item streamWo
 	if _, ok := fault.Fire(fault.WorkerPanic); ok {
 		panic("injected worker panic")
 	}
-	out := make([]Mapping, 0, 2*len(item.recs))
-	row := m.mapEnd
+	rows := make([]R, 0, 2*len(item.recs))
+	row := func(sess *core.Session, e core.End) R { return f.row(m, sess, e) }
 	for j := range item.recs {
-		out = core.AppendEnds(out, sess, item.base+j, item.recs[j], m.opts.SegmentLen, row)
+		rows = core.AppendEnds(rows, sess, item.base+j, item.recs[j], m.opts.SegmentLen, row)
 	}
-	return streamResult{seq: item.seq, mappings: out}
+	return streamResult[R]{streamWork: item, rows: rows}
 }
 
 // drainStreamResults is Stream's writer stage (run on the calling
-// goroutine): reassemble input order and emit TSV rows. The results
+// goroutine): reassemble input order, encode the rows into buf and
+// write them one by one. The results
 // channel is always drained fully, even after a write or batch error,
 // so the pipeline goroutines never leak; the first write error (and,
 // when failOnBatchErr, the first batch error) is returned and further
@@ -441,12 +560,9 @@ func (m *Mapper) mapStreamBatch(run *runScope, sess *core.Session, item streamWo
 // stream; it cannot balloon memory.
 //
 //jem:hotpath
-func (m *Mapper) drainStreamResults(run *runScope, w io.Writer, results <-chan streamResult, failOnBatchErr bool) (writeErr, batchErr error) {
-	var (
-		writeWall time.Duration
-		buf       = make([]byte, 0, 128)
-	)
-	pending := make(map[int]streamResult)
+func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, buf []byte, results <-chan streamResult[R], failOnBatchErr bool) (writeErr, batchErr error) {
+	var writeWall time.Duration
+	pending := make(map[int]streamResult[R])
 	next := 0
 	for res := range results {
 		pending[res.seq] = res
@@ -467,24 +583,25 @@ func (m *Mapper) drainStreamResults(run *runScope, w io.Writer, results <-chan s
 				}
 				continue
 			}
-			ms := cur.mappings
+			rows := cur.rows
 			// Count every drained batch — the mapping work happened
 			// whether or not the rows can still be written — then skip
 			// only the write once a write error is sticky.
-			segs, hits := int64(0), int64(0)
-			for i := range ms {
-				segs++
-				if ms[i].Mapped {
+			hits := int64(0)
+			for i := range rows {
+				if rows[i].hit() {
 					hits++
 				}
 			}
-			run.addDrained(segs, hits)
+			run.addDrained(int64(len(rows)), hits)
 			if writeErr != nil {
 				continue
 			}
 			t0 := time.Now()
-			for i := range ms {
-				buf = appendTSVRow(buf[:0], &ms[i])
+			for i := range rows {
+				if buf = f.encode(m, buf[:0], &rows[i], cur.streamWork); len(buf) == 0 {
+					continue
+				}
 				if _, err := w.Write(buf); err != nil {
 					writeErr = err
 					break

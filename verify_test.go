@@ -13,8 +13,8 @@ func TestMapReadsVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vms := verifiedAll(mapper, ds.Reads, jem.VerifyOptions{})
-	if len(vms) == 0 {
+	recs := samRecords(t, streamFormat(t, mapper, ds.Reads, jem.FormatSAM), ds.Reads, ds.Contigs)
+	if len(recs) == 0 {
 		t.Fatal("no verified mappings")
 	}
 	bench, err := jem.BuildBenchmark(ds, opts)
@@ -23,20 +23,20 @@ func TestMapReadsVerified(t *testing.T) {
 	}
 	plainQ := bench.Evaluate(mapAll(mapper, ds.Reads))
 
-	mappings := make([]jem.Mapping, len(vms))
+	mappings := make([]jem.Mapping, len(recs))
 	mapped := 0
-	for i, vm := range vms {
-		mappings[i] = vm.Mapping
-		if vm.Mapped {
+	for i, r := range recs {
+		mappings[i] = r.Mapping
+		if r.Mapped {
 			mapped++
-			if vm.Identity < 80 {
-				t.Errorf("verified mapping below MinIdentity: %+v", vm)
+			if r.identity < 80 {
+				t.Errorf("verified mapping below the identity floor: %+v", r)
 			}
-			if vm.CIGAR == "" {
-				t.Errorf("verified mapping lacks a CIGAR: %+v", vm.Mapping)
+			if r.cigar == "*" {
+				t.Errorf("verified mapping lacks a CIGAR: %+v", r.Mapping)
 			}
-			if vm.TargetEnd <= vm.TargetStart {
-				t.Errorf("verified mapping has empty target span: %+v", vm.Mapping)
+			if _, span := cigarLens(t, r.cigar); span <= 0 {
+				t.Errorf("verified mapping has empty target span: %+v", r.Mapping)
 			}
 		}
 	}
@@ -45,7 +45,7 @@ func TestMapReadsVerified(t *testing.T) {
 	}
 	verifiedQ := bench.Evaluate(mappings)
 	t.Logf("plain precision %.4f, verified precision %.4f (mapped %d/%d)",
-		plainQ.Precision, verifiedQ.Precision, mapped, len(vms))
+		plainQ.Precision, verifiedQ.Precision, mapped, len(recs))
 	// Verification must not cost measurable precision; it exists to
 	// gain it on repetitive inputs.
 	if verifiedQ.Precision < plainQ.Precision-0.01 {
@@ -67,10 +67,10 @@ func TestMapReadsVerifiedRejectsJunk(t *testing.T) {
 	for i := range junk {
 		junk[i] = "ACGT"[(i*7+i/13)%4]
 	}
-	vms := verifiedAll(mapper, []jem.Record{{ID: "junk", Seq: junk}}, jem.VerifyOptions{MinIdentity: 90})
-	for _, vm := range vms {
-		if vm.Mapped {
-			t.Errorf("junk read mapped at %.1f%% identity to %s", vm.Identity, vm.ContigID)
+	reads := []jem.Record{{ID: "junk", Seq: junk}}
+	for _, r := range samRecords(t, streamFormat(t, mapper, reads, jem.FormatSAM), reads, ds.Contigs) {
+		if r.Mapped {
+			t.Errorf("junk read mapped at %.1f%% identity to %s", r.identity, r.ContigID)
 		}
 	}
 }
