@@ -57,11 +57,12 @@ test-short:
 # Fault-injection and robustness tests under the race detector:
 # cancellation, quarantine, injected I/O errors, worker panics,
 # index corruption, the SIGINT-mid-stream CLI test, the read-set
-# driver's goldens, metamorphic checks and degraded-answer errors, and
-# every Stream output format (validation, SAM/PAF rows, lost shards). See
+# driver's goldens, metamorphic checks and degraded-answer errors, every
+# Stream output format (validation, SAM/PAF rows, lost shards), and the
+# allocation-free session lookup guard. See
 # docs/ROBUSTNESS.md for the failure-path contracts these prove.
 fault-test:
-	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex|TestMapEnds|TestReadSet|TestMetamorphic|TestStream|TestWriteSAM|TestOptionsValidate' . ./internal/core/
+	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex|TestMapEnds|TestReadSet|TestMetamorphic|TestStream|TestWriteSAM|TestOptionsValidate|TestSessionZeroAlloc' . ./internal/core/
 	$(GO) test -race ./internal/fault/ ./internal/seq/
 
 # End-to-end serving tests under the race detector: concurrent
@@ -135,6 +136,7 @@ metrics-demo:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/seq/
+	$(GO) test -fuzz FuzzAppendExtract -fuzztime $(FUZZTIME) ./internal/minimizer/
 	$(GO) test -fuzz FuzzViewFlatFrozen -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) ./internal/core/

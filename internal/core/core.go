@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -275,6 +276,11 @@ type Session struct {
 	plists  [][]sketch.Posting // per-trial postings of the current query
 	scanned int64              // postings examined across all queries
 
+	// Query scratch: the current segment's sketch, and the offset votes
+	// of a positional lookup's two strand hypotheses.
+	q        sketch.Query
+	fwd, rev []int32
+
 	// Scatter scratch: one slot per shard (sized on the first query) and
 	// the shards the current query routed to, in first-touch order.
 	shards  []shardScratch
@@ -452,11 +458,11 @@ func (s *Session) MapSegment(segment []byte) (Hit, bool) {
 //
 //jem:hotpath
 func (s *Session) mapSegment(segment []byte) (Hit, bool) {
-	words := s.m.sk.QuerySketch(segment)
-	if words == nil {
+	s.m.sk.SketchQuery(&s.q, segment)
+	if len(s.q.Words) == 0 {
 		return Hit{Subject: -1}, false
 	}
-	s.scanWords(words)
+	s.scanWords(s.q.Words)
 	if len(s.cand) == 0 {
 		return Hit{Subject: -1}, false
 	}
@@ -610,8 +616,9 @@ func (s *Session) MapSegmentPositional(segment []byte) (PositionalHit, bool) {
 //
 //jem:hotpath
 func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
-	words, qpos := s.m.sk.QuerySketchPositional(segment)
-	if words == nil {
+	s.m.sk.SketchQuery(&s.q, segment)
+	words, qpos := s.q.Words, s.q.Pos
+	if len(words) == 0 {
 		return PositionalHit{Hit: Hit{Subject: -1}, TargetStart: -1}, false
 	}
 	s.scanWords(words)
@@ -625,7 +632,7 @@ func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 	// segment start on the subject; a reverse pair satisfies
 	// anchor + qpos ≈ start + len(segment) − k. The true hypothesis
 	// clusters tightly around one value while the false one spreads.
-	var fwd, rev []int32
+	fwd, rev := s.fwd[:0], s.rev[:0]
 	for t := range words {
 		for _, p := range s.plists[t] {
 			if p.Subject == best.Subject && p.Anchor >= 0 {
@@ -634,6 +641,7 @@ func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 			}
 		}
 	}
+	s.fwd, s.rev = fwd, rev
 	ph := PositionalHit{Hit: best, TargetStart: -1}
 	if len(fwd) == 0 {
 		return ph, true
@@ -663,7 +671,7 @@ func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 // ±tol of it — the cluster-size score used to pick the strand
 // hypothesis. xs is modified (sorted) in place.
 func medianCluster(xs []int32, tol int32) (median int32, votes int) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	slices.Sort(xs)
 	median = xs[len(xs)/2]
 	for _, x := range xs {
 		if x >= median-tol && x <= median+tol {
@@ -688,11 +696,11 @@ func (s *Session) MapSegmentTopK(segment []byte, k int) []Hit {
 }
 
 func (s *Session) mapSegmentTopK(segment []byte, k int) []Hit {
-	words := s.m.sk.QuerySketch(segment)
-	if words == nil || k <= 0 {
+	s.m.sk.SketchQuery(&s.q, segment)
+	if len(s.q.Words) == 0 || k <= 0 {
 		return nil
 	}
-	s.scanWords(words)
+	s.scanWords(s.q.Words)
 	if len(s.cand) == 0 {
 		return nil
 	}

@@ -678,3 +678,41 @@ func TestMutationAfterSessionPanics(t *testing.T) {
 	_ = m.NewSession()
 	mustPanicWith("AddSubjects on a sealed mapper", func() { m.AddSubjects(contigs) })
 }
+
+// TestSessionZeroAlloc guards the session's query scratch: once warm,
+// mapping a full-length end segment allocates nothing, on the plain and
+// the positional path, for a hit and a miss, on one shard and on eight.
+func TestSessionZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	p := sketch.Defaults()
+	ref := randDNA(rng, 200*3000)
+	var contigs []seq.Record
+	for i := 0; i*3000 < len(ref); i++ {
+		contigs = append(contigs, seq.Record{ID: fmt.Sprintf("c%d", i), Seq: ref[i*3000 : (i+1)*3000]})
+	}
+	pos := rng.Intn(len(ref) - p.L)
+	segs := map[string][]byte{"hit": ref[pos : pos+p.L], "miss": randDNA(rng, p.L)}
+	for _, shards := range []int{1, 8} {
+		m, err := NewMapper(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.AddSubjects(contigs)
+		m.SealSharded(shards, 1)
+		sess := m.NewSession()
+		if _, ok := sess.MapSegmentPositional(segs["hit"]); !ok {
+			t.Fatalf("P=%d: the hit segment did not map", shards)
+		}
+		for name, seg := range segs {
+			for path, run := range map[string]func(){
+				"MapSegment":           func() { sess.MapSegment(seg) },
+				"MapSegmentPositional": func() { sess.MapSegmentPositional(seg) },
+			} {
+				run() // warm-up: grow the session's buffers
+				if n := testing.AllocsPerRun(20, run); n != 0 {
+					t.Errorf("P=%d %s %s: %v allocs per call, want 0", shards, path, name, n)
+				}
+			}
+		}
+	}
+}

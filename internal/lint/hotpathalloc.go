@@ -14,9 +14,9 @@ const hotPathMarker = "//jem:hotpath"
 // requiredHotPaths lists functions that MUST carry //jem:hotpath:
 // the per-row and per-segment loops whose allocation discipline the
 // repo's throughput depends on (MapStream's writer drain, the session
-// lookup loops, the sketch inner loops). Missing annotations are
-// diagnostics: the point is that nobody silently drops the marker —
-// and with it the machine checking — from a hot loop.
+// lookup loops, the winnowing loop, the sketch inner loops). Missing
+// annotations are diagnostics: the point is that nobody silently drops
+// the marker — and with it the machine checking — from a hot loop.
 var requiredHotPaths = map[string][]string{
 	"repro": {
 		"rowFormat.drainStreamResults",
@@ -26,6 +26,9 @@ var requiredHotPaths = map[string][]string{
 		"Session.MapSegmentPositional",
 		"Session.mapSegment",
 		"Session.mapSegmentPositional",
+	},
+	"repro/internal/minimizer": {
+		"AppendExtract",
 	},
 	"repro/internal/sketch": {
 		"Sketcher.sketchTuples",

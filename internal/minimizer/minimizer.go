@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/kmer"
+	"repro/internal/seq"
 )
 
 // Tuple is one minimizer occurrence: the canonical packed k-mer and the
@@ -68,15 +69,19 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// entry is one k-mer inside the sliding monotone deque. key is the
-// ordering rank (the word itself under OrderLex, its mix under
-// OrderHash).
+// entry is one k-mer of the current window. key is the ordering rank
+// (the word itself under OrderLex, its mix under OrderHash).
 type entry struct {
 	key        uint64
 	word       kmer.Word
 	pos        int32
 	fwdIsCanon bool
 }
+
+// stackRing is the largest window whose ring lives in AppendExtract's
+// stack frame (the paper uses w=100); a larger window allocates it once
+// per call.
+const stackRing = 256
 
 // mix64 is the Murmur3 finalizer, an invertible 64-bit mixer.
 func mix64(x uint64) uint64 {
@@ -111,65 +116,93 @@ func Extract(s []byte, p Params) []Tuple {
 
 // AppendExtract appends the minimizers of s to dst and returns the
 // extended slice, allowing callers to reuse buffers across sequences.
+// Like Extract, it panics on parameters that fail Validate.
+//
+// One pass rolls the forward and reverse-complement words base by base
+// and keeps the last w k-mers of the current ambiguity-free run in a
+// ring. A new k-mer replaces the window minimum only when it ranks
+// strictly lower, so ties keep the leftmost occurrence; when the
+// minimum slides out of the window the ring is rescanned oldest-first
+// (minimap's mm_sketch). An ambiguous base restarts the run.
+//
+//jem:hotpath
 func AppendExtract(dst []Tuple, s []byte, p Params) []Tuple {
-	it := kmer.NewIterator(s, p.K)
-
-	// Monotone deque of candidate minimizers within the current
-	// window, increasing by word value; front is the minimizer.
-	var deque []entry
-	head := 0
-	idx := -1            // index of the current k-mer within its contiguous run
-	lastPos := int32(-1) // position of the previously emitted tuple
-	prevKmerPos := -2
-
-	flushRun := func() {
-		deque = deque[:0]
-		head = 0
-		idx = -1
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
-
-	for {
-		fwd, canon, pos, ok := it.Next()
+	var stack [stackRing]entry
+	var ring []entry
+	if p.W <= stackRing {
+		ring = stack[:p.W]
+	} else {
+		ring = make([]entry, p.W)
+	}
+	k, w := p.K, p.W
+	mask := kmer.Mask(k)
+	// rcHigh[c] is the complement of base code c at the high end of the
+	// reverse-complement word (a table load instead of a variable shift).
+	var rcHigh [4]kmer.Word
+	for c := range rcHigh {
+		rcHigh[c] = kmer.Word(3-c) << (2 * uint(k-1))
+	}
+	var fwd, rc kmer.Word
+	run := 0  // bases in the current ambiguity-free run
+	slot := 0 // ring slot of the next k-mer: the oldest one once the ring is full
+	minSlot, minKey := 0, uint64(0)
+	lastPos := int32(-1) // position of the previously emitted tuple
+	for i, b := range s {
+		c, ok := seq.Code(b)
 		if !ok {
-			break
+			run = 0
+			continue
 		}
-		if pos != prevKmerPos+1 {
-			// Ambiguity gap: restart windowing.
-			flushRun()
+		fwd = (fwd<<2 | kmer.Word(c)) & mask
+		rc = rc>>2 | rcHigh[c&3]
+		run++
+		if run < k {
+			continue
 		}
-		prevKmerPos = pos
-		idx++
-
-		// Evict candidates that left the window. Within a contiguous
-		// run, k-mer index and sequence position advance in lockstep,
-		// so the window [idx-w+1, idx] corresponds to start positions
-		// ≥ pos-w+1.
-		for head < len(deque) && int(deque[head].pos) < pos-p.W+1 {
-			head++
+		canon := fwd
+		if rc < canon {
+			canon = rc
 		}
-		// Maintain monotonicity: pop strictly-larger candidates from
-		// the back. Using > keeps the leftmost occurrence of ties,
-		// matching "smallest, first occurring" choice.
 		key := p.rank(canon)
-		for len(deque) > head && deque[len(deque)-1].key > key {
-			deque = deque[:len(deque)-1]
-		}
-		deque = append(deque, entry{key, canon, int32(pos), fwd == canon})
-		// Compact the slice occasionally so head doesn't grow without bound.
-		if head > 64 && head*2 > len(deque) {
-			n := copy(deque, deque[head:])
-			deque = deque[:n]
-			head = 0
-		}
-
-		if idx >= p.W-1 {
-			min := deque[head]
-			// Emit when the minimizer changes or re-occurs at a new
-			// position (the previous one went out of bounds).
-			if min.pos != lastPos {
-				dst = append(dst, Tuple{Kmer: min.word, Pos: min.pos, FwdIsCanon: min.fwdIsCanon})
-				lastPos = min.pos
+		// Overwriting the minimum's slot means it just left the window;
+		// a minimum from this run cannot sit in the slot before the ring
+		// has wrapped once within the run.
+		expired := slot == minSlot
+		ring[slot] = entry{key: key, word: canon, pos: int32(i - k + 1), fwdIsCanon: fwd == canon}
+		idx := run - k // index of this k-mer within its run
+		switch {
+		case idx == 0 || key < minKey:
+			minSlot, minKey = slot, key
+		case expired:
+			// The ring holds exactly the window; rescan it oldest-first
+			// (strict < keeps the leftmost of tied keys).
+			old := slot + 1
+			if old == w {
+				old = 0
 			}
+			minSlot, minKey = old, ring[old].key
+			for j := old + 1; j < w; j++ {
+				if ring[j].key < minKey {
+					minSlot, minKey = j, ring[j].key
+				}
+			}
+			for j := 0; j < old; j++ {
+				if ring[j].key < minKey {
+					minSlot, minKey = j, ring[j].key
+				}
+			}
+		}
+		if slot++; slot == w {
+			slot = 0
+		}
+		// Emit when the minimizer changes or re-occurs at a new position
+		// (the previous one went out of bounds).
+		if m := &ring[minSlot]; idx >= w-1 && m.pos != lastPos {
+			dst = append(dst, Tuple{Kmer: m.word, Pos: m.pos, FwdIsCanon: m.fwdIsCanon})
+			lastPos = m.pos
 		}
 	}
 	return dst

@@ -1,8 +1,10 @@
 package minimizer
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,28 +72,75 @@ func naiveExtract(s []byte, p Params) []Tuple {
 	return out
 }
 
-func TestExtractMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 60; trial++ {
-		p := Params{K: 2 + rng.Intn(8), W: 1 + rng.Intn(10)}
-		s := randDNA(rng, rng.Intn(400))
-		for i := range s {
-			if rng.Intn(40) == 0 {
-				s[i] = 'N'
-			}
+// shapedDNA returns n random bases with the shapes the window logic has
+// edge cases for mixed in: homopolymer runs (tied keys), lower-case
+// stretches, isolated Ns and N-runs.
+func shapedDNA(rng *rand.Rand, n int) []byte {
+	s := randDNA(rng, n)
+	fill := func(i, run int, b func(j int) byte) int {
+		for end := min(i+run, len(s)); i < end; i++ {
+			s[i] = b(i)
 		}
-		got := Extract(s, p)
-		want := naiveExtract(s, p)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (k=%d w=%d len=%d): got %d tuples want %d\ngot:  %v\nwant: %v",
-				trial, p.K, p.W, len(s), len(got), len(want), got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d idx %d: got %v want %v", trial, i, got[i], want[i])
-			}
+		return i
+	}
+	for i := 0; i < len(s); {
+		switch r := rng.Intn(1000); {
+		case r < 2:
+			b := seq.Code2Base[rng.Intn(4)]
+			i = fill(i, 1+rng.Intn(400), func(int) byte { return b })
+		case r < 12:
+			i = fill(i, 1+rng.Intn(50), func(j int) byte { return s[j] | 0x20 })
+		case r < 17:
+			s[i] = 'N'
+			i++
+		case r < 18:
+			i = fill(i, 1+rng.Intn(60), func(int) byte { return 'N' })
+		default:
+			i++
 		}
 	}
+	return s
+}
+
+// forEachExtractCase runs fn over the differential tests' cases under
+// order: small random parameters, then the paper's k=16/w=100 and the
+// extremes of k and of w around the ring's stack/heap boundary, each on
+// shaped DNA, an all-A run and sequences one base short of and exactly
+// one window long.
+func forEachExtractCase(seed int64, order Ordering, fn func(p Params, s []byte)) {
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 60; trial++ {
+		fn(Params{K: 2 + rng.Intn(8), W: 1 + rng.Intn(10), Order: order}, shapedDNA(rng, rng.Intn(400)))
+	}
+	for _, k := range []int{1, 16, 31} {
+		for _, w := range []int{1, 100, stackRing - 1, stackRing, stackRing + 1, 300} {
+			p := Params{K: k, W: w, Order: order}
+			fn(p, shapedDNA(rng, 3000))
+			fn(p, bytes.Repeat([]byte{'A'}, 1000))
+			fn(p, randDNA(rng, k+w-2))
+			fn(p, randDNA(rng, k+w-1))
+		}
+	}
+}
+
+// checkExtract fails t when Extract and AppendExtract (onto a non-empty
+// prefix) disagree with the naive reference on s.
+func checkExtract(t testing.TB, p Params, s []byte, naive func([]byte, Params) []Tuple) {
+	t.Helper()
+	want := naive(s, p)
+	got := Extract(s, p)
+	if !slices.Equal(got, want) {
+		t.Fatalf("k=%d w=%d order=%d len=%d: got %d tuples want %d\ngot:  %v\nwant: %v",
+			p.K, p.W, p.Order, len(s), len(got), len(want), got, want)
+	}
+	prefix := []Tuple{{Kmer: 1, Pos: -1}}
+	if app := AppendExtract(prefix, s, p); app[0] != prefix[0] || !slices.Equal(app[1:], want) {
+		t.Fatalf("k=%d w=%d order=%d len=%d: AppendExtract differs from Extract", p.K, p.W, p.Order, len(s))
+	}
+}
+
+func TestExtractMatchesNaive(t *testing.T) {
+	forEachExtractCase(3, OrderLex, func(p Params, s []byte) { checkExtract(t, p, s, naiveExtract) })
 }
 
 func TestExtractPositionsSortedAndDeduped(t *testing.T) {
@@ -192,12 +241,22 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestExtractPanicsOnInvalidParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	for _, p := range []Params{{K: 0, W: 0}, {K: 5, W: 0}, {K: 5, W: -1}, {K: kmer.MaxK + 1, W: 5}} {
+		for name, extract := range map[string]func(){
+			"Extract":       func() { Extract([]byte("ACGTACGT"), p) },
+			"AppendExtract": func() { AppendExtract(nil, []byte("ACGTACGT"), p) },
+		} {
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if err == nil || err.Error() != p.Validate().Error() {
+						t.Errorf("%s(%+v): panicked with %v, want the Validate error %v", name, p, err, p.Validate())
+					}
+				}()
+				extract()
+			}()
 		}
-	}()
-	Extract([]byte("ACGT"), Params{K: 0, W: 0})
+	}
 }
 
 func TestJaccardSelfIsOne(t *testing.T) {
@@ -290,21 +349,25 @@ func naiveExtractOrdered(s []byte, p Params) []Tuple {
 }
 
 func TestHashOrderingMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 40; trial++ {
-		p := Params{K: 2 + rng.Intn(8), W: 1 + rng.Intn(10), Order: OrderHash}
-		s := randDNA(rng, rng.Intn(400))
-		got := Extract(s, p)
-		want := naiveExtractOrdered(s, p)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d tuples want %d", trial, len(got), len(want))
+	forEachExtractCase(71, OrderHash, func(p Params, s []byte) { checkExtract(t, p, s, naiveExtractOrdered) })
+}
+
+// FuzzAppendExtract checks the winnowing loop against the naive
+// reference under both orderings on arbitrary bytes, k in [1,31] and w
+// in [1,300].
+func FuzzAppendExtract(f *testing.F) {
+	f.Add([]byte("ACGTNacgtAAAAAAAAAAAAAAAAAAAANNNNGATTACA"), uint8(4), uint16(3))
+	f.Add(bytes.Repeat([]byte{'A'}, 400), uint8(15), uint16(100))
+	f.Add(randDNA(rand.New(rand.NewSource(5)), 600), uint8(30), uint16(257))
+	f.Fuzz(func(t *testing.T, s []byte, k uint8, w uint16) {
+		if len(s) > 512 {
+			s = s[:512] // keeps the O(n·w) reference fast
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d idx %d: got %v want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
+		p := Params{K: 1 + int(k)%kmer.MaxK, W: 1 + int(w)%300}
+		checkExtract(t, p, s, naiveExtract)
+		p.Order = OrderHash
+		checkExtract(t, p, s, naiveExtractOrdered)
+	})
 }
 
 func TestHashOrderingAvoidsLexBias(t *testing.T) {

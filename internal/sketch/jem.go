@@ -223,40 +223,67 @@ func (s *Sketcher) subjectSketchNaive(sequence []byte) [][]kmer.Word {
 	return out
 }
 
-// QuerySketch sketches a query end segment. A query is at most ℓ bases
-// long, so its minimizer list forms a single interval: the sketch is
-// exactly one word per trial — the k-mer minimizing h_t over all query
-// minimizers. It returns nil when the segment yields no minimizers
-// (e.g. shorter than k+w-1 bases or all-ambiguous).
+// Query is reusable query-sketch scratch: a segment's minimizers and,
+// per trial, the selected sketch word and its position on the segment.
+// Reusing one Query across segments makes SketchQuery allocation-free
+// once its buffers have grown; the zero value is ready to use.
+type Query struct {
+	Tuples []minimizer.Tuple
+	Words  []kmer.Word
+	Pos    []int32
+}
+
+// SketchQuery sketches a query end segment into q, replacing its
+// contents. A query is at most ℓ bases long, so its minimizer list
+// forms a single interval: the sketch is exactly one word per trial —
+// the k-mer minimizing h_t over all query minimizers — and q.Pos holds
+// each word's position on the segment. q.Words is empty when the
+// segment yields no minimizers (e.g. shorter than k+w-1 bases or
+// all-ambiguous).
+func (s *Sketcher) SketchQuery(q *Query, segment []byte) {
+	q.Tuples = minimizer.AppendExtract(q.Tuples[:0], segment, s.mp)
+	s.querySketchTuples(q)
+}
+
+// QuerySketch is SketchQuery into fresh buffers, returning the words
+// alone; it returns nil when the segment yields no minimizers.
 func (s *Sketcher) QuerySketch(segment []byte) []kmer.Word {
-	tuples := minimizer.Extract(segment, s.mp)
-	return s.QuerySketchTuples(tuples)
+	words, _ := s.QuerySketchPositional(segment)
+	return words
 }
 
 // QuerySketchTuples is QuerySketch over a pre-extracted minimizer list.
 func (s *Sketcher) QuerySketchTuples(tuples []minimizer.Tuple) []kmer.Word {
-	words, _ := s.querySketchTuples(tuples)
-	return words
+	q := Query{Tuples: tuples}
+	s.querySketchTuples(&q)
+	return q.Words
 }
 
 // QuerySketchPositional is QuerySketch plus, per trial, the position
 // on the segment of the selected sketch k-mer. Positional hits use
 // target-anchor − query-position offset votes to localize a mapping.
 func (s *Sketcher) QuerySketchPositional(segment []byte) ([]kmer.Word, []int32) {
-	return s.querySketchTuples(minimizer.Extract(segment, s.mp))
+	var q Query
+	s.SketchQuery(&q, segment)
+	return q.Words, q.Pos
 }
 
 // querySketchTuples is the query-sketch inner loop: per trial, one
-// linear minimum over the segment's minimizers.
+// linear minimum over q.Tuples, written to q.Words and q.Pos (left
+// empty, nil for a fresh Query, when there are no tuples).
 //
 //jem:hotpath
-func (s *Sketcher) querySketchTuples(tuples []minimizer.Tuple) ([]kmer.Word, []int32) {
+func (s *Sketcher) querySketchTuples(q *Query) {
+	tuples := q.Tuples
 	if len(tuples) == 0 {
-		return nil, nil
+		q.Words, q.Pos = q.Words[:0], q.Pos[:0]
+		return
 	}
-	out := make([]kmer.Word, s.p.T)
-	pos := make([]int32, s.p.T)
-	for t := 0; t < s.p.T; t++ {
+	if cap(q.Words) < s.p.T || cap(q.Pos) < s.p.T {
+		q.Words, q.Pos = make([]kmer.Word, s.p.T), make([]int32, s.p.T)
+	}
+	q.Words, q.Pos = q.Words[:s.p.T], q.Pos[:s.p.T]
+	for t := range q.Words {
 		// Seed from the first tuple, not a ⟨max,max⟩ sentinel: a
 		// sentinel is never replaced when every candidate ties it
 		// exactly (possible with a degenerate hash family), which left
@@ -268,10 +295,9 @@ func (s *Sketcher) querySketchTuples(tuples []minimizer.Tuple) ([]kmer.Word, []i
 				best = e
 			}
 		}
-		out[t] = best.w
-		pos[t] = tuples[best.idx].Pos
+		q.Words[t] = best.w
+		q.Pos[t] = tuples[best.idx].Pos
 	}
-	return out, pos
 }
 
 // MinHashSketch computes the classical MinHash sketch of a sequence:

@@ -150,6 +150,24 @@ func TestQuerySketchShape(t *testing.T) {
 	}
 }
 
+// TestSketchQueryReuse checks that one reused Query gives every segment
+// the sketch fresh buffers give it, including after a segment too short
+// to sketch.
+func TestSketchQueryReuse(t *testing.T) {
+	p := smallParams()
+	sk, _ := NewSketcher(p)
+	rng := rand.New(rand.NewSource(29))
+	var q Query
+	for _, n := range []int{p.L, p.L / 2, 3, p.L, 0, p.L / 3} {
+		seg := randDNA(rng, n)
+		sk.SketchQuery(&q, seg)
+		words, pos := sk.QuerySketchPositional(seg)
+		if len(q.Words) != len(words) || (len(words) > 0 && (!reflect.DeepEqual(q.Words, words) || !reflect.DeepEqual(q.Pos, pos))) {
+			t.Fatalf("len %d: reused %v %v, fresh %v %v", n, q.Words, q.Pos, words, pos)
+		}
+	}
+}
+
 func TestQuerySketchIsSubjectIntervalMin(t *testing.T) {
 	// For a segment no longer than L, the query sketch for trial t
 	// must equal the first interval's sketch of the subject sketch —
