@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-tests lint-fix api-check api-update test test-short fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke metrics-demo fuzz repro repro-quick clean
+.PHONY: all build vet lint lint-tests lint-fix api-update test test-short fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke metrics-demo fuzz repro repro-quick clean
 
-all: build vet lint lint-tests api-check test
+all: build vet lint lint-tests test
 
 build:
 	$(GO) build ./...
@@ -13,11 +13,11 @@ vet:
 	$(GO) vet ./...
 
 # Custom static analysis (cmd/jem-vet, internal/lint): hot-path
-# allocation discipline, atomic-access consistency, lock hygiene,
-# serialization error sinks, map-order determinism, plus the
-# CFG-backed generation-2 analyzers (context propagation, span
-# lifecycle, goroutine supervision, deprecated-API callers). The
-# whole repo must pass clean; see docs/STATIC_ANALYSIS.md.
+# allocation discipline and serialization error sinks, plus the
+# CFG-backed analyzers (context propagation, span lifecycle, goroutine
+# supervision). The whole repo must pass clean; see
+# docs/STATIC_ANALYSIS.md. The dead-code gate and the exported-API
+# golden are tests in internal/lint and run under `make test`.
 lint:
 	$(GO) run ./cmd/jem-vet ./...
 
@@ -34,14 +34,10 @@ lint-fix:
 	gofmt -s -w .
 	$(GO) run ./cmd/jem-vet -v ./...
 
-# Exported-API compatibility gate (cmd/jem-api, docs/API.md §5): the
-# public jem surface must match the committed golden listing. After a
-# deliberate API change, run `make api-update` and commit the diff.
-api-check:
-	$(GO) run ./cmd/jem-api -check docs/api_surface.txt
-
+# Re-record the exported-API golden (TestAPISurface, docs/API.md §5)
+# after a deliberate API change, and commit the diff.
 api-update:
-	$(GO) run ./cmd/jem-api -update docs/api_surface.txt
+	$(GO) test ./internal/lint -run TestAPISurface -update
 
 # The layered benchmark (benchmark/, its own module) compiles against
 # internal/*; vetting and smoke-testing it here makes a refactor that

@@ -1,8 +1,9 @@
-// Package align provides pairwise sequence alignment: banded global
-// (Needleman-Wunsch) and local (Smith-Waterman) alignment with affine
-// free ends, plus percent-identity computation. It substitutes for
-// BLAST in the paper's Fig. 9 analysis, where each mapped ⟨read end,
-// contig⟩ pair is aligned to measure identity.
+// Package align provides pairwise sequence alignment: banded fit
+// alignment (all of a segment against a subject window, end gaps in
+// the subject free) and local (Smith-Waterman) alignment, plus
+// percent-identity computation. It substitutes for BLAST in the
+// paper's Fig. 9 analysis, where each mapped ⟨read end, contig⟩ pair
+// is aligned to measure identity.
 package align
 
 import (
@@ -100,121 +101,6 @@ func (r Result) String() string {
 }
 
 const negInf = -1 << 30
-
-// Global computes a banded global alignment of a against b. The band
-// half-width must be at least |len(a)-len(b)| for the band to contain
-// a full path; Global widens it automatically when it is not.
-// Memory is O(band) rows × O(len(b)) columns? No — O((band)·len(a))
-// cells arranged as two rolling rows of width 2·band+1.
-func Global(a, b []byte, sc Scoring, band int) Result {
-	la, lb := len(a), len(b)
-	if band < abs(la-lb)+1 {
-		band = abs(la-lb) + 1
-	}
-	width := 2*band + 1
-	// score rows, and traceback matrix packed as 2 bits per cell:
-	// 0=diag, 1=up (gap in b), 2=left (gap in a).
-	prev := make([]int, width)
-	cur := make([]int, width)
-	trace := make([][]byte, la+1)
-	for i := range trace {
-		trace[i] = make([]byte, width)
-	}
-
-	// Row i covers columns j in [i-band, i+band].
-	for d := 0; d < width; d++ {
-		j := d - band // column for row 0
-		switch {
-		case j < 0 || j > lb:
-			prev[d] = negInf
-		default:
-			prev[d] = j * sc.Gap
-			trace[0][d] = 2
-		}
-	}
-	for i := 1; i <= la; i++ {
-		for d := 0; d < width; d++ {
-			j := i - band + d
-			if j < 0 || j > lb {
-				cur[d] = negInf
-				continue
-			}
-			best := negInf
-			var dir byte
-			if j > 0 { // diagonal: prev row, column j-1 = same offset d
-				v := prev[d]
-				if v > negInf/2 {
-					s := sc.Mismatch
-					if a[i-1] == b[j-1] {
-						s = sc.Match
-					}
-					if v+s > best {
-						best, dir = v+s, 0
-					}
-				}
-			}
-			if d+1 < width { // up: prev row, column j = offset d+1
-				v := prev[d+1]
-				if v > negInf/2 && v+sc.Gap > best {
-					best, dir = v+sc.Gap, 1
-				}
-			}
-			if d > 0 { // left: same row, column j-1 = offset d-1
-				v := cur[d-1]
-				if v > negInf/2 && v+sc.Gap > best {
-					best, dir = v+sc.Gap, 2
-				}
-			}
-			if j == 0 {
-				best, dir = i*sc.Gap, 1
-			}
-			cur[d] = best
-			trace[i][d] = dir
-		}
-		prev, cur = cur, prev
-	}
-
-	res := Result{AEnd: la, BEnd: lb}
-	res.Score = prev[lb-la+band]
-	// Trace back from (la, lb).
-	var cb cigarBuilder
-	i, j := la, lb
-	for i > 0 || j > 0 {
-		d := j - i + band
-		switch {
-		case i == 0:
-			j--
-			res.Gaps++
-			cb.add('D', 1)
-		case j == 0:
-			i--
-			res.Gaps++
-			cb.add('I', 1)
-		default:
-			switch trace[i][d] {
-			case 0:
-				if a[i-1] == b[j-1] {
-					res.Matches++
-				} else {
-					res.Mismatches++
-				}
-				cb.add('M', 1)
-				i--
-				j--
-			case 1:
-				res.Gaps++
-				cb.add('I', 1)
-				i--
-			default:
-				res.Gaps++
-				cb.add('D', 1)
-				j--
-			}
-		}
-	}
-	res.Ops = cb.finish()
-	return res
-}
 
 // Local computes an (unbanded) Smith-Waterman local alignment. It is
 // O(len(a)·len(b)) time and memory for the traceback matrix, intended
@@ -355,22 +241,16 @@ func anchor(segment, subject []byte) (j, i int, ok bool) {
 	return 0, 0, false
 }
 
-// FastIdentity estimates the percent identity of a segment against a
-// subject quickly enough for per-candidate verification: it anchors
-// the segment with an exact shared 16-mer (trying both strands),
-// crops the subject to the implied window, and runs a banded global
-// alignment there. Segments with no exact shared seed score 0 —
+// FastIdentityStranded estimates the percent identity of a segment
+// against a subject quickly enough for per-candidate verification: it
+// anchors the segment with an exact shared 16-mer (trying both
+// strands), crops the subject to the implied window, and runs a banded
+// fit alignment there. Segments with no exact shared seed score 0 —
 // exactly the candidates verification should reject. The band absorbs
-// indel drift of up to ±band/2 bases across the segment.
-func FastIdentity(segment, subject []byte, sc Scoring, band int) Result {
-	r, _ := FastIdentityStranded(segment, subject, sc, band)
-	return r
-}
-
-// FastIdentityStranded is FastIdentity plus the winning orientation:
-// reverse=true means the segment aligned as its reverse complement
-// (the CIGAR then describes the reverse-complemented segment against
-// the subject forward strand, the SAM convention for flag 0x10).
+// indel drift of up to ±band/2 bases across the segment. reverse=true
+// means the segment aligned as its reverse complement (the CIGAR then
+// describes the reverse-complemented segment against the subject
+// forward strand, the SAM convention for flag 0x10).
 func FastIdentityStranded(segment, subject []byte, sc Scoring, band int) (Result, bool) {
 	if band <= 0 {
 		band = 64
@@ -538,11 +418,4 @@ func Fit(a, b []byte, sc Scoring, band int) Result {
 	res.BStart = j
 	res.Ops = cb.finish()
 	return res
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

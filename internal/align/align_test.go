@@ -16,71 +16,6 @@ func randDNA(rng *rand.Rand, n int) []byte {
 	return s
 }
 
-func TestGlobalIdentical(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := 1 + int(nRaw)%200
-		rng := rand.New(rand.NewSource(seed))
-		s := randDNA(rng, n)
-		r := Global(s, s, DefaultScoring(), 8)
-		return r.Matches == n && r.Mismatches == 0 && r.Gaps == 0 &&
-			r.Score == n && r.Identity() == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGlobalKnownCases(t *testing.T) {
-	sc := DefaultScoring()
-	// Single substitution.
-	r := Global([]byte("ACGTACGT"), []byte("ACGAACGT"), sc, 4)
-	if r.Matches != 7 || r.Mismatches != 1 || r.Gaps != 0 {
-		t.Errorf("substitution: %+v", r)
-	}
-	// Single deletion in b.
-	r = Global([]byte("ACGTACGT"), []byte("ACGACGT"), sc, 4)
-	if r.Matches != 7 || r.Gaps != 1 {
-		t.Errorf("deletion: %+v", r)
-	}
-	// Single insertion in b.
-	r = Global([]byte("ACGTACGT"), []byte("ACGTTACGT"), sc, 4)
-	if r.Matches != 8 || r.Gaps != 1 {
-		t.Errorf("insertion: %+v", r)
-	}
-}
-
-func TestGlobalColumnsAccountForLengths(t *testing.T) {
-	// Columns = matches+mismatches+gaps must cover both sequences:
-	// 2*columns = len(a)+len(b)+gaps.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randDNA(rng, 10+rng.Intn(80))
-		b := randDNA(rng, 10+rng.Intn(80))
-		r := Global(a, b, DefaultScoring(), 16)
-		cols := r.AlignedColumns()
-		return 2*cols == len(a)+len(b)+r.Gaps
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGlobalEmptyInputs(t *testing.T) {
-	sc := DefaultScoring()
-	r := Global(nil, []byte("ACGT"), sc, 2)
-	if r.Gaps != 4 || r.Matches != 0 {
-		t.Errorf("empty a: %+v", r)
-	}
-	r = Global([]byte("ACGT"), nil, sc, 2)
-	if r.Gaps != 4 {
-		t.Errorf("empty b: %+v", r)
-	}
-	r = Global(nil, nil, sc, 2)
-	if r.AlignedColumns() != 0 {
-		t.Errorf("both empty: %+v", r)
-	}
-}
-
 func TestLocalFindsEmbeddedMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	needle := randDNA(rng, 50)
@@ -228,33 +163,22 @@ func TestFastIdentity(t *testing.T) {
 			segment[i] = seq.Code2Base[rng.Intn(4)]
 		}
 	}
-	r := FastIdentity(segment, subject, DefaultScoring(), 64)
-	if r.PercentIdentity() < 97 {
+	r, rev := FastIdentityStranded(segment, subject, DefaultScoring(), 64)
+	if r.PercentIdentity() < 97 || rev {
 		t.Errorf("1%% mutated segment scored %.2f%%", r.PercentIdentity())
 	}
 	if r.BStart < 6900 || r.BEnd > 8100 {
 		t.Errorf("fast identity span [%d,%d) off target", r.BStart, r.BEnd)
 	}
 	// Reverse-strand pair.
-	rc := FastIdentity(seq.ReverseComplement(segment), subject, DefaultScoring(), 64)
-	if rc.PercentIdentity() < 97 {
+	rc, rev := FastIdentityStranded(seq.ReverseComplement(segment), subject, DefaultScoring(), 64)
+	if rc.PercentIdentity() < 97 || !rev {
 		t.Errorf("reverse pair scored %.2f%%", rc.PercentIdentity())
 	}
 	// Unrelated segment: no shared seed → zero.
 	junk := randDNA(rng, 1000)
-	if r := FastIdentity(junk, subject, DefaultScoring(), 64); r.PercentIdentity() != 0 {
+	if r, _ := FastIdentityStranded(junk, subject, DefaultScoring(), 64); r.PercentIdentity() != 0 {
 		t.Errorf("junk scored %.2f%%", r.PercentIdentity())
-	}
-}
-
-func TestGlobalBandAutoWidens(t *testing.T) {
-	// Length difference larger than the requested band must not
-	// produce a bogus path.
-	a := []byte("ACGTACGTACGTACGTACGT")
-	b := []byte("ACGT")
-	r := Global(a, b, DefaultScoring(), 1)
-	if 2*r.AlignedColumns() != len(a)+len(b)+r.Gaps {
-		t.Errorf("inconsistent alignment: %+v", r)
 	}
 }
 
@@ -299,8 +223,6 @@ func TestCIGARConsistency(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randDNA(rng, 50+rng.Intn(200))
 		b := randDNA(rng, 50+rng.Intn(200))
-		rg := Global(a, b, DefaultScoring(), 32)
-		check(t, rg, len(a), len(b))
 		rl := Local(a, b, DefaultScoring())
 		check(t, rl, rl.AEnd-rl.AStart, rl.BEnd-rl.BStart)
 		rf := Fit(a, b, DefaultScoring(), 32)
@@ -310,11 +232,11 @@ func TestCIGARConsistency(t *testing.T) {
 
 func TestCIGARKnownCases(t *testing.T) {
 	sc := DefaultScoring()
-	r := Global([]byte("ACGT"), []byte("ACGT"), sc, 4)
+	r := Fit([]byte("ACGT"), []byte("ACGT"), sc, 4)
 	if r.CIGAR() != "4M" {
 		t.Errorf("identity CIGAR = %q", r.CIGAR())
 	}
-	r = Global([]byte("ACGTACGT"), []byte("ACGACGT"), sc, 4)
+	r = Fit([]byte("ACGTACGT"), []byte("ACGACGT"), sc, 4)
 	if got := r.CIGAR(); got != "3M1I4M" && got != "4M1I3M" {
 		t.Errorf("deletion CIGAR = %q", got)
 	}

@@ -39,16 +39,6 @@ func BenchmarkFastIdentity(b *testing.B) {
 	segment, subject := benchPair(b, 1000, 20_000, 0.01)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FastIdentity(segment, subject, DefaultScoring(), 64)
-	}
-}
-
-func BenchmarkGlobalBanded(b *testing.B) {
-	segment, _ := benchPair(b, 1000, 3000, 0.01)
-	other := append([]byte(nil), segment...)
-	other[500] = 'A'
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Global(segment, other, DefaultScoring(), 32)
+		FastIdentityStranded(segment, subject, DefaultScoring(), 64)
 	}
 }

@@ -25,7 +25,7 @@ func benchMapper(b *testing.B, nContigs, contigLen int) (*Mapper, []byte) {
 			Seq: ref[i*contigLen : (i+1)*contigLen],
 		})
 	}
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	pos := rng.Intn(len(ref) - p.L)
 	return m, ref[pos : pos+p.L]
@@ -66,7 +66,7 @@ func BenchmarkAddSubjects(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.AddSubjects(contigs)
+		m.AddSubjectsParallel(contigs, 1)
 		m.Seal()
 	}
 }

@@ -217,17 +217,12 @@ func (m *Mapper) NumSubjects() int { return len(m.subjects) }
 // Subject returns metadata for subject id.
 func (m *Mapper) Subject(id int32) SubjectMeta { return m.subjects[id] }
 
-// AddSubjects sketches and indexes contigs sequentially. Subject ids
-// are assigned densely in input order, continuing from any previously
-// added subjects.
-func (m *Mapper) AddSubjects(contigs []seq.Record) {
-	m.AddSubjectsParallel(contigs, 1)
-}
-
-// AddSubjectsParallel is AddSubjects with the given number of workers
-// (≤0 means GOMAXPROCS), each sketching contigs and appending their
-// records to its own appender. Which worker took which contig leaves no
-// trace in the sealed table, so results are identical to AddSubjects.
+// AddSubjectsParallel sketches and indexes contigs with the given
+// number of workers (≤0 means GOMAXPROCS), each sketching contigs and
+// appending their records to its own appender. Subject ids are
+// assigned densely in input order, continuing from any previously
+// added subjects. Which worker took which contig leaves no trace in
+// the sealed table, so results are identical for every worker count.
 func (m *Mapper) AddSubjectsParallel(contigs []seq.Record, workers int) {
 	m.mutationGuard("AddSubjects")
 	base := len(m.subjects)

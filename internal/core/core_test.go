@@ -81,7 +81,7 @@ func TestMapSegmentFindsOriginContig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	sess := m.NewSession()
 	correct := 0
@@ -103,7 +103,7 @@ func TestMapSegmentFindsOriginContig(t *testing.T) {
 
 func TestMapSegmentNoSketch(t *testing.T) {
 	m, _ := NewMapper(smallParams())
-	m.AddSubjects([]seq.Record{{ID: "c", Seq: []byte("ACGTACGTACGTACGTACGTACGTACGT")}})
+	m.AddSubjectsParallel([]seq.Record{{ID: "c", Seq: []byte("ACGTACGTACGTACGTACGTACGTACGT")}}, 1)
 	m.Seal()
 	sess := m.NewSession()
 	if _, ok := sess.MapSegment([]byte("ACG")); ok {
@@ -134,7 +134,7 @@ func TestLazyCountersMatchMapCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	sess := m.NewSession()
 	for _, r := range reads {
@@ -167,7 +167,7 @@ func TestMapSegmentTopK(t *testing.T) {
 	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 500, 10)
 	p := smallParams()
 	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	sess := m.NewSession()
 	for _, r := range reads {
@@ -205,7 +205,7 @@ func TestAddSubjectsParallelMatchesSequential(t *testing.T) {
 	}
 	p := smallParams()
 	seqM, _ := NewMapper(p)
-	seqM.AddSubjects(contigs)
+	seqM.AddSubjectsParallel(contigs, 1)
 	seqM.Seal()
 	parM, _ := NewMapper(p)
 	parM.AddSubjectsParallel(contigs, 4)
@@ -233,7 +233,7 @@ func TestMapReadsDeterministicOrder(t *testing.T) {
 	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
 	p := smallParams()
 	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	r1, err1 := m.MapReads(context.Background(), reads, p.L, 1)
 	r2, err2 := m.MapReads(context.Background(), reads, p.L, 4)
@@ -262,7 +262,7 @@ func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	_, contigs, reads, _ := makeWorld(t, rng, 15_000, 700, 15)
 	p := smallParams()
 	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	results, err := m.MapReads(context.Background(), reads, p.L, 2)
 	if err != nil {
@@ -302,7 +302,7 @@ func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
 	}
 	p := smallParams()
 	direct, _ := NewMapper(p)
-	direct.AddSubjects(contigs)
+	direct.AddSubjectsParallel(contigs, 1)
 	direct.Seal()
 
 	split, _ := NewMapper(p)
@@ -356,7 +356,7 @@ func TestMapSegmentPositionalEstimatesLocation(t *testing.T) {
 	// pollutes the anchor median; k=12 collisions are rare.
 	p := sketch.Params{K: 12, W: 4, T: 8, L: 200, Seed: 3}
 	m, _ := NewMapper(p)
-	m.AddSubjects([]seq.Record{{ID: "c", Seq: contig}})
+	m.AddSubjectsParallel([]seq.Record{{ID: "c", Seq: contig}}, 1)
 	m.Seal()
 	sess := m.NewSession()
 	for trial := 0; trial < 20; trial++ {
@@ -384,7 +384,7 @@ func TestMapSegmentPositionalAgreesWithPlain(t *testing.T) {
 	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
 	p := smallParams()
 	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	plain := m.NewSession()
 	positional := m.NewSession()
@@ -410,11 +410,11 @@ func TestMapReadTiledFindsContainedContig(t *testing.T) {
 	read := append(append(append([]byte(nil), flankA...), contained...), flankB...)
 
 	m, _ := NewMapper(p)
-	m.AddSubjects([]seq.Record{
+	m.AddSubjectsParallel([]seq.Record{
 		{ID: "left", Seq: flankA},
 		{ID: "mid", Seq: contained},
 		{ID: "right", Seq: flankB},
-	})
+	}, 1)
 	m.Seal()
 	sess := m.NewSession()
 
@@ -444,7 +444,7 @@ func TestMapReadTiledStrideAndBounds(t *testing.T) {
 	p := smallParams()
 	contig := randDNA(rng, 3000)
 	m, _ := NewMapper(p)
-	m.AddSubjects([]seq.Record{{ID: "c", Seq: contig}})
+	m.AddSubjectsParallel([]seq.Record{{ID: "c", Seq: contig}}, 1)
 	m.Seal()
 	sess := m.NewSession()
 	tiles := sess.MapReadTiled(contig, p.L, p.L/2)
@@ -486,7 +486,7 @@ func TestBestHitAgreesWithBruteForceJaccard(t *testing.T) {
 		})
 	}
 	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	sess := m.NewSession()
 
@@ -532,7 +532,7 @@ func TestSessionQueryIDIsolation(t *testing.T) {
 	_, contigs, _, _ := makeWorld(t, rng, 10_000, 500, 1)
 	p := smallParams()
 	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -563,7 +563,7 @@ func TestSealedMapperMatchesMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed.AddSubjects(contigs)
+	sealed.AddSubjectsParallel(contigs, 1)
 	if sealed.Sealed() || sealed.Entries() != 0 || sealed.Shards() != 0 {
 		t.Fatal("a mapper is sealed, or claims a table, before Seal")
 	}
@@ -645,9 +645,9 @@ func TestSealedMapperPanicsOnMutation(t *testing.T) {
 		f()
 	}
 	m, _ := NewMapper(p)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
-	mustPanic("AddSubjects", func() { m.AddSubjects(contigs) })
+	mustPanic("AddSubjects", func() { m.AddSubjectsParallel(contigs, 1) })
 	mustPanic("AddSubjectsParallel", func() { m.AddSubjectsParallel(contigs, 2) })
 	mustPanic("RegisterSubjects", func() { m.RegisterSubjects(contigs) })
 	mustPanic("Appender", func() { m.Appender() })
@@ -661,7 +661,7 @@ func TestMutationAfterSessionPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	contigs := []seq.Record{{ID: "c0", Seq: randDNA(rng, 600)}}
 	m, _ := NewMapper(smallParams())
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	mustPanicWith := func(want string, f func()) {
 		t.Helper()
 		defer func() {
@@ -676,7 +676,7 @@ func TestMutationAfterSessionPanics(t *testing.T) {
 	mustPanicWith("NewSession on an unsealed mapper", func() { m.MapReads(context.Background(), nil, 100, 1) })
 	m.Seal()
 	_ = m.NewSession()
-	mustPanicWith("AddSubjects on a sealed mapper", func() { m.AddSubjects(contigs) })
+	mustPanicWith("AddSubjects on a sealed mapper", func() { m.AddSubjectsParallel(contigs, 1) })
 }
 
 // TestSessionZeroAlloc guards the session's query scratch: once warm,
@@ -697,7 +697,7 @@ func TestSessionZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.AddSubjects(contigs)
+		m.AddSubjectsParallel(contigs, 1)
 		m.SealSharded(shards, 1)
 		sess := m.NewSession()
 		if _, ok := sess.MapSegmentPositional(segs["hit"]); !ok {

@@ -26,7 +26,7 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte("JEMIDX03"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 128))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadIndex(bytes.NewReader(data))
+		got, err := ReadIndexObserved(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}
@@ -34,7 +34,7 @@ func FuzzReadIndex(f *testing.F) {
 		if err := got.WriteIndex(&out); err != nil {
 			t.Fatalf("re-encode of accepted index failed: %v", err)
 		}
-		again, err := ReadIndex(&out)
+		again, err := ReadIndexObserved(&out, nil)
 		if err != nil {
 			t.Fatalf("decode of re-encoding failed: %v", err)
 		}

@@ -568,27 +568,16 @@ func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
 	return m, MemoryInfo{Shards: ld.res, Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
 }
 
-// ReadIndex deserializes a mapper previously written by WriteIndex
-// into heap memory. The manifest and every shard payload are
-// checksum-verified (a mismatch returns an error wrapping
-// ErrIndexChecksum); the result is a sealed mapper.
-func ReadIndex(r io.Reader) (*Mapper, error) {
-	return ReadIndexObserved(r, nil)
-}
-
-// ReadIndexObserved is ReadIndex with an optional span under which the
-// per-shard loads are timed (one child span per shard); sp may be nil.
+// ReadIndexObserved deserializes a mapper previously written by
+// WriteIndex into heap memory. The manifest and every shard payload
+// are checksum-verified (a mismatch returns an error wrapping
+// ErrIndexChecksum); the result is a sealed mapper. The per-shard
+// loads are timed under sp (one child span per shard); sp may be nil.
 func ReadIndexObserved(r io.Reader, sp *obs.Span) (*Mapper, error) {
 	ld, err := loadIndex(r, -1, nil, nil, MemorySpec{Mode: MemoryHeap}, sp)
 	if err != nil {
 		return nil, err
 	}
 	m, _, err := ld.mapper()
-	return m, err
-}
-
-// ReadIndexFile loads an index from disk onto the heap.
-func ReadIndexFile(path string) (*Mapper, error) {
-	m, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap})
 	return m, err
 }

@@ -77,7 +77,7 @@ func TestIndexGoldenBytes(t *testing.T) {
 			}
 			// Workers alternate with P so both add paths are pinned.
 			if shards == 2 {
-				positional.AddSubjects(contigs)
+				positional.AddSubjectsParallel(contigs, 1)
 			} else {
 				positional.AddSubjectsParallel(contigs, 3)
 			}

@@ -28,7 +28,7 @@ func buildSmallMapper(t *testing.T, seed int64) (*Mapper, []seq.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	return m, contigs
 }
@@ -41,7 +41,7 @@ func TestWriteIndexFileRoundTrip(t *testing.T) {
 	if err := m.WriteIndexFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndexFile(path)
+	loaded, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	}
 	clean := buf.Bytes()
 	// Sanity: the clean bytes load.
-	if _, err := ReadIndex(bytes.NewReader(clean)); err != nil {
+	if _, err := ReadIndexObserved(bytes.NewReader(clean), nil); err != nil {
 		t.Fatalf("clean index rejected: %v", err)
 	}
 	// Corrupt a spread of offsets across the body and the footer.
@@ -78,7 +78,7 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	for _, off := range offsets {
 		bad := append([]byte(nil), clean...)
 		bad[off] ^= 0x01
-		_, err := ReadIndex(bytes.NewReader(bad))
+		_, err := ReadIndexObserved(bytes.NewReader(bad), nil)
 		if err == nil {
 			t.Errorf("offset %d: corrupted index accepted", off)
 			continue
@@ -89,7 +89,7 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	}
 	// Truncations (including chopping into the footer) must fail too.
 	for _, n := range []int{len(clean) - 1, len(clean) - 4, len(clean) / 2, 10} {
-		if _, err := ReadIndex(bytes.NewReader(clean[:n])); err == nil {
+		if _, err := ReadIndexObserved(bytes.NewReader(clean[:n]), nil); err == nil {
 			t.Errorf("truncated to %d bytes: accepted", n)
 		}
 	}
@@ -141,7 +141,7 @@ func TestIndexByteFlipCaughtAtLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Reset()
-	_, err := ReadIndexFile(path)
+	_, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap})
 	if err == nil {
 		t.Fatal("bit-flipped index accepted")
 	}

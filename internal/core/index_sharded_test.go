@@ -23,7 +23,7 @@ func shardedIndexMapper(t *testing.T, p int) (*Mapper, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.SealSharded(p, 0)
 	segs := make([][]byte, len(reads))
 	for i, rd := range reads {
@@ -53,7 +53,7 @@ func TestShardedIndexRoundTrip(t *testing.T) {
 		if got := string(buf.Bytes()[:8]); got != "JEMIDX06" {
 			t.Fatalf("sealed mapper wrote magic %q, want JEMIDX06", got)
 		}
-		loaded, err := ReadIndex(bytes.NewReader(buf.Bytes()))
+		loaded, err := ReadIndexObserved(bytes.NewReader(buf.Bytes()), nil)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -106,7 +106,7 @@ func TestShardedIndexCorruptManifest(t *testing.T) {
 	// Flip a byte inside the manifest (just past the magic: the params
 	// block), which must trip the manifest CRC before any decode.
 	b[10] ^= 0xff
-	_, err := ReadIndex(bytes.NewReader(b))
+	_, err := ReadIndexObserved(bytes.NewReader(b), nil)
 	if err == nil {
 		t.Fatal("corrupt manifest loaded")
 	}
@@ -118,7 +118,7 @@ func TestShardedIndexCorruptManifest(t *testing.T) {
 	man := parseManifest06(t, buf.Bytes())
 	b = append(b[:0:0], buf.Bytes()...)
 	b[man.end-8] ^= 0xff
-	if _, err := ReadIndex(bytes.NewReader(b)); !errors.Is(err, ErrIndexChecksum) {
+	if _, err := ReadIndexObserved(bytes.NewReader(b), nil); !errors.Is(err, ErrIndexChecksum) {
 		t.Fatalf("directory corruption error = %v, want ErrIndexChecksum", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestShardedIndexCorruptPayload(t *testing.T) {
 	// last payload byte): the manifest stays valid, so the per-shard
 	// CRC must catch it.
 	b[len(b)-3] ^= 0x01
-	_, err := ReadIndex(bytes.NewReader(b))
+	_, err := ReadIndexObserved(bytes.NewReader(b), nil)
 	if !errors.Is(err, ErrIndexChecksum) {
 		t.Fatalf("payload corruption error = %v, want ErrIndexChecksum", err)
 	}
@@ -153,7 +153,7 @@ func TestShardedIndexMissingShard(t *testing.T) {
 	// checksum-class error so load-or-rebuild callers rebuild.
 	last := man.offs[len(man.offs)-1]
 	trunc := full[:int(last)+int(man.lens[len(man.lens)-1])/2]
-	_, err := ReadIndex(bytes.NewReader(trunc))
+	_, err := ReadIndexObserved(bytes.NewReader(trunc), nil)
 	if err == nil {
 		t.Fatal("truncated sharded index loaded")
 	}
@@ -164,7 +164,7 @@ func TestShardedIndexMissingShard(t *testing.T) {
 
 // TestShardedIndexFaultInjectedFlip drives the whole on-disk path: an
 // atomic WriteIndexFile with the index.byteflip fault armed must yield
-// a file that ReadIndexFile rejects with ErrIndexChecksum.
+// a file that a heap OpenIndexFile rejects with ErrIndexChecksum.
 func TestShardedIndexFaultInjectedFlip(t *testing.T) {
 	orig, _ := shardedIndexMapper(t, 4)
 	path := filepath.Join(t.TempDir(), "sharded.idx")
@@ -177,7 +177,7 @@ func TestShardedIndexFaultInjectedFlip(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadIndexFile(path)
+	_, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap})
 	if !errors.Is(err, ErrIndexChecksum) {
 		t.Fatalf("byte-flipped sharded index error = %v, want ErrIndexChecksum", err)
 	}

@@ -27,7 +27,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.AddSubjects(contigs)
+	orig.AddSubjectsParallel(contigs, 1)
 
 	// An unsealed mapper has no serving table to serialize.
 	var buf bytes.Buffer
@@ -41,7 +41,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err := orig.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(&buf)
+	loaded, err := ReadIndexObserved(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +83,17 @@ func TestIndexRoundTrip(t *testing.T) {
 }
 
 func TestReadIndexRejectsGarbage(t *testing.T) {
-	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadIndexObserved(bytes.NewReader(nil), nil); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, err := ReadIndex(bytes.NewReader([]byte("NOTANINDEXATALL!"))); err == nil {
+	if _, err := ReadIndexObserved(bytes.NewReader([]byte("NOTANINDEXATALL!")), nil); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// Valid magic, truncated body.
 	var buf bytes.Buffer
 	buf.Write(indexMagic[:])
 	buf.Write([]byte{1, 2, 3})
-	if _, err := ReadIndex(&buf); err == nil {
+	if _, err := ReadIndexObserved(&buf, nil); err == nil {
 		t.Error("truncated index should fail")
 	}
 }
@@ -110,7 +110,7 @@ func TestReadIndexRejectsBadParams(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		b[i] = 0
 	}
-	if _, err := ReadIndex(bytes.NewReader(b)); err == nil {
+	if _, err := ReadIndexObserved(bytes.NewReader(b), nil); err == nil {
 		t.Error("invalid params should fail")
 	}
 }
@@ -131,14 +131,14 @@ func TestIndexRoundTripSealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.AddSubjects(contigs)
+	orig.AddSubjectsParallel(contigs, 1)
 	orig.Seal()
 
 	var buf bytes.Buffer
 	if err := orig.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(&buf)
+	loaded, err := ReadIndexObserved(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 	if err := m.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(&buf)
+	loaded, err := ReadIndexObserved(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestReadIndexRetiredMagics(t *testing.T) {
 			if err := os.WriteFile(path, body, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, rerr := ReadIndex(bytes.NewReader(body))
+			_, rerr := ReadIndexObserved(bytes.NewReader(body), nil)
 			_, _, _, oerr := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap})
 			_, _, merr := ReadIndexMetaFile(path)
 			_, _, serr := ReadShardSubsetFile(path, func(int) bool { return true })

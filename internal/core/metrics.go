@@ -76,10 +76,6 @@ func (m *Mapper) enableShardMetrics() {
 	m.met.ShardPostings = cs
 }
 
-// Metrics returns the instrument set installed by EnableMetrics, nil
-// when metrics are disabled.
-func (m *Mapper) Metrics() *Metrics { return m.met }
-
 // observe folds one finished segment lookup into the instruments:
 // a handful of atomic ops, cheap next to the lookup itself.
 func (met *Metrics) observe(elapsed time.Duration, postings int64, hit bool) {

@@ -18,13 +18,13 @@ func buildPair(t *testing.T, contigs []seq.Record, p int) (mono, sharded *Mapper
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono.AddSubjects(contigs)
+	mono.AddSubjectsParallel(contigs, 1)
 	mono.Seal()
 	sharded, err = NewMapper(smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded.AddSubjects(contigs)
+	sharded.AddSubjectsParallel(contigs, 1)
 	sharded.SealSharded(p, 0)
 	if got := sharded.Shards(); got != p {
 		t.Fatalf("Shards() = %d, want %d", got, p)
@@ -76,7 +76,7 @@ func TestSealShardedStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.SealSharded(4, 0)
 	if !m.Sealed() || m.Sharded() == nil {
 		t.Fatalf("SealSharded left wrong state: sealed=%v sharded=%v", m.Sealed(), m.Sharded())
@@ -91,7 +91,7 @@ func TestSealShardedStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen.AddSubjects(contigs)
+	frozen.AddSubjectsParallel(contigs, 1)
 	frozen.Seal()
 	defer func() {
 		if recover() == nil {
@@ -113,9 +113,9 @@ func TestShardedMetricsSplitPostings(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	m.EnableMetrics(reg)
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.SealSharded(3, 0)
-	met := m.Metrics()
+	met := m.met
 	if len(met.ShardPostings) != 3 {
 		t.Fatalf("ShardPostings has %d counters, want 3", len(met.ShardPostings))
 	}

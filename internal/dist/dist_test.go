@@ -45,7 +45,7 @@ func sharedMemoryResults(t *testing.T, contigs, reads []seq.Record) []core.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddSubjects(contigs)
+	m.AddSubjectsParallel(contigs, 1)
 	m.Seal()
 	results, err := m.MapReads(context.Background(), reads, smallParams().L, 1)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro"
-	"repro/internal/simulate"
 )
 
 // Spec describes one paper input, parameterized by a genome-length
@@ -83,9 +82,6 @@ type Dataset struct {
 	Scale float64
 	*jem.Dataset
 }
-
-// TruthReads exposes the simulation ground truth.
-func (d *Dataset) TruthReads() []simulate.Read { return d.Dataset.Truth }
 
 var (
 	cacheMu sync.Mutex

@@ -212,7 +212,7 @@ func TestBuildCaches(t *testing.T) {
 	if d1 != d2 {
 		t.Error("same spec+scale should hit the cache")
 	}
-	if len(d1.TruthReads()) != len(d1.Reads) {
+	if len(d1.Truth) != len(d1.Reads) {
 		t.Error("truth reads out of sync")
 	}
 }

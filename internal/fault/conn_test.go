@@ -14,7 +14,7 @@ func TestParseNetworkPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{ConnDialErr, ConnReadStall, ConnWriteErr, ShardDown} {
-		if !Enabled(name) {
+		if points[name] == nil {
 			t.Errorf("%s not armed", name)
 		}
 	}

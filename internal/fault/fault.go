@@ -114,32 +114,12 @@ func Set(name string, s Spec) {
 	armed.Store(true)
 }
 
-// Clear disarms one point.
-func Clear(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(points, name)
-	armed.Store(len(points) > 0)
-}
-
 // Reset disarms every point. Tests that Set must defer Reset.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
 	points = nil
 	armed.Store(false)
-}
-
-// Enabled reports whether the named point is currently armed (whether
-// or not it has started triggering).
-func Enabled(name string) bool {
-	if !armed.Load() {
-		return false
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	_, ok := points[name]
-	return ok
 }
 
 // Fire records one hit on the named point and reports whether the

@@ -48,15 +48,11 @@ func TestActiveAndReset(t *testing.T) {
 	}
 	Set("a", Spec{})
 	Set("b", Spec{})
-	if !Active() || !Enabled("a") {
+	if !Active() || points["a"] == nil {
 		t.Fatal("Set did not arm the registry")
 	}
-	Clear("a")
-	if Enabled("a") || !Active() {
-		t.Fatal("Clear removed too much or too little")
-	}
 	Reset()
-	if Active() || Enabled("b") {
+	if Active() || points["b"] != nil {
 		t.Fatal("Reset left the registry armed")
 	}
 	if _, ok := Fire("b"); ok {
@@ -71,7 +67,7 @@ func TestParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{WorkerPanic, WriterSlow, ReaderErr} {
-		if !Enabled(name) {
+		if points[name] == nil {
 			t.Errorf("%s not armed", name)
 		}
 	}

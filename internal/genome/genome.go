@@ -288,14 +288,3 @@ func mutate(rng *rand.Rand, b byte) byte {
 		}
 	}
 }
-
-// Locate maps a global offset on the concatenated sequence to its
-// chromosome index and chromosome-local offset.
-func (g *Genome) Locate(off int) (chrom, local int) {
-	for i := len(g.Offsets) - 1; i >= 0; i-- {
-		if off >= g.Offsets[i] {
-			return i, off - g.Offsets[i]
-		}
-	}
-	return 0, off
-}

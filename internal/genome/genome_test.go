@@ -67,13 +67,6 @@ func TestGenerateChromosomes(t *testing.T) {
 	if total != 100_000 {
 		t.Errorf("chromosome lengths sum to %d", total)
 	}
-	chrom, local := g.Locate(60_000)
-	if chrom != 2 || local != 10_000 {
-		t.Errorf("Locate(60000) = %d,%d", chrom, local)
-	}
-	if c, l := g.Locate(0); c != 0 || l != 0 {
-		t.Errorf("Locate(0) = %d,%d", c, l)
-	}
 }
 
 func TestRepeatsIncreaseDuplication(t *testing.T) {

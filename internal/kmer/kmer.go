@@ -131,23 +131,6 @@ func (it *Iterator) Next() (fwd, canon Word, pos int, ok bool) {
 	return 0, 0, 0, false
 }
 
-// Count returns the number of k-mers Next would yield for s — i.e. the
-// number of length-k windows free of ambiguous bases.
-func Count(s []byte, k int) int {
-	n, run := 0, 0
-	for _, b := range s {
-		if _, ok := seq.Code(b); ok {
-			run++
-			if run >= k {
-				n++
-			}
-		} else {
-			run = 0
-		}
-	}
-	return n
-}
-
 // Set collects the distinct canonical k-mers of s.
 func Set(s []byte, k int) map[Word]struct{} {
 	out := make(map[Word]struct{}, len(s))
@@ -159,26 +142,4 @@ func Set(s []byte, k int) map[Word]struct{} {
 		}
 		out[canon] = struct{}{}
 	}
-}
-
-// Jaccard computes the exact Jaccard similarity between the canonical
-// k-mer sets of a and b. It returns 0 when both sets are empty.
-func Jaccard(a, b []byte, k int) float64 {
-	sa := Set(a, k)
-	sb := Set(b, k)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	small, large := sa, sb
-	if len(sb) < len(sa) {
-		small, large = sb, sa
-	}
-	for w := range small {
-		if _, ok := large[w]; ok {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	return float64(inter) / float64(union)
 }

@@ -164,18 +164,6 @@ func TestIteratorPanicsOnBadK(t *testing.T) {
 	NewIterator([]byte("ACGT"), 0)
 }
 
-func TestCount(t *testing.T) {
-	if got := Count([]byte("ACGTACGT"), 4); got != 5 {
-		t.Errorf("Count = %d want 5", got)
-	}
-	if got := Count([]byte("ACGNACGT"), 4); got != 1 {
-		t.Errorf("Count with N = %d want 1", got)
-	}
-	if got := Count([]byte("AC"), 4); got != 0 {
-		t.Errorf("Count short = %d want 0", got)
-	}
-}
-
 func TestSetCanonicalizes(t *testing.T) {
 	s := []byte("ACGTAC")
 	rc := seq.ReverseComplement(s)
@@ -188,36 +176,5 @@ func TestSetCanonicalizes(t *testing.T) {
 		if _, ok := b[w]; !ok {
 			t.Fatalf("word %d missing from revcomp set", w)
 		}
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	a := []byte("ACGTACGTAA")
-	if got := Jaccard(a, a, 4); got != 1 {
-		t.Errorf("self Jaccard = %v want 1", got)
-	}
-	if got := Jaccard(a, seq.ReverseComplement(a), 4); got != 1 {
-		t.Errorf("revcomp Jaccard = %v want 1", got)
-	}
-	b := []byte("GGGGGGGGGG")
-	if got := Jaccard(a, b, 4); got != 0 {
-		t.Errorf("disjoint Jaccard = %v want 0", got)
-	}
-	if got := Jaccard(nil, nil, 4); got != 0 {
-		t.Errorf("empty Jaccard = %v want 0", got)
-	}
-}
-
-func TestJaccardSymmetricAndBounded(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randDNA(rng, 20+rng.Intn(100))
-		b := randDNA(rng, 20+rng.Intn(100))
-		j1 := Jaccard(a, b, 8)
-		j2 := Jaccard(b, a, 8)
-		return j1 == j2 && j1 >= 0 && j1 <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

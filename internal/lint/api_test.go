@@ -1,74 +1,76 @@
-// Command jem-api prints the exported API surface of the public jem
-// package as a stable, sorted, one-declaration-per-line listing. CI
-// diffs it against the committed golden file docs/api_surface.txt
-// (`make api-check`), so removing or changing an exported name fails
-// the build until the golden file is deliberately regenerated
-// (`make api-update`). See docs/API.md §5 for the policy.
+package lint
+
+// TestAPISurface is the exported-API compatibility gate (docs/API.md
+// §5): the public jem package's exported declarations, rendered one
+// per line and sorted, must match the committed golden listing
+// docs/api_surface.txt. Removing or changing an exported name fails
+// the test until the golden file is deliberately re-recorded with
 //
-// Usage:
-//
-//	jem-api                 # print the surface to stdout
-//	jem-api -check golden   # exit 1 with a diff if surface != golden
-//	jem-api -update golden  # rewrite golden with the current surface
-package main
+//	go test ./internal/lint -run TestAPISurface -update
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"go/types"
 	"os"
 	"sort"
 	"strings"
-
-	"repro/internal/lint"
+	"testing"
 )
 
-func main() {
-	var (
-		check  = flag.String("check", "", "compare the surface against this golden file; non-empty diff exits 1")
-		update = flag.String("update", "", "write the surface to this golden file")
-		pkg    = flag.String("pkg", ".", "package pattern to list (default: the public jem package)")
-	)
-	flag.Parse()
-	if err := run(*pkg, *check, *update); err != nil {
-		fmt.Fprintf(os.Stderr, "jem-api: %v\n", err)
-		os.Exit(1)
-	}
-}
+var updateAPISurface = flag.Bool("update", false, "re-record docs/api_surface.txt instead of comparing against it")
 
-func run(pattern, check, update string) error {
-	pkgs, err := lint.Load(".", pattern)
+const apiSurfacePath = "../../docs/api_surface.txt"
+
+func TestAPISurface(t *testing.T) {
+	pkgs, err := Load("../..", ".")
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	if len(pkgs) != 1 {
-		return fmt.Errorf("pattern %q matched %d packages, want exactly 1", pattern, len(pkgs))
+		t.Fatalf("the root pattern matched %d packages, want 1", len(pkgs))
 	}
-	got := Surface(pkgs[0].Types)
-	switch {
-	case update != "":
-		return os.WriteFile(update, []byte(got), 0o644)
-	case check != "":
-		want, err := os.ReadFile(check)
-		if err != nil {
-			return fmt.Errorf("%v (run `make api-update` to create the golden file)", err)
+	got := apiSurface(pkgs[0].Types)
+	if *updateAPISurface {
+		if err := os.WriteFile(apiSurfacePath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if diff := surfaceDiff(string(want), got); diff != "" {
-			return fmt.Errorf("exported API surface differs from %s:\n%s\n"+
-				"if this change is intentional, run `make api-update` and commit the result", check, diff)
-		}
-		return nil
-	default:
-		_, err := os.Stdout.WriteString(got)
-		return err
+		return
 	}
+	raw, err := os.ReadFile(apiSurfacePath)
+	if err != nil {
+		t.Fatalf("%v (record with -update)", err)
+	}
+	want := string(raw)
+	if got == want {
+		return
+	}
+	gotSet, wantSet := lineSet(got), lineSet(want)
+	for _, l := range strings.Split(want, "\n") {
+		if l != "" && !gotSet[l] {
+			t.Errorf("- %s", l)
+		}
+	}
+	for _, l := range strings.Split(got, "\n") {
+		if l != "" && !wantSet[l] {
+			t.Errorf("+ %s", l)
+		}
+	}
+	t.Errorf("exported API surface differs from docs/api_surface.txt; if the change is intentional, re-record with -update and commit the result")
 }
 
-// Surface renders the exported declarations of pkg, one per line,
+func lineSet(s string) map[string]bool {
+	set := make(map[string]bool)
+	for _, l := range strings.Split(s, "\n") {
+		set[l] = true
+	}
+	return set
+}
+
+// apiSurface renders the exported declarations of pkg, one per line,
 // sorted. Lines are self-contained type signatures, so any change to
 // an exported name, field, or signature changes the listing.
-func Surface(pkg *types.Package) string {
+func apiSurface(pkg *types.Package) string {
 	// Qualify foreign packages by name, never the package under
 	// inspection, so the listing is path-independent.
 	qual := func(other *types.Package) string {
@@ -160,50 +162,4 @@ func isPointerReceiver(m types.Object) bool {
 	}
 	_, isPtr := sig.Recv().Type().(*types.Pointer)
 	return isPtr
-}
-
-// surfaceDiff returns a minimal line diff ("-" removed from want, "+"
-// added in got), empty when equal.
-func surfaceDiff(want, got string) string {
-	if want == got {
-		return ""
-	}
-	wantSet := lineSet(want)
-	gotSet := lineSet(got)
-	var buf bytes.Buffer
-	for _, l := range sortedLines(want) {
-		if !gotSet[l] {
-			fmt.Fprintf(&buf, "- %s\n", l)
-		}
-	}
-	for _, l := range sortedLines(got) {
-		if !wantSet[l] {
-			fmt.Fprintf(&buf, "+ %s\n", l)
-		}
-	}
-	if buf.Len() == 0 {
-		return "(only ordering or blank lines differ — regenerate with `make api-update`)"
-	}
-	return strings.TrimRight(buf.String(), "\n")
-}
-
-func lineSet(s string) map[string]bool {
-	set := map[string]bool{}
-	for _, l := range strings.Split(s, "\n") {
-		if l != "" {
-			set[l] = true
-		}
-	}
-	return set
-}
-
-func sortedLines(s string) []string {
-	var lines []string
-	for _, l := range strings.Split(s, "\n") {
-		if l != "" {
-			lines = append(lines, l)
-		}
-	}
-	sort.Strings(lines)
-	return lines
 }

@@ -130,23 +130,6 @@ func (g *Graph) CanReach(from, to *Block, blocked func(*Block) bool) bool {
 	return false
 }
 
-// Defers returns every DeferStmt appended to any block, in build
-// order. A defer's callback runs at function exit on exactly the
-// paths that executed the defer statement — path-sensitive analyzers
-// should treat the DeferStmt's block position, not Exit, as where the
-// obligation is discharged.
-func (g *Graph) Defers() []*ast.DeferStmt {
-	var out []*ast.DeferStmt
-	for _, b := range g.Blocks {
-		for _, s := range b.Stmts {
-			if d, ok := s.(*ast.DeferStmt); ok {
-				out = append(out, d)
-			}
-		}
-	}
-	return out
-}
-
 // labelBlocks tracks the blocks a label can transfer control to.
 type labelBlocks struct {
 	target *Block // goto / labeled-statement entry

@@ -371,7 +371,15 @@ func TestDefersCollectedInOrder(t *testing.T) {
 		}
 		defer c()
 	}`, "f")
-	ds := g.Defers()
+	// Every DeferStmt lands in exactly one block, in build order.
+	var ds []*ast.DeferStmt
+	for _, b := range g.Blocks {
+		for _, s := range b.Stmts {
+			if d, ok := s.(*ast.DeferStmt); ok {
+				ds = append(ds, d)
+			}
+		}
+	}
 	if len(ds) != 3 {
 		t.Fatalf("defers = %d, want 3", len(ds))
 	}

@@ -1,10 +1,9 @@
 // Package lint is the repository's custom static-analysis layer:
-// jem-vet. It encodes the hot-path, concurrency and serialization
+// jem-vet. It encodes the hot-path, serialization and lifecycle
 // invariants that earlier PRs established only in commit messages —
-// metrics call sites in hot loops stay allocation-free, atomic
-// counters are never mixed with plain access, locks are not held
-// across blocking operations, serialization errors are not dropped,
-// and nothing iterates a map while producing output bytes.
+// metrics call sites in hot loops stay allocation-free, serialization
+// errors are not dropped, request contexts are propagated, spans are
+// ended on every path, and every goroutine has a supervisor.
 //
 // The package is built purely on the standard library's go/parser,
 // go/ast and go/types (no x/tools dependency, honoring the repo's
@@ -81,10 +80,7 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotPathAlloc,
-		AtomicMix,
-		LockedBlock,
 		ErrSink,
-		MapOrder,
 		CtxFlow,
 		SpanEnd,
 		GoLeak,

@@ -228,72 +228,6 @@ func mappedExports(exports map[string]string, importMap map[string]string) map[s
 	return out
 }
 
-// LoadDir loads a single directory of Go files as one package outside
-// the module's package graph — the fixture loader for the golden
-// self-tests (testdata packages are invisible to `go list ./...`).
-// Imports are resolved by listing the fixture's own import set, so
-// fixtures may import anything in the standard library or the module.
-func LoadDir(moduleDir, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	sort.Strings(files)
-
-	// Parse first so the fixture's imports determine what gets listed.
-	fset := token.NewFileSet()
-	var parsed []*ast.File
-	importSet := make(map[string]bool)
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		parsed = append(parsed, f)
-		for _, spec := range f.Imports {
-			importSet[strings.Trim(spec.Path.Value, `"`)] = true
-		}
-	}
-	exports := make(map[string]string)
-	if len(importSet) > 0 {
-		var paths []string
-		for p := range importSet {
-			if p != "unsafe" {
-				paths = append(paths, p)
-			}
-		}
-		sort.Strings(paths)
-		if len(paths) > 0 {
-			listed, err := goList(moduleDir, false, paths...)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range listed {
-				if p.Export != "" {
-					exports[p.ImportPath] = p.Export
-				}
-			}
-		}
-	}
-	imp := exportImporter(fset, exports)
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check("fixture/"+filepath.Base(dir), fset, parsed, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %v", dir, err)
-	}
-	return &Package{Path: tpkg.Path(), Fset: fset, Files: parsed, Types: tpkg, Info: info}, nil
-}
-
 func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
 	var parsed []*ast.File
 	for _, name := range goFiles {

@@ -20,11 +20,11 @@ func suppressedBlanket(f *os.File) {
 }
 
 func suppressedList(f *os.File) {
-	f.Close() //jem:nolint(maporder, errsink)
+	f.Close() //jem:nolint(spanend, errsink)
 }
 
 func wrongAnalyzer(f *os.File) {
-	f.Close() //jem:nolint(maporder) // want `error from f\.Close is discarded`
+	f.Close() //jem:nolint(spanend) // want `error from f\.Close is discarded`
 }
 
 func unsuppressed(f *os.File) {

@@ -63,9 +63,9 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// exprString renders a (small) expression for use as a region key or
-// in a diagnostic — good enough for receiver expressions like
-// "s.mu" / "r.mu"; not a general printer.
+// exprString renders a (small) expression for use in a diagnostic —
+// good enough for receiver expressions like "w" / "s.out"; not a
+// general printer.
 func exprString(e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:

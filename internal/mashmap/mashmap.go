@@ -33,9 +33,6 @@ type Params struct {
 	MinShared int
 }
 
-// Defaults mirrors the JEM defaults so comparisons are like-for-like.
-func Defaults() Params { return Params{K: 16, W: 100, SegLen: 1000, MinShared: 2} }
-
 func (p Params) withDefaults() Params {
 	if p.K == 0 {
 		p.K = 16
@@ -86,16 +83,6 @@ func NewMapper(contigs []seq.Record, p Params, workers int) *Mapper {
 		}
 	}
 	return m
-}
-
-// IndexEntries returns the total number of ⟨minimizer, position⟩
-// entries (a size statistic the experiments report).
-func (m *Mapper) IndexEntries() int {
-	n := 0
-	for _, l := range m.index {
-		n += len(l)
-	}
-	return n
 }
 
 // Detail carries the stage-2 style metadata of a mapping: where on

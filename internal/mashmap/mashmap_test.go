@@ -233,7 +233,7 @@ func TestEstimateIdentityTracksMutationRate(t *testing.T) {
 func TestIndexEntries(t *testing.T) {
 	_, contigs := world(t)
 	m := NewMapper(contigs, smallParams(), 1)
-	if m.IndexEntries() == 0 {
+	if len(m.index) == 0 {
 		t.Error("empty index")
 	}
 }

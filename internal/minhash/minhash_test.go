@@ -77,7 +77,7 @@ func TestDegradesOnLongContigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jem.AddSubjects(contigs)
+	jem.AddSubjectsParallel(contigs, 1)
 	jem.Seal()
 
 	mhSess := mh.NewSession()

@@ -208,16 +208,6 @@ func AppendExtract(dst []Tuple, s []byte, p Params) []Tuple {
 	return dst
 }
 
-// Density returns |Mo(s,w)| / #k-mers for s — the expected value is
-// roughly 2/(w+1) for random sequences, a useful sanity statistic.
-func Density(s []byte, p Params) float64 {
-	n := kmer.Count(s, p.K)
-	if n == 0 {
-		return 0
-	}
-	return float64(len(Extract(s, p))) / float64(n)
-}
-
 // Set returns the distinct canonical minimizer k-mers of s — the
 // minimizer sketch M(s,w) used by the minimizer Jaccard estimate.
 func Set(s []byte, p Params) map[kmer.Word]struct{} {

@@ -72,28 +72,6 @@ type StepStat struct {
 	Bytes int64
 }
 
-// Imbalance returns max/mean of the per-rank durations of a compute
-// step — 1.0 is perfect balance; large values flag stragglers. It
-// returns 0 for communication steps and empty stats.
-func (s StepStat) Imbalance() float64 {
-	if len(s.PerRank) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	max := time.Duration(0)
-	for _, d := range s.PerRank {
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.PerRank))
-	return float64(max) / mean
-}
-
 // Timeline aggregates a run.
 type Timeline struct {
 	P     int
@@ -105,17 +83,6 @@ func (tl Timeline) Total() time.Duration {
 	var d time.Duration
 	for _, s := range tl.Steps {
 		d += s.Sim
-	}
-	return d
-}
-
-// ComputeTime sums compute steps, CommTime sums communication steps.
-func (tl Timeline) ComputeTime() time.Duration {
-	var d time.Duration
-	for _, s := range tl.Steps {
-		if s.Kind == Compute {
-			d += s.Sim
-		}
 	}
 	return d
 }
@@ -179,9 +146,6 @@ func New(p int, model CostModel, maxParallel int) *Sim {
 	return &Sim{p: p, model: model, maxProcs: maxParallel}
 }
 
-// P returns the simulated rank count.
-func (s *Sim) P() int { return s.p }
-
 // Step runs fn for every rank (bounded concurrency), records per-rank
 // wall times, and charges the maximum as the step's simulated time.
 func (s *Sim) Step(name string, fn func(rank int)) StepStat {
@@ -243,24 +207,4 @@ func (s *Sim) Allgather(name string, bytes int64) StepStat {
 // Timeline returns the recorded steps.
 func (s *Sim) Timeline() Timeline {
 	return Timeline{P: s.p, Steps: append([]StepStat(nil), s.steps...)}
-}
-
-// BlockRange computes rank r's half-open share [lo,hi) of n items
-// under block distribution, balanced to within one item.
-func BlockRange(n, p, r int) (lo, hi int) {
-	base := n / p
-	rem := n % p
-	lo = r*base + min(r, rem)
-	hi = lo + base
-	if r < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

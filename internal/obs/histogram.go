@@ -111,41 +111,6 @@ func (h *Histogram) Exemplars() []Exemplar {
 	return out
 }
 
-// Merge folds o's observations into h. The two histograms must share
-// identical bounds (a programming error otherwise, and it panics like
-// NewHistogram does). Exemplars transfer too: o's exemplar wins where
-// h's bucket has none. Merge is how per-run or per-worker histograms
-// fold into a fleet view without re-observing every sample.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bounds) != len(o.bounds) {
-		panic("obs: merging histograms with different bucket counts")
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			panic("obs: merging histograms with different bounds")
-		}
-	}
-	var total int64
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-			total += c
-		}
-		if e := o.ex[i].Load(); e != nil && h.ex[i].Load() == nil {
-			h.ex[i].Store(e)
-		}
-	}
-	h.n.Add(total)
-	add := o.Sum()
-	for {
-		old := h.sum.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + add)
-		if h.sum.CompareAndSwap(old, nv) {
-			break
-		}
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.n.Load() }
 

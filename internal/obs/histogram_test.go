@@ -54,51 +54,6 @@ func TestHistogramExponentialAccuracy(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge pins merge behavior: two histograms over halves
-// of a distribution merge into exactly the whole — same counts, same
-// sum, same quantile estimates as observing everything into one.
-func TestHistogramMerge(t *testing.T) {
-	whole := NewHistogram(LatencyBuckets())
-	a := NewHistogram(LatencyBuckets())
-	b := NewHistogram(LatencyBuckets())
-	samples := expSamples(10000, 100)
-	for i, v := range samples {
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged count %d != whole %d", a.Count(), whole.Count())
-	}
-	if math.Abs(a.Sum()-whole.Sum()) > 1e-9*whole.Sum() {
-		t.Fatalf("merged sum %g != whole %g", a.Sum(), whole.Sum())
-	}
-	ac, wc := a.BucketCounts(), whole.BucketCounts()
-	for i := range ac {
-		if ac[i] != wc[i] {
-			t.Fatalf("bucket %d: merged %d != whole %d", i, ac[i], wc[i])
-		}
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("q=%.2f: merged %g != whole %g", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-}
-
-func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched bounds did not panic")
-		}
-	}()
-	NewHistogram([]float64{1, 2}).Merge(NewHistogram([]float64{1, 3}))
-}
-
 func TestHistogramExemplars(t *testing.T) {
 	h := NewHistogram([]float64{0.01, 0.1, 1})
 	h.ObserveExemplar(0.05, "trace-a")

@@ -56,33 +56,17 @@ type Wall struct {
 // Add folds one measured duration into the total.
 func (w *Wall) Add(d time.Duration) { w.ns.Add(int64(d)) }
 
-// Duration returns the exact accumulated wall time.
-func (w *Wall) Duration() time.Duration { return time.Duration(w.ns.Load()) }
-
 // Seconds returns the total as float seconds (the render-time
 // conversion; the stored value stays integer).
 func (w *Wall) Seconds() float64 { return float64(w.ns.Load()) / float64(time.Second) }
 
-// Gauge is a float64 metric that can go up and down (also used for
-// cumulative wall-clock seconds, where float keeps the Prometheus
-// seconds convention).
+// Gauge is a float64 metric that is set to its current value.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d to the gauge (lock-free CAS loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

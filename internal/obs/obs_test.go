@@ -25,7 +25,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(0.5)
+				g.Set(0.5)
 				h.Observe(float64(j%4) * 0.25)
 			}
 		}(i)
@@ -35,7 +35,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got, want := c.Value(), int64(goroutines*perG); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	if got, want := g.Value(), 0.5*goroutines*perG; math.Abs(got-want) > 1e-6 {
+	if got, want := g.Value(), 0.5; got != want {
 		t.Errorf("gauge = %v, want %v", got, want)
 	}
 	if got, want := h.Count(), int64(goroutines*perG); got != want {

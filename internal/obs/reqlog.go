@@ -64,13 +64,11 @@ type RequestLog struct {
 	sampleN int
 	slow    time.Duration
 
-	mu     sync.Mutex
-	cap    int
-	buf    []RequestLogEntry
-	next   int
-	seq    int64
-	seen   int64
-	logged int64
+	mu   sync.Mutex
+	cap  int
+	buf  []RequestLogEntry
+	next int
+	seq  int64
 }
 
 // NewRequestLog creates a request log ringing the last capacity
@@ -95,7 +93,6 @@ func NewRequestLog(logger *slog.Logger, sampleN, capacity int, slow time.Duratio
 // than a detached Background.
 func (l *RequestLog) Record(ctx context.Context, e RequestLogEntry) {
 	l.mu.Lock()
-	l.seen++
 	emit := false
 	if l.logger != nil {
 		switch {
@@ -107,9 +104,6 @@ func (l *RequestLog) Record(ctx context.Context, e RequestLogEntry) {
 			l.seq++
 			emit = l.seq%int64(l.sampleN) == 0
 		}
-	}
-	if emit {
-		l.logged++
 	}
 	if len(l.buf) < l.cap {
 		l.buf = append(l.buf, e)
@@ -149,20 +143,6 @@ func levelFor(status int) slog.Level {
 	default:
 		return slog.LevelInfo
 	}
-}
-
-// Seen returns how many entries have been recorded.
-func (l *RequestLog) Seen() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seen
-}
-
-// Logged returns how many entries the sampling emitted to the logger.
-func (l *RequestLog) Logged() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.logged
 }
 
 // Len returns how many entries the ring currently retains.

@@ -51,7 +51,7 @@ func TestTraceIDUnique(t *testing.T) {
 // bound. 10k starts on a small-cap tracer retain exactly the cap,
 // newest last.
 func TestTracerRootsBounded(t *testing.T) {
-	tr := NewTracerCap(16)
+	tr := &Tracer{cap: 16}
 	for i := 0; i < 10000; i++ {
 		tr.Start(fmt.Sprintf("req%05d", i)).End()
 	}
@@ -64,9 +64,6 @@ func TestTracerRootsBounded(t *testing.T) {
 	}
 	if got := roots[0].Name(); got != "req09984" {
 		t.Errorf("oldest retained root = %s, want req09984", got)
-	}
-	if d := tr.Dropped(); d != 10000-16 {
-		t.Errorf("Dropped = %d, want %d", d, 10000-16)
 	}
 	// The default constructor is bounded too. The spans are begun and
 	// deliberately dropped: the assertion below is that the ring stays
@@ -351,13 +348,7 @@ func TestRequestLogSamplingAndBound(t *testing.T) {
 	if l.Len() != 32 {
 		t.Errorf("ring holds %d entries, want cap 32", l.Len())
 	}
-	if l.Seen() != 102 {
-		t.Errorf("seen = %d, want 102", l.Seen())
-	}
 	// 10 sampled ok lines + 1 error + 1 slow.
-	if l.Logged() != 12 {
-		t.Errorf("logged = %d, want 12", l.Logged())
-	}
 	emitted := strings.Count(lines.String(), "\n")
 	if emitted != 12 {
 		t.Errorf("slog emitted %d lines, want 12", emitted)
@@ -382,9 +373,6 @@ func TestRequestLogSamplingAndBound(t *testing.T) {
 func TestRequestLogNilLogger(t *testing.T) {
 	l := NewRequestLog(nil, 1, 8, 0)
 	l.Record(context.Background(), RequestLogEntry{Status: 500, Err: "boom"})
-	if l.Logged() != 0 {
-		t.Error("nil logger must not count emitted lines")
-	}
 	if l.Len() != 1 {
 		t.Error("ring must retain entries even without a logger")
 	}

@@ -21,29 +21,18 @@ const defaultTracerRoots = 256
 // under its own root.
 //
 // Retention is bounded: once the root ring is full, starting a new
-// root evicts the oldest one (Dropped counts evictions). Completed
-// request traces that need richer retention policy live in a
-// TraceRing instead; the Tracer ring is the keep-the-recent-history
-// view rendered on /statusz.
+// root evicts the oldest one. Completed request traces that need
+// richer retention policy live in a TraceRing instead; the Tracer ring
+// is the keep-the-recent-history view rendered on /statusz.
 type Tracer struct {
-	mu      sync.Mutex
-	cap     int
-	roots   []*Span // circular once len(roots) == cap
-	next    int     // insertion point once circular
-	dropped int64
+	mu    sync.Mutex
+	cap   int
+	roots []*Span // circular once len(roots) == cap
+	next  int     // insertion point once circular
 }
 
 // NewTracer creates an empty tracer with the default root retention.
 func NewTracer() *Tracer { return &Tracer{cap: defaultTracerRoots} }
-
-// NewTracerCap creates a tracer retaining at most n root spans
-// (n <= 0 falls back to the default).
-func NewTracerCap(n int) *Tracer {
-	if n <= 0 {
-		n = defaultTracerRoots
-	}
-	return &Tracer{cap: n}
-}
 
 // Start begins a root span. End it with Span.End. Once the tracer
 // holds its retention cap of roots, the oldest is evicted.
@@ -58,7 +47,6 @@ func (t *Tracer) Start(name string) *Span {
 	} else {
 		t.roots[t.next] = s
 		t.next = (t.next + 1) % t.cap
-		t.dropped++
 	}
 	t.mu.Unlock()
 	return s
@@ -72,13 +60,6 @@ func (t *Tracer) Roots() []*Span {
 	out = append(out, t.roots[t.next:]...)
 	out = append(out, t.roots[:t.next]...)
 	return out
-}
-
-// Dropped returns how many root spans retention has evicted.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Attr is one key/value annotation on a span: run stats, shard ids,
@@ -111,9 +92,6 @@ func NewSpan(name string) *Span {
 
 // Name returns the span's name.
 func (s *Span) Name() string { return s.name }
-
-// Start returns the span's start time.
-func (s *Span) Start() time.Time { return s.start }
 
 // Child begins a nested span under s.
 func (s *Span) Child(name string) *Span {

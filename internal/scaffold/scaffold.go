@@ -159,13 +159,3 @@ func Build(links []Link, nContigs int, minSupport int) *Scaffolds {
 	}
 	return out
 }
-
-// Span sums contig lengths along a chain, the scaffold's (gap-less)
-// lower-bound span.
-func Span(chain []int32, lengths func(int32) int32) int64 {
-	var s int64
-	for _, c := range chain {
-		s += int64(lengths(c))
-	}
-	return s
-}

@@ -145,16 +145,6 @@ func BuildLinksOrder(links []Link) []Link {
 	return out
 }
 
-func TestSpan(t *testing.T) {
-	lengths := func(c int32) int32 { return 100 * (c + 1) }
-	if got := Span([]int32{0, 1, 2}, lengths); got != 600 {
-		t.Errorf("span = %d", got)
-	}
-	if got := Span(nil, lengths); got != 0 {
-		t.Errorf("empty span = %d", got)
-	}
-}
-
 func TestBuildEmpty(t *testing.T) {
 	sc := Build(nil, 3, 1)
 	if len(sc.Chains) != 0 || len(sc.Singletons) != 3 {

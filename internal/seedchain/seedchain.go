@@ -272,12 +272,3 @@ func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result 
 // Err is core.MapEnds' session contract; an in-memory index cannot
 // degrade, so it is always nil.
 func (m *Mapper) Err() error { return nil }
-
-// IndexEntries reports the index size.
-func (m *Mapper) IndexEntries() int {
-	n := 0
-	for _, l := range m.index {
-		n += len(l)
-	}
-	return n
-}

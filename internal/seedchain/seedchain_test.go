@@ -178,7 +178,7 @@ func TestEmptyInputs(t *testing.T) {
 	if _, ok := m.MapSegment(nil); ok {
 		t.Error("nil segment should not map")
 	}
-	if m.IndexEntries() == 0 {
+	if len(m.index) == 0 {
 		t.Error("index is empty")
 	}
 }

@@ -78,9 +78,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// Format returns the sniffed format, available after the first Read.
-func (r *Reader) Format() Format { return r.format }
-
 // Line returns the 1-based number of the last input line consumed —
 // after a failed Read, the line where the problem was detected.
 func (r *Reader) Line() int { return r.line }

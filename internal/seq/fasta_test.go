@@ -17,8 +17,8 @@ func TestReadFASTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Format() != FormatFASTA {
-		t.Errorf("format = %v", r.Format())
+	if r.format != FormatFASTA {
+		t.Errorf("format = %v", r.format)
 	}
 	if len(recs) != 3 {
 		t.Fatalf("got %d records", len(recs))
@@ -51,8 +51,8 @@ func TestReadFASTQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Format() != FormatFASTQ {
-		t.Errorf("format = %v", r.Format())
+	if r.format != FormatFASTQ {
+		t.Errorf("format = %v", r.format)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))

@@ -9,13 +9,6 @@
 // rejected depending on the caller's choice.
 package seq
 
-import (
-	"fmt"
-)
-
-// Alphabet size of DNA.
-const AlphabetSize = 4
-
 // Code2Base maps a 2-bit code (0..3) to its upper-case base letter.
 // The ordering a < c < g < t makes numeric comparisons of packed
 // k-mers equivalent to lexicographic comparison of the underlying
@@ -148,34 +141,6 @@ type Record struct {
 
 // Len returns the sequence length in bases.
 func (r *Record) Len() int { return len(r.Seq) }
-
-// Validate returns an error when the record is structurally broken:
-// empty ID, or FASTQ qualities whose length differs from the sequence.
-func (r *Record) Validate() error {
-	if r.ID == "" {
-		return fmt.Errorf("seq: record has empty ID")
-	}
-	if r.Qual != nil && len(r.Qual) != len(r.Seq) {
-		return fmt.Errorf("seq: record %q: qual length %d != seq length %d",
-			r.ID, len(r.Qual), len(r.Seq))
-	}
-	return nil
-}
-
-// Subsequence returns the half-open slice [start,end) of the record's
-// sequence, clamped to its bounds. The returned slice aliases r.Seq.
-func (r *Record) Subsequence(start, end int) []byte {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(r.Seq) {
-		end = len(r.Seq)
-	}
-	if start >= end {
-		return nil
-	}
-	return r.Seq[start:end]
-}
 
 // TotalBases sums the sequence lengths of records.
 func TotalBases(records []Record) int64 {

@@ -133,34 +133,6 @@ func TestGC(t *testing.T) {
 	}
 }
 
-func TestRecordValidate(t *testing.T) {
-	if err := (&Record{ID: "r", Seq: []byte("ACGT")}).Validate(); err != nil {
-		t.Errorf("valid record: %v", err)
-	}
-	if err := (&Record{Seq: []byte("ACGT")}).Validate(); err == nil {
-		t.Error("empty ID should fail")
-	}
-	if err := (&Record{ID: "r", Seq: []byte("ACGT"), Qual: []byte("II")}).Validate(); err == nil {
-		t.Error("qual length mismatch should fail")
-	}
-}
-
-func TestSubsequenceClamps(t *testing.T) {
-	r := &Record{ID: "r", Seq: []byte("ACGTACGT")}
-	if got := r.Subsequence(-5, 4); string(got) != "ACGT" {
-		t.Errorf("got %q", got)
-	}
-	if got := r.Subsequence(6, 100); string(got) != "GT" {
-		t.Errorf("got %q", got)
-	}
-	if got := r.Subsequence(5, 5); got != nil {
-		t.Errorf("empty range should be nil, got %q", got)
-	}
-	if got := r.Subsequence(7, 2); got != nil {
-		t.Errorf("inverted range should be nil, got %q", got)
-	}
-}
-
 func TestTotalBases(t *testing.T) {
 	recs := []Record{{Seq: []byte("ACGT")}, {Seq: []byte("AA")}, {}}
 	if got := TotalBases(recs); got != 6 {

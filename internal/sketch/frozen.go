@@ -58,9 +58,6 @@ func (ft *FrozenTable) T() int { return len(ft.trials) }
 // Entries returns the total posting count.
 func (ft *FrozenTable) Entries() int { return ft.entries }
 
-// Words returns the number of distinct words in trial t.
-func (ft *FrozenTable) Words(t int) int { return len(ft.trials[t].words) }
-
 // MemBytes returns the approximate resident size of the frozen table:
 // the backing arrays of every trial bin (words, offsets, postings and
 // the radix bucket directory). Struct headers and allocator slack are
@@ -77,10 +74,6 @@ func (ft *FrozenTable) MemBytes() int64 {
 	}
 	return n
 }
-
-// Mapped reports whether this table's arrays alias an mmap'd flat
-// payload rather than heap memory.
-func (ft *FrozenTable) Mapped() bool { return ft.mapped }
 
 // ResidentBytes returns the part of MemBytes that is private heap
 // memory: the whole table for a heap-backed one, 0 for a mapped view

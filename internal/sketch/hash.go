@@ -62,9 +62,6 @@ func NewHashFamily(t int, seed int64) *HashFamily {
 	return hf
 }
 
-// T returns the number of trials (hash functions) in the family.
-func (hf *HashFamily) T() int { return len(hf.A) }
-
 // Hash evaluates h_t(x) = (A_t·x + B_t) mod P_t.
 //
 //jem:hotpath

@@ -75,10 +75,6 @@ func NewSketcher(p Params) (*Sketcher, error) {
 // Params returns the sketcher's configuration.
 func (s *Sketcher) Params() Params { return s.p }
 
-// Family exposes the underlying hash family (shared with baselines so
-// comparisons use identical trials).
-func (s *Sketcher) Family() *HashFamily { return s.hf }
-
 // SubjectSketch implements Algorithm 1 (Sketch_byJEM) for a subject
 // sequence: it slides an interval of ℓ bases over the position-sorted
 // minimizer list Mo(s,w) — one interval anchored at each minimizer —
@@ -192,35 +188,6 @@ func (s *Sketcher) sketchTuples(tuples []minimizer.Tuple) ([][]kmer.Word, [][]in
 		}
 	}
 	return out, anchors
-}
-
-// subjectSketchNaive is the direct transliteration of Algorithm 1,
-// kept as the reference implementation the optimized path is tested
-// against.
-func (s *Sketcher) subjectSketchNaive(sequence []byte) [][]kmer.Word {
-	tuples := minimizer.Extract(sequence, s.mp)
-	out := make([][]kmer.Word, s.p.T)
-	for i, anchor := range tuples {
-		limit := anchor.Pos + int32(s.p.L)
-		var interval []minimizer.Tuple
-		for j := i; j < len(tuples) && tuples[j].Pos <= limit; j++ {
-			interval = append(interval, tuples[j])
-		}
-		for t := 0; t < s.p.T; t++ {
-			best := hentry{h: ^uint64(0), w: ^kmer.Word(0)}
-			for _, tp := range interval {
-				e := hentry{h: s.hf.Hash(t, tp.Kmer), w: tp.Kmer}
-				if less(e, best) {
-					best = e
-				}
-			}
-			m := len(out[t])
-			if m == 0 || out[t][m-1] != best.w {
-				out[t] = append(out[t], best.w)
-			}
-		}
-	}
-	return out
 }
 
 // Query is reusable query-sketch scratch: a segment's minimizers and,

@@ -101,14 +101,14 @@ func referenceOf(trials int, sketches []subjectSketch) *refTable {
 // absent unless the reference has them too.
 func assertEqualsReference(t testing.TB, tag string, sf *ShardedFrozen, ref *refTable) {
 	t.Helper()
-	if sf.T() != len(ref.trials) || sf.Entries() != ref.entries {
-		t.Fatalf("%s: T/entries %d/%d, reference %d/%d", tag, sf.T(), sf.Entries(), len(ref.trials), ref.entries)
+	if sf.trials != len(ref.trials) || sf.Entries() != ref.entries {
+		t.Fatalf("%s: T/entries %d/%d, reference %d/%d", tag, sf.trials, sf.Entries(), len(ref.trials), ref.entries)
 	}
 	p := sf.NumShards()
 	for ti, bin := range ref.trials {
 		words := 0
 		for sd := 0; sd < p; sd++ {
-			words += sf.Shard(sd).Words(ti)
+			words += len(sf.Shard(sd).trials[ti].words)
 		}
 		if words != len(bin) {
 			t.Fatalf("%s: trial %d holds %d words, reference %d", tag, ti, words, len(bin))

@@ -159,14 +159,6 @@ func NewLazyShardedFrozen(trials int, eager []*FrozenTable, lazy []*LazyShard) (
 // NumShards returns the shard count P.
 func (sf *ShardedFrozen) NumShards() int { return len(sf.shards) }
 
-// T returns the number of trial bins (identical across shards).
-func (sf *ShardedFrozen) T() int {
-	if sf.trials > 0 {
-		return sf.trials
-	}
-	return sf.shards[0].T()
-}
-
 // Entries returns the total posting count across all shards. Lazy
 // shards report their directory's count without faulting in.
 func (sf *ShardedFrozen) Entries() int {
@@ -181,13 +173,6 @@ func (sf *ShardedFrozen) Entries() int {
 		}
 	}
 	return n
-}
-
-// MemBytes returns the approximate total size across all shards,
-// resident and mapped together (see FrozenTable.MemBytes). Reading it
-// never faults a lazy shard in.
-func (sf *ShardedFrozen) MemBytes() int64 {
-	return sf.ResidentBytes() + sf.MappedBytes()
 }
 
 // ResidentBytes returns the private heap portion of the table: decoded

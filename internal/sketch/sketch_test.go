@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/kmer"
+	"repro/internal/minimizer"
 	"repro/internal/seq"
 )
 
@@ -46,7 +47,7 @@ func TestHashFamilyDeterministicPerSeed(t *testing.T) {
 	if reflect.DeepEqual(h1, h3) {
 		t.Error("different seeds produced identical families")
 	}
-	for tr := 0; tr < h1.T(); tr++ {
+	for tr := 0; tr < len(h1.A); tr++ {
 		if h1.Hash(tr, 12345) != h2.Hash(tr, 12345) {
 			t.Fatalf("trial %d: hash mismatch across identical families", tr)
 		}
@@ -57,7 +58,7 @@ func TestHashBounds(t *testing.T) {
 	hf := NewHashFamily(8, 7)
 	f := func(x uint64) bool {
 		w := kmer.Word(x & (1<<62 - 1))
-		for tr := 0; tr < hf.T(); tr++ {
+		for tr := 0; tr < len(hf.A); tr++ {
 			if hf.Hash(tr, w) >= hf.P[tr] {
 				return false
 			}
@@ -242,7 +243,7 @@ func TestMinHashSketch(t *testing.T) {
 			if !ok {
 				break
 			}
-			h := sk.Family().Hash(tr, canon)
+			h := sk.hf.Hash(tr, canon)
 			if first || h < best || (h == best && canon < bestW) {
 				best, bestW, first = h, canon, false
 			}
@@ -314,8 +315,8 @@ func TestTableInsertCollapsesDuplicates(t *testing.T) {
 	if len(got) != 1 || got[0].Subject != 3 {
 		t.Errorf("lookup = %v", got)
 	}
-	if tb.Words(0) != 2 || tb.Entries() != 2 {
-		t.Errorf("words/entries = %d/%d want 2/2", tb.Words(0), tb.Entries())
+	if len(tb.trials[0].words) != 2 || tb.Entries() != 2 {
+		t.Errorf("words/entries = %d/%d want 2/2", len(tb.trials[0].words), tb.Entries())
 	}
 }
 
@@ -474,7 +475,7 @@ func TestFrozenTableMatchesHashTable(t *testing.T) {
 func TestFreezeEmptyAndErrors(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		sf, err := NewBuilder(2).Freeze(shards, 0, nil)
-		if err != nil || sf.Entries() != 0 || sf.T() != 2 || sf.NumShards() != shards {
+		if err != nil || sf.Entries() != 0 || sf.trials != 2 || sf.NumShards() != shards {
 			t.Fatalf("empty freeze at P=%d: %v %v", shards, sf, err)
 		}
 		if sf.Lookup(0, 42) != nil {
@@ -576,7 +577,7 @@ func TestFrozenEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, nSubjects := range []int{0, 1, 25} {
 		ft := freezeSketches(t, 3, randomSketches(rng, 3, nSubjects), 1, 1, 1).Shard(0)
-		if ft.Mapped() || ft.ResidentBytes() != ft.MemBytes() {
+		if ft.mapped || ft.ResidentBytes() != ft.MemBytes() {
 			t.Fatalf("a built table accounts %d of %d bytes resident", ft.ResidentBytes(), ft.MemBytes())
 		}
 		buf := ft.Payload()
@@ -614,8 +615,8 @@ func TestFrozenEncodeDecodeRoundTrip(t *testing.T) {
 		if mappedView.MappedBytes() != ft.MemBytes() || mappedView.ResidentBytes() != 0 {
 			t.Fatalf("mapped view accounts %d resident / %d mapped", mappedView.ResidentBytes(), mappedView.MappedBytes())
 		}
-		if unaligned.Mapped() || &unaligned.Payload()[0] == &shifted[0] || !bytes.Equal(unaligned.Payload(), buf) {
-			t.Fatalf("unaligned view: mapped=%v, aliases its input=%v", unaligned.Mapped(), &unaligned.Payload()[0] == &shifted[0])
+		if unaligned.mapped || &unaligned.Payload()[0] == &shifted[0] || !bytes.Equal(unaligned.Payload(), buf) {
+			t.Fatalf("unaligned view: mapped=%v, aliases its input=%v", unaligned.mapped, &unaligned.Payload()[0] == &shifted[0])
 		}
 	}
 }
@@ -710,4 +711,33 @@ func TestQuerySketchDegenerateHashFamily(t *testing.T) {
 			t.Fatalf("constant family must pick the same word per trial: %d vs %d", words[tr], words[0])
 		}
 	}
+}
+
+// subjectSketchNaive is the direct transliteration of Algorithm 1,
+// kept as the reference implementation the optimized path is tested
+// against.
+func (s *Sketcher) subjectSketchNaive(sequence []byte) [][]kmer.Word {
+	tuples := minimizer.Extract(sequence, s.mp)
+	out := make([][]kmer.Word, s.p.T)
+	for i, anchor := range tuples {
+		limit := anchor.Pos + int32(s.p.L)
+		var interval []minimizer.Tuple
+		for j := i; j < len(tuples) && tuples[j].Pos <= limit; j++ {
+			interval = append(interval, tuples[j])
+		}
+		for t := 0; t < s.p.T; t++ {
+			best := hentry{h: ^uint64(0), w: ^kmer.Word(0)}
+			for _, tp := range interval {
+				e := hentry{h: s.hf.Hash(t, tp.Kmer), w: tp.Kmer}
+				if less(e, best) {
+					best = e
+				}
+			}
+			m := len(out[t])
+			if m == 0 || out[t][m-1] != best.w {
+				out[t] = append(out[t], best.w)
+			}
+		}
+	}
+	return out
 }

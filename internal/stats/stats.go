@@ -9,12 +9,10 @@ import (
 	"strings"
 )
 
-// Summary accumulates count/mean/stddev/min/max online (Welford).
+// Summary accumulates count/mean/stddev online (Welford).
 type Summary struct {
-	n          int64
-	mean, m2   float64
-	min, max   float64
-	hasExtrema bool
+	n        int64
+	mean, m2 float64
 }
 
 // Add folds one observation into the summary.
@@ -23,17 +21,7 @@ func (s *Summary) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-	if !s.hasExtrema || x < s.min {
-		s.min = x
-	}
-	if !s.hasExtrema || x > s.max {
-		s.max = x
-	}
-	s.hasExtrema = true
 }
-
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
 
 // Mean returns the running mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
@@ -45,12 +33,6 @@ func (s *Summary) StdDev() float64 {
 	}
 	return math.Sqrt(s.m2 / float64(s.n))
 }
-
-// Min and Max return the extrema (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Summary) Max() float64 { return s.max }
 
 // Histogram counts observations into uniform bins over [Lo, Hi); out
 // of range values clamp into the end bins.
@@ -83,9 +65,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Fraction returns the share of observations in bin i.
 func (h *Histogram) Fraction(i int) float64 {
 	if h.total == 0 {
@@ -114,23 +93,6 @@ func (h *Histogram) Render(barWidth int) string {
 		fmt.Fprintf(&b, "%10s %9d %6.2f%% %s\n", h.BinLabel(i), c, 100*h.Fraction(i), bar)
 	}
 	return b.String()
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the histogram's
-// observations by linear interpolation inside the uniform bin holding
-// the target rank. Returns Lo when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	uppers := make([]float64, len(h.Counts))
-	for i := range uppers {
-		uppers[i] = h.Lo + float64(i+1)*w
-	}
-	// The uniform-bin histogram clamps out-of-range values into its end
-	// bins, so there is no overflow bucket: pass a zero one.
-	if h.total == 0 {
-		return h.Lo
-	}
-	return QuantileFromBuckets(uppers, append(append([]int64(nil), h.Counts...), 0), q)
 }
 
 // QuantileFromBuckets estimates the q-quantile (0 ≤ q ≤ 1) of
@@ -241,29 +203,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// Mean of a float slice (0 when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev of a float slice (population; 0 when n < 2).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

@@ -91,10 +91,6 @@ func NewRefIndex(chromosomes []seq.Record, k int) *RefIndex {
 	return ix
 }
 
-// UniqueKmers returns the number of unique (single-occurrence)
-// canonical k-mers indexed.
-func (ix *RefIndex) UniqueKmers() int { return len(ix.pos) }
-
 // Locate places a sequence on the reference by anchor voting. stride
 // controls anchor sampling (1 = every k-mer; larger is faster).
 // ok=false when fewer than minVotes anchors agree on a placement.

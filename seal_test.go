@@ -39,7 +39,7 @@ func TestSealedFacadeMatchesUnsealedCoreTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm.AddSubjects(ds.Contigs)
+	cm.AddSubjectsParallel(ds.Contigs, 1)
 	cm.Seal()
 	var refTSV bytes.Buffer
 	fmt.Fprintln(&refTSV, "read_id\tend\tcontig_id\tshared_trials")
