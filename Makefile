@@ -77,13 +77,15 @@ dist-smoke:
 	$(GO) test -race ./internal/shardnet/
 	$(GO) test -race -run 'TestOpenShardServers|TestServeShardsLostHeader|TestDistE2EMultiProcess' .
 
-# Request-scoped observability tests under the race detector: trace
-# propagation through Stream, the X-JEM-Trace-Id header contract,
-# tail-sampling rings, the flight recorder, the request log, and the
-# 10k-request bounded-memory soak. See docs/OBSERVABILITY.md.
+# Request-scoped observability tests under the race detector: the one
+# bounded ring type (TestRingOverwritesOldest, with the rest of
+# internal/obs), trace propagation through Stream, the X-JEM-Trace-Id
+# header contract, tail sampling, the flight recorder, the request log,
+# the pinned /debug/* wire shapes, and the 10k-request bounded-memory
+# soak. See docs/OBSERVABILITY.md.
 obs-smoke:
 	$(GO) test -race -count=2 ./internal/obs/
-	$(GO) test -race -run 'TestTrace|TestSlowRequest|TestRequestLog|TestObsSoak' ./internal/serve/
+	$(GO) test -race -run 'TestTrace|TestSlowRequest|TestRequestLog|TestObsSoak|TestDebugWireShapes' ./internal/serve/
 	$(GO) test -race -run 'TestStreamAttachesSpans|TestStreamSpansUnsharded|TestMapChildSpan' .
 
 # Out-of-core index serving under the race detector: the JEMIDX06

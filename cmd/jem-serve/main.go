@@ -18,6 +18,12 @@
 // readyz flips to 503, in-flight requests finish (bounded by
 // -drain-timeout), then the process exits; a second signal kills it
 // immediately.
+//
+// Every request is logged to stderr as one JSON line (-log-text for
+// text) and kept in /debug/requests; /debug/traces tail-samples the
+// span trees, and requests slower than -slow-request are kept there
+// and captured at /debug/flight. The retention bounds are fixed; see
+// docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -75,12 +81,8 @@ func main() {
 		maxTO     = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested ?timeout")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight requests")
 
-		traceRing   = flag.Int("trace-ring", 256, "completed request traces retained at /debug/traces")
-		traceSample = flag.Int("trace-sample", 8, "keep 1 in N ok-and-fast traces (errors/slow/p99 always kept)")
-		slowReq     = flag.Duration("slow-request", time.Second, "latency threshold that marks a request slow and arms the flight recorder (0 = off)")
-		flightRing  = flag.Int("flight-ring", 16, "flight-recorder snapshots retained at /debug/flight")
-		logSample   = flag.Int("log-sample", 1, "emit 1 in N ok request log lines (errors/slow always logged)")
-		logText     = flag.Bool("log-text", false, "log human-readable text instead of JSON")
+		slowReq = flag.Duration("slow-request", time.Second, "latency threshold that marks a request slow and arms the flight recorder (0 = off)")
+		logText = flag.Bool("log-text", false, "log human-readable text instead of JSON")
 	)
 	flag.Var(&indexes, "index", "serve a saved index: name=path (repeatable)")
 	flag.Var(&contigs, "contigs", "build and serve an index from contigs: name=path (repeatable)")
@@ -109,9 +111,7 @@ func main() {
 		addr: *addr, k: *k, w: *w, t: *t, l: *l, seed: *seed, shards: *shards,
 		memory:   jem.Memory{Mode: memMode, Budget: *memBudget},
 		inflight: *inflight, queue: *queue, reqWork: *reqWork,
-		defTO: *defTO, maxTO: *maxTO, drainTO: *drainTO,
-		traceRing: *traceRing, traceSample: *traceSample, slowReq: *slowReq,
-		flightRing: *flightRing, logSample: *logSample,
+		defTO: *defTO, maxTO: *maxTO, drainTO: *drainTO, slowReq: *slowReq,
 	}); err != nil {
 		logger.Error("jem-serve failed", slog.Any("error", err))
 		os.Exit(1)
@@ -119,17 +119,13 @@ func main() {
 }
 
 type config struct {
-	addr                     string
-	k, w, t, l               int
-	seed                     int64
-	shards                   int
-	memory                   jem.Memory
-	inflight, queue, reqWork int
-	defTO, maxTO, drainTO    time.Duration
-
-	traceRing, traceSample int
-	slowReq                time.Duration
-	flightRing, logSample  int
+	addr                           string
+	k, w, t, l                     int
+	seed                           int64
+	shards                         int
+	memory                         jem.Memory
+	inflight, queue, reqWork       int
+	defTO, maxTO, drainTO, slowReq time.Duration
 }
 
 func run(logger *slog.Logger, indexes, contigs, shardServers namedPaths, cfg config) error {
@@ -141,12 +137,8 @@ func run(logger *slog.Logger, indexes, contigs, shardServers namedPaths, cfg con
 		DefaultTimeout:    cfg.defTO,
 		MaxTimeout:        cfg.maxTO,
 		Registry:          reg,
-		TraceRing:         cfg.traceRing,
-		TraceSampleN:      cfg.traceSample,
 		SlowRequest:       cfg.slowReq,
-		FlightRing:        cfg.flightRing,
 		Logger:            logger,
-		LogSampleN:        cfg.logSample,
 	})
 
 	// Contig records given for the same name as an index become load

@@ -224,7 +224,7 @@ func (m *Mapper) Subject(id int32) SubjectMeta { return m.subjects[id] }
 // added subjects. Which worker took which contig leaves no trace in
 // the sealed table, so results are identical for every worker count.
 func (m *Mapper) AddSubjectsParallel(contigs []seq.Record, workers int) {
-	m.mutationGuard("AddSubjects")
+	m.mutationGuard("AddSubjectsParallel")
 	base := len(m.subjects)
 	m.RegisterSubjects(contigs)
 	parallel.ForEachWorker(len(contigs), workers, m.build.Appender, func(a *sketch.Appender, i int) {

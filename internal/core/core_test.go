@@ -676,7 +676,7 @@ func TestMutationAfterSessionPanics(t *testing.T) {
 	mustPanicWith("NewSession on an unsealed mapper", func() { m.MapReads(context.Background(), nil, 100, 1) })
 	m.Seal()
 	_ = m.NewSession()
-	mustPanicWith("AddSubjects on a sealed mapper", func() { m.AddSubjectsParallel(contigs, 1) })
+	mustPanicWith("AddSubjectsParallel on a sealed mapper", func() { m.AddSubjectsParallel(contigs, 1) })
 }
 
 // TestSessionZeroAlloc guards the session's query scratch: once warm,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 )
@@ -17,15 +18,11 @@ import (
 // else was happening — goroutines, admission pressure, the in-flight
 // table — which is usually where the answer to "why was it slow" is.
 type FlightSnapshot struct {
-	Time     time.Time
-	TraceID  TraceID
-	Reason   string
-	Duration time.Duration
+	Time  time.Time
+	Trace *Trace // the slow request: its ID, duration and span tree
 	// Attrs are caller-supplied point-in-time numbers: admission-queue
 	// depth, in-flight count, the rendered in-flight table.
 	Attrs []Attr
-	// SpanTree is the slow request's span tree rendered at capture.
-	SpanTree string
 	// Goroutines is the goroutine profile (pprof "goroutine", debug=1)
 	// at capture, truncated to goroutineDumpLimit.
 	Goroutines string
@@ -45,9 +42,7 @@ type FlightRecorder struct {
 	minGap    time.Duration
 
 	mu         sync.Mutex
-	cap        int
-	buf        []*FlightSnapshot
-	next       int
+	buf        ring[*FlightSnapshot]
 	last       time.Time
 	captures   int64
 	suppressed int64
@@ -58,14 +53,8 @@ type FlightRecorder struct {
 // retains at most capacity snapshots, and takes at most one capture
 // per minGap.
 func NewFlightRecorder(threshold time.Duration, capacity int, minGap time.Duration) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = 16
-	}
-	return &FlightRecorder{threshold: threshold, minGap: minGap, cap: capacity}
+	return &FlightRecorder{threshold: threshold, minGap: minGap, buf: newRing[*FlightSnapshot](capacity)}
 }
-
-// Threshold returns the slow-request threshold (0 = disabled).
-func (f *FlightRecorder) Threshold() time.Duration { return f.threshold }
 
 // Exceeded reports whether a request of duration d crosses the
 // capture threshold.
@@ -73,10 +62,9 @@ func (f *FlightRecorder) Exceeded(d time.Duration) bool {
 	return f.threshold > 0 && d >= f.threshold
 }
 
-// Capture takes a snapshot for trace t (rendering its span tree and
-// the goroutine profile) with the caller's point-in-time attrs, and
-// retains it unless the rate limit suppresses it. It reports whether
-// a snapshot was taken.
+// Capture takes a snapshot for trace t (the goroutine profile, with
+// the caller's point-in-time attrs) and retains it unless the rate
+// limit suppresses it. It reports whether a snapshot was taken.
 func (f *FlightRecorder) Capture(t *Trace, attrs []Attr) bool {
 	now := time.Now()
 	f.mu.Lock()
@@ -88,18 +76,8 @@ func (f *FlightRecorder) Capture(t *Trace, attrs []Attr) bool {
 	f.last = now
 	f.mu.Unlock()
 
-	// The expensive part — goroutine dump and tree render — runs
-	// outside the lock so readers are never blocked behind it.
-	snap := &FlightSnapshot{
-		Time:     now,
-		TraceID:  t.ID,
-		Reason:   fmt.Sprintf("request exceeded slow threshold %v (took %v)", f.threshold, t.Duration.Round(time.Microsecond)),
-		Duration: t.Duration,
-		Attrs:    attrs,
-	}
-	var tree bytes.Buffer
-	_ = RenderSpan(&tree, t.Root, 0)
-	snap.SpanTree = tree.String()
+	// The goroutine dump, the expensive part, runs outside the lock so
+	// readers are never blocked behind it.
 	var g bytes.Buffer
 	if p := pprof.Lookup("goroutine"); p != nil {
 		_ = p.WriteTo(&g, 1)
@@ -108,16 +86,11 @@ func (f *FlightRecorder) Capture(t *Trace, attrs []Attr) bool {
 	if len(dump) > goroutineDumpLimit {
 		dump = append(dump[:goroutineDumpLimit:goroutineDumpLimit], "\n... (truncated)\n"...)
 	}
-	snap.Goroutines = string(dump)
+	snap := &FlightSnapshot{Time: now, Trace: t, Attrs: attrs, Goroutines: string(dump)}
 
 	f.mu.Lock()
 	f.captures++
-	if len(f.buf) < f.cap {
-		f.buf = append(f.buf, snap)
-	} else {
-		f.buf[f.next] = snap
-		f.next = (f.next + 1) % f.cap
-	}
+	f.buf.push(snap)
 	f.mu.Unlock()
 	return true
 }
@@ -129,41 +102,38 @@ func (f *FlightRecorder) Captures() int64 {
 	return f.captures
 }
 
-// Suppressed returns how many capture-worthy requests the rate limit
-// skipped.
-func (f *FlightRecorder) Suppressed() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.suppressed
-}
-
-// Len returns how many snapshots the ring currently retains.
-func (f *FlightRecorder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.buf)
-}
-
 // Snapshots returns the retained snapshots oldest-first.
 func (f *FlightRecorder) Snapshots() []*FlightSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]*FlightSnapshot, 0, len(f.buf))
-	out = append(out, f.buf[f.next:]...)
-	out = append(out, f.buf[:f.next]...)
-	return out
+	return f.buf.snapshot()
 }
 
-// WriteText renders the retained snapshots oldest-first.
+// spanTree renders the subtree under s as RenderSpan text.
+func spanTree(s *Span) string {
+	var b strings.Builder
+	_ = RenderSpan(&b, s, 0)
+	return b.String()
+}
+
+// reason says why s was captured.
+func (f *FlightRecorder) reason(s *FlightSnapshot) string {
+	return fmt.Sprintf("request exceeded slow threshold %v (took %v)", f.threshold, s.Trace.Duration.Round(time.Microsecond))
+}
+
+// WriteText renders the retained snapshots oldest-first under a header
+// counting captures and the requests the rate limit skipped.
 func (f *FlightRecorder) WriteText(w io.Writer) error {
-	snaps := f.Snapshots()
+	f.mu.Lock()
+	snaps, captures, suppressed := f.buf.snapshot(), f.captures, f.suppressed
+	f.mu.Unlock()
 	if _, err := fmt.Fprintf(w, "# %d flight snapshots retained (%d captured, %d suppressed by rate limit, threshold %v)\n",
-		len(snaps), f.Captures(), f.Suppressed(), f.Threshold()); err != nil {
+		len(snaps), captures, suppressed, f.threshold); err != nil {
 		return err
 	}
 	for _, s := range snaps {
 		if _, err := fmt.Fprintf(w, "\n=== flight %s  trace=%s  dur=%v\n%s\n",
-			s.Time.Format(time.RFC3339Nano), s.TraceID, s.Duration.Round(time.Microsecond), s.Reason); err != nil {
+			s.Time.Format(time.RFC3339Nano), s.Trace.ID, s.Trace.Duration.Round(time.Microsecond), f.reason(s)); err != nil {
 			return err
 		}
 		for _, a := range s.Attrs {
@@ -171,7 +141,7 @@ func (f *FlightRecorder) WriteText(w io.Writer) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "--- span tree\n%s--- goroutines\n%s", s.SpanTree, s.Goroutines); err != nil {
+		if _, err := fmt.Fprintf(w, "--- span tree\n%s--- goroutines\n%s", spanTree(s.Trace.Root), s.Goroutines); err != nil {
 			return err
 		}
 	}
@@ -195,21 +165,15 @@ type flightJSON struct {
 func (f *FlightRecorder) WriteNDJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, s := range f.Snapshots() {
-		out := flightJSON{
+		if err := enc.Encode(flightJSON{
 			Time:       s.Time.Format(time.RFC3339Nano),
-			TraceID:    s.TraceID.String(),
-			Reason:     s.Reason,
-			DurationNS: s.Duration.Nanoseconds(),
-			SpanTree:   s.SpanTree,
+			TraceID:    s.Trace.ID.String(),
+			Reason:     f.reason(s),
+			DurationNS: s.Trace.Duration.Nanoseconds(),
+			Attrs:      attrMap(s.Attrs),
+			SpanTree:   spanTree(s.Trace.Root),
 			Goroutines: s.Goroutines,
-		}
-		if len(s.Attrs) > 0 {
-			out.Attrs = make(map[string]any, len(s.Attrs))
-			for _, a := range s.Attrs {
-				out.Attrs[a.Key] = a.Value
-			}
-		}
-		if err := enc.Encode(out); err != nil {
+		}); err != nil {
 			return err
 		}
 	}

@@ -8,12 +8,44 @@ import (
 	"time"
 )
 
-// Trace is one completed request: its span tree plus the routing
-// metadata the retention policy and the /debug/traces renderings key
-// on.
+// ring is a bounded buffer that keeps the newest size items,
+// overwriting the oldest once full: the retention shape of every obs
+// surface (tracer roots, the trace ring, the request log, the flight
+// recorder). It has no lock of its own; each owner holds its mutex
+// around every call. size must be positive.
+type ring[T any] struct {
+	size int
+	buf  []T
+	next int // the oldest item, and the slot the next push overwrites, once full
+}
+
+func newRing[T any](size int) ring[T] { return ring[T]{size: size} }
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < r.size {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % r.size
+}
+
+func (r *ring[T]) len() int { return len(r.buf) }
+
+// snapshot returns a copy of the retained items, oldest first.
+func (r *ring[T]) snapshot() []T {
+	out := make([]T, 0, len(r.buf))
+	return append(append(out, r.buf[r.next:]...), r.buf[:r.next]...)
+}
+
+// Trace is one completed request, the only record the serving tier
+// keeps of it: its span tree, its outcome, and the numbers the
+// request log reports, so one line answers "what did this request
+// cost and where" and the trace ID links to the full tree.
 type Trace struct {
 	ID       TraceID
 	Root     *Span
+	Index    string // the index the request resolved to ("" when none)
 	Status   int    // HTTP status (0 when not applicable)
 	Err      string // terse error classification, "" on success
 	Start    time.Time
@@ -21,6 +53,12 @@ type Trace struct {
 	// Kept records why the ring retained the trace ("error", "slow",
 	// "p99", "sampled"); set by TraceRing.Add.
 	Kept string
+
+	// The request's run numbers for the request log: reads mapped and
+	// skipped as malformed, postings scanned, and where the wall went.
+	Reads, Mapped, Bad                          int
+	Postings                                    int64
+	AdmissionWait, ReadWall, MapWall, WriteWall time.Duration
 }
 
 // TraceRing retains completed traces in a bounded ring with
@@ -32,11 +70,9 @@ type Trace struct {
 // leave it on forever.
 type TraceRing struct {
 	mu      sync.Mutex
-	cap     int
 	sampleN int
 	slow    time.Duration
-	buf     []*Trace
-	next    int
+	buf     ring[*Trace]
 	seq     int64 // ok-and-fast traces seen, for 1-in-N sampling
 	seen    int64
 	kept    int64
@@ -54,16 +90,10 @@ const p99MinSamples = 100
 // (slow <= 0 disables the threshold keep; the p99 tail keep still
 // applies).
 func NewTraceRing(capacity, sampleN int, slow time.Duration) *TraceRing {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	if sampleN < 1 {
-		sampleN = 1
-	}
 	return &TraceRing{
-		cap:     capacity,
-		sampleN: sampleN,
+		sampleN: max(sampleN, 1),
 		slow:    slow,
+		buf:     newRing[*Trace](capacity),
 		lat:     NewHistogram(LatencyBuckets()),
 	}
 }
@@ -92,12 +122,7 @@ func (r *TraceRing) Add(t *Trace) bool {
 		t.Kept = "sampled"
 	}
 	r.kept++
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, t)
-	} else {
-		r.buf[r.next] = t
-		r.next = (r.next + 1) % r.cap
-	}
+	r.buf.push(t)
 	return true
 }
 
@@ -105,32 +130,14 @@ func (r *TraceRing) Add(t *Trace) bool {
 func (r *TraceRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Seen returns how many traces have been offered to the ring.
-func (r *TraceRing) Seen() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen
-}
-
-// Kept returns how many offered traces the policy retained (some may
-// since have been evicted by the ring bound).
-func (r *TraceRing) Kept() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.kept
+	return r.buf.len()
 }
 
 // Snapshot returns the retained traces oldest-first.
 func (r *TraceRing) Snapshot() []*Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Trace, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.buf.snapshot()
 }
 
 // Find returns the retained trace with the given ID, nil when absent
@@ -145,16 +152,20 @@ func (r *TraceRing) Find(id TraceID) *Trace {
 }
 
 // WriteText renders the retained traces oldest-first as indented span
-// trees, one header line per trace:
+// trees under a header line counting traces retained, seen (offered)
+// and kept by the policy (some since evicted by the ring bound), one
+// header line per trace:
 //
 //	trace 9c4e6a2b8f01d37e  status=200  dur=12.3ms  kept=sampled
 //	  request               12.3ms  reads=100
 //	    admission           11µs
 //	    ...
 func (r *TraceRing) WriteText(w io.Writer) error {
-	traces := r.Snapshot()
+	r.mu.Lock()
+	traces, seen, kept := r.buf.snapshot(), r.seen, r.kept
+	r.mu.Unlock()
 	if _, err := fmt.Fprintf(w, "# %d traces retained of %d seen (%d kept by policy)\n",
-		len(traces), r.Seen(), r.Kept()); err != nil {
+		len(traces), seen, kept); err != nil {
 		return err
 	}
 	for _, t := range traces {
@@ -208,17 +219,24 @@ type spanJSON struct {
 }
 
 func spanToJSON(s *Span) spanJSON {
-	out := spanJSON{Name: s.Name(), DurationNS: s.Duration().Nanoseconds()}
-	if attrs := s.Attrs(); len(attrs) > 0 {
-		out.Attrs = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			out.Attrs[a.Key] = a.Value
-		}
-	}
+	out := spanJSON{Name: s.Name(), DurationNS: s.Duration().Nanoseconds(), Attrs: attrMap(s.Attrs())}
 	for _, c := range s.Children() {
 		out.Children = append(out.Children, spanToJSON(c))
 	}
 	return out
+}
+
+// attrMap renders attrs as a JSON object (nil when there are none, so
+// an omitempty field drops it).
+func attrMap(attrs []Attr) map[string]any {
+	if len(attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]any, len(attrs))
+	for _, a := range attrs {
+		m[a.Key] = a.Value
+	}
+	return m
 }
 
 // traceJSON is the NDJSON shape of one retained trace.

@@ -6,11 +6,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestRingOverwritesOldest pins the one bounded buffer every
+// retention surface uses: it fills up to its size, then each push
+// evicts the oldest item, and a snapshot is an oldest-first copy.
+func TestRingOverwritesOldest(t *testing.T) {
+	r := newRing[int](4)
+	r.push(0)
+	r.push(1)
+	if got := r.snapshot(); !slices.Equal(got, []int{0, 1}) || r.len() != 2 {
+		t.Fatalf("partly filled: snapshot %v len %d, want [0 1] len 2", got, r.len())
+	}
+	for i := 2; i < 10; i++ {
+		r.push(i)
+	}
+	got := r.snapshot()
+	if !slices.Equal(got, []int{6, 7, 8, 9}) || r.len() != 4 {
+		t.Fatalf("after 10 pushes: snapshot %v len %d, want [6 7 8 9] len 4", got, r.len())
+	}
+	got[0] = -1
+	if again := r.snapshot(); again[0] != 6 {
+		t.Errorf("snapshot aliases the ring: %v", again)
+	}
+}
 
 func TestTraceIDRoundTrip(t *testing.T) {
 	id := NewTraceID()
@@ -51,7 +75,7 @@ func TestTraceIDUnique(t *testing.T) {
 // bound. 10k starts on a small-cap tracer retain exactly the cap,
 // newest last.
 func TestTracerRootsBounded(t *testing.T) {
-	tr := &Tracer{cap: 16}
+	tr := &Tracer{roots: newRing[*Span](16)}
 	for i := 0; i < 10000; i++ {
 		tr.Start(fmt.Sprintf("req%05d", i)).End()
 	}
@@ -208,8 +232,8 @@ func TestTraceRingBounded(t *testing.T) {
 	if r.Len() != 8 {
 		t.Fatalf("ring holds %d traces, want cap 8", r.Len())
 	}
-	if r.Seen() != 1000 || r.Kept() != 1000 {
-		t.Errorf("seen=%d kept=%d, want 1000/1000 at sampleN=1", r.Seen(), r.Kept())
+	if r.seen != 1000 || r.kept != 1000 {
+		t.Errorf("seen=%d kept=%d, want 1000/1000 at sampleN=1", r.seen, r.kept)
 	}
 }
 
@@ -285,8 +309,8 @@ func TestFlightRecorder(t *testing.T) {
 		t.Fatalf("got %d snapshots, want 1", len(snaps))
 	}
 	s := snaps[0]
-	if s.TraceID != tr.ID || s.SpanTree == "" {
-		t.Errorf("snapshot incomplete: %+v", s)
+	if s.Trace != tr {
+		t.Errorf("snapshot does not point at its trace: %+v", s)
 	}
 	if !strings.Contains(s.Goroutines, "goroutine") {
 		t.Errorf("snapshot carries no goroutine profile:\n%.200s", s.Goroutines)
@@ -306,8 +330,8 @@ func TestFlightRecorder(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f.Capture(mkTrace(200, "", 20*time.Millisecond), nil)
 	}
-	if f.Len() != 4 {
-		t.Errorf("flight ring holds %d, want cap 4", f.Len())
+	if n := len(f.Snapshots()); n != 4 {
+		t.Errorf("flight ring holds %d, want cap 4", n)
 	}
 }
 
@@ -319,8 +343,8 @@ func TestFlightRecorderRateLimit(t *testing.T) {
 	if f.Capture(mkTrace(200, "", time.Second), nil) {
 		t.Fatal("second capture inside the gap was not suppressed")
 	}
-	if f.Suppressed() != 1 || f.Captures() != 1 {
-		t.Errorf("captures=%d suppressed=%d, want 1/1", f.Captures(), f.Suppressed())
+	if f.suppressed != 1 || f.Captures() != 1 {
+		t.Errorf("captures=%d suppressed=%d, want 1/1", f.Captures(), f.suppressed)
 	}
 }
 
@@ -331,27 +355,25 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	}
 }
 
-func TestRequestLogSamplingAndBound(t *testing.T) {
+func TestRequestLogEmitsEveryRequestAndBounds(t *testing.T) {
 	var lines bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&lines, nil))
-	// Sample 1-in-10 ok lines; errors always emit; ring holds 32.
-	l := NewRequestLog(logger, 10, 32, 50*time.Millisecond)
+	l := NewRequestLog(logger, 32)
 	for i := 0; i < 100; i++ {
-		l.Record(context.Background(), RequestLogEntry{Time: time.Now(), TraceID: NewTraceID(),
-			Status: 200, Reads: 1, Duration: time.Millisecond})
+		l.Record(context.Background(), mkTrace(200, "", time.Millisecond))
 	}
-	l.Record(context.Background(), RequestLogEntry{Time: time.Now(), TraceID: NewTraceID(),
-		Status: 504, Err: "deadline", Duration: time.Millisecond})
-	l.Record(context.Background(), RequestLogEntry{Time: time.Now(), TraceID: NewTraceID(),
-		Status: 200, Duration: 80 * time.Millisecond}) // slow → always emitted
+	l.Record(context.Background(), mkTrace(504, "deadline", time.Millisecond))
 
-	if l.Len() != 32 {
-		t.Errorf("ring holds %d entries, want cap 32", l.Len())
+	if n := l.recent.len(); n != 32 {
+		t.Errorf("ring holds %d entries, want cap 32", n)
 	}
-	// 10 sampled ok lines + 1 error + 1 slow.
-	emitted := strings.Count(lines.String(), "\n")
-	if emitted != 12 {
-		t.Errorf("slog emitted %d lines, want 12", emitted)
+	for _, rec := range l.recent.snapshot() {
+		if rec.Root != nil {
+			t.Fatal("ringed record keeps its span tree")
+		}
+	}
+	if emitted := strings.Count(lines.String(), "\n"); emitted != 101 {
+		t.Errorf("slog emitted %d lines, want one per request (101)", emitted)
 	}
 	if !strings.Contains(lines.String(), `"status":504`) {
 		t.Error("error line was not emitted")
@@ -371,9 +393,9 @@ func TestRequestLogSamplingAndBound(t *testing.T) {
 }
 
 func TestRequestLogNilLogger(t *testing.T) {
-	l := NewRequestLog(nil, 1, 8, 0)
-	l.Record(context.Background(), RequestLogEntry{Status: 500, Err: "boom"})
-	if l.Len() != 1 {
+	l := NewRequestLog(nil, 8)
+	l.Record(context.Background(), &Trace{Status: 500, Err: "boom"})
+	if l.recent.len() != 1 {
 		t.Error("ring must retain entries even without a logger")
 	}
 }
@@ -404,13 +426,13 @@ func (h *ctxCapturingHandler) WithGroup(string) slog.Handler      { return h }
 func TestRequestLogRecordPassesCallerContext(t *testing.T) {
 	type key struct{}
 	h := &ctxCapturingHandler{}
-	l := NewRequestLog(slog.New(h), 1, 8, 0)
+	l := NewRequestLog(slog.New(h), 8)
 
 	reqCtx, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "req-77"))
 	logCtx := context.WithoutCancel(reqCtx)
 	cancel() // request finished before its log line was emitted
 
-	l.Record(logCtx, RequestLogEntry{Status: 200})
+	l.Record(logCtx, &Trace{Status: 200})
 
 	if len(h.ctxs) != 1 {
 		t.Fatalf("handler saw %d records, want 1", len(h.ctxs))

@@ -26,28 +26,18 @@ const defaultTracerRoots = 256
 // is the keep-the-recent-history view rendered on /statusz.
 type Tracer struct {
 	mu    sync.Mutex
-	cap   int
-	roots []*Span // circular once len(roots) == cap
-	next  int     // insertion point once circular
+	roots ring[*Span]
 }
 
 // NewTracer creates an empty tracer with the default root retention.
-func NewTracer() *Tracer { return &Tracer{cap: defaultTracerRoots} }
+func NewTracer() *Tracer { return &Tracer{roots: newRing[*Span](defaultTracerRoots)} }
 
 // Start begins a root span. End it with Span.End. Once the tracer
 // holds its retention cap of roots, the oldest is evicted.
 func (t *Tracer) Start(name string) *Span {
 	s := &Span{name: name, start: time.Now()}
 	t.mu.Lock()
-	if t.cap <= 0 {
-		t.cap = defaultTracerRoots
-	}
-	if len(t.roots) < t.cap {
-		t.roots = append(t.roots, s)
-	} else {
-		t.roots[t.next] = s
-		t.next = (t.next + 1) % t.cap
-	}
+	t.roots.push(s)
 	t.mu.Unlock()
 	return s
 }
@@ -56,10 +46,7 @@ func (t *Tracer) Start(name string) *Span {
 func (t *Tracer) Roots() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]*Span, 0, len(t.roots))
-	out = append(out, t.roots[t.next:]...)
-	out = append(out, t.roots[:t.next]...)
-	return out
+	return t.roots.snapshot()
 }
 
 // Attr is one key/value annotation on a span: run stats, shard ids,

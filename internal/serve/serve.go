@@ -61,44 +61,47 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested ?timeout values (default 5m).
 	MaxTimeout time.Duration
-	// MaxBodyBytes caps the request body (default 1 GiB).
-	MaxBodyBytes int64
-	// CommitBytes is the response-buffer threshold below which a
-	// mapping response is sent atomically — errors before it produce a
-	// partial-free error status; responses that outgrow it stream with
-	// 200 and periodic flushes (default 1 MiB).
-	CommitBytes int
 	// Registry receives the server's instruments and is mounted at
 	// /metrics; the mappers' own instruments should live in the same
 	// registry (default: a fresh registry).
 	Registry *obs.Registry
 
-	// TraceRing bounds the completed request traces retained at
-	// /debug/traces (default 256).
-	TraceRing int
-	// TraceSampleN keeps 1 in N of the ok-and-fast traces; errors, slow
-	// requests and the p99 latency tail are always kept (default 1 =
-	// keep everything the ring has room for).
-	TraceSampleN int
 	// SlowRequest is the latency threshold marking a request slow: slow
-	// requests are always retained in the trace ring, always emitted to
-	// the request log, and trigger the flight recorder (default 0 =
-	// no threshold, flight recorder off).
+	// requests are always retained in the trace ring and trigger the
+	// flight recorder (default 0 = no threshold, flight recorder off).
 	SlowRequest time.Duration
-	// FlightRing bounds the flight snapshots retained at /debug/flight
-	// (default 16).
-	FlightRing int
-	// Logger receives the sampled structured request log, one line per
-	// selected request (default nil: no log emission; the
-	// /debug/requests ring still fills).
+	// Logger receives the structured request log, one line per request
+	// (default nil: no log emission; the /debug/requests ring still
+	// fills).
 	Logger *slog.Logger
-	// LogSampleN emits 1 in N ok request-log lines through Logger;
-	// errors and slow requests are always emitted (default 1).
-	LogSampleN int
-	// RequestLogRing bounds the request-log entries retained at
-	// /debug/requests (default 256).
-	RequestLogRing int
 }
+
+// The settings below had one value in use, so they are constants.
+const (
+	// maxBodyBytes caps a mapping request's body.
+	maxBodyBytes = 1 << 30
+	// commitBytes is the response-buffer threshold below which a mapping
+	// response is sent atomically: errors before it produce a
+	// partial-free error status; responses that outgrow it stream with
+	// 200 and periodic flushes.
+	commitBytes = 1 << 20
+	// traceRingSize bounds the completed request traces retained at
+	// /debug/traces.
+	traceRingSize = 256
+	// traceSampleN keeps 1 in N of the ok-and-fast traces; errors, slow
+	// requests and the p99 latency tail are always kept.
+	traceSampleN = 8
+	// flightRingSize bounds the flight snapshots retained at
+	// /debug/flight.
+	flightRingSize = 16
+	// requestLogSize bounds the requests retained at /debug/requests.
+	requestLogSize = 256
+	// flightMinGap rate-limits flight captures: slow requests arrive in
+	// bursts exactly when the process can least afford goroutine dumps,
+	// so at most one capture lands per gap (the recorder counts the
+	// rest as suppressed).
+	flightMinGap = 2 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -116,29 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 30
-	}
-	if c.CommitBytes <= 0 {
-		c.CommitBytes = 1 << 20
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
-	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
-	}
-	if c.TraceSampleN <= 0 {
-		c.TraceSampleN = 1
-	}
-	if c.FlightRing <= 0 {
-		c.FlightRing = 16
-	}
-	if c.LogSampleN <= 0 {
-		c.LogSampleN = 1
-	}
-	if c.RequestLogRing <= 0 {
-		c.RequestLogRing = 256
 	}
 	return c
 }
@@ -199,9 +181,9 @@ func New(cfg Config) *Server {
 			swaps:    reg.Counter("jem_serve_index_swaps_total", "index hot-swaps completed"),
 			latency:  reg.Histogram("jem_serve_request_seconds", "mapping request latency", obs.LatencyBuckets()),
 		},
-		traces:      obs.NewTraceRing(cfg.TraceRing, cfg.TraceSampleN, cfg.SlowRequest),
-		flight:      obs.NewFlightRecorder(cfg.SlowRequest, cfg.FlightRing, flightMinGap),
-		reqlog:      obs.NewRequestLog(cfg.Logger, cfg.LogSampleN, cfg.RequestLogRing, cfg.SlowRequest),
+		traces:      obs.NewTraceRing(traceRingSize, traceSampleN, cfg.SlowRequest),
+		flight:      obs.NewFlightRecorder(cfg.SlowRequest, flightRingSize, flightMinGap),
+		reqlog:      obs.NewRequestLog(cfg.Logger, requestLogSize),
 		inflightTab: make(map[obs.TraceID]inflightEntry),
 		draining:    make(chan struct{}),
 	}
@@ -373,9 +355,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// Admission: bounded concurrency, bounded queue, 429 on overflow.
 	// The wait is a child span, so queueing time is separated from
 	// mapping time in the trace.
-	admit := ro.root.Child("admission")
+	admit := ro.t.Root.Child("admission")
 	release, err := s.adm.admit(ctx)
-	ro.admWait = admit.End()
+	ro.t.AdmissionWait = admit.End()
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			s.met.rejected.Inc()
@@ -392,7 +374,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.met.requests.Inc()
 
-	var reader io.Reader = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var reader io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if r.Header.Get("Content-Encoding") == "gzip" {
 		gz, err := gzip.NewReader(reader)
 		if err != nil {
@@ -405,9 +387,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 
 	v := ix.acquire()
 	defer v.release()
-	ro.root.SetAttr("generation", v.gen)
+	ro.t.Root.SetAttr("generation", v.gen)
 
-	dw := newDeferredWriter(w, s.cfg.CommitBytes)
+	dw := newDeferredWriter(w, commitBytes)
 	if format == jem.FormatNDJSON {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	} else {
@@ -418,12 +400,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// attaches its read/sketch/gather/write phase children and
 	// per-shard timings to it.
 	ro.timed = true
-	stats, err := v.mapper.Stream(obs.ContextWithSpan(ctx, ro.root), reader, dw, jem.StreamOptions{
+	stats, err := v.mapper.Stream(obs.ContextWithSpan(ctx, ro.t.Root), reader, dw, jem.StreamOptions{
 		Format:      format,
 		Workers:     s.cfg.WorkersPerRequest,
 		OnBadRecord: policy,
 	})
-	ro.stats = stats
+	ro.setStats(stats)
 	if err != nil {
 		status, msg := s.classify(err)
 		ro.fail(status, msg)

@@ -12,12 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// flightMinGap rate-limits flight captures: slow requests arrive in
-// bursts exactly when the process can least afford goroutine dumps,
-// so at most one capture lands per gap (the recorder counts the rest
-// as suppressed).
-const flightMinGap = 2 * time.Second
-
 // inflightEntry is one row of the live in-flight table: what the
 // request is doing and since when. The table is snapshotted into
 // flight captures so a stuck request shows up in every capture taken
@@ -28,26 +22,20 @@ type inflightEntry struct {
 }
 
 // reqObs carries one map request's observability state from the first
-// line of handleMap to its deferred finish: trace identity, the root
-// span, outcome classification, and the run stats. Every exit path of
-// the handler flows through finish, so every request — including 404s,
-// 429s and deadline kills — lands in the trace ring and the request
-// log exactly once.
+// line of handleMap to its deferred finish: the request's one record,
+// t, filled in as the handler learns the index, the admission wait,
+// the outcome and the run stats. Every exit path of the handler flows
+// through finish, so every request — including 404s, 429s and
+// deadline kills — lands in the trace ring and the request log
+// exactly once.
 type reqObs struct {
 	s *Server
 	// ctx is the request context stripped of its cancellation
 	// (finish runs after the handler returns, when the request
 	// context may already be canceled) but keeping its values, so
 	// the request-log emission stays correlated with the request.
-	ctx     context.Context
-	id      obs.TraceID
-	root    *obs.Span
-	start   time.Time
-	index   string
-	status  int
-	errMsg  string
-	admWait time.Duration
-	stats   jem.Stats
+	ctx context.Context
+	t   *obs.Trace
 	// timed marks the paths whose latency feeds the request histogram:
 	// admitted requests (success, stream error, queued-past-deadline) —
 	// not pre-admission rejections, which would pollute the mapping
@@ -70,15 +58,12 @@ func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) *reqObs {
 	}
 	w.Header().Set("X-JEM-Trace-Id", id.String())
 	ro := &reqObs{
-		s:      s,
-		ctx:    context.WithoutCancel(r.Context()),
-		id:     id,
-		root:   obs.NewSpan("request"),
-		start:  time.Now(),
-		status: http.StatusOK,
+		s:   s,
+		ctx: context.WithoutCancel(r.Context()),
+		t:   &obs.Trace{ID: id, Root: obs.NewSpan("request"), Status: http.StatusOK, Start: time.Now()},
 	}
 	s.inflightMu.Lock()
-	s.inflightTab[id] = inflightEntry{start: ro.start}
+	s.inflightTab[id] = inflightEntry{start: ro.t.Start}
 	s.inflightMu.Unlock()
 	return ro
 }
@@ -86,21 +71,28 @@ func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request) *reqObs {
 // setIndex records which index the request resolved to, on the span
 // and in the in-flight table.
 func (ro *reqObs) setIndex(name string) {
-	ro.index = name
-	ro.root.SetAttr("index", name)
+	ro.t.Index = name
+	ro.t.Root.SetAttr("index", name)
 	ro.s.inflightMu.Lock()
-	if e, ok := ro.s.inflightTab[ro.id]; ok {
+	if e, ok := ro.s.inflightTab[ro.t.ID]; ok {
 		e.index = name
-		ro.s.inflightTab[ro.id] = e
+		ro.s.inflightTab[ro.t.ID] = e
 	}
 	ro.s.inflightMu.Unlock()
+}
+
+// setStats records the run's numbers for the request log.
+func (ro *reqObs) setStats(st jem.Stats) {
+	t := ro.t
+	t.Reads, t.Mapped, t.Bad, t.Postings = st.Reads, st.Mapped, st.BadRecords, st.PostingsScanned
+	t.ReadWall, t.MapWall, t.WriteWall = st.ReadWall, st.MapWall, st.WriteWall
 }
 
 // fail records the request's terminal status and error message for
 // the trace and the request log (it does not write the response).
 func (ro *reqObs) fail(status int, msg string) {
-	ro.status = status
-	ro.errMsg = msg
+	ro.t.Status = status
+	ro.t.Err = msg
 }
 
 // httpError is fail + http.Error: the one-liner for the handler's
@@ -112,53 +104,30 @@ func (ro *reqObs) httpError(w http.ResponseWriter, msg string, status int) {
 }
 
 // finish closes the request's observability scope: end the root span,
-// offer the trace to the tail-sampling ring, record the request-log
-// entry, observe latency (with the trace ID as the histogram
-// exemplar) on timed paths, and trigger the flight recorder when the
-// request crossed the slow threshold. Deferred from handleMap; runs
-// exactly once.
+// offer the record to the tail-sampling trace ring and the request
+// log, observe latency (with the trace ID as the histogram exemplar)
+// on timed paths, and trigger the flight recorder when the request
+// crossed the slow threshold. Deferred from handleMap; runs exactly
+// once.
 func (ro *reqObs) finish() {
 	if ro.done {
 		return
 	}
 	ro.done = true
-	s := ro.s
+	s, t := ro.s, ro.t
 
 	s.inflightMu.Lock()
-	delete(s.inflightTab, ro.id)
+	delete(s.inflightTab, t.ID)
 	s.inflightMu.Unlock()
 
-	d := ro.root.End()
-	ro.root.SetAttr("status", ro.status)
-	t := &obs.Trace{
-		ID:       ro.id,
-		Root:     ro.root,
-		Status:   ro.status,
-		Err:      ro.errMsg,
-		Start:    ro.start,
-		Duration: d,
-	}
+	t.Duration = t.Root.End()
+	t.Root.SetAttr("status", t.Status)
 	s.traces.Add(t)
-	s.reqlog.Record(ro.ctx, obs.RequestLogEntry{
-		Time:          ro.start,
-		TraceID:       ro.id,
-		Index:         ro.index,
-		Status:        ro.status,
-		Err:           ro.errMsg,
-		Reads:         ro.stats.Reads,
-		Mapped:        ro.stats.Mapped,
-		Bad:           ro.stats.BadRecords,
-		Postings:      ro.stats.PostingsScanned,
-		AdmissionWait: ro.admWait,
-		ReadWall:      ro.stats.ReadWall,
-		MapWall:       ro.stats.MapWall,
-		WriteWall:     ro.stats.WriteWall,
-		Duration:      d,
-	})
+	s.reqlog.Record(ro.ctx, t)
 	if ro.timed {
-		s.met.latency.ObserveExemplar(d.Seconds(), ro.id.String())
+		s.met.latency.ObserveExemplar(t.Duration.Seconds(), t.ID.String())
 	}
-	if s.flight.Exceeded(d) {
+	if s.flight.Exceeded(t.Duration) {
 		s.flight.Capture(t, []obs.Attr{
 			{Key: "inflight", Value: s.adm.InFlight()},
 			{Key: "queued", Value: s.adm.Queued()},

@@ -91,7 +91,9 @@ func TestTraceIDHeaderOnEveryPath(t *testing.T) {
 // NDJSON rendering.
 func TestTraceRetrievable(t *testing.T) {
 	w := getWorld(t)
-	_, ts := newTestServer(t, serve.Config{})
+	// Every request is slow at a 1ns threshold, so the ring keeps this
+	// one whatever its 1-in-N sampling of ok-and-fast traces would do.
+	_, ts := newTestServer(t, serve.Config{SlowRequest: time.Nanosecond})
 
 	const id = "feedface87654321"
 	req, err := http.NewRequest("POST", ts.URL+"/v1/map/asm", bytes.NewReader(w.fastq))
@@ -293,22 +295,17 @@ func (s *syncBuffer) String() string {
 }
 
 // TestObsSoakBounded is the memory-bound acceptance test: thousands of
-// requests through a server with small rings, then every retention
-// surface — trace ring, request-log ring, flight ring, tracer roots —
-// must still be at or under its bound.
+// requests through one server, then every retention surface — trace
+// ring, request-log ring, flight ring — must still be at or under its
+// bound, and the request log must have emitted one line per request.
 func TestObsSoakBounded(t *testing.T) {
 	w := getWorld(t)
 	var logBuf syncBuffer
 	cfg := serve.Config{
-		TraceRing:      64,
-		TraceSampleN:   8,
-		RequestLogRing: 128,
-		LogSampleN:     50,
-		FlightRing:     4,
-		SlowRequest:    30 * time.Second, // nothing here is slow
-		Logger:         slog.New(slog.NewJSONHandler(&logBuf, nil)),
-		MaxInFlight:    8,
-		MaxQueue:       1024,
+		SlowRequest: 30 * time.Second, // nothing here is slow
+		Logger:      slog.New(slog.NewJSONHandler(&logBuf, nil)),
+		MaxInFlight: 8,
+		MaxQueue:    1024,
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -354,26 +351,33 @@ func TestObsSoakBounded(t *testing.T) {
 		&retained, &seen, &kept); err != nil {
 		t.Fatalf("parsing /debug/traces header: %v\n%.200s", err, traces)
 	}
-	if retained > cfg.TraceRing {
-		t.Errorf("trace ring retained %d > cap %d", retained, cfg.TraceRing)
+	if retained > serve.TraceRingSize {
+		t.Errorf("trace ring retained %d > cap %d", retained, serve.TraceRingSize)
 	}
 	if seen < n {
 		t.Errorf("trace ring saw %d requests, want ≥ %d", seen, n)
 	}
 	if kept >= seen {
-		t.Errorf("sampling kept everything (%d of %d) at 1-in-%d", kept, seen, cfg.TraceSampleN)
+		t.Errorf("sampling kept everything (%d of %d) at 1-in-%d", kept, seen, serve.TraceSampleN)
 	}
 
 	_, nd := get(t, ts.URL+"/debug/requests")
-	if lines := strings.Count(nd, "\n"); lines > cfg.RequestLogRing {
-		t.Errorf("/debug/requests has %d lines > ring cap %d", lines, cfg.RequestLogRing)
+	if lines := strings.Count(nd, "\n"); lines > serve.RequestLogSize {
+		t.Errorf("/debug/requests has %d lines > ring cap %d", lines, serve.RequestLogSize)
 	}
-	// The emitted log is sampled: far fewer lines than requests.
-	if emitted := strings.Count(logBuf.String(), "\n"); emitted > n/10 {
-		t.Errorf("slog emitted %d lines for %d ok requests at 1-in-%d", emitted, n, cfg.LogSampleN)
+	if emitted := strings.Count(logBuf.String(), "\n"); emitted != n {
+		t.Errorf("slog emitted %d lines for %d requests, want one per request", emitted, n)
 	}
 
-	if _, flight := get(t, ts.URL+"/debug/flight"); strings.Contains(flight, "exceeded slow threshold") {
+	_, flight := get(t, ts.URL+"/debug/flight")
+	var snaps int
+	if _, err := fmt.Sscanf(flight, "# %d flight snapshots retained", &snaps); err != nil {
+		t.Fatalf("parsing /debug/flight header: %v\n%.200s", err, flight)
+	}
+	if snaps > serve.FlightRingSize {
+		t.Errorf("flight ring retained %d > cap %d", snaps, serve.FlightRingSize)
+	}
+	if strings.Contains(flight, "exceeded slow threshold") {
 		t.Error("flight recorder captured fast requests")
 	}
 }

@@ -101,8 +101,8 @@ func referenceOf(trials int, sketches []subjectSketch) *refTable {
 // absent unless the reference has them too.
 func assertEqualsReference(t testing.TB, tag string, sf *ShardedFrozen, ref *refTable) {
 	t.Helper()
-	if sf.trials != len(ref.trials) || sf.Entries() != ref.entries {
-		t.Fatalf("%s: T/entries %d/%d, reference %d/%d", tag, sf.trials, sf.Entries(), len(ref.trials), ref.entries)
+	if sf.Shard(0).T() != len(ref.trials) || sf.Entries() != ref.entries {
+		t.Fatalf("%s: T/entries %d/%d, reference %d/%d", tag, sf.Shard(0).T(), sf.Entries(), len(ref.trials), ref.entries)
 	}
 	p := sf.NumShards()
 	for ti, bin := range ref.trials {

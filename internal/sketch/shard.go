@@ -51,9 +51,6 @@ type ShardedFrozen struct {
 	// verification included — on its first query. Built by
 	// NewLazyShardedFrozen for the memory-budgeted index open.
 	lazy []*LazyShard
-	// trials caches T so a lazy table answers T() without faulting a
-	// shard in; 0 means "ask shard 0" (the fully materialized case).
-	trials int
 }
 
 // LazyShard is one load-on-demand shard slot: the loader runs exactly
@@ -116,7 +113,7 @@ func NewShardedFrozen(shards []*FrozenTable) (*ShardedFrozen, error) {
 			return nil, fmt.Errorf("sketch: shard %d has %d trials, shard 0 has %d", i, ft.T(), t)
 		}
 	}
-	return &ShardedFrozen{shards: shards, trials: t}, nil
+	return &ShardedFrozen{shards: shards}, nil
 }
 
 // NewLazyShardedFrozen assembles a sharded table in which each
@@ -153,7 +150,7 @@ func NewLazyShardedFrozen(trials int, eager []*FrozenTable, lazy []*LazyShard) (
 	if !anyLazy {
 		return NewShardedFrozen(eager)
 	}
-	return &ShardedFrozen{shards: eager, lazy: lazy, trials: trials}, nil
+	return &ShardedFrozen{shards: eager, lazy: lazy}, nil
 }
 
 // NumShards returns the shard count P.

@@ -88,8 +88,8 @@ func TestFreezeShardedMatchesFreeze(t *testing.T) {
 		if sf.NumShards() != p {
 			t.Fatalf("NumShards = %d, want %d", sf.NumShards(), p)
 		}
-		if sf.trials != ft.T() {
-			t.Fatalf("T = %d, want %d", sf.trials, ft.T())
+		if sf.Shard(0).T() != ft.T() {
+			t.Fatalf("T = %d, want %d", sf.Shard(0).T(), ft.T())
 		}
 		if sf.Entries() != ft.Entries() {
 			t.Fatalf("p=%d: Entries = %d, want %d", p, sf.Entries(), ft.Entries())

@@ -475,7 +475,7 @@ func TestFrozenTableMatchesHashTable(t *testing.T) {
 func TestFreezeEmptyAndErrors(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		sf, err := NewBuilder(2).Freeze(shards, 0, nil)
-		if err != nil || sf.Entries() != 0 || sf.trials != 2 || sf.NumShards() != shards {
+		if err != nil || sf.Entries() != 0 || sf.Shard(0).T() != 2 || sf.NumShards() != shards {
 			t.Fatalf("empty freeze at P=%d: %v %v", shards, sf, err)
 		}
 		if sf.Lookup(0, 42) != nil {

@@ -75,8 +75,9 @@ type Options struct {
 	// held: fully decoded on the heap, served zero-copy from a shared
 	// read-only file mapping, or split between the two under a resident
 	// byte budget. It only affects index loads — a build from contigs is
-	// always heap-resident — and only the JEMIDX06 format can be mapped;
-	// older formats silently take the heap path. See docs/MEMORY.md.
+	// always heap-resident. JEMIDX06 is the only index format; a file
+	// with an older magic (JEMIDX02–05) is refused by name and must be
+	// rebuilt. See docs/MEMORY.md.
 	Memory Memory
 	// HashOrdering switches the minimizer ordering from the paper's
 	// lexicographic choice to a minimap2-style hash ordering (an
