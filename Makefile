@@ -89,13 +89,13 @@ obs-smoke:
 	$(GO) test -race -run 'TestStreamAttachesSpans|TestStreamSpansUnsharded|TestMapChildSpan' .
 
 # Out-of-core index serving under the race detector: the JEMIDX06
-# corruption matrix (truncation, payload/manifest byte flips, poisoned
-# lazy fault-ins), heap/mmap/budgeted byte identity at the core and
-# facade layers, and the two-process shared-mapping test. See
-# docs/MEMORY.md for the contracts these prove.
+# corruption matrix (truncation, payload/manifest byte flips, each
+# caught at open under heap, mmap and auto), heap/mmap/auto byte
+# identity at the core and facade layers, and the two-process
+# shared-mapping test. See docs/MEMORY.md for the contracts these prove.
 mem-smoke:
-	$(GO) test -race -run 'TestOpenIndexFile|TestLazyFaultIn|TestOpenShardSubset' ./internal/core/
-	$(GO) test -race -run 'TestOpenMemory|TestStreamSurfacesFaultInFailure|TestSharedMappingTwoProcesses' .
+	$(GO) test -race -run 'TestOpenIndexFile|TestOpenShardSubset' ./internal/core/
+	$(GO) test -race -run 'TestOpenMemory|TestSharedMappingTwoProcesses' .
 	$(GO) test -race -run TestServeMemoryAccounting ./internal/serve/
 
 # Full benchmark sweep (micro-benchmarks + one bench per paper exhibit).

@@ -73,8 +73,7 @@ func main() {
 		format      = flag.String("format", "tsv", "output rows: tsv, paf (positional estimates), sam (top hits verified by alignment; slower) or json (NDJSON)")
 		saveIdx     = flag.String("save-index", "", "write the sketch index here after building (atomic temp+rename)")
 		loadIdx     = flag.String("load-index", "", "load a sketch index instead of sketching contigs")
-		memory      = flag.String("memory", "", "how -load-index holds the table: heap, mmap, or auto (see docs/MEMORY.md)")
-		memBudget   = flag.Int64("memory-budget", 0, "heap byte budget for -memory auto (0 = no cap)")
+		memory      = flag.String("memory", "", "how -load-index holds the table: heap, mmap, or auto (mmap where the host can, heap otherwise; see docs/MEMORY.md)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile here")
 		onBadRecord = flag.String("on-bad-record", "fail",
 			"what a malformed input record does: fail, skip, or quarantine (skip + log to the sidecar file)")
@@ -116,7 +115,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := jem.Options{K: *k, W: *w, Trials: *t, SegmentLen: *l, Seed: *seed, Workers: *workers, Shards: *shards,
-		Memory: jem.Memory{Mode: memMode, Budget: *memBudget}}
+		Memory: jem.Memory{Mode: memMode}}
 	cfg := runConfig{
 		contigPath: flag.Arg(0), readPath: flag.Arg(1),
 		opts: opts, ranks: *ranks, outPath: *outPath, format: outFormat,

@@ -65,21 +65,20 @@ func main() {
 		contigs      namedPaths
 		shardServers namedPaths
 
-		addr      = flag.String("addr", ":8844", "HTTP listen address")
-		k         = flag.Int("k", 16, "k-mer size (builds from -contigs)")
-		w         = flag.Int("w", 100, "minimizer window size (builds from -contigs)")
-		t         = flag.Int("t", 30, "sketch trials T (builds from -contigs)")
-		l         = flag.Int("l", 1000, "end segment length (builds from -contigs)")
-		seed      = flag.Int64("seed", 1, "hash family seed (builds from -contigs)")
-		shards    = flag.Int("shards", 0, "index shards for builds (0/1 = unsharded)")
-		memory    = flag.String("memory", "", "how -index loads hold the table: heap, mmap, or auto (builds are always heap)")
-		memBudget = flag.Int64("memory-budget", 0, "heap byte budget for -memory auto (0 = no cap)")
-		inflight  = flag.Int("max-in-flight", 0, "concurrent mapping requests (0 = default 4)")
-		queue     = flag.Int("max-queue", 0, "waiting requests before 429 (0 = 4x max-in-flight)")
-		reqWork   = flag.Int("workers-per-request", 0, "mapping workers per request (0 = GOMAXPROCS/max-in-flight)")
-		defTO     = flag.Duration("default-timeout", 0, "per-request deadline when the client sends none (0 = none)")
-		maxTO     = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested ?timeout")
-		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight requests")
+		addr     = flag.String("addr", ":8844", "HTTP listen address")
+		k        = flag.Int("k", 16, "k-mer size (builds from -contigs)")
+		w        = flag.Int("w", 100, "minimizer window size (builds from -contigs)")
+		t        = flag.Int("t", 30, "sketch trials T (builds from -contigs)")
+		l        = flag.Int("l", 1000, "end segment length (builds from -contigs)")
+		seed     = flag.Int64("seed", 1, "hash family seed (builds from -contigs)")
+		shards   = flag.Int("shards", 0, "index shards for builds (0/1 = unsharded)")
+		memory   = flag.String("memory", "", "how -index loads hold the table: heap, mmap, or auto (mmap where the host can, heap otherwise; builds are always heap)")
+		inflight = flag.Int("max-in-flight", 0, "concurrent mapping requests (0 = default 4)")
+		queue    = flag.Int("max-queue", 0, "waiting requests before 429 (0 = 4x max-in-flight)")
+		reqWork  = flag.Int("workers-per-request", 0, "mapping workers per request (0 = GOMAXPROCS/max-in-flight)")
+		defTO    = flag.Duration("default-timeout", 0, "per-request deadline when the client sends none (0 = none)")
+		maxTO    = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested ?timeout")
+		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight requests")
 
 		slowReq = flag.Duration("slow-request", time.Second, "latency threshold that marks a request slow and arms the flight recorder (0 = off)")
 		logText = flag.Bool("log-text", false, "log human-readable text instead of JSON")
@@ -109,7 +108,7 @@ func main() {
 	}
 	if err := run(logger, indexes, contigs, shardServers, config{
 		addr: *addr, k: *k, w: *w, t: *t, l: *l, seed: *seed, shards: *shards,
-		memory:   jem.Memory{Mode: memMode, Budget: *memBudget},
+		memory:   jem.Memory{Mode: memMode},
 		inflight: *inflight, queue: *queue, reqWork: *reqWork,
 		defTO: *defTO, maxTO: *maxTO, drainTO: *drainTO, slowReq: *slowReq,
 	}); err != nil {

@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -139,7 +138,7 @@ func (m *Mapper) IndexBytes() int64 {
 // IndexMemory splits IndexBytes into resident (process-private heap)
 // and mapped (file-backed via mmap, shareable across processes) bytes.
 // A built or heap-loaded index is all resident; an mmap-served one is
-// all mapped; a budgeted open reports both halves.
+// all mapped.
 func (m *Mapper) IndexMemory() (resident, mapped int64) {
 	if m.sharded == nil {
 		return 0, 0
@@ -288,13 +287,6 @@ type Session struct {
 	// timeShards turns on per-shard wall time in ShardWork; off, an
 	// untraced run never pays the clock reads.
 	timeShards bool
-
-	// err latches the first serving-integrity failure this session hit —
-	// today, a lazy shard whose fault-in CRC verification failed. The
-	// query that hit it completes degraded (the failed shard contributes
-	// nothing); the latch is how batch drivers surface the corruption
-	// instead of silently serving partial answers.
-	err error
 }
 
 // shardScratch is one shard's slot of a session's scatter scratch.
@@ -367,10 +359,9 @@ func (s *Session) context() context.Context {
 
 // LostShards returns the sorted ids of shards that failed terminally
 // at any point in this session's lifetime — a remote shard whose
-// queries exhausted their retry budget, or a local lazy shard
-// whose fault-in verification failed — the per-session degraded-answer
-// record. Queries touching a lost shard completed with the surviving
-// shards' postings only.
+// queries exhausted their retry budget — the per-session
+// degraded-answer record. Queries touching a lost shard completed with
+// the surviving shards' postings only.
 func (s *Session) LostShards() []int {
 	if len(s.lostSet) == 0 {
 		return nil
@@ -398,20 +389,6 @@ func (s *Session) Interrupted() bool {
 // postings this session has examined — the dominant unit of query
 // work, surfaced through jem.Stats for serving telemetry.
 func (s *Session) PostingsScanned() int64 { return s.scanned }
-
-// Err returns the first serving-integrity failure this session hit
-// (nil when none): a lazy shard whose fault-in verification failed
-// leaves its sticky error here while the queries that touched it
-// complete without that shard's postings. Batch drivers check it once
-// per session, after the work loop.
-func (s *Session) Err() error { return s.err }
-
-// fail latches the session's first integrity error.
-func (s *Session) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-}
 
 // EnableShardTiming turns on per-shard wall-clock accumulation for
 // this session's queries. Off by default: a traced request opts in, an
@@ -475,10 +452,9 @@ func (s *Session) mapSegment(segment []byte) (Hit, bool) {
 // results and PostingsScanned are byte-identical across backends.
 //
 // The degraded-answer policy lives here: a touched shard the source
-// reports lost (a remote shard whose retry budget ran out, a lazy
-// shard whose fault-in verification failed) contributes nothing to this
-// query. Its id joins the session's lost set, an integrity failure is
-// latched for Err, and the query completes with the surviving shards.
+// reports lost (a remote shard whose retry budget ran out) contributes
+// nothing to this query. Its id joins the session's lost set and the
+// query completes with the surviving shards.
 //
 //jem:hotpath
 func (s *Session) scanWords(words []sketch.Word) {
@@ -509,9 +485,6 @@ func (s *Session) scanWords(words []sketch.Word) {
 		sh.trials = trials[:0]
 		if sh.err != nil {
 			s.noteLostShard(int(sd))
-			if errors.Is(sh.err, ErrIndexChecksum) {
-				s.fail(sh.err)
-			}
 			// plists is reused across queries; a lost shard's trials
 			// must not leak the previous query's posting lists into
 			// this one's offset-vote pass.

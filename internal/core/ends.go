@@ -69,20 +69,12 @@ func AppendEnds[S, R any](rows []R, sess S, i int, read seq.Record, l int, row f
 // len(reads) and at least one even for no reads — so a constructor
 // that panics on misuse panics there. When ctx is done the workers
 // stop taking reads and the rows of every read completed so far come
-// back, still in order, with ctx.Err(). A serving-integrity failure any
-// session latched (Err) is returned ahead of cancellation: the rows are
-// well-formed but were computed without what that session lost. A nil
-// error means every read was mapped against a healthy index.
-func MapEnds[S interface{ Err() error }, R any](ctx context.Context, reads []seq.Record, l, workers int, newSession func() S, row func(S, End) R) ([]R, error) {
+// back, still in order, with ctx.Err().
+func MapEnds[S, R any](ctx context.Context, reads []seq.Record, l, workers int, newSession func() S, row func(S, End) R) ([]R, error) {
 	done := ctx.Done()
 	rows := make([]R, 2*len(reads))
 	ends := make([]int8, len(reads)) // rows read i produced; 0 = not mapped
-	var sessions []S
-	parallel.ForEachWorker(len(reads), workers, func() S {
-		s := newSession()
-		sessions = append(sessions, s)
-		return s
-	}, func(s S, i int) {
+	parallel.ForEachWorker(len(reads), workers, newSession, func(s S, i int) {
 		select {
 		case <-done:
 			return
@@ -94,17 +86,12 @@ func MapEnds[S interface{ Err() error }, R any](ctx context.Context, reads []seq
 	for i, k := range ends {
 		n += copy(rows[n:], rows[2*i:2*i+int(k)])
 	}
-	for _, s := range sessions {
-		if err := s.Err(); err != nil {
-			return rows[:n], err
-		}
-	}
 	return rows[:n], ctx.Err()
 }
 
 // MapReads maps both end segments of every read through MapEnds and
 // returns the per-segment results in (read, kind) order, under MapEnds'
-// cancellation and degraded-index contract.
+// cancellation contract.
 func (m *Mapper) MapReads(ctx context.Context, reads []seq.Record, l, workers int) ([]Result, error) {
 	return MapEnds(ctx, reads, l, workers, func() *Session { return m.NewSession().WithContext(ctx) }, (*Session).MapEnd)
 }

@@ -10,9 +10,7 @@ import (
 	"repro/internal/seq"
 )
 
-type fakeSession struct{ err error }
-
-func (s *fakeSession) Err() error { return s.err }
+type fakeSession struct{}
 
 func endReads(lengths ...int) []seq.Record {
 	reads := make([]seq.Record, len(lengths))
@@ -94,24 +92,6 @@ func TestMapEndsCancelReturnsPrefix(t *testing.T) {
 	for i, r := range rows {
 		if r.Read != i/2 {
 			t.Fatalf("row %d belongs to read %d", i, r.Read)
-		}
-	}
-}
-
-// TestMapEndsReturnsLatchedError: a session's latched integrity error
-// comes back with the full, well-formed row set, ahead of cancellation.
-func TestMapEndsReturnsLatchedError(t *testing.T) {
-	lost := errors.New("shard lost")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, w := range []int{1, 3} {
-		rows, err := MapEnds(context.Background(), endReads(20, 5, 20), 10, w,
-			func() *fakeSession { return &fakeSession{err: lost} }, echoEnd)
-		if !errors.Is(err, lost) || len(rows) != 5 {
-			t.Fatalf("W=%d: %d rows, error %v; want 5 rows and the latched error", w, len(rows), err)
-		}
-		if _, err := MapEnds(ctx, endReads(20), 10, w, func() *fakeSession { return &fakeSession{err: lost} }, echoEnd); !errors.Is(err, lost) {
-			t.Fatalf("W=%d: cancelled run returned %v ahead of the latched error", w, err)
 		}
 	}
 }

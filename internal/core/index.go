@@ -81,13 +81,7 @@ func (m *Mapper) WriteIndex(w io.Writer) error {
 	n := m.sharded.NumShards()
 	payloads := make([][]byte, n)
 	for i := range payloads {
-		// A lazy shard is forced in: an index cannot be written from a
-		// payload that fails its checksum.
-		ft, err := m.sharded.ShardChecked(i)
-		if err != nil {
-			return fmt.Errorf("core: materializing shard %d for write: %w", i, err)
-		}
-		payloads[i] = ft.Payload()
+		payloads[i] = m.sharded.Shard(i).Payload()
 	}
 	var metaBuf bytes.Buffer
 	if err := m.writeIndexMeta(&metaBuf); err != nil {
@@ -390,24 +384,19 @@ func readManifest(br *bufio.Reader) (*shardedManifest, error) {
 	return man, nil
 }
 
-// loadedIndex is what the loader hands back: the verified manifest,
-// the residence plan, and per kept shard exactly one of an eager table
-// or a lazy (load-on-demand) slot.
+// loadedIndex is what the loader hands back: the verified manifest
+// and one verified table per kept shard (nil for an unkept one).
 type loadedIndex struct {
-	man   *shardedManifest
-	res   []ShardResidence
-	eager []*sketch.FrozenTable
-	lazy  []*sketch.LazyShard
+	man    *shardedManifest
+	tables []*sketch.FrozenTable
 }
 
 // loadIndex is the one index loader. What varies between a full load,
 // a shard-server subset load, a heap open and a mapped open is only
-// where a shard's bytes come from, which shards are kept, and the
-// residence plan:
+// where a shard's bytes come from and which shards are kept:
 //
-//   - data != nil: the index is data, a read-only mapping of the file.
-//     A kept payload is a slice of it — copied to the heap first where
-//     the plan (planResidences over spec) says ResidenceHeap.
+//   - data != nil: the index is data, a read-only mapping of the file,
+//     and a kept payload is a slice of it (served in place).
 //   - data == nil: the index is read off r in file order, each kept
 //     payload into a heap buffer of exactly its manifest length
 //     (readPayload); unkept payloads and alignment gaps are skipped
@@ -416,12 +405,12 @@ type loadedIndex struct {
 //
 // keep == nil keeps every shard. Either way a payload then becomes a
 // serving table by the same step — verify its CRC, view its bytes
-// (viewShard) — run in parallel across shards, or deferred to the
-// first query for a ResidenceLazy shard. sp, when non-nil, gets one
-// child span per kept shard. Every corruption path reports an error
-// wrapping ErrIndexChecksum (so load-or-rebuild callers can detect it)
-// and names the shard it hit.
-func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, spec MemorySpec, sp *obs.Span) (*loadedIndex, error) {
+// (viewShard), check its trial count against the manifest — run in
+// parallel across shards before loadIndex returns. sp, when non-nil,
+// gets one child span per kept shard. Every corruption path reports an
+// error wrapping ErrIndexChecksum (so load-or-rebuild callers can
+// detect it) and names the shard it hit.
+func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, sp *obs.Span) (*loadedIndex, error) {
 	if data != nil {
 		r, size = bytes.NewReader(data), int64(len(data))
 	}
@@ -439,12 +428,6 @@ func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, 
 			}
 		}
 	}
-	ld := &loadedIndex{
-		man:   man,
-		res:   planResidences(spec, man.lens, data != nil),
-		eager: make([]*sketch.FrozenTable, n),
-		lazy:  make([]*sketch.LazyShard, n),
-	}
 	payloads := make([][]byte, n)
 	pos, kept := man.end, 0
 	for i := range payloads {
@@ -455,9 +438,6 @@ func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, 
 		kept++
 		if data != nil {
 			payloads[i] = data[off : off+length]
-			if ld.res[i] == ResidenceHeap {
-				payloads[i] = bytes.Clone(payloads[i])
-			}
 			continue
 		}
 		if _, err := io.CopyN(io.Discard, br, off-pos); err != nil {
@@ -471,23 +451,14 @@ func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, 
 	if kept == 0 {
 		return nil, fmt.Errorf("core: shard selection keeps none of %d shards", n)
 	}
+	ld := &loadedIndex{man: man, tables: make([]*sketch.FrozenTable, n)}
 	errs := make([]error, n)
 	parallel.ForEach(n, 0, func(i int) {
-		payload, crc := payloads[i], man.crcs[i]
-		if payload == nil {
+		if payloads[i] == nil {
 			return
 		}
 		build := func() {
-			if ld.res[i] != ResidenceLazy {
-				ld.eager[i], errs[i] = viewShard(i, payload, crc, ld.res[i] == ResidenceMapped, false)
-				return
-			}
-			// The directory peek only feeds accounting; a parse failure
-			// surfaces at fault-in, where it can be reported properly.
-			_, entries, _ := sketch.FlatPayloadStats(payload)
-			ld.lazy[i] = sketch.NewLazyShard(int64(len(payload)), entries, func() (*sketch.FrozenTable, error) {
-				return viewShard(i, payload, crc, true, true)
-			})
+			ld.tables[i], errs[i] = viewShard(i, payloads[i], man.crcs[i], data != nil, man.p.T)
 		}
 		if sp != nil {
 			sp.Time(fmt.Sprintf("shard%d", i), build)
@@ -532,26 +503,20 @@ func readPayload(r io.Reader, n int64, sizeChecked bool) ([]byte, error) {
 }
 
 // viewShard is the one step that turns payload bytes into a serving
-// table: verify them against the manifest CRC, then build a view over
-// them (see sketch.ViewFlatFrozen; mapped says whether they are a
-// slice of the file mapping or a heap buffer). faultin marks the
-// deferred verification of a lazy shard's first query, where the
-// IndexFaultinByteFlip fault point can inject a mismatch: the mapping
-// is read-only, so the injector perturbs the computed checksum instead
-// of the bytes.
-func viewShard(i int, payload []byte, wantCRC uint32, mapped, faultin bool) (*sketch.FrozenTable, error) {
-	got := crc32.ChecksumIEEE(payload)
-	if faultin {
-		if _, ok := fault.Fire(fault.IndexFaultinByteFlip); ok {
-			got ^= 0x01
-		}
-	}
-	if got != wantCRC {
+// table: verify them against the manifest CRC, build a view over them
+// (see sketch.ViewFlatFrozen; mapped says whether they are a slice of
+// the file mapping or a heap buffer), and check the table carries the
+// manifest's trial count.
+func viewShard(i int, payload []byte, wantCRC uint32, mapped bool, trials int) (*sketch.FrozenTable, error) {
+	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return nil, fmt.Errorf("%w: shard %d computed %08x, manifest says %08x", ErrIndexChecksum, i, got, wantCRC)
 	}
 	ft, err := sketch.ViewFlatFrozen(payload, mapped)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding shard %d: %w", i, err)
+	}
+	if ft.T() != trials {
+		return nil, fmt.Errorf("core: shard %d has %d trials, manifest says %d", i, ft.T(), trials)
 	}
 	return ft, nil
 }
@@ -559,13 +524,13 @@ func viewShard(i int, payload []byte, wantCRC uint32, mapped, faultin bool) (*sk
 // mapper assembles a full load into a sealed mapper and reports what
 // the load did with memory.
 func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
-	sf, err := sketch.NewLazyShardedFrozen(ld.man.p.T, ld.eager, ld.lazy)
+	sf, err := sketch.NewShardedFrozen(ld.tables)
 	if err != nil {
 		return nil, MemoryInfo{}, fmt.Errorf("core: assembling sharded table: %w", err)
 	}
 	m := ld.man.m
 	m.sharded, m.build = sf, nil
-	return m, MemoryInfo{Shards: ld.res, Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
+	return m, MemoryInfo{Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
 }
 
 // ReadIndexObserved deserializes a mapper previously written by
@@ -574,7 +539,7 @@ func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
 // ErrIndexChecksum); the result is a sealed mapper. The per-shard
 // loads are timed under sp (one child span per shard); sp may be nil.
 func ReadIndexObserved(r io.Reader, sp *obs.Span) (*Mapper, error) {
-	ld, err := loadIndex(r, -1, nil, nil, MemorySpec{Mode: MemoryHeap}, sp)
+	ld, err := loadIndex(r, -1, nil, nil, sp)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -137,6 +138,22 @@ func TestShardedIndexCorruptPayload(t *testing.T) {
 	_, err := ReadIndexObserved(bytes.NewReader(b), nil)
 	if !errors.Is(err, ErrIndexChecksum) {
 		t.Fatalf("payload corruption error = %v, want ErrIndexChecksum", err)
+	}
+}
+
+// TestViewShardChecksTrialCount: a payload whose CRC matches but whose
+// trial count disagrees with the manifest's sketch parameters is
+// refused by the loader's one verify-then-view step.
+func TestViewShardChecksTrialCount(t *testing.T) {
+	orig, _ := shardedIndexMapper(t, 2)
+	payload := orig.sharded.Shard(1).Payload()
+	crc := crc32.ChecksumIEEE(payload)
+	trials := orig.sk.Params().T
+	if _, err := viewShard(1, payload, crc, false, trials); err != nil {
+		t.Fatalf("intact payload refused: %v", err)
+	}
+	if _, err := viewShard(1, payload, crc, false, trials+1); err == nil {
+		t.Fatal("payload with the wrong trial count accepted")
 	}
 }
 

@@ -13,10 +13,12 @@ import (
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only and shared. MAP_SHARED (not
-// PRIVATE) matters twice: fleet members mapping the same index file
-// share one set of physical pages, and on-disk corruption that happens
-// after the open is visible through the mapping — which is exactly
-// what the lazy fault-in CRC verification exists to catch.
+// PRIVATE) is what lets fleet members mapping the same index file
+// share one set of physical pages. The price is that a write to the
+// file after the open is visible through the mapping: every shard is
+// CRC-verified once, at open, and an index file must not be rewritten
+// in place while it is served (WriteIndexFile renames a new file into
+// place instead).
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: cannot mmap %d bytes", size)

@@ -15,10 +15,8 @@ import (
 type MemoryMode uint8
 
 const (
-	// MemoryAuto maps the index read-only and, under a positive
-	// Budget, copies shards onto the heap until the budget is spent —
-	// the rest stay load-on-demand views. With no budget it behaves
-	// like MemoryMMap. Hosts without mmap fall back to a heap load.
+	// MemoryAuto is the default: it serves like MemoryMMap on a host
+	// with mmap and like MemoryHeap elsewhere.
 	MemoryAuto MemoryMode = iota
 	// MemoryHeap reads every shard into process-private heap memory at
 	// open — the classic load.
@@ -42,44 +40,16 @@ func (md MemoryMode) String() string {
 	}
 }
 
-// MemorySpec is the byte-budget contract an index open honors.
+// MemorySpec is the memory contract an index open honors.
 type MemorySpec struct {
 	Mode MemoryMode
-	// Budget caps the resident (heap) bytes MemoryAuto may spend on
-	// shard payloads; ≤0 means "no heap, map everything".
-	Budget int64
 }
 
-// ShardResidence records where one shard's serving structures live.
-type ShardResidence uint8
-
-const (
-	// ResidenceHeap: payload held in private memory, verified at open.
-	ResidenceHeap ShardResidence = iota
-	// ResidenceMapped: zero-copy view over the mapping, verified at open.
-	ResidenceMapped
-	// ResidenceLazy: view built — and CRC-verified — on first query.
-	ResidenceLazy
-)
-
-func (sr ShardResidence) String() string {
-	switch sr {
-	case ResidenceHeap:
-		return "heap"
-	case ResidenceMapped:
-		return "mapped"
-	case ResidenceLazy:
-		return "lazy"
-	default:
-		return fmt.Sprintf("ShardResidence(%d)", uint8(sr))
-	}
-}
-
-// MemoryInfo reports what an index open actually did: the residence of
-// each shard and the resulting split of IndexBytes into resident
-// (private heap) and mapped (file-backed, shareable) bytes.
+// MemoryInfo reports what an index open actually did: the split of
+// IndexBytes into resident (private heap) and mapped (file-backed,
+// shareable) bytes. Every shard of one open shares one residence, so
+// Mapped > 0 says the open served from the mapping.
 type MemoryInfo struct {
-	Shards   []ShardResidence
 	Resident int64
 	Mapped   int64
 }
@@ -108,7 +78,8 @@ func OpenIndexFile(path string, spec MemorySpec) (*Mapper, MemoryInfo, io.Closer
 // MemoryMMap or MemoryAuto (on a host with mmap) the file is mapped
 // read-only and served in place; under MemoryHeap, on platforms
 // without mmap, or when the mapping fails, its payloads are read onto
-// the heap. The returned closer, when non-nil, owns the mapping and
+// the heap. Either way every shard is CRC-verified before the open
+// returns. The returned closer, when non-nil, owns the mapping and
 // must be closed after the mapper is done serving; sp, when non-nil,
 // gets one child span per shard.
 func OpenIndexFileObserved(path string, spec MemorySpec, sp *obs.Span) (*Mapper, MemoryInfo, io.Closer, error) {
@@ -117,18 +88,14 @@ func OpenIndexFileObserved(path string, spec MemorySpec, sp *obs.Span) (*Mapper,
 		return nil, MemoryInfo{}, nil, err
 	}
 	m, info, err := ld.mapper()
-	if err == nil && (mapping == nil || info.Mapped > 0) {
-		return m, info, mapping, nil
-	}
-	// Every shard went to the heap and nothing references the mapping,
-	// or the shards do not assemble: release it now.
-	if mapping != nil {
-		_ = mapping.Close()
-	}
 	if err != nil {
+		// The shards do not assemble: nothing will serve the mapping.
+		if mapping != nil {
+			_ = mapping.Close()
+		}
 		return nil, MemoryInfo{}, nil, fmt.Errorf("core: index %s: %w", path, err)
 	}
-	return m, info, nil, nil
+	return m, info, mapping, nil
 }
 
 // openIndexFile runs the loader over the file at path: over a
@@ -149,7 +116,7 @@ func openIndexFile(path string, keep func(shard int) bool, spec MemorySpec, sp *
 	if spec.Mode != MemoryHeap && mmapSupported {
 		// A failed mapping falls through to the heap load.
 		if data, merr := mmapFile(f, st.Size()); merr == nil {
-			ld, err := loadIndex(nil, 0, data, keep, spec, sp)
+			ld, err := loadIndex(nil, 0, data, keep, sp)
 			if err != nil {
 				_ = munmapFile(data)
 				return nil, nil, fmt.Errorf("core: index %s: %w", path, err)
@@ -157,39 +124,11 @@ func openIndexFile(path string, keep func(shard int) bool, spec MemorySpec, sp *
 			return ld, &mappingCloser{data: data}, nil
 		}
 	}
-	ld, err := loadIndex(f, st.Size(), nil, keep, spec, sp)
+	ld, err := loadIndex(f, st.Size(), nil, keep, sp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: index %s: %w", path, err)
 	}
 	return ld, nil, nil
-}
-
-// planResidences decides each shard's residence. Without a mapping
-// every shard is read onto the heap. Over a mapping, MemoryMMap — and
-// MemoryAuto with no budget — map everything eagerly; MemoryAuto with
-// a budget copies shards onto the heap, in shard order, while the
-// cumulative payload size fits, and leaves the rest load-on-demand (a
-// shard not copied is likely cold; paying its CRC pass only if it is
-// ever queried is the out-of-core bargain).
-func planResidences(spec MemorySpec, lens []uint64, mapped bool) []ShardResidence {
-	res := make([]ShardResidence, len(lens))
-	if !mapped {
-		return res // ResidenceHeap
-	}
-	var resident int64
-	for i := range res {
-		sz := int64(lens[i])
-		switch {
-		case spec.Mode == MemoryMMap || spec.Budget <= 0:
-			res[i] = ResidenceMapped
-		case resident+sz <= spec.Budget:
-			res[i] = ResidenceHeap
-			resident += sz
-		default:
-			res[i] = ResidenceLazy
-		}
-	}
-	return res
 }
 
 // ReadShardSubsetFile loads only the shards selected by keep onto the
@@ -206,16 +145,15 @@ func ReadShardSubsetFile(path string, keep func(shard int) bool) (map[int]*sketc
 // Mode != MemoryHeap (and a host with mmap) the kept shards are served
 // as zero-copy views over a shared read-only mapping — the jem-shardd
 // fleet path, where every server mapping the same index file shares
-// physical pages. Views are CRC-verified at open and the budget is
-// ignored (a shard server has no lazy path; it will serve every kept
-// shard). The returned closer, when non-nil, owns the mapping.
+// physical pages. Views are CRC-verified at open. The returned closer,
+// when non-nil, owns the mapping.
 func OpenShardSubset(path string, keep func(shard int) bool, spec MemorySpec) (map[int]*sketch.FrozenTable, IndexMeta, io.Closer, error) {
-	ld, mapping, err := openIndexFile(path, keep, MemorySpec{Mode: spec.Mode}, nil)
+	ld, mapping, err := openIndexFile(path, keep, spec, nil)
 	if err != nil {
 		return nil, IndexMeta{}, nil, err
 	}
 	tables := make(map[int]*sketch.FrozenTable)
-	for i, ft := range ld.eager {
+	for i, ft := range ld.tables {
 		if ft != nil {
 			tables[i] = ft
 		}

@@ -52,9 +52,6 @@ func (m *Mapper) SetRemote(q ShardQuerier) {
 	m.enableShardMetrics()
 }
 
-// Remote returns the installed remote backend, nil for local serving.
-func (m *Mapper) Remote() ShardQuerier { return m.remote }
-
 // remoteSource serves from a shard fleet: each touched shard's probes
 // go out as one RPC. Because the probes, the per-shard posting lists
 // and the counting order all match the local source exactly, a healthy

@@ -16,8 +16,9 @@ type postingSource interface {
 	// fetch resolves the probes of every touched shard sd: for each
 	// trial t in s.shards[sd].trials it stores the posting list of
 	// ⟨t, words[t]⟩ in s.plists[t] (nil for an absent word), and it sets
-	// the slot's err — nil, or the error that lost the whole shard for
-	// this query — and, when s.timeShards is on, its dur. Lists go into
+	// the slot's dur when s.timeShards is on. A source that can lose a
+	// shard (the remote one) also sets the slot's err — nil, or the
+	// error that lost the whole shard for this query. Lists go into
 	// the session-owned scratch; fetch allocates nothing per query.
 	fetch(s *Session, words []sketch.Word, touched []int32)
 }
@@ -35,9 +36,8 @@ func (m *Mapper) source() postingSource {
 	panic("core: NewSession on an unsealed mapper (Seal it first; a meta-only mapper needs SetRemote)")
 }
 
-// localSource serves from the sealed sharded table. A lazy shard is
-// faulted in (and CRC-verified) by its first probe; a failed fault-in
-// is sticky and loses the shard for every query that touches it.
+// localSource serves from the sealed sharded table. Every shard was
+// verified at open, so a local fetch never loses one.
 type localSource struct{ sf *sketch.ShardedFrozen }
 
 func (ls localSource) numShards() int { return ls.sf.NumShards() }
@@ -52,11 +52,9 @@ func (ls localSource) fetch(s *Session, words []sketch.Word, touched []int32) {
 	}
 	for _, sd := range touched {
 		sh := &s.shards[sd]
-		var ft *sketch.FrozenTable
-		if ft, sh.err = ls.sf.ShardChecked(int(sd)); sh.err == nil {
-			for _, t := range sh.trials {
-				s.plists[t] = ft.Lookup(int(t), words[t])
-			}
+		ft := ls.sf.Shard(int(sd))
+		for _, t := range sh.trials {
+			s.plists[t] = ft.Lookup(int(t), words[t])
 		}
 		if s.timeShards {
 			now := time.Now()

@@ -55,13 +55,6 @@ const (
 	// before it is renamed into place — on-disk corruption the index
 	// checksums must catch at load time.
 	IndexByteFlip = "index.byteflip"
-	// IndexFaultinByteFlip simulates a flipped payload byte during the
-	// lazy fault-in CRC verification of a load-on-demand (JEMIDX06)
-	// shard — corruption that happens after the index was opened, which
-	// only the first query against that shard can detect. The mapping
-	// is PROT_READ, so the injector perturbs the computed checksum
-	// rather than the mapped bytes; the effect is identical.
-	IndexFaultinByteFlip = "index.faultin.byteflip"
 )
 
 // Spec configures one armed injection point.

@@ -208,7 +208,3 @@ func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result 
 		func(m *Mapper, e core.End) core.Result { return e.Result(m.MapSegment(e.Seq)) })
 	return results
 }
-
-// Err is core.MapEnds' session contract; an in-memory index cannot
-// degrade, so it is always nil.
-func (m *Mapper) Err() error { return nil }

@@ -111,10 +111,6 @@ func (s *Session) MapSegment(segment []byte) (core.Hit, bool) {
 	return best, true
 }
 
-// Err is core.MapEnds' session contract; an in-memory table cannot
-// degrade, so it is always nil.
-func (s *Session) Err() error { return nil }
-
 // MapReads maps the end segments of all reads through core.MapEnds,
 // producing results shaped like core.Mapper.MapReads for the shared
 // evaluator.

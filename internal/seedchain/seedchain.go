@@ -268,7 +268,3 @@ func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result 
 		})
 	return results
 }
-
-// Err is core.MapEnds' session contract; an in-memory index cannot
-// degrade, so it is always nil.
-func (m *Mapper) Err() error { return nil }

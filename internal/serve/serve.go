@@ -419,9 +419,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		h.Set("X-JEM-Bad-Records", fmt.Sprint(stats.BadRecords))
 		h.Set("X-JEM-Postings-Scanned", fmt.Sprint(stats.PostingsScanned))
 		h.Set("X-JEM-Index-Generation", fmt.Sprint(v.gen))
-		// The heap cost of the index that served this request, after any
-		// lazy fault-ins the request itself triggered (a budgeted mmap
-		// open grows this; a heap index reports its full size).
+		// The heap cost of the index that served this request (an mmap
+		// index reports ≈0; a heap index reports its full size).
 		resident, _ := v.mapper.IndexMemory()
 		h.Set("X-JEM-Index-Resident-Bytes", fmt.Sprint(resident))
 		if len(stats.ShardsLost) > 0 {
@@ -484,13 +483,11 @@ type swapRequest struct {
 	RebuildOnCorrupt bool `json:"rebuild_on_corrupt,omitempty"`
 	// Shards applies to a rebuild (a loaded index keeps its own).
 	Shards int `json:"shards,omitempty"`
-	// Memory selects how the loaded index is held: "heap" (default),
-	// "mmap" (serve straight from the page cache), or "auto" with
-	// MemoryBudget heap bytes (hot shards resident, the rest mapped).
-	// Applies to index_path loads; a rebuild is always heap-resident.
+	// Memory selects how the loaded index is held: "heap", "mmap"
+	// (serve straight from the page cache), or "auto" (the default:
+	// mmap where the host can, heap otherwise). Applies to index_path
+	// loads; a rebuild is always heap-resident.
 	Memory string `json:"memory,omitempty"`
-	// MemoryBudget is the heap byte budget for Memory "auto".
-	MemoryBudget int64 `json:"memory_budget,omitempty"`
 	// DrainTimeout bounds the wait for old-generation requests
 	// (Go duration string, default "30s").
 	DrainTimeout string `json:"drain_timeout,omitempty"`
@@ -561,7 +558,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad memory: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	opts.Memory = jem.Memory{Mode: mode, Budget: req.MemoryBudget}
+	opts.Memory = jem.Memory{Mode: mode}
 	m, info, err := jem.Open(jem.OpenOptions{
 		Contigs:          contigs,
 		IndexPath:        req.IndexPath,
@@ -609,9 +606,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 
 // indexInfo is one entry of the GET /v1/indexes listing. IndexBytes is
 // the whole index; ResidentBytes/MappedBytes split it into
-// process-private heap and file-backed mapping (a budgeted open's
-// lazy fault-ins move bytes from mapped to resident, so the split is
-// live, not a load-time snapshot).
+// process-private heap and file-backed mapping.
 type indexInfo struct {
 	Name          string `json:"name"`
 	Generation    int64  `json:"generation"`

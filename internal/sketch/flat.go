@@ -164,22 +164,6 @@ func validateFlatTrial(ti int, fb *frozenBin, np uint32) error {
 	return nil
 }
 
-// FlatPayloadStats reads the trial and posting counts out of a flat
-// payload's directory without building a table — the accounting peek
-// a lazy (load-on-demand) shard uses before its first fault-in. The
-// directory is bounds-checked but not checksum-verified; a corrupt
-// payload either fails here or at fault-in, never silently.
-func FlatPayloadStats(buf []byte) (trials, entries int, err error) {
-	dirs, err := parseFlatDirs(buf)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := range dirs {
-		entries += int(dirs[i].npostings)
-	}
-	return len(dirs), entries, nil
-}
-
 // hostLittleEndian reports whether this host matches the payload's
 // byte order; a view aliases the bytes, so nothing else can serve them.
 var hostLittleEndian = func() bool {

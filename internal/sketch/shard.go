@@ -2,8 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/kmer"
 )
@@ -45,53 +43,6 @@ func ShardOf(t int, w kmer.Word, shards int) int {
 // memory.
 type ShardedFrozen struct {
 	shards []*FrozenTable
-	// lazy, when non-nil, is parallel to shards: position i holds either
-	// a materialized table in shards[i] (lazy[i] nil) or a load-on-demand
-	// slot in lazy[i] (shards[i] nil) that faults the shard in — CRC
-	// verification included — on its first query. Built by
-	// NewLazyShardedFrozen for the memory-budgeted index open.
-	lazy []*LazyShard
-}
-
-// LazyShard is one load-on-demand shard slot: the loader runs exactly
-// once, on the shard's first query, and its outcome — table or error —
-// is sticky for the table's lifetime. bytes and entries carry the
-// accounting the slot reports before materialization (the mapped
-// payload size and the directory's posting count).
-type LazyShard struct {
-	load    func() (*FrozenTable, error)
-	bytes   int64
-	entries int
-
-	once sync.Once
-	done atomic.Bool
-	ft   *FrozenTable
-	err  error
-}
-
-// NewLazyShard builds a load-on-demand slot. load must be safe to call
-// from any goroutine (it runs under the slot's once) and should verify
-// the payload's checksum before building the table.
-func NewLazyShard(bytes int64, entries int, load func() (*FrozenTable, error)) *LazyShard {
-	return &LazyShard{load: load, bytes: bytes, entries: entries}
-}
-
-// materialize runs the loader once and returns the sticky outcome.
-func (ls *LazyShard) materialize() (*FrozenTable, error) {
-	ls.once.Do(func() {
-		ls.ft, ls.err = ls.load()
-		ls.done.Store(true)
-	})
-	return ls.ft, ls.err
-}
-
-// snapshot returns the slot's table when already materialized (nil
-// otherwise) without triggering a fault-in — the accounting read.
-func (ls *LazyShard) snapshot() (*FrozenTable, bool) {
-	if !ls.done.Load() {
-		return nil, false
-	}
-	return ls.ft, true
 }
 
 // NewShardedFrozen assembles a sharded table from per-shard tables
@@ -116,130 +67,45 @@ func NewShardedFrozen(shards []*FrozenTable) (*ShardedFrozen, error) {
 	return &ShardedFrozen{shards: shards}, nil
 }
 
-// NewLazyShardedFrozen assembles a sharded table in which each
-// position holds either an eagerly materialized table (eager[i]) or a
-// load-on-demand slot (lazy[i]) — exactly one of the two. trials is
-// the trial count every shard must carry (taken from the index
-// manifest, since lazy shards cannot be asked before fault-in).
-func NewLazyShardedFrozen(trials int, eager []*FrozenTable, lazy []*LazyShard) (*ShardedFrozen, error) {
-	if len(eager) != len(lazy) {
-		return nil, fmt.Errorf("sketch: eager/lazy shard slices disagree: %d vs %d", len(eager), len(lazy))
-	}
-	if len(eager) == 0 {
-		return nil, fmt.Errorf("sketch: sharded table needs at least one shard")
-	}
-	if len(eager) > MaxShards {
-		return nil, fmt.Errorf("sketch: %d shards exceeds limit %d", len(eager), MaxShards)
-	}
-	if trials <= 0 {
-		return nil, fmt.Errorf("sketch: lazy sharded table needs a positive trial count, got %d", trials)
-	}
-	anyLazy := false
-	for i := range eager {
-		switch {
-		case eager[i] != nil && lazy[i] != nil:
-			return nil, fmt.Errorf("sketch: shard %d is both eager and lazy", i)
-		case eager[i] == nil && lazy[i] == nil:
-			return nil, fmt.Errorf("sketch: shard %d is neither eager nor lazy", i)
-		case eager[i] != nil && eager[i].T() != trials:
-			return nil, fmt.Errorf("sketch: shard %d has %d trials, manifest says %d", i, eager[i].T(), trials)
-		case lazy[i] != nil:
-			anyLazy = true
-		}
-	}
-	if !anyLazy {
-		return NewShardedFrozen(eager)
-	}
-	return &ShardedFrozen{shards: eager, lazy: lazy}, nil
-}
-
 // NumShards returns the shard count P.
 func (sf *ShardedFrozen) NumShards() int { return len(sf.shards) }
 
-// Entries returns the total posting count across all shards. Lazy
-// shards report their directory's count without faulting in.
+// Entries returns the total posting count across all shards.
 func (sf *ShardedFrozen) Entries() int {
 	n := 0
-	for i, ft := range sf.shards {
-		if ft != nil {
-			n += ft.Entries()
-			continue
-		}
-		if sf.lazy != nil && sf.lazy[i] != nil {
-			n += sf.lazy[i].entries
-		}
+	for _, ft := range sf.shards {
+		n += ft.Entries()
 	}
 	return n
 }
 
 // ResidentBytes returns the private heap portion of the table: decoded
-// shards count fully, mapped views and unfaulted lazy shards count 0.
+// shards count fully, mapped views count 0.
 func (sf *ShardedFrozen) ResidentBytes() int64 {
 	var n int64
-	for i, ft := range sf.shards {
-		if ft != nil {
-			n += ft.ResidentBytes()
-			continue
-		}
-		if sf.lazy == nil || sf.lazy[i] == nil {
-			continue
-		}
-		if mt, ok := sf.lazy[i].snapshot(); ok && mt != nil {
-			n += mt.ResidentBytes()
-		}
+	for _, ft := range sf.shards {
+		n += ft.ResidentBytes()
 	}
 	return n
 }
 
 // MappedBytes returns the mmap-aliasing portion of the table: each
-// mapped view's arrays, plus the full payload size of every lazy slot
-// (materialized or not — the mapping exists either way).
+// mapped view's arrays.
 func (sf *ShardedFrozen) MappedBytes() int64 {
 	var n int64
-	for i, ft := range sf.shards {
-		if ft != nil {
-			n += ft.MappedBytes()
-			continue
-		}
-		if sf.lazy != nil && sf.lazy[i] != nil {
-			n += sf.lazy[i].bytes
-		}
+	for _, ft := range sf.shards {
+		n += ft.MappedBytes()
 	}
 	return n
 }
 
-// Shard returns shard i's frozen table. On a lazy table it forces the
-// shard's fault-in and returns nil when that fails; error-aware
-// callers (the query path, serialization) use ShardChecked.
-func (sf *ShardedFrozen) Shard(i int) *FrozenTable {
-	ft, _ := sf.ShardChecked(i)
-	return ft
-}
-
-// ShardChecked returns shard i's frozen table, materializing a lazy
-// shard on first use. A fault-in failure (checksum mismatch, corrupt
-// payload) is sticky: every subsequent call for that shard returns the
-// same error.
-func (sf *ShardedFrozen) ShardChecked(i int) (*FrozenTable, error) {
-	if sf.lazy != nil {
-		if ls := sf.lazy[i]; ls != nil {
-			return ls.materialize()
-		}
-	}
-	return sf.shards[i], nil
-}
+// Shard returns shard i's frozen table.
+func (sf *ShardedFrozen) Shard(i int) *FrozenTable { return sf.shards[i] }
 
 // Lookup routes ⟨t, w⟩ to its shard and returns the posting list (nil
-// when absent). The returned slice must not be modified. This
-// single-probe convenience treats a shard whose fault-in failed as
-// absent; queries go through ShardChecked per touched shard, which is
-// where such a failure is surfaced.
+// when absent). The returned slice must not be modified.
 //
 //jem:hotpath
 func (sf *ShardedFrozen) Lookup(t int, w kmer.Word) []Posting {
-	ft, err := sf.ShardChecked(ShardOf(t, w, len(sf.shards)))
-	if err != nil || ft == nil {
-		return nil
-	}
-	return ft.Lookup(t, w)
+	return sf.shards[ShardOf(t, w, len(sf.shards))].Lookup(t, w)
 }

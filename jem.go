@@ -22,7 +22,6 @@
 package jem
 
 import (
-	"cmp"
 	"context"
 	"io"
 	"strconv"
@@ -72,9 +71,9 @@ type Options struct {
 	// load, and bounds per-shard memory. 0 and 1 mean unsharded.
 	Shards int
 	// Memory selects how an index loaded through Open(IndexPath) is
-	// held: fully decoded on the heap, served zero-copy from a shared
-	// read-only file mapping, or split between the two under a resident
-	// byte budget. It only affects index loads — a build from contigs is
+	// held: fully decoded on the heap or served zero-copy from a shared
+	// read-only file mapping; either way every shard is verified at
+	// open. It only affects index loads — a build from contigs is
 	// always heap-resident. JEMIDX06 is the only index format; a file
 	// with an older magic (JEMIDX02–05) is refused by name and must be
 	// rebuilt. See docs/MEMORY.md.
@@ -239,11 +238,7 @@ func (o MapOptions) validate() error {
 //
 // When ctx is cancelled the workers stop early and the call returns
 // the mappings of every read completed so far together with ctx.Err();
-// a nil error means the full read set was mapped. A non-cancellation
-// error means the serving index degraded mid-batch (a load-on-demand
-// shard of a budgeted open failed its fault-in verification); the
-// returned mappings are still well-formed but computed without the
-// lost shard's postings.
+// a nil error means the full read set was mapped.
 func (m *Mapper) Map(ctx context.Context, reads []Record, opts MapOptions) ([]Mapping, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -341,17 +336,7 @@ func LoadMapper(r io.Reader, contigs []Record) (*Mapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	met := newMapperMetrics(reg, cm)
-	p := cm.Sketcher().Params()
-	opts := Options{
-		K: p.K, W: p.W, Trials: p.T, SegmentLen: p.L, Seed: p.Seed,
-		HashOrdering: p.Order == minimizer.OrderHash,
-		Metrics:      reg,
-	}
-	if sh := cm.Shards(); sh > 1 {
-		opts.Shards = sh
-	}
-	return &Mapper{opts: opts, core: cm, contigs: contigs, reg: reg, met: met}, nil
+	return loadedMapper(cm, reg, 0, Memory{}, contigs, nil), nil
 }
 
 // TiledMapping is one interior-tile hit of MapReadTiled.
@@ -368,9 +353,7 @@ type TiledMapping struct {
 // — the extension the paper flags for detecting contigs contained in a
 // read's interior, which end-segment mapping cannot see. Unmapped tiles
 // are omitted. It runs under Map's contract: on cancellation the tiles
-// mapped so far come back with ctx.Err(), and an error wrapping
-// ErrIndexChecksum means the index degraded and the tiles were mapped
-// without a lost shard's postings.
+// mapped so far come back with ctx.Err().
 func (m *Mapper) MapReadTiled(ctx context.Context, read []byte, stride int) ([]TiledMapping, error) {
 	sess := m.core.NewSession().WithContext(ctx)
 	tiles := sess.MapReadTiled(read, m.opts.SegmentLen, stride)
@@ -384,7 +367,7 @@ func (m *Mapper) MapReadTiled(ctx context.Context, read []byte, stride int) ([]T
 			SharedTrials: int(th.Count),
 		}
 	}
-	return out, cmp.Or(sess.Err(), ctx.Err())
+	return out, ctx.Err()
 }
 
 // ContainedContigs returns the distinct contigs hit by the read's
@@ -398,7 +381,7 @@ func (m *Mapper) ContainedContigs(ctx context.Context, read []byte) ([]int, erro
 	for i, id := range ids {
 		out[i] = int(id)
 	}
-	return out, cmp.Or(sess.Err(), ctx.Err())
+	return out, ctx.Err()
 }
 
 // tsvHeader is the first line of every TSV mapping table.

@@ -12,11 +12,8 @@ import (
 type MemoryMode uint8
 
 const (
-	// MemoryAuto serves the index from a read-only file mapping and,
-	// when Memory.Budget is positive, copies shards onto the heap until
-	// the budget is spent — remaining shards stay load-on-demand
-	// (verified on their first query). With no budget it behaves like
-	// MemoryMMap. Hosts without mmap fall back to a full heap load.
+	// MemoryAuto is the default: it serves like MemoryMMap on a host
+	// with mmap and falls back to a full heap load elsewhere.
 	MemoryAuto MemoryMode = iota
 	// MemoryHeap reads the whole index into process-private memory at
 	// open — the classic load, largest footprint.
@@ -55,21 +52,17 @@ func ParseMemoryMode(s string) (MemoryMode, error) {
 	}
 }
 
-// Memory is the memory-budget contract an index open honors (see
+// Memory is the memory contract an index open honors (see
 // Options.Memory and docs/MEMORY.md).
 type Memory struct {
 	// Mode picks the serving residency. The zero value (MemoryAuto)
 	// serves JEMIDX06 indexes from mmap.
 	Mode MemoryMode
-	// Budget caps the resident heap bytes MemoryAuto may spend decoding
-	// shards; ≤0 means "no heap, map everything". Only meaningful with
-	// MemoryAuto.
-	Budget int64
 }
 
 // spec projects the facade option onto the core contract.
 func (mm Memory) spec() core.MemorySpec {
-	return core.MemorySpec{Mode: core.MemoryMode(mm.Mode), Budget: mm.Budget}
+	return core.MemorySpec{Mode: core.MemoryMode(mm.Mode)}
 }
 
 // validate checks the Memory fields alone — the piece of
@@ -78,59 +71,20 @@ func (mm Memory) spec() core.MemorySpec {
 func (mm Memory) validate() error {
 	switch mm.Mode {
 	case MemoryAuto, MemoryHeap, MemoryMMap:
-	default:
-		return optErr("Memory.Mode", mm.Mode, "is not a known MemoryMode")
+		return nil
 	}
-	if mm.Budget < 0 {
-		return optErr("Memory.Budget", mm.Budget, "must be ≥ 0 (0 means no heap budget)")
-	}
-	if mm.Budget > 0 && mm.Mode != MemoryAuto {
-		return optErr("Memory.Budget", mm.Budget,
-			fmt.Sprintf("only applies to MemoryAuto (mode is %s, which ignores a budget)", mm.Mode))
-	}
-	return nil
-}
-
-// ShardMemory records where one shard of an open index lives.
-type ShardMemory uint8
-
-const (
-	// ShardHeap: decoded into private memory at open.
-	ShardHeap ShardMemory = iota
-	// ShardMapped: zero-copy view over the file mapping, verified at
-	// open.
-	ShardMapped
-	// ShardLazy: mapped but not yet built; its view is constructed —
-	// and CRC-verified — on the shard's first query.
-	ShardLazy
-)
-
-func (sm ShardMemory) String() string {
-	switch sm {
-	case ShardHeap:
-		return "heap"
-	case ShardMapped:
-		return "mapped"
-	case ShardLazy:
-		return "lazy"
-	default:
-		return fmt.Sprintf("ShardMemory(%d)", uint8(sm))
-	}
+	return optErr("Memory.Mode", mm.Mode, "is not a known MemoryMode")
 }
 
 // MemoryInfo reports what an index open actually did with memory: the
-// residency of each shard and the resulting split of the index's bytes
-// into resident (private heap) and mapped (file-backed, shareable).
-// The split is the open-time snapshot; Mapper.IndexMemory reports the
-// live values, which grow as lazy shards fault in.
+// split of the index's bytes into resident (private heap) and mapped
+// (file-backed, shareable). Every shard is verified at open and keeps
+// its residence for the mapper's lifetime.
 type MemoryInfo struct {
 	// Mode is the mode the open ran under (the requested mode, or
 	// MemoryHeap when the path taken cannot map — a build from contigs,
 	// a host without mmap).
 	Mode MemoryMode
-	// Shards is the per-shard residency, in shard order. Empty when the
-	// mapper has no local shards (remote serving).
-	Shards []ShardMemory
 	// ResidentBytes and MappedBytes split the index's backing arrays by
 	// where they live.
 	ResidentBytes int64
@@ -138,26 +92,16 @@ type MemoryInfo struct {
 }
 
 // memInfoFromCore converts the core report, stamping the effective
-// mode: a report with no mapped bytes and no lazy shards came off the
-// heap path regardless of what was requested.
+// mode: a report with no mapped bytes came off the heap path
+// regardless of what was requested.
 func memInfoFromCore(requested MemoryMode, ci core.MemoryInfo) MemoryInfo {
 	info := MemoryInfo{
 		Mode:          requested,
 		ResidentBytes: ci.Resident,
 		MappedBytes:   ci.Mapped,
 	}
-	if len(ci.Shards) > 0 {
-		info.Shards = make([]ShardMemory, len(ci.Shards))
-		mapped := false
-		for i, r := range ci.Shards {
-			info.Shards[i] = ShardMemory(r)
-			if r != core.ResidenceHeap {
-				mapped = true
-			}
-		}
-		if !mapped {
-			info.Mode = MemoryHeap
-		}
+	if ci.Mapped == 0 {
+		info.Mode = MemoryHeap
 	}
 	return info
 }
@@ -165,19 +109,13 @@ func memInfoFromCore(requested MemoryMode, ci core.MemoryInfo) MemoryInfo {
 // heapMemoryInfo summarizes a mapper that was built (or loaded)
 // entirely onto the heap.
 func heapMemoryInfo(m *Mapper) MemoryInfo {
-	info := MemoryInfo{Mode: MemoryHeap}
-	if m.core.Remote() == nil {
-		info.Shards = make([]ShardMemory, m.core.Shards())
-	}
-	info.ResidentBytes, info.MappedBytes = m.core.IndexMemory()
-	return info
+	resident, mapped := m.core.IndexMemory()
+	return MemoryInfo{Mode: MemoryHeap, ResidentBytes: resident, MappedBytes: mapped}
 }
 
 // IndexMemory splits IndexBytes into resident (process-private heap)
-// and mapped (file-backed via mmap, shared across processes) bytes —
-// the live values, which move as lazy shards of a budgeted open fault
-// in. A heap-loaded index is all resident; an mmap-served one is all
-// mapped.
+// and mapped (file-backed via mmap, shared across processes) bytes. A
+// heap-loaded index is all resident; an mmap-served one is all mapped.
 func (m *Mapper) IndexMemory() (resident, mapped int64) {
 	return m.core.IndexMemory()
 }

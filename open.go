@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/minimizer"
@@ -159,18 +160,7 @@ func openRemote(opts OpenOptions) (*Mapper, error) {
 			meta.Shards, meta.T, meta.NumSubjects, meta.ManifestCRC)
 	}
 	cm.SetRemote(coord)
-	met := newMapperMetrics(reg, cm)
-	p := cm.Sketcher().Params()
-	o := Options{
-		K: p.K, W: p.W, Trials: p.T, SegmentLen: p.L, Seed: p.Seed,
-		HashOrdering: p.Order == minimizer.OrderHash,
-		Metrics:      reg,
-		Workers:      opts.Options.Workers,
-	}
-	if meta.Shards > 1 {
-		o.Shards = meta.Shards
-	}
-	return &Mapper{opts: o, core: cm, contigs: opts.Contigs, reg: reg, met: met, closer: coord}, nil
+	return loadedMapper(cm, reg, opts.Options.Workers, Memory{}, opts.Contigs, coord), nil
 }
 
 // openIndexFile loads the index file honoring the Memory spec and
@@ -193,18 +183,26 @@ func openIndexFile(opts OpenOptions) (*Mapper, MemoryInfo, error) {
 		return nil, MemoryInfo{}, fmt.Errorf("jem: loading index: %w", err)
 	}
 	sp.End()
-	met := newMapperMetrics(reg, cm)
+	m := loadedMapper(cm, reg, opts.Options.Workers, opts.Options.Memory, opts.Contigs, closer)
+	return m, memInfoFromCore(opts.Options.Memory.Mode, ci), nil
+}
+
+// loadedMapper wraps a core mapper loaded from an index — a stream, a
+// file, or a manifest behind a shard fleet — in the facade. The index
+// supplies the sketch parameters; the caller supplies the serving
+// knobs, the contig records and the closer that releases the serving
+// backend (a mapping or a fleet's connections; nil when none).
+func loadedMapper(cm *core.Mapper, reg *obs.Registry, workers int, mem Memory, contigs []Record, closer io.Closer) *Mapper {
 	p := cm.Sketcher().Params()
 	o := Options{
 		K: p.K, W: p.W, Trials: p.T, SegmentLen: p.L, Seed: p.Seed,
 		HashOrdering: p.Order == minimizer.OrderHash,
 		Metrics:      reg,
-		Workers:      opts.Options.Workers,
-		Memory:       opts.Options.Memory,
+		Workers:      workers,
+		Memory:       mem,
 	}
 	if sh := cm.Shards(); sh > 1 {
 		o.Shards = sh
 	}
-	m := &Mapper{opts: o, core: cm, contigs: opts.Contigs, reg: reg, met: met, closer: closer}
-	return m, memInfoFromCore(opts.Options.Memory.Mode, ci), nil
+	return &Mapper{opts: o, core: cm, contigs: contigs, reg: reg, met: newMapperMetrics(reg, cm), closer: closer}
 }

@@ -7,8 +7,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro"
@@ -40,21 +38,18 @@ func savedIndexWorld(t *testing.T, p int) (idx string, built *jem.Mapper, wantTS
 }
 
 // TestOpenMemoryByteIdentity is the tentpole property: an index served
-// from a read-only mapping — fully mapped, or budgeted with lazy
-// shards — is indistinguishable from the heap load and from the mapper
-// that built it: identical TSV bytes and identical PostingsScanned, at
-// several shard counts.
+// from a read-only mapping is indistinguishable from the heap load and
+// from the mapper that built it — identical TSV bytes and identical
+// PostingsScanned, at several shard counts — and each open reports the
+// one residence it chose (heap: all resident; mmap and auto: all
+// mapped).
 func TestOpenMemoryByteIdentity(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
 		idx, built, wantTSV, wantStats, reads := savedIndexWorld(t, p)
-		budget := built.IndexBytes() / 2
-		if budget < 1 {
-			budget = 1
-		}
 		for _, mem := range []jem.Memory{
 			{Mode: jem.MemoryHeap},
 			{Mode: jem.MemoryMMap},
-			{Mode: jem.MemoryAuto, Budget: budget},
+			{Mode: jem.MemoryAuto},
 		} {
 			opts := jem.Options{Memory: mem}
 			m, info, err := jem.Open(jem.OpenOptions{IndexPath: idx, Options: opts})
@@ -64,9 +59,7 @@ func TestOpenMemoryByteIdentity(t *testing.T) {
 			if !info.FromIndex {
 				t.Fatalf("p=%d %v: not loaded from the index", p, mem)
 			}
-			if got := len(info.Memory.Shards); got != max(p, 1) {
-				t.Fatalf("p=%d %v: %d shard residences", p, mem, got)
-			}
+			resident, mapped := m.IndexMemory()
 			switch mem.Mode {
 			case jem.MemoryHeap:
 				if info.Memory.Mode != jem.MemoryHeap || info.Memory.MappedBytes != 0 {
@@ -74,15 +67,17 @@ func TestOpenMemoryByteIdentity(t *testing.T) {
 				}
 				// Heap tables are views over heap buffers: they must
 				// still count as resident, every byte of them.
-				if r, mp := m.IndexMemory(); mp != 0 || r != built.IndexBytes() || r != m.IndexBytes() {
-					t.Fatalf("p=%d heap: IndexMemory %d resident / %d mapped, index is %d bytes", p, r, mp, built.IndexBytes())
+				if mapped != 0 || resident != built.IndexBytes() || resident != m.IndexBytes() {
+					t.Fatalf("p=%d heap: IndexMemory %d resident / %d mapped, index is %d bytes", p, resident, mapped, built.IndexBytes())
 				}
-			case jem.MemoryMMap:
-				if info.Memory.Mode != jem.MemoryMMap || info.Memory.MappedBytes <= 0 {
-					t.Fatalf("p=%d mmap: info %+v", p, info.Memory)
+			default: // mmap, and auto on a host with mmap
+				if info.Memory.Mode != mem.Mode || info.Memory.MappedBytes <= 0 {
+					t.Fatalf("p=%d %v: info %+v", p, mem.Mode, info.Memory)
+				}
+				if resident != 0 || mapped != m.IndexBytes() {
+					t.Fatalf("p=%d %v: IndexMemory %d resident / %d mapped, index is %d bytes", p, mem.Mode, resident, mapped, m.IndexBytes())
 				}
 			}
-			resident, mapped := m.IndexMemory()
 			if resident != info.Memory.ResidentBytes || mapped != info.Memory.MappedBytes {
 				t.Fatalf("p=%d %v: IndexMemory %d/%d != open-time %d/%d",
 					p, mem, resident, mapped, info.Memory.ResidentBytes, info.Memory.MappedBytes)
@@ -113,9 +108,6 @@ func TestOpenMemoryByteIdentity(t *testing.T) {
 func TestOpenMemoryValidation(t *testing.T) {
 	idx, _, _, _, _ := savedIndexWorld(t, 2)
 	bad := []jem.Memory{
-		{Mode: jem.MemoryHeap, Budget: 1 << 20}, // budget without auto
-		{Mode: jem.MemoryMMap, Budget: 1},
-		{Budget: -1},
 		{Mode: jem.MemoryMode(42)},
 	}
 	for _, mem := range bad {
@@ -189,74 +181,6 @@ func TestOpenMemoryInfoOnBuildAndRebuild(t *testing.T) {
 	if !bytes.Equal(tsv.Bytes(), wantTSV.Bytes()) {
 		t.Fatal("rebuilt mapper output differs from the original build")
 	}
-}
-
-// TestStreamSurfacesFaultInFailure: when a budgeted open's lazy shard
-// fails its deferred CRC verification mid-stream, the run completes
-// degraded in every format — full output shape, lost shards named in
-// Stats.ShardsLost — and returns an error wrapping ErrIndexChecksum so
-// callers know the answer was not exact.
-func TestStreamSurfacesFaultInFailure(t *testing.T) {
-	ds, _ := distWorld(t)
-	// P = 1 is the case the one-scan path made reachable: the only
-	// shard goes lazy, is lost, and the run still completes.
-	for _, p := range []int{4, 1} {
-		idx, _, _, _, reads := savedIndexWorld(t, p)
-		for _, format := range []jem.Format{jem.FormatTSV, jem.FormatPAF, jem.FormatSAM, jem.FormatNDJSON} {
-			// A fresh open per format: a lost shard stays lost.
-			m, info, err := jem.Open(jem.OpenOptions{
-				IndexPath: idx,
-				Contigs:   ds.Contigs,
-				Options:   jem.Options{Memory: jem.Memory{Mode: jem.MemoryAuto, Budget: 1}},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var lazy int
-			for _, r := range info.Memory.Shards {
-				if r == jem.ShardLazy {
-					lazy++
-				}
-			}
-			if lazy == 0 {
-				t.Skipf("no lazy shards on this platform (residences %v)", info.Memory.Shards)
-			}
-
-			fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
-			var out bytes.Buffer
-			stats, err := m.Stream(context.Background(), bytes.NewReader(reads), &out, jem.StreamOptions{Format: format})
-			fault.Reset()
-			if cerr := m.Close(); cerr != nil {
-				t.Fatal(cerr)
-			}
-			if err == nil {
-				t.Fatalf("p=%d %v: poisoned fault-in surfaced no error", p, format)
-			}
-			if !errors.Is(err, jem.ErrIndexChecksum) {
-				t.Fatalf("p=%d %v: stream error %v does not wrap ErrIndexChecksum", p, format, err)
-			}
-			if len(stats.ShardsLost) == 0 {
-				t.Fatalf("p=%d %v: degraded run named no lost shards", p, format)
-			}
-			if p == 1 && !reflect.DeepEqual(stats.ShardsLost, []int{0}) {
-				t.Fatalf("p=1 %v: ShardsLost = %v, want [0]", format, stats.ShardsLost)
-			}
-			// Degraded output keeps its shape: the format's header, then
-			// whole rows (PAF has none for unmapped segments), never a
-			// torn file.
-			header := map[jem.Format]string{jem.FormatTSV: "read_id", jem.FormatSAM: "@HD"}[format]
-			if got := out.String(); !strings.HasPrefix(got, header) || (got != "" && !strings.HasSuffix(got, "\n")) {
-				t.Fatalf("p=%d %v: degraded output lost its shape: %q", p, format, firstLine(got))
-			}
-		}
-	}
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // TestSharedMappingTwoProcesses: two independent jem-mapper processes

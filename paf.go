@@ -27,9 +27,7 @@ type PositionalMapping struct {
 // MapReadsPositional maps both end segments of every read and
 // augments each mapping with positional and strand estimates. It runs
 // under Map's contract: on cancellation the completed prefix comes back
-// with ctx.Err(), and an error wrapping ErrIndexChecksum means the
-// index degraded mid-batch and the rows were computed without a lost
-// shard's postings.
+// with ctx.Err().
 func (m *Mapper) MapReadsPositional(ctx context.Context, reads []Record) ([]PositionalMapping, error) {
 	return core.MapEnds(ctx, reads, m.opts.SegmentLen, m.opts.Workers, m.session(ctx), m.positionalEnd)
 }

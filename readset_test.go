@@ -3,9 +3,7 @@ package jem_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -13,7 +11,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/seq"
 )
 
@@ -175,100 +172,6 @@ func TestMetamorphicReverseComplement(t *testing.T) {
 					t.Fatalf("%s: read %d end %d maps to %q×%d, its reverse complement's other end to %q×%d",
 						path.name, i, e, a.contig, a.count, b.contig, b.count)
 				}
-			}
-		}
-	}
-}
-
-// TestReadSetSurfacesFaultInFailure extends TestStreamSurfacesFaultInFailure
-// to the batch entry points: when a budgeted open's lazy shard fails
-// its deferred CRC verification, Map and MapReadsPositional still
-// return one well-formed row per end segment, and they, MapReadTiled
-// and ContainedContigs return an error wrapping ErrIndexChecksum that
-// says the answer is degraded.
-func TestReadSetSurfacesFaultInFailure(t *testing.T) {
-	contigs, reads := readSetWorld(t)
-	ctx := context.Background()
-	// eachRead runs a one-read method over every read and returns its
-	// first error; rows -1 says tiles, which omit unmapped ones, have no
-	// fixed count.
-	eachRead := func(call func(read []byte) error) (int, error) {
-		var first error
-		for _, r := range reads {
-			if err := call(r.Seq); err != nil && first == nil {
-				first = err
-			}
-		}
-		return -1, first
-	}
-	paths := map[string]func(m *jem.Mapper) (rows int, err error){
-		"Map": func(m *jem.Mapper) (int, error) {
-			ms, err := m.Map(ctx, reads, jem.MapOptions{})
-			return len(ms), err
-		},
-		"MapReadsPositional": func(m *jem.Mapper) (int, error) {
-			pms, err := m.MapReadsPositional(ctx, reads)
-			return len(pms), err
-		},
-		"MapReadTiled": func(m *jem.Mapper) (int, error) {
-			return eachRead(func(read []byte) error {
-				_, err := m.MapReadTiled(ctx, read, 0)
-				return err
-			})
-		},
-		"ContainedContigs": func(m *jem.Mapper) (int, error) {
-			return eachRead(func(read []byte) error {
-				_, err := m.ContainedContigs(ctx, read)
-				return err
-			})
-		},
-	}
-	wantRows := 0
-	for _, r := range reads {
-		segs, _ := core.EndSegments(r.Seq, readSetParams().L)
-		wantRows += len(segs)
-	}
-	for _, p := range []int{1, 4} {
-		opts := jem.DefaultOptions()
-		opts.Shards = p
-		built, err := jem.NewMapper(contigs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := filepath.Join(t.TempDir(), "idx.jem")
-		if err := built.SaveIndexFile(idx); err != nil {
-			t.Fatal(err)
-		}
-		for name, run := range paths {
-			// A fresh open per path: a lost shard stays lost.
-			m, info, err := jem.Open(jem.OpenOptions{
-				IndexPath: idx,
-				Contigs:   contigs,
-				Options:   jem.Options{Memory: jem.Memory{Mode: jem.MemoryAuto, Budget: 1}},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lazy := 0
-			for _, r := range info.Memory.Shards {
-				if r == jem.ShardLazy {
-					lazy++
-				}
-			}
-			if lazy == 0 {
-				t.Skipf("no lazy shards on this platform (residences %v)", info.Memory.Shards)
-			}
-			fault.Set(fault.IndexFaultinByteFlip, fault.Spec{})
-			rows, err := run(m)
-			fault.Reset()
-			if cerr := m.Close(); cerr != nil {
-				t.Fatal(cerr)
-			}
-			if !errors.Is(err, jem.ErrIndexChecksum) {
-				t.Fatalf("p=%d %s: error %v does not wrap ErrIndexChecksum", p, name, err)
-			}
-			if rows >= 0 && rows != wantRows {
-				t.Fatalf("p=%d %s: %d rows, want %d", p, name, rows, wantRows)
 			}
 		}
 	}

@@ -52,13 +52,12 @@ type Stats struct {
 	PostingsScanned int64
 	// ShardsLost is the sorted set of shard ids that failed terminally
 	// during the run: shards of a remote fleet
-	// (OpenOptions.ShardServers) whose query budget was exhausted, or
-	// load-on-demand shards of a memory-budgeted open
-	// (Options.Memory) whose fault-in verification failed. A non-empty
-	// value marks the output as a degraded answer: every row was
-	// produced, but segments whose probes routed to a lost shard were
-	// mapped without that shard's postings (see docs/DISTRIBUTED.md
-	// and docs/MEMORY.md). jem-serve surfaces it as the
+	// (OpenOptions.ShardServers) whose query budget was exhausted. A
+	// local index never loses a shard (every shard is verified at
+	// open). A non-empty value marks the output as a degraded answer:
+	// every row was produced, but segments whose probes routed to a
+	// lost shard were mapped without that shard's postings (see
+	// docs/DISTRIBUTED.md). jem-serve surfaces it as the
 	// X-JEM-Shards-Lost response header.
 	ShardsLost []int
 	// ReadWall is time spent parsing FASTA/FASTQ records.
@@ -309,12 +308,6 @@ func (q *quarantineSidecar) record(line int, id string, cause error) {
 //   - A write error stops output but not accounting: the pipeline
 //     still drains and counts every batch that was mapped, so Stats
 //     reflects the work actually done.
-//   - Index degradation: when a load-on-demand shard of a budgeted
-//     open (Options.Memory) fails its fault-in verification, the
-//     stream completes on the surviving shards — rows stay well-formed
-//     but were mapped without the lost shard's postings — and the
-//     first such error is returned after lower-level errors (write,
-//     batch, read) have had their say.
 //
 // Counters and wall times are recorded into the mapper's obs.Registry
 // (see Metrics) and, independently, into this run's own accumulators;
@@ -354,7 +347,6 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 	var (
 		shardMu  sync.Mutex
 		shardAgg []core.ShardWork
-		indexErr error
 	)
 	// Fault-injection points (no-ops unless a test armed them).
 	r = fault.Reader(r)
@@ -465,14 +457,11 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 				run.addMapWall(mapWall)
 				run.addPostings(sess.PostingsScanned())
 				run.addLostShards(sess.LostShards())
-				shardMu.Lock()
-				if serr := sess.Err(); serr != nil && indexErr == nil {
-					indexErr = serr
-				}
 				if sp != nil {
+					shardMu.Lock()
 					shardAgg = mergeShardWork(shardAgg, sess.ShardWork())
+					shardMu.Unlock()
 				}
-				shardMu.Unlock()
 			}()
 			for item := range work {
 				t0 := time.Now()
@@ -502,8 +491,6 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 		return stats, batchErr
 	case readErr != nil:
 		return stats, readErr
-	case indexErr != nil:
-		return stats, indexErr
 	case sidecar.err != nil:
 		return stats, fmt.Errorf("jem: quarantine sidecar write failed: %w", sidecar.err)
 	}
