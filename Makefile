@@ -134,6 +134,7 @@ metrics-demo:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/seq/
+	$(GO) test -fuzz FuzzChunkedReader -fuzztime $(FUZZTIME) ./internal/seq/
 	$(GO) test -fuzz FuzzAppendExtract -fuzztime $(FUZZTIME) ./internal/minimizer/
 	$(GO) test -fuzz FuzzViewFlatFrozen -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/

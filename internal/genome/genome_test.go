@@ -17,7 +17,7 @@ func TestGenerateBasics(t *testing.T) {
 	if len(g.Seq) != 100_000 {
 		t.Errorf("length %d", len(g.Seq))
 	}
-	if !seq.IsValid(g.Seq) {
+	if seq.CountValid(g.Seq) != len(g.Seq) {
 		t.Error("genome contains invalid bases")
 	}
 	if len(g.Records) != 1 || g.Records[0].ID != "t.chr1" {

@@ -20,12 +20,16 @@ const hotPathMarker = "//jem:hotpath"
 var requiredHotPaths = map[string][]string{
 	"repro": {
 		"rowFormat.drainStreamResults",
+		"streamWork.read",
 		"appendTSVRow",
 	},
 	"repro/internal/core": {
 		"Session.MapSegmentPositional",
 		"Session.mapSegment",
 		"Session.mapSegmentPositional",
+	},
+	"repro/internal/seq": {
+		"Reader.cutFASTQ",
 	},
 	"repro/internal/minimizer": {
 		"AppendExtract",

@@ -62,262 +62,311 @@ func (f Format) String() string {
 	}
 }
 
-// Reader streams Records from FASTA or FASTQ input. The format is
-// sniffed from the first non-empty byte.
+// Reader cuts FASTA or FASTQ input, its format sniffed from the first
+// non-blank byte, into records. Read returns each as a Record of its
+// own, copied out and upper-cased. Cut copies no base: it returns the
+// next record as a Span of the chunk buffer it was cut into, and Chunk
+// hands that buffer off, so a pipeline can pass a batch of records to a
+// worker as one buffer plus their spans.
 type Reader struct {
-	br     *bufio.Reader
+	src    io.Reader
+	buf    []byte // the chunk: buf[:off] consumed, buf[off:] read ahead
+	off    int
+	err    error // of the last src.Read, returned once after its bytes, as by bufio.Reader
 	format Format
 	line   int
-	// Strict causes Read to fail on ambiguous (non-ACGT) bases. When
-	// false (the default) such bases are preserved verbatim.
-	Strict bool
+	// MaxLen, when > 0, makes a record longer than MaxLen bases a
+	// RecordError, reported on the record's last line.
+	MaxLen int
 }
+
+// chunkSize is a new chunk's capacity and the most one src.Read asks
+// for, which bounds the read-ahead a chunk hands on.
+const chunkSize = 1 << 16
 
 // NewReader wraps r in a sequence Reader.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{src: r, buf: make([]byte, 0, chunkSize)}
 }
 
+// Span is a record cut by Cut, as ranges of its chunk: ID and Desc
+// split from the header as Record's are, Seq the trimmed sequence in
+// input case (a multi-line FASTA record's lines joined in place), Qual
+// the trimmed quality line.
+type Span struct{ ID, Desc, Seq, Qual Range }
+
+// Range is the byte range [Lo, Hi) of a chunk.
+type Range struct{ Lo, Hi int }
+
+// Len returns the range's length.
+func (g Range) Len() int { return g.Hi - g.Lo }
+
+// Of returns the range's bytes of chunk.
+func (g Range) Of(chunk []byte) []byte { return chunk[g.Lo:g.Hi] }
+
 // Line returns the 1-based number of the last input line consumed —
-// after a failed Read, the line where the problem was detected.
+// after a failed Read or Cut, the line where the problem was detected.
 func (r *Reader) Line() int { return r.line }
 
-func (r *Reader) sniff() error {
-	for {
-		b, err := r.br.ReadByte()
-		if err != nil {
-			return err
-		}
-		switch b {
-		case '\n', '\r', ' ', '\t':
-			continue
-		case '>':
-			r.format = FormatFASTA
-		case '@':
-			r.format = FormatFASTQ
-		default:
-			return &RecordError{Line: r.line + 1, Msg: fmt.Sprintf("cannot sniff format: leading byte %q", b)}
-		}
-		return r.br.UnreadByte()
+// Chunk returns the chunk every Span cut since the last Chunk call
+// indexes into: whole records, whose bytes its owner may rewrite.
+// Cutting goes on in next's storage or, when next is too small for the
+// input read ahead, in a new buffer as large as the chunk handed off.
+func (r *Reader) Chunk(next []byte) []byte {
+	chunk, ahead := r.buf[:r.off], r.buf[r.off:]
+	if cap(next) < len(ahead) {
+		next = make([]byte, 0, max(len(ahead), cap(r.buf)))
 	}
+	r.buf, r.off = append(next[:0], ahead...), 0
+	return chunk
+}
+
+// fill reads once into buf unless a read error is pending, first
+// growing a full buf. Growth keeps every offset, so a chunk grows only
+// while its batch or one record does not fit. It reports whether it
+// read.
+func (r *Reader) fill() bool {
+	if r.err != nil {
+		return false
+	}
+	if len(r.buf) == cap(r.buf) {
+		r.buf = append(make([]byte, 0, max(2*cap(r.buf), chunkSize)), r.buf...)
+	}
+	free := r.buf[len(r.buf):min(cap(r.buf), len(r.buf)+chunkSize)]
+	for range 100 { // bufio's bound on reads that return nothing
+		n, err := r.src.Read(free)
+		if r.buf, r.err = r.buf[:len(r.buf)+n], err; n > 0 || err != nil {
+			return true
+		}
+	}
+	r.err = io.ErrNoProgress
+	return true
+}
+
+// peek returns the next unconsumed byte, reading for one if need be, or
+// else the pending read error, which it clears.
+func (r *Reader) peek() (b byte, err error) {
+	for r.off == len(r.buf) {
+		if !r.fill() {
+			err, r.err = r.err, nil
+			return 0, err
+		}
+	}
+	return r.buf[r.off], nil
+}
+
+// readLine consumes one line, as bufio.Reader.ReadBytes('\n') does, and
+// returns its bounds without the trailing '\r' and '\n' bytes. err is
+// io.EOF only when no line was left; an I/O error comes with the
+// partial line before it.
+func (r *Reader) readLine() (lo, hi int, err error) {
+	lo, hi = r.off, r.off
+	for {
+		if i := bytes.IndexByte(r.buf[hi:], '\n'); i >= 0 {
+			hi += i + 1
+			break
+		}
+		if hi = len(r.buf); !r.fill() {
+			err, r.err = r.err, nil
+			break
+		}
+	}
+	if hi == lo {
+		return lo, hi, err
+	}
+	r.off = hi
+	r.line++
+	for hi > lo && (r.buf[hi-1] == '\n' || r.buf[hi-1] == '\r') {
+		hi--
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	return lo, hi, err
 }
 
 // Resync discards input up to the next plausible record start — a line
 // beginning with the format's header byte ('>' for FASTA, '@' for
 // FASTQ, either while the format is still unknown) — so a caller that
-// chose to skip a malformed record (Read returned a RecordError) can
-// continue reading. Returns io.EOF when the input ends first.
-//
-// Resynchronization is best-effort: a FASTQ quality line may
-// legitimately begin with '@', so Resync can land on a non-header
-// line. The next Read then reports another RecordError and the caller
-// may Resync again; every failed Read/Resync pair consumes at least
-// one line (or one byte), so the skip loop always terminates.
+// chose to skip a malformed record (a RecordError) can continue. It
+// returns io.EOF when the input ends first. A FASTQ quality line may
+// begin with '@', so Resync can land on a non-header line; the next
+// record is then another RecordError. Every failed Read/Resync pair
+// consumes at least a line or a byte, so a skip loop terminates.
 func (r *Reader) Resync() error {
 	for {
-		peek, err := r.br.Peek(1)
-		if err != nil {
-			return err // io.EOF at clean end of input
-		}
-		switch b := peek[0]; {
-		case r.format == FormatFASTA && b == '>':
-			return nil
-		case r.format == FormatFASTQ && b == '@':
-			return nil
-		case r.format == FormatUnknown && (b == '>' || b == '@'):
+		b, err := r.peek()
+		switch {
+		case err != nil:
+			return err
+		case r.format == FormatFASTA && b == '>', r.format == FormatFASTQ && b == '@',
+			r.format == FormatUnknown && (b == '>' || b == '@'):
 			return nil
 		}
-		if _, err := r.readLine(); err != nil && err != io.EOF {
+		if _, _, err := r.readLine(); err != nil && err != io.EOF {
 			return err
 		}
 	}
 }
 
-func splitHeader(line string) (id, desc string) {
-	line = strings.TrimSpace(line)
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		return line[:i], strings.TrimSpace(line[i+1:])
+// trim returns the bounds of bytes.TrimSpace(buf[lo:hi]).
+func trim(buf []byte, lo, hi int) Range {
+	t := bytes.TrimSpace(buf[lo:hi])
+	if len(t) == 0 {
+		return Range{lo, lo}
 	}
-	return line, ""
+	lo += cap(buf[lo:hi]) - cap(t) // t is a subslice: where it starts
+	return Range{lo, lo + len(t)}
 }
 
-// readLine reads one line, stripping the trailing newline and CR.
-func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadBytes('\n')
-	if len(line) > 0 {
-		r.line++
-		line = bytes.TrimRight(line, "\r\n")
-		if err == io.EOF {
-			err = nil
-		}
-	}
-	return line, err
+// errorf is a RecordError on the current line, in the record with
+// header ID id (the zero Range: none parsed yet).
+func (r *Reader) errorf(id Range, format string, args ...any) error {
+	return &RecordError{Line: r.line, ID: string(id.Of(r.buf)), Msg: fmt.Sprintf(format, args...)}
 }
 
 // Read returns the next record, or io.EOF when the input is exhausted.
 func (r *Reader) Read() (Record, error) {
-	if r.format == FormatUnknown {
-		if err := r.sniff(); err != nil {
-			if err == io.EOF {
-				return Record{}, io.EOF
-			}
-			return Record{}, err
-		}
+	if r.off >= cap(r.buf)/2 {
+		r.Chunk(r.buf) // records returned need no bytes: slide the read-ahead to the front
 	}
-	switch r.format {
-	case FormatFASTA:
-		return r.readFASTA()
-	default:
-		return r.readFASTQ()
+	sp, err := r.Cut()
+	if err != nil {
+		return Record{}, err
 	}
+	rec := Record{ID: string(sp.ID.Of(r.buf)), Desc: string(sp.Desc.Of(r.buf)),
+		Seq: Upper(append([]byte(nil), sp.Seq.Of(r.buf)...))}
+	if r.format == FormatFASTQ {
+		rec.Qual = append([]byte(nil), sp.Qual.Of(r.buf)...)
+	}
+	return rec, nil
 }
 
-func (r *Reader) readFASTA() (Record, error) {
-	// Find the header line.
-	var header []byte
-	for {
-		line, err := r.readLine()
-		if err != nil {
-			if err == io.EOF && len(line) == 0 {
-				return Record{}, io.EOF
-			}
-			if err != nil && len(line) == 0 {
-				return Record{}, err
+// Cut cuts the next record into the current chunk and returns its
+// Span, or io.EOF when the input is exhausted. After a RecordError the
+// reader stands past the lines the record consumed.
+func (r *Reader) Cut() (sp Span, err error) {
+	for r.format == FormatUnknown {
+		b, err := r.peek()
+		switch {
+		case err != nil:
+			return sp, err
+		case b == '>':
+			r.format = FormatFASTA
+		case b == '@':
+			r.format = FormatFASTQ
+		default:
+			r.off++
+			if b != '\n' && b != '\r' && b != ' ' && b != '\t' {
+				return sp, &RecordError{Line: r.line + 1, Msg: fmt.Sprintf("cannot sniff format: leading byte %q", b)}
 			}
 		}
-		if len(line) == 0 {
-			if err == io.EOF {
-				return Record{}, io.EOF
-			}
-			continue
-		}
-		if line[0] != '>' {
-			return Record{}, &RecordError{Line: r.line, Msg: fmt.Sprintf("expected FASTA header, got %q", line)}
-		}
-		header = line
-		break
 	}
-	rec := Record{}
-	rec.ID, rec.Desc = splitHeader(string(header[1:]))
-	var sb bytes.Buffer
-	atEOF := false
+	if r.format == FormatFASTA {
+		sp, err = r.cutFASTA()
+	} else {
+		sp, err = r.cutFASTQ()
+	}
+	if err == nil && r.MaxLen > 0 && sp.Seq.Len() > r.MaxLen {
+		err = r.errorf(sp.ID, "record length %d exceeds limit %d", sp.Seq.Len(), r.MaxLen)
+	}
+	return sp, err
+}
+
+// header consumes blank lines and a header line, which must begin with
+// mark, and splits the header's trimmed text into the first space- or
+// tab-delimited token, the ID, and the trimmed rest, the Desc.
+func (r *Reader) header(mark byte, format string) (sp Span, err error) {
+	lo, hi := 0, 0
+	for hi == lo {
+		if lo, hi, err = r.readLine(); hi == lo && err != nil {
+			return sp, err
+		}
+	}
+	if r.buf[lo] != mark {
+		return sp, r.errorf(Range{}, "expected %s header, got %q", format, r.buf[lo:hi])
+	}
+	sp.ID = trim(r.buf, lo+1, hi)
+	if i := bytes.IndexAny(sp.ID.Of(r.buf), " \t"); i >= 0 {
+		sp.ID, sp.Desc = Range{sp.ID.Lo, sp.ID.Lo + i}, trim(r.buf, sp.ID.Lo+i+1, sp.ID.Hi)
+	}
+	return sp, nil
+}
+
+// cutFASTA cuts a header line and the sequence lines up to the next
+// '>' line or EOF, moving each line's trimmed payload back over the
+// line ends and padding before it.
+func (r *Reader) cutFASTA() (Span, error) {
+	sp, err := r.header('>', "FASTA")
+	if err != nil {
+		return sp, err
+	}
+	sp.Seq = Range{r.off, r.off}
 	for {
-		peek, err := r.br.Peek(1)
-		if err == io.EOF {
-			atEOF = true
-			break
+		b, err := r.peek()
+		switch {
+		case err == io.EOF && sp.Seq.Len() == 0:
+			// A header whose sequence never arrived before EOF is a
+			// truncated record (chopped download, partial write) —
+			// reporting it beats silently serving an empty sequence.
+			return sp, r.errorf(sp.ID, "truncated FASTA record: header without sequence data at EOF")
+		case err == io.EOF:
+			return sp, nil
+		case err != nil:
+			return sp, err
+		case b == '>':
+			return sp, nil
 		}
+		lo, hi, err := r.readLine()
 		if err != nil {
-			return Record{}, err
+			return sp, err
 		}
-		if peek[0] == '>' {
-			break
-		}
-		line, err := r.readLine()
-		if err != nil && err != io.EOF {
-			return Record{}, err
-		}
-		payload := bytes.TrimSpace(line)
+		payload := trim(r.buf, lo, hi).Of(r.buf)
 		// A '>' inside sequence data means a malformed record (e.g. a
 		// header preceded by whitespace); accepting it would corrupt
 		// the stream on a write/read round trip.
 		if bytes.IndexByte(payload, '>') >= 0 {
-			return Record{}, &RecordError{Line: r.line, ID: rec.ID, Msg: "'>' inside sequence data"}
+			return sp, r.errorf(sp.ID, "'>' inside sequence data")
 		}
-		sb.Write(payload)
+		sp.Seq.Hi += copy(r.buf[sp.Seq.Hi:], payload)
+	}
+}
+
+// fastqLines names the lines after a FASTQ header.
+var fastqLines = [3]string{"sequence", "'+' separator", "quality"}
+
+// cutFASTQ is the cutter's record loop over FASTQ, the long-read
+// format: a header and exactly three more lines, the sequence and
+// quality lines checked for equal length and left in place.
+//
+//jem:hotpath
+func (r *Reader) cutFASTQ() (Span, error) {
+	sp, err := r.header('@', "FASTQ")
+	if err != nil {
+		return sp, err
+	}
+	var lines [3]Range
+	for i := range lines {
+		lo, hi, err := r.readLine()
+		// EOF before all four lines exist is a truncated final record
+		// and must be an error, not a silent accept (e.g. "@r\n\n+\n"
+		// parsing as an empty record).
 		if err == io.EOF {
-			atEOF = true
-			break
+			return sp, r.errorf(sp.ID, "truncated FASTQ record: unexpected EOF before %s line", fastqLines[i])
 		}
-	}
-	// A header whose sequence never arrived before EOF is a truncated
-	// record (chopped download, partial write) — reporting it beats
-	// silently serving an empty sequence.
-	if atEOF && sb.Len() == 0 {
-		return Record{}, &RecordError{Line: r.line, ID: rec.ID,
-			Msg: "truncated FASTA record: header without sequence data at EOF"}
-	}
-	rec.Seq = Upper(sb.Bytes())
-	if err := r.check(rec); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
-}
-
-func (r *Reader) readFASTQ() (Record, error) {
-	var header []byte
-	for {
-		line, err := r.readLine()
 		if err != nil {
-			if len(line) == 0 {
-				if err == io.EOF {
-					return Record{}, io.EOF
-				}
-				return Record{}, err
-			}
+			return sp, err
 		}
-		if len(line) == 0 {
-			continue
+		if i == 1 && (hi == lo || r.buf[lo] != '+') {
+			return sp, r.errorf(sp.ID, "expected '+' separator")
 		}
-		if line[0] != '@' {
-			return Record{}, &RecordError{Line: r.line, Msg: fmt.Sprintf("expected FASTQ header, got %q", line)}
-		}
-		header = line
-		break
+		lines[i] = Range{lo, hi}
 	}
-	rec := Record{}
-	rec.ID, rec.Desc = splitHeader(string(header[1:]))
-
-	// A FASTQ record is exactly four lines. EOF before all four exist
-	// is a truncated final record and must be an error, not a silent
-	// accept (e.g. "@r\n\n+\n" used to parse as an empty record) or a
-	// confusing structural message. readLine signals a missing line as
-	// (empty, io.EOF); a present-but-empty line comes back (empty, nil).
-	truncated := func(missing string) error {
-		return &RecordError{Line: r.line, ID: rec.ID,
-			Msg: fmt.Sprintf("truncated FASTQ record: unexpected EOF before %s line", missing)}
+	sp.Seq, sp.Qual = trim(r.buf, lines[0].Lo, lines[0].Hi), trim(r.buf, lines[2].Lo, lines[2].Hi)
+	if sp.Qual.Len() != sp.Seq.Len() {
+		return sp, r.errorf(sp.ID, "qual length %d != seq length %d", sp.Qual.Len(), sp.Seq.Len())
 	}
-	seqLine, err := r.readLine()
-	if err != nil && err != io.EOF {
-		return Record{}, err
-	}
-	if err == io.EOF && len(seqLine) == 0 {
-		return Record{}, truncated("sequence")
-	}
-	plus, err := r.readLine()
-	if err != nil && err != io.EOF {
-		return Record{}, err
-	}
-	if err == io.EOF && len(plus) == 0 {
-		return Record{}, truncated("'+' separator")
-	}
-	if len(plus) == 0 || plus[0] != '+' {
-		return Record{}, &RecordError{Line: r.line, ID: rec.ID, Msg: "expected '+' separator"}
-	}
-	qualLine, err := r.readLine()
-	if err != nil && err != io.EOF {
-		return Record{}, err
-	}
-	if err == io.EOF && len(qualLine) == 0 {
-		return Record{}, truncated("quality")
-	}
-	rec.Seq = Upper(append([]byte(nil), bytes.TrimSpace(seqLine)...))
-	rec.Qual = append([]byte(nil), bytes.TrimSpace(qualLine)...)
-	if len(rec.Qual) != len(rec.Seq) {
-		return Record{}, &RecordError{Line: r.line, ID: rec.ID,
-			Msg: fmt.Sprintf("qual length %d != seq length %d", len(rec.Qual), len(rec.Seq))}
-	}
-	if err := r.check(rec); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
-}
-
-func (r *Reader) check(rec Record) error {
-	if r.Strict && !IsValid(rec.Seq) {
-		return &RecordError{Line: r.line, ID: rec.ID, Msg: "contains non-ACGT bases"}
-	}
-	return nil
+	return sp, nil
 }
 
 // ReadAll reads every record from r until EOF.

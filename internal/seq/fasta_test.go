@@ -89,19 +89,6 @@ func TestReadMalformed(t *testing.T) {
 	}
 }
 
-func TestStrictRejectsAmbiguity(t *testing.T) {
-	r := NewReader(strings.NewReader(">x\nACGNT\n"))
-	r.Strict = true
-	if _, err := r.ReadAll(); err == nil {
-		t.Error("strict reader should reject N")
-	}
-	r2 := NewReader(strings.NewReader(">x\nACGNT\n"))
-	recs, err := r2.ReadAll()
-	if err != nil || string(recs[0].Seq) != "ACGNT" {
-		t.Errorf("lenient reader: %v %q", err, recs)
-	}
-}
-
 func TestCRLFHandling(t *testing.T) {
 	in := ">r1\r\nACGT\r\n>r2\r\nTT\r\n"
 	recs, err := NewReader(strings.NewReader(in)).ReadAll()

@@ -1,12 +1,11 @@
 // Package seq provides DNA sequence primitives shared by every other
 // package in the repository: the 2-bit nucleotide encoding, reverse
-// complementation, validation, and FASTA/FASTQ input and output.
+// complementation, base counts, and FASTA/FASTQ input and output.
 //
 // Sequences are represented as plain []byte over the alphabet
 // {a,c,g,t} (lower or upper case accepted on input; internal
 // representation is upper case A,C,G,T). Ambiguity codes (N and IUPAC
-// letters) are tolerated by the parsers and either preserved or
-// rejected depending on the caller's choice.
+// letters) are preserved verbatim by the parsers.
 package seq
 
 // Code2Base maps a 2-bit code (0..3) to its upper-case base letter.
@@ -75,7 +74,7 @@ func ReverseComplementInPlace(s []byte) {
 	}
 }
 
-// Upper upper-cases s in place and returns it. Only acgt are affected;
+// Upper upper-cases s in place and returns it. Only a-z are affected;
 // other bytes pass through unchanged.
 func Upper(s []byte) []byte {
 	for i, b := range s {
@@ -84,16 +83,6 @@ func Upper(s []byte) []byte {
 		}
 	}
 	return s
-}
-
-// IsValid reports whether every byte of s is an unambiguous DNA base.
-func IsValid(s []byte) bool {
-	for _, b := range s {
-		if base2Code[b] == 0xFF {
-			return false
-		}
-	}
-	return true
 }
 
 // CountValid returns the number of unambiguous DNA bases in s.

@@ -101,21 +101,21 @@ func TestUpper(t *testing.T) {
 	}
 }
 
-func TestIsValidAndCount(t *testing.T) {
-	if !IsValid([]byte("ACGTacgt")) {
-		t.Error("ACGTacgt should be valid")
+func TestCountValid(t *testing.T) {
+	cases := []struct {
+		s    string
+		want int
+	}{
+		{"ACGTacgt", 8},
+		{"ACGNT", 4},
+		{"AC GT", 4},
+		{"ACNNGT", 4},
+		{"", 0},
 	}
-	if IsValid([]byte("ACGNT")) {
-		t.Error("ACGNT should be invalid")
-	}
-	if IsValid([]byte("AC GT")) {
-		t.Error("spaces should be invalid")
-	}
-	if got := CountValid([]byte("ACNNGT")); got != 4 {
-		t.Errorf("CountValid = %d want 4", got)
-	}
-	if !IsValid(nil) {
-		t.Error("empty sequence is vacuously valid")
+	for _, c := range cases {
+		if got := CountValid([]byte(c.s)); got != c.want {
+			t.Errorf("CountValid(%q) = %d want %d", c.s, got, c.want)
+		}
 	}
 }
 

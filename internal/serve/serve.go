@@ -520,7 +520,12 @@ type swapResponse struct {
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req swapRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	// An unknown field is refused, not ignored: a misspelled or retired
+	// key (index_pth, memory_budget) would otherwise swap in something
+	// other than what was asked for.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		http.Error(w, "bad swap request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -702,3 +702,25 @@ func TestServeMemoryAccounting(t *testing.T) {
 		t.Errorf("bad memory mode: status %d: %.120s", bresp.StatusCode, bbody)
 	}
 }
+
+// TestServeSwapRefusesUnknownFields: a swap body carrying a field the
+// request does not define — the retired memory_budget, or a misspelled
+// index_path — is a 400 that names the field, never a swap that
+// silently ignores it.
+func TestServeSwapRefusesUnknownFields(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	for _, field := range []string{"memory_budget", "index_pth"} {
+		reqBody, _ := json.Marshal(map[string]any{"index_path": "x.jemidx", "create": true, field: "1"})
+		resp, err := http.Post(ts.URL+"/v1/indexes/asm/swap", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %.120s", field, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), field) {
+			t.Errorf("%s: error %q does not name the field", field, body)
+		}
+	}
+}

@@ -46,7 +46,7 @@ func newMapperMetrics(reg *obs.Registry, cm *core.Mapper) *mapperMetrics {
 		panics: reg.Counter("jem_stream_worker_panics_total",
 			"worker panics recovered into per-batch errors"),
 		readWall: reg.Wall("jem_stream_read_wall_seconds",
-			"cumulative wall time parsing FASTA/FASTQ records"),
+			"cumulative wall time cutting FASTA/FASTQ input into record-aligned batches"),
 		mapWall: reg.Wall("jem_stream_map_wall_seconds",
 			"cumulative worker wall time sketching and mapping"),
 		writeWall: reg.Wall("jem_stream_write_wall_seconds",

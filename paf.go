@@ -62,7 +62,7 @@ func (m *Mapper) appendPAFRow(b []byte, pm *PositionalMapping, batch streamWork)
 	}
 	segLen := pm.QueryEnd - pm.QueryStart
 	return fmt.Appendf(b, "%s\t%d\t%d\t%d\t%c\t%s\t%d\t%d\t%d\t%d\t%d\t%d\tjm:i:%d\n",
-		pm.ReadID, len(batch.recs[pm.ReadIndex-batch.base].Seq), pm.QueryStart, pm.QueryEnd, strand,
+		pm.ReadID, batch.spans[pm.ReadIndex-batch.base].Seq.Len(), pm.QueryStart, pm.QueryEnd, strand,
 		pm.ContigID, m.core.Subject(int32(pm.Contig)).Length, pm.TargetStart, pm.TargetEnd,
 		segLen*pm.SharedTrials/m.opts.Trials, segLen, min(60, 60*pm.SharedTrials/m.opts.Trials), pm.SharedTrials)
 }

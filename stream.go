@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -60,7 +61,8 @@ type Stats struct {
 	// docs/DISTRIBUTED.md). jem-serve surfaces it as the
 	// X-JEM-Shards-Lost response header.
 	ShardsLost []int
-	// ReadWall is time spent parsing FASTA/FASTQ records.
+	// ReadWall is time spent cutting the FASTA/FASTQ input into
+	// record-aligned batches.
 	ReadWall time.Duration
 	// MapWall is aggregate worker time spent sketching and mapping.
 	MapWall time.Duration
@@ -186,8 +188,50 @@ const streamBatch = 64
 
 type streamWork struct {
 	seq  int // batch sequence number (write order)
-	base int // global read index of recs[0]
-	recs []Record
+	base int // global read index of spans[0]
+	// buf and spans are the batch's input, whole records cut from the
+	// stream (seq.Reader.Cut). The writer recycles buf once it has
+	// encoded the rows, which may alias it (FormatSAM's segments).
+	buf   []byte
+	spans []seq.Span
+}
+
+// chunkPool is one Stream call's free list of batch inputs: local to
+// the call, so no buffer outlives it, and at most the pipeline's depth.
+type chunkPool chan streamWork
+
+func (p chunkPool) get() streamWork {
+	select {
+	case in := <-p:
+		return streamWork{buf: in.buf, spans: in.spans[:0]}
+	default:
+		return streamWork{spans: make([]seq.Span, 0, streamBatch)}
+	}
+}
+
+func (p chunkPool) put(in streamWork) {
+	select {
+	case p <- in:
+	default: // the pool is full: in is garbage
+	}
+}
+
+// read is record j as core.AppendEnds maps it: its ID the front of ids
+// (the rest is returned), its sequence in place in buf, where its
+// l-long end segments, all Alg. 2 reads of it, are upper-cased.
+//
+//jem:hotpath
+func (in streamWork) read(j int, ids string, l int) (seq.Record, string) {
+	sp := in.spans[j]
+	s := sp.Seq.Of(in.buf)
+	if len(s) > l {
+		seq.Upper(s[:l])
+		seq.Upper(s[len(s)-l:])
+	} else {
+		seq.Upper(s)
+	}
+	n := sp.ID.Len()
+	return seq.Record{ID: ids[:n], Seq: s}, ids[n:]
 }
 
 // streamResult is one mapped batch: the format's rows in (read, end)
@@ -279,11 +323,12 @@ func (q *quarantineSidecar) record(line int, id string, cause error) {
 // Stream is the canonical streaming entry point: it maps long reads
 // from a FASTA/FASTQ stream without loading the whole file and writes
 // them as opts.Format rows. The stream is pipelined: a reader goroutine
-// batches records, a worker pool maps batches concurrently with
-// persistent per-worker sessions, and the calling goroutine encodes and
-// writes rows in input order as batches complete. It is the
-// memory-bounded counterpart of Map for production-sized read sets (the
-// contig index still lives in memory, as in the paper).
+// cuts the input into record-aligned batches, copying no base, a worker
+// pool maps batches concurrently with persistent per-worker sessions,
+// and the calling goroutine encodes and writes rows in input order as
+// batches complete. It is the memory-bounded counterpart of Map for
+// production-sized read sets (the contig index still lives in memory,
+// as in the paper).
 //
 // Robustness contracts:
 //
@@ -365,36 +410,36 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 	workers := parallel.Workers(streamWorkers)
 	work := make(chan streamWork, workers)
 	results := make(chan streamResult[R], workers)
+	// At most a batch being cut, the queued work, one per worker, the
+	// queued results and the writer's reorder window are in flight.
+	chunks := make(chunkPool, 3*workers+2)
 	sidecar := &quarantineSidecar{}
 	if opts.OnBadRecord == BadRecordQuarantine {
 		sidecar.w = opts.Quarantine
 	}
 
-	// Reader: pull records and hand fixed-size batches to the workers.
+	// Reader: cut records into fixed-size batches for the workers.
 	// On a mid-stream error or cancellation the partial batch is still
 	// flushed so already-read records reach the writer before the
 	// error returns.
 	var readErr error
 	go func() {
 		defer close(work)
-		var readWall time.Duration
 		sr := seq.NewReader(r)
-		seqno, nextIndex := 0, 0
-		batch := make([]Record, 0, streamBatch)
+		sr.MaxLen = opts.MaxRecordLen
+		in := chunks.get()
+		// readWall is the goroutine's wall time less its waits for a
+		// worker to take a batch.
+		var readWall time.Duration
+		t0 := time.Now()
 		for {
 			if err := ctx.Err(); err != nil {
 				readErr = err
 				break
 			}
-			t0 := time.Now()
-			rec, err := sr.Read()
-			readWall += time.Since(t0)
+			sp, err := sr.Cut()
 			if err == io.EOF {
 				break
-			}
-			if err == nil && opts.MaxRecordLen > 0 && len(rec.Seq) > opts.MaxRecordLen {
-				err = &seq.RecordError{Line: sr.Line(), ID: rec.ID,
-					Msg: fmt.Sprintf("record length %d exceeds limit %d", len(rec.Seq), opts.MaxRecordLen)}
 			}
 			if err != nil {
 				if opts.OnBadRecord == BadRecordFail || !seq.IsRecordError(err) {
@@ -406,10 +451,7 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 					run.incQuarantined()
 					sidecar.record(sr.Line(), recordErrID(err), err)
 				}
-				t0 = time.Now()
-				rerr := sr.Resync()
-				readWall += time.Since(t0)
-				if rerr != nil {
+				if rerr := sr.Resync(); rerr != nil {
 					if rerr != io.EOF {
 						readErr = rerr
 					}
@@ -418,16 +460,20 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 				continue
 			}
 			run.incRead()
-			batch = append(batch, rec)
-			if len(batch) == streamBatch {
-				work <- streamWork{seq: seqno, base: nextIndex, recs: batch}
-				seqno++
-				nextIndex += len(batch)
-				batch = make([]Record, 0, streamBatch)
+			in.spans = append(in.spans, sp)
+			if len(in.spans) == streamBatch {
+				next := chunks.get()
+				in.buf = sr.Chunk(next.buf) // next.buf is the reader's now
+				readWall += time.Since(t0)
+				work <- in
+				t0 = time.Now()
+				in = streamWork{seq: in.seq + 1, base: in.base + len(in.spans), spans: next.spans}
 			}
 		}
-		if len(batch) > 0 {
-			work <- streamWork{seq: seqno, base: nextIndex, recs: batch}
+		readWall += time.Since(t0)
+		if len(in.spans) > 0 {
+			in.buf = sr.Chunk(nil)
+			work <- in
 		}
 		// Recorded before close(work), which happens-before the workers
 		// exit and therefore before the final stats read.
@@ -476,7 +522,7 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 		close(results)
 	}()
 
-	writeErr, batchErr := f.drainStreamResults(m, run, w, buf, results, opts.OnBadRecord == BadRecordFail)
+	writeErr, batchErr := f.drainStreamResults(m, run, w, buf, results, chunks, opts.OnBadRecord == BadRecordFail)
 
 	stats := run.stats()
 	if sp != nil {
@@ -517,23 +563,37 @@ func (f rowFormat[R]) mapBatch(m *Mapper, run *runScope, sess *core.Session, ite
 			run.incPanic()
 			res = streamResult[R]{streamWork: item, err: fmt.Errorf(
 				"jem: worker panic mapping batch %d (reads %d-%d): %v",
-				item.seq, item.base, item.base+len(item.recs)-1, r)}
+				item.seq, item.base, item.base+len(item.spans)-1, r)}
 		}
 	}()
 	if _, ok := fault.Fire(fault.WorkerPanic); ok {
 		panic("injected worker panic")
 	}
-	rows := make([]R, 0, 2*len(item.recs))
+	rows := make([]R, 0, 2*len(item.spans))
 	row := func(sess *core.Session, e core.End) R { return f.row(m, sess, e) }
-	for j := range item.recs {
-		rows = core.AppendEnds(rows, sess, item.base+j, item.recs[j], m.opts.SegmentLen, row)
+	// The batch's read IDs go into one string, its one allocation for
+	// them; read takes each ID off the front.
+	n := 0
+	for _, sp := range item.spans {
+		n += sp.ID.Len()
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, sp := range item.spans {
+		b.Write(sp.ID.Of(item.buf))
+	}
+	ids := b.String()
+	for j := range item.spans {
+		var read seq.Record
+		read, ids = item.read(j, ids, m.opts.SegmentLen)
+		rows = core.AppendEnds(rows, sess, item.base+j, read, m.opts.SegmentLen, row)
 	}
 	return streamResult[R]{streamWork: item, rows: rows}
 }
 
 // drainStreamResults is Stream's writer stage (run on the calling
 // goroutine): reassemble input order, encode the rows into buf and
-// write them one by one. The results
+// write them one by one, then recycle each batch's chunk. The results
 // channel is always drained fully, even after a write or batch error,
 // so the pipeline goroutines never leak; the first write error (and,
 // when failOnBatchErr, the first batch error) is returned and further
@@ -547,7 +607,7 @@ func (f rowFormat[R]) mapBatch(m *Mapper, run *runScope, sess *core.Session, ite
 // stream; it cannot balloon memory.
 //
 //jem:hotpath
-func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, buf []byte, results <-chan streamResult[R], failOnBatchErr bool) (writeErr, batchErr error) {
+func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, buf []byte, results <-chan streamResult[R], chunks chunkPool, failOnBatchErr bool) (writeErr, batchErr error) {
 	var writeWall time.Duration
 	pending := make(map[int]streamResult[R])
 	next := 0
@@ -568,6 +628,7 @@ func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, 
 				if failOnBatchErr && batchErr == nil {
 					batchErr = cur.err
 				}
+				chunks.put(cur.streamWork)
 				continue
 			}
 			rows := cur.rows
@@ -581,20 +642,20 @@ func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, 
 				}
 			}
 			run.addDrained(int64(len(rows)), hits)
-			if writeErr != nil {
-				continue
-			}
-			t0 := time.Now()
-			for i := range rows {
-				if buf = f.encode(m, buf[:0], &rows[i], cur.streamWork); len(buf) == 0 {
-					continue
+			if writeErr == nil {
+				t0 := time.Now()
+				for i := range rows {
+					if buf = f.encode(m, buf[:0], &rows[i], cur.streamWork); len(buf) == 0 {
+						continue
+					}
+					if _, err := w.Write(buf); err != nil {
+						writeErr = err
+						break
+					}
 				}
-				if _, err := w.Write(buf); err != nil {
-					writeErr = err
-					break
-				}
+				writeWall += time.Since(t0)
 			}
-			writeWall += time.Since(t0)
+			chunks.put(cur.streamWork)
 		}
 	}
 	run.addWriteWall(writeWall)

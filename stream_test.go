@@ -2,9 +2,12 @@ package jem_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -217,4 +220,58 @@ func writeFASTQ(buf *bytes.Buffer, records []jem.Record) error {
 		buf.WriteByte('\n')
 	}
 	return nil
+}
+
+// TestStreamAllocsPerRead pins the ingest's allocation budget. Stream's
+// reader only cuts record-aligned chunks and its workers read a
+// record's ID and its two ℓ-long ends in place, so a warm Stream costs
+// a batch's ID string and row slice and the call's fixed set-up: far
+// below one heap allocation per read, where the line-at-a-time parser
+// it replaced paid ≈7 per read. Both legs run at Workers: 2: reads
+// longer than 2ℓ (two ends each) and reads of at most ℓ (one segment).
+func TestStreamAllocsPerRead(t *testing.T) {
+	ds := buildSmallDataset(t)
+	opts := jem.DefaultOptions()
+	mapper, err := jem.NewMapper(ds.Contigs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := opts.SegmentLen
+	var long, short []jem.Record
+	for i := 0; len(long) < 512; i++ {
+		r := ds.Reads[i%len(ds.Reads)]
+		if len(r.Seq) <= 2*l {
+			continue
+		}
+		id := r.ID + "_" + strconv.Itoa(i)
+		long = append(long, jem.Record{ID: id, Seq: r.Seq})
+		short = append(short, jem.Record{ID: id, Seq: r.Seq[:l]})
+	}
+	for _, leg := range []struct {
+		name  string
+		reads []jem.Record
+	}{{"long", long}, {"short", short}} {
+		var in bytes.Buffer
+		if err := writeFASTQ(&in, leg.reads); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := mapper.Stream(context.Background(), bytes.NewReader(in.Bytes()), io.Discard, jem.StreamOptions{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: sessions, the index's lazy state
+		const calls = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		perRead := float64(after.Mallocs-before.Mallocs) / float64(calls*len(leg.reads))
+		t.Logf("%s reads: %.3f allocations per read", leg.name, perRead)
+		if perRead > 0.5 {
+			t.Errorf("%s reads: %.2f allocations per read, want ≤ 0.5", leg.name, perRead)
+		}
+	}
 }
