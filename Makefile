@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-tests lint-fix api-update test test-short fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke metrics-demo fuzz repro repro-quick clean
+.PHONY: all build vet lint lint-tests lint-fix api-update test test-short exhibits exhibits-update fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke metrics-demo fuzz repro repro-quick clean
 
 all: build vet lint lint-tests test
 
@@ -41,7 +41,9 @@ api-update:
 
 # The layered benchmark (benchmark/, its own module) compiles against
 # internal/*; vetting and smoke-testing it here makes a refactor that
-# breaks it fail locally, not in the benchmark driver.
+# breaks it fail locally, not in the benchmark driver. `go test ./...`
+# here runs without -race, so it includes TestExhibitGoldens (built
+# with !race only); the exhibits target runs that test alone.
 test:
 	$(GO) test ./...
 	$(GO) vet -C benchmark ./...
@@ -50,16 +52,31 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# The pinned paper exhibits (Table I, Figs. 5, 6 and 9 at scale 0.002;
+# see EXPERIMENTS.md, "Pinned exhibits"). The test is excluded from
+# -race builds, so CI runs this target as its own non-race step.
+EXHIBIT_GOLDENS = internal/experiments/testdata/exhibits
+exhibits:
+	$(GO) test -count=1 -run '^TestExhibitGoldens$$' ./internal/experiments/
+
+# Re-record the exhibit goldens with jem-bench itself. A change that
+# moves them carries the before/after table in its CHANGES.md line.
+exhibits-update:
+	for e in table1 fig5 fig6 fig9; do \
+		$(GO) run ./cmd/jem-bench -scale 0.002 -csv $(EXHIBIT_GOLDENS) $$e >/dev/null || exit 1; \
+	done
+
 # Fault-injection and robustness tests under the race detector:
 # cancellation, quarantine, injected I/O errors, worker panics,
 # index corruption, the SIGINT-mid-stream CLI test, the read-set
-# driver's goldens, metamorphic checks and degraded-answer errors, every
-# Stream output format (validation, SAM/PAF rows, lost shards), and the
-# allocation-free session lookup guard. See
-# docs/ROBUSTNESS.md for the failure-path contracts these prove.
+# driver's goldens and degraded-answer errors, every Stream output
+# format (validation, SAM/PAF rows, lost shards), the allocation-free
+# session lookup guard, and the backend matrix with its metamorphic
+# checks (internal/oracle). See docs/ROBUSTNESS.md for the
+# failure-path contracts these prove.
 fault-test:
-	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex|TestMapEnds|TestReadSet|TestMetamorphic|TestStream|TestWriteSAM|TestOptionsValidate|TestSessionZeroAlloc' . ./internal/core/
-	$(GO) test -race ./internal/fault/ ./internal/seq/
+	$(GO) test -race -run 'TestMapStream|TestMapReads|TestMapper|TestIndex|TestWriteIndex|TestMapEnds|TestReadSet|TestStream|TestWriteSAM|TestOptionsValidate|TestSessionZeroAlloc' . ./internal/core/
+	$(GO) test -race ./internal/fault/ ./internal/seq/ ./internal/oracle/
 
 # End-to-end serving tests under the race detector: concurrent
 # byte-identity with the CLI, admission control, deadlines, hot-swap
@@ -70,8 +87,9 @@ serve-smoke:
 
 # Distributed shard serving under the race detector: the shardnet
 # protocol/coordinator suite (deadlines, retries, cancellation,
-# degraded answers), the facade-level fleet identity and degraded-answer tests,
-# and the multi-process jem-shardd end-to-end with fault injection.
+# degraded answers), the facade-level degraded-answer and fingerprint
+# tests, and the multi-process jem-shardd end-to-end with fault
+# injection. Fleet byte identity is a row of internal/oracle's matrix.
 # See docs/DISTRIBUTED.md for the contracts these prove.
 dist-smoke:
 	$(GO) test -race ./internal/shardnet/
@@ -90,15 +108,16 @@ obs-smoke:
 
 # Out-of-core index serving under the race detector: the JEMIDX06
 # corruption matrix (truncation, payload/manifest byte flips, each
-# caught at open under heap, mmap and auto), heap/mmap/auto byte
-# identity at the core and facade layers, and the two-process
-# shared-mapping test. See docs/MEMORY.md for the contracts these prove.
+# caught at open under heap, mmap and auto), heap/mmap/auto residence
+# accounting, and the two-process shared-mapping test (byte identity
+# with the reference mapper is internal/oracle's backend matrix). See
+# docs/MEMORY.md for the contracts these prove.
 mem-smoke:
 	$(GO) test -race -run 'TestOpenIndexFile|TestOpenShardSubset' ./internal/core/
 	$(GO) test -race -run 'TestOpenMemory|TestSharedMappingTwoProcesses' .
 	$(GO) test -race -run TestServeMemoryAccounting ./internal/serve/
 
-# Full benchmark sweep (micro-benchmarks + one bench per paper exhibit).
+# Full benchmark sweep (micro-benchmarks + one bench per timing exhibit).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -1,16 +1,15 @@
-// Benchmarks regenerating the paper's tables and figures (one
-// benchmark per exhibit, on scaled-down datasets), plus
-// micro-benchmarks of the hot paths and ablation benches for the
-// design choices called out in DESIGN.md.
+// Benchmarks regenerating the paper's timing exhibits (Table II and
+// Figs. 7a, 7b and 8, on scaled-down datasets), plus micro-benchmarks
+// of the hot paths and ablation benches for the design choices called
+// out in DESIGN.md. The quality exhibits (Table I, Figs. 5, 6 and 9)
+// are pinned byte for byte by internal/experiments TestExhibitGoldens.
 //
-// Quality metrics are attached via b.ReportMetric, so
+// Exhibit metrics are attached via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
 // prints both runtime and the reproduced statistics. Datasets are
-// cached process-wide: the first benchmark touching a dataset pays
-// its synthesis cost inside the timed region of its first iteration
-// only if it is the builder (Table1); the others reuse the cache.
+// cached process-wide and built before each benchmark's timer starts.
 package jem_test
 
 import (
@@ -46,66 +45,6 @@ func prebuild(b *testing.B, specs []experiments.Spec) {
 	for _, s := range specs {
 		if _, err := experiments.Build(s, benchScale); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1Pipeline regenerates Table I: the full synthesis
-// pipeline (genome → short reads → assembly → long reads) plus the
-// dataset statistics, for one representative input.
-func BenchmarkTable1Pipeline(b *testing.B) {
-	spec, _ := experiments.SpecByName("ecoli-like")
-	for i := 0; i < b.N; i++ {
-		experiments.DropCaches() // force a real pipeline run
-		rows, err := experiments.Table1([]experiments.Spec{spec}, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(rows[0].NumContigs), "contigs")
-			b.ReportMetric(float64(rows[0].NumReads), "reads")
-		}
-	}
-	b.StopTimer()
-	experiments.DropCaches()
-}
-
-// BenchmarkFig5Quality regenerates Fig. 5 on two representative
-// genomes: precision/recall of JEM-mapper vs the Mashmap baseline.
-func BenchmarkFig5Quality(b *testing.B) {
-	specs := benchSpecs(b)
-	prebuild(b, specs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig5(specs, benchScale, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[1].JEM.Precision, "JEM-precision")
-			b.ReportMetric(rows[1].JEM.Recall, "JEM-recall")
-			b.ReportMetric(rows[1].Mashmap.Precision, "mashmap-precision")
-			b.ReportMetric(rows[1].Mashmap.Recall, "mashmap-recall")
-		}
-	}
-}
-
-// BenchmarkFig6Trials regenerates Fig. 6: the T sweep comparing JEM
-// against classical MinHash on the B. splendens stand-in.
-func BenchmarkFig6Trials(b *testing.B) {
-	spec, _ := experiments.SpecByName("bsplendens-like")
-	prebuild(b, []experiments.Spec{spec})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig6(spec, benchScale, []int{5, 30}, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(pts[0].JEM.Recall, "JEM-recall-T5")
-			b.ReportMetric(pts[0].ClassicalMinHash.Recall, "minhash-recall-T5")
-			b.ReportMetric(pts[1].JEM.Recall, "JEM-recall-T30")
-			b.ReportMetric(pts[1].ClassicalMinHash.Recall, "minhash-recall-T30")
 		}
 	}
 }
@@ -184,25 +123,6 @@ func BenchmarkFig8CommComp(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(rows[1].CommPct[0], "comm-pct-p4")
 			b.ReportMetric(rows[1].CommPct[len(rows[1].CommPct)-1], "comm-pct-p64")
-		}
-	}
-}
-
-// BenchmarkFig9Identity regenerates Fig. 9: percent-identity
-// distribution of JEM mappings on the real-data stand-in (alignment
-// work capped per iteration to keep the bench bounded).
-func BenchmarkFig9Identity(b *testing.B) {
-	spec, _ := experiments.SpecByName("osativa-like")
-	prebuild(b, []experiments.Spec{spec})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(spec, benchScale, benchOpts(), 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Mean, "mean-identity-pct")
-			b.ReportMetric(100*res.Frac95to100, "pct-in-95-100")
 		}
 	}
 }

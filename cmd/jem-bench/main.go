@@ -1,5 +1,6 @@
 // Command jem-bench regenerates the paper's tables and figures on
-// synthesized datasets. Each subcommand corresponds to one exhibit:
+// synthesized datasets. Each subcommand is one entry of
+// experiments.Exhibits():
 //
 //	jem-bench table1            dataset statistics
 //	jem-bench fig5              precision/recall, JEM vs Mashmap
@@ -105,8 +106,6 @@ func main() {
 	}
 }
 
-var processCounts = []int{4, 8, 16, 32, 64}
-
 // writeCSVFile writes one exhibit's raw data when csvDir is set.
 func writeCSVFile(csvDir, name string, write func(io.Writer) error) error {
 	if csvDir == "" {
@@ -128,145 +127,20 @@ func run(cmd string, scale float64, opts jem.Options, w io.Writer, csvDir string
 	defer func() {
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
 	}()
-	switch cmd {
-	case "table1":
-		rows, err := experiments.Table1(experiments.PaperSpecs(), scale)
-		if err != nil {
-			return err
-		}
-		experiments.RenderTable1(w, rows)
-		if err := writeCSVFile(csvDir, "table1.csv", func(f io.Writer) error { return experiments.Table1CSV(f, rows) }); err != nil {
-			return err
-		}
-	case "fig5":
-		rows, err := experiments.Fig5(experiments.SimSpecs(), scale, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig5(w, rows)
-		if err := writeCSVFile(csvDir, "fig5.csv", func(f io.Writer) error { return experiments.Fig5CSV(f, rows) }); err != nil {
-			return err
-		}
-	case "fig6":
-		spec, _ := experiments.SpecByName("bsplendens-like")
-		pts, err := experiments.Fig6(spec, scale, []int{5, 10, 20, 30, 50, 100, 150}, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig6(w, spec.Name, pts)
-		if err := writeCSVFile(csvDir, "fig6.csv", func(f io.Writer) error { return experiments.Fig6CSV(f, spec.Name, pts) }); err != nil {
-			return err
-		}
-	case "table2":
-		specs := append(experiments.SimSpecs()[2:6:6], mustSpec("bsplendens-like"), mustSpec("osativa-like"))
-		rows, err := experiments.Table2(specs, scale, processCounts, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderTable2(w, rows)
-		if err := writeCSVFile(csvDir, "table2.csv", func(f io.Writer) error { return experiments.Table2CSV(f, rows) }); err != nil {
-			return err
-		}
-	case "fig7a":
-		specs := append(experiments.SimSpecs()[2:6:6], mustSpec("bsplendens-like"), mustSpec("osativa-like"))
-		rows, err := experiments.Fig7a(specs, scale, 16, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig7a(w, rows)
-		if err := writeCSVFile(csvDir, "fig7a.csv", func(f io.Writer) error { return experiments.Fig7aCSV(f, rows) }); err != nil {
-			return err
-		}
-	case "fig7b":
-		specs := append(experiments.SimSpecs()[2:6:6], mustSpec("bsplendens-like"), mustSpec("osativa-like"))
-		rows, err := experiments.Fig7b(specs, scale, processCounts, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig7b(w, rows)
-		if err := writeCSVFile(csvDir, "fig7b.csv", func(f io.Writer) error { return experiments.Fig7bCSV(f, rows) }); err != nil {
-			return err
-		}
-	case "fig8":
-		specs := []experiments.Spec{mustSpec("human7-like"), mustSpec("bsplendens-like")}
-		rows, err := experiments.Fig8(specs, scale, processCounts, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig8(w, rows)
-		if err := writeCSVFile(csvDir, "fig8.csv", func(f io.Writer) error { return experiments.Fig8CSV(f, rows) }); err != nil {
-			return err
-		}
-	case "fig9":
-		res, err := experiments.Fig9(mustSpec("osativa-like"), scale, opts, 0)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig9(w, res)
-		if err := writeCSVFile(csvDir, "fig9.csv", func(f io.Writer) error { return experiments.Fig9CSV(f, res) }); err != nil {
-			return err
-		}
-	case "coverage":
-		spec := mustSpec("bsplendens-like")
-		pts, err := experiments.CoverageSweep(spec, scale, []float64{2.5, 5, 10, 20}, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderCoverage(w, spec.Name, pts)
-		if err := writeCSVFile(csvDir, "coverage.csv", func(f io.Writer) error {
-			return experiments.CoverageCSV(f, spec.Name, pts)
-		}); err != nil {
-			return err
-		}
-	case "ablations":
-		spec := mustSpec("bsplendens-like")
-		ord, err := experiments.AblationOrdering(spec, scale, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderAblationOrdering(w, ord)
-		fmt.Fprintln(w)
-		segs, err := experiments.AblationEndSegments(spec, scale, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderAblationSegments(w, segs)
-		fmt.Fprintln(w)
-		lazy, err := experiments.AblationLazyCounters(spec, scale, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderAblationLazy(w, lazy)
-		fmt.Fprintln(w)
-		win, err := experiments.AblationWindow(spec, scale, []int{20, 50, 100, 200}, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderAblationWindow(w, spec.Name, win)
-		fmt.Fprintln(w)
-		genomeLen := mustSpec("osativa-like").GenomeLen(scale)
-		bub, err := experiments.AblationBubbles(genomeLen, 0.004, opts)
-		if err != nil {
-			return err
-		}
-		experiments.RenderAblationBubbles(w, bub)
-	case "all":
-		for _, c := range []string{"table1", "fig5", "fig6", "table2", "fig7a", "fig7b", "fig8", "fig9", "ablations", "coverage"} {
-			if err := run(c, scale, opts, w, csvDir); err != nil {
-				return fmt.Errorf("%s: %w", c, err)
+	if cmd == "all" {
+		for _, e := range experiments.Exhibits() {
+			if err := run(e.Name, scale, opts, w, csvDir); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
 			}
 			fmt.Fprintln(w)
 		}
-	default:
+		return nil
+	}
+	e, ok := experiments.ExhibitByName(cmd)
+	if !ok {
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
-	return nil
-}
-
-func mustSpec(name string) experiments.Spec {
-	s, ok := experiments.SpecByName(name)
-	if !ok {
-		panic("unknown spec " + name)
-	}
-	return s
+	return e.Run(w, scale, opts, func(name string, write func(io.Writer) error) error {
+		return writeCSVFile(csvDir, name, write)
+	})
 }

@@ -183,14 +183,6 @@ func (bm *Benchmark) Evaluate(mappings []Mapping) Quality {
 // TruePairs returns the number of ground-truth pairs in the benchmark.
 func (bm *Benchmark) TruePairs() int { return bm.b.Pairs() }
 
-// ContigPlacement reports how the benchmark located a contig on the
-// reference: whether it was placed at all, and whether it lies on the
-// reverse strand. Tests use this to validate strand inference.
-func (bm *Benchmark) ContigPlacement(contig int) (reverse, placed bool) {
-	iv := bm.b.ContigIntervals[contig]
-	return iv.Reverse, iv.Votes > 0
-}
-
 // --- Identity (Fig. 9) ---------------------------------------------------------
 
 // PercentIdentity aligns a mapped segment against its contig (both

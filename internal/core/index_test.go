@@ -60,26 +60,7 @@ func TestIndexRoundTrip(t *testing.T) {
 		t.Fatalf("params differ")
 	}
 	// Identical mapping decisions, including positional ones.
-	s1, s2 := orig.NewSession(), loaded.NewSession()
-	for i := 0; i < 40; i++ {
-		var seg []byte
-		if i%2 == 0 {
-			c := contigs[rng.Intn(len(contigs))].Seq
-			off := rng.Intn(len(c)/2 + 1)
-			end := off + p.L
-			if end > len(c) {
-				end = len(c)
-			}
-			seg = c[off:end]
-		} else {
-			seg = randDNA(rng, p.L)
-		}
-		h1, ok1 := s1.MapSegmentPositional(seg)
-		h2, ok2 := s2.MapSegmentPositional(seg)
-		if ok1 != ok2 || h1 != h2 {
-			t.Fatalf("segment %d: %v,%v != %v,%v", i, h1, ok1, h2, ok2)
-		}
-	}
+	compareMappers(t, rng, contigs, orig, loaded)
 }
 
 func TestReadIndexRejectsGarbage(t *testing.T) {
@@ -105,13 +86,18 @@ func TestReadIndexRejectsBadParams(t *testing.T) {
 	if err := m.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
+	b := bytes.Clone(buf.Bytes())
 	// Corrupt K (first param word after the 8-byte magic) to zero.
 	for i := 8; i < 16; i++ {
 		b[i] = 0
 	}
 	if _, err := ReadIndexObserved(bytes.NewReader(b), nil); err == nil {
 		t.Error("invalid params should fail")
+	}
+	// An unknown minimizer ordering (the sixth param) behind a valid
+	// manifest CRC.
+	if _, err := ReadIndexObserved(bytes.NewReader(craftManifest(buf.Bytes(), []byte{5, 7})), nil); err == nil {
+		t.Error("an unknown minimizer ordering should fail")
 	}
 }
 

@@ -1,24 +1,20 @@
 package core
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestShardWorkAccounting pins the per-shard work tallies that request
 // traces attribute scatter-gather time with: the per-shard postings
 // counts always sum to the session total, wall time stays zero until
 // EnableShardTiming opts in, and unsharded mappers report no shards.
 func TestShardWorkAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
 	const p = 4
-	mono, sharded := buildPair(t, contigs, p)
+	mono, segs := shardedIndexMapper(t, 1)
+	sharded, _ := shardedIndexMapper(t, p)
 
 	// Unsharded mapper: no per-shard work, ever.
 	ms := mono.NewSession()
-	for _, rd := range reads {
-		ms.MapSegment(rd.Seq[:smallParams().L])
+	for _, seg := range segs {
+		ms.MapSegment(seg)
 	}
 	if got := ms.ShardWork(); len(got) != 0 {
 		t.Fatalf("unsharded session reports %d shards of work, want 0", len(got))
@@ -30,8 +26,8 @@ func TestShardWorkAccounting(t *testing.T) {
 	if got := ss.ShardWork(); len(got) != 0 {
 		t.Fatalf("fresh session reports %d shards of work, want 0", len(got))
 	}
-	for _, rd := range reads {
-		ss.MapSegment(rd.Seq[:smallParams().L])
+	for _, seg := range segs {
+		ss.MapSegment(seg)
 	}
 	work := ss.ShardWork()
 	if len(work) != p {
@@ -55,8 +51,8 @@ func TestShardWorkAccounting(t *testing.T) {
 	// accumulated wall time.
 	ts := sharded.NewSession()
 	ts.EnableShardTiming()
-	for _, rd := range reads {
-		ts.MapSegment(rd.Seq[:smallParams().L])
+	for _, seg := range segs {
+		ts.MapSegment(seg)
 	}
 	twork := ts.ShardWork()
 	sum = 0

@@ -53,6 +53,9 @@ type Output struct {
 	// TableBytes is the allgathered sketch payload size: the real bytes
 	// of every rank's records.
 	TableBytes int64
+	// PostingsScanned is the sketch-table postings the ranks' lookups
+	// examined, summed over ranks.
+	PostingsScanned int64
 	// Trace is the tracer the run reported its per-rank phase spans
 	// to (Config.Tracer if set, otherwise a run-private tracer).
 	Trace *obs.Tracer
@@ -148,25 +151,30 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 	// S4: map local queries. Ranks hold contiguous read ranges in rank
 	// order, so concatenating their rows is already (read, kind) order.
 	perRank := make([][]core.Result, cfg.P)
+	postings := make([]int64, cfg.P)
 	sim.Step("S4 map queries", func(rank int) {
 		ranks[rank].Time("map", func() {
 			sess := mapper.NewSession()
 			for i := readParts[rank][0]; i < readParts[rank][1]; i++ {
 				perRank[rank] = core.AppendEnds(perRank[rank], sess, i, reads[i], cfg.Params.L, (*core.Session).MapEnd)
 			}
+			postings[rank] = sess.PostingsScanned()
 		})
 	})
 	var results []core.Result
-	for _, rows := range perRank {
+	var scanned int64
+	for rank, rows := range perRank {
 		results = append(results, rows...)
+		scanned += postings[rank]
 	}
 
 	return &Output{
-		Results:       results,
-		Timeline:      sim.Timeline(),
-		QuerySegments: len(results),
-		TableBytes:    total,
-		Trace:         tracer,
+		Results:         results,
+		Timeline:        sim.Timeline(),
+		QuerySegments:   len(results),
+		TableBytes:      total,
+		PostingsScanned: scanned,
+		Trace:           tracer,
 	}, nil
 }
 

@@ -119,10 +119,3 @@ func Build(spec Spec, scale float64) (*Dataset, error) {
 	cacheMu.Unlock()
 	return d, nil
 }
-
-// DropCaches clears the dataset cache (tests use it to bound memory).
-func DropCaches() {
-	cacheMu.Lock()
-	cache = map[string]*Dataset{}
-	cacheMu.Unlock()
-}

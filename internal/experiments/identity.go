@@ -24,10 +24,10 @@ type IdentityResult struct {
 
 // Fig9 maps the real-data stand-in and aligns every mapped segment to
 // its reported contig (the paper used BLAST here), collecting the
-// identity distribution. maxPairs bounds alignment work (0 = all).
+// identity distribution.
 //
 //jem:detached offline experiment harness: no request scope to inherit
-func Fig9(spec Spec, scale float64, opts jem.Options, maxPairs int) (*IdentityResult, error) {
+func Fig9(spec Spec, scale float64, opts jem.Options) (*IdentityResult, error) {
 	d, err := Build(spec, scale)
 	if err != nil {
 		return nil, err
@@ -55,9 +55,6 @@ func Fig9(spec Spec, scale float64, opts jem.Options, maxPairs int) (*IdentityRe
 			if (kind == core.Prefix) == (m.End == jem.PrefixEnd) {
 				pairs = append(pairs, pair{segment: segs[i], contig: m.Contig})
 			}
-		}
-		if maxPairs > 0 && len(pairs) >= maxPairs {
-			break
 		}
 	}
 	identities := make([]float64, len(pairs))

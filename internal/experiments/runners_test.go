@@ -17,25 +17,6 @@ func TestAllRunnersTinyScale(t *testing.T) {
 	specs := SimSpecs()[:2]
 	var out bytes.Buffer
 
-	t.Run("table1", func(t *testing.T) {
-		rows, err := Table1(specs, tinyScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.NumReads == 0 || r.QueryBases == 0 {
-				t.Errorf("row %+v has empty query side", r)
-			}
-			if r.GenomeLen < 50_000 {
-				t.Errorf("genome floor violated: %+v", r)
-			}
-		}
-		RenderTable1(&out, rows)
-		if !strings.Contains(out.String(), "Table I") {
-			t.Error("rendering missing title")
-		}
-	})
-
 	t.Run("fig7a", func(t *testing.T) {
 		rows, err := Fig7a(specs[:1], tinyScale, 4, opts)
 		if err != nil {
@@ -90,39 +71,6 @@ func TestAllRunnersTinyScale(t *testing.T) {
 			t.Error("rendering missing rows")
 		}
 		RenderFig8(&out, nil)
-	})
-
-	t.Run("fig9", func(t *testing.T) {
-		res, err := Fig9(specs[0], tinyScale, opts, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Mapped == 0 {
-			t.Fatal("no mapped segments")
-		}
-		if res.Mean < 80 {
-			t.Errorf("mean identity %.2f suspicious", res.Mean)
-		}
-		out.Reset()
-		RenderFig9(&out, res)
-		if !strings.Contains(out.String(), "percent identity") {
-			t.Error("rendering missing title")
-		}
-	})
-
-	t.Run("fig6", func(t *testing.T) {
-		pts, err := Fig6(specs[0], tinyScale, []int{5, 10}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pts) != 2 || pts[0].Trials != 5 {
-			t.Fatalf("points = %+v", pts)
-		}
-		out.Reset()
-		RenderFig6(&out, specs[0].Name, pts)
-		if !strings.Contains(out.String(), "number of trials") {
-			t.Error("rendering missing title")
-		}
 	})
 
 	t.Run("table2-render", func(t *testing.T) {

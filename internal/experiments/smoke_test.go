@@ -15,29 +15,6 @@ func testOptions() jem.Options {
 	return o
 }
 
-func TestFig5Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dataset synthesis is slow")
-	}
-	specs := SimSpecs()[:2]
-	rows, err := Fig5(specs, tinyScale, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.JEM.Precision < 0.8 {
-			t.Errorf("%s: JEM precision %.3f too low", r.Dataset, r.JEM.Precision)
-		}
-		if r.Mashmap.Precision < 0.8 {
-			t.Errorf("%s: Mashmap precision %.3f too low", r.Dataset, r.Mashmap.Precision)
-		}
-	}
-	RenderFig5(os.Stderr, rows)
-}
-
 func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset synthesis is slow")

@@ -26,10 +26,9 @@ import (
 // the loaded code cannot see; anything else is deleted or moved into
 // the one _test.go file that uses it.
 var deadCodeKeep = map[string]string{
-	"repro/internal/experiments.DropCaches":     "bench_test.go BenchmarkTable1Pipeline (an uncached pipeline run per iteration)",
 	"repro/internal/fault.Reset":                "the fault-arming tests of internal/core, internal/fault, internal/serve, internal/shardnet and the root package",
 	"repro/internal/kmer.Set":                   "distinct-k-mer oracle of genome_test.go, assemble_test.go and kmer_test.go",
-	"repro/internal/kmer.Encode":                "oracle of kmer_test.go's iterator tests and minimizer_test.go's naiveExtract",
+	"repro/internal/kmer.Encode":                "oracle of kmer_test.go's iterator tests, minimizer_test.go's naiveExtract and internal/oracle's reference mapper",
 	"repro/internal/minimizer.Jaccard":          "oracle of core_test.go TestBestHitAgreesWithBruteForceJaccard, sketch statistics_test.go and minimizer_test.go",
 	"repro/internal/obs.Span.Ended":             "span-lifecycle asserts in trace_test.go, internal/dist/dist_test.go and internal/obs tests",
 	"repro/internal/shardnet.ShardError.Unwrap": "errors.Is/errors.As in internal/serve/serve.go and cmd/jem-mapper, through an interface package errors does not export",

@@ -47,6 +47,9 @@ func (p Params) Validate() error {
 	if p.L < p.K || p.L > 1<<30 {
 		return fmt.Errorf("sketch: interval length l=%d out of range [k=%d,2^30]", p.L, p.K)
 	}
+	if p.Order != minimizer.OrderLex && p.Order != minimizer.OrderHash {
+		return fmt.Errorf("sketch: unknown minimizer ordering %d", p.Order)
+	}
 	return nil
 }
 

@@ -39,9 +39,6 @@ type Record = seq.Record
 // ReadSequences loads all records from a FASTA or FASTQ file.
 func ReadSequences(path string) ([]Record, error) { return seq.ReadFile(path) }
 
-// WriteFASTA writes records to a FASTA file (80-column lines).
-func WriteFASTA(path string, records []Record) error { return seq.WriteFASTAFile(path, records) }
-
 // WriteFASTQ writes records to a FASTQ file.
 func WriteFASTQ(path string, records []Record) error { return seq.WriteFASTQFile(path, records) }
 

@@ -14,11 +14,10 @@ import (
 )
 
 // savedIndexWorld builds a P-sharded mapper over the shared dataset,
-// saves its index, and returns the path, the builder, its streamed TSV
-// and stats as the ground truth, plus the serialized reads.
-func savedIndexWorld(t *testing.T, p int) (idx string, built *jem.Mapper, wantTSV []byte, wantStats jem.Stats, reads []byte) {
+// saves its index, and returns the path and the builder.
+func savedIndexWorld(t *testing.T, p int) (idx string, built *jem.Mapper) {
 	t.Helper()
-	ds, rd := distWorld(t)
+	ds, _ := distWorld(t)
 	opts := jem.DefaultOptions()
 	opts.Shards = p
 	m, err := jem.NewMapper(ds.Contigs, opts)
@@ -29,23 +28,18 @@ func savedIndexWorld(t *testing.T, p int) (idx string, built *jem.Mapper, wantTS
 	if err := m.SaveIndexFile(idx); err != nil {
 		t.Fatal(err)
 	}
-	var tsv bytes.Buffer
-	stats, err := m.Stream(context.Background(), bytes.NewReader(rd), &tsv, jem.StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx, m, tsv.Bytes(), stats, rd
+	return idx, m
 }
 
-// TestOpenMemoryByteIdentity is the tentpole property: an index served
-// from a read-only mapping is indistinguishable from the heap load and
-// from the mapper that built it — identical TSV bytes and identical
-// PostingsScanned, at several shard counts — and each open reports the
-// one residence it chose (heap: all resident; mmap and auto: all
-// mapped).
+// TestOpenMemoryByteIdentity: each open reports the one residence it
+// chose (heap: all resident; mmap and auto: all mapped), at several
+// shard counts, and a heap load holds as many bytes as the builder's
+// index. That a heap- or mmap-served index maps like the reference —
+// TSV bytes and PostingsScanned — is a row of internal/oracle's
+// TestBackendMatrix.
 func TestOpenMemoryByteIdentity(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
-		idx, built, wantTSV, wantStats, reads := savedIndexWorld(t, p)
+		idx, built := savedIndexWorld(t, p)
 		for _, mem := range []jem.Memory{
 			{Mode: jem.MemoryHeap},
 			{Mode: jem.MemoryMMap},
@@ -82,20 +76,6 @@ func TestOpenMemoryByteIdentity(t *testing.T) {
 				t.Fatalf("p=%d %v: IndexMemory %d/%d != open-time %d/%d",
 					p, mem, resident, mapped, info.Memory.ResidentBytes, info.Memory.MappedBytes)
 			}
-			var tsv bytes.Buffer
-			stats, err := m.Stream(context.Background(), bytes.NewReader(reads), &tsv, jem.StreamOptions{})
-			if err != nil {
-				t.Fatalf("p=%d %v: stream: %v", p, mem, err)
-			}
-			if !bytes.Equal(tsv.Bytes(), wantTSV) {
-				t.Fatalf("p=%d %v: TSV differs (%d vs %d bytes)", p, mem, tsv.Len(), len(wantTSV))
-			}
-			if stats.PostingsScanned != wantStats.PostingsScanned {
-				t.Fatalf("p=%d %v: postings scanned %d != %d", p, mem, stats.PostingsScanned, wantStats.PostingsScanned)
-			}
-			if stats.ShardsLost != nil {
-				t.Fatalf("p=%d %v: healthy run lost shards %v", p, mem, stats.ShardsLost)
-			}
 			if err := m.Close(); err != nil {
 				t.Fatalf("p=%d %v: close: %v", p, mem, err)
 			}
@@ -106,7 +86,7 @@ func TestOpenMemoryByteIdentity(t *testing.T) {
 // TestOpenMemoryValidation: the Memory knob is validated like every
 // other option — typed ErrInvalidOptions, no clamping.
 func TestOpenMemoryValidation(t *testing.T) {
-	idx, _, _, _, _ := savedIndexWorld(t, 2)
+	idx, _ := savedIndexWorld(t, 2)
 	bad := []jem.Memory{
 		{Mode: jem.MemoryMode(42)},
 	}

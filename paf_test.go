@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/truth"
 )
 
 func TestMapReadsPositionalAndPAF(t *testing.T) {
@@ -145,7 +146,7 @@ func TestStrandInferenceMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bench, err := jem.BuildBenchmark(ds, opts)
+	bench, err := truth.Build(ds.Chromosomes, ds.Contigs, ds.Truth, opts.SegmentLen, opts.K, truth.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +156,12 @@ func TestStrandInferenceMatchesGroundTruth(t *testing.T) {
 		if !pm.Mapped || pm.TargetStart < 0 || (pm.Strand != '+' && pm.Strand != '-') {
 			continue
 		}
-		contigRev, placed := bench.ContigPlacement(pm.Contig)
-		if !placed {
+		placement := bench.ContigIntervals[pm.Contig]
+		if placement.Votes == 0 {
 			continue
 		}
 		readRev := ds.Truth[pm.ReadIndex].Strand == '-'
-		wantRev := readRev != contigRev
+		wantRev := readRev != placement.Reverse
 		total++
 		if (pm.Strand == '-') == wantRev {
 			agree++

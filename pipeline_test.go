@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/seq"
 )
 
 // TestFilePipeline exercises the on-disk workflow the CLIs implement:
@@ -19,13 +20,13 @@ func TestFilePipeline(t *testing.T) {
 	contigPath := filepath.Join(dir, "contigs.fasta.gz")
 	readPath := filepath.Join(dir, "reads.fastq.gz")
 	refPath := filepath.Join(dir, "ref.fasta")
-	if err := jem.WriteFASTA(contigPath, ds.Contigs); err != nil {
+	if err := seq.WriteFASTAFile(contigPath, ds.Contigs); err != nil {
 		t.Fatal(err)
 	}
 	if err := jem.WriteFASTQ(readPath, ds.Reads); err != nil {
 		t.Fatal(err)
 	}
-	if err := jem.WriteFASTA(refPath, ds.Chromosomes); err != nil {
+	if err := seq.WriteFASTAFile(refPath, ds.Chromosomes); err != nil {
 		t.Fatal(err)
 	}
 
