@@ -19,6 +19,72 @@ func smallTestOptions() jem.Options {
 	return jem.Options{K: 12, W: 10, Trials: 12, SegmentLen: 500, Seed: 7}
 }
 
+// TestShardedFacadeByteIdenticalTSV is the facade-level equivalence
+// acceptance check: the WriteTSV output of sharded mappers is
+// byte-identical to the unsharded one for every shard count, both
+// freshly built and after a save/load round trip through a saved index.
+func TestShardedFacadeByteIdenticalTSV(t *testing.T) {
+	ds := buildSmallDataset(t)
+	opts := smallTestOptions()
+	base, err := jem.NewMapper(ds.Contigs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	wantMaps, err := base.Map(context.Background(), ds.Reads, jem.MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jem.WriteTSV(&want, wantMaps); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, 1, 2, 3, 8} {
+		opts := opts
+		opts.Shards = p
+		m, err := jem.NewMapper(ds.Contigs, opts)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", p, err)
+		}
+		if p > 1 && m.Shards() != p {
+			t.Fatalf("Shards() = %d, want %d", m.Shards(), p)
+		}
+		maps, err := m.Map(context.Background(), ds.Reads, jem.MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := jem.WriteTSV(&got, maps); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("shards=%d: TSV differs from unsharded output", p)
+		}
+		// Save/load round trip preserves both shard count and output.
+		var idx bytes.Buffer
+		if err := m.SaveIndex(&idx); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := jem.LoadMapper(bytes.NewReader(idx.Bytes()), ds.Contigs)
+		if err != nil {
+			t.Fatalf("shards=%d: load: %v", p, err)
+		}
+		if loaded.Shards() != m.Shards() {
+			t.Fatalf("shards=%d: loaded mapper has %d shards", p, loaded.Shards())
+		}
+		lmaps, err := loaded.Map(context.Background(), ds.Reads, jem.MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Reset()
+		if err := jem.WriteTSV(&got, lmaps); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("shards=%d: TSV differs after index round trip", p)
+		}
+	}
+}
+
 // TestCanonicalDeterminism pins the repeatability contract of the
 // canonical entry points: repeated Map and Stream calls on one mapper
 // return identical results regardless of worker count.

@@ -65,6 +65,54 @@ func distWorld(t *testing.T) (*jem.Dataset, []byte) {
 	return ds, reads.Bytes()
 }
 
+// TestOpenShardServersByteIdentity is the tentpole property: a healthy
+// shard-server fleet is indistinguishable from the local sharded
+// backend — identical TSV bytes and identical PostingsScanned — at
+// several shard counts and fleet sizes. (The core-level remote tests
+// cover shard count 1.)
+func TestOpenShardServersByteIdentity(t *testing.T) {
+	ds, reads := distWorld(t)
+	for _, p := range []int{2, 4, 8} {
+		opts := jem.DefaultOptions()
+		opts.Shards = p
+		local, err := jem.NewMapper(ds.Contigs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := filepath.Join(t.TempDir(), "idx.jem")
+		if err := local.SaveIndexFile(idx); err != nil {
+			t.Fatal(err)
+		}
+		addrs, _, _ := startShardFleet(t, idx, p/2) // 1-, 2- and 4-server fleets
+		remote, info, err := jem.Open(jem.OpenOptions{IndexPath: idx, ShardServers: addrs})
+		if err != nil {
+			t.Fatalf("p=%d: Open: %v", p, err)
+		}
+		defer func() { _ = remote.Close() }()
+		if !info.Remote || !info.FromIndex {
+			t.Fatalf("p=%d: OpenInfo = %+v, want Remote+FromIndex", p, info)
+		}
+		var tsvL, tsvR bytes.Buffer
+		statsL, err := local.Stream(context.Background(), bytes.NewReader(reads), &tsvL, jem.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		statsR, err := remote.Stream(context.Background(), bytes.NewReader(reads), &tsvR, jem.StreamOptions{})
+		if err != nil {
+			t.Fatalf("p=%d: remote stream: %v", p, err)
+		}
+		if !bytes.Equal(tsvL.Bytes(), tsvR.Bytes()) {
+			t.Fatalf("p=%d: remote TSV differs from local (%d vs %d bytes)", p, tsvR.Len(), tsvL.Len())
+		}
+		if statsL.PostingsScanned != statsR.PostingsScanned {
+			t.Fatalf("p=%d: postings scanned %d local != %d remote", p, statsL.PostingsScanned, statsR.PostingsScanned)
+		}
+		if statsR.ShardsLost != nil {
+			t.Fatalf("p=%d: healthy fleet lost shards %v", p, statsR.ShardsLost)
+		}
+	}
+}
+
 // TestOpenShardServersDegradedAnswer: killing one server of a live
 // fleet turns its shards into degraded answers — the stream still
 // completes, emits a row for every segment, and names exactly the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,6 +124,44 @@ func TestMapSegmentNoSubjects(t *testing.T) {
 	}
 }
 
+func TestLazyCountersMatchMapCounting(t *testing.T) {
+	// The lazy-update counter array must produce exactly the counts a
+	// plain map produces, across many consecutive queries.
+	rng := rand.New(rand.NewSource(11))
+	_, contigs, reads, _ := makeWorld(t, rng, 30_000, 800, 50)
+	p := smallParams()
+	m, err := NewMapper(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AddSubjectsParallel(contigs, 1)
+	m.Seal()
+	sess := m.NewSession()
+	for _, r := range reads {
+		seg := r.Seq[:p.L]
+		got, gotOK := sess.MapSegment(seg)
+
+		// Naive recount.
+		words := m.Sketcher().QuerySketch(seg)
+		counts := map[int32]int32{}
+		for tr, w := range words {
+			for _, p := range m.Sharded().Lookup(tr, w) {
+				counts[p.Subject]++
+			}
+		}
+		want := Hit{Subject: -1}
+		for subj, c := range counts {
+			if c > want.Count || (c == want.Count && subj < want.Subject) {
+				want = Hit{Subject: subj, Count: c}
+			}
+		}
+		wantOK := len(counts) > 0
+		if gotOK != wantOK || (gotOK && got != want) {
+			t.Fatalf("lazy %v,%v != naive %v,%v", got, gotOK, want, wantOK)
+		}
+	}
+}
+
 func TestMapSegmentTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 500, 10)
@@ -155,6 +194,99 @@ func TestMapSegmentTopK(t *testing.T) {
 	}
 	if got := sess.MapSegmentTopK(reads[0].Seq[:p.L], 0); got != nil {
 		t.Error("k=0 should return nil")
+	}
+}
+
+func TestAddSubjectsParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var contigs []seq.Record
+	for i := 0; i < 40; i++ {
+		contigs = append(contigs, seq.Record{ID: fmt.Sprintf("c%d", i), Seq: randDNA(rng, 300+rng.Intn(1200))})
+	}
+	p := smallParams()
+	seqM, _ := NewMapper(p)
+	seqM.AddSubjectsParallel(contigs, 1)
+	seqM.Seal()
+	parM, _ := NewMapper(p)
+	parM.AddSubjectsParallel(contigs, 4)
+	parM.Seal()
+	if seqM.NumSubjects() != parM.NumSubjects() {
+		t.Fatalf("subject counts differ")
+	}
+	if seqM.Entries() != parM.Entries() {
+		t.Fatalf("table entries differ: %d vs %d", seqM.Entries(), parM.Entries())
+	}
+	// Same mapping decisions.
+	s1, s2 := seqM.NewSession(), parM.NewSession()
+	for i := 0; i < 30; i++ {
+		seg := randDNA(rng, p.L)
+		h1, ok1 := s1.MapSegment(seg)
+		h2, ok2 := s2.MapSegment(seg)
+		if ok1 != ok2 || h1 != h2 {
+			t.Fatalf("mapping differs: %v,%v vs %v,%v", h1, ok1, h2, ok2)
+		}
+	}
+}
+
+func TestMapReadsDeterministicOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
+	p := smallParams()
+	m, _ := NewMapper(p)
+	m.AddSubjectsParallel(contigs, 1)
+	m.Seal()
+	r1, err1 := m.MapReads(context.Background(), reads, p.L, 1)
+	r2, err2 := m.MapReads(context.Background(), reads, p.L, 4)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Error("worker count changed results")
+	}
+	for i, r := range r1 {
+		wantRead := int32(i / 2)
+		wantKind := Prefix
+		if i%2 == 1 {
+			wantKind = Suffix
+		}
+		if r.ReadIndex != wantRead || r.Kind != wantKind {
+			t.Fatalf("result %d out of order: %+v", i, r)
+		}
+	}
+}
+
+// TestMapSegmentsMatchesMapReads: mapping pre-extracted end segments
+// one by one on a session gives MapReads' rows.
+func TestMapSegmentsMatchesMapReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	_, contigs, reads, _ := makeWorld(t, rng, 15_000, 700, 15)
+	p := smallParams()
+	m, _ := NewMapper(p)
+	m.AddSubjectsParallel(contigs, 1)
+	m.Seal()
+	results, err := m.MapReads(context.Background(), reads, p.L, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := m.NewSession()
+	var hits []Hit
+	for _, r := range reads {
+		segs, _ := EndSegments(r.Seq, p.L)
+		for _, seg := range segs {
+			h, ok := sess.MapSegment(seg)
+			if !ok {
+				h = Hit{Subject: -1}
+			}
+			hits = append(hits, h)
+		}
+	}
+	if len(hits) != len(results) {
+		t.Fatalf("%d hits vs %d results", len(hits), len(results))
+	}
+	for i := range hits {
+		if hits[i].Subject != results[i].Subject {
+			t.Fatalf("segment %d: %v vs %v", i, hits[i], results[i])
+		}
 	}
 }
 
@@ -243,6 +375,25 @@ func TestMapSegmentPositionalEstimatesLocation(t *testing.T) {
 		}
 		if ph.TargetEnd <= ph.TargetStart || ph.TargetEnd > int32(len(contig)) {
 			t.Errorf("trial %d: bad window [%d,%d)", trial, ph.TargetStart, ph.TargetEnd)
+		}
+	}
+}
+
+func TestMapSegmentPositionalAgreesWithPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
+	p := smallParams()
+	m, _ := NewMapper(p)
+	m.AddSubjectsParallel(contigs, 1)
+	m.Seal()
+	plain := m.NewSession()
+	positional := m.NewSession()
+	for _, r := range reads {
+		seg := r.Seq[:p.L]
+		h1, ok1 := plain.MapSegment(seg)
+		h2, ok2 := positional.MapSegmentPositional(seg)
+		if ok1 != ok2 || (ok1 && h1 != h2.Hit) {
+			t.Fatalf("positional best hit diverges: %v vs %v", h1, h2.Hit)
 		}
 	}
 }
@@ -399,15 +550,14 @@ func TestSessionQueryIDIsolation(t *testing.T) {
 	}
 }
 
-// TestSealedMapperMatchesMutable pins the sealing state machine and
-// what sealing must not change: the sealed table holds exactly the
-// entries of a plain map-of-lists table filled subject by subject —
-// the mutable table a mapper used to serve from before sealing, which
-// now exists only here. Its mapping decisions are checked against the
-// reference mapper by internal/oracle's TestBackendMatrix.
+// TestSealedMapperMatchesMutable pins what sealing must not change: a
+// sealed mapper's every mapping decision equals the one made by
+// counting, per query, over a plain map-of-lists table filled subject
+// by subject — the mutable table a mapper used to serve from before
+// sealing, which now exists only here.
 func TestSealedMapperMatchesMutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	_, contigs, _, _ := makeWorld(t, rng, 24_000, 600, 15)
+	_, contigs, reads, _ := makeWorld(t, rng, 24_000, 600, 15)
 	p := smallParams()
 	sealed, err := NewMapper(p)
 	if err != nil {
@@ -441,6 +591,40 @@ func TestSealedMapperMatchesMutable(t *testing.T) {
 	}
 	if sealed.Entries() != wantEntries {
 		t.Fatalf("sealed table holds %d entries, the mutable one %d", sealed.Entries(), wantEntries)
+	}
+	mapMutable := func(seg []byte) (Hit, bool) {
+		counts := make(map[int32]int32)
+		for ti, w := range sk.QuerySketch(seg) {
+			for _, subj := range mutable[ti][w] {
+				counts[subj]++
+			}
+		}
+		best := Hit{Subject: -1}
+		for subj, c := range counts {
+			if c > best.Count || (c == best.Count && subj < best.Subject) {
+				best = Hit{Subject: subj, Count: c}
+			}
+		}
+		return best, best.Subject >= 0
+	}
+	sess := sealed.NewSession()
+	check := func(seg []byte) {
+		t.Helper()
+		want, wantOK := mapMutable(seg)
+		got, ok := sess.MapSegment(seg)
+		pos, posOK := sess.MapSegmentPositional(seg)
+		if ok != wantOK || got != want || posOK != wantOK || pos.Hit != want {
+			t.Fatalf("sealed %v,%v positional %v,%v; mutable %v,%v", got, ok, pos.Hit, posOK, want, wantOK)
+		}
+	}
+	for _, r := range reads {
+		segs, _ := EndSegments(r.Seq, p.L)
+		for _, seg := range segs {
+			check(seg)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		check(randDNA(rng, p.L))
 	}
 }
 

@@ -71,6 +71,44 @@ func remoteMapper(t *testing.T, local *Mapper) (*Mapper, *memQuerier, IndexMeta)
 	return m, mq, meta
 }
 
+// TestRemoteMatchesLocalSharded: with every shard healthy, the remote
+// scatter-gather path is byte-identical to the local sharded one —
+// same hits, same positions, same PostingsScanned — at several shard
+// counts, for both the counting-only and positional (keepLists)
+// paths.
+func TestRemoteMatchesLocalSharded(t *testing.T) {
+	for _, p := range []int{1, 2, 4, 8} {
+		local, segs := shardedIndexMapper(t, p)
+		remote, _, meta := remoteMapper(t, local)
+		if meta.Shards != p || meta.T != smallParams().T || meta.NumSubjects != local.NumSubjects() {
+			t.Fatalf("p=%d: meta %+v disagrees with mapper", p, meta)
+		}
+		if remote.Shards() != p {
+			t.Fatalf("p=%d: remote mapper reports %d shards", p, remote.Shards())
+		}
+		sl, sr := local.NewSession(), remote.NewSession()
+		for i, seg := range segs {
+			h1, ok1 := sl.MapSegment(seg)
+			h2, ok2 := sr.MapSegment(seg)
+			if ok1 != ok2 || h1 != h2 {
+				t.Fatalf("p=%d segment %d: local %v,%v remote %v,%v", p, i, h1, ok1, h2, ok2)
+			}
+			p1, pok1 := sl.MapSegmentPositional(seg)
+			p2, pok2 := sr.MapSegmentPositional(seg)
+			if pok1 != pok2 || p1 != p2 {
+				t.Fatalf("p=%d segment %d positional: local %v,%v remote %v,%v", p, i, p1, pok1, p2, pok2)
+			}
+		}
+		if sl.PostingsScanned() != sr.PostingsScanned() {
+			t.Fatalf("p=%d: postings scanned %d local != %d remote",
+				p, sl.PostingsScanned(), sr.PostingsScanned())
+		}
+		if lost := sr.LostShards(); lost != nil {
+			t.Fatalf("p=%d: healthy fleet reported lost shards %v", p, lost)
+		}
+	}
+}
+
 // TestRemoteDegradedAnswer: a terminally failing shard is recorded in
 // LostShards, the query still completes on the survivors, and once the
 // shard recovers fresh queries are exact again (and in particular do

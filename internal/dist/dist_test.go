@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/sketch"
@@ -35,6 +37,35 @@ func world(t *testing.T) (contigs, reads []seq.Record) {
 		reads = append(reads, seq.Record{ID: fmt.Sprintf("r%d", i), Seq: ref[pos : pos+1500]})
 	}
 	return contigs, reads
+}
+
+func sharedMemoryResults(t *testing.T, contigs, reads []seq.Record) []core.Result {
+	t.Helper()
+	m, err := core.NewMapper(smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AddSubjectsParallel(contigs, 1)
+	m.Seal()
+	results, err := m.MapReads(context.Background(), reads, smallParams().L, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+func TestDistributedMatchesSharedMemoryForAnyP(t *testing.T) {
+	contigs, reads := world(t)
+	want := sharedMemoryResults(t, contigs, reads)
+	for _, p := range []int{1, 2, 3, 5, 8, 16, 41} {
+		out, err := Run(contigs, reads, Config{P: p, Params: smallParams()})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if !reflect.DeepEqual(out.Results, want) {
+			t.Fatalf("p=%d: distributed results differ from shared-memory", p)
+		}
+	}
 }
 
 func TestTimelineStructure(t *testing.T) {
