@@ -99,12 +99,13 @@ dist-smoke:
 # bounded ring type (TestRingOverwritesOldest, with the rest of
 # internal/obs), trace propagation through Stream, the X-JEM-Trace-Id
 # header contract, tail sampling, the flight recorder, the request log,
-# the pinned /debug/* wire shapes, and the 10k-request bounded-memory
-# soak. See docs/OBSERVABILITY.md.
+# the pinned /debug/* wire shapes, the 10k-request bounded-memory
+# soak, and Stream's Stats against the registry (the writer publishes
+# numbers the reader and workers hand it). See docs/OBSERVABILITY.md.
 obs-smoke:
 	$(GO) test -race -count=2 ./internal/obs/
 	$(GO) test -race -run 'TestTrace|TestSlowRequest|TestRequestLog|TestObsSoak|TestDebugWireShapes' ./internal/serve/
-	$(GO) test -race -run 'TestStreamAttachesSpans|TestStreamSpansUnsharded|TestMapChildSpan' .
+	$(GO) test -race -run 'TestStreamAttachesSpans|TestStreamSpansUnsharded|TestMapChildSpan|TestMapStreamStatsMatchRegistry' .
 
 # Out-of-core index serving under the race detector: the JEMIDX06
 # corruption matrix (truncation, payload/manifest byte flips, each

@@ -159,8 +159,9 @@ func BuildBenchmark(ds *Dataset, opts Options) (*Benchmark, error) {
 	return &Benchmark{b: b, l: opts.SegmentLen}, nil
 }
 
-// Evaluate scores mappings against the benchmark.
-func (bm *Benchmark) Evaluate(mappings []Mapping) Quality {
+// toResults is the one Mapping → core.Result conversion, the inverse
+// of toMapping.
+func toResults(mappings []Mapping) []core.Result {
 	results := make([]core.Result, len(mappings))
 	for i, m := range mappings {
 		r := core.Result{ReadIndex: int32(m.ReadIndex), Subject: -1}
@@ -168,12 +169,16 @@ func (bm *Benchmark) Evaluate(mappings []Mapping) Quality {
 			r.Kind = core.Suffix
 		}
 		if m.Mapped {
-			r.Subject = int32(m.Contig)
-			r.Count = int32(m.SharedTrials)
+			r.Subject, r.Count = int32(m.Contig), int32(m.SharedTrials)
 		}
 		results[i] = r
 	}
-	c := bm.b.Evaluate(results)
+	return results
+}
+
+// Evaluate scores mappings against the benchmark.
+func (bm *Benchmark) Evaluate(mappings []Mapping) Quality {
+	c := bm.b.Evaluate(toResults(mappings))
 	return Quality{
 		TP: c.TP, FP: c.FP, FN: c.FN, TN: c.TN,
 		Precision: c.Precision(), Recall: c.Recall(), F1: c.F1(),
@@ -204,18 +209,7 @@ type Scaffold struct {
 // per link. numContigs is the size of the contig set the mappings
 // refer to.
 func BuildScaffolds(mappings []Mapping, numContigs, minSupport int) []Scaffold {
-	results := make([]core.Result, 0, len(mappings))
-	for _, m := range mappings {
-		r := core.Result{ReadIndex: int32(m.ReadIndex), Subject: -1}
-		if m.End == SuffixEnd {
-			r.Kind = core.Suffix
-		}
-		if m.Mapped {
-			r.Subject = int32(m.Contig)
-		}
-		results = append(results, r)
-	}
-	links := scaffold.BuildLinks(results)
+	links := scaffold.BuildLinks(toResults(mappings))
 	sc := scaffold.Build(links, numContigs, minSupport)
 	out := make([]Scaffold, 0, len(sc.Chains))
 	for _, chain := range sc.Chains {

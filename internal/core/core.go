@@ -82,9 +82,6 @@ type Mapper struct {
 	// scatter-gather over the wire through it (SetRemote).
 	remote   ShardQuerier
 	subjects []SubjectMeta
-	// met, when non-nil, receives per-query observations from every
-	// session created after EnableMetrics ran.
-	met *Metrics
 }
 
 // NewMapper creates a Mapper with the given sketch parameters.
@@ -175,7 +172,6 @@ func (m *Mapper) SealShardedTraced(shards, workers int, trace func(shard int, fn
 		panic(err.Error())
 	}
 	m.sharded, m.build = sf, nil
-	m.enableShardMetrics()
 }
 
 // Seal is SealSharded with one shard. Seal is idempotent, and a no-op
@@ -260,7 +256,6 @@ func (m *Mapper) Appender() *sketch.Appender {
 type Session struct {
 	m       *Mapper
 	src     postingSource   // where posting lists come from, captured at creation
-	met     *Metrics        // instrument set captured at creation (nil = off)
 	done    <-chan struct{} // cancellation signal from WithContext (nil = never)
 	ctx     context.Context // request context from WithContext (nil = none)
 	count   []int32
@@ -324,7 +319,6 @@ func (m *Mapper) NewSession() *Session {
 	s := &Session{
 		m:     m,
 		src:   m.source(),
-		met:   m.met,
 		count: make([]int32, n),
 		lastq: make([]int32, n),
 		qid:   0,
@@ -405,31 +399,28 @@ func (s *Session) ShardWork() []ShardWork {
 		return nil
 	}
 	out := make([]ShardWork, len(s.shards))
-	for i := range s.shards {
-		out[i] = s.shards[i].work
+	for i := range out {
+		out[i] = s.ShardWorkAt(i)
 	}
 	return out
 }
 
-// MapSegment maps one end segment and returns its best hit. ok=false
-// means the segment produced no sketch or no subject was hit in any
-// trial. Ties are broken toward the lower subject id for determinism.
-func (s *Session) MapSegment(segment []byte) (Hit, bool) {
-	if s.met == nil {
-		return s.mapSegment(segment)
+// ShardWorkAt is shard's entry of ShardWork, read in place: zero for a
+// shard the session has not queried.
+func (s *Session) ShardWorkAt(shard int) ShardWork {
+	if shard >= len(s.shards) {
+		return ShardWork{}
 	}
-	t0 := time.Now()
-	before := s.scanned
-	h, ok := s.mapSegment(segment)
-	s.met.observe(time.Since(t0), s.scanned-before, ok)
-	return h, ok
+	return s.shards[shard].work
 }
 
-// mapSegment is the uninstrumented lookup loop: T table probes, then
-// the lazy-counter candidate scan (§III-C).
+// MapSegment maps one end segment and returns its best hit: T table
+// probes, then the lazy-counter candidate scan (§III-C). ok=false
+// means the segment produced no sketch or no subject was hit in any
+// trial. Ties are broken toward the lower subject id for determinism.
 //
 //jem:hotpath
-func (s *Session) mapSegment(segment []byte) (Hit, bool) {
+func (s *Session) MapSegment(segment []byte) (Hit, bool) {
 	s.m.sk.SketchQuery(&s.q, segment)
 	if len(s.q.Words) == 0 {
 		return Hit{Subject: -1}, false
@@ -512,9 +503,6 @@ func (s *Session) scanWords(words []sketch.Word) {
 		if s.timeShards {
 			sh.work.Wall += sh.dur
 		}
-		if s.met != nil {
-			s.met.observeShard(int(sd), scanned)
-		}
 	}
 	s.touched = touched[:0]
 }
@@ -569,21 +557,6 @@ type PositionalHit struct {
 //
 //jem:hotpath
 func (s *Session) MapSegmentPositional(segment []byte) (PositionalHit, bool) {
-	if s.met == nil {
-		return s.mapSegmentPositional(segment)
-	}
-	t0 := time.Now()
-	before := s.scanned
-	ph, ok := s.mapSegmentPositional(segment)
-	s.met.observe(time.Since(t0), s.scanned-before, ok)
-	return ph, ok
-}
-
-// mapSegmentPositional is the uninstrumented positional lookup loop:
-// the counting pass plus the offset-vote pass over cached postings.
-//
-//jem:hotpath
-func (s *Session) mapSegmentPositional(segment []byte) (PositionalHit, bool) {
 	s.m.sk.SketchQuery(&s.q, segment)
 	words, qpos := s.q.Words, s.q.Pos
 	if len(words) == 0 {
@@ -653,17 +626,6 @@ func medianCluster(xs []int32, tol int32) (median int32, votes int) {
 // (ties toward lower subject id) — the paper's proposed top-x
 // extension (§IV-C).
 func (s *Session) MapSegmentTopK(segment []byte, k int) []Hit {
-	if s.met == nil {
-		return s.mapSegmentTopK(segment, k)
-	}
-	t0 := time.Now()
-	before := s.scanned
-	hits := s.mapSegmentTopK(segment, k)
-	s.met.observe(time.Since(t0), s.scanned-before, len(hits) > 0)
-	return hits
-}
-
-func (s *Session) mapSegmentTopK(segment []byte, k int) []Hit {
 	s.m.sk.SketchQuery(&s.q, segment)
 	if len(s.q.Words) == 0 || k <= 0 {
 		return nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,64 +193,6 @@ func TestMapSegmentTopK(t *testing.T) {
 	}
 	if got := sess.MapSegmentTopK(reads[0].Seq[:p.L], 0); got != nil {
 		t.Error("k=0 should return nil")
-	}
-}
-
-func TestAddSubjectsParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var contigs []seq.Record
-	for i := 0; i < 40; i++ {
-		contigs = append(contigs, seq.Record{ID: fmt.Sprintf("c%d", i), Seq: randDNA(rng, 300+rng.Intn(1200))})
-	}
-	p := smallParams()
-	seqM, _ := NewMapper(p)
-	seqM.AddSubjectsParallel(contigs, 1)
-	seqM.Seal()
-	parM, _ := NewMapper(p)
-	parM.AddSubjectsParallel(contigs, 4)
-	parM.Seal()
-	if seqM.NumSubjects() != parM.NumSubjects() {
-		t.Fatalf("subject counts differ")
-	}
-	if seqM.Entries() != parM.Entries() {
-		t.Fatalf("table entries differ: %d vs %d", seqM.Entries(), parM.Entries())
-	}
-	// Same mapping decisions.
-	s1, s2 := seqM.NewSession(), parM.NewSession()
-	for i := 0; i < 30; i++ {
-		seg := randDNA(rng, p.L)
-		h1, ok1 := s1.MapSegment(seg)
-		h2, ok2 := s2.MapSegment(seg)
-		if ok1 != ok2 || h1 != h2 {
-			t.Fatalf("mapping differs: %v,%v vs %v,%v", h1, ok1, h2, ok2)
-		}
-	}
-}
-
-func TestMapReadsDeterministicOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
-	p := smallParams()
-	m, _ := NewMapper(p)
-	m.AddSubjectsParallel(contigs, 1)
-	m.Seal()
-	r1, err1 := m.MapReads(context.Background(), reads, p.L, 1)
-	r2, err2 := m.MapReads(context.Background(), reads, p.L, 4)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Error("worker count changed results")
-	}
-	for i, r := range r1 {
-		wantRead := int32(i / 2)
-		wantKind := Prefix
-		if i%2 == 1 {
-			wantKind = Suffix
-		}
-		if r.ReadIndex != wantRead || r.Kind != wantKind {
-			t.Fatalf("result %d out of order: %+v", i, r)
-		}
 	}
 }
 

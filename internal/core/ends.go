@@ -63,18 +63,19 @@ func AppendEnds[S, R any](rows []R, sess S, i int, read seq.Record, l int, row f
 // MapEnds is the parallel read-set driver (Alg. 2 over every end
 // segment of Q): it maps reads on up to `workers` goroutines (≤0 means
 // GOMAXPROCS), each with its own session from newSession, and returns
-// the rows in (read, end) order.
+// the rows in (read, end) order and the sessions, idle by then, so a
+// caller can read what they did.
 //
 // Sessions are made on the calling goroutine — one per worker, at most
 // len(reads) and at least one even for no reads — so a constructor
 // that panics on misuse panics there. When ctx is done the workers
 // stop taking reads and the rows of every read completed so far come
 // back, still in order, with ctx.Err().
-func MapEnds[S, R any](ctx context.Context, reads []seq.Record, l, workers int, newSession func() S, row func(S, End) R) ([]R, error) {
+func MapEnds[S, R any](ctx context.Context, reads []seq.Record, l, workers int, newSession func() S, row func(S, End) R) ([]R, []S, error) {
 	done := ctx.Done()
 	rows := make([]R, 2*len(reads))
 	ends := make([]int8, len(reads)) // rows read i produced; 0 = not mapped
-	parallel.ForEachWorker(len(reads), workers, newSession, func(s S, i int) {
+	sessions := parallel.ForEachWorker(len(reads), workers, newSession, func(s S, i int) {
 		select {
 		case <-done:
 			return
@@ -86,12 +87,13 @@ func MapEnds[S, R any](ctx context.Context, reads []seq.Record, l, workers int, 
 	for i, k := range ends {
 		n += copy(rows[n:], rows[2*i:2*i+int(k)])
 	}
-	return rows[:n], ctx.Err()
+	return rows[:n], sessions, ctx.Err()
 }
 
 // MapReads maps both end segments of every read through MapEnds and
 // returns the per-segment results in (read, kind) order, under MapEnds'
 // cancellation contract.
 func (m *Mapper) MapReads(ctx context.Context, reads []seq.Record, l, workers int) ([]Result, error) {
-	return MapEnds(ctx, reads, l, workers, func() *Session { return m.NewSession().WithContext(ctx) }, (*Session).MapEnd)
+	rows, _, err := MapEnds(ctx, reads, l, workers, func() *Session { return m.NewSession().WithContext(ctx) }, (*Session).MapEnd)
+	return rows, err
 }

@@ -39,7 +39,7 @@ func TestMapEndsOrderAndShape(t *testing.T) {
 		}
 	}
 	for _, w := range []int{1, 2, 4, 16} {
-		got, err := MapEnds(context.Background(), reads, 10, w, func() *fakeSession { return &fakeSession{} }, echoEnd)
+		got, _, err := MapEnds(context.Background(), reads, 10, w, func() *fakeSession { return &fakeSession{} }, echoEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestMapEndsSessionCount(t *testing.T) {
 		{0, 4, 1}, {1, 4, 1}, {2, 4, 2}, {10, 3, 3}, {10, 1, 1},
 	} {
 		made := 0
-		_, err := MapEnds(context.Background(), endReads(make([]int, c.reads)...), 10, c.workers,
+		_, _, err := MapEnds(context.Background(), endReads(make([]int, c.reads)...), 10, c.workers,
 			func() *fakeSession { made++; return &fakeSession{} }, echoEnd)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestMapEndsCancelReturnsPrefix(t *testing.T) {
 	defer cancel()
 	reads := endReads(20, 20, 20, 20, 20)
 	var mapped atomic.Int32
-	rows, err := MapEnds(ctx, reads, 10, 1, func() *fakeSession { return &fakeSession{} },
+	rows, _, err := MapEnds(ctx, reads, 10, 1, func() *fakeSession { return &fakeSession{} },
 		func(s *fakeSession, e End) End {
 			if e.Read == 2 && e.Kind == Suffix {
 				cancel()

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -18,17 +21,7 @@ import (
 // recomputed, so a crafted field reaches the validators instead of
 // failing at the checksum.
 func FuzzReadIndex(f *testing.F) {
-	m, err := NewMapper(smallParams())
-	if err != nil {
-		f.Fatal(err)
-	}
-	m.AddSubjectsParallel([]seq.Record{{ID: "c0", Seq: []byte("ACGTTGCAACGGATCCATGCAAGTCGATCGTAGCTAGGCTAACGTCAGT")}}, 1)
-	m.SealSharded(2, 0)
-	var buf bytes.Buffer
-	if err := m.WriteIndex(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := fuzzIndex(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])
 	f.Add([]byte{})
@@ -42,6 +35,52 @@ func FuzzReadIndex(f *testing.F) {
 			checkReadIndex(t, crafted)
 		}
 	})
+}
+
+// fuzzIndex is the valid index FuzzReadIndex mutates: one subject,
+// two shards.
+func fuzzIndex(tb testing.TB) []byte {
+	m, err := NewMapper(smallParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.AddSubjectsParallel([]seq.Record{{ID: "c0", Seq: []byte("ACGTTGCAACGGATCCATGCAAGTCGATCGTAGCTAGGCTAACGTCAGT")}}, 1)
+	m.SealSharded(2, 0)
+	var buf bytes.Buffer
+	if err := m.WriteIndex(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadAllocatesInProportionToInput loads FuzzReadIndex's
+// manifest-param-t-max seed — a manifest claiming T = 65536 behind a
+// valid CRC, over payloads of the real trial count — through every
+// local loader. Each must fail on the trial count before building the
+// T-function hash family, so what it allocates stays within 64 KiB
+// (the reader's buffer) plus 16 B per input byte.
+func TestLoadAllocatesInProportionToInput(t *testing.T) {
+	data := craftManifest(fuzzIndex(t), []byte("\x02\x00\x00\x01"))
+	path := filepath.Join(t.TempDir(), "idx.jem")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func() error{
+		"ReadIndex": func() error { _, err := ReadIndexObserved(bytes.NewReader(data), nil); return err },
+		"heap":      func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap}); return err },
+		"mmap":      func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap}); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "trials") {
+			t.Fatalf("%s: loading a manifest that lies about T gave %v, want a trial-count error", name, err)
+		}
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(data)); alloc > limit {
+			t.Errorf("%s: a failing load of %d bytes allocated %d, limit %d", name, len(data), alloc, limit)
+		}
+	}
 }
 
 // checkReadIndex decodes data, bounding what the decode allocates by

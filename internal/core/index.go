@@ -218,14 +218,15 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 }
 
 // readIndexMeta decodes the params and subject metadata that open the
-// manifest, returning a fresh mapper carrying them. It reads exact
-// lengths only (no lookahead), so it is safe to run through a
-// checksumming TeeReader.
-func readIndexMeta(r io.Reader) (*Mapper, sketch.Params, error) {
+// manifest. It builds no sketcher: the loaders do that only once every
+// kept payload has confirmed the trial count, so what a load allocates
+// stays proportional to its input. It reads exact lengths only (no
+// lookahead), so it is safe to run through a checksumming TeeReader.
+func readIndexMeta(r io.Reader) (sketch.Params, []SubjectMeta, error) {
 	var raw [6]uint64
 	for i := range raw {
 		if err := binary.Read(r, binary.LittleEndian, &raw[i]); err != nil {
-			return nil, sketch.Params{}, fmt.Errorf("core: reading index params: %w", err)
+			return sketch.Params{}, nil, fmt.Errorf("core: reading index params: %w", err)
 		}
 	}
 	p := sketch.Params{
@@ -234,49 +235,45 @@ func readIndexMeta(r io.Reader) (*Mapper, sketch.Params, error) {
 	}
 	p.Order = minimizer.Ordering(raw[5])
 	if err := p.Validate(); err != nil {
-		return nil, p, fmt.Errorf("core: index carries invalid params: %w", err)
-	}
-	m, err := NewMapper(p)
-	if err != nil {
-		return nil, p, err
+		return p, nil, fmt.Errorf("core: index carries invalid params: %w", err)
 	}
 	var nsubj uint32
 	if err := binary.Read(r, binary.LittleEndian, &nsubj); err != nil {
-		return nil, p, err
+		return p, nil, err
 	}
 	if nsubj > 1<<28 {
-		return nil, p, fmt.Errorf("core: implausible subject count %d", nsubj)
+		return p, nil, fmt.Errorf("core: implausible subject count %d", nsubj)
 	}
-	m.subjects = make([]SubjectMeta, 0, min(nsubj, 1<<16))
+	subjects := make([]SubjectMeta, 0, min(nsubj, 1<<16))
 	for i := uint32(0); i < nsubj; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-			return nil, p, err
+			return p, nil, err
 		}
 		if nameLen > 1<<16 {
-			return nil, p, fmt.Errorf("core: implausible subject name length %d", nameLen)
+			return p, nil, fmt.Errorf("core: implausible subject name length %d", nameLen)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, p, err
+			return p, nil, err
 		}
 		var length uint32
 		if err := binary.Read(r, binary.LittleEndian, &length); err != nil {
-			return nil, p, err
+			return p, nil, err
 		}
-		m.subjects = append(m.subjects, SubjectMeta{Name: string(name), Length: int32(length)})
+		subjects = append(subjects, SubjectMeta{Name: string(name), Length: int32(length)})
 	}
-	return m, p, nil
+	return p, subjects, nil
 }
 
-// shardedManifest is a decoded, checksum-verified manifest: the
-// meta-only mapper carrying params and subjects, the shard directory
-// (absolute file offset, length and CRC per payload), and the manifest
-// checksum — which doubles as the index fingerprint a distributed
-// fleet agrees on (see IndexMeta).
+// shardedManifest is a decoded, checksum-verified manifest: the params
+// and subject metadata, the shard directory (absolute file offset,
+// length and CRC per payload), and the manifest checksum — which
+// doubles as the index fingerprint a distributed fleet agrees on (see
+// IndexMeta).
 type shardedManifest struct {
-	m           *Mapper
 	p           sketch.Params
+	subjects    []SubjectMeta
 	offs        []uint64
 	lens        []uint64
 	crcs        []uint32
@@ -289,7 +286,7 @@ func (man *shardedManifest) meta() IndexMeta {
 	return IndexMeta{
 		Shards:      len(man.lens),
 		T:           man.p.T,
-		NumSubjects: len(man.m.subjects),
+		NumSubjects: len(man.subjects),
 		ManifestCRC: man.manifestCRC,
 	}
 }
@@ -324,7 +321,7 @@ func readManifest(br *bufio.Reader) (*shardedManifest, error) {
 	h := crc32.NewIEEE()
 	_, _ = h.Write(magic[:])
 	tee := io.TeeReader(cr, h)
-	m, p, err := readIndexMeta(tee)
+	p, subjects, err := readIndexMeta(tee)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +339,7 @@ func readManifest(br *bufio.Reader) (*shardedManifest, error) {
 		return nil, fmt.Errorf("core: implausible payload page size %d", page)
 	}
 	man := &shardedManifest{
-		m: m, p: p,
+		p: p, subjects: subjects,
 		offs: make([]uint64, nshards),
 		lens: make([]uint64, nshards),
 		crcs: make([]uint32, nshards),
@@ -528,8 +525,11 @@ func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
 	if err != nil {
 		return nil, MemoryInfo{}, fmt.Errorf("core: assembling sharded table: %w", err)
 	}
-	m := ld.man.m
-	m.sharded, m.build = sf, nil
+	sk, err := sketch.NewSketcher(ld.man.p)
+	if err != nil {
+		return nil, MemoryInfo{}, err
+	}
+	m := &Mapper{sk: sk, sharded: sf, subjects: ld.man.subjects}
 	return m, MemoryInfo{Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
 }
 

@@ -49,7 +49,6 @@ func (m *Mapper) SetRemote(q ShardQuerier) {
 	}
 	m.remote = q
 	m.build = nil
-	m.enableShardMetrics()
 }
 
 // remoteSource serves from a shard fleet: each touched shard's probes
@@ -135,5 +134,10 @@ func ReadIndexMetaFile(path string) (*Mapper, IndexMeta, error) {
 	if err != nil {
 		return nil, IndexMeta{}, fmt.Errorf("core: index %s: %w", path, err)
 	}
-	return man.m, man.meta(), nil
+	m, err := NewMapper(man.p)
+	if err != nil {
+		return nil, IndexMeta{}, err
+	}
+	m.subjects = man.subjects
+	return m, man.meta(), nil
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/seq"
 )
 
@@ -99,35 +98,4 @@ func TestSealShardedStateMachine(t *testing.T) {
 		}
 	}()
 	frozen.SealSharded(2, 0)
-}
-
-// TestShardedMetricsSplitPostings checks the per-shard observability:
-// the per-shard postings counters are registered and sum to the global
-// postings counter.
-func TestShardedMetricsSplitPostings(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	_, contigs, reads, _ := makeWorld(t, rng, 12_000, 1000, 10)
-	m, err := NewMapper(smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	m.EnableMetrics(reg)
-	m.AddSubjectsParallel(contigs, 1)
-	m.SealSharded(3, 0)
-	met := m.met
-	if len(met.ShardPostings) != 3 {
-		t.Fatalf("ShardPostings has %d counters, want 3", len(met.ShardPostings))
-	}
-	sess := m.NewSession()
-	for _, rd := range reads {
-		sess.MapSegment(rd.Seq[:smallParams().L])
-	}
-	var perShard int64
-	for _, c := range met.ShardPostings {
-		perShard += c.Value()
-	}
-	if total := met.Postings.Value(); perShard != total || total == 0 {
-		t.Fatalf("per-shard postings sum %d, global counter %d (want equal and non-zero)", perShard, total)
-	}
 }

@@ -6,10 +6,8 @@ import (
 	"io"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/simulate"
 	"repro/internal/stats"
-	"repro/internal/truth"
 )
 
 // CoveragePoint is one long-read depth of the coverage sweep.
@@ -54,7 +52,9 @@ func CoverageSweep(spec Spec, scale float64, coverages []float64, opts jem.Optio
 			return nil, err
 		}
 		reads := simulate.Records(long)
-		b, err := truth.Build(d.Chromosomes, d.Contigs, long, opts.SegmentLen, opts.K, truth.BuildOptions{})
+		sweep := *d.Dataset
+		sweep.Truth = long
+		b, err := jem.BuildBenchmark(&sweep, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func CoverageSweep(spec Spec, scale float64, coverages []float64, opts jem.Optio
 		if err != nil {
 			return nil, err
 		}
-		q := evalQuality(b, mappings)
+		q := b.Evaluate(mappings)
 
 		scaffolds := jem.BuildScaffolds(mappings, len(d.Contigs), 2)
 		links := 0
@@ -91,34 +91,6 @@ func CoverageSweep(spec Spec, scale float64, coverages []float64, opts jem.Optio
 		})
 	}
 	return points, nil
-}
-
-func evalQuality(b *truth.Benchmark, mappings []jem.Mapping) jem.Quality {
-	var c truth.Confusion
-	for _, m := range mappings {
-		kind := core.Prefix
-		if m.End == jem.SuffixEnd {
-			kind = core.Suffix
-		}
-		trueSet := b.True(int32(m.ReadIndex), kind)
-		switch {
-		case m.Mapped && containsID(trueSet, int32(m.Contig)):
-			c.TP++
-		case m.Mapped:
-			c.FP++
-			if len(trueSet) > 0 {
-				c.FN++
-			}
-		case len(trueSet) > 0:
-			c.FN++
-		default:
-			c.TN++
-		}
-	}
-	return jem.Quality{
-		TP: c.TP, FP: c.FP, FN: c.FN, TN: c.TN,
-		Precision: c.Precision(), Recall: c.Recall(), F1: c.F1(),
-	}
 }
 
 func n50(records []jem.Record) int {

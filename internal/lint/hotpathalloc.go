@@ -24,9 +24,8 @@ var requiredHotPaths = map[string][]string{
 		"appendTSVRow",
 	},
 	"repro/internal/core": {
+		"Session.MapSegment",
 		"Session.MapSegmentPositional",
-		"Session.mapSegment",
-		"Session.mapSegmentPositional",
 	},
 	"repro/internal/seq": {
 		"Reader.cutFASTQ",

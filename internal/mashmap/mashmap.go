@@ -203,7 +203,7 @@ func EstimateIdentity(shared, queryMinimizers, k int) float64 {
 //
 //jem:detached offline comparison baseline: no request scope to inherit
 func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result {
-	results, _ := core.MapEnds(context.Background(), reads, l, workers,
+	results, _, _ := core.MapEnds(context.Background(), reads, l, workers,
 		func() *Mapper { return m },
 		func(m *Mapper, e core.End) core.Result { return e.Result(m.MapSegment(e.Seq)) })
 	return results

@@ -117,7 +117,7 @@ func (s *Session) MapSegment(segment []byte) (core.Hit, bool) {
 //
 //jem:detached offline comparison baseline: no request scope to inherit
 func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result {
-	results, _ := core.MapEnds(context.Background(), reads, l, workers, m.NewSession,
+	results, _, _ := core.MapEnds(context.Background(), reads, l, workers, m.NewSession,
 		func(s *Session, e core.End) core.Result { return e.Result(s.MapSegment(e.Seq)) })
 	return results
 }

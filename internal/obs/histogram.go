@@ -54,7 +54,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// LatencyBuckets returns the default bounds for lookup-latency
+// LatencyBuckets returns the default bounds for request-latency
 // histograms: roughly exponential from 1µs to 10s, in seconds.
 func LatencyBuckets() []float64 {
 	return []float64{

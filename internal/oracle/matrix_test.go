@@ -22,8 +22,12 @@ import (
 )
 
 // matrixParams are small enough for the brute-force reference and
-// large enough for multi-trial counts, repeats and ties.
-var matrixParams = params{k: 10, w: 6, t: 12, l: 300, seed: 11}
+// large enough for multi-trial counts, repeats and ties; paperParams
+// are the paper's k=16, w=100, T=30, ℓ=1000.
+var (
+	matrixParams = params{k: 10, w: 6, t: 12, l: 300, seed: 11}
+	paperParams  = params{k: 16, w: 100, t: 30, l: 1000, seed: 11}
+)
 
 func (p params) sketch() sketch.Params {
 	return sketch.Params{K: p.k, W: p.w, T: p.t, L: p.l, Seed: p.seed}
@@ -66,6 +70,7 @@ func newWorld(t testing.TB) world {
 	}
 	ref := g.Seq
 	rng := rand.New(rand.NewSource(5))
+	sample := sampler(ref, rng)
 	unit := randomBases(rng, 350)
 	unitAt := []int{2_000, 11_000, 20_000, 29_000}
 	for _, at := range unitAt {
@@ -81,27 +86,7 @@ func newWorld(t testing.TB) world {
 		seq.Record{ID: "c17-copy", Seq: w.contigs[17].Seq},
 		seq.Record{ID: "unit", Seq: unit})
 
-	// sample copies n bases at `at`, reverse-complemented when asked,
-	// with a substitution rate of subst percent.
-	sample := func(at, n int, revcomp bool, subst int) []byte {
-		s := append([]byte(nil), ref[at:at+n]...)
-		if revcomp {
-			s = seq.ReverseComplement(s)
-		}
-		for i := range s {
-			if rng.Intn(100) < subst {
-				s[i] = "ACGT"[rng.Intn(4)]
-			}
-		}
-		return s
-	}
-	add := func(name string, seqs ...[]byte) {
-		in := input{name: name}
-		for i, s := range seqs {
-			in.reads = append(in.reads, seq.Record{ID: fmt.Sprintf("%s-%d", name, i), Seq: s})
-		}
-		w.inputs = append(w.inputs, in)
-	}
+	add := w.add
 	var genomeReads [][]byte
 	for i := 0; i < 48; i++ {
 		n := 600 + rng.Intn(900)
@@ -119,6 +104,61 @@ func newWorld(t testing.TB) world {
 		sample(300, p.k, false, 0), sample(400, p.k+p.w-2, true, 0))
 	add("shorter-than-l", sample(500, p.k+p.w-1, false, 0), sample(900, 100, true, 0),
 		sample(1_300, p.l-1, false, 1), sample(1_700, p.l, false, 0), sample(2_900, p.l+1, true, 0))
+	return w
+}
+
+// sampler returns a function that copies n bases of ref at `at`,
+// reverse-complemented when asked, with a substitution rate of subst
+// percent drawn from rng.
+func sampler(ref []byte, rng *rand.Rand) func(at, n int, revcomp bool, subst int) []byte {
+	return func(at, n int, revcomp bool, subst int) []byte {
+		s := append([]byte(nil), ref[at:at+n]...)
+		if revcomp {
+			s = seq.ReverseComplement(s)
+		}
+		for i := range s {
+			if rng.Intn(100) < subst {
+				s[i] = "ACGT"[rng.Intn(4)]
+			}
+		}
+		return s
+	}
+}
+
+// add appends the input name holding seqs as reads.
+func (w *world) add(name string, seqs ...[]byte) {
+	in := input{name: name}
+	for i, s := range seqs {
+		in.reads = append(in.reads, seq.Record{ID: fmt.Sprintf("%s-%d", name, i), Seq: s})
+	}
+	w.inputs = append(w.inputs, in)
+}
+
+// newPaperWorld is the world of the paper-parameter matrix: 3 kbp
+// contigs of a genome with repeats and N gaps, plus a copy of one
+// contig, mapped by reads of 2–6 kbp at 0–8 % substitutions, and by
+// reads inside the copied contig, where every trial ties.
+func newPaperWorld(t testing.TB) world {
+	g, err := genome.Generate(genome.Config{Length: 60_000, RepeatFraction: 0.2, RepeatUnit: 1_500,
+		RepeatDivergence: 0.02, GapFraction: 0.01, GapUnit: 200, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := g.Seq
+	rng := rand.New(rand.NewSource(7))
+	sample := sampler(ref, rng)
+	var w world
+	for at := 0; at < len(ref); at += 3_000 {
+		w.contigs = append(w.contigs, seq.Record{ID: fmt.Sprintf("c%02d", len(w.contigs)), Seq: ref[at:min(at+3_000, len(ref))]})
+	}
+	w.contigs = append(w.contigs, seq.Record{ID: "c05-copy", Seq: w.contigs[5].Seq})
+	var genomeReads [][]byte
+	for i := 0; i < 24; i++ {
+		n := 2_000 + rng.Intn(4_000)
+		genomeReads = append(genomeReads, sample(rng.Intn(len(ref)-n), n, i%2 == 1, []int{0, 1, 4, 8}[i%4]))
+	}
+	w.add("genome", genomeReads...)
+	w.add("duplicate-contig", sample(15_200, 2_400, false, 0), sample(15_500, 2_000, true, 1))
 	return w
 }
 
@@ -154,7 +194,7 @@ type backend struct {
 // MapSegmentPositional on one session.
 func coreRow(name string, m *core.Mapper) backend {
 	return backend{name, func(t *testing.T, in input, segs []segment) column {
-		res, err := m.MapReads(context.Background(), in.reads, matrixParams.l, 2)
+		res, err := m.MapReads(context.Background(), in.reads, m.Sketcher().Params().L, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,19 +323,7 @@ func open(t *testing.T, oo jem.OpenOptions) (*jem.Mapper, jem.OpenInfo) {
 func backends(t *testing.T, w world, ref *reference) []backend {
 	var rows []backend
 	for _, p := range []int{1, 2, 3, 8} {
-		cm, err := core.NewMapper(matrixParams.sketch())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cm.AddSubjectsParallel(w.contigs, 2)
-		cm.SealSharded(p, 2)
-		if cm.Entries() != ref.entries() {
-			t.Errorf("core P=%d holds %d table entries, the reference %d", p, cm.Entries(), ref.entries())
-		}
-		idx := filepath.Join(t.TempDir(), "idx.jem")
-		if err := cm.WriteIndexFile(idx); err != nil {
-			t.Fatal(err)
-		}
+		cm, idx := coreIndex(t, w, ref, p)
 		rows = append(rows, coreRow(fmt.Sprintf("core/P=%d", p), cm))
 
 		opts := matrixParams.options()
@@ -318,10 +346,7 @@ func backends(t *testing.T, w world, ref *reference) []backend {
 		rows = append(rows, mapRow(fmt.Sprintf("facade/Map/P=%d", p), fm),
 			streamRow(fmt.Sprintf("facade/Stream/P=%d", p), fm), mapRow(fmt.Sprintf("loaded/Map/P=%d", p), lm))
 
-		for _, mode := range []jem.MemoryMode{jem.MemoryHeap, jem.MemoryMMap} {
-			m, _ := open(t, jem.OpenOptions{IndexPath: idx, Options: jem.Options{Memory: jem.Memory{Mode: mode}}})
-			rows = append(rows, streamRow(fmt.Sprintf("saved/%v/P=%d", mode, p), m))
-		}
+		rows = append(rows, savedRows(t, idx, p)...)
 
 		addrs := startFleet(t, idx, max(1, p/2))
 		fleet, info := open(t, jem.OpenOptions{IndexPath: idx, ShardServers: addrs})
@@ -342,6 +367,37 @@ func backends(t *testing.T, w world, ref *reference) []backend {
 	}
 	for _, p := range []int{1, 3, 8, 41} {
 		rows = append(rows, distRow(w, p))
+	}
+	return rows
+}
+
+// coreIndex builds the core mapper of w at ref's parameters over P
+// shards, holds its table size to the reference's, and saves it to a
+// file.
+func coreIndex(t *testing.T, w world, ref *reference, p int) (*core.Mapper, string) {
+	cm, err := core.NewMapper(ref.p.sketch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm.AddSubjectsParallel(w.contigs, 2)
+	cm.SealSharded(p, 2)
+	if cm.Entries() != ref.entries() {
+		t.Errorf("core P=%d holds %d table entries, the reference %d", p, cm.Entries(), ref.entries())
+	}
+	idx := filepath.Join(t.TempDir(), "idx.jem")
+	if err := cm.WriteIndexFile(idx); err != nil {
+		t.Fatal(err)
+	}
+	return cm, idx
+}
+
+// savedRows stream from the saved index at idx, opened through the
+// facade under heap and under mmap.
+func savedRows(t *testing.T, idx string, p int) []backend {
+	var rows []backend
+	for _, mode := range []jem.MemoryMode{jem.MemoryHeap, jem.MemoryMMap} {
+		m, _ := open(t, jem.OpenOptions{IndexPath: idx, Options: jem.Options{Memory: jem.Memory{Mode: mode}}})
+		rows = append(rows, streamRow(fmt.Sprintf("saved/%v/P=%d", mode, p), m))
 	}
 	return rows
 }
@@ -402,7 +458,34 @@ func lines(b []byte) []string { return strings.Split(string(b), "\n") }
 func TestBackendMatrix(t *testing.T) {
 	w := newWorld(t)
 	ref := newReference(matrixParams, sequences(w.contigs))
-	rows := backends(t, w, ref)
+	metamorphic(t, w, ref, check(t, w, ref, backends(t, w, ref)))
+}
+
+// TestBackendMatrixAtPaperParams holds the core rows at P ∈ {1,8}, the
+// facade's Stream and the saved index under heap and mmap to the
+// reference at the paper's parameters, where every read is longer than
+// 2ℓ and the minimizer window is 100 k-mers wide.
+func TestBackendMatrixAtPaperParams(t *testing.T) {
+	w := newPaperWorld(t)
+	ref := newReference(paperParams, sequences(w.contigs))
+	var rows []backend
+	for _, p := range []int{1, 8} {
+		cm, idx := coreIndex(t, w, ref, p)
+		opts := paperParams.options()
+		opts.Shards = p
+		fm, err := jem.NewMapper(w.contigs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, coreRow(fmt.Sprintf("core/P=%d", p), cm), streamRow(fmt.Sprintf("facade/Stream/P=%d", p), fm))
+		rows = append(rows, savedRows(t, idx, p)...)
+	}
+	check(t, w, ref, rows)
+}
+
+// check runs every row on every input of w against the reference and
+// returns the reference's columns.
+func check(t *testing.T, w world, ref *reference, rows []backend) []expected {
 	wants := make([]expected, len(w.inputs))
 	for i, in := range w.inputs {
 		wants[i] = expect(ref, w.contigs, in)
@@ -435,5 +518,5 @@ func TestBackendMatrix(t *testing.T) {
 			}
 		})
 	}
-	metamorphic(t, w, ref, wants)
+	return wants
 }

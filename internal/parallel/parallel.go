@@ -28,8 +28,9 @@ func ForEach(n, workers int, fn func(i int)) {
 // ForEachWorker is ForEach with per-goroutine state: setup runs once
 // per worker — on the calling goroutine, before any fn call, at least
 // once even for n = 0, so a setup that panics on misuse panics there —
-// and its result is passed to every fn call that worker executes.
-func ForEachWorker[S any](n, workers int, setup func() S, fn func(state S, i int)) {
+// and its result is passed to every fn call that worker executes. The
+// states come back once every call has returned.
+func ForEachWorker[S any](n, workers int, setup func() S, fn func(state S, i int)) []S {
 	workers = min(Workers(workers), max(n, 1))
 	states := make([]S, workers)
 	for w := range states {
@@ -39,7 +40,7 @@ func ForEachWorker[S any](n, workers int, setup func() S, fn func(state S, i int
 		for i := 0; i < n; i++ {
 			fn(states[0], i)
 		}
-		return
+		return states
 	}
 	idx := make(chan int, 4*workers)
 	var wg sync.WaitGroup
@@ -57,4 +58,5 @@ func ForEachWorker[S any](n, workers int, setup func() S, fn func(state S, i int
 	}
 	close(idx)
 	wg.Wait()
+	return states
 }

@@ -260,7 +260,7 @@ func (m *Mapper) chainBucket(as []anchor) Chain {
 //
 //jem:detached offline comparison baseline: no request scope to inherit
 func (m *Mapper) MapReads(reads []seq.Record, l int, workers int) []core.Result {
-	results, _ := core.MapEnds(context.Background(), reads, l, workers,
+	results, _, _ := core.MapEnds(context.Background(), reads, l, workers,
 		func() *Mapper { return m },
 		func(m *Mapper, e core.End) core.Result {
 			chain, ok := m.MapSegment(e.Seq)

@@ -80,7 +80,7 @@ type Options struct {
 	// ablation knob; see DESIGN.md §5).
 	HashOrdering bool
 	// Metrics, when non-nil, is the observability registry the mapper
-	// records into (counters, latency histograms, phase spans — see
+	// records into (counters, wall gauges, phase spans — see
 	// docs/OBSERVABILITY.md). When nil the mapper creates a private
 	// registry; either way Mapper.Metrics exposes it. Supplying one
 	// lets a caller serve the registry (obs.Serve) before the mapper
@@ -172,7 +172,6 @@ func NewMapper(contigs []Record, opts Options) (*Mapper, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	met := newMapperMetrics(reg, cm)
 	// Phase spans: index build = sketch the subjects, then freeze the
 	// records into the serving table; a sharded freeze gets one child
 	// span per shard's lay-out (the routing and sorting before it run
@@ -190,7 +189,7 @@ func NewMapper(contigs []Record, opts Options) (*Mapper, error) {
 		sp.Time("freeze", func() { cm.Seal() })
 	}
 	sp.End()
-	return &Mapper{opts: opts, core: cm, contigs: contigs, reg: reg, met: met}, nil
+	return &Mapper{opts: opts, core: cm, contigs: contigs, reg: reg, met: newMapperMetrics(reg, cm.Shards())}, nil
 }
 
 // Shards returns the number of serving shards of the underlying
@@ -249,7 +248,9 @@ func (m *Mapper) Map(ctx context.Context, reads []Record, opts MapOptions) ([]Ma
 		c.SetAttr("reads", len(reads))
 		defer c.End()
 	}
-	return core.MapEnds(ctx, reads, m.opts.SegmentLen, workers, m.session(ctx), m.mapEnd)
+	rows, sessions, err := core.MapEnds(ctx, reads, m.opts.SegmentLen, workers, m.session(ctx), m.mapEnd)
+	m.publishSessions(sessions...)
+	return rows, err
 }
 
 // session is the per-worker session constructor of the facade's
@@ -353,6 +354,7 @@ type TiledMapping struct {
 // mapped so far come back with ctx.Err().
 func (m *Mapper) MapReadTiled(ctx context.Context, read []byte, stride int) ([]TiledMapping, error) {
 	sess := m.core.NewSession().WithContext(ctx)
+	defer m.publishSessions(sess)
 	tiles := sess.MapReadTiled(read, m.opts.SegmentLen, stride)
 	out := make([]TiledMapping, len(tiles))
 	for i, th := range tiles {
@@ -373,6 +375,7 @@ func (m *Mapper) MapReadTiled(ctx context.Context, read []byte, stride int) ([]T
 // contract.
 func (m *Mapper) ContainedContigs(ctx context.Context, read []byte) ([]int, error) {
 	sess := m.core.NewSession().WithContext(ctx)
+	defer m.publishSessions(sess)
 	ids := sess.ContainedSubjects(read, m.opts.SegmentLen)
 	out := make([]int, len(ids))
 	for i, id := range ids {

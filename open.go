@@ -204,5 +204,5 @@ func loadedMapper(cm *core.Mapper, reg *obs.Registry, workers int, mem Memory, c
 	if sh := cm.Shards(); sh > 1 {
 		o.Shards = sh
 	}
-	return &Mapper{opts: o, core: cm, contigs: contigs, reg: reg, met: newMapperMetrics(reg, cm), closer: closer}
+	return &Mapper{opts: o, core: cm, contigs: contigs, reg: reg, met: newMapperMetrics(reg, cm.Shards()), closer: closer}
 }

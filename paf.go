@@ -29,7 +29,9 @@ type PositionalMapping struct {
 // under Map's contract: on cancellation the completed prefix comes back
 // with ctx.Err().
 func (m *Mapper) MapReadsPositional(ctx context.Context, reads []Record) ([]PositionalMapping, error) {
-	return core.MapEnds(ctx, reads, m.opts.SegmentLen, m.opts.Workers, m.session(ctx), m.positionalEnd)
+	rows, sessions, err := core.MapEnds(ctx, reads, m.opts.SegmentLen, m.opts.Workers, m.session(ctx), m.positionalEnd)
+	m.publishSessions(sessions...)
+	return rows, err
 }
 
 func (m *Mapper) positionalEnd(sess *core.Session, e core.End) PositionalMapping {
@@ -62,7 +64,7 @@ func (m *Mapper) appendPAFRow(b []byte, pm *PositionalMapping, batch streamWork)
 	}
 	segLen := pm.QueryEnd - pm.QueryStart
 	return fmt.Appendf(b, "%s\t%d\t%d\t%d\t%c\t%s\t%d\t%d\t%d\t%d\t%d\t%d\tjm:i:%d\n",
-		pm.ReadID, batch.spans[pm.ReadIndex-batch.base].Seq.Len(), pm.QueryStart, pm.QueryEnd, strand,
+		pm.ReadID, batch.spans[pm.ReadIndex-batch.base()].Seq.Len(), pm.QueryStart, pm.QueryEnd, strand,
 		pm.ContigID, m.core.Subject(int32(pm.Contig)).Length, pm.TargetStart, pm.TargetEnd,
 		segLen*pm.SharedTrials/m.opts.Trials, segLen, min(60, 60*pm.SharedTrials/m.opts.Trials), pm.SharedTrials)
 }

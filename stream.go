@@ -23,13 +23,12 @@ import (
 // so the wall times measure work inside each phase, not elapsed
 // stream time.
 //
-// Every event a run records lands twice: in the run's own delta
-// accumulators (which become this Stats) and in the mapper's
-// obs.Registry (see Metrics) — which can be watched live via
-// jem-mapper -metrics-addr. The registry aggregates across runs, so
-// with N concurrent Map/Stream calls on one Mapper each call's Stats
-// reports exactly its own work and the N Stats sum to the registry
-// movement.
+// The run's writer adds each drained batch's numbers to this Stats and
+// publishes the same numbers to the mapper's obs.Registry (see
+// Metrics), which can be watched live via jem-mapper -metrics-addr.
+// The registry aggregates across runs, so with N concurrent Map/Stream
+// calls on one Mapper each call's Stats reports exactly its own work
+// and the N Stats sum to the registry movement.
 type Stats struct {
 	// Reads is the number of well-formed records pulled from the input
 	// stream (bad records are counted separately in BadRecords).
@@ -187,14 +186,23 @@ type StreamOptions struct {
 const streamBatch = 64
 
 type streamWork struct {
-	seq  int // batch sequence number (write order)
-	base int // global read index of spans[0]
+	seq int // batch sequence number (write order)
 	// buf and spans are the batch's input, whole records cut from the
 	// stream (seq.Reader.Cut). The writer recycles buf once it has
 	// encoded the rows, which may alias it (FormatSAM's segments).
 	buf   []byte
 	spans []seq.Span
+	// bad and quarantined count the bad records the reader met while
+	// cutting the batch, readWall its time doing so.
+	bad, quarantined int32
+	readWall         time.Duration
 }
+
+// base is the global read index of spans[0]: every batch but the last
+// holds streamBatch reads. (streamResult embeds streamWork and must
+// stay within 128 bytes, the largest value a map holds inline, so the
+// writer's reorder map never allocates per batch.)
+func (in streamWork) base() int { return in.seq * streamBatch }
 
 // chunkPool is one Stream call's free list of batch inputs: local to
 // the call, so no buffer outlives it, and at most the pipeline's depth.
@@ -242,6 +250,10 @@ type streamResult[R streamRow] struct {
 	// err is set when the batch was lost to a recovered worker panic;
 	// rows is nil then.
 	err error
+	// mapWall and postings are the worker's time and postings scanned
+	// on the batch.
+	mapWall  time.Duration
+	postings int64
 }
 
 // streamRow is a format's row type: Mapping, or a struct embedding it.
@@ -354,11 +366,11 @@ func (q *quarantineSidecar) record(line int, id string, cause error) {
 //     still drains and counts every batch that was mapped, so Stats
 //     reflects the work actually done.
 //
-// Counters and wall times are recorded into the mapper's obs.Registry
-// (see Metrics) and, independently, into this run's own accumulators;
-// the returned Stats comes from the latter, so concurrent traffic on
-// the same mapper (another Stream, Map) never contaminates a run's
-// Stats — the registry carries the fleet-wide aggregate.
+// The writer counts each batch as it drains it, into the returned
+// Stats and into the mapper's obs.Registry (see Metrics) at once, so
+// concurrent traffic on the same mapper (another Stream, Map) never
+// contaminates a run's Stats — the registry carries the fleet-wide
+// aggregate.
 //
 // Invalid options, and FormatSAM on a mapper without its contig
 // records, fail with an error wrapping ErrInvalidOptions before any
@@ -383,16 +395,12 @@ func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts Stre
 
 // stream is Stream over format f.
 func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.Writer, opts StreamOptions) (Stats, error) {
-	run := m.met.newRun()
+	var stats Stats
 	// Request-scoped tracing: when the context carries a span (a traced
 	// serving request), this run attaches per-phase children and
 	// per-shard scatter-gather timings to it. Untraced runs skip every
 	// trace-only cost, including the per-shard clock reads.
 	sp := obs.SpanFromContext(ctx)
-	var (
-		shardMu  sync.Mutex
-		shardAgg []core.ShardWork
-	)
 	// Fault-injection points (no-ops unless a test armed them).
 	r = fault.Reader(r)
 	w = fault.Writer(w)
@@ -400,7 +408,7 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 	if f.header != nil {
 		buf = f.header(m, buf)
 		if _, err := w.Write(buf); err != nil {
-			return run.stats(), err
+			return stats, err
 		}
 	}
 	streamWorkers := opts.Workers
@@ -421,16 +429,18 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 	// Reader: cut records into fixed-size batches for the workers.
 	// On a mid-stream error or cancellation the partial batch is still
 	// flushed so already-read records reach the writer before the
-	// error returns.
-	var readErr error
+	// error returns. A batch's read wall excludes the reader's waits
+	// for a worker to take it; what the reader met after its last
+	// batch is left in rest.
+	var (
+		readErr error
+		rest    streamWork
+	)
 	go func() {
 		defer close(work)
 		sr := seq.NewReader(r)
 		sr.MaxLen = opts.MaxRecordLen
 		in := chunks.get()
-		// readWall is the goroutine's wall time less its waits for a
-		// worker to take a batch.
-		var readWall time.Duration
 		t0 := time.Now()
 		for {
 			if err := ctx.Err(); err != nil {
@@ -446,9 +456,9 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 					readErr = err
 					break
 				}
-				run.incBadRecord()
+				in.bad++
 				if opts.OnBadRecord == BadRecordQuarantine {
-					run.incQuarantined()
+					in.quarantined++
 					sidecar.record(sr.Line(), recordErrID(err), err)
 				}
 				if rerr := sr.Resync(); rerr != nil {
@@ -459,60 +469,48 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 				}
 				continue
 			}
-			run.incRead()
 			in.spans = append(in.spans, sp)
 			if len(in.spans) == streamBatch {
 				next := chunks.get()
 				in.buf = sr.Chunk(next.buf) // next.buf is the reader's now
-				readWall += time.Since(t0)
+				in.readWall = time.Since(t0)
 				work <- in
 				t0 = time.Now()
-				in = streamWork{seq: in.seq + 1, base: in.base + len(in.spans), spans: next.spans}
+				in = streamWork{seq: in.seq + 1, spans: next.spans}
 			}
 		}
-		readWall += time.Since(t0)
-		if len(in.spans) > 0 {
-			in.buf = sr.Chunk(nil)
-			work <- in
+		in.readWall = time.Since(t0)
+		if len(in.spans) == 0 {
+			// Written before close(work), which happens-before the
+			// workers exit and therefore before the drain returns.
+			rest = in
+			return
 		}
-		// Recorded before close(work), which happens-before the workers
-		// exit and therefore before the final stats read.
-		run.addReadWall(readWall)
+		in.buf = sr.Chunk(nil)
+		work <- in
 	}()
 
 	// Workers: persistent sessions, one per goroutine, reused across
 	// every batch the worker processes (sessions carry the lazy-update
 	// counter arrays, so reuse is what makes per-query cost O(hits)).
-	// Posting-scan counts flow into the registry per segment via the
-	// session's core instrumentation. Panics inside a batch are
-	// recovered in mapBatch; a worker never takes the process down.
+	// A result carries the batch's map wall and postings to the writer.
+	// Panics inside a batch are recovered in mapBatch; a worker never
+	// takes the process down.
+	sessions := make([]*core.Session, workers)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := range sessions {
+		sess := m.core.NewSession().WithContext(ctx)
+		if sp != nil {
+			sess.EnableShardTiming()
+		}
+		sessions[i] = sess
 		wg.Add(1)
 		go func() {
-			var mapWall time.Duration
 			defer wg.Done()
-			sess := m.core.NewSession().WithContext(ctx)
-			if sp != nil {
-				sess.EnableShardTiming()
-			}
-			// Runs before wg.Done: the worker's wall time and its
-			// session's posting scans are attributed to this run while
-			// the pipeline is still draining.
-			defer func() {
-				run.addMapWall(mapWall)
-				run.addPostings(sess.PostingsScanned())
-				run.addLostShards(sess.LostShards())
-				if sp != nil {
-					shardMu.Lock()
-					shardAgg = mergeShardWork(shardAgg, sess.ShardWork())
-					shardMu.Unlock()
-				}
-			}()
 			for item := range work {
-				t0 := time.Now()
-				res := f.mapBatch(m, run, sess, item)
-				mapWall += time.Since(t0)
+				t0, before := time.Now(), sess.PostingsScanned()
+				res := f.mapBatch(m, sess, item)
+				res.mapWall, res.postings = time.Since(t0), sess.PostingsScanned()-before
 				results <- res
 			}
 		}()
@@ -522,13 +520,15 @@ func (f rowFormat[R]) stream(ctx context.Context, m *Mapper, r io.Reader, w io.W
 		close(results)
 	}()
 
-	writeErr, batchErr := f.drainStreamResults(m, run, w, buf, results, chunks, opts.OnBadRecord == BadRecordFail)
+	writeErr, batchErr := f.drainStreamResults(m, &stats, w, buf, results, chunks, opts.OnBadRecord == BadRecordFail)
 
-	stats := run.stats()
+	// The workers are all done (drainStreamResults returns only after
+	// the results channel closes), so their sessions are idle; their
+	// postings went out with the batches.
+	m.met.publish(&stats, Stats{BadRecords: int(rest.bad), Quarantined: int(rest.quarantined),
+		ReadWall: rest.readWall, ShardsLost: lostShards(sessions)}, sessions)
 	if sp != nil {
-		// Workers are all done (drainStreamResults returns only after
-		// the results channel closes), so shardAgg is complete.
-		attachStreamSpans(sp, stats, shardAgg)
+		attachStreamSpans(sp, stats, shardWork(sessions))
 	}
 	switch {
 	case writeErr != nil:
@@ -557,13 +557,12 @@ func recordErrID(err error) string {
 // the sketch/lookup path into a per-batch error instead of crashing the
 // process. The injected fault.WorkerPanic point lives here so tests
 // can prove the recovery path end to end.
-func (f rowFormat[R]) mapBatch(m *Mapper, run *runScope, sess *core.Session, item streamWork) (res streamResult[R]) {
+func (f rowFormat[R]) mapBatch(m *Mapper, sess *core.Session, item streamWork) (res streamResult[R]) {
 	defer func() {
 		if r := recover(); r != nil {
-			run.incPanic()
 			res = streamResult[R]{streamWork: item, err: fmt.Errorf(
 				"jem: worker panic mapping batch %d (reads %d-%d): %v",
-				item.seq, item.base, item.base+len(item.spans)-1, r)}
+				item.seq, item.base(), item.base()+len(item.spans)-1, r)}
 		}
 	}()
 	if _, ok := fault.Fire(fault.WorkerPanic); ok {
@@ -586,17 +585,18 @@ func (f rowFormat[R]) mapBatch(m *Mapper, run *runScope, sess *core.Session, ite
 	for j := range item.spans {
 		var read seq.Record
 		read, ids = item.read(j, ids, m.opts.SegmentLen)
-		rows = core.AppendEnds(rows, sess, item.base+j, read, m.opts.SegmentLen, row)
+		rows = core.AppendEnds(rows, sess, item.base()+j, read, m.opts.SegmentLen, row)
 	}
 	return streamResult[R]{streamWork: item, rows: rows}
 }
 
 // drainStreamResults is Stream's writer stage (run on the calling
 // goroutine): reassemble input order, encode the rows into buf and
-// write them one by one, then recycle each batch's chunk. The results
-// channel is always drained fully, even after a write or batch error,
-// so the pipeline goroutines never leak; the first write error (and,
-// when failOnBatchErr, the first batch error) is returned and further
+// write them one by one, publish each batch's numbers into st and the
+// registry, then recycle its chunk. The results channel is always
+// drained fully, even after a write or batch error, so the pipeline
+// goroutines never leak; the first write error (and, when
+// failOnBatchErr, the first batch error) is returned and further
 // writes are skipped while accounting continues.
 //
 // pending is bounded by the pipeline depth, not the input size: a
@@ -607,8 +607,7 @@ func (f rowFormat[R]) mapBatch(m *Mapper, run *runScope, sess *core.Session, ite
 // stream; it cannot balloon memory.
 //
 //jem:hotpath
-func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, buf []byte, results <-chan streamResult[R], chunks chunkPool, failOnBatchErr bool) (writeErr, batchErr error) {
-	var writeWall time.Duration
+func (f rowFormat[R]) drainStreamResults(m *Mapper, st *Stats, w io.Writer, buf []byte, results <-chan streamResult[R], chunks chunkPool, failOnBatchErr bool) (writeErr, batchErr error) {
 	pending := make(map[int]streamResult[R])
 	next := 0
 	for res := range results {
@@ -620,29 +619,28 @@ func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, 
 			}
 			delete(pending, next)
 			next++
+			d := Stats{Reads: len(cur.spans), BadRecords: int(cur.bad), Quarantined: int(cur.quarantined),
+				PostingsScanned: cur.postings, ReadWall: cur.readWall, MapWall: cur.mapWall}
+			rows := cur.rows
 			if cur.err != nil {
 				// A panicked batch has no rows. Under the fail policy the
 				// first batch error becomes the run's error (after the
-				// drain); otherwise it was already counted and the stream
-				// moves on.
+				// drain); otherwise the stream moves on.
+				d.WorkerPanics = 1
 				if failOnBatchErr && batchErr == nil {
 					batchErr = cur.err
 				}
-				chunks.put(cur.streamWork)
-				continue
 			}
-			rows := cur.rows
 			// Count every drained batch — the mapping work happened
 			// whether or not the rows can still be written — then skip
 			// only the write once a write error is sticky.
-			hits := int64(0)
+			d.Segments = len(rows)
 			for i := range rows {
 				if rows[i].hit() {
-					hits++
+					d.Mapped++
 				}
 			}
-			run.addDrained(int64(len(rows)), hits)
-			if writeErr == nil {
+			if writeErr == nil && len(rows) > 0 {
 				t0 := time.Now()
 				for i := range rows {
 					if buf = f.encode(m, buf[:0], &rows[i], cur.streamWork); len(buf) == 0 {
@@ -653,11 +651,11 @@ func (f rowFormat[R]) drainStreamResults(m *Mapper, run *runScope, w io.Writer, 
 						break
 					}
 				}
-				writeWall += time.Since(t0)
+				d.WriteWall = time.Since(t0)
 			}
+			m.met.publish(st, d, nil)
 			chunks.put(cur.streamWork)
 		}
 	}
-	run.addWriteWall(writeWall)
 	return writeErr, batchErr
 }

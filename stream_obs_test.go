@@ -2,6 +2,8 @@ package jem_test
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -53,10 +55,6 @@ func TestMapStreamStatsMatchRegistry(t *testing.T) {
 		if got := snap[name]; math.Abs(got-want) > 1e-6 {
 			t.Errorf("registry %s = %v, stats say %v", name, got, want)
 		}
-	}
-	// The core lookup histogram must have one observation per segment.
-	if got := int64(snap["jem_core_lookup_seconds_count"]); got != int64(stats.Segments) {
-		t.Errorf("lookup histogram count = %d, want %d", got, stats.Segments)
 	}
 
 	// A second run on the same mapper accumulates in the registry but
@@ -122,7 +120,7 @@ func TestMapStreamServedLive(t *testing.T) {
 	metrics := get("/metrics")
 	for _, want := range []string{
 		"jem_stream_reads_total", "jem_core_postings_scanned_total",
-		"jem_core_lookup_seconds_bucket", "jem_stream_map_wall_seconds",
+		"jem_stream_map_wall_seconds",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
@@ -139,5 +137,41 @@ func TestMapStreamServedLive(t *testing.T) {
 	}
 	if stats.Segments == 0 {
 		t.Error("no segments mapped")
+	}
+}
+
+// TestShardedMetricsSplitPostings checks the per-shard observability
+// of a sharded mapper: the per-shard postings counters are registered
+// and, after Map and Stream calls, sum to the global postings counter.
+func TestShardedMetricsSplitPostings(t *testing.T) {
+	ds := buildSmallDataset(t)
+	opts := jem.DefaultOptions()
+	opts.Shards = 3
+	mapper, err := jem.NewMapper(ds.Contigs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := mapper.Metrics()
+	if _, err := mapper.Map(context.Background(), ds.Reads, jem.MapOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var reads, out bytes.Buffer
+	if err := writeFASTQ(&reads, ds.Reads); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := streamAll(mapper, &reads, &out); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	var perShard float64
+	for i := 0; i < 4; i++ {
+		v, ok := snap[fmt.Sprintf("jem_core_shard%d_postings_scanned_total", i)]
+		if ok != (i < 3) {
+			t.Fatalf("shard %d postings counter registered = %v, want %v", i, ok, i < 3)
+		}
+		perShard += v
+	}
+	if total := snap["jem_core_postings_scanned_total"]; perShard != total || total == 0 {
+		t.Fatalf("per-shard postings sum %v, global counter %v (want equal and non-zero)", perShard, total)
 	}
 }

@@ -8,21 +8,21 @@ import (
 	"repro/internal/obs"
 )
 
-// mergeShardWork folds one worker session's per-shard work tallies
-// into the run-wide aggregate (growing it if this worker saw more
-// shards). Called once per worker at exit, under the run's shard
-// mutex.
-func mergeShardWork(dst, src []core.ShardWork) []core.ShardWork {
-	if len(src) > len(dst) {
-		grown := make([]core.ShardWork, len(src))
-		copy(grown, dst)
-		dst = grown
+// shardWork sums idle sessions' per-shard work for a trace: nil on a
+// one-shard mapper and before any query.
+func shardWork(sessions []*core.Session) []core.ShardWork {
+	var sum []core.ShardWork
+	for _, s := range sessions {
+		sw := s.ShardWork() // a fresh snapshot, nil or one entry per shard
+		if len(sw) > len(sum) {
+			sum, sw = sw, sum
+		}
+		for i, w := range sw {
+			sum[i].Postings += w.Postings
+			sum[i].Wall += w.Wall
+		}
 	}
-	for i, w := range src {
-		dst[i].Postings += w.Postings
-		dst[i].Wall += w.Wall
-	}
-	return dst
+	return sum
 }
 
 // attachStreamSpans turns one finished run's phase accumulators into
