@@ -87,12 +87,15 @@ serve-smoke:
 
 # Distributed shard serving under the race detector: the shardnet
 # protocol/coordinator suite (deadlines, retries, cancellation,
-# degraded answers), the facade-level degraded-answer and fingerprint
-# tests, and the multi-process jem-shardd end-to-end with fault
-# injection. Fleet byte identity is a row of internal/oracle's matrix.
-# See docs/DISTRIBUTED.md for the contracts these prove.
+# degraded answers), the simulated ranks, core's fleet open (degraded
+# answers, cancellation, and the fingerprint check that comes before
+# any sketcher is built), the facade-level degraded-answer and
+# fingerprint tests, and the multi-process jem-shardd end-to-end with
+# fault injection. Fleet byte identity is a row of internal/oracle's
+# matrix. See docs/DISTRIBUTED.md for the contracts these prove.
 dist-smoke:
-	$(GO) test -race ./internal/shardnet/
+	$(GO) test -race ./internal/shardnet/ ./internal/dist/
+	$(GO) test -race -run 'TestRemote|TestLoadAllocates' ./internal/core/
 	$(GO) test -race -run 'TestOpenShardServers|TestServeShardsLostHeader|TestDistE2EMultiProcess' .
 
 # Request-scoped observability tests under the race detector: the one

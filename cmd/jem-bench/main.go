@@ -43,7 +43,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "hash family seed")
 		csvDir      = flag.String("csv", "", "also write raw data as CSV files into this directory")
 		metricsAddr = flag.String("metrics-addr", "",
-			"serve /metrics, /statusz, /debug/vars and /debug/pprof while benchmarks run (empty = off)")
+			"serve /metrics, /statusz and /debug/pprof while benchmarks run (empty = off)")
 		metricsLinger = flag.Duration("metrics-linger", 0,
 			"keep the metrics server up this long after the run finishes (lets a scraper collect the final state)")
 	)
@@ -71,7 +71,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "jem-bench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "serving metrics at %s/metrics (also /statusz, /debug/vars, /debug/pprof)\n", srv.URL())
+		fmt.Fprintf(os.Stderr, "serving metrics at %s/metrics (also /statusz, /debug/pprof)\n", srv.URL())
 		defer func() {
 			if *metricsLinger > 0 {
 				fmt.Fprintf(os.Stderr, "metrics server lingering %v\n", *metricsLinger)

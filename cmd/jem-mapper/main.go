@@ -16,7 +16,7 @@
 //
 // Pass -metrics-addr host:port to serve live observability while the
 // run is in flight: /metrics (Prometheus text), /statusz (human
-// table + phase spans), /debug/vars (expvar) and /debug/pprof/*.
+// table + phase spans) and /debug/pprof/*.
 // -metrics-linger keeps the server up after the run so a scraper can
 // collect the final state. See docs/OBSERVABILITY.md.
 //
@@ -82,7 +82,7 @@ func main() {
 		maxRecordLen = flag.Int("max-record-len", 0,
 			"treat records longer than this many bases as bad records (0 = no limit)")
 		metricsAddr = flag.String("metrics-addr", "",
-			"serve /metrics, /statusz, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = off)")
+			"serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = off)")
 		metricsLinger = flag.Duration("metrics-linger", 0,
 			"keep the metrics server up this long after the run finishes (lets a scraper collect the final state)")
 		logJSON = flag.Bool("log-json", false, "emit the progress log as JSON lines instead of text")
@@ -170,7 +170,7 @@ func run(ctx context.Context, cfg runConfig) (retErr error) {
 		}
 		logger.Info("serving metrics",
 			slog.String("url", srv.URL()+"/metrics"),
-			slog.String("also", "/statusz /debug/vars /debug/pprof"))
+			slog.String("also", "/statusz /debug/pprof"))
 		defer func() {
 			if cfg.metricsLinger > 0 {
 				logger.Info("metrics server lingering", slog.Duration("linger", cfg.metricsLinger))

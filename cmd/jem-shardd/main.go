@@ -93,12 +93,7 @@ func run(listen, index, shardSpec, memory, metricsAddr string) error {
 	if mapping != nil {
 		defer func() { _ = mapping.Close() }()
 	}
-	srv, err := shardnet.NewServer(tables, shardnet.Info{
-		Shards:      meta.Shards,
-		T:           meta.T,
-		NumSubjects: meta.NumSubjects,
-		ManifestCRC: meta.ManifestCRC,
-	})
+	srv, err := shardnet.NewServer(tables, meta)
 	if err != nil {
 		return err
 	}

@@ -32,12 +32,7 @@ func startShardFleet(t *testing.T, indexPath string, nServers int) (addrs []stri
 		if err != nil {
 			t.Fatalf("server %d subset load: %v", i, err)
 		}
-		srv, err := shardnet.NewServer(tables, shardnet.Info{
-			Shards:      meta.Shards,
-			T:           meta.T,
-			NumSubjects: meta.NumSubjects,
-			ManifestCRC: meta.ManifestCRC,
-		})
+		srv, err := shardnet.NewServer(tables, meta)
 		if err != nil {
 			t.Fatal(err)
 		}

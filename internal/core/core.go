@@ -65,22 +65,23 @@ type SubjectMeta struct {
 
 // Mapper holds the sketch table over a subject set.
 //
-// A mapper starts as a builder — subjects are sketched and their
-// records appended — and serves only once sealed: sealing sorts the
-// records into P ≥ 1 flat shards (Seal is P = 1) and drops the builder.
-// An index load arrives at the same state through the JEMIDX06 loader,
-// and a remote mapper serves the same shards from a fleet (SetRemote).
+// NewMapper returns a builder — subjects are sketched and their records
+// appended — which serves only once sealed: sealing sorts the records
+// into P ≥ 1 flat shards (Seal is P = 1) and drops the builder. Every
+// other way of getting a mapper returns it sealed: NewSealed over a
+// table built elsewhere (the index loaders, the simulated ranks) and
+// OpenRemoteFile over a shard fleet.
 type Mapper struct {
 	sk *sketch.Sketcher
 	// build accumulates the subjects' sketch records; nil once the
-	// mapper is sealed (by Seal, an index load or SetRemote).
+	// mapper is sealed.
 	build *sketch.Builder
-	// sharded is the sealed serving table, nil until Seal, SealSharded
-	// or an index load installed one.
+	// sharded is the local sealed table, nil for a builder or a remote
+	// mapper.
 	sharded *sketch.ShardedFrozen
-	// remote, when non-nil, replaces every local table: queries
-	// scatter-gather over the wire through it (SetRemote).
-	remote   ShardQuerier
+	// src is where sessions get posting lists from, fixed when the
+	// mapper is sealed; nil for a builder.
+	src      postingSource
 	subjects []SubjectMeta
 }
 
@@ -113,13 +114,10 @@ func (m *Mapper) Sharded() *sketch.ShardedFrozen { return m.sharded }
 // Shards returns the number of serving shards: P for a sealed or
 // remote mapper, 0 before sealing.
 func (m *Mapper) Shards() int {
-	switch {
-	case m.remote != nil:
-		return m.remote.NumShards()
-	case m.sharded != nil:
-		return m.sharded.NumShards()
+	if m.src == nil {
+		return 0
 	}
-	return 0
+	return m.src.numShards()
 }
 
 // IndexBytes returns the approximate total size of the serving index
@@ -171,7 +169,7 @@ func (m *Mapper) SealShardedTraced(shards, workers int, trace func(shard int, fn
 		// here; the error names it and says to use more shards.
 		panic(err.Error())
 	}
-	m.sharded, m.build = sf, nil
+	m.sharded, m.src, m.build = sf, localSource{sf}, nil
 }
 
 // Seal is SealSharded with one shard. Seal is idempotent, and a no-op
@@ -196,16 +194,6 @@ func (m *Mapper) Entries() int {
 	return m.sharded.Entries()
 }
 
-// mutationGuard panics when the subject set may no longer grow: once
-// sealed. Sessions exist only on a sealed mapper (NewSession panics
-// otherwise), so none can ever see the subject set grow under its
-// counter arrays.
-func (m *Mapper) mutationGuard(op string) {
-	if m.Sealed() {
-		panic(fmt.Sprintf("core: %s on a sealed mapper", op))
-	}
-}
-
 // NumSubjects returns the number of subjects indexed so far.
 func (m *Mapper) NumSubjects() int { return len(m.subjects) }
 
@@ -218,33 +206,40 @@ func (m *Mapper) Subject(id int32) SubjectMeta { return m.subjects[id] }
 // assigned densely in input order, continuing from any previously
 // added subjects. Which worker took which contig leaves no trace in
 // the sealed table, so results are identical for every worker count.
+// Sessions size their counters to the subject set, so it may grow
+// only until the mapper is sealed: afterwards this panics.
 func (m *Mapper) AddSubjectsParallel(contigs []seq.Record, workers int) {
-	m.mutationGuard("AddSubjectsParallel")
+	if m.Sealed() {
+		panic("core: AddSubjectsParallel on a sealed mapper")
+	}
 	base := len(m.subjects)
-	m.RegisterSubjects(contigs)
+	m.subjects = append(m.subjects, SubjectsOf(contigs)...)
 	parallel.ForEachWorker(len(contigs), workers, m.build.Appender, func(a *sketch.Appender, i int) {
 		words, anchors := m.sk.SubjectSketchPositional(contigs[i].Seq)
 		a.Append(int32(base+i), words, anchors)
 	})
 }
 
-// RegisterSubjects records subject metadata without sketching,
-// assigning dense ids in input order. The distributed driver uses this
-// (metadata is small and replicated on every rank) while the ranks
-// append their own contigs' sketches through Appender.
-func (m *Mapper) RegisterSubjects(contigs []seq.Record) {
-	m.mutationGuard("RegisterSubjects")
+// SubjectsOf returns the metadata a mapper keeps of contigs, in input
+// order: subject i is contigs[i].
+func SubjectsOf(contigs []seq.Record) []SubjectMeta {
+	out := make([]SubjectMeta, len(contigs))
 	for i := range contigs {
-		m.subjects = append(m.subjects, SubjectMeta{Name: contigs[i].ID, Length: int32(len(contigs[i].Seq))})
+		out[i] = SubjectMeta{Name: contigs[i].ID, Length: int32(len(contigs[i].Seq))}
 	}
+	return out
 }
 
-// Appender returns a new appender on the mapper's builder, for a
-// caller that sketches registered subjects itself (one per rank in the
-// distributed driver; the union step S3 is then Seal).
-func (m *Mapper) Appender() *sketch.Appender {
-	m.mutationGuard("Appender")
-	return m.build.Appender()
+// NewSealed returns a sealed mapper serving sf over subjects, sketching
+// queries with p: the one constructor for a table built outside the
+// mapper — an index load, or the simulated ranks' gathered S_global.
+// Subject ids in sf index subjects.
+func NewSealed(p sketch.Params, subjects []SubjectMeta, sf *sketch.ShardedFrozen) (*Mapper, error) {
+	sk, err := sketch.NewSketcher(p)
+	if err != nil {
+		return nil, err
+	}
+	return &Mapper{sk: sk, sharded: sf, src: localSource{sf}, subjects: subjects}, nil
 }
 
 // Session carries the per-worker lazy-update counter state of §III-C:
@@ -312,13 +307,16 @@ type ShardWork struct {
 }
 
 // NewSession creates a mapping session over the mapper's subject set.
-// The mapper must be sealed (or remote): a session on an unsealed
-// mapper panics, there is no table to serve from yet.
+// The mapper must be sealed: a session on a builder panics, there is
+// no table to serve from yet.
 func (m *Mapper) NewSession() *Session {
+	if m.src == nil {
+		panic("core: NewSession on an unsealed mapper (Seal it first)")
+	}
 	n := len(m.subjects)
 	s := &Session{
 		m:     m,
-		src:   m.source(),
+		src:   m.src,
 		count: make([]int32, n),
 		lastq: make([]int32, n),
 		qid:   0,

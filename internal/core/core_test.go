@@ -231,47 +231,6 @@ func TestMapSegmentsMatchesMapReads(t *testing.T) {
 	}
 }
 
-// TestRegisterSubjectsAndMergeTableEquivalence: registering subjects up
-// front and letting two "ranks" append their halves' sketches through
-// their own appenders (the gather merge is then Seal) must map like a
-// mapper that added every contig itself.
-func TestRegisterSubjectsAndMergeTableEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	var contigs []seq.Record
-	for i := 0; i < 20; i++ {
-		contigs = append(contigs, seq.Record{ID: fmt.Sprintf("c%d", i), Seq: randDNA(rng, 600)})
-	}
-	p := smallParams()
-	direct, _ := NewMapper(p)
-	direct.AddSubjectsParallel(contigs, 1)
-	direct.Seal()
-
-	split, _ := NewMapper(p)
-	split.RegisterSubjects(contigs)
-	r1, r2 := split.Appender(), split.Appender()
-	for i := range contigs {
-		a := r1
-		if i >= 10 {
-			a = r2
-		}
-		a.Append(int32(i), split.Sketcher().SubjectSketch(contigs[i].Seq), nil)
-	}
-	split.Seal()
-
-	if direct.Entries() != split.Entries() {
-		t.Fatalf("entries differ: %d vs %d", direct.Entries(), split.Entries())
-	}
-	s1, s2 := direct.NewSession(), split.NewSession()
-	for i := 0; i < 40; i++ {
-		seg := randDNA(rng, p.L)
-		h1, ok1 := s1.MapSegment(seg)
-		h2, ok2 := s2.MapSegment(seg)
-		if ok1 != ok2 || h1 != h2 {
-			t.Fatalf("mapping differs after merge: %v vs %v", h1, h2)
-		}
-	}
-}
-
 func TestSegmentKindString(t *testing.T) {
 	if Prefix.String() != "prefix" || Suffix.String() != "suffix" {
 		t.Error("SegmentKind strings wrong")
@@ -590,8 +549,6 @@ func TestSealedMapperPanicsOnMutation(t *testing.T) {
 	m.Seal()
 	mustPanic("AddSubjects", func() { m.AddSubjectsParallel(contigs, 1) })
 	mustPanic("AddSubjectsParallel", func() { m.AddSubjectsParallel(contigs, 2) })
-	mustPanic("RegisterSubjects", func() { m.RegisterSubjects(contigs) })
-	mustPanic("Appender", func() { m.Appender() })
 }
 
 // TestMutationAfterSessionPanics: sessions size their counter arrays to

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -13,15 +14,16 @@ import (
 	"repro/internal/seq"
 )
 
-// FuzzReadIndex asserts that the index deserializer errors, never
-// panics, and allocates no more than its input's length allows on
-// arbitrary bytes, and that accepted indexes round-trip. Every input is
-// tried twice: as index bytes, and as a rewrite of one manifest field
-// of a valid index (see craftManifest) whose manifest CRC is then
-// recomputed, so a crafted field reaches the validators instead of
-// failing at the checksum.
+// FuzzReadIndex asserts that the index deserializer and the fleet open
+// error, never panic, and allocate no more than their input's length
+// allows on arbitrary bytes, and that accepted indexes round-trip.
+// Every input is tried twice: as index bytes, and as a rewrite of one
+// manifest field of a valid index (see craftManifest) whose manifest
+// CRC is then recomputed, so a crafted field reaches the validators
+// instead of failing at the checksum.
 func FuzzReadIndex(f *testing.F) {
 	valid := fuzzIndex(f)
+	fleet := &memQuerier{meta: manifestMeta(f, valid)}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])
 	f.Add([]byte{})
@@ -31,8 +33,10 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 128))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReadIndex(t, data)
+		checkOpenRemote(t, data, fleet)
 		if crafted := craftManifest(valid, data); crafted != nil {
 			checkReadIndex(t, crafted)
+			checkOpenRemote(t, crafted, fleet)
 		}
 	})
 }
@@ -53,32 +57,52 @@ func fuzzIndex(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// manifestMeta returns the identity of the index in data.
+func manifestMeta(tb testing.TB, data []byte) IndexMeta {
+	man, err := readManifest(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return man.meta()
+}
+
 // TestLoadAllocatesInProportionToInput loads FuzzReadIndex's
 // manifest-param-t-max seed — a manifest claiming T = 65536 behind a
 // valid CRC, over payloads of the real trial count — through every
-// local loader. Each must fail on the trial count before building the
-// T-function hash family, so what it allocates stays within 64 KiB
-// (the reader's buffer) plus 16 B per input byte.
+// local loader and through the fleet open, against a fleet announcing
+// the real index's identity. Each must fail before building the
+// T-function hash family — a loader on the trial count, the fleet open
+// on the fingerprint — so what it allocates stays within 64 KiB (the
+// reader's buffer) plus 16 B per input byte.
 func TestLoadAllocatesInProportionToInput(t *testing.T) {
-	data := craftManifest(fuzzIndex(t), []byte("\x02\x00\x00\x01"))
+	valid := fuzzIndex(t)
+	data := craftManifest(valid, []byte("\x02\x00\x00\x01"))
 	path := filepath.Join(t.TempDir(), "idx.jem")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, load := range map[string]func() error{
-		"ReadIndex": func() error { _, err := ReadIndexObserved(bytes.NewReader(data), nil); return err },
-		"heap":      func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap}); return err },
-		"mmap":      func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap}); return err },
+	fleet := &memQuerier{meta: manifestMeta(t, valid)}
+	for name, c := range map[string]struct {
+		load func() error
+		want string
+	}{
+		"ReadIndex": {func() error { _, err := ReadIndexObserved(bytes.NewReader(data), nil); return err }, "trials"},
+		"heap":      {func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap}); return err }, "trials"},
+		"mmap":      {func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap}); return err }, "trials"},
+		"fleet": {func() error {
+			_, err := OpenRemoteFile(path, func() (ShardQuerier, error) { return fleet, nil })
+			return err
+		}, "different index"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := load()
+		err := c.load()
 		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), "trials") {
-			t.Fatalf("%s: loading a manifest that lies about T gave %v, want a trial-count error", name, err)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: opening a manifest that lies about T gave %v, want an error naming %q", name, err, c.want)
 		}
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(data)); alloc > limit {
-			t.Errorf("%s: a failing load of %d bytes allocated %d, limit %d", name, len(data), alloc, limit)
+			t.Errorf("%s: a failing open of %d bytes allocated %d, limit %d", name, len(data), alloc, limit)
 		}
 	}
 }
@@ -111,6 +135,28 @@ func checkReadIndex(t *testing.T, data []byte) {
 		again.Entries() != got.Entries() ||
 		again.Sketcher().Params() != got.Sketcher().Params() {
 		t.Fatal("unstable index round trip")
+	}
+}
+
+// checkOpenRemote runs data through the fleet open — the manifest read,
+// then the fingerprint check against fleet — bounding what it
+// allocates by data's length. Only the index fleet announces opens.
+func checkOpenRemote(t *testing.T, data []byte, fleet *memQuerier) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	man, err := readManifest(bufio.NewReaderSize(bytes.NewReader(data), 1<<16))
+	var m *Mapper
+	if err == nil {
+		m, err = openRemote(man, func() (ShardQuerier, error) { return fleet, nil })
+	}
+	runtime.ReadMemStats(&after)
+	// The fixed part covers the reader's buffer and the subject table a
+	// manifest may reserve before its entries are read (65,536 × 24 B).
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(2<<20+16*len(data)); alloc > limit {
+		t.Fatalf("opening %d bytes against a fleet allocated %d, limit %d", len(data), alloc, limit)
+	}
+	if err == nil && (m.Shards() != fleet.meta.Shards || m.NumSubjects() != fleet.meta.NumSubjects) {
+		t.Fatalf("the fleet open of %+v serves %d shards over %d subjects", fleet.meta, m.Shards(), m.NumSubjects())
 	}
 }
 

@@ -219,8 +219,9 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 
 // readIndexMeta decodes the params and subject metadata that open the
 // manifest. It builds no sketcher: the loaders do that only once every
-// kept payload has confirmed the trial count, so what a load allocates
-// stays proportional to its input. It reads exact lengths only (no
+// kept payload has confirmed the trial count, and the fleet open only
+// once the fleet's identity matched, so what an open allocates before
+// then stays proportional to its input. It reads exact lengths only (no
 // lookahead), so it is safe to run through a checksumming TeeReader.
 func readIndexMeta(r io.Reader) (sketch.Params, []SubjectMeta, error) {
 	var raw [6]uint64
@@ -525,11 +526,10 @@ func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
 	if err != nil {
 		return nil, MemoryInfo{}, fmt.Errorf("core: assembling sharded table: %w", err)
 	}
-	sk, err := sketch.NewSketcher(ld.man.p)
+	m, err := NewSealed(ld.man.p, ld.man.subjects, sf)
 	if err != nil {
 		return nil, MemoryInfo{}, err
 	}
-	m := &Mapper{sk: sk, sharded: sf, subjects: ld.man.subjects}
 	return m, MemoryInfo{Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
 }
 

@@ -34,23 +34,31 @@ func goldenContigs(t *testing.T) []seq.Record {
 }
 
 // buildAnchorless indexes contigs the way the simulated-rank driver
-// does: metadata registered up front, two "ranks" each contributing
-// the anchor-less sketches of their half of the contigs.
+// does: two "ranks" each append the anchor-less sketches of their half
+// of the contigs to one sketch.Builder, whose frozen table becomes a
+// mapper through NewSealed.
 func buildAnchorless(t *testing.T, contigs []seq.Record, p sketch.Params, shards int) *Mapper {
 	t.Helper()
-	m, err := NewMapper(p)
+	sk, err := sketch.NewSketcher(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.RegisterSubjects(contigs)
+	b := sketch.NewBuilder(p.T)
 	half := len(contigs) / 2
 	for _, part := range [][2]int{{0, half}, {half, len(contigs)}} {
-		a := m.Appender()
+		a := b.Appender()
 		for i := part[0]; i < part[1]; i++ {
-			a.Append(int32(i), m.Sketcher().SubjectSketch(contigs[i].Seq), nil)
+			a.Append(int32(i), sk.SubjectSketch(contigs[i].Seq), nil)
 		}
 	}
-	m.SealSharded(shards, 2)
+	sf, err := b.Freeze(shards, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewSealed(p, SubjectsOf(contigs), sf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/seq"
+	"repro/internal/sketch"
 )
 
 func TestIndexRoundTrip(t *testing.T) {
@@ -154,23 +155,30 @@ func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 		})
 	}
 	p := smallParams()
-	m, err := NewMapper(p)
+	sk, err := sketch.NewSketcher(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.RegisterSubjects(contigs)
 	// Two "ranks" sketch half the contigs each into their own
-	// appenders; sealing is the gather merge, exactly as internal/dist
-	// does it.
+	// appenders on one builder; freezing it is the gather merge, exactly
+	// as internal/dist does it.
+	b := sketch.NewBuilder(p.T)
 	var gathered int64
 	for r := 0; r < 2; r++ {
-		a := m.Appender()
+		a := b.Appender()
 		for i := r * 12; i < (r+1)*12; i++ {
-			a.Append(int32(i), m.Sketcher().SubjectSketch(contigs[i].Seq), nil)
+			a.Append(int32(i), sk.SubjectSketch(contigs[i].Seq), nil)
 		}
 		gathered += a.Bytes()
 	}
-	m.Seal()
+	sf, err := b.Freeze(1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewSealed(p, SubjectsOf(contigs), sf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := m.WriteIndex(&buf); err != nil {
@@ -205,9 +213,9 @@ func TestReadIndexRetiredMagics(t *testing.T) {
 			}
 			_, rerr := ReadIndexObserved(bytes.NewReader(body), nil)
 			_, _, _, oerr := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap})
-			_, _, merr := ReadIndexMetaFile(path)
+			_, merr := OpenRemoteFile(path, noDial(t))
 			_, _, serr := ReadShardSubsetFile(path, func(int) bool { return true })
-			for name, err := range map[string]error{"ReadIndex": rerr, "OpenIndexFile": oerr, "ReadIndexMetaFile": merr, "ReadShardSubsetFile": serr} {
+			for name, err := range map[string]error{"ReadIndex": rerr, "OpenIndexFile": oerr, "OpenRemoteFile": merr, "ReadShardSubsetFile": serr} {
 				if err == nil || !strings.Contains(err.Error(), magic+" is no longer supported") || !strings.Contains(err.Error(), "-save-index") {
 					t.Errorf("%s: error %v does not name the retired format and the rebuild", name, err)
 				}

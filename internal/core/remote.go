@@ -26,38 +26,23 @@ import (
 // without it (the degraded-answer policy; see Session.LostShards).
 // Implementations must be safe for concurrent use by many sessions.
 type ShardQuerier interface {
-	// NumShards returns the index's total shard count P; probes are
-	// routed with sketch.ShardOf(trial, word, P).
-	NumShards() int
+	// Info returns the identity of the index the fleet serves; probes
+	// are routed over its Shards with sketch.ShardOf.
+	Info() IndexMeta
 	// QueryShard resolves one shard's probe batch under ctx.
 	QueryShard(ctx context.Context, shard int, trials []int32, words []sketch.Word) ([][]sketch.Posting, error)
-}
-
-// SetRemote installs a remote scatter-gather backend as the mapper's
-// serving path, replacing any local table (the typical caller holds a
-// meta-only mapper from ReadIndexMetaFile, which has no postings to
-// drop). Passing nil restores local serving and panics if there is no
-// sealed local table to return to. It must run before sessions are
-// issued, and it seals the mapper: no subjects are added afterwards.
-func (m *Mapper) SetRemote(q ShardQuerier) {
-	if q == nil {
-		if m.sharded == nil {
-			panic("core: cannot clear the remote backend of a mapper with no sealed local table")
-		}
-		m.remote = nil
-		return
-	}
-	m.remote = q
-	m.build = nil
 }
 
 // remoteSource serves from a shard fleet: each touched shard's probes
 // go out as one RPC. Because the probes, the per-shard posting lists
 // and the counting order all match the local source exactly, a healthy
 // fleet yields byte-identical results — including PostingsScanned.
-type remoteSource struct{ q ShardQuerier }
+type remoteSource struct {
+	q ShardQuerier
+	p int // the fleet's shard count, fixed at open
+}
 
-func (rs remoteSource) numShards() int { return rs.q.NumShards() }
+func (rs remoteSource) numShards() int { return rs.p }
 
 // fetch fans out one RPC per touched shard. A single-shard query runs
 // inline; multi-shard queries overlap their network waits (each RPC
@@ -119,25 +104,47 @@ type IndexMeta struct {
 	ManifestCRC uint32
 }
 
-// ReadIndexMetaFile reads only the manifest of an index: the returned
-// mapper carries the sketch parameters and subject metadata but NO
-// postings (it must be given a backend with SetRemote before it can
-// serve), and the IndexMeta carries the fingerprint to validate a
-// shard fleet against.
-func ReadIndexMetaFile(path string) (*Mapper, IndexMeta, error) {
+// OpenRemoteFile opens the index at path for serving from a shard
+// fleet, in an order that keeps a corrupt manifest or a mismatched
+// fleet from costing more than the manifest's own bytes:
+//
+//  1. read the manifest alone — params, subjects and IndexMeta;
+//  2. call dial for the fleet;
+//  3. compare the fleet's Info with the manifest's IndexMeta;
+//  4. only then build the sketcher.
+//
+// The returned mapper is sealed, and its postings live in the fleet.
+// The querier dial returns stays the caller's to close, also when
+// OpenRemoteFile fails after dial.
+func OpenRemoteFile(path string, dial func() (ShardQuerier, error)) (*Mapper, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, IndexMeta{}, err
+		return nil, err
 	}
 	defer func() { _ = f.Close() }()
 	man, err := readManifest(bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
-		return nil, IndexMeta{}, fmt.Errorf("core: index %s: %w", path, err)
+		return nil, fmt.Errorf("core: index %s: %w", path, err)
 	}
-	m, err := NewMapper(man.p)
+	return openRemote(man, dial)
+}
+
+// openRemote runs steps 2–4 of OpenRemoteFile over a read manifest.
+func openRemote(man *shardedManifest, dial func() (ShardQuerier, error)) (*Mapper, error) {
+	q, err := dial()
 	if err != nil {
-		return nil, IndexMeta{}, err
+		return nil, err
 	}
-	m.subjects = man.subjects
-	return m, man.meta(), nil
+	want := man.meta()
+	if got := q.Info(); got != want {
+		return nil, fmt.Errorf(
+			"core: shard fleet serves a different index: fleet has %d shards, T=%d, %d subjects, manifest %08x; manifest says %d shards, T=%d, %d subjects, %08x",
+			got.Shards, got.T, got.NumSubjects, got.ManifestCRC,
+			want.Shards, want.T, want.NumSubjects, want.ManifestCRC)
+	}
+	sk, err := sketch.NewSketcher(man.p)
+	if err != nil {
+		return nil, err
+	}
+	return &Mapper{sk: sk, src: remoteSource{q: q, p: want.Shards}, subjects: man.subjects}, nil
 }

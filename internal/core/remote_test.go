@@ -17,14 +17,15 @@ import (
 // these tests implicate core, not shardnet. Shards listed in fail
 // answer with an error, modelling a terminally lost shard.
 type memQuerier struct {
-	sf *sketch.ShardedFrozen
+	sf   *sketch.ShardedFrozen
+	meta IndexMeta
 
 	mu    sync.Mutex
 	fail  map[int]bool
 	calls int
 }
 
-func (mq *memQuerier) NumShards() int { return mq.sf.NumShards() }
+func (mq *memQuerier) Info() IndexMeta { return mq.meta }
 
 func (mq *memQuerier) QueryShard(ctx context.Context, shard int, trials []int32, words []sketch.Word) ([][]sketch.Posting, error) {
 	if err := ctx.Err(); err != nil {
@@ -53,60 +54,25 @@ func (mq *memQuerier) setFail(shard int, down bool) {
 	mq.fail[shard] = down
 }
 
-// remoteMapper clones a sharded mapper into a meta-only mapper served
-// by a memQuerier over the original's shards, via the real on-disk
-// manifest path (WriteIndexFile + ReadIndexMetaFile).
-func remoteMapper(t *testing.T, local *Mapper) (*Mapper, *memQuerier, IndexMeta) {
+// remoteMapper opens a sharded mapper's saved index through the fleet
+// open, served by a memQuerier over the original's shards that
+// announces the index's identity.
+func remoteMapper(t *testing.T, local *Mapper) (*Mapper, *memQuerier) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "idx.jem")
 	if err := local.WriteIndexFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m, meta, err := ReadIndexMetaFile(path)
+	_, meta, err := ReadShardSubsetFile(path, func(int) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	mq := &memQuerier{sf: local.Sharded()}
-	m.SetRemote(mq)
-	return m, mq, meta
-}
-
-// TestRemoteMatchesLocalSharded: with every shard healthy, the remote
-// scatter-gather path is byte-identical to the local sharded one —
-// same hits, same positions, same PostingsScanned — at several shard
-// counts, for both the counting-only and positional (keepLists)
-// paths.
-func TestRemoteMatchesLocalSharded(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8} {
-		local, segs := shardedIndexMapper(t, p)
-		remote, _, meta := remoteMapper(t, local)
-		if meta.Shards != p || meta.T != smallParams().T || meta.NumSubjects != local.NumSubjects() {
-			t.Fatalf("p=%d: meta %+v disagrees with mapper", p, meta)
-		}
-		if remote.Shards() != p {
-			t.Fatalf("p=%d: remote mapper reports %d shards", p, remote.Shards())
-		}
-		sl, sr := local.NewSession(), remote.NewSession()
-		for i, seg := range segs {
-			h1, ok1 := sl.MapSegment(seg)
-			h2, ok2 := sr.MapSegment(seg)
-			if ok1 != ok2 || h1 != h2 {
-				t.Fatalf("p=%d segment %d: local %v,%v remote %v,%v", p, i, h1, ok1, h2, ok2)
-			}
-			p1, pok1 := sl.MapSegmentPositional(seg)
-			p2, pok2 := sr.MapSegmentPositional(seg)
-			if pok1 != pok2 || p1 != p2 {
-				t.Fatalf("p=%d segment %d positional: local %v,%v remote %v,%v", p, i, p1, pok1, p2, pok2)
-			}
-		}
-		if sl.PostingsScanned() != sr.PostingsScanned() {
-			t.Fatalf("p=%d: postings scanned %d local != %d remote",
-				p, sl.PostingsScanned(), sr.PostingsScanned())
-		}
-		if lost := sr.LostShards(); lost != nil {
-			t.Fatalf("p=%d: healthy fleet reported lost shards %v", p, lost)
-		}
+	mq := &memQuerier{sf: local.Sharded(), meta: meta}
+	m, err := OpenRemoteFile(path, func() (ShardQuerier, error) { return mq, nil })
+	if err != nil {
+		t.Fatal(err)
 	}
+	return m, mq
 }
 
 // TestRemoteDegradedAnswer: a terminally failing shard is recorded in
@@ -117,7 +83,7 @@ func TestRemoteMatchesLocalSharded(t *testing.T) {
 func TestRemoteDegradedAnswer(t *testing.T) {
 	const p = 4
 	local, segs := shardedIndexMapper(t, p)
-	remote, mq, _ := remoteMapper(t, local)
+	remote, mq := remoteMapper(t, local)
 	sess := remote.NewSession()
 	// Warm the plists scratch with healthy positional queries first so a
 	// stale-slice leak from the lost shard would be visible.
@@ -156,7 +122,7 @@ func TestRemoteDegradedAnswer(t *testing.T) {
 func TestRemoteAllShardsLost(t *testing.T) {
 	const p = 2
 	local, segs := shardedIndexMapper(t, p)
-	remote, mq, _ := remoteMapper(t, local)
+	remote, mq := remoteMapper(t, local)
 	for sd := 0; sd < p; sd++ {
 		mq.setFail(sd, true)
 	}
@@ -179,7 +145,7 @@ func TestRemoteAllShardsLost(t *testing.T) {
 // hang or a panic.
 func TestRemoteContextCancelled(t *testing.T) {
 	local, segs := shardedIndexMapper(t, 2)
-	remote, _, _ := remoteMapper(t, local)
+	remote, _ := remoteMapper(t, local)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sess := remote.NewSession().WithContext(ctx)
@@ -193,7 +159,8 @@ func TestRemoteContextCancelled(t *testing.T) {
 
 // TestReadShardSubsetFile: a subset load yields exactly the kept
 // shards, each lookup-identical to the full load's shard, and the
-// manifest fingerprint matches the full read's.
+// manifest fingerprint matches the full load's, which describes the
+// index.
 func TestReadShardSubsetFile(t *testing.T) {
 	const p = 4
 	local, _ := shardedIndexMapper(t, p)
@@ -201,9 +168,12 @@ func TestReadShardSubsetFile(t *testing.T) {
 	if err := local.WriteIndexFile(path); err != nil {
 		t.Fatal(err)
 	}
-	_, fullMeta, err := ReadIndexMetaFile(path)
+	_, fullMeta, err := ReadShardSubsetFile(path, func(int) bool { return true })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fullMeta.Shards != p || fullMeta.T != smallParams().T || fullMeta.NumSubjects != local.NumSubjects() {
+		t.Fatalf("meta %+v disagrees with the mapper", fullMeta)
 	}
 	keep := func(sd int) bool { return sd%2 == 0 }
 	tables, meta, err := ReadShardSubsetFile(path, keep)
@@ -230,42 +200,30 @@ func TestReadShardSubsetFile(t *testing.T) {
 	}
 }
 
-// TestReadIndexMetaRejectsUnsharded: meta/subset loading refuses a
-// file that is not an index — there is no unsharded layout any more,
-// so "not sharded" means "not JEMIDX06" — and reports a missing file as
-// such.
+// TestReadIndexMetaRejectsUnsharded: the fleet open and the subset
+// load refuse a file that is not an index — there is no unsharded
+// layout any more, so "not sharded" means "not JEMIDX06" — and report
+// a missing file as such. The fleet open fails before it dials.
 func TestReadIndexMetaRejectsUnsharded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flat.jem")
 	if err := os.WriteFile(path, []byte("NOTANINDEXATALL!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadIndexMetaFile(path); err == nil {
-		t.Fatal("ReadIndexMetaFile accepted a non-index file")
+	if _, err := OpenRemoteFile(path, noDial(t)); err == nil {
+		t.Fatal("OpenRemoteFile accepted a non-index file")
 	}
 	if _, _, err := ReadShardSubsetFile(path, func(int) bool { return true }); err == nil {
 		t.Fatal("ReadShardSubsetFile accepted a non-index file")
 	}
-	if _, _, err := ReadIndexMetaFile(filepath.Join(t.TempDir(), "missing.jem")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := OpenRemoteFile(filepath.Join(t.TempDir(), "missing.jem"), noDial(t)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file error = %v, want ErrNotExist", err)
 	}
 }
 
-// TestSetRemoteGuards: clearing the backend of a meta-only mapper
-// panics (there is no local table to fall back to), and installing a
-// remote marks the mapper sealed with zero local entries.
-func TestSetRemoteGuards(t *testing.T) {
-	local, _ := shardedIndexMapper(t, 2)
-	remote, _, _ := remoteMapper(t, local)
-	if !remote.Sealed() {
-		t.Fatal("remote mapper not sealed")
+// noDial is the dial of a fleet open that must fail on the manifest.
+func noDial(t *testing.T) func() (ShardQuerier, error) {
+	return func() (ShardQuerier, error) {
+		t.Error("the fleet open dialed before its manifest checked out")
+		return nil, errors.New("no fleet")
 	}
-	if remote.Entries() != 0 {
-		t.Fatalf("meta-only mapper reports %d local entries", remote.Entries())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetRemote(nil) on a meta-only mapper did not panic")
-		}
-	}()
-	remote.SetRemote(nil)
 }

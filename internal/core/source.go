@@ -7,7 +7,7 @@ import (
 )
 
 // postingSource is where a session's scan gets posting lists from. A
-// sealed mapper has exactly one at any time (source): the sealed
+// sealed mapper has exactly one, fixed when it was sealed: the sealed
 // sharded table or a remote shard fleet.
 type postingSource interface {
 	// numShards returns the shard count P probes are routed over with
@@ -21,19 +21,6 @@ type postingSource interface {
 	// error that lost the whole shard for this query. Lists go into
 	// the session-owned scratch; fetch allocates nothing per query.
 	fetch(s *Session, words []sketch.Word, touched []int32)
-}
-
-// source returns the mapper's posting source. Sessions capture it at
-// creation (SetRemote must run before sessions are issued). An unsealed
-// mapper has none: it serves only once sealed.
-func (m *Mapper) source() postingSource {
-	switch {
-	case m.remote != nil:
-		return remoteSource{m.remote}
-	case m.sharded != nil:
-		return localSource{m.sharded}
-	}
-	panic("core: NewSession on an unsealed mapper (Seal it first; a meta-only mapper needs SetRemote)")
 }
 
 // localSource serves from the sealed sharded table. Every shard was

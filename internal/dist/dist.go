@@ -101,30 +101,31 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 		}
 	}()
 
-	mapper, err := core.NewMapper(cfg.Params)
+	sk, err := sketch.NewSketcher(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
 
 	// S1: load input. Partition subjects and queries into contiguous
-	// byte-balanced rank shares and register global subject metadata.
+	// byte-balanced rank shares.
 	subjParts := make([][2]int, cfg.P)
 	readParts := make([][2]int, cfg.P)
 	sim.Step("S1 load input", func(rank int) {
 		subjParts[rank] = partitionByBases(contigs, cfg.P, rank)
 		readParts[rank] = partitionByBases(reads, cfg.P, rank)
 	})
-	mapper.RegisterSubjects(contigs)
 
-	// S2: each rank sketches its contigs into its own appender — the
-	// per-rank local table of the paper, as a run of fixed-width records.
+	// S2: each rank sketches its contigs into its own appender on the
+	// builder of S_global — the per-rank local table of the paper, as a
+	// run of fixed-width records.
+	build := sketch.NewBuilder(cfg.Params.T)
 	locals := make([]*sketch.Appender, cfg.P)
 	sim.Step("S2 sketch subjects", func(rank int) {
 		ranks[rank].Time("sketch", func() {
-			locals[rank] = mapper.Appender()
+			locals[rank] = build.Appender()
 			lo, hi := subjParts[rank][0], subjParts[rank][1]
 			for i := lo; i < hi; i++ {
-				locals[rank].Append(int32(i), mapper.Sketcher().SubjectSketch(contigs[i].Seq), nil)
+				locals[rank].Append(int32(i), sk.SubjectSketch(contigs[i].Seq), nil)
 			}
 		})
 	})
@@ -146,7 +147,16 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 	// sort-and-lay-out every table is built with — no hashing — which
 	// keeps this step from dominating the runtime the way a hash-map
 	// rebuild would.
-	sim.SequentialStep("S3 merge sketch", mapper.Seal)
+	var global *sketch.ShardedFrozen
+	sim.SequentialStep("S3 merge sketch", func() { global, err = build.Freeze(1, 0, nil) })
+	if err != nil {
+		return nil, err
+	}
+	// Subject metadata is small and replicated on every rank.
+	mapper, err := core.NewSealed(cfg.Params, core.SubjectsOf(contigs), global)
+	if err != nil {
+		return nil, err
+	}
 
 	// S4: map local queries. Ranks hold contiguous read ranges in rank
 	// order, so concatenating their rows is already (read, kind) order.

@@ -18,20 +18,6 @@ type Histogram struct {
 	counts []atomic.Int64
 	n      atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
-	// ex holds one exemplar per bucket (latest labeled observation to
-	// land there), linking the latency distribution back to concrete
-	// trace IDs; see ObserveExemplar.
-	ex []atomic.Pointer[Exemplar]
-}
-
-// Exemplar ties one bucket of a histogram to a concrete observation:
-// the value and an opaque label, by convention a trace ID — the hook
-// that turns "p99 is 80ms" into "and here is an 80ms request to look
-// at in /debug/traces".
-type Exemplar struct {
-	UpperBound float64 // the bucket's upper bound; +Inf for overflow
-	Value      float64
-	Label      string
 }
 
 // NewHistogram builds a histogram over the given strictly increasing
@@ -50,7 +36,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: b,
 		counts: make([]atomic.Int64, len(b)+1),
-		ex:     make([]atomic.Pointer[Exemplar], len(b)+1),
 	}
 }
 
@@ -80,35 +65,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveExemplar counts one observation and, when label is
-// non-empty, stores it as the landing bucket's exemplar (latest
-// wins). The store is one atomic pointer swap, so exemplars cost
-// nothing measurable on the request path.
-func (h *Histogram) ObserveExemplar(v float64, label string) {
-	h.Observe(v)
-	if label == "" {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	ub := math.Inf(1)
-	if i < len(h.bounds) {
-		ub = h.bounds[i]
-	}
-	h.ex[i].Store(&Exemplar{UpperBound: ub, Value: v, Label: label})
-}
-
-// Exemplars returns the buckets' current exemplars (buckets that
-// never saw a labeled observation are omitted), in bucket order.
-func (h *Histogram) Exemplars() []Exemplar {
-	out := make([]Exemplar, 0, 4)
-	for i := range h.ex {
-		if e := h.ex[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
-	return out
 }
 
 // Count returns the number of observations.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -51,38 +50,5 @@ func TestHistogramExponentialAccuracy(t *testing.T) {
 			t.Errorf("q=%.2f: estimate %.5f outside bucket [%.5f, %.5f] holding the true %.5f",
 				q, got, lo, hi, truth)
 		}
-	}
-}
-
-func TestHistogramExemplars(t *testing.T) {
-	h := NewHistogram([]float64{0.01, 0.1, 1})
-	h.ObserveExemplar(0.05, "trace-a")
-	h.ObserveExemplar(0.07, "trace-b") // same bucket: latest wins
-	h.ObserveExemplar(50, "trace-inf") // overflow bucket
-	h.Observe(0.5)                     // unlabeled: no exemplar
-	ex := h.Exemplars()
-	if len(ex) != 2 {
-		t.Fatalf("got %d exemplars, want 2: %+v", len(ex), ex)
-	}
-	if ex[0].Label != "trace-b" || ex[0].UpperBound != 0.1 || ex[0].Value != 0.07 {
-		t.Errorf("bucket exemplar wrong: %+v", ex[0])
-	}
-	if ex[1].Label != "trace-inf" || !math.IsInf(ex[1].UpperBound, 1) {
-		t.Errorf("overflow exemplar wrong: %+v", ex[1])
-	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d, want 4 (exemplar observations count)", h.Count())
-	}
-
-	// Exemplars surface in the statusz table.
-	reg := NewRegistry()
-	rh := reg.Histogram("test_seconds", "help", []float64{0.01, 0.1, 1})
-	rh.ObserveExemplar(0.05, "deadbeefdeadbeef")
-	var sb strings.Builder
-	if err := reg.WriteTable(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "deadbeefdeadbeef") {
-		t.Errorf("statusz table missing the exemplar:\n%s", sb.String())
 	}
 }

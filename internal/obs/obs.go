@@ -13,7 +13,7 @@
 //     for nested phase spans (index build → freeze → query;
 //     reader → map → write; per-rank sketch → gather → map).
 //   - Serve, which exposes a registry on an HTTP side goroutine:
-//     /metrics (text exposition), /debug/vars (expvar) and
+//     /metrics (text exposition), /statusz (the human table) and
 //     /debug/pprof/* — so a long run can be watched and profiled
 //     live (jem-mapper -metrics-addr, jem-bench -metrics-addr).
 //

@@ -237,10 +237,6 @@ func (r *Registry) WriteTable(w io.Writer) error {
 			tb.AddRow(e.name, "histogram", fmt.Sprintf(
 				"n=%d mean=%.3g p50=%.3g p95=%.3g p99=%.3g",
 				h.Count(), mean, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)))
-			for _, ex := range h.Exemplars() {
-				tb.AddRow(e.name, "exemplar", fmt.Sprintf(
-					"le=%.3g v=%.3g trace=%s", ex.UpperBound, ex.Value, ex.Label))
-			}
 		}
 	}
 	if _, err := io.WriteString(w, tb.String()); err != nil {
@@ -257,8 +253,7 @@ func (r *Registry) WriteTable(w io.Writer) error {
 
 // Snapshot returns a flat name → value view of the registry: counters
 // and gauges under their own names, histograms as name_count and
-// name_sum. It backs both the expvar exposition and the derivation of
-// jem.Stats from the registry.
+// name_sum. jem.Stats is derived from it, and the benchmark reads it.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, e := range r.sorted() {

@@ -2,12 +2,10 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sync"
 )
 
 // Server is a live observability endpoint over one Registry.
@@ -19,17 +17,11 @@ type Server struct {
 	done chan struct{}
 }
 
-// expvarOnce guards the process-global expvar name: the first served
-// registry is published under "jem_metrics" (expvar.Publish panics on
-// duplicates, and expvar names cannot be unpublished).
-var expvarOnce sync.Once
-
 // Serve exposes reg over HTTP on addr (e.g. ":9090" or
 // "127.0.0.1:0") from a side goroutine and returns immediately.
 //
 //	/metrics        Prometheus text exposition
 //	/statusz        human-readable table + span tree
-//	/debug/vars     expvar (memstats, cmdline, jem_metrics snapshot)
 //	/debug/pprof/*  CPU/heap/goroutine/... profiles
 //
 // It also registers scrape-time runtime gauges (goroutines, heap
@@ -80,15 +72,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Mount registers the observability endpoints on an existing mux —
 // the hook a daemon with its own HTTP surface (jem-serve) uses to
-// carry /metrics, /statusz, /debug/vars and /debug/pprof/* alongside
-// its API, instead of running a second listener via Serve. It also
-// installs the scrape-time runtime gauges on reg and publishes the
-// first mounted registry as the process-wide "jem_metrics" expvar.
+// carry /metrics, /statusz and /debug/pprof/* alongside its API,
+// instead of running a second listener via Serve. It also installs the
+// scrape-time runtime gauges on reg.
 func Mount(mux *http.ServeMux, reg *Registry) {
 	registerRuntimeGauges(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("jem_metrics", expvar.Func(func() any { return reg.Snapshot() }))
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
@@ -97,7 +85,6 @@ func Mount(mux *http.ServeMux, reg *Registry) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = reg.WriteTable(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -11,7 +11,7 @@ import (
 
 // TestServeEndpoints stands the side server up on an ephemeral port
 // and checks every endpoint answers: the Prometheus exposition, the
-// human statusz, expvar, and the pprof index/cmdline handlers.
+// human statusz, and the pprof index/cmdline handlers.
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("jem_test_total", "a counter").Add(5)
@@ -46,9 +46,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if body := get("/statusz"); !strings.Contains(body, "jem_test_total") {
 		t.Errorf("/statusz missing counter:\n%s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "memstats") {
-		t.Errorf("/debug/vars missing memstats:\n%s", body[:min(len(body), 200)])
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ index looks wrong:\n%s", body[:min(len(body), 200)])

@@ -288,8 +288,7 @@ func startFleet(t *testing.T, path string, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := shardnet.NewServer(tables, shardnet.Info{Shards: meta.Shards, T: meta.T,
-			NumSubjects: meta.NumSubjects, ManifestCRC: meta.ManifestCRC})
+		srv, err := shardnet.NewServer(tables, meta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,16 +352,15 @@ func backends(t *testing.T, w world, ref *reference) []backend {
 		if !info.Remote || !info.FromIndex {
 			t.Errorf("fleet P=%d: OpenInfo %+v, want Remote and FromIndex", p, info)
 		}
-		remote, _, err := core.ReadIndexMetaFile(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
 		coord, err := shardnet.Dial(context.Background(), addrs, shardnet.Config{}, obs.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = coord.Close() })
-		remote.SetRemote(coord)
+		remote, err := core.OpenRemoteFile(idx, func() (core.ShardQuerier, error) { return coord, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
 		rows = append(rows, streamRow(fmt.Sprintf("fleet/Stream/P=%d", p), fleet), coreRow(fmt.Sprintf("fleet/core/P=%d", p), remote))
 	}
 	for _, p := range []int{1, 3, 8, 41} {

@@ -12,7 +12,7 @@
 //	POST /v1/indexes/{name}/swap  hot-swap a rebuilt index; drains the old generation
 //	GET  /healthz                 liveness (process up)
 //	GET  /readyz                  readiness (≥1 index loaded, not draining)
-//	GET  /metrics, /statusz, /debug/vars, /debug/pprof/*   (obs registry)
+//	GET  /metrics, /statusz, /debug/pprof/*   (obs registry)
 //
 // Concurrency control is explicit: at most MaxInFlight requests map
 // concurrently, MaxQueue more wait (deadline-aware), and overflow is

@@ -105,10 +105,9 @@ func (ro *reqObs) httpError(w http.ResponseWriter, msg string, status int) {
 
 // finish closes the request's observability scope: end the root span,
 // offer the record to the tail-sampling trace ring and the request
-// log, observe latency (with the trace ID as the histogram exemplar)
-// on timed paths, and trigger the flight recorder when the request
-// crossed the slow threshold. Deferred from handleMap; runs exactly
-// once.
+// log, observe latency on timed paths, and trigger the flight recorder
+// when the request crossed the slow threshold. Deferred from
+// handleMap; runs exactly once.
 func (ro *reqObs) finish() {
 	if ro.done {
 		return
@@ -125,7 +124,7 @@ func (ro *reqObs) finish() {
 	s.traces.Add(t)
 	s.reqlog.Record(ro.ctx, t)
 	if ro.timed {
-		s.met.latency.ObserveExemplar(t.Duration.Seconds(), t.ID.String())
+		s.met.latency.Observe(t.Duration.Seconds())
 	}
 	if s.flight.Exceeded(t.Duration) {
 		s.flight.Capture(t, []obs.Attr{

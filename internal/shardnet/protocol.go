@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/sketch"
 )
 
@@ -51,21 +52,10 @@ const (
 
 // Info is the index identity a shard server announces in its hello
 // acknowledgement. The coordinator refuses to mix servers that
-// disagree on any field, and the facade additionally pins ManifestCRC
-// against the local index file so a fleet serving a different build of
-// the index is rejected before the first query.
-type Info struct {
-	// Shards is the index's total shard count P (not the subset this
-	// server owns).
-	Shards int
-	// T is the sketch's trial count.
-	T int
-	// NumSubjects is the subject-id space size.
-	NumSubjects int
-	// ManifestCRC is the index manifest checksum — the index
-	// fingerprint both sides must agree on.
-	ManifestCRC uint32
-}
+// disagree on any field, and core.OpenRemoteFile compares it with the
+// local manifest, so a fleet serving a different build of the index is
+// rejected before the first query.
+type Info = core.IndexMeta
 
 // writeAll sends one already-framed message.
 func writeAll(w io.Writer, frame []byte) error {

@@ -129,12 +129,12 @@ func Open(opts OpenOptions) (*Mapper, OpenInfo, error) {
 	return m, info, nil
 }
 
-// openRemote wires a meta-only mapper to a shard-server fleet: read
-// the local manifest (parameters, subjects, fingerprint), dial and
-// handshake every server, verify the fleet serves the same index the
-// manifest describes, and install the coordinator as the mapper's
-// serving backend. The returned mapper owns the coordinator's
-// connection pools; release them with Mapper.Close.
+// openRemote opens the index manifest against a shard-server fleet:
+// core reads the manifest (parameters, subjects, fingerprint), calls
+// back here to dial and handshake every server, and checks the fleet
+// serves the index the manifest describes before it builds anything.
+// The returned mapper owns the coordinator's connection pools; release
+// them with Mapper.Close.
 //
 //jem:detached construction-time dial: Open predates context threading, and the dial budget is bounded by the coordinator's dial timeout
 func openRemote(opts OpenOptions) (*Mapper, error) {
@@ -142,24 +142,20 @@ func openRemote(opts OpenOptions) (*Mapper, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	cm, meta, err := core.ReadIndexMetaFile(opts.IndexPath)
+	var coord *shardnet.Coordinator
+	cm, err := core.OpenRemoteFile(opts.IndexPath, func() (core.ShardQuerier, error) {
+		var err error
+		if coord, err = shardnet.Dial(context.Background(), opts.ShardServers, shardnet.Config{}, reg); err != nil {
+			return nil, fmt.Errorf("dialing shard servers: %w", err)
+		}
+		return coord, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("jem: index %s: %w", opts.IndexPath, err)
+		if coord != nil {
+			_ = coord.Close()
+		}
+		return nil, fmt.Errorf("jem: index %s over shard servers: %w", opts.IndexPath, err)
 	}
-	coord, err := shardnet.Dial(context.Background(), opts.ShardServers, shardnet.Config{}, reg)
-	if err != nil {
-		return nil, fmt.Errorf("jem: dialing shard servers: %w", err)
-	}
-	fi := coord.Info()
-	if fi.Shards != meta.Shards || fi.T != meta.T ||
-		fi.NumSubjects != meta.NumSubjects || fi.ManifestCRC != meta.ManifestCRC {
-		_ = coord.Close()
-		return nil, fmt.Errorf(
-			"jem: shard fleet serves a different index than %s: fleet has %d shards, T=%d, %d subjects, manifest %08x; manifest says %d shards, T=%d, %d subjects, %08x",
-			opts.IndexPath, fi.Shards, fi.T, fi.NumSubjects, fi.ManifestCRC,
-			meta.Shards, meta.T, meta.NumSubjects, meta.ManifestCRC)
-	}
-	cm.SetRemote(coord)
 	return loadedMapper(cm, reg, opts.Options.Workers, Memory{}, opts.Contigs, coord), nil
 }
 

@@ -78,7 +78,7 @@ func TestMapStreamStatsMatchRegistry(t *testing.T) {
 
 // TestMapStreamServedLive drives the acceptance path end to end in
 // process: serve the mapper's registry, run a streamed mapping, then
-// scrape /metrics, /debug/vars and the pprof index while the server
+// scrape /metrics, /statusz and the pprof index while the server
 // is up.
 func TestMapStreamServedLive(t *testing.T) {
 	ds := buildSmallDataset(t)
@@ -125,9 +125,6 @@ func TestMapStreamServedLive(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %s", want)
 		}
-	}
-	if !strings.Contains(get("/debug/vars"), "jem_metrics") {
-		t.Error("/debug/vars missing the jem_metrics snapshot")
 	}
 	if !strings.Contains(get("/debug/pprof/"), "profile") {
 		t.Error("/debug/pprof/ index missing the CPU profile link")
