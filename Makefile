@@ -110,14 +110,17 @@ obs-smoke:
 	$(GO) test -race -run 'TestTrace|TestSlowRequest|TestRequestLog|TestObsSoak|TestDebugWireShapes' ./internal/serve/
 	$(GO) test -race -run 'TestStreamAttachesSpans|TestStreamSpansUnsharded|TestMapChildSpan|TestMapStreamStatsMatchRegistry' .
 
-# Out-of-core index serving under the race detector: the JEMIDX06
+# Out-of-core index serving under the race detector — the whole suite
+# of the one index loader, whose shards load in parallel: the JEMIDX06
 # corruption matrix (truncation, payload/manifest byte flips, each
-# caught at open under heap, mmap and auto), heap/mmap/auto residence
+# caught at open under heap, mmap and auto), the sharded round trips
+# and their per-shard spans, checksum and byte-flip detection, the
+# allocation bound on crafted manifests, heap/mmap/auto residence
 # accounting, and the two-process shared-mapping test (byte identity
 # with the reference mapper is internal/oracle's backend matrix). See
 # docs/MEMORY.md for the contracts these prove.
 mem-smoke:
-	$(GO) test -race -run 'TestOpenIndexFile|TestOpenShardSubset' ./internal/core/
+	$(GO) test -race -run 'TestOpenIndexFile|TestOpenShardSubset|TestShardedIndex|TestIndexChecksum|TestIndexByteFlip|TestLoadAllocates' ./internal/core/
 	$(GO) test -race -run 'TestOpenMemory|TestSharedMappingTwoProcesses' .
 	$(GO) test -race -run TestServeMemoryAccounting ./internal/serve/
 

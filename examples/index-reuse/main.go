@@ -40,29 +40,18 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	idxPath := filepath.Join(dir, "assembly.jemidx")
-	f, err := os.Create(idxPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := mapper.SaveIndex(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := mapper.SaveIndexFile(idxPath); err != nil {
 		log.Fatal(err)
 	}
 	info, _ := os.Stat(idxPath)
 	fmt.Printf("index: %d contigs, %d bytes on disk\n", mapper.NumContigs(), info.Size())
 
-	// Reload and map two "runs" (halves of the read set).
-	f2, err := os.Open(idxPath)
+	// Reopen and map two "runs" (halves of the read set).
+	loaded, _, err := jem.Open(jem.OpenOptions{IndexPath: idxPath, Contigs: ds.Contigs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := jem.LoadMapper(f2, ds.Contigs)
-	_ = f2.Close() // read-only; decode errors carry the signal
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer loaded.Close()
 	half := len(ds.Reads) / 2
 	for run, batch := range [][]jem.Record{ds.Reads[:half], ds.Reads[half:]} {
 		mapped := 0

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -14,9 +13,10 @@ import (
 	"repro/internal/seq"
 )
 
-// FuzzReadIndex asserts that the index deserializer and the fleet open
-// error, never panic, and allocate no more than their input's length
-// allows on arbitrary bytes, and that accepted indexes round-trip.
+// FuzzReadIndex asserts that the index loader — run over the input as
+// a file of len(data) bytes — and the fleet open error, never panic,
+// and allocate no more than their input's length allows on arbitrary
+// bytes, and that accepted indexes round-trip.
 // Every input is tried twice: as index bytes, and as a rewrite of one
 // manifest field of a valid index (see craftManifest) whose manifest
 // CRC is then recomputed, so a crafted field reaches the validators
@@ -51,7 +51,7 @@ func fuzzIndex(tb testing.TB) []byte {
 	m.AddSubjectsParallel([]seq.Record{{ID: "c0", Seq: []byte("ACGTTGCAACGGATCCATGCAAGTCGATCGTAGCTAGGCTAACGTCAGT")}}, 1)
 	m.SealSharded(2, 0)
 	var buf bytes.Buffer
-	if err := m.WriteIndex(&buf); err != nil {
+	if err := m.writeIndex(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -59,50 +59,66 @@ func fuzzIndex(tb testing.TB) []byte {
 
 // manifestMeta returns the identity of the index in data.
 func manifestMeta(tb testing.TB, data []byte) IndexMeta {
-	man, err := readManifest(bufio.NewReader(bytes.NewReader(data)))
+	man, err := readManifest(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return man.meta()
 }
 
-// TestLoadAllocatesInProportionToInput loads FuzzReadIndex's
-// manifest-param-t-max seed — a manifest claiming T = 65536 behind a
-// valid CRC, over payloads of the real trial count — through every
-// local loader and through the fleet open, against a fleet announcing
-// the real index's identity. Each must fail before building the
-// T-function hash family — a loader on the trial count, the fleet open
-// on the fingerprint — so what it allocates stays within 64 KiB (the
-// reader's buffer) plus 16 B per input byte.
+// TestLoadAllocatesInProportionToInput loads two of FuzzReadIndex's
+// crafted manifests, each behind a valid CRC, through every local
+// loader and through the fleet open, against a fleet announcing the
+// real index's identity:
+//
+//   - manifest-param-t-max claims T = 65536 over payloads of the real
+//     trial count. Each open must fail before building the T-function
+//     hash family — a loader on the trial count, the fleet open on the
+//     fingerprint.
+//   - manifest-subject-count-huge claims 2^28 subjects. Each open must
+//     fail on the entries the file does not hold, having reserved a
+//     subject table no larger than the file allows.
+//
+// What a failing open allocates stays within 64 KiB (the reader's
+// buffer) plus 16 B per input byte.
 func TestLoadAllocatesInProportionToInput(t *testing.T) {
 	valid := fuzzIndex(t)
-	data := craftManifest(valid, []byte("\x02\x00\x00\x01"))
-	path := filepath.Join(t.TempDir(), "idx.jem")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	fleet := &memQuerier{meta: manifestMeta(t, valid)}
-	for name, c := range map[string]struct {
-		load func() error
-		want string
+	for _, seed := range []struct {
+		name, field string
+		// want is the text the local loaders' error names, and
+		// wantFleet the fleet open's.
+		want, wantFleet string
 	}{
-		"ReadIndex": {func() error { _, err := ReadIndexObserved(bytes.NewReader(data), nil); return err }, "trials"},
-		"heap":      {func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap}); return err }, "trials"},
-		"mmap":      {func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap}); return err }, "trials"},
-		"fleet": {func() error {
-			_, err := OpenRemoteFile(path, func() (ShardQuerier, error) { return fleet, nil })
-			return err
-		}, "different index"},
+		{"manifest-param-t-max", "\x02\x00\x00\x01", "trials", "different index"},
+		{"manifest-subject-count-huge", "\x06\x00\x00\x00\x10", "subject name length", "subject name length"},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := c.load()
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: opening a manifest that lies about T gave %v, want an error naming %q", name, err, c.want)
+		data := craftManifest(valid, []byte(seed.field))
+		path := filepath.Join(t.TempDir(), "idx.jem")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(data)); alloc > limit {
-			t.Errorf("%s: a failing open of %d bytes allocated %d, limit %d", name, len(data), alloc, limit)
+		for name, c := range map[string]struct {
+			load func() error
+			want string
+		}{
+			"heap": {func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryHeap}); return err }, seed.want},
+			"mmap": {func() error { _, _, _, err := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap}); return err }, seed.want},
+			"fleet": {func() error {
+				_, err := OpenRemoteFile(path, func() (ShardQuerier, error) { return fleet, nil })
+				return err
+			}, seed.wantFleet},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.load()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s/%s: opening a crafted manifest gave %v, want an error naming %q", seed.name, name, err, c.want)
+			}
+			if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+16*len(data)); alloc > limit {
+				t.Errorf("%s/%s: a failing open of %d bytes allocated %d, limit %d", seed.name, name, len(data), alloc, limit)
+			}
 		}
 	}
 }
@@ -112,22 +128,23 @@ func TestLoadAllocatesInProportionToInput(t *testing.T) {
 func checkReadIndex(t *testing.T, data []byte) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := ReadIndexObserved(bytes.NewReader(data), nil)
+	got, err := readIndex(data, nil)
 	runtime.ReadMemStats(&after)
-	// The fixed part covers the hash family and subject table of the
-	// largest valid T and subject count, the reader's buffer and the
-	// first payload chunk of a stream of unknown size.
-	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(6<<20+16*len(data)); alloc > limit {
+	// Everything a load reads or reserves is bounded by the input's
+	// length; the fixed part covers the sketcher and mapper an accepted
+	// index builds (at most ≈6 KiB measured over a two-minute fuzz
+	// session).
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<10+16*len(data)); alloc > limit {
 		t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), alloc, limit)
 	}
 	if err != nil {
 		return
 	}
 	var out bytes.Buffer
-	if err := got.WriteIndex(&out); err != nil {
+	if err := got.writeIndex(&out); err != nil {
 		t.Fatalf("re-encode of accepted index failed: %v", err)
 	}
-	again, err := ReadIndexObserved(&out, nil)
+	again, err := readIndex(out.Bytes(), nil)
 	if err != nil {
 		t.Fatalf("decode of re-encoding failed: %v", err)
 	}
@@ -144,15 +161,15 @@ func checkReadIndex(t *testing.T, data []byte) {
 func checkOpenRemote(t *testing.T, data []byte, fleet *memQuerier) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	man, err := readManifest(bufio.NewReaderSize(bytes.NewReader(data), 1<<16))
+	man, err := readManifest(bytes.NewReader(data), int64(len(data)))
 	var m *Mapper
 	if err == nil {
 		m, err = openRemote(man, func() (ShardQuerier, error) { return fleet, nil })
 	}
 	runtime.ReadMemStats(&after)
-	// The fixed part covers the reader's buffer and the subject table a
-	// manifest may reserve before its entries are read (65,536 × 24 B).
-	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(2<<20+16*len(data)); alloc > limit {
+	// As for checkReadIndex, the fixed part covers the sketcher and
+	// mapper of an accepted open (at most ≈5 KiB measured).
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<10+16*len(data)); alloc > limit {
 		t.Fatalf("opening %d bytes against a fleet allocated %d, limit %d", len(data), alloc, limit)
 	}
 	if err == nil && (m.Shards() != fleet.meta.Shards || m.NumSubjects() != fleet.meta.NumSubjects) {

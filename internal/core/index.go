@@ -66,15 +66,14 @@ func checkMagic(magic [8]byte) error {
 	return fmt.Errorf("core: not a JEM index (magic %q)", magic[:])
 }
 
-// WriteIndex serializes a sealed mapper — sketch parameters, subject
-// metadata and the shard tables — so an index built once can be reused
-// across runs (jem-mapper -save-index / -load-index). A sealed table
+// writeIndex encodes a sealed mapper — sketch parameters, subject
+// metadata and the shard tables — for WriteIndexFile. A sealed table
 // is already a view over its flat payloads, so the write is the
 // manifest plus those bytes; the file ends at the last payload byte (no
 // trailing pad), and the zero-filled alignment gaps cost nothing once
 // mapped — untouched pages are never faulted in. An unsealed mapper has
 // no serving table to write and returns an error.
-func (m *Mapper) WriteIndex(w io.Writer) error {
+func (m *Mapper) writeIndex(w io.Writer) error {
 	if m.sharded == nil {
 		return fmt.Errorf("core: mapper has no sealed table to write (seal it first)")
 	}
@@ -178,11 +177,12 @@ func (m *Mapper) writeIndexMeta(w io.Writer) error {
 	return nil
 }
 
-// WriteIndexFile writes the index to path atomically: the bytes go to
-// a temporary file in the same directory, are synced to stable
-// storage, and only then renamed over path. A crash, disk-full error
-// or kill mid-write leaves either the old file or no file — never a
-// partial index that a later run would try to serve.
+// WriteIndexFile saves the index, so that an index built once serves
+// many runs (jem-mapper -save-index / -load-index). The write is
+// atomic: the bytes go to a temporary file in the same directory, are
+// synced to stable storage, and only then renamed over path. A crash,
+// disk-full error or kill mid-write leaves either the old file or no
+// file — never a partial index that a later run would try to serve.
 func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -196,7 +196,7 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 	}()
 	// fault.Writer lets tests inject ENOSPC/stalls into the index write
 	// path; it is the identity when no fault is armed.
-	if err := m.WriteIndex(fault.Writer(tmp)); err != nil {
+	if err := m.writeIndex(fault.Writer(tmp)); err != nil {
 		_ = tmp.Close()
 		return err
 	}
@@ -221,9 +221,11 @@ func (m *Mapper) WriteIndexFile(path string) (retErr error) {
 // manifest. It builds no sketcher: the loaders do that only once every
 // kept payload has confirmed the trial count, and the fleet open only
 // once the fleet's identity matched, so what an open allocates before
-// then stays proportional to its input. It reads exact lengths only (no
+// then stays proportional to its input: size, the index's length,
+// bounds the subject table it reserves (an entry takes at least 8
+// bytes) and every name it reads. It reads exact lengths only (no
 // lookahead), so it is safe to run through a checksumming TeeReader.
-func readIndexMeta(r io.Reader) (sketch.Params, []SubjectMeta, error) {
+func readIndexMeta(r io.Reader, size int64) (sketch.Params, []SubjectMeta, error) {
 	var raw [6]uint64
 	for i := range raw {
 		if err := binary.Read(r, binary.LittleEndian, &raw[i]); err != nil {
@@ -245,13 +247,13 @@ func readIndexMeta(r io.Reader) (sketch.Params, []SubjectMeta, error) {
 	if nsubj > 1<<28 {
 		return p, nil, fmt.Errorf("core: implausible subject count %d", nsubj)
 	}
-	subjects := make([]SubjectMeta, 0, min(nsubj, 1<<16))
+	subjects := make([]SubjectMeta, 0, min(int64(nsubj), size/8))
 	for i := uint32(0); i < nsubj; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
 			return p, nil, err
 		}
-		if nameLen > 1<<16 {
+		if nameLen > 1<<16 || int64(nameLen) > size {
 			return p, nil, fmt.Errorf("core: implausible subject name length %d", nameLen)
 		}
 		name := make([]byte, nameLen)
@@ -292,28 +294,14 @@ func (man *shardedManifest) meta() IndexMeta {
 	}
 }
 
-// countingReader counts the bytes consumed from the underlying reader
-// so the manifest reader can report where in the file the manifest
-// ends (the directory offsets are absolute and must land past it).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}
-
-// readManifest checks the magic and decodes the manifest, reading
-// through a checksumming tee and verifying the footer before any
-// directory entry is trusted. On return the stream is positioned just
-// past the manifest footer.
-func readManifest(br *bufio.Reader) (*shardedManifest, error) {
-	cr := &countingReader{r: br}
+// readManifest checks the magic and decodes the manifest of the index
+// r holds in its first size bytes, reading through a checksumming tee
+// and verifying the footer before any directory entry is trusted.
+func readManifest(r io.ReaderAt, size int64) (*shardedManifest, error) {
+	sr := io.NewSectionReader(r, 0, size)
+	br := bufio.NewReaderSize(sr, int(min(size, 1<<16)))
 	var magic [8]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: reading index magic: %w", err)
 	}
 	if err := checkMagic(magic); err != nil {
@@ -321,8 +309,8 @@ func readManifest(br *bufio.Reader) (*shardedManifest, error) {
 	}
 	h := crc32.NewIEEE()
 	_, _ = h.Write(magic[:])
-	tee := io.TeeReader(cr, h)
-	p, subjects, err := readIndexMeta(tee)
+	tee := io.TeeReader(br, h)
+	p, subjects, err := readIndexMeta(tee, size)
 	if err != nil {
 		return nil, err
 	}
@@ -360,15 +348,15 @@ func readManifest(br *bufio.Reader) (*shardedManifest, error) {
 	}
 	man.manifestCRC = h.Sum32()
 	var footer uint32
-	// The footer is read off cr directly: counted, but it must not feed
-	// the hash.
-	if err := binary.Read(cr, binary.LittleEndian, &footer); err != nil {
+	// The footer is read off br directly: it must not feed the hash.
+	if err := binary.Read(br, binary.LittleEndian, &footer); err != nil {
 		return nil, fmt.Errorf("core: reading manifest checksum: %w", err)
 	}
 	if man.manifestCRC != footer {
 		return nil, fmt.Errorf("%w: manifest computed %08x, footer says %08x", ErrIndexChecksum, man.manifestCRC, footer)
 	}
-	man.end = cr.n
+	read, _ := sr.Seek(0, io.SeekCurrent)
+	man.end = read - int64(br.Buffered())
 	prev := uint64(man.end)
 	for i, off := range man.offs {
 		if off%8 != 0 {
@@ -389,79 +377,58 @@ type loadedIndex struct {
 	tables []*sketch.FrozenTable
 }
 
-// loadIndex is the one index loader. What varies between a full load,
-// a shard-server subset load, a heap open and a mapped open is only
+// loadIndex is the one index loader. The index is a file whose size is
+// known, and every shard's extent is checked against that size before
+// anything is allocated for it. What varies between a full load, a
+// shard-server subset load, a heap open and a mapped open is only
 // where a shard's bytes come from and which shards are kept:
 //
-//   - data != nil: the index is data, a read-only mapping of the file,
-//     and a kept payload is a slice of it (served in place).
-//   - data == nil: the index is read off r in file order, each kept
-//     payload into a heap buffer of exactly its manifest length
-//     (readPayload); unkept payloads and alignment gaps are skipped
-//     without allocation. size is the total index size when known (a
-//     file) and -1 for an unbounded stream.
+//   - mapping != nil: the index is mapping, a read-only mapping of the
+//     file (r and size are ignored), and a kept payload is a slice of
+//     it, served in place.
+//   - mapping == nil: the index is the first size bytes of r, and a
+//     kept payload is read with one ReadAt at its manifest offset into
+//     a heap buffer of exactly its length. Unkept payloads and
+//     alignment gaps are never read.
 //
 // keep == nil keeps every shard. Either way a payload then becomes a
-// serving table by the same step — verify its CRC, view its bytes
-// (viewShard), check its trial count against the manifest — run in
-// parallel across shards before loadIndex returns. sp, when non-nil,
-// gets one child span per kept shard. Every corruption path reports an
-// error wrapping ErrIndexChecksum (so load-or-rebuild callers can
-// detect it) and names the shard it hit.
-func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, sp *obs.Span) (*loadedIndex, error) {
-	if data != nil {
-		r, size = bytes.NewReader(data), int64(len(data))
+// serving table by the same step — fetch it, verify its CRC, view its
+// bytes (viewShard), check its trial count against the manifest — run
+// in parallel across the kept shards before loadIndex returns. sp, when
+// non-nil, gets one child span per kept shard. Every corruption path
+// reports an error wrapping ErrIndexChecksum (so load-or-rebuild
+// callers can detect it) and names the shard it hit.
+func loadIndex(r io.ReaderAt, size int64, mapping []byte, keep func(shard int) bool, sp *obs.Span) (*loadedIndex, error) {
+	if mapping != nil {
+		r, size = bytes.NewReader(mapping), int64(len(mapping))
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	man, err := readManifest(br)
+	man, err := readManifest(r, size)
 	if err != nil {
 		return nil, err
 	}
 	n := len(man.lens)
-	if size >= 0 {
-		for i := range man.lens {
-			if end := man.offs[i] + man.lens[i]; end > uint64(size) {
-				return nil, fmt.Errorf("core: shard %d payload ends at %d but the index holds %d bytes: %w",
-					i, end, size, ErrIndexChecksum)
-			}
+	var kept []int
+	for i := range man.lens {
+		if end := man.offs[i] + man.lens[i]; end > uint64(size) {
+			return nil, fmt.Errorf("core: shard %d payload ends at %d but the index holds %d bytes: %w",
+				i, end, size, ErrIndexChecksum)
+		}
+		if keep == nil || keep(i) {
+			kept = append(kept, i)
 		}
 	}
-	payloads := make([][]byte, n)
-	pos, kept := man.end, 0
-	for i := range payloads {
-		off, length := int64(man.offs[i]), int64(man.lens[i])
-		if keep != nil && !keep(i) {
-			continue
-		}
-		kept++
-		if data != nil {
-			payloads[i] = data[off : off+length]
-			continue
-		}
-		if _, err := io.CopyN(io.Discard, br, off-pos); err != nil {
-			return nil, fmt.Errorf("core: seeking shard %d payload: %w (%w)", i, err, ErrIndexChecksum)
-		}
-		if payloads[i], err = readPayload(br, length, size >= 0); err != nil {
-			return nil, fmt.Errorf("core: reading shard %d payload: %w (%w)", i, err, ErrIndexChecksum)
-		}
-		pos = off + length
-	}
-	if kept == 0 {
+	if len(kept) == 0 {
 		return nil, fmt.Errorf("core: shard selection keeps none of %d shards", n)
 	}
 	ld := &loadedIndex{man: man, tables: make([]*sketch.FrozenTable, n)}
 	errs := make([]error, n)
-	parallel.ForEach(n, 0, func(i int) {
-		if payloads[i] == nil {
-			return
-		}
-		build := func() {
-			ld.tables[i], errs[i] = viewShard(i, payloads[i], man.crcs[i], data != nil, man.p.T)
-		}
+	parallel.ForEach(len(kept), 0, func(k int) {
+		i := kept[k]
+		load := func() { ld.tables[i], errs[i] = loadShard(r, mapping, man, i) }
 		if sp != nil {
-			sp.Time(fmt.Sprintf("shard%d", i), build)
+			sp.Time(fmt.Sprintf("shard%d", i), load)
 		} else {
-			build()
+			load()
 		}
 	})
 	for _, err := range errs {
@@ -472,32 +439,20 @@ func loadIndex(r io.Reader, size int64, data []byte, keep func(shard int) bool, 
 	return ld, nil
 }
 
-// readPayload reads exactly n bytes into a buffer of exactly n bytes —
-// a view pins its payload for the table's lifetime, so no slack may
-// ride along. When the manifest has been validated against the index
-// size the buffer is allocated at once; from an unbounded stream it
-// grows with the bytes actually read (doubling, clipped to n), so a
-// lying length ends in a truncation error, not a giant allocation.
-func readPayload(r io.Reader, n int64, sizeChecked bool) ([]byte, error) {
-	const firstChunk = 1 << 20
-	have := n
-	if !sizeChecked && have > firstChunk {
-		have = firstChunk
+// loadShard fetches shard i's payload — a slice of mapping, or one
+// ReadAt of r — and turns it into a serving table (viewShard).
+func loadShard(r io.ReaderAt, mapping []byte, man *shardedManifest, i int) (*sketch.FrozenTable, error) {
+	off, length := int64(man.offs[i]), int64(man.lens[i])
+	if mapping != nil {
+		return viewShard(i, mapping[off:off+length], man.crcs[i], true, man.p.T)
 	}
-	buf := make([]byte, have)
-	for filled := int64(0); ; {
-		k, err := io.ReadFull(r, buf[filled:])
-		filled += int64(k)
-		if err != nil {
-			return nil, fmt.Errorf("payload truncated (%d of %d bytes): %w", filled, n, err)
-		}
-		if filled == n {
-			return buf, nil
-		}
-		grown := make([]byte, min(2*filled, n))
-		copy(grown, buf)
-		buf = grown
+	// A view pins its payload for the table's lifetime, so no slack may
+	// ride along: the buffer is exactly the payload.
+	payload := make([]byte, length)
+	if n, err := r.ReadAt(payload, off); n < len(payload) {
+		return nil, fmt.Errorf("core: reading shard %d payload: %w (%w)", i, err, ErrIndexChecksum)
 	}
+	return viewShard(i, payload, man.crcs[i], false, man.p.T)
 }
 
 // viewShard is the one step that turns payload bytes into a serving
@@ -531,18 +486,4 @@ func (ld *loadedIndex) mapper() (*Mapper, MemoryInfo, error) {
 		return nil, MemoryInfo{}, err
 	}
 	return m, MemoryInfo{Resident: sf.ResidentBytes(), Mapped: sf.MappedBytes()}, nil
-}
-
-// ReadIndexObserved deserializes a mapper previously written by
-// WriteIndex into heap memory. The manifest and every shard payload
-// are checksum-verified (a mismatch returns an error wrapping
-// ErrIndexChecksum); the result is a sealed mapper. The per-shard
-// loads are timed under sp (one child span per shard); sp may be nil.
-func ReadIndexObserved(r io.Reader, sp *obs.Span) (*Mapper, error) {
-	ld, err := loadIndex(r, -1, nil, nil, sp)
-	if err != nil {
-		return nil, err
-	}
-	m, _, err := ld.mapper()
-	return m, err
 }

@@ -95,7 +95,7 @@ func TestIndexGoldenBytes(t *testing.T) {
 				"anchorless": buildAnchorless(t, contigs, p, shards),
 			} {
 				var buf bytes.Buffer
-				if err := m.WriteIndex(&buf); err != nil {
+				if err := m.writeIndex(&buf); err != nil {
 					t.Fatal(err)
 				}
 				sum := sha256.Sum256(buf.Bytes())

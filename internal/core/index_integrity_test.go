@@ -65,12 +65,12 @@ func TestWriteIndexFileRoundTrip(t *testing.T) {
 func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	m, _ := buildSmallMapper(t, 19)
 	var buf bytes.Buffer
-	if err := m.WriteIndex(&buf); err != nil {
+	if err := m.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
 	// Sanity: the clean bytes load.
-	if _, err := ReadIndexObserved(bytes.NewReader(clean), nil); err != nil {
+	if _, err := readIndex(clean, nil); err != nil {
 		t.Fatalf("clean index rejected: %v", err)
 	}
 	// Corrupt a spread of offsets across the body and the footer.
@@ -78,7 +78,7 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	for _, off := range offsets {
 		bad := append([]byte(nil), clean...)
 		bad[off] ^= 0x01
-		_, err := ReadIndexObserved(bytes.NewReader(bad), nil)
+		_, err := readIndex(bad, nil)
 		if err == nil {
 			t.Errorf("offset %d: corrupted index accepted", off)
 			continue
@@ -89,7 +89,7 @@ func TestIndexChecksumDetectsCorruption(t *testing.T) {
 	}
 	// Truncations (including chopping into the footer) must fail too.
 	for _, n := range []int{len(clean) - 1, len(clean) - 4, len(clean) / 2, 10} {
-		if _, err := ReadIndexObserved(bytes.NewReader(clean[:n]), nil); err == nil {
+		if _, err := readIndex(clean[:n], nil); err == nil {
 			t.Errorf("truncated to %d bytes: accepted", n)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"hash/crc32"
@@ -37,7 +36,7 @@ func shardedIndexMapper(t *testing.T, p int) (*Mapper, [][]byte) {
 // giving corruption tests the directory offsets and the manifest end.
 func parseManifest06(t *testing.T, b []byte) *shardedManifest {
 	t.Helper()
-	man, err := readManifest(bufio.NewReader(bytes.NewReader(b)))
+	man, err := readManifest(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +47,13 @@ func TestShardedIndexRoundTrip(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8} {
 		orig, segs := shardedIndexMapper(t, p)
 		var buf bytes.Buffer
-		if err := orig.WriteIndex(&buf); err != nil {
+		if err := orig.writeIndex(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if got := string(buf.Bytes()[:8]); got != "JEMIDX06" {
 			t.Fatalf("sealed mapper wrote magic %q, want JEMIDX06", got)
 		}
-		loaded, err := ReadIndexObserved(bytes.NewReader(buf.Bytes()), nil)
+		loaded, err := readIndex(buf.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -78,17 +77,17 @@ func TestShardedIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedIndexObservedLoad: the observed load path emits one child
+// TestShardedIndexObservedLoad: the loader emits one child
 // span per shard.
 func TestShardedIndexObservedLoad(t *testing.T) {
 	orig, _ := shardedIndexMapper(t, 4)
 	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
+	if err := orig.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer()
 	sp := tr.Start("read")
-	if _, err := ReadIndexObserved(bytes.NewReader(buf.Bytes()), sp); err != nil {
+	if _, err := readIndex(buf.Bytes(), sp); err != nil {
 		t.Fatal(err)
 	}
 	sp.End()
@@ -100,14 +99,14 @@ func TestShardedIndexObservedLoad(t *testing.T) {
 func TestShardedIndexCorruptManifest(t *testing.T) {
 	orig, _ := shardedIndexMapper(t, 3)
 	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
+	if err := orig.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	b := append([]byte(nil), buf.Bytes()...)
 	// Flip a byte inside the manifest (just past the magic: the params
 	// block), which must trip the manifest CRC before any decode.
 	b[10] ^= 0xff
-	_, err := ReadIndexObserved(bytes.NewReader(b), nil)
+	_, err := readIndex(b, nil)
 	if err == nil {
 		t.Fatal("corrupt manifest loaded")
 	}
@@ -119,7 +118,7 @@ func TestShardedIndexCorruptManifest(t *testing.T) {
 	man := parseManifest06(t, buf.Bytes())
 	b = append(b[:0:0], buf.Bytes()...)
 	b[man.end-8] ^= 0xff
-	if _, err := ReadIndexObserved(bytes.NewReader(b), nil); !errors.Is(err, ErrIndexChecksum) {
+	if _, err := readIndex(b, nil); !errors.Is(err, ErrIndexChecksum) {
 		t.Fatalf("directory corruption error = %v, want ErrIndexChecksum", err)
 	}
 }
@@ -127,7 +126,7 @@ func TestShardedIndexCorruptManifest(t *testing.T) {
 func TestShardedIndexCorruptPayload(t *testing.T) {
 	orig, _ := shardedIndexMapper(t, 3)
 	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
+	if err := orig.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	b := append([]byte(nil), buf.Bytes()...)
@@ -135,7 +134,7 @@ func TestShardedIndexCorruptPayload(t *testing.T) {
 	// last payload byte): the manifest stays valid, so the per-shard
 	// CRC must catch it.
 	b[len(b)-3] ^= 0x01
-	_, err := ReadIndexObserved(bytes.NewReader(b), nil)
+	_, err := readIndex(b, nil)
 	if !errors.Is(err, ErrIndexChecksum) {
 		t.Fatalf("payload corruption error = %v, want ErrIndexChecksum", err)
 	}
@@ -160,7 +159,7 @@ func TestViewShardChecksTrialCount(t *testing.T) {
 func TestShardedIndexMissingShard(t *testing.T) {
 	orig, _ := shardedIndexMapper(t, 3)
 	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
+	if err := orig.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -170,7 +169,7 @@ func TestShardedIndexMissingShard(t *testing.T) {
 	// checksum-class error so load-or-rebuild callers rebuild.
 	last := man.offs[len(man.offs)-1]
 	trunc := full[:int(last)+int(man.lens[len(man.lens)-1])/2]
-	_, err := ReadIndexObserved(bytes.NewReader(trunc), nil)
+	_, err := readIndex(trunc, nil)
 	if err == nil {
 		t.Fatal("truncated sharded index loaded")
 	}

@@ -10,9 +10,21 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/sketch"
 )
+
+// readIndex runs the loader over index bytes held in memory, as a
+// file of len(data) bytes read onto the heap; sp is as for loadIndex.
+func readIndex(data []byte, sp *obs.Span) (*Mapper, error) {
+	ld, err := loadIndex(bytes.NewReader(data), int64(len(data)), nil, nil, sp)
+	if err != nil {
+		return nil, err
+	}
+	m, _, err := ld.mapper()
+	return m, err
+}
 
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -32,17 +44,17 @@ func TestIndexRoundTrip(t *testing.T) {
 
 	// An unsealed mapper has no serving table to serialize.
 	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err == nil {
-		t.Fatal("WriteIndex on an unsealed mapper succeeded")
+	if err := orig.writeIndex(&buf); err == nil {
+		t.Fatal("writeIndex on an unsealed mapper succeeded")
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("refused write still emitted %d bytes", buf.Len())
 	}
 	orig.Seal()
-	if err := orig.WriteIndex(&buf); err != nil {
+	if err := orig.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndexObserved(&buf, nil)
+	loaded, err := readIndex(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +77,17 @@ func TestIndexRoundTrip(t *testing.T) {
 }
 
 func TestReadIndexRejectsGarbage(t *testing.T) {
-	if _, err := ReadIndexObserved(bytes.NewReader(nil), nil); err == nil {
+	if _, err := readIndex(nil, nil); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, err := ReadIndexObserved(bytes.NewReader([]byte("NOTANINDEXATALL!")), nil); err == nil {
+	if _, err := readIndex([]byte("NOTANINDEXATALL!"), nil); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// Valid magic, truncated body.
 	var buf bytes.Buffer
 	buf.Write(indexMagic[:])
 	buf.Write([]byte{1, 2, 3})
-	if _, err := ReadIndexObserved(&buf, nil); err == nil {
+	if _, err := readIndex(buf.Bytes(), nil); err == nil {
 		t.Error("truncated index should fail")
 	}
 }
@@ -84,7 +96,7 @@ func TestReadIndexRejectsBadParams(t *testing.T) {
 	m, _ := NewMapper(smallParams())
 	m.Seal()
 	var buf bytes.Buffer
-	if err := m.WriteIndex(&buf); err != nil {
+	if err := m.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	b := bytes.Clone(buf.Bytes())
@@ -92,12 +104,12 @@ func TestReadIndexRejectsBadParams(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		b[i] = 0
 	}
-	if _, err := ReadIndexObserved(bytes.NewReader(b), nil); err == nil {
+	if _, err := readIndex(b, nil); err == nil {
 		t.Error("invalid params should fail")
 	}
 	// An unknown minimizer ordering (the sixth param) behind a valid
 	// manifest CRC.
-	if _, err := ReadIndexObserved(bytes.NewReader(craftManifest(buf.Bytes(), []byte{5, 7})), nil); err == nil {
+	if _, err := readIndex(craftManifest(buf.Bytes(), []byte{5, 7}), nil); err == nil {
 		t.Error("an unknown minimizer ordering should fail")
 	}
 }
@@ -122,10 +134,10 @@ func TestIndexRoundTripSealed(t *testing.T) {
 	orig.Seal()
 
 	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
+	if err := orig.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndexObserved(&buf, nil)
+	loaded, err := readIndex(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +193,10 @@ func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := m.WriteIndex(&buf); err != nil {
+	if err := m.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndexObserved(&buf, nil)
+	loaded, err := readIndex(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +223,11 @@ func TestReadIndexRetiredMagics(t *testing.T) {
 			if err := os.WriteFile(path, body, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, rerr := ReadIndexObserved(bytes.NewReader(body), nil)
+			_, rerr := readIndex(body, nil)
 			_, _, _, oerr := OpenIndexFile(path, MemorySpec{Mode: MemoryMMap})
 			_, merr := OpenRemoteFile(path, noDial(t))
 			_, _, serr := ReadShardSubsetFile(path, func(int) bool { return true })
-			for name, err := range map[string]error{"ReadIndex": rerr, "OpenIndexFile": oerr, "OpenRemoteFile": merr, "ReadShardSubsetFile": serr} {
+			for name, err := range map[string]error{"loadIndex": rerr, "OpenIndexFile": oerr, "OpenRemoteFile": merr, "ReadShardSubsetFile": serr} {
 				if err == nil || !strings.Contains(err.Error(), magic+" is no longer supported") || !strings.Contains(err.Error(), "-save-index") {
 					t.Errorf("%s: error %v does not name the retired format and the rebuild", name, err)
 				}

@@ -101,21 +101,17 @@ func OpenIndexFileObserved(path string, spec MemorySpec, sp *obs.Span) (*Mapper,
 // openIndexFile runs the loader over the file at path: over a
 // read-only mapping of it when spec asks for one and the host can
 // provide it (the returned closer then owns the mapping), over the
-// file's bytes read sequentially otherwise.
+// file read at the kept payloads' offsets otherwise.
 func openIndexFile(path string, keep func(shard int) bool, spec MemorySpec, sp *obs.Span) (*loadedIndex, io.Closer, error) {
-	f, err := os.Open(path)
+	f, size, err := openFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	// A mapping outlives the descriptor.
 	defer func() { _ = f.Close() }()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: index %s: %w", path, err)
-	}
 	if spec.Mode != MemoryHeap && mmapSupported {
 		// A failed mapping falls through to the heap load.
-		if data, merr := mmapFile(f, st.Size()); merr == nil {
+		if data, merr := mmapFile(f, size); merr == nil {
 			ld, err := loadIndex(nil, 0, data, keep, sp)
 			if err != nil {
 				_ = munmapFile(data)
@@ -124,17 +120,32 @@ func openIndexFile(path string, keep func(shard int) bool, spec MemorySpec, sp *
 			return ld, &mappingCloser{data: data}, nil
 		}
 	}
-	ld, err := loadIndex(f, st.Size(), nil, keep, sp)
+	ld, err := loadIndex(f, size, nil, keep, sp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: index %s: %w", path, err)
 	}
 	return ld, nil, nil
 }
 
+// openFile opens the index file at path and returns its size, which
+// bounds everything a load of it reads or allocates.
+func openFile(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, 0, fmt.Errorf("core: index %s: %w", path, err)
+	}
+	return f, st.Size(), nil
+}
+
 // ReadShardSubsetFile loads only the shards selected by keep onto the
 // heap — the shard-server loading path, where each process pays memory
-// for its own shards only. Unselected payloads are skipped without
-// allocation; selected ones are CRC-verified in parallel exactly like
+// for its own shards only. Unselected payloads are never read;
+// selected ones are CRC-verified in parallel exactly like
 // a full load. The returned map is keyed by shard id.
 func ReadShardSubsetFile(path string, keep func(shard int) bool) (map[int]*sketch.FrozenTable, IndexMeta, error) {
 	tables, meta, _, err := OpenShardSubset(path, keep, MemorySpec{Mode: MemoryHeap})

@@ -16,7 +16,7 @@ func writeIndex06Temp(t *testing.T, p int) (string, *Mapper, [][]byte) {
 	t.Helper()
 	m, segs := shardedIndexMapper(t, p)
 	var buf bytes.Buffer
-	if err := m.WriteIndex(&buf); err != nil {
+	if err := m.writeIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "idx.jemidx")

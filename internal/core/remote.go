@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -117,12 +115,12 @@ type IndexMeta struct {
 // The querier dial returns stays the caller's to close, also when
 // OpenRemoteFile fails after dial.
 func OpenRemoteFile(path string, dial func() (ShardQuerier, error)) (*Mapper, error) {
-	f, err := os.Open(path)
+	f, size, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }()
-	man, err := readManifest(bufio.NewReaderSize(f, 1<<16))
+	man, err := readManifest(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("core: index %s: %w", path, err)
 	}

@@ -314,11 +314,11 @@ func open(t *testing.T, oo jem.OpenOptions) (*jem.Mapper, jem.OpenInfo) {
 }
 
 // backends builds every row from w, at P ∈ {1,2,3,8} shards: core; the
-// facade's Map and Stream, and its index saved and loaded back from a
-// stream (LoadMapper); the core index saved and reopened under heap
-// and under mmap; an in-process shard-server fleet serving that index,
-// through the facade and through core; and then the simulated ranks at
-// p ∈ {1,3,8,41}. A new backend adds a row here.
+// facade's Map and Stream, and its index saved to a file and opened
+// back onto the heap (SaveIndexFile, Open); the core index saved and
+// reopened under heap and under mmap; an in-process shard-server fleet
+// serving that index, through the facade and through core; and then
+// the simulated ranks at p ∈ {1,3,8,41}. A new backend adds a row here.
 func backends(t *testing.T, w world, ref *reference) []backend {
 	var rows []backend
 	for _, p := range []int{1, 2, 3, 8} {
@@ -331,14 +331,11 @@ func backends(t *testing.T, w world, ref *reference) []backend {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var saved bytes.Buffer
-		if err := fm.SaveIndex(&saved); err != nil {
+		saved := filepath.Join(t.TempDir(), "facade.jem")
+		if err := fm.SaveIndexFile(saved); err != nil {
 			t.Fatal(err)
 		}
-		lm, err := jem.LoadMapper(&saved, w.contigs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lm, _ := open(t, jem.OpenOptions{IndexPath: saved, Contigs: w.contigs, Options: jem.Options{Memory: jem.Memory{Mode: jem.MemoryHeap}}})
 		if fm.Shards() != p || lm.Shards() != p {
 			t.Errorf("facade P=%d: built with %d shards, loaded with %d", p, fm.Shards(), lm.Shards())
 		}

@@ -27,7 +27,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/minimizer"
 	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/sketch"
@@ -75,10 +74,6 @@ type Options struct {
 	// with an older magic (JEMIDX02–05) is refused by name and must be
 	// rebuilt. See docs/MEMORY.md.
 	Memory Memory
-	// HashOrdering switches the minimizer ordering from the paper's
-	// lexicographic choice to a minimap2-style hash ordering (an
-	// ablation knob; see DESIGN.md §5).
-	HashOrdering bool
 	// Metrics, when non-nil, is the observability registry the mapper
 	// records into (counters, wall gauges, phase spans — see
 	// docs/OBSERVABILITY.md). When nil the mapper creates a private
@@ -95,11 +90,7 @@ func DefaultOptions() Options {
 }
 
 func (o Options) params() sketch.Params {
-	p := sketch.Params{K: o.K, W: o.W, T: o.Trials, L: o.SegmentLen, Seed: o.Seed}
-	if o.HashOrdering {
-		p.Order = minimizer.OrderHash
-	}
-	return p
+	return sketch.Params{K: o.K, W: o.W, T: o.Trials, L: o.SegmentLen, Seed: o.Seed}
 }
 
 // SegmentEnd says which end of a read a mapping concerns.
@@ -292,16 +283,6 @@ func toMappings(results []core.Result, reads, contigs []Record) []Mapping {
 	return out
 }
 
-// SaveIndex serializes the mapper's sketch index (parameters, subject
-// metadata, sketch table) so it can be reloaded with LoadMapper
-// instead of re-sketching the contigs. The serialized form carries a
-// checksum footer that LoadMapper verifies.
-func (m *Mapper) SaveIndex(w io.Writer) error {
-	sp := m.reg.Tracer().Start("index.write")
-	defer sp.End()
-	return m.core.WriteIndex(w)
-}
-
 // ErrIndexChecksum marks an index file whose contents no longer match
 // the checksum it was written with — on-disk corruption. Detect it
 // with errors.Is and rebuild the index from the contigs.
@@ -314,27 +295,6 @@ func (m *Mapper) SaveIndexFile(path string) error {
 	sp := m.reg.Tracer().Start("index.write")
 	defer sp.End()
 	return m.core.WriteIndexFile(path)
-}
-
-// LoadMapper reconstructs a mapper from an index written by SaveIndex.
-// The loaded mapper maps identically to the original; contig sequences
-// are not stored in the index, so sequence-dependent extras
-// (PercentIdentity against retained contigs) need the contig records
-// passed here (nil is allowed and disables only those extras).
-//
-// The load is span-timed in the mapper's own registry as index.load →
-// read, with one child span per shard (shards verify in parallel).
-func LoadMapper(r io.Reader, contigs []Record) (*Mapper, error) {
-	reg := obs.NewRegistry()
-	sp := reg.Tracer().Start("index.load")
-	rd := sp.Child("read")
-	cm, err := core.ReadIndexObserved(r, rd)
-	rd.End()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return loadedMapper(cm, reg, 0, Memory{}, contigs, nil), nil
 }
 
 // TiledMapping is one interior-tile hit of MapReadTiled.

@@ -2,6 +2,8 @@ package jem_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -226,8 +228,12 @@ func TestScaffoldsFromMappings(t *testing.T) {
 }
 
 func TestFacadeErrorPaths(t *testing.T) {
-	// LoadMapper on garbage.
-	if _, err := jem.LoadMapper(strings.NewReader("not an index"), nil); err == nil {
+	// Open on a garbage index file.
+	garbage := filepath.Join(t.TempDir(), "garbage.jem")
+	if err := os.WriteFile(garbage, []byte("not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := jem.Open(jem.OpenOptions{IndexPath: garbage}); err == nil {
 		t.Error("garbage index should fail")
 	}
 	// MapDistributed with invalid options / rank count.

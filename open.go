@@ -7,15 +7,15 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/minimizer"
 	"repro/internal/obs"
 	"repro/internal/shardnet"
 )
 
-// OpenOptions configures Open, the unified construction entry point
-// that subsumes NewMapper (build from contigs), LoadMapper (load a
-// saved index) and the load-or-rebuild fallback that CLI callers used
-// to hand-roll.
+// OpenOptions configures Open, the unified construction entry point:
+// it builds from contigs (NewMapper), loads an index file written by
+// SaveIndexFile, or does the one and falls back to the other on
+// corruption (the load-or-rebuild policy CLI callers used to
+// hand-roll).
 type OpenOptions struct {
 	// Contigs is the subject set: the build source when no index is
 	// loaded, the rebuild source for the corrupt-index fallback, and
@@ -73,8 +73,9 @@ type OpenInfo struct {
 // Open constructs a Mapper by whichever path the options select:
 //
 //   - IndexPath == "": build from Contigs (NewMapper).
-//   - IndexPath set: load the saved index; Contigs, if given, supply
-//     record metadata the index does not store.
+//   - IndexPath set: load the index file SaveIndexFile wrote, traced
+//     as index.load → read → shard0…shardN-1; Contigs, if given,
+//     supply record metadata the index does not store.
 //   - IndexPath set + RebuildOnCorrupt: as above, but a checksum
 //     failure falls back to building from Contigs, reported in
 //     OpenInfo rather than as an error.
@@ -183,8 +184,8 @@ func openIndexFile(opts OpenOptions) (*Mapper, MemoryInfo, error) {
 	return m, memInfoFromCore(opts.Options.Memory.Mode, ci), nil
 }
 
-// loadedMapper wraps a core mapper loaded from an index — a stream, a
-// file, or a manifest behind a shard fleet — in the facade. The index
+// loadedMapper wraps a core mapper loaded from an index — its file, or
+// its manifest behind a shard fleet — in the facade. The index
 // supplies the sketch parameters; the caller supplies the serving
 // knobs, the contig records and the closer that releases the serving
 // backend (a mapping or a fleet's connections; nil when none).
@@ -192,10 +193,9 @@ func loadedMapper(cm *core.Mapper, reg *obs.Registry, workers int, mem Memory, c
 	p := cm.Sketcher().Params()
 	o := Options{
 		K: p.K, W: p.W, Trials: p.T, SegmentLen: p.L, Seed: p.Seed,
-		HashOrdering: p.Order == minimizer.OrderHash,
-		Metrics:      reg,
-		Workers:      workers,
-		Memory:       mem,
+		Metrics: reg,
+		Workers: workers,
+		Memory:  mem,
 	}
 	if sh := cm.Shards(); sh > 1 {
 		o.Shards = sh

@@ -2,7 +2,6 @@ package jem_test
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -56,25 +55,14 @@ func TestFilePipeline(t *testing.T) {
 
 	// Index round trip through a file.
 	idxPath := filepath.Join(dir, "contigs.jemidx")
-	f, err := os.Create(idxPath)
+	if err := mapper.SaveIndexFile(idxPath); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := jem.Open(jem.OpenOptions{IndexPath: idxPath, Contigs: contigs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mapper.SaveIndex(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := os.Open(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := jem.LoadMapper(f2, contigs)
-	_ = f2.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer func() { _ = loaded.Close() }()
 	reloadedMappings := mapAll(loaded, reads)
 	if !reflect.DeepEqual(mappings, reloadedMappings) {
 		t.Fatal("index-loaded mapper maps differently")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,14 +98,16 @@ func TestStreamSAMNeedsContigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idx, reads, out bytes.Buffer
-	if err := built.SaveIndex(&idx); err != nil {
+	idx := filepath.Join(t.TempDir(), "idx.jem")
+	if err := built.SaveIndexFile(idx); err != nil {
 		t.Fatal(err)
 	}
-	m, err := jem.LoadMapper(&idx, nil)
+	m, _, err := jem.Open(jem.OpenOptions{IndexPath: idx})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() { _ = m.Close() }()
+	var reads, out bytes.Buffer
 	if err := writeFASTQ(&reads, ds.Reads[:4]); err != nil {
 		t.Fatal(err)
 	}

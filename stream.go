@@ -384,7 +384,7 @@ func (m *Mapper) Stream(ctx context.Context, r io.Reader, w io.Writer, opts Stre
 		return pafFormat.stream(ctx, m, r, w, opts)
 	case FormatSAM:
 		if len(m.contigs) != m.NumContigs() {
-			return Stats{}, optErr("Format", opts.Format, "needs the contig records (OpenOptions.Contigs, or LoadMapper's contigs)")
+			return Stats{}, optErr("Format", opts.Format, "needs the contig records (OpenOptions.Contigs when loading an index)")
 		}
 		return samFormat.stream(ctx, m, r, w, opts)
 	case FormatNDJSON:

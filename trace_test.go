@@ -2,6 +2,9 @@ package jem_test
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -164,5 +167,55 @@ func TestMapChildSpan(t *testing.T) {
 	}
 	if v, ok := attrValue(c, "reads"); !ok || v.(int) != len(ds.Reads) {
 		t.Errorf("map span reads attr = %v, want %d", v, len(ds.Reads))
+	}
+}
+
+// TestOpenIndexLoadSpans pins the span tree an index open leaves in the
+// opened mapper's registry, under heap and under mmap: one index.load
+// root whose read child holds one span per shard, every span ended,
+// and nothing else. Shards load in parallel, so their spans' order is
+// not pinned.
+func TestOpenIndexLoadSpans(t *testing.T) {
+	ds := buildSmallDataset(t)
+	opts := jem.DefaultOptions()
+	opts.Shards = 3
+	built, err := jem.NewMapper(ds.Contigs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := filepath.Join(t.TempDir(), "idx.jem")
+	if err := built.SaveIndexFile(idx); err != nil {
+		t.Fatal(err)
+	}
+	const want = "index.load\n  read\n    shard0\n    shard1\n    shard2\n"
+	for _, mode := range []jem.MemoryMode{jem.MemoryHeap, jem.MemoryMMap} {
+		m, _, err := jem.Open(jem.OpenOptions{IndexPath: idx, Options: jem.Options{Memory: jem.Memory{Mode: mode}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tree strings.Builder
+		for _, root := range m.Metrics().Tracer().Roots() {
+			writeSpanTree(t, &tree, root, 0)
+		}
+		if got := tree.String(); got != want {
+			t.Errorf("%v: Open left the span tree\n%swant\n%s", mode, got, want)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// writeSpanTree writes sp's subtree as indented names, children sorted
+// by name, and fails the test on a span left open.
+func writeSpanTree(t *testing.T, b *strings.Builder, sp *obs.Span, depth int) {
+	if !sp.Ended() {
+		t.Errorf("span %s left open", sp.Name())
+	}
+	fmt.Fprintf(b, "%*s%s\n", 2*depth, "", sp.Name())
+	kids := sp.Children()
+	sort.Slice(kids, func(i, j int) bool { return kids[i].Name() < kids[j].Name() })
+	for _, c := range kids {
+		writeSpanTree(t, b, c, depth+1)
 	}
 }
