@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-tests lint-fix api-update test test-short exhibits exhibits-update fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke metrics-demo fuzz repro repro-quick clean
+.PHONY: all build vet lint lint-tests lint-fix api-update test test-short exhibits exhibits-update mutants mutants-update fault-test serve-smoke dist-smoke obs-smoke mem-smoke bench bench-smoke metrics-demo fuzz repro repro-quick clean
 
 all: build vet lint lint-tests test
 
@@ -66,6 +66,21 @@ exhibits-update:
 		$(GO) run ./cmd/jem-bench -scale 0.002 -csv $(EXHIBIT_GOLDENS) $$e >/dev/null || exit 1; \
 	done
 
+# Plant every defect of internal/oracle/testdata/mutants/list.json in
+# turn (go test -overlay, no tree copy), run one fixed test set against
+# each, and write the kill table to mutants_table.md. It fails on a
+# mutant that does not build and on a survivor that the survivors file
+# does not explain. About 20 minutes on two cores; not part of `test`.
+MUTANTS = $(GO) test -tags mutants -count=1 -timeout 90m -run '^TestMutants$$' ./internal/oracle/
+mutants:
+	$(MUTANTS) -v
+
+# Re-record internal/oracle/testdata/mutants/survivors.json from a run,
+# keeping the reasons it already gives. A new survivor gets an empty
+# reason, which the next `make mutants` refuses until one is written.
+mutants-update:
+	$(MUTANTS) -update
+
 # Fault-injection and robustness tests under the race detector:
 # cancellation, quarantine, injected I/O errors, worker panics,
 # index corruption, the SIGINT-mid-stream CLI test, the read-set
@@ -92,9 +107,12 @@ serve-smoke:
 # any sketcher is built), the facade-level degraded-answer and
 # fingerprint tests, and the multi-process jem-shardd end-to-end with
 # fault injection. Fleet byte identity is a row of internal/oracle's
-# matrix. See docs/DISTRIBUTED.md for the contracts these prove.
+# matrix, and so is the degraded answer of a fleet that loses a shard
+# while mapping positionally: the lost-shard row runs here too. See
+# docs/DISTRIBUTED.md for the contracts these prove.
 dist-smoke:
 	$(GO) test -race ./internal/shardnet/ ./internal/dist/
+	$(GO) test -race -run 'TestBackendMatrix$$/lost-shard' ./internal/oracle/
 	$(GO) test -race -run 'TestRemote|TestLoadAllocates' ./internal/core/
 	$(GO) test -race -run 'TestOpenShardServers|TestServeShardsLostHeader|TestDistE2EMultiProcess' .
 

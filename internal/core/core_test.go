@@ -123,44 +123,6 @@ func TestMapSegmentNoSubjects(t *testing.T) {
 	}
 }
 
-func TestLazyCountersMatchMapCounting(t *testing.T) {
-	// The lazy-update counter array must produce exactly the counts a
-	// plain map produces, across many consecutive queries.
-	rng := rand.New(rand.NewSource(11))
-	_, contigs, reads, _ := makeWorld(t, rng, 30_000, 800, 50)
-	p := smallParams()
-	m, err := NewMapper(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.AddSubjectsParallel(contigs, 1)
-	m.Seal()
-	sess := m.NewSession()
-	for _, r := range reads {
-		seg := r.Seq[:p.L]
-		got, gotOK := sess.MapSegment(seg)
-
-		// Naive recount.
-		words := m.Sketcher().QuerySketch(seg)
-		counts := map[int32]int32{}
-		for tr, w := range words {
-			for _, p := range m.Sharded().Lookup(tr, w) {
-				counts[p.Subject]++
-			}
-		}
-		want := Hit{Subject: -1}
-		for subj, c := range counts {
-			if c > want.Count || (c == want.Count && subj < want.Subject) {
-				want = Hit{Subject: subj, Count: c}
-			}
-		}
-		wantOK := len(counts) > 0
-		if gotOK != wantOK || (gotOK && got != want) {
-			t.Fatalf("lazy %v,%v != naive %v,%v", got, gotOK, want, wantOK)
-		}
-	}
-}
-
 func TestMapSegmentTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 500, 10)
@@ -193,41 +155,6 @@ func TestMapSegmentTopK(t *testing.T) {
 	}
 	if got := sess.MapSegmentTopK(reads[0].Seq[:p.L], 0); got != nil {
 		t.Error("k=0 should return nil")
-	}
-}
-
-// TestMapSegmentsMatchesMapReads: mapping pre-extracted end segments
-// one by one on a session gives MapReads' rows.
-func TestMapSegmentsMatchesMapReads(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	_, contigs, reads, _ := makeWorld(t, rng, 15_000, 700, 15)
-	p := smallParams()
-	m, _ := NewMapper(p)
-	m.AddSubjectsParallel(contigs, 1)
-	m.Seal()
-	results, err := m.MapReads(context.Background(), reads, p.L, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := m.NewSession()
-	var hits []Hit
-	for _, r := range reads {
-		segs, _ := EndSegments(r.Seq, p.L)
-		for _, seg := range segs {
-			h, ok := sess.MapSegment(seg)
-			if !ok {
-				h = Hit{Subject: -1}
-			}
-			hits = append(hits, h)
-		}
-	}
-	if len(hits) != len(results) {
-		t.Fatalf("%d hits vs %d results", len(hits), len(results))
-	}
-	for i := range hits {
-		if hits[i].Subject != results[i].Subject {
-			t.Fatalf("segment %d: %v vs %v", i, hits[i], results[i])
-		}
 	}
 }
 
@@ -275,25 +202,6 @@ func TestMapSegmentPositionalEstimatesLocation(t *testing.T) {
 		}
 		if ph.TargetEnd <= ph.TargetStart || ph.TargetEnd > int32(len(contig)) {
 			t.Errorf("trial %d: bad window [%d,%d)", trial, ph.TargetStart, ph.TargetEnd)
-		}
-	}
-}
-
-func TestMapSegmentPositionalAgreesWithPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	_, contigs, reads, _ := makeWorld(t, rng, 20_000, 1000, 20)
-	p := smallParams()
-	m, _ := NewMapper(p)
-	m.AddSubjectsParallel(contigs, 1)
-	m.Seal()
-	plain := m.NewSession()
-	positional := m.NewSession()
-	for _, r := range reads {
-		seg := r.Seq[:p.L]
-		h1, ok1 := plain.MapSegment(seg)
-		h2, ok2 := positional.MapSegmentPositional(seg)
-		if ok1 != ok2 || (ok1 && h1 != h2.Hit) {
-			t.Fatalf("positional best hit diverges: %v vs %v", h1, h2.Hit)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package oracle
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -173,14 +174,12 @@ func sequences(records []seq.Record) [][]byte {
 // column is what one backend answered for one input: rows in (read,
 // end) order or TSV bytes, whichever it reports, and the postings it
 // examined. A core backend also answers every reference segment
-// through one session, as the reference would (probes), with the
-// positional estimate of each.
+// through one session, as the reference would (probes).
 type column struct {
-	results    []core.Result
-	tsv        []byte
-	postings   int64
-	probes     []answer
-	positional []core.PositionalHit
+	results  []core.Result
+	tsv      []byte
+	postings int64
+	probes   []answer
 }
 
 // backend is one row of the matrix.
@@ -191,7 +190,10 @@ type backend struct {
 
 // coreRow serves from a core mapper: MapReads over the input, and each
 // reference segment through MapSegment, MapSegmentTopK and
-// MapSegmentPositional on one session.
+// MapSegmentPositional on one session. Each positional estimate must
+// equal a fresh session's, which has no earlier query's posting lists
+// to vote with, and the fresh session names the shards the segment
+// lost.
 func coreRow(name string, m *core.Mapper) backend {
 	return backend{name, func(t *testing.T, in input, segs []segment) column {
 		res, err := m.MapReads(context.Background(), in.reads, m.Sketcher().Params().L, 2)
@@ -200,7 +202,7 @@ func coreRow(name string, m *core.Mapper) backend {
 		}
 		col := column{results: res}
 		sess := m.NewSession()
-		for _, sg := range segs {
+		for j, sg := range segs {
 			before := sess.PostingsScanned()
 			h, ok := sess.MapSegment(sg.seq)
 			pr := answer{subject: h.Subject, count: h.Count, postings: sess.PostingsScanned() - before}
@@ -211,9 +213,13 @@ func coreRow(name string, m *core.Mapper) backend {
 			if ok != (h.Subject >= 0) || posOK != ok || pos.Hit != h {
 				t.Errorf("%s: MapSegment %+v,%v, positional %+v,%v", name, h, ok, pos, posOK)
 			}
+			fresh := m.NewSession()
+			if fpos, _ := fresh.MapSegmentPositional(sg.seq); fpos != pos {
+				t.Errorf("%s: segment %d: positional %+v after earlier queries, %+v on a fresh session", name, j, pos, fpos)
+			}
+			pr.lost, pr.positional = fresh.LostShards(), pos
 			col.postings += pr.postings
 			col.probes = append(col.probes, pr)
-			col.positional = append(col.positional, pos)
 		}
 		return col
 	}}
@@ -303,6 +309,40 @@ func startFleet(t *testing.T, path string, n int) []string {
 	return addrs
 }
 
+// dial connects a coordinator to the fleet at addrs, closed with the
+// test.
+func dial(t *testing.T, addrs []string) *shardnet.Coordinator {
+	coord, err := shardnet.Dial(context.Background(), addrs, shardnet.Config{}, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = coord.Close() })
+	return coord
+}
+
+// openFleet opens the index at idx in core, its postings served by q.
+func openFleet(t *testing.T, idx string, q core.ShardQuerier) *core.Mapper {
+	m, err := core.OpenRemoteFile(idx, func() (core.ShardQuerier, error) { return q, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// downShard is a fleet whose shard lost is down: its batches fail at
+// once, as the coordinator's do when a shard's retries are spent.
+type downShard struct {
+	*shardnet.Coordinator
+	lost int
+}
+
+func (d downShard) QueryShard(ctx context.Context, shard int, trials []int32, words []sketch.Word) ([][]sketch.Posting, error) {
+	if shard == d.lost {
+		return nil, &shardnet.ShardError{Shard: shard, Err: errors.New("shard down")}
+	}
+	return d.Coordinator.QueryShard(ctx, shard, trials, words)
+}
+
 // open opens a saved index through the facade, closed with the test.
 func open(t *testing.T, oo jem.OpenOptions) (*jem.Mapper, jem.OpenInfo) {
 	m, info, err := jem.Open(oo)
@@ -349,15 +389,7 @@ func backends(t *testing.T, w world, ref *reference) []backend {
 		if !info.Remote || !info.FromIndex {
 			t.Errorf("fleet P=%d: OpenInfo %+v, want Remote and FromIndex", p, info)
 		}
-		coord, err := shardnet.Dial(context.Background(), addrs, shardnet.Config{}, obs.NewRegistry())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = coord.Close() })
-		remote, err := core.OpenRemoteFile(idx, func() (core.ShardQuerier, error) { return coord, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
+		remote := openFleet(t, idx, dial(t, addrs))
 		rows = append(rows, streamRow(fmt.Sprintf("fleet/Stream/P=%d", p), fleet), coreRow(fmt.Sprintf("fleet/core/P=%d", p), remote))
 	}
 	for _, p := range []int{1, 3, 8, 41} {
@@ -449,11 +481,23 @@ func lines(b []byte) []string { return strings.Split(string(b), "\n") }
 // for every end segment (TSV bytes for the facade rows), the same
 // number of postings examined, and for the core rows the same postings
 // per segment, the same full top-k ranking and the same positional
-// estimate. Then it checks the two metamorphic properties below.
+// estimate as the reference's. Then it checks the metamorphic
+// properties of metamorphic_test.go.
+//
+// The lost-shard row maps positionally through a fleet of eight shards
+// whose shard 5 is down. It is held to the reference with that shard's
+// probes removed: the same hits, counts, rankings and postings, and
+// every answer that had a probe there names the shard.
 func TestBackendMatrix(t *testing.T) {
 	w := newWorld(t)
 	ref := newReference(matrixParams, sequences(w.contigs))
 	metamorphic(t, w, ref, check(t, w, ref, backends(t, w, ref)))
+	t.Run("lost-shard", func(t *testing.T) {
+		const p, lost = 8, 5
+		_, idx := coreIndex(t, w, ref, p)
+		fleet := openFleet(t, idx, downShard{dial(t, startFleet(t, idx, p/2)), lost})
+		check(t, w, ref.losing(lost, p), []backend{coreRow(fmt.Sprintf("fleet/lost-shard/P=%d", p), fleet)})
+	})
 }
 
 // TestBackendMatrixAtPaperParams holds the core rows at P ∈ {1,8}, the
@@ -488,7 +532,6 @@ func check(t *testing.T, w world, ref *reference, rows []backend) []expected {
 	for i, in := range w.inputs {
 		t.Run(in.name, func(t *testing.T) {
 			want := wants[i]
-			var positional []core.PositionalHit // core/P=1's
 			for _, b := range rows {
 				got := b.run(t, in, want.segs)
 				if got.results != nil && !reflect.DeepEqual(got.results, want.results) {
@@ -504,11 +547,6 @@ func check(t *testing.T, w world, ref *reference, rows []backend) []expected {
 					if !reflect.DeepEqual(pr, want.answers[j]) {
 						t.Errorf("%s: segment %d: %+v, reference %+v", b.name, j, pr, want.answers[j])
 					}
-				}
-				if positional == nil {
-					positional = got.positional
-				} else if got.positional != nil && !reflect.DeepEqual(got.positional, positional) {
-					t.Errorf("%s: positional %s", b.name, firstDiff(got.positional, positional))
 				}
 			}
 		})

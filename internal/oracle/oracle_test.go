@@ -3,9 +3,11 @@
 // segment to the subject that shares the most trials) written from the
 // text with plain loops and maps, and the backend matrix
 // (matrix_test.go) that holds every backend to it. The reference shares
-// nothing with the code under test but the k-mer codec (kmer) and the
-// seeded hash family (sketch.NewHashFamily). The package has test files
-// only.
+// nothing with the code under test but the k-mer codec (kmer), the
+// seeded hash family (sketch.NewHashFamily) and, for a fleet with a
+// shard down, the shard routing (sketch.ShardOf); core.PositionalHit is
+// only the type its positional estimates are compared in. The package
+// has test files only.
 package oracle
 
 import (
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kmer"
 	"repro/internal/sketch"
 )
@@ -65,30 +68,48 @@ func minimizers(s []byte, k, w int) []mini {
 }
 
 // reference is Alg. 1's sketch table over a subject set, per trial a
-// map from sketch word to the set of subjects whose sketch holds it,
-// with the hash family Alg. 2 queries it under.
+// map from sketch word to the subjects whose sketch holds it, each with
+// the word's anchor there, with the hash family Alg. 2 queries it under.
 type reference struct {
 	p     params
 	hf    *sketch.HashFamily
-	table []map[kmer.Word]map[int32]bool
+	table []map[kmer.Word]map[int32]int32
+	// lost is a shard of shards that is down, when shards > 0: the
+	// probes sketch.ShardOf routes to it find nothing.
+	lost, shards int
+	subjects     [][]byte
 }
 
 func newReference(p params, subjects [][]byte) *reference {
-	r := &reference{p: p, hf: sketch.NewHashFamily(p.t, p.seed), table: make([]map[kmer.Word]map[int32]bool, p.t)}
+	r := &reference{p: p, hf: sketch.NewHashFamily(p.t, p.seed), table: make([]map[kmer.Word]map[int32]int32, p.t), subjects: subjects}
 	for t := range r.table {
-		r.table[t] = map[kmer.Word]map[int32]bool{}
+		r.table[t] = map[kmer.Word]map[int32]int32{}
 	}
 	for id, s := range subjects {
 		for t, words := range r.subjectSketch(s) {
-			for w := range words {
-				if r.table[t][w] == nil {
-					r.table[t][w] = map[int32]bool{}
+			for _, m := range words {
+				if r.table[t][m.word] == nil {
+					r.table[t][m.word] = map[int32]int32{}
 				}
-				r.table[t][w][int32(id)] = true
+				if _, ok := r.table[t][m.word][int32(id)]; !ok {
+					r.table[t][m.word][int32(id)] = int32(m.pos)
+				}
 			}
 		}
 	}
 	return r
+}
+
+// losing is r served by shards shards of which shard lost is down.
+func (r *reference) losing(lost, shards int) *reference {
+	d := *r
+	d.lost, d.shards = lost, shards
+	return &d
+}
+
+// down reports whether the probe ⟨t, w⟩ goes to the down shard.
+func (r *reference) down(t int, w kmer.Word) bool {
+	return r.shards > 0 && sketch.ShardOf(t, w, r.shards) == r.lost
 }
 
 // entries is the table's size: one entry per ⟨trial, word, subject⟩.
@@ -121,22 +142,23 @@ func (r *reference) under(t int, mo []mini) []hashed {
 
 // subjectSketch is Alg. 1 for one subject. An interval is anchored at
 // every minimizer and holds the minimizers that start at most ℓ bases
-// after it (positions p … p+ℓ); per trial, the sketch is the set of the
-// intervals' minima by ⟨h_t, word⟩.
-func (r *reference) subjectSketch(s []byte) []map[kmer.Word]bool {
+// after it (positions p … p+ℓ); per trial, the sketch is the list of the
+// intervals' minima by ⟨h_t, word⟩, in interval order, each at its
+// rightmost position in the interval. A word's first entry is its
+// anchor on the subject.
+func (r *reference) subjectSketch(s []byte) [][]mini {
 	mo := minimizers(s, r.p.k, r.p.w)
-	sk := make([]map[kmer.Word]bool, r.p.t)
+	sk := make([][]mini, r.p.t)
 	for t := range sk {
-		sk[t] = map[kmer.Word]bool{}
 		hs := r.under(t, mo)
 		for i, anchor := range mo {
-			min := hs[i]
+			min, at := hs[i], anchor.pos
 			for j := i + 1; j < len(mo) && mo[j].pos <= anchor.pos+r.p.l; j++ {
-				if hs[j].less(min) {
-					min = hs[j]
+				if !min.less(hs[j]) {
+					min, at = hs[j], mo[j].pos
 				}
 			}
-			sk[t][min.word] = true
+			sk[t] = append(sk[t], mini{min.word, at})
 		}
 	}
 	return sk
@@ -144,22 +166,23 @@ func (r *reference) subjectSketch(s []byte) []map[kmer.Word]bool {
 
 // querySketch sketches an end segment. A segment is at most ℓ bases,
 // so its minimizers form one interval: per trial the sketch word is
-// their minimum by ⟨h_t, word⟩. It is nil when there are none.
-func (r *reference) querySketch(seg []byte) []kmer.Word {
+// their minimum by ⟨h_t, word⟩, at its leftmost position. It is nil
+// when there are none.
+func (r *reference) querySketch(seg []byte) []mini {
 	mo := minimizers(seg, r.p.k, r.p.w)
 	if len(mo) == 0 {
 		return nil
 	}
-	words := make([]kmer.Word, r.p.t)
+	words := make([]mini, r.p.t)
 	for t := range words {
 		hs := r.under(t, mo)
-		min := hs[0]
-		for _, h := range hs[1:] {
-			if h.less(min) {
-				min = h
+		min := 0
+		for i, h := range hs {
+			if h.less(hs[min]) {
+				min = i
 			}
 		}
-		words[t] = min.word
+		words[t] = mo[min]
 	}
 	return words
 }
@@ -181,16 +204,26 @@ type answer struct {
 	// ranking is every subject hit, by descending count, ties toward
 	// the lower id.
 	ranking []hit
+	// lost names the down shard when a probe was routed to it.
+	lost []int
+	// positional is where on the best hit the segment lands: see place.
+	positional core.PositionalHit
 }
 
 // mapSegment is Alg. 2 for one segment: look each trial's word up,
 // count per subject the trials that list it, and answer with the most
-// frequent subject, ties going to the lower id.
+// frequent subject, ties going to the lower id. A probe routed to a
+// down shard is skipped.
 func (r *reference) mapSegment(seg []byte) answer {
 	counts := map[int32]int32{}
 	a := answer{subject: -1}
-	for t, w := range r.querySketch(seg) {
-		for subject := range r.table[t][w] {
+	q := r.querySketch(seg)
+	for t, m := range q {
+		if r.down(t, m.word) {
+			a.lost = []int{r.lost}
+			continue
+		}
+		for subject := range r.table[t][m.word] {
 			counts[subject]++
 			a.postings++
 		}
@@ -205,7 +238,47 @@ func (r *reference) mapSegment(seg []byte) answer {
 	if len(a.ranking) > 0 {
 		a.subject, a.count = a.ranking[0].subject, a.ranking[0].count
 	}
+	a.positional = r.place(a, q, len(seg))
 	return a
+}
+
+// place is the positional extension's estimate for an answer: every
+// trial whose word the best subject holds (on a shard that is up) votes
+// with the offset anchor − query position for the forward strand and
+// anchor + query position for the reverse one. Per strand, the median
+// vote gets the votes within w+k of it; the reverse strand wins only
+// with more. The region is the segment's length from the estimated
+// start, clamped to the subject.
+func (r *reference) place(a answer, q []mini, n int) core.PositionalHit {
+	ph := core.PositionalHit{Hit: core.Hit{Subject: a.subject, Count: a.count}, TargetStart: -1}
+	var fwd, rev []int32
+	for t, m := range q {
+		if anchor, ok := r.table[t][m.word][a.subject]; ok && !r.down(t, m.word) {
+			fwd, rev = append(fwd, anchor-int32(m.pos)), append(rev, anchor+int32(m.pos))
+		}
+	}
+	if len(fwd) == 0 {
+		return ph
+	}
+	start, fVotes := r.cluster(fwd)
+	if rMed, rVotes := r.cluster(rev); rVotes > fVotes {
+		ph.Reverse, start = true, rMed-int32(n-r.p.k)
+	}
+	ph.TargetStart = max(start, 0)
+	ph.TargetEnd = min(ph.TargetStart+int32(n), int32(len(r.subjects[a.subject])))
+	return ph
+}
+
+// cluster returns the median of votes and how many lie within w+k of it.
+func (r *reference) cluster(votes []int32) (median int32, near int) {
+	sort.Slice(votes, func(i, j int) bool { return votes[i] < votes[j] })
+	median = votes[len(votes)/2]
+	for _, v := range votes {
+		if v >= median-int32(r.p.w+r.p.k) && v <= median+int32(r.p.w+r.p.k) {
+			near++
+		}
+	}
+	return median, near
 }
 
 // segment is one end segment of a read.

@@ -21,6 +21,7 @@ func FuzzFrames(f *testing.F) {
 		{0xff, 0xff, 0xff, 0x03, msgReply},                      // 64 MiB announced, none sent
 		{9, 0, 0, 0, msgQuery, 0, 0, 0, 0, 0xff, 0xff, 0x0f, 0}, // 2^20 probes announced
 		{5, 0, 0, 0, msgReply, 0xff, 0xff, 0x0f, 0},             // 2^20 lists announced
+		{21, 0, 0, 0, msgHelloAck, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, 0}, // 2^20 owned shards of 1
 	} {
 		f.Add(frame)
 	}

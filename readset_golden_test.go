@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -112,7 +113,9 @@ func serveJSON(t *testing.T, m *jem.Mapper, workers int, reads []byte) []byte {
 // MapReads at W ∈ {1, 4} and P ∈ {1, 8}, the three baselines, the
 // simulated distributed run at p ∈ {1, 3}, the facade's Map rendered as
 // TSV, Stream in FormatTSV, FormatPAF and FormatSAM, and jem-serve's
-// NDJSON body — as the SHA-256 of its bytes on the seeded readSetWorld. A
+// NDJSON body — as the SHA-256 of its bytes on the seeded readSetWorld,
+// plus core MapReads over every contig and a copy of it, which pins the
+// tie rule: the lower contig id wins. A
 // refactor of the loops that drive these paths must pass unchanged;
 // re-record (go test -run TestReadSetGoldens -update) only with a
 // change that is meant to move an answer.
@@ -188,6 +191,18 @@ func TestReadSetGoldens(t *testing.T) {
 			got["serve/json/"+key] = sha(serveJSON(t, m, w, fastq.Bytes()))
 		}
 	}
+
+	// Every contig again under a higher id: a trial that hits a contig
+	// hits its copy too, so every mapped row is a tie the rule breaks.
+	tied := slices.Clip(contigs)
+	for _, c := range contigs {
+		tied = append(tied, seq.Record{ID: c.ID + "-copy", Seq: c.Seq})
+	}
+	res, err := sealedCore(t, tied, 8).MapReads(ctx, reads, p.L, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["tie-heavy/core/P8"] = sha(resultBytes(res))
 
 	if *updateReadSetGoldens {
 		b, err := json.MarshalIndent(got, "", "  ")
