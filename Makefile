@@ -182,6 +182,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAppendExtract -fuzztime $(FUZZTIME) ./internal/minimizer/
 	$(GO) test -fuzz FuzzViewFlatFrozen -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzQuerySketch -fuzztime $(FUZZTIME) ./internal/sketch/
+	$(GO) test -fuzz FuzzAppendSubject -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -fuzz FuzzReadIndex -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzFrames -fuzztime $(FUZZTIME) ./internal/shardnet/
 	$(GO) test -fuzz FuzzReadTSV -fuzztime $(FUZZTIME) .

@@ -215,8 +215,7 @@ func (m *Mapper) AddSubjectsParallel(contigs []seq.Record, workers int) {
 	base := len(m.subjects)
 	m.subjects = append(m.subjects, SubjectsOf(contigs)...)
 	parallel.ForEachWorker(len(contigs), workers, m.build.Appender, func(a *sketch.Appender, i int) {
-		words, anchors := m.sk.SubjectSketchPositional(contigs[i].Seq)
-		a.Append(int32(base+i), words, anchors)
+		m.sk.AppendSubject(a, int32(base+i), contigs[i].Seq, true)
 	})
 }
 

@@ -388,7 +388,7 @@ func TestSealedMapperMatchesMutable(t *testing.T) {
 		mutable[ti] = make(map[sketch.Word][]int32)
 	}
 	for subj, c := range contigs {
-		for ti, words := range sk.SubjectSketch(c.Seq) {
+		for ti, words := range sk.SubjectSketchTuples(minimizer.Extract(c.Seq, minimizer.Params{K: p.K, W: p.W})) {
 			for _, w := range words {
 				if l := mutable[ti][w]; len(l) == 0 || l[len(l)-1] != int32(subj) {
 					mutable[ti][w] = append(l, int32(subj))

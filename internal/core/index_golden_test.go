@@ -48,7 +48,7 @@ func buildAnchorless(t *testing.T, contigs []seq.Record, p sketch.Params, shards
 	for _, part := range [][2]int{{0, half}, {half, len(contigs)}} {
 		a := b.Appender()
 		for i := part[0]; i < part[1]; i++ {
-			a.Append(int32(i), sk.SubjectSketch(contigs[i].Seq), nil)
+			sk.AppendSubject(a, int32(i), contigs[i].Seq, false)
 		}
 	}
 	sf, err := b.Freeze(shards, 2, nil)

@@ -179,7 +179,7 @@ func TestIndexRoundTripDistributedFrozen(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		a := b.Appender()
 		for i := r * 12; i < (r+1)*12; i++ {
-			a.Append(int32(i), sk.SubjectSketch(contigs[i].Seq), nil)
+			sk.AppendSubject(a, int32(i), contigs[i].Seq, false)
 		}
 		gathered += a.Bytes()
 	}

@@ -125,7 +125,7 @@ func Run(contigs, reads []seq.Record, cfg Config) (*Output, error) {
 			locals[rank] = build.Appender()
 			lo, hi := subjParts[rank][0], subjParts[rank][1]
 			for i := lo; i < hi; i++ {
-				locals[rank].Append(int32(i), sk.SubjectSketch(contigs[i].Seq), nil)
+				sk.AppendSubject(locals[rank], int32(i), contigs[i].Seq, false)
 			}
 		})
 	})

@@ -35,6 +35,8 @@ var requiredHotPaths = map[string][]string{
 	},
 	"repro/internal/sketch": {
 		"Sketcher.sketchTuples",
+		"blockMinima",
+		"appendMinima",
 		"Sketcher.querySketchTuples",
 		"HashFamily.Hash",
 	},

@@ -38,15 +38,7 @@ func NewMapper(contigs []seq.Record, p sketch.Params, workers int) (*Mapper, err
 	// and subject, no anchors — to its own appender.
 	build := sketch.NewBuilder(p.T)
 	parallel.ForEachWorker(len(contigs), workers, build.Appender, func(a *sketch.Appender, i int) {
-		words := sk.MinHashSketch(contigs[i].Seq)
-		if words == nil {
-			return
-		}
-		perTrial := make([][]sketch.Word, p.T)
-		for t := range perTrial {
-			perTrial[t] = words[t : t+1]
-		}
-		a.Append(int32(i), perTrial, nil)
+		sk.AppendMinHash(a, int32(i), contigs[i].Seq)
 	})
 	sf, err := build.Freeze(1, workers, nil)
 	if err != nil {

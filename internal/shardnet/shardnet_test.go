@@ -26,19 +26,19 @@ import (
 func testIndex(t *testing.T, p, subjects int) (map[int]*sketch.FrozenTable, Info, *sketch.ShardedFrozen) {
 	t.Helper()
 	const trials = 16
+	sk, err := sketch.NewSketcher(sketch.Params{K: 12, W: 5, T: trials, L: 200, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(42))
 	build := sketch.NewBuilder(trials)
 	a := build.Appender()
+	contig := make([]byte, 1500)
 	for subj := 0; subj < subjects; subj++ {
-		words := make([][]sketch.Word, trials)
-		anchors := make([][]int32, trials)
-		for ti := 0; ti < trials; ti++ {
-			for j := 0; j < 20; j++ {
-				words[ti] = append(words[ti], sketch.Word(rng.Uint64()>>8))
-				anchors[ti] = append(anchors[ti], int32(rng.Intn(1<<20))-1)
-			}
+		for i := range contig {
+			contig[i] = "ACGT"[rng.Intn(4)]
 		}
-		a.Append(int32(subj), words, anchors)
+		sk.AppendSubject(a, int32(subj), contig, true)
 	}
 	sf, err := build.Freeze(p, 0, nil)
 	if err != nil {

@@ -28,14 +28,21 @@ func BenchmarkHashFamily(b *testing.B) {
 	}
 }
 
+// BenchmarkSubjectSketch measures AppendSubject on a long contig into
+// a warm appender whose runs are emptied between subjects.
 func BenchmarkSubjectSketch(b *testing.B) {
 	sk := benchSketcher(b)
 	rng := rand.New(rand.NewSource(2))
 	s := randDNA(rng, 100_000) // a long contig
+	a := NewBuilder(Defaults().T).Appender()
 	b.SetBytes(int64(len(s)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk.SubjectSketch(s)
+		for t := range a.runs {
+			a.runs[t] = a.runs[t][:0]
+		}
+		sk.AppendSubject(a, 0, s, true)
 	}
 }
 
@@ -50,35 +57,42 @@ func BenchmarkQuerySketch(b *testing.B) {
 	}
 }
 
-// benchSketches sketches n random 3 kbp contigs positionally.
-func benchSketches(b *testing.B, n int) []subjectSketch {
-	b.Helper()
-	sk := benchSketcher(b)
+// benchContigs draws n random 3 kbp contigs.
+func benchContigs(n int) [][]byte {
 	rng := rand.New(rand.NewSource(4))
 	seqs := make([][]byte, n)
 	for i := range seqs {
 		seqs[i] = randDNA(rng, 3000)
 	}
-	return sketchAll(sk, seqs, true)
+	return seqs
 }
 
-// BenchmarkBuild measures the table build — append, route, sort, lay
-// out, view — at one shard and at eight (what core.Mapper.Seal and
-// SealSharded pay at the end of indexing, and the simulated ranks'
-// gather merge).
+// BenchmarkBuild measures the table build from bases — AppendSubject
+// through four appenders, then route, sort, lay out, view — at one
+// shard and at eight (what core.AddSubjectsParallel and Seal or
+// SealSharded pay together).
 func BenchmarkBuild(b *testing.B) {
-	sketches := benchSketches(b, 128)
+	sk := benchSketcher(b)
+	seqs := benchContigs(128)
 	for _, p := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				freezeSketches(b, Defaults().T, sketches, 4, p, 0)
+				build := NewBuilder(Defaults().T)
+				as := []*Appender{build.Appender(), build.Appender(), build.Appender(), build.Appender()}
+				for subj, s := range seqs {
+					sk.AppendSubject(as[subj%len(as)], int32(subj), s, true)
+				}
+				if _, err := build.Freeze(p, 0, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
 func BenchmarkFrozenLookup(b *testing.B) {
-	ft := freezeSketches(b, Defaults().T, benchSketches(b, 64), 1, 1, 0).Shard(0)
+	ft := freezeSketches(b, Defaults().T, sketchAll(benchSketcher(b), benchContigs(64), true), 1, 1, 0).Shard(0)
 	rng := rand.New(rand.NewSource(5))
 	words := make([]kmer.Word, 1024)
 	for i := range words {

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/kmer"
+	"repro/internal/minimizer"
 	"repro/internal/parallel"
 )
 
@@ -38,46 +39,29 @@ type Builder struct {
 // NewBuilder creates a builder for sketches of t trials.
 func NewBuilder(t int) *Builder { return &Builder{trials: t} }
 
-// Appender is one worker's private append-only end of a Builder. An
-// appender is not safe for concurrent use; every goroutine takes its
-// own.
+// Appender is one worker's private append-only end of a Builder, and
+// the scratch Sketcher.AppendSubject winnows into. An appender is not
+// safe for concurrent use; every goroutine takes its own.
 type Appender struct {
-	runs [][]record // runs[t]: this appender's records of trial t, in append order
+	runs   [][]record        // runs[t]: this appender's records of trial t, in append order
+	tuples []minimizer.Tuple // the subject's minimizers
+	end    []int32           // per tuple, one past its interval's last tuple
+	hashes []uint64          // one trial's hash of every tuple
+	prefix []int32           // per tuple, its block's minimum up to it
+	suffix []int32           // per tuple, its block's minimum from it on
+	recs   []record          // one trial's records, kept or not
 }
 
 // Appender registers and returns a new appender. It may be called
-// concurrently; Freeze concatenates the appenders' runs in
-// registration order.
+// concurrently. A subject must be appended through one appender only;
+// which appender took which subject leaves no trace in the frozen
+// table.
 func (b *Builder) Appender() *Appender {
 	a := &Appender{runs: make([][]record, b.trials)}
 	b.mu.Lock()
 	b.appenders = append(b.appenders, a)
 	b.mu.Unlock()
 	return a
-}
-
-// Append adds one subject's per-trial sketch words. anchors is
-// parallel to words (as produced by Sketcher.SubjectSketchPositional)
-// or nil for sketches without positional provenance (Anchor -1). A
-// subject must be appended through one appender only: a word repeated
-// within a subject's trial then keeps its first anchor. Which appender
-// took which subject leaves no trace in the frozen table.
-func (a *Appender) Append(subject int32, words [][]kmer.Word, anchors [][]int32) {
-	if len(words) != len(a.runs) || (anchors != nil && len(anchors) != len(a.runs)) {
-		panic(fmt.Sprintf("sketch: sketch has %d trials (%d anchor lists), builder has %d",
-			len(words), len(anchors), len(a.runs)))
-	}
-	for t, ws := range words {
-		run := a.runs[t]
-		for i, w := range ws {
-			anchor := int32(-1)
-			if anchors != nil {
-				anchor = anchors[t][i]
-			}
-			run = append(run, record{word: w, subject: subject, anchor: anchor})
-		}
-		a.runs[t] = run
-	}
 }
 
 // Bytes returns the size of this appender's runs: what a rank sends
@@ -93,13 +77,13 @@ func (a *Appender) Bytes() int64 {
 // Freeze turns everything appended so far into the sealed table,
 // partitioned into `shards` shards (clamped to [1, MaxShards]) with up
 // to `workers` goroutines (≤0 means GOMAXPROCS): every trial's records
-// are routed by ShardOf and stably sorted by ⟨word, subject⟩, then
-// each shard counts its sections, allocates its flat payload once,
-// fills it in place and views it — the bytes an index file holds and
-// the bytes that serve are the same buffer. When trace is non-nil a
-// shard's lay-out runs inside trace(shard, fn) on its worker
-// goroutine, which is how the facade attaches per-shard build spans.
-// The appenders' runs are consumed; a builder freezes once.
+// are routed by ShardOf and sorted into one posting per ⟨word,
+// subject⟩, then each shard counts its sections, allocates its flat
+// payload once, fills it in place and views it — the bytes an index
+// file holds and the bytes that serve are the same buffer. When trace
+// is non-nil a shard's lay-out runs inside trace(shard, fn) on its
+// worker goroutine, which is how the facade attaches per-shard build
+// spans. The appenders' runs are consumed; a builder freezes once.
 func (b *Builder) Freeze(shards, workers int, trace func(shard int, fn func())) (*ShardedFrozen, error) {
 	shards = min(max(shards, 1), MaxShards)
 	// parts[sd][ti] holds the sorted, duplicate-free records of one
@@ -115,6 +99,7 @@ func (b *Builder) Freeze(shards, workers int, trace func(shard int, fn func())) 
 			parts[sd][ti] = sortUnique(parts[sd][ti])
 		}
 	})
+	b.appenders = nil // routed: drop their sketch scratch too
 	tables := make([]*FrozenTable, shards)
 	errs := make([]error, shards)
 	parallel.ForEach(shards, workers, func(sd int) {
@@ -156,15 +141,18 @@ func (b *Builder) route(ti int, parts [][][]record) {
 	}
 }
 
-// sortUnique sorts recs by ⟨word, subject⟩ and drops all but the first
-// record of each pair. The sort is stable, so "first" is first
-// appended: a word a subject sketched twice keeps its first anchor.
+// sortUnique sorts recs by ⟨word, subject, anchor⟩ and keeps the first
+// record of each ⟨word, subject⟩: the smallest anchor, which for a
+// sketch AppendSubject made is the first one appended.
 func sortUnique(recs []record) []record {
-	slices.SortStableFunc(recs, func(x, y record) int {
+	slices.SortFunc(recs, func(x, y record) int {
 		if c := cmp.Compare(x.word, y.word); c != 0 {
 			return c
 		}
-		return cmp.Compare(x.subject, y.subject)
+		if c := cmp.Compare(x.subject, y.subject); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.anchor, y.anchor)
 	})
 	return slices.CompactFunc(recs, func(x, y record) bool {
 		return x.word == y.word && x.subject == y.subject

@@ -78,13 +78,35 @@ func FuzzQuerySketch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, segment []byte) {
-		words, pos := sk.QuerySketchPositional(segment)
+		words, pos := querySketch(sk, segment)
 		if (words == nil) != (pos == nil) {
 			t.Fatal("words/pos nilness differs")
 		}
 		if words != nil && (len(words) != sk.Params().T || len(pos) != sk.Params().T) {
 			t.Fatalf("got %d words / %d positions, want %d", len(words), len(pos), sk.Params().T)
 		}
+	})
+}
+
+// FuzzAppendSubject holds AppendSubject's records, positional and not,
+// to the naive Alg. 1 on arbitrary bytes, under the seeded hash family
+// and a degenerate one. Input is capped at 2 KiB: the naive sketch
+// costs O(tuples · interval · T).
+func FuzzAppendSubject(f *testing.F) {
+	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"))
+	f.Add(bytes.Repeat([]byte("ACGGTCA"), 40))
+	f.Add(bytes.Repeat([]byte{'A'}, 300))
+	f.Add([]byte("acgtNNNNacgtTTGACCAGTnnACGTTGCA"))
+	f.Add([]byte{})
+	sk, err := NewSketcher(Params{K: 6, W: 3, T: 4, L: 60, Seed: 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	flat := degenerate(sk)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 2048)]
+		checkSubjectSketch(t, sk, data)
+		checkSubjectSketch(t, flat, data)
 	})
 }
 

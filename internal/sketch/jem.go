@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/kmer"
 	"repro/internal/minimizer"
@@ -53,9 +55,9 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Sketcher turns sequences into JEM sketches. It is safe for
-// concurrent use: all state is immutable after construction except the
-// scratch buffers, which live in per-call stack frames.
+// Sketcher turns sequences into JEM sketches. It is immutable after
+// construction and safe for concurrent use: scratch belongs to the
+// caller's Appender or Query.
 type Sketcher struct {
 	p  Params
 	mp minimizer.Params
@@ -78,37 +80,34 @@ func NewSketcher(p Params) (*Sketcher, error) {
 // Params returns the sketcher's configuration.
 func (s *Sketcher) Params() Params { return s.p }
 
-// SubjectSketch implements Algorithm 1 (Sketch_byJEM) for a subject
-// sequence: it slides an interval of ℓ bases over the position-sorted
-// minimizer list Mo(s,w) — one interval anchored at each minimizer —
-// and for every trial t records the k-mer minimizing h_t within the
-// interval. The result is one slice of sketch words per trial, each
-// free of consecutive duplicates (and, by the contiguity of a
-// minimizer's reign as interval minimum, free of duplicates entirely
-// for a fixed originating position).
-//
-// The per-trial sliding minimum is computed with a monotone deque, so
-// the whole sketch costs O(|Mo|·T) instead of the naive
-// O(|Mo|·T·interval) — this is the "efficient implementation" the
-// paper's complexity analysis assumes.
-func (s *Sketcher) SubjectSketch(sequence []byte) [][]kmer.Word {
-	words, _ := s.sketchTuples(minimizer.Extract(sequence, s.mp))
-	return words
+// AppendSubject implements Algorithm 1 (Sketch_byJEM) for one subject,
+// from bases straight to ⟨word, subject, anchor⟩ records in a: per
+// trial t and ℓ-base interval anchored at each minimizer, the interval's
+// ⟨h_t, word⟩ minimum, when it differs from the trial's previous word.
+// The anchor is its position (the rightmost, on a tie), or -1 when not
+// positional, so a word's anchors never decrease within one subject's
+// trial. All scratch is a's: a warm appender does not allocate.
+func (s *Sketcher) AppendSubject(a *Appender, subject int32, seq []byte, positional bool) {
+	if len(a.runs) != s.p.T {
+		panic(fmt.Sprintf("sketch: sketcher has %d trials, appender %d", s.p.T, len(a.runs)))
+	}
+	a.tuples = minimizer.AppendExtract(a.tuples[:0], seq, s.mp)
+	s.sketchTuples(a, subject, a.tuples, positional)
 }
 
-// SubjectSketchPositional is SubjectSketch plus, per emitted word, the
-// position of the interval anchor (the minimizer at which the word
-// first became the interval minimum). The two return values are
-// parallel per trial.
-func (s *Sketcher) SubjectSketchPositional(sequence []byte) (words [][]kmer.Word, anchors [][]int32) {
-	return s.sketchTuples(minimizer.Extract(sequence, s.mp))
-}
-
-// SubjectSketchTuples is SubjectSketch for a caller that already has
-// the minimizer list (avoids re-extraction in pipelines that need both).
+// SubjectSketchTuples runs AppendSubject's kernel over a pre-extracted
+// minimizer list into a fresh appender and returns each trial's words.
 func (s *Sketcher) SubjectSketchTuples(tuples []minimizer.Tuple) [][]kmer.Word {
-	words, _ := s.sketchTuples(tuples)
-	return words
+	a := &Appender{runs: make([][]record, s.p.T)}
+	s.sketchTuples(a, 0, tuples, false)
+	out := make([][]kmer.Word, s.p.T)
+	for t, run := range a.runs {
+		out[t] = make([]kmer.Word, len(run))
+		for i, r := range run {
+			out[t][i] = r.word
+		}
+	}
+	return out
 }
 
 type hentry struct {
@@ -117,80 +116,99 @@ type hentry struct {
 	idx int
 }
 
-func less(a, b hentry) bool {
-	if a.h != b.h {
-		return a.h < b.h
-	}
-	return a.w < b.w
+// before orders candidates by ⟨hash, word⟩, as one 128-bit comparison
+// with no branch.
+func before(ah uint64, aw kmer.Word, bh uint64, bw kmer.Word) bool {
+	_, borrow := bits.Sub64(uint64(aw), uint64(bw), 0)
+	_, borrow = bits.Sub64(ah, bh, borrow)
+	return borrow != 0
 }
 
-// sketchTuples is the shared subject-sketch inner loop: per trial, a
-// monotone-deque sliding minimum over the interval windows.
+// sketchTuples is the subject-sketch inner loop. The intervals
+// [i, end[i]) only move right, so the blocks [b, end[b]) chained from
+// b = 0 cut each in two: a suffix of i's block and a prefix of the
+// next — the van Herk / Gil-Werman two-stack minimum.
 //
 //jem:hotpath
-func (s *Sketcher) sketchTuples(tuples []minimizer.Tuple) ([][]kmer.Word, [][]int32) {
-	out := make([][]kmer.Word, s.p.T)
-	anchors := make([][]int32, s.p.T)
-	if len(tuples) == 0 {
-		return out, anchors
-	}
+func (s *Sketcher) sketchTuples(a *Appender, subject int32, tuples []minimizer.Tuple, positional bool) {
 	n := len(tuples)
-	// end[i] = one past the last tuple with Pos <= Pos[i] + L.
-	end := make([]int, n)
-	j := 0
-	for i := 0; i < n; i++ {
-		if j < i {
-			j = i
+	a.end = slices.Grow(a.end[:0], n)[:n]
+	a.hashes = slices.Grow(a.hashes[:0], n)[:n]
+	a.prefix = slices.Grow(a.prefix[:0], n)[:n]
+	a.suffix = slices.Grow(a.suffix[:0], n)[:n]
+	a.recs = slices.Grow(a.recs[:0], n)[:n]
+	for i, j := 0, 0; i < n; i++ { // end[i]: one past the last tuple within ℓ of tuple i
+		for limit := tuples[i].Pos + int32(s.p.L); j < n && tuples[j].Pos <= limit; j++ {
 		}
-		limit := tuples[i].Pos + int32(s.p.L)
-		for j < n && tuples[j].Pos <= limit {
-			j++
-		}
-		end[i] = j
+		a.end[i] = int32(j)
 	}
+	for t := range a.runs {
+		for i := range tuples {
+			a.hashes[i] = s.hf.Hash(t, tuples[i].Kmer)
+		}
+		blockMinima(a, tuples)
+		a.runs[t] = appendMinima(a.runs[t], a, subject, tuples, positional)
+	}
+}
 
-	hashes := make([]uint64, n)
-	var deque []hentry
-	for t := 0; t < s.p.T; t++ {
-		for i, tp := range tuples {
-			hashes[i] = s.hf.Hash(t, tp.Kmer)
+// blockMinima writes, per block, the index of the ⟨hash, word⟩ minimum
+// up to each tuple into a.prefix ("≤": ties go right) and from each
+// tuple on into a.suffix (strict: ties go right).
+//
+//jem:hotpath
+func blockMinima(a *Appender, tuples []minimizer.Tuple) {
+	for lo, hi := 0, 0; lo < len(tuples); lo = hi {
+		hi = int(a.end[lo])
+		hs, ts, pre, suf := a.hashes[lo:hi], tuples[lo:hi], a.prefix[lo:hi], a.suffix[lo:hi]
+		ts, pre, suf = ts[:len(hs)], pre[:len(hs)], suf[:len(hs)] // one length: the loops run without bounds checks
+		m, mh, mw := 0, hs[0], ts[0].Kmer
+		for k := range hs {
+			if h, w := hs[k], ts[k].Kmer; !before(mh, mw, h, w) {
+				m, mh, mw = k, h, w
+			}
+			pre[k] = int32(lo + m)
 		}
-		deque = deque[:0]
-		head := 0
-		filled := 0 // tuples pushed so far
-		var last kmer.Word
-		haveLast := false
-		for i := 0; i < n; i++ {
-			// Extend the window to end[i].
-			for ; filled < end[i]; filled++ {
-				e := hentry{h: hashes[filled], w: tuples[filled].Kmer, idx: filled}
-				for len(deque) > head && !less(deque[len(deque)-1], e) {
-					deque = deque[:len(deque)-1]
+		m, mh, mw = len(hs)-1, hs[len(hs)-1], ts[len(hs)-1].Kmer
+		for k := len(hs) - 1; k >= 0; k-- {
+			if h, w := hs[k], ts[k].Kmer; before(h, w, mh, mw) {
+				m, mh, mw = k, h, w
+			}
+			suf[k] = int32(lo + m)
+		}
+	}
+}
+
+// appendMinima appends each interval's minimum, the suffix half unless
+// the prefix half is no larger, when its word differs from the previous
+// interval's. Records are written unconditionally into a.recs, kept by
+// advancing a count, and the kept ones appended to run.
+//
+//jem:hotpath
+func appendMinima(run []record, a *Appender, subject int32, tuples []minimizer.Tuple, positional bool) []record {
+	n := len(tuples)
+	out, kept, last := a.recs[:n], 0, ^kmer.Word(0) // no k-mer packs to ^0
+	end, pre, suf, hs := a.end[:n], a.prefix[:n], a.suffix[:n], a.hashes[:n]
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		hi = int(end[lo])
+		for i := lo; i < hi; i++ {
+			m := suf[i]
+			if e := int(end[i]); e > hi {
+				if p := pre[e-1]; !before(hs[m], tuples[m].Kmer, hs[p], tuples[p].Kmer) {
+					m = p
 				}
-				deque = append(deque, e)
 			}
-			// Drop candidates before the window start i.
-			for head < len(deque) && deque[head].idx < i {
-				head++
+			anchor := tuples[m].Pos
+			if !positional {
+				anchor = -1
 			}
-			if head > 64 && head*2 > len(deque) {
-				m := copy(deque, deque[head:])
-				deque = deque[:m]
-				head = 0
-			}
-			min := deque[head].w
-			if !haveLast || min != last {
-				out[t] = append(out[t], min)
-				// Anchor the sketch word at its own minimizer
-				// position (not the interval start): position votes
-				// against the query-side word position then localize
-				// the mapping directly.
-				anchors[t] = append(anchors[t], tuples[deque[head].idx].Pos)
-				last, haveLast = min, true
+			out[kept] = record{word: tuples[m].Kmer, subject: subject, anchor: anchor}
+			if out[kept].word != last {
+				last = out[kept].word
+				kept++
 			}
 		}
 	}
-	return out, anchors
+	return append(run, out[:kept]...)
 }
 
 // Query is reusable query-sketch scratch: a segment's minimizers and,
@@ -218,8 +236,9 @@ func (s *Sketcher) SketchQuery(q *Query, segment []byte) {
 // QuerySketch is SketchQuery into fresh buffers, returning the words
 // alone; it returns nil when the segment yields no minimizers.
 func (s *Sketcher) QuerySketch(segment []byte) []kmer.Word {
-	words, _ := s.QuerySketchPositional(segment)
-	return words
+	var q Query
+	s.SketchQuery(&q, segment)
+	return q.Words
 }
 
 // QuerySketchTuples is QuerySketch over a pre-extracted minimizer list.
@@ -227,15 +246,6 @@ func (s *Sketcher) QuerySketchTuples(tuples []minimizer.Tuple) []kmer.Word {
 	q := Query{Tuples: tuples}
 	s.querySketchTuples(&q)
 	return q.Words
-}
-
-// QuerySketchPositional is QuerySketch plus, per trial, the position
-// on the segment of the selected sketch k-mer. Positional hits use
-// target-anchor − query-position offset votes to localize a mapping.
-func (s *Sketcher) QuerySketchPositional(segment []byte) ([]kmer.Word, []int32) {
-	var q Query
-	s.SketchQuery(&q, segment)
-	return q.Words, q.Pos
 }
 
 // querySketchTuples is the query-sketch inner loop: per trial, one
@@ -261,7 +271,7 @@ func (s *Sketcher) querySketchTuples(q *Query) {
 		best := hentry{h: s.hf.Hash(t, tuples[0].Kmer), w: tuples[0].Kmer, idx: 0}
 		for i := 1; i < len(tuples); i++ {
 			e := hentry{h: s.hf.Hash(t, tuples[i].Kmer), w: tuples[i].Kmer, idx: i}
-			if less(e, best) {
+			if e.h < best.h || e.h == best.h && e.w < best.w {
 				best = e
 			}
 		}
@@ -276,30 +286,32 @@ func (s *Sketcher) querySketchTuples(q *Query) {
 // It returns nil when the sequence has no valid k-mers.
 func (s *Sketcher) MinHashSketch(sequence []byte) []kmer.Word {
 	it := kmer.NewIterator(sequence, s.p.K)
-	best := make([]hentry, s.p.T)
-	for t := range best {
-		best[t] = hentry{h: ^uint64(0), w: ^kmer.Word(0)}
-	}
-	any := false
+	var out []kmer.Word
+	var hs []uint64
 	for {
 		_, canon, _, ok := it.Next()
 		if !ok {
-			break
+			return out
 		}
-		any = true
-		for t := 0; t < s.p.T; t++ {
-			e := hentry{h: s.hf.Hash(t, canon), w: canon}
-			if less(e, best[t]) {
-				best[t] = e
+		if out == nil {
+			out, hs = make([]kmer.Word, s.p.T), make([]uint64, s.p.T)
+			for t := range hs {
+				hs[t] = ^uint64(0) // above every h_t < P_t
+			}
+		}
+		for t := range out {
+			if h := s.hf.Hash(t, canon); before(h, canon, hs[t], out[t]) {
+				out[t], hs[t] = canon, h
 			}
 		}
 	}
-	if !any {
-		return nil
+}
+
+// AppendMinHash appends seq's MinHashSketch to a as subject's records,
+// one per trial with anchor -1; a sequence without k-mers appends
+// nothing.
+func (s *Sketcher) AppendMinHash(a *Appender, subject int32, seq []byte) {
+	for t, w := range s.MinHashSketch(seq) {
+		a.runs[t] = append(a.runs[t], record{word: w, subject: subject, anchor: -1})
 	}
-	out := make([]kmer.Word, s.p.T)
-	for t := range out {
-		out[t] = best[t].w
-	}
-	return out
 }

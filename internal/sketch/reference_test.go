@@ -31,7 +31,7 @@ func newRefTable(t int) *refTable {
 // InsertPositional adds a subject's per-trial sketch words with their
 // anchors (nil: all -1). Subjects are inserted one at a time, so
 // checking the tail of a list suffices to collapse a word the subject
-// repeats; the first anchor is the one kept.
+// repeats; the smallest anchor is the one kept.
 func (tb *refTable) InsertPositional(subject int32, perTrial [][]kmer.Word, anchors [][]int32) {
 	if len(perTrial) != len(tb.trials) {
 		panic(fmt.Sprintf("reference: sketch has %d trials, table has %d", len(perTrial), len(tb.trials)))
@@ -39,13 +39,14 @@ func (tb *refTable) InsertPositional(subject int32, perTrial [][]kmer.Word, anch
 	for t, words := range perTrial {
 		bin := tb.trials[t]
 		for i, w := range words {
-			list := bin[w]
-			if n := len(list); n > 0 && list[n-1].Subject == subject {
-				continue
-			}
 			anchor := int32(-1)
 			if anchors != nil {
 				anchor = anchors[t][i]
+			}
+			list := bin[w]
+			if n := len(list); n > 0 && list[n-1].Subject == subject {
+				list[n-1].Anchor = min(list[n-1].Anchor, anchor)
+				continue
 			}
 			bin[w] = append(list, Posting{Subject: subject, Anchor: anchor})
 			tb.entries++
@@ -57,11 +58,39 @@ func (tb *refTable) InsertPositional(subject int32, perTrial [][]kmer.Word, anch
 // absent).
 func (tb *refTable) Lookup(t int, w kmer.Word) []Posting { return tb.trials[t][w] }
 
-// subjectSketch is one subject's sketch as Append takes it; the
-// subject id is its index in a []subjectSketch.
+// subjectSketch is one subject's sketch, per trial; the subject id is
+// its index in a []subjectSketch.
 type subjectSketch struct {
 	words   [][]kmer.Word
 	anchors [][]int32 // nil: anchor-less
+}
+
+// appendSketch appends s's records to a as subject's, the way
+// AppendSubject writes them, so hand-made sketches reach the builder.
+func appendSketch(a *Appender, subject int32, s subjectSketch) {
+	for t, words := range s.words {
+		for i, w := range words {
+			anchor := int32(-1)
+			if s.anchors != nil {
+				anchor = s.anchors[t][i]
+			}
+			a.runs[t] = append(a.runs[t], record{word: w, subject: subject, anchor: anchor})
+		}
+	}
+}
+
+// sketchOf reads back the records AppendSubject appends for seq.
+func sketchOf(sk *Sketcher, seq []byte, positional bool) subjectSketch {
+	a := NewBuilder(sk.Params().T).Appender()
+	sk.AppendSubject(a, 0, seq, positional)
+	s := subjectSketch{words: make([][]kmer.Word, len(a.runs)), anchors: make([][]int32, len(a.runs))}
+	for t, run := range a.runs {
+		for _, r := range run {
+			s.words[t] = append(s.words[t], r.word)
+			s.anchors[t] = append(s.anchors[t], r.anchor)
+		}
+	}
+	return s
 }
 
 // freezeSketches builds the table of sketches through `appenders`
@@ -76,7 +105,7 @@ func freezeSketches(t testing.TB, trials int, sketches []subjectSketch, appender
 		as[i] = b.Appender()
 	}
 	for subj, s := range sketches {
-		as[subj%appenders].Append(int32(subj), s.words, s.anchors)
+		appendSketch(as[subj%appenders], int32(subj), s)
 	}
 	sf, err := b.Freeze(shards, workers, nil)
 	if err != nil {
@@ -158,11 +187,7 @@ func assertListInvariant(t testing.TB, tag string, sf *ShardedFrozen) {
 func sketchAll(sk *Sketcher, seqs [][]byte, positional bool) []subjectSketch {
 	out := make([]subjectSketch, len(seqs))
 	for i, s := range seqs {
-		if positional {
-			out[i].words, out[i].anchors = sk.SubjectSketchPositional(s)
-		} else {
-			out[i].words = sk.SubjectSketch(s)
-		}
+		out[i] = sketchOf(sk, s, positional)
 	}
 	return out
 }

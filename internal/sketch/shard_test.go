@@ -144,7 +144,7 @@ func TestFreezeShardedTraceHookRunsPerShard(t *testing.T) {
 	b := NewBuilder(4)
 	a := b.Appender()
 	for subj, s := range shardTestSketches(4, 6, 25) {
-		a.Append(int32(subj), s.words, s.anchors)
+		appendSketch(a, int32(subj), s)
 	}
 	seen := make([]bool, 5)
 	if _, err := b.Freeze(5, 1, func(shard int, fn func()) {

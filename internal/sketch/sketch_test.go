@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -100,38 +101,101 @@ func smallParams() Params {
 	return Params{K: 8, W: 4, T: 6, L: 100, Seed: 5}
 }
 
+// degenerate returns sk with A_t = 0 on every even trial: h_t is then
+// the constant B_t, every candidate ties on the hash and the word
+// alone orders them.
+func degenerate(sk *Sketcher) *Sketcher {
+	d := *sk
+	d.hf = &HashFamily{A: slices.Clone(sk.hf.A), B: sk.hf.B, P: sk.hf.P}
+	for t := 0; t < len(d.hf.A); t += 2 {
+		d.hf.A[t] = 0
+	}
+	return &d
+}
+
+// subjectCases are the sequences AppendSubject is held to the naive
+// Alg. 1 on: random contigs, and tandem copies of short units, whose
+// words recur inside one interval and again after others.
+func subjectCases(rng *rand.Rand) [][]byte {
+	var out [][]byte
+	for i := 0; i < 30; i++ {
+		out = append(out, randDNA(rng, 50+rng.Intn(2000)))
+	}
+	for _, unit := range []int{9, 17, 30, 45, 140} {
+		out = append(out, bytes.Repeat(randDNA(rng, unit), 1+1500/unit))
+	}
+	return out
+}
+
+// checkSubjectSketch requires AppendSubject's records of s, positional
+// and not, to be the naive sketch's words and anchors (all -1 when not
+// positional).
+func checkSubjectSketch(t *testing.T, sk *Sketcher, s []byte) {
+	t.Helper()
+	words, anchors := sk.subjectSketchNaive(s)
+	for _, positional := range []bool{true, false} {
+		got := sketchOf(sk, s, positional)
+		for tr := range words {
+			want := slices.Clone(anchors[tr])
+			for i := range want {
+				if !positional {
+					want[i] = -1
+				}
+			}
+			if !slices.Equal(got.words[tr], words[tr]) || !slices.Equal(got.anchors[tr], want) {
+				t.Fatalf("positional=%v trial %d (len %d): records %v %v, naive %v %v",
+					positional, tr, len(s), got.words[tr], got.anchors[tr], words[tr], want)
+			}
+		}
+	}
+}
+
+// TestSubjectSketchMatchesNaive holds AppendSubject's records to the
+// naive Alg. 1 — per interval and trial the ⟨hash, word⟩ minimum, the
+// rightmost tie winning — under the seeded and a degenerate family.
 func TestSubjectSketchMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sk, err := NewSketcher(smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 30; trial++ {
-		s := randDNA(rng, 50+rng.Intn(2000))
-		got := sk.SubjectSketch(s)
-		want := sk.subjectSketchNaive(s)
-		if len(got) != len(want) {
-			t.Fatalf("trial counts differ: %d vs %d", len(got), len(want))
-		}
-		for tr := range got {
-			if !reflect.DeepEqual(got[tr], want[tr]) {
-				t.Fatalf("trial %d (len %d): optimized %v != naive %v", tr, len(s), got[tr], want[tr])
-			}
-		}
+	for _, s := range subjectCases(rng) {
+		checkSubjectSketch(t, sk, s)
+		checkSubjectSketch(t, degenerate(sk), s)
 	}
 }
 
 func TestSubjectSketchEmptyInput(t *testing.T) {
 	sk, _ := NewSketcher(smallParams())
-	got := sk.SubjectSketch(nil)
-	if len(got) != smallParams().T {
-		t.Fatalf("want %d empty trials, got %d", smallParams().T, len(got))
-	}
-	for _, words := range got {
-		if len(words) != 0 {
-			t.Errorf("empty input produced words %v", words)
+	for name, s := range map[string][]byte{"nil": nil, "short": []byte("ACGTACG"), "all-N": bytes.Repeat([]byte{'N'}, 300)} {
+		if got := sketchOf(sk, s, true); len(got.words) != smallParams().T || slices.ContainsFunc(got.words, func(ws []kmer.Word) bool { return len(ws) > 0 }) {
+			t.Errorf("%s input appended %v", name, got.words)
 		}
 	}
+}
+
+// TestAppendSubjectZeroAlloc: once an appender's scratch and runs have
+// grown, sketching a subject allocates nothing.
+func TestAppendSubjectZeroAlloc(t *testing.T) {
+	sk, _ := NewSketcher(Defaults())
+	s := randDNA(rand.New(rand.NewSource(19)), 20_000)
+	a := NewBuilder(Defaults().T).Appender()
+	sk.AppendSubject(a, 0, s, true)
+	if n := testing.AllocsPerRun(20, func() {
+		for t := range a.runs {
+			a.runs[t] = a.runs[t][:0]
+		}
+		sk.AppendSubject(a, 1, s, true)
+	}); n != 0 {
+		t.Errorf("AppendSubject allocated %v times per subject", n)
+	}
+}
+
+// querySketch is SketchQuery into a fresh Query.
+func querySketch(sk *Sketcher, segment []byte) ([]kmer.Word, []int32) {
+	var q Query
+	sk.SketchQuery(&q, segment)
+	return q.Words, q.Pos
 }
 
 func TestQuerySketchShape(t *testing.T) {
@@ -162,7 +226,7 @@ func TestSketchQueryReuse(t *testing.T) {
 	for _, n := range []int{p.L, p.L / 2, 3, p.L, 0, p.L / 3} {
 		seg := randDNA(rng, n)
 		sk.SketchQuery(&q, seg)
-		words, pos := sk.QuerySketchPositional(seg)
+		words, pos := querySketch(sk, seg)
 		if len(q.Words) != len(words) || (len(words) > 0 && (!reflect.DeepEqual(q.Words, words) || !reflect.DeepEqual(q.Pos, pos))) {
 			t.Fatalf("len %d: reused %v %v, fresh %v %v", n, q.Words, q.Pos, words, pos)
 		}
@@ -179,7 +243,7 @@ func TestQuerySketchIsSubjectIntervalMin(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		seg := randDNA(rng, p.L)
 		q := sk.QuerySketch(seg)
-		s := sk.SubjectSketch(seg)
+		s := sketchOf(sk, seg, false).words
 		for tr := 0; tr < p.T; tr++ {
 			if len(s[tr]) == 0 {
 				t.Fatalf("trial %d: subject sketch empty", tr)
@@ -197,7 +261,7 @@ func TestSketchDeterminism(t *testing.T) {
 	sk2, _ := NewSketcher(p)
 	rng := rand.New(rand.NewSource(31))
 	s := randDNA(rng, 1500)
-	if !reflect.DeepEqual(sk1.SubjectSketch(s), sk2.SubjectSketch(s)) {
+	if !reflect.DeepEqual(sketchOf(sk1, s, true), sketchOf(sk2, s, true)) {
 		t.Error("same params produced different subject sketches")
 	}
 	if !reflect.DeepEqual(sk1.QuerySketch(s[:p.L]), sk2.QuerySketch(s[:p.L])) {
@@ -267,7 +331,7 @@ func TestMinHashStrandInvariance(t *testing.T) {
 	}
 }
 
-// appendCall is one Appender.Append call of a hand-written table.
+// appendCall is one subject of a hand-written table.
 type appendCall struct {
 	subject int32
 	words   [][]kmer.Word
@@ -280,7 +344,7 @@ func frozenOf(t testing.TB, trials int, calls ...appendCall) *FrozenTable {
 	b := NewBuilder(trials)
 	a := b.Appender()
 	for _, c := range calls {
-		a.Append(c.subject, c.words, c.anchors)
+		appendSketch(a, c.subject, subjectSketch{c.words, c.anchors})
 	}
 	sf, err := b.Freeze(1, 1, nil)
 	if err != nil {
@@ -321,27 +385,21 @@ func TestTableInsertCollapsesDuplicates(t *testing.T) {
 }
 
 func TestTableInsertPanicsOnTrialMismatch(t *testing.T) {
-	for name, call := range map[string]appendCall{
-		"words":   {words: [][]kmer.Word{{1}}},
-		"anchors": {words: [][]kmer.Word{{1}, {2}}, anchors: [][]int32{{1}}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			NewBuilder(2).Appender().Append(0, call.words, call.anchors)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a 6-trial sketch appended to a 2-trial builder")
+		}
+	}()
+	sk, _ := NewSketcher(smallParams())
+	sk.AppendSubject(NewBuilder(2).Appender(), 0, randDNA(rand.New(rand.NewSource(3)), 300), true)
 }
 
 // TestTableMerge: the union of several appenders' runs (the gather
 // step) is one table holding every list.
 func TestTableMerge(t *testing.T) {
 	b := NewBuilder(2)
-	b.Appender().Append(0, [][]kmer.Word{{10}, {20}}, nil)
-	b.Appender().Append(1, [][]kmer.Word{{10}, {30}}, nil)
+	appendSketch(b.Appender(), 0, subjectSketch{words: [][]kmer.Word{{10}, {20}}})
+	appendSketch(b.Appender(), 1, subjectSketch{words: [][]kmer.Word{{10}, {30}}})
 	sf, err := b.Freeze(1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -388,28 +446,24 @@ func TestDecodeTableRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestSubjectSketchPositionalAnchors checks the invariant Freeze leans
+// on to keep a word's first anchor by keeping its smallest: within one
+// subject's trial, a word's anchors never decrease in append order.
 func TestSubjectSketchPositionalAnchors(t *testing.T) {
-	p := smallParams()
-	sk, _ := NewSketcher(p)
+	sk, _ := NewSketcher(smallParams())
 	rng := rand.New(rand.NewSource(53))
-	s := randDNA(rng, 2500)
-	words, anchors := sk.SubjectSketchPositional(s)
-	plain := sk.SubjectSketch(s)
-	for tr := range words {
-		if !reflect.DeepEqual(words[tr], plain[tr]) {
-			t.Fatalf("trial %d: positional words differ from plain", tr)
-		}
-		if len(anchors[tr]) != len(words[tr]) {
-			t.Fatalf("trial %d: %d anchors for %d words", tr, len(anchors[tr]), len(words[tr]))
-		}
-		for i := 1; i < len(anchors[tr]); i++ {
-			if anchors[tr][i] < anchors[tr][i-1] {
-				t.Fatalf("trial %d: anchors not nondecreasing: %v", tr, anchors[tr])
-			}
-		}
-		for _, a := range anchors[tr] {
-			if a < 0 || int(a) >= len(s) {
-				t.Fatalf("trial %d: anchor %d out of range", tr, a)
+	for _, sk := range []*Sketcher{sk, degenerate(sk)} {
+		for _, s := range subjectCases(rng) {
+			got := sketchOf(sk, s, true)
+			for tr, words := range got.words {
+				prev := map[kmer.Word]int32{}
+				for i, w := range words {
+					a := got.anchors[tr][i]
+					if p, seen := prev[w]; a < 0 || int(a) >= len(s) || (seen && a < p) {
+						t.Fatalf("trial %d word %d: anchor %d after %d (seen %v), len %d", tr, w, a, p, seen, len(s))
+					}
+					prev[w] = a
+				}
 			}
 		}
 	}
@@ -418,8 +472,9 @@ func TestSubjectSketchPositionalAnchors(t *testing.T) {
 func TestInsertPositionalKeepsAnchors(t *testing.T) {
 	tb := frozenOf(t, 2, appendCall{subject: 4,
 		words:   [][]kmer.Word{{10, 11, 10}, {12}},
-		anchors: [][]int32{{100, 900, 500}, {250}}})
-	// The repeated word keeps its first anchor, not its smallest or last.
+		anchors: [][]int32{{500, 900, 100}, {250}}})
+	// The repeated word keeps its smallest anchor — its first, for a
+	// sketch AppendSubject made — not its last.
 	got := tb.Lookup(0, 10)
 	if len(got) != 1 || got[0] != (Posting{Subject: 4, Anchor: 100}) {
 		t.Errorf("lookup = %v", got)
@@ -453,7 +508,7 @@ func TestFrozenTableMatchesHashTable(t *testing.T) {
 	for rank := 0; rank < 3; rank++ {
 		a := b.Appender()
 		for subj := 20 * rank; subj < 20*(rank+1); subj++ {
-			a.Append(int32(subj), sketches[subj].words, sketches[subj].anchors)
+			appendSketch(a, int32(subj), sketches[subj])
 		}
 	}
 	sf, err := b.Freeze(1, 2, nil)
@@ -697,7 +752,7 @@ func TestQuerySketchDegenerateHashFamily(t *testing.T) {
 	sk.hf = &HashFamily{A: []uint64{0, 0}, B: []uint64{7, 7}, P: []uint64{p, p}}
 	rng := rand.New(rand.NewSource(9))
 	seg := randDNA(rng, 150)
-	words, pos := sk.QuerySketchPositional(seg)
+	words, pos := querySketch(sk, seg)
 	if words == nil {
 		t.Fatal("segment produced no sketch")
 	}
@@ -715,29 +770,30 @@ func TestQuerySketchDegenerateHashFamily(t *testing.T) {
 
 // subjectSketchNaive is the direct transliteration of Algorithm 1,
 // kept as the reference implementation the optimized path is tested
-// against.
-func (s *Sketcher) subjectSketchNaive(sequence []byte) [][]kmer.Word {
+// against: per interval and trial, the ⟨hash, word⟩ minimum, the
+// rightmost tie winning, appended with its position when it differs
+// from the trial's previous word.
+func (s *Sketcher) subjectSketchNaive(sequence []byte) ([][]kmer.Word, [][]int32) {
 	tuples := minimizer.Extract(sequence, s.mp)
 	out := make([][]kmer.Word, s.p.T)
-	for i, anchor := range tuples {
-		limit := anchor.Pos + int32(s.p.L)
-		var interval []minimizer.Tuple
-		for j := i; j < len(tuples) && tuples[j].Pos <= limit; j++ {
-			interval = append(interval, tuples[j])
+	anchors := make([][]int32, s.p.T)
+	h := make([]uint64, len(tuples))
+	for t := 0; t < s.p.T; t++ {
+		for j, tp := range tuples {
+			h[j] = s.hf.Hash(t, tp.Kmer)
 		}
-		for t := 0; t < s.p.T; t++ {
-			best := hentry{h: ^uint64(0), w: ^kmer.Word(0)}
-			for _, tp := range interval {
-				e := hentry{h: s.hf.Hash(t, tp.Kmer), w: tp.Kmer}
-				if less(e, best) {
-					best = e
+		for i := range tuples {
+			best := i
+			for j := i + 1; j < len(tuples) && tuples[j].Pos <= tuples[i].Pos+int32(s.p.L); j++ {
+				if h[j] < h[best] || (h[j] == h[best] && tuples[j].Kmer <= tuples[best].Kmer) {
+					best = j
 				}
 			}
-			m := len(out[t])
-			if m == 0 || out[t][m-1] != best.w {
-				out[t] = append(out[t], best.w)
+			if m := len(out[t]); m == 0 || out[t][m-1] != tuples[best].Kmer {
+				out[t] = append(out[t], tuples[best].Kmer)
+				anchors[t] = append(anchors[t], tuples[best].Pos)
 			}
 		}
 	}
-	return out
+	return out, anchors
 }
