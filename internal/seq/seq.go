@@ -8,8 +8,6 @@
 // letters) are preserved verbatim by the parsers.
 package seq
 
-import "encoding/binary"
-
 // Code2Base maps a 2-bit code (0..3) to its upper-case base letter.
 // The ordering a < c < g < t makes numeric comparisons of packed
 // k-mers equivalent to lexicographic comparison of the underlying
@@ -77,22 +75,11 @@ func ReverseComplementInPlace(s []byte) {
 }
 
 // Upper upper-cases s in place and returns it. Only a-z are affected;
-// other bytes pass through unchanged. It works on eight bytes at a
-// time: per byte lane, bit 7 of (b&0x7F) + 0x1F says b&0x7F >= 'a', of
-// (b&0x7F) + 0x05 that it is > 'z', and neither sum carries into the
-// next lane; a lane that is a-z, with its own bit 7 clear, loses 0x20.
+// other bytes pass through unchanged.
 func Upper(s []byte) []byte {
-	const ones, high = 0x0101010101010101, 0x8080808080808080
-	b := s
-	for ; len(b) >= 8; b = b[8:] {
-		x := binary.LittleEndian.Uint64(b)
-		low := x &^ high
-		lower := (low + (0x80-'a')*ones) &^ (low + (0x80-'z'-1)*ones) &^ x & high
-		binary.LittleEndian.PutUint64(b, x-lower>>2)
-	}
-	for i, c := range b {
-		if c >= 'a' && c <= 'z' {
-			b[i] = c - ('a' - 'A')
+	for i, b := range s {
+		if b >= 'a' && b <= 'z' {
+			s[i] = b - ('a' - 'A')
 		}
 	}
 	return s

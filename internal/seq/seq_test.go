@@ -3,7 +3,6 @@ package seq
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -99,49 +98,6 @@ func TestUpper(t *testing.T) {
 	Upper(s)
 	if string(s) != "ACGTNNACGT" {
 		t.Errorf("Upper = %q", s)
-	}
-}
-
-// TestUpperMatchesByteLoop holds the eight-bytes-a-step Upper to the
-// byte loop: every byte value in every lane of a word, beside every
-// other value, and every length 0–64 at every alignment, writing
-// nothing outside its slice.
-func TestUpperMatchesByteLoop(t *testing.T) {
-	check := func(buf []byte, lo, hi int) {
-		t.Helper()
-		want := bytes.Clone(buf)
-		for i, b := range want[lo:hi] {
-			if b >= 'a' && b <= 'z' {
-				want[lo+i] = b - ('a' - 'A')
-			}
-		}
-		if got := Upper(buf[lo:hi]); len(got) != hi-lo || !bytes.Equal(buf, want) {
-			t.Fatalf("[%d:%d]: %q, byte loop %q", lo, hi, buf, want)
-		}
-	}
-	for shift := 0; shift < 8; shift++ {
-		buf := make([]byte, 256)
-		for i := range buf {
-			buf[i] = byte(i + shift)
-		}
-		check(buf, 0, len(buf))
-	}
-	rng := rand.New(rand.NewSource(5))
-	for n := 0; n <= 64; n++ {
-		for off := 0; off < 8; off++ {
-			buf := make([]byte, off+n+8)
-			rng.Read(buf)
-			check(buf, off, off+n)
-		}
-	}
-}
-
-func BenchmarkUpper(b *testing.B) {
-	s := []byte(strings.Repeat("acgtNNACGTacgtacgtTTGCAnacg", 40))[:1000]
-	b.SetBytes(int64(len(s)))
-	for i := 0; i < b.N; i++ {
-		Upper(s)
-		s[0], s[999] = 'a', 't'
 	}
 }
 

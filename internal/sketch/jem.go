@@ -286,31 +286,41 @@ func (s *Sketcher) querySketchTuples(q *Query) {
 // It returns nil when the sequence has no valid k-mers.
 func (s *Sketcher) MinHashSketch(sequence []byte) []kmer.Word {
 	it := kmer.NewIterator(sequence, s.p.K)
-	var out []kmer.Word
-	var hs []uint64
+	best := make([]hentry, s.p.T)
+	for t := range best {
+		best[t] = hentry{h: ^uint64(0), w: ^kmer.Word(0)}
+	}
+	any := false
 	for {
 		_, canon, _, ok := it.Next()
 		if !ok {
-			return out
+			break
 		}
-		if out == nil {
-			out, hs = make([]kmer.Word, s.p.T), make([]uint64, s.p.T)
-			for t := range hs {
-				hs[t] = ^uint64(0) // above every h_t < P_t
-			}
-		}
-		for t := range out {
-			if h := s.hf.Hash(t, canon); before(h, canon, hs[t], out[t]) {
-				out[t], hs[t] = canon, h
+		any = true
+		for t := 0; t < s.p.T; t++ {
+			e := hentry{h: s.hf.Hash(t, canon), w: canon}
+			if e.h < best[t].h || e.h == best[t].h && e.w < best[t].w {
+				best[t] = e
 			}
 		}
 	}
+	if !any {
+		return nil
+	}
+	out := make([]kmer.Word, s.p.T)
+	for t := range out {
+		out[t] = best[t].w
+	}
+	return out
 }
 
 // AppendMinHash appends seq's MinHashSketch to a as subject's records,
 // one per trial with anchor -1; a sequence without k-mers appends
 // nothing.
 func (s *Sketcher) AppendMinHash(a *Appender, subject int32, seq []byte) {
+	if len(a.runs) != s.p.T {
+		panic(fmt.Sprintf("sketch: sketcher has %d trials, appender %d", s.p.T, len(a.runs)))
+	}
 	for t, w := range s.MinHashSketch(seq) {
 		a.runs[t] = append(a.runs[t], record{word: w, subject: subject, anchor: -1})
 	}

@@ -385,13 +385,22 @@ func TestTableInsertCollapsesDuplicates(t *testing.T) {
 }
 
 func TestTableInsertPanicsOnTrialMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("a 6-trial sketch appended to a 2-trial builder")
-		}
-	}()
 	sk, _ := NewSketcher(smallParams())
-	sk.AppendSubject(NewBuilder(2).Appender(), 0, randDNA(rand.New(rand.NewSource(3)), 300), true)
+	s := randDNA(rand.New(rand.NewSource(3)), 300)
+	for name, appendTo := range map[string]func(){
+		"subject into 2 trials": func() { sk.AppendSubject(NewBuilder(2).Appender(), 0, s, true) },
+		"minhash into 2 trials": func() { sk.AppendMinHash(NewBuilder(2).Appender(), 0, s) },
+		"minhash into 9 trials": func() { sk.AppendMinHash(NewBuilder(9).Appender(), 0, s) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a %d-trial sketch appended without a panic", name, sk.Params().T)
+				}
+			}()
+			appendTo()
+		}()
+	}
 }
 
 // TestTableMerge: the union of several appenders' runs (the gather
@@ -446,9 +455,11 @@ func TestDecodeTableRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSubjectSketchPositionalAnchors checks the invariant Freeze leans
-// on to keep a word's first anchor by keeping its smallest: within one
-// subject's trial, a word's anchors never decrease in append order.
+// TestSubjectSketchPositionalAnchors checks that within one subject's
+// trial the anchors never decrease in append order — with the rightmost
+// tie winning, a later interval's minimum never sits left of an
+// earlier one's — and so neither do one word's, the invariant Freeze
+// leans on to keep a word's first anchor by keeping its smallest.
 func TestSubjectSketchPositionalAnchors(t *testing.T) {
 	sk, _ := NewSketcher(smallParams())
 	rng := rand.New(rand.NewSource(53))
@@ -459,6 +470,9 @@ func TestSubjectSketchPositionalAnchors(t *testing.T) {
 				prev := map[kmer.Word]int32{}
 				for i, w := range words {
 					a := got.anchors[tr][i]
+					if i > 0 && a < got.anchors[tr][i-1] {
+						t.Fatalf("trial %d: anchor %d after %d", tr, a, got.anchors[tr][i-1])
+					}
 					if p, seen := prev[w]; a < 0 || int(a) >= len(s) || (seen && a < p) {
 						t.Fatalf("trial %d word %d: anchor %d after %d (seen %v), len %d", tr, w, a, p, seen, len(s))
 					}
