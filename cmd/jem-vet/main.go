@@ -9,9 +9,12 @@
 //
 // Diagnostics print as file:line:col: message (analyzer) — clickable
 // in editors and CI logs. Exit status is 1 when any unsuppressed
-// diagnostic is found. See docs/STATIC_ANALYSIS.md for the analyzer
-// catalogue, the //jem:hotpath annotation and the
-// //jem:nolint(<analyzer>) suppression syntax.
+// diagnostic is found. The suite is ctxflow, errsink and hotpathalloc,
+// each syntactic; span lifecycles and goroutine exits are checked by
+// tests instead, each site proven by a plant of `make mutants`. See
+// docs/STATIC_ANALYSIS.md for the analyzer catalogue, the keep-or-go
+// table, the //jem:hotpath annotation and the //jem:nolint(<analyzer>)
+// suppression syntax.
 package main
 
 import (

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/genome"
 	"repro/internal/kmer"
 	"repro/internal/seq"
@@ -122,6 +123,7 @@ func TestRepeatsFragmentAssembly(t *testing.T) {
 }
 
 func TestAssembleDeterministic(t *testing.T) {
+	fault.LeakCheck(t)
 	g, _ := genome.Generate(genome.Config{Length: 30_000, Seed: 7})
 	reads := errorFreeReads(t, g, 20)
 	a1, err := Assemble(reads, Config{K: 21, MinAbundance: 2, Workers: 1})

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sketch"
 )
 
@@ -81,6 +82,7 @@ func remoteMapper(t *testing.T, local *Mapper) (*Mapper, *memQuerier) {
 // holds, positional estimates included, is the lost-shard row of
 // internal/oracle's TestBackendMatrix.
 func TestRemoteDegradedAnswer(t *testing.T) {
+	fault.LeakCheck(t)
 	const p = 4
 	local, segs := shardedIndexMapper(t, p)
 	remote, mq := remoteMapper(t, local)

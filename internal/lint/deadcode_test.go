@@ -27,6 +27,7 @@ import (
 // the one _test.go file that uses it.
 var deadCodeKeep = map[string]string{
 	"repro/internal/fault.Reset":                "the fault-arming tests of internal/core, internal/fault, internal/serve, internal/shardnet and the root package",
+	"repro/internal/fault.LeakCheck":            "the goroutine-exit checks of the tests that drive each library go statement (docs/STATIC_ANALYSIS.md, leak/ plants)",
 	"repro/internal/kmer.Set":                   "distinct-k-mer oracle of genome_test.go, assemble_test.go and kmer_test.go",
 	"repro/internal/kmer.Encode":                "oracle of kmer_test.go's iterator tests, minimizer_test.go's naiveExtract and internal/oracle's reference mapper",
 	"repro/internal/minimizer.Jaccard":          "oracle of core_test.go TestBestHitAgreesWithBruteForceJaccard, sketch statistics_test.go and minimizer_test.go",

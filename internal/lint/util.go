@@ -152,49 +152,10 @@ func errorReturning(info *types.Info, call *ast.CallExpr) bool {
 	return named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
 
-// isTestFile reports whether pos lies in a _test.go file — several
-// analyzers (ctxflow, goleak) deliberately exempt test
-// code from production-path invariants.
+// isTestFile reports whether pos lies in a _test.go file — ctxflow
+// deliberately exempts test code from production-path invariants.
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
-}
-
-// terminatingCall reports calls that never return — the set the CFG
-// builder treats as edges straight to the exit block: os.Exit,
-// runtime.Goexit, the log.Fatal family, and testing's
-// Fatal/Fatalf/FailNow/Skip family (which call Goexit).
-func terminatingCall(info *types.Info, call *ast.CallExpr) bool {
-	if path, name, ok := pkgFunc(info, call); ok {
-		switch {
-		case path == "os" && name == "Exit":
-			return true
-		case path == "runtime" && name == "Goexit":
-			return true
-		case path == "log" && strings.HasPrefix(name, "Fatal"):
-			return true
-		}
-		return false
-	}
-	if recv, fn, ok := methodCall(info, call); ok && fn.Pkg() != nil && fn.Pkg().Path() == "testing" {
-		switch fn.Name() {
-		case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow":
-			_ = recv
-			return true
-		}
-	}
-	return false
-}
-
-// inspectSkipFuncLit walks the statement subtree like ast.Inspect but
-// does not descend into function literals — their bodies execute at
-// some other time and belong to a different control-flow analysis.
-func inspectSkipFuncLit(n ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, isLit := m.(*ast.FuncLit); isLit {
-			return false
-		}
-		return fn(m)
-	})
 }
 
 // contextAcceptingCall reports whether call's static callee takes a

@@ -3,6 +3,8 @@ package mpi
 import (
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 func TestAllgatherCost(t *testing.T) {
@@ -26,6 +28,7 @@ func TestAllgatherCost(t *testing.T) {
 }
 
 func TestSimStepTiming(t *testing.T) {
+	fault.LeakCheck(t)
 	s := New(4, Ethernet10G(), 2)
 	ran := make([]bool, 4)
 	st := s.Step("work", func(rank int) {

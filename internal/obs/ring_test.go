@@ -94,7 +94,7 @@ func TestTracerRootsBounded(t *testing.T) {
 	// bounded no matter how many roots are abandoned.
 	def := NewTracer()
 	for i := 0; i < 2*defaultTracerRoots; i++ {
-		def.Start("r") //jem:nolint(spanend) bounding test leaks on purpose
+		def.Start("r")
 	}
 	if n := len(def.Roots()); n != defaultTracerRoots {
 		t.Errorf("default tracer retained %d roots, want %d", n, defaultTracerRoots)

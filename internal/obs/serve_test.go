@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // TestServeEndpoints stands the side server up on an ephemeral port
@@ -58,6 +60,7 @@ func TestServeEndpoints(t *testing.T) {
 // side serve goroutine has exited, so a caller tearing down the
 // process observes the listener fully released.
 func TestServerCloseWaitsForServeGoroutine(t *testing.T) {
+	fault.LeakCheck(t)
 	s, err := Serve("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatal(err)

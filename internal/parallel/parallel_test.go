@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/fault"
 )
 
 func TestWorkers(t *testing.T) {
@@ -45,6 +47,7 @@ func TestForEachZeroItems(t *testing.T) {
 }
 
 func TestForEachWorkerStateIsolation(t *testing.T) {
+	fault.LeakCheck(t)
 	type state struct {
 		id    int
 		items []int

@@ -87,33 +87,6 @@ func probeBatch(p, trials, nprobes int, seed int64) (perShardTrials map[int][]in
 	return perShardTrials, perShardWords
 }
 
-// goroutinesSettle polls until at most base goroutines are running.
-func goroutinesSettle(base int, within time.Duration) bool {
-	deadline := time.Now().Add(within)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
-}
-
-// leakCheck fails the test if goroutines it started are still running
-// after its coordinators and servers are closed. Call it first: cleanups
-// run last-in first-out, so this one runs after the servers' Close.
-func leakCheck(t *testing.T) {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		if !goroutinesSettle(base, 2*time.Second) {
-			buf := make([]byte, 1<<16)
-			t.Errorf("%d goroutines after close, %d before the test:\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-	})
-}
-
 // checkLocal asserts that lists are exactly the local Lookup lists of
 // the probes — the byte-identity oracle.
 func checkLocal(t *testing.T, tbl *sketch.FrozenTable, trials []int32, words []sketch.Word, lists [][]sketch.Posting) {
@@ -200,7 +173,7 @@ func readMsgBytes(frame []byte) (byte, []byte, error) {
 }
 
 func TestQueryMatchesLocalLookup(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	const p = 4
 	tables, info, sf := testIndex(t, p, 50)
 	addr := startServer(t, tables, info)
@@ -237,7 +210,7 @@ func TestQueryMatchesLocalLookup(t *testing.T) {
 }
 
 func TestDialRejectsIncoherentFleet(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	tables, info, _ := testIndex(t, 4, 20)
 	// Coverage hole: a server owning only shards {0,1} cannot serve a
 	// 4-shard index alone.
@@ -257,7 +230,7 @@ func TestDialRejectsIncoherentFleet(t *testing.T) {
 }
 
 func TestDialInjectedDialError(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	defer fault.Reset()
 	tables, info, _ := testIndex(t, 2, 10)
 	addr := startServer(t, tables, info)
@@ -269,7 +242,7 @@ func TestDialInjectedDialError(t *testing.T) {
 }
 
 func TestRetryRecoversFromShardDown(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	defer fault.Reset()
 	const p = 2
 	tables, info, sf := testIndex(t, p, 20)
@@ -306,7 +279,7 @@ func TestRetryRecoversFromShardDown(t *testing.T) {
 }
 
 func TestDegradedAnswerAfterBudgetExhausted(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	defer fault.Reset()
 	const p = 2
 	tables, info, _ := testIndex(t, p, 20)
@@ -411,7 +384,7 @@ func startSlowReplica(t *testing.T, tables map[int]*sketch.FrozenTable, info Inf
 }
 
 func TestRetryPastStuckReplica(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	const p = 2
 	tables, info, sf := testIndex(t, p, 20)
 	slow := startSlowReplica(t, tables, info, 400*time.Millisecond)
@@ -441,7 +414,7 @@ func TestRetryPastStuckReplica(t *testing.T) {
 // reply: QueryShard must return at once, leave nothing running and
 // nothing poisoned in the pool.
 func TestCancelMidRPC(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	const p = 2
 	tables, info, sf := testIndex(t, p, 20)
 	addr := startSlowReplica(t, tables, info, 400*time.Millisecond)
@@ -463,7 +436,7 @@ func TestCancelMidRPC(t *testing.T) {
 	if !errors.As(err, &se) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want ShardError wrapping context.Canceled", err)
 	}
-	if !goroutinesSettle(base, 100*time.Millisecond) {
+	if !fault.GoroutinesSettle(base, 100*time.Millisecond) {
 		t.Fatalf("%d goroutines after the cancelled query, %d before it", runtime.NumGoroutine(), base)
 	}
 	pl := coord.servers[0].pool
@@ -481,7 +454,7 @@ func TestCancelMidRPC(t *testing.T) {
 }
 
 func TestQueryShardContextCancelled(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	tables, info, _ := testIndex(t, 2, 10)
 	addr := startServer(t, tables, info)
 	coord, err := Dial(context.Background(), []string{addr}, Config{}, nil)
@@ -499,7 +472,7 @@ func TestQueryShardContextCancelled(t *testing.T) {
 }
 
 func TestPoolHealthCheckedReconnect(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	tables, info, _ := testIndex(t, 2, 10)
 	srv, err := NewServer(tables, info)
 	if err != nil {
@@ -549,7 +522,7 @@ func TestPoolHealthCheckedReconnect(t *testing.T) {
 }
 
 func TestServerRefusesUnownedShard(t *testing.T) {
-	leakCheck(t)
+	fault.LeakCheck(t)
 	tables, info, _ := testIndex(t, 4, 10)
 	partial := map[int]*sketch.FrozenTable{0: tables[0], 1: tables[1], 2: tables[2], 3: tables[3]}
 	delete(partial, 3)

@@ -12,9 +12,11 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/fault"
 )
 
 func TestMapStreamMatchesMapReads(t *testing.T) {
+	fault.LeakCheck(t)
 	ds := buildSmallDataset(t)
 	opts := jem.DefaultOptions()
 	mapper, err := jem.NewMapper(ds.Contigs, opts)
@@ -80,6 +82,7 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 // contract: every record read before the failure is still mapped,
 // written, and counted; only then is the error returned.
 func TestMapStreamFlushesOnReaderError(t *testing.T) {
+	fault.LeakCheck(t)
 	ds := buildSmallDataset(t)
 	mapper, err := jem.NewMapper(ds.Contigs, jem.DefaultOptions())
 	if err != nil {
@@ -139,6 +142,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // work actually done. (The pre-fix code skipped counting for batches
 // drained after the error, undercounting Segments/Mapped.)
 func TestMapStreamCountsAfterWriteError(t *testing.T) {
+	fault.LeakCheck(t)
 	ds := buildSmallDataset(t)
 	mapper, err := jem.NewMapper(ds.Contigs, jem.DefaultOptions())
 	if err != nil {

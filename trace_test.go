@@ -3,6 +3,7 @@ package jem_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -170,11 +171,14 @@ func TestMapChildSpan(t *testing.T) {
 	}
 }
 
-// TestOpenIndexLoadSpans pins the span tree an index open leaves in the
-// opened mapper's registry, under heap and under mmap: one index.load
-// root whose read child holds one span per shard, every span ended,
-// and nothing else. Shards load in parallel, so their spans' order is
-// not pinned.
+// TestOpenIndexLoadSpans pins the span trees an index leaves in its
+// mapper's registry, every span ended. A sharded build and a save leave
+// index.build, with its sketch phase and a freeze child holding one
+// span per shard, then index.write. An open, under heap and under mmap,
+// leaves one index.load root whose read child holds one span per shard,
+// and nothing else. Shards lay out and load in parallel, so their
+// spans' order is not pinned. An open that fails on a truncated index
+// ends its spans too.
 func TestOpenIndexLoadSpans(t *testing.T) {
 	ds := buildSmallDataset(t)
 	opts := jem.DefaultOptions()
@@ -187,23 +191,48 @@ func TestOpenIndexLoadSpans(t *testing.T) {
 	if err := built.SaveIndexFile(idx); err != nil {
 		t.Fatal(err)
 	}
+	const wantBuild = "index.build\n  freeze\n    shard0\n    shard1\n    shard2\n  sketch\nindex.write\n"
+	if got := spanForest(t, built.Metrics().Tracer()); got != wantBuild {
+		t.Errorf("build and save left the span tree\n%swant\n%s", got, wantBuild)
+	}
 	const want = "index.load\n  read\n    shard0\n    shard1\n    shard2\n"
 	for _, mode := range []jem.MemoryMode{jem.MemoryHeap, jem.MemoryMMap} {
 		m, _, err := jem.Open(jem.OpenOptions{IndexPath: idx, Options: jem.Options{Memory: jem.Memory{Mode: mode}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tree strings.Builder
-		for _, root := range m.Metrics().Tracer().Roots() {
-			writeSpanTree(t, &tree, root, 0)
-		}
-		if got := tree.String(); got != want {
+		if got := spanForest(t, m.Metrics().Tracer()); got != want {
 			t.Errorf("%v: Open left the span tree\n%swant\n%s", mode, got, want)
 		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+
+	data, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.jem")
+	if err := os.WriteFile(bad, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, _, err := jem.Open(jem.OpenOptions{IndexPath: bad, Options: jem.Options{Metrics: reg}}); err == nil {
+		t.Fatal("a truncated index opened")
+	}
+	if got, want := spanForest(t, reg.Tracer()), "index.load\n  read\n"; got != want {
+		t.Errorf("a failed Open left the span tree\n%swant\n%s", got, want)
+	}
+}
+
+// spanForest writes every root of tr with writeSpanTree.
+func spanForest(t *testing.T, tr *obs.Tracer) string {
+	var b strings.Builder
+	for _, root := range tr.Roots() {
+		writeSpanTree(t, &b, root, 0)
+	}
+	return b.String()
 }
 
 // writeSpanTree writes sp's subtree as indented names, children sorted
